@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channel import Channel, ProductChannel, make_product
 from .kernel import entropy_of_array
@@ -126,6 +125,8 @@ def f_envelope_oracle(x: float, resolution: int = 32) -> float:
     as a linear program over mixtures of grid distributions: maximize the
     mixed objective subject to the mixture reproducing the target marginal.
     """
+    from scipy.optimize import linprog  # only this oracle needs scipy
+
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     grid = np.array(list(simplex_grid(4, resolution)))
@@ -237,6 +238,21 @@ def product_seed_factory(lam: float) -> list[np.ndarray]:
     return [a.joint for a in product_seed_auxiliaries()]
 
 
+def _witness_components(q1: float, q2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-component witness laws p1(u1, v1_mixed, x1), p2(u2_mixed, v2, x2).
+
+    A mixed symbol takes values 0..1 for the parity branch (probability q)
+    and 2..5 to identify x; the other auxiliary is the class label."""
+    p1 = np.zeros((2, 6, 4))
+    p2 = np.zeros((6, 2, 4))
+    for x in range(4):
+        p1[_LABEL[x], _PARITY[x], x] += q1 * 0.25
+        p1[_LABEL[x], 2 + x, x] += (1.0 - q1) * 0.25
+        p2[_PARITY[x], _LABEL[x], x] += q2 * 0.25
+        p2[2 + x, _LABEL[x], x] += (1.0 - q2) * 0.25
+    return p1, p2
+
+
 def uv_witness_auxiliary(q_probs: tuple[float, float] = (0.8, 0.8)) -> UvAuxiliary:
     """Mixture auxiliary certifying the UV bound value on the product.
 
@@ -251,34 +267,16 @@ def uv_witness_auxiliary(q_probs: tuple[float, float] = (0.8, 0.8)) -> UvAuxilia
     q1, q2 = float(q_probs[0]), float(q_probs[1])
     if not (0.0 <= q1 <= 1.0 and 0.0 <= q2 <= 1.0):
         raise ValueError("mixing probabilities must lie in [0, 1]")
-    # mixed symbol: values 0..1 are the parity branch, 2..5 identify x
-    p1 = np.zeros((2, 6, 4))  # (u1, v1_mixed, x1)
-    p2 = np.zeros((6, 2, 4))  # (u2_mixed, v2, x2)
-    for x in range(4):
-        u1 = _LABEL[x]
-        p1[u1, _PARITY[x], x] += q1 * 0.25
-        p1[u1, 2 + x, x] += (1.0 - q1) * 0.25
-        v2 = _LABEL[x]
-        p2[_PARITY[x], v2, x] += q2 * 0.25
-        p2[2 + x, v2, x] += (1.0 - q2) * 0.25
+    p1, p2 = _witness_components(q1, q2)
     joint = np.einsum("ace,bdf->abcdef", p1, p2).reshape(12, 12, 16)
     return UvAuxiliary(joint)
 
 
 def witness_component_values() -> dict[str, float]:
     """Exact per-component information values behind the 44/15 total."""
-    c1 = component("y")
-    c2 = component("z")
-    q1, q2 = 0.8, 0.8
-    p1 = np.zeros((2, 6, 4))
-    p2 = np.zeros((6, 2, 4))
-    for x in range(4):
-        p1[_LABEL[x], _PARITY[x], x] += q1 * 0.25
-        p1[_LABEL[x], 2 + x, x] += (1.0 - q1) * 0.25
-        p2[_PARITY[x], _LABEL[x], x] += q2 * 0.25
-        p2[2 + x, _LABEL[x], x] += (1.0 - q2) * 0.25
-    pt1 = evaluate_uv_point(c1, UvAuxiliary(p1))
-    pt2 = evaluate_uv_point(c2, UvAuxiliary(p2))
+    p1, p2 = _witness_components(0.8, 0.8)
+    pt1 = evaluate_uv_point(component("y"), UvAuxiliary(p1))
+    pt2 = evaluate_uv_point(component("z"), UvAuxiliary(p2))
     return {
         "iu1y1": pt1.r1_bound,
         "iv1z1": pt1.r2_bound,

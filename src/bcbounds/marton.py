@@ -30,8 +30,8 @@ from .objectives import (
     FixedInputObjective,
     InfoFunctional,
     JointObjective,
-    MinOfObjectives,
     mi_terms,
+    min_of_rows,
     scale_terms,
 )
 from .search import (
@@ -706,12 +706,11 @@ def check_min_max_equality(
     mm_cfg = cfg.with_(restarts=max(8, cfg.restarts // 2))
     mm = marton_sum_rate(c, mm_cfg, profile=prof, scalar_tol=1e-3)
 
-    # max-min over the joint: min of the two endpoint functionals
+    # max-min over the joint: min of the two endpoint rows
     prof_mm = Cardinalities(c.nx, c.nx, min(2 * c.nx, c.nx + 4))
-    f0 = lambda_sr_functional(c, 0.0, prof_mm)
-    f1 = lambda_sr_functional(c, 1.0, prof_mm)
-    obj = MinOfObjectives([JointObjective(f0), JointObjective(f1)])
-    block = [int(np.prod(f0.shape))]
+    shape = (prof_mm.nu, prof_mm.nv, prof_mm.nw, c.nx)
+    endpoints = [lambda_sr_terms(0.0), lambda_sr_terms(1.0)]
+    obj = JointObjective(InfoFunctional("uvwx", shape, endpoints, channel=c.q), min_of_rows())
     seeds = [
         t.ravel() for t in structured_seed_joints(c, prof_mm, _default_px_list(c))
     ]
@@ -724,7 +723,7 @@ def check_min_max_equality(
         mix = _mixture_joint(auxL, auxR, alpha, prof_mm)
         if mix is not None:
             seeds.append(mix.ravel())
-    res_mm = maximize(obj, block, cfg, seeds=seeds)
+    res_mm = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     max_min = res_mm.value
 
     # max-min-max over a p(x) grid with a local polish

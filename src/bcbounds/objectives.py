@@ -7,10 +7,17 @@ sides) is a weighted sum of joint entropies of marginals of
     lifted(t)(dist_axes, out_axes) = t(dist_axes) * q(out_axes | input)
 
 where t is the searched distribution and q the fixed channel. Each such
-marginal is a linear image of t, so values and exact gradients come from
-one shared routine. Gradients of entropy use d/dm[-m log2 m] =
--(log2 m + log2 e); zero marginals are clipped only inside the gradient
-(values keep the exact zero-skip convention of the kernel).
+marginal is a linear image of t: a sum over the axes it drops, then a
+product with the matching marginal of q. A table of expressions is
+compiled once into its distinct marginals; an evaluation computes each
+marginal and its entropy once (the entropy vector H), and the row values
+are C @ H for a fixed coefficient matrix C (R. W. Yeung, "A framework for
+linear information inequalities", IEEE Trans. IT 1997). The gradient of
+w . (C @ H) for caller-chosen row weights w is one adjoint pass,
+sum_s (w^T C)_s dH_s/dt, skipping marginals of zero weight. Entropy
+derivatives use d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are
+clipped only inside the gradient (values keep the exact zero-skip
+convention of the kernel).
 """
 
 from __future__ import annotations
@@ -28,16 +35,19 @@ GRAD_CLIP = 1e-300
 
 __all__ = [
     "InfoFunctional",
+    "Evaluation",
     "mi_terms",
     "ent_terms",
     "scale_terms",
     "merge_terms",
+    "min_of_rows",
     "JointObjective",
     "FixedInputObjective",
-    "MinOfObjectives",
 ]
 
 Term = tuple[float, str]
+# maps row values to (objective value, row weights of its gradient)
+Weigh = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 def _canon(subset: str, order: str) -> str:
@@ -80,30 +90,106 @@ def merge_terms(terms: Sequence[Term], order: str) -> list[Term]:
     return [(c, s) for s, c in acc.items() if abs(c) > 1e-14]
 
 
-@dataclass
-class _Compiled:
-    coeff: float
-    subset: str
-    fwd: str
-    qm: np.ndarray | None
-    adj: str | None
-    expand: tuple[int, ...]
+def _sum_of_rows(values: np.ndarray) -> tuple[float, np.ndarray]:
+    return float(values.sum()), np.ones(len(values))
+
+
+def min_of_rows(count: int | None = None) -> Weigh:
+    """Weighing for the minimum of the first ``count`` rows (all rows by
+    default): the value is the minimum and the gradient follows the first
+    minimal row. Projected ascent on such an objective is still a certified
+    lower-bound search, because every candidate is scored by the true
+    minimum."""
+
+    def weigh(values: np.ndarray) -> tuple[float, np.ndarray]:
+        k = int(np.argmin(values[:count]))
+        w = np.zeros(len(values))
+        w[k] = 1.0
+        return float(values[k]), w
+
+    return weigh
+
+
+@dataclass(frozen=True)
+class _Marginal:
+    """One distinct marginal: a keep-marginal of t, times a channel marginal."""
+
+    keep: int  # index into the table's keep-marginals of t
+    q: np.ndarray | None  # channel marginal as (inputs, outputs); None: t only
+    joint_input: bool  # the marginal keeps the input axis next to the outputs
+
+
+@dataclass(frozen=True)
+class _Keep:
+    """t summed over ``drop``, held as (rest, inputs) when it keeps the
+    channel input (ready for a matmul with q) and flat otherwise."""
+
+    drop: tuple[int, ...]  # axes of t summed out
+    work: tuple[int, ...]  # working shape of the keep-marginal
+    expand: tuple[int, ...]  # shape that broadcasts it back against t
+
+
+class Evaluation:
+    """Marginals and row values of a table at one tensor; ``grad`` runs the
+    adjoint pass for any row weights without recomputing the marginals."""
+
+    def __init__(self, fn: "InfoFunctional", t: np.ndarray) -> None:
+        self._fn = fn
+        kept = [np.add.reduce(t, axis=k.drop).reshape(k.work) for k in fn._keeps]
+        self.marginals: list[np.ndarray] = []
+        h = np.empty(len(fn._marginals))
+        for s, mg in enumerate(fn._marginals):
+            m = kept[mg.keep]
+            if mg.q is not None:
+                m = m[:, :, None] * mg.q if mg.joint_input else m @ mg.q
+            self.marginals.append(m)
+            h[s] = entropy_of_array(m)
+        self.values = fn.coeffs @ h
+
+    def grad(self, weights: np.ndarray) -> np.ndarray:
+        """Gradient of weights . values with respect to t."""
+        fn = self._fn
+        per_marginal = np.asarray(weights, dtype=float) @ fn.coeffs
+        active = np.flatnonzero(per_marginal)
+        ms = [self.marginals[s] for s in active]
+        sizes = [m.size for m in ms]
+        # weighted entropy derivatives of every active marginal at once
+        flat = np.concatenate([m.ravel() for m in ms]) if ms else np.zeros(0)
+        dh = np.log2(np.maximum(flat, GRAD_CLIP))
+        dh += LOG2E
+        dh *= -np.repeat(per_marginal[active], sizes)
+        acc: list[np.ndarray | None] = [None] * len(fn._keeps)
+        start = 0
+        for s, m, n in zip(active, ms, sizes):
+            mg = fn._marginals[s]
+            d = dh[start : start + n].reshape(m.shape)
+            start += n
+            if mg.q is not None:
+                d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+            acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+        grad = np.zeros(fn.shape)
+        for keep, g in zip(fn._keeps, acc):
+            if g is not None:
+                grad += g.reshape(keep.expand)
+        return grad
 
 
 class InfoFunctional:
-    """Weighted entropy sum with exact gradient w.r.t. the base tensor.
+    """Table of weighted entropy sums with exact gradients w.r.t. the base tensor.
 
     dist_axes: one letter per axis of t, input axis last (e.g. 'uvwx').
     channel: optional conditional array with axes channel_axes, first
     letter the input (shared with dist_axes), the rest output axes.
-    terms: (coefficient, subset-of-letters) pairs.
+    terms: one expression, a list of (coefficient, subset-of-letters)
+    pairs, whose value is a float; or a list of such expressions (rows),
+    whose value is the array of row values.
     """
 
     def __init__(
         self,
         dist_axes: str,
         dist_shape: Sequence[int],
-        terms: Sequence[Term],
+        terms: Sequence,
         channel: np.ndarray | None = None,
         channel_axes: str = "xyz",
     ) -> None:
@@ -113,76 +199,65 @@ class InfoFunctional:
         self.shape = tuple(int(n) for n in dist_shape)
         in_axis = channel_axes[0]
         out_axes = channel_axes[1:] if channel is not None else ""
-        if channel is not None and in_axis not in dist_axes:
-            raise ValueError(f"input axis '{in_axis}' not among dist axes")
+        if channel is not None and not dist_axes.endswith(in_axis):
+            raise ValueError(f"input axis '{in_axis}' must be the last dist axis")
         order = dist_axes + out_axes
         self.order = order
-        merged = merge_terms(terms, order)
-        self._q_cache: dict[str, np.ndarray] = {}
-        self.terms: list[_Compiled] = []
-        for coeff, subset in merged:
-            s4 = "".join(a for a in dist_axes if a in subset)
+        # a table's first element is a row (a list of terms), an expression's a term
+        self.scalar = not terms or not isinstance(terms[0][0], (tuple, list))
+        rows = [terms] if self.scalar else list(terms)
+        merged = [merge_terms(row, order) for row in rows]
+        subsets = list(dict.fromkeys(s for row in merged for _, s in row))
+        self.coeffs = np.zeros((len(rows), len(subsets)))
+        for r, row in enumerate(merged):
+            for coeff, subset in row:
+                self.coeffs[r, subsets.index(subset)] = coeff
+
+        keep_index: dict[str, int] = {}
+        self._keeps: list[_Keep] = []
+        self._marginals: list[_Marginal] = []
+        q_cache: dict[str, np.ndarray] = {}
+        for subset in subsets:
             sout = "".join(a for a in out_axes if a in subset)
-            if sout:
-                qm = self._q_marginal(channel, channel_axes, in_axis + sout)
-                fwd = f"{dist_axes},{in_axis}{sout}->{s4}{sout}"
-                adj_keep = s4 if in_axis in s4 else "".join(
-                    a for a in dist_axes if a in s4 + in_axis
-                )
-                adj = f"{in_axis}{sout},{s4}{sout}->{adj_keep}"
-                expand_axes = adj_keep
-            else:
-                qm = None
-                fwd = f"{dist_axes}->{s4}"
-                adj = None
-                expand_axes = s4
-            expand = tuple(
-                n if a in expand_axes else 1
-                for a, n in zip(dist_axes, self.shape)
-            )
-            self.terms.append(_Compiled(coeff, subset, fwd, qm, adj, expand))
+            keep = "".join(a for a in dist_axes if a in subset or (sout and a == in_axis))
+            if keep not in keep_index:
+                keep_index[keep] = len(self._keeps)
+                drop = tuple(i for i, a in enumerate(dist_axes) if a not in keep)
+                expand = tuple(1 if i in drop else n for i, n in enumerate(self.shape))
+                with_input = channel is not None and in_axis in keep
+                work = (-1, self.shape[-1]) if with_input else (-1,)
+                self._keeps.append(_Keep(drop, work, expand))
+            if sout and sout not in q_cache:
+                drop = tuple(i for i, a in enumerate(channel_axes) if a not in in_axis + sout)
+                q_cache[sout] = channel.sum(axis=drop).reshape(channel.shape[0], -1)
+            joint_input = in_axis in subset
+            self._marginals.append(_Marginal(keep_index[keep], q_cache.get(sout), joint_input))
 
-    def _q_marginal(self, channel, channel_axes, keep: str) -> np.ndarray:
-        if keep in self._q_cache:
-            return self._q_cache[keep]
-        drop = tuple(i for i, a in enumerate(channel_axes) if a not in keep)
-        qm = channel.sum(axis=drop) if drop else channel
-        self._q_cache[keep] = qm
-        return qm
+    def evaluate(self, t: np.ndarray) -> Evaluation:
+        """Marginals, entropy vector and row values at t (forward pass only)."""
+        return Evaluation(self, t)
 
-    def value(self, t: np.ndarray) -> float:
-        total = 0.0
-        for term in self.terms:
-            if term.qm is None:
-                m = np.einsum(term.fwd, t)
-            else:
-                m = np.einsum(term.fwd, t, term.qm)
-            total += term.coeff * entropy_of_array(m)
-        return total
+    def value(self, t: np.ndarray) -> float | np.ndarray:
+        values = self.evaluate(t).values
+        return float(values[0]) if self.scalar else values
 
-    def value_and_grad(self, t: np.ndarray) -> tuple[float, np.ndarray]:
-        total = 0.0
-        grad = np.zeros(self.shape)
-        for term in self.terms:
-            if term.qm is None:
-                m = np.einsum(term.fwd, t)
-            else:
-                m = np.einsum(term.fwd, t, term.qm)
-            total += term.coeff * entropy_of_array(m)
-            dh = -(np.log2(np.maximum(m, GRAD_CLIP)) + LOG2E)
-            if term.adj is None:
-                contrib = dh
-            else:
-                contrib = np.einsum(term.adj, term.qm, dh)
-            grad += term.coeff * contrib.reshape(term.expand)
-        return total, grad
+    def value_and_grad(
+        self, t: np.ndarray, weigh: Weigh = _sum_of_rows
+    ) -> tuple[float, np.ndarray]:
+        """Objective value and gradient; ``weigh`` turns the row values into
+        the value and the row weights (default: the sum of the rows)."""
+        ev = self.evaluate(t)
+        value, weights = weigh(ev.values)
+        return value, ev.grad(weights)
 
 
 class JointObjective:
-    """Flat-vector adapter: one simplex over the whole base tensor."""
+    """Flat-vector adapter: one simplex over the whole base tensor; ``weigh``
+    reduces a table's rows to the objective (see ``value_and_grad``)."""
 
-    def __init__(self, functional: InfoFunctional) -> None:
+    def __init__(self, functional: InfoFunctional, weigh: Weigh = _sum_of_rows) -> None:
         self.functional = functional
+        self.weigh = weigh
         self.shape = functional.shape
         self.size = int(np.prod(self.shape))
 
@@ -191,7 +266,7 @@ class JointObjective:
         return [self.size]
 
     def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        v, g = self.functional.value_and_grad(flat.reshape(self.shape))
+        v, g = self.functional.value_and_grad(flat.reshape(self.shape), self.weigh)
         return v, g.ravel()
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
@@ -240,28 +315,3 @@ class FixedInputObjective:
         uniform = 1.0 / self.block
         cond = np.where(px > 0.0, cond, uniform)
         return np.moveaxis(cond, -1, 0).ravel().copy()
-
-
-class MinOfObjectives:
-    """Pointwise minimum of objectives; gradient follows the active branch.
-
-    Used for max-min problems (UV bound, endpoint pair). Projected ascent
-    on this objective is still a certified lower bound: every candidate is
-    scored by the true minimum.
-    """
-
-    def __init__(self, parts: Sequence[Callable[[np.ndarray], tuple[float, np.ndarray]]]):
-        if not parts:
-            raise ValueError("need at least one objective")
-        self.parts = list(parts)
-
-    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        best_v, best_g = None, None
-        for p in self.parts:
-            v, g = p(flat)
-            if best_v is None or v < best_v:
-                best_v, best_g = v, g
-        return best_v, best_g
-
-    def values(self, flat: np.ndarray) -> list[float]:
-        return [p(flat)[0] for p in self.parts]

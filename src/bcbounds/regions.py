@@ -32,13 +32,7 @@ from .marton import (
     embed_auxiliary,
     structured_seed_joints,
 )
-from .objectives import (
-    InfoFunctional,
-    JointObjective,
-    MinOfObjectives,
-    ent_terms,
-    mi_terms,
-)
+from .objectives import InfoFunctional, JointObjective, ent_terms, mi_terms, min_of_rows
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -99,18 +93,12 @@ class UvPoint:
         }
 
 
-def _uv_functionals(c: Channel, nu: int, nv: int) -> dict[str, InfoFunctional]:
-    shape = (nu, nv, c.nx)
-
-    def make(terms):
-        return InfoFunctional("uvx", shape, terms, channel=c.q)
-
-    return {
-        "iuy": make(mi_terms("u", "y")),
-        "ivz": make(mi_terms("v", "z")),
-        "sum_y": make(mi_terms("u", "y") + mi_terms("x", "z", "u")),
-        "sum_z": make(mi_terms("v", "z") + mi_terms("x", "y", "v")),
-    }
+def _uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
+    """Rows: the three sum-rate branches (searched as their minimum), then
+    I(U;Y) and I(V;Z)."""
+    iuy, ivz = mi_terms("u", "y"), mi_terms("v", "z")
+    rows = [iuy + ivz, iuy + mi_terms("x", "z", "u"), ivz + mi_terms("x", "y", "v"), iuy, ivz]
+    return InfoFunctional("uvx", (nu, nv, c.nx), rows, channel=c.q)
 
 
 def evaluate_uv_point(c: Channel, aux: UvAuxiliary) -> UvPoint:
@@ -118,13 +106,8 @@ def evaluate_uv_point(c: Channel, aux: UvAuxiliary) -> UvPoint:
     nu, nv, nx = aux.shape
     if nx != c.nx:
         raise ValueError("UV auxiliary input alphabet mismatch")
-    fns = _uv_functionals(c, nu, nv)
-    return UvPoint(
-        r1_bound=fns["iuy"].value(aux.joint),
-        r2_bound=fns["ivz"].value(aux.joint),
-        sum_y_side=fns["sum_y"].value(aux.joint),
-        sum_z_side=fns["sum_z"].value(aux.joint),
-    )
+    _, sum_y, sum_z, iuy, ivz = map(float, _uv_table(c, nu, nv).value(aux.joint))
+    return UvPoint(r1_bound=iuy, r2_bound=ivz, sum_y_side=sum_y, sum_z_side=sum_z)
 
 
 @dataclass
@@ -152,14 +135,8 @@ def uv_sum_rate(
     cfg = cfg or SearchConfig(restarts=32, max_iters=200)
     nu = nu or c.nx + 1
     nv = nv or c.nx + 1
-    fns = _uv_functionals(c, nu, nv)
     shape = (nu, nv, c.nx)
-    size = int(np.prod(shape))
-    f_b0 = InfoFunctional(
-        "uvx", shape, mi_terms("u", "y") + mi_terms("v", "z"), channel=c.q
-    )
-    branch_objs = [JointObjective(f_b0), JointObjective(fns["sum_y"]), JointObjective(fns["sum_z"])]
-    obj = MinOfObjectives(branch_objs)
+    obj = JointObjective(_uv_table(c, nu, nv), min_of_rows(3))
 
     seeds = []
     uniform = np.full(c.nx, 1.0 / c.nx)
@@ -182,7 +159,7 @@ def uv_sum_rate(
             s = padded
         seeds.append(s.ravel())
 
-    res = maximize(obj, [size], cfg, seeds=seeds)
+    res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     aux = UvAuxiliary(res.point.reshape(shape))
     return UvSumRate(
         value=res.value,
@@ -412,6 +389,18 @@ def _polytope_vertices(ineqs: list[tuple[tuple[int, int, int], float]]) -> np.nd
     return np.unique(np.round(np.asarray(verts), 12), axis=0)
 
 
+def _row_tables(
+    pc: ProductChannel, rows: list[Row], shape1: tuple, shape2: tuple
+) -> tuple[InfoFunctional, InfoFunctional]:
+    """Per component, a table of its share of each row's right-hand side."""
+
+    def table(c: Channel, shape: tuple, side: int) -> InfoFunctional:
+        exprs = [[t for n in row[side] for t in _TERM_DEFS[n]()] for row in rows]
+        return InfoFunctional("uvwx", shape, exprs, channel=c.q)
+
+    return table(pc.c1, shape1, 1), table(pc.c2, shape2, 2)
+
+
 def build_region(
     pc: ProductChannel,
     aux: ProductAuxiliary,
@@ -422,25 +411,13 @@ def build_region(
     """Instantiate a region's inequalities at one product auxiliary."""
     notes = _class_notes(pc, kind, verify_classes)
     rows = _region_rows(kind, mirrored)
-    vals1 = _term_values(pc.c1, aux.a1, {n for _, t1, _ in rows for n in t1})
-    vals2 = _term_values(pc.c2, aux.a2, {n for _, _, t2 in rows for n in t2})
-    ineqs = []
-    for a, t1, t2 in rows:
-        rhs = sum(vals1[n] for n in t1) + sum(vals2[n] for n in t2)
-        ineqs.append((a, float(rhs)))
+    if aux.a1.shape[3] != pc.c1.nx or aux.a2.shape[3] != pc.c2.nx:
+        raise ValueError("component auxiliary input alphabet mismatch")
+    f1, f2 = _row_tables(pc, rows, aux.a1.shape, aux.a2.shape)
+    rhs = f1.value(aux.a1.joint) + f2.value(aux.a2.joint)
+    ineqs = [(a, float(r)) for (a, _, _), r in zip(rows, rhs)]
     tag = kind + ("_mirror" if (kind == "product_outer" and mirrored) else "")
     return RateRegionPolytope(inequalities=ineqs, tag=tag, notes=notes)
-
-
-def _term_values(c: Channel, aux: AuxiliaryJoint, names) -> dict[str, float]:
-    nu, nv, nw, nx = aux.shape
-    if nx != c.nx:
-        raise ValueError("component auxiliary input alphabet mismatch")
-    out = {}
-    for name in names:
-        fn = InfoFunctional("uvwx", aux.shape, _TERM_DEFS[name](), channel=c.q)
-        out[name] = fn.value(aux.joint)
-    return out
 
 
 class _SupportObjective:
@@ -463,24 +440,7 @@ class _SupportObjective:
         self.shape2 = (prof2.nu, prof2.nv, prof2.nw, pc.c2.nx)
         self.size1 = int(np.prod(self.shape1))
         self.size2 = int(np.prod(self.shape2))
-        self.f1 = [
-            InfoFunctional(
-                "uvwx",
-                self.shape1,
-                [t for n in t1 for t in _TERM_DEFS[n]()],
-                channel=pc.c1.q,
-            )
-            for _, t1, _ in self.rows
-        ]
-        self.f2 = [
-            InfoFunctional(
-                "uvwx",
-                self.shape2,
-                [t for n in t2 for t in _TERM_DEFS[n]()],
-                channel=pc.c2.q,
-            )
-            for _, _, t2 in self.rows
-        ]
+        self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
         n_rows = len(self.rows)
         A = [list(map(float, a)) for a, _, _ in self.rows]
         extra_rhs = []
@@ -515,55 +475,33 @@ class _SupportObjective:
             flat[self.size1 :].reshape(self.shape2),
         )
 
-    def rhs_and_parts(self, t1, t2, with_grad: bool):
-        rhs = np.empty(self.n_rows)
-        grads1, grads2 = [], []
-        for i in range(self.n_rows):
-            if with_grad:
-                v1, g1 = self.f1[i].value_and_grad(t1)
-                v2, g2 = self.f2[i].value_and_grad(t2)
-                grads1.append(g1)
-                grads2.append(g2)
-            else:
-                v1 = self.f1[i].value(t1)
-                v2 = self.f2[i].value(t2)
-            rhs[i] = v1 + v2
-        return rhs, grads1, grads2
-
-    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        t1, t2 = self.split(flat)
-        rhs, grads1, grads2 = self.rhs_and_parts(t1, t2, with_grad=True)
+    def best_vertex(self, rhs: np.ndarray) -> tuple[float, int | None]:
+        """Support value over the feasible vertices for row right-hand sides
+        ``rhs``, and the index of the optimal combination of active
+        constraints (None for an empty numeric polytope)."""
         b = np.concatenate([rhs, self.extra_rhs])
         verts = np.einsum("kij,kj->ki", self.inv, b[self.combos])
         feas = (verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)
         scores = verts @ self.w
         scores[~feas] = -np.inf
         k = int(np.argmax(scores))
-        value = float(scores[k])
-        if not np.isfinite(value):
-            # empty numeric polytope: fall back to the origin
-            value = 0.0
-            g = np.zeros(self.size1 + self.size2)
-            return value, g
-        mu = self.inv[k].T @ self.w
-        g1 = np.zeros(self.shape1)
-        g2 = np.zeros(self.shape2)
-        for slot, row_idx in enumerate(self.combos[k]):
-            if row_idx < self.n_rows and abs(mu[slot]) > 1e-14:
-                g1 += mu[slot] * grads1[row_idx]
-                g2 += mu[slot] * grads2[row_idx]
-        return value, np.concatenate([g1.ravel(), g2.ravel()])
+        if not np.isfinite(scores[k]):
+            return 0.0, None
+        return float(scores[k]), k
 
-    def value_only(self, flat: np.ndarray) -> float:
+    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         t1, t2 = self.split(flat)
-        rhs, _, _ = self.rhs_and_parts(t1, t2, with_grad=False)
-        b = np.concatenate([rhs, self.extra_rhs])
-        verts = np.einsum("kij,kj->ki", self.inv, b[self.combos])
-        feas = (verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)
-        scores = verts @ self.w
-        scores[~feas] = -np.inf
-        v = float(scores.max())
-        return v if np.isfinite(v) else 0.0
+        ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
+        value, k = self.best_vertex(ev1.values + ev2.values)
+        if k is None:
+            # empty numeric polytope: fall back to the origin
+            return value, np.zeros(self.size1 + self.size2)
+        # duals of the active constraints, as weights on the region rows
+        mu = np.zeros(self.A.shape[0])
+        mu[self.combos[k]] = self.inv[k].T @ self.w
+        mu = mu[: self.n_rows]
+        mu[np.abs(mu) <= 1e-14] = 0.0
+        return value, np.concatenate([ev1.grad(mu).ravel(), ev2.grad(mu).ravel()])
 
 
 def _fit_seed(aux: AuxiliaryJoint, prof: Cardinalities) -> np.ndarray:

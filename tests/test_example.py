@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bcbounds
 from bcbounds.channel import deterministic_map, is_deterministic
 from bcbounds.counterexample import (
     PAIRS,
@@ -68,6 +73,15 @@ def test_f_envelope_oracle_matches_closed_form():
         assert f_envelope_oracle(x, resolution=32) == pytest.approx(
             f_closed_form(x), abs=1e-6
         )
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves only the envelope oracle, so importing the package must
+    # not pay for it
+    src = str(Path(bcbounds.__file__).resolve().parent.parent)
+    code = "import sys, bcbounds; sys.exit('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
+    assert proc.returncode == 0
 
 
 def test_analytic_curves():

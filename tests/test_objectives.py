@@ -6,10 +6,10 @@ from bcbounds.objectives import (
     FixedInputObjective,
     InfoFunctional,
     JointObjective,
-    MinOfObjectives,
     ent_terms,
     merge_terms,
     mi_terms,
+    min_of_rows,
     scale_terms,
 )
 
@@ -54,15 +54,21 @@ def test_merge_terms_cancels():
 def test_functional_matches_kernel_mi():
     rng = np.random.default_rng(0)
     q = _random_channel(rng, 3, 2, 4)
+    fn = InfoFunctional("uvx", (2, 3, 3), mi_terms("u", "y") + mi_terms("v", "z", given="u"), q, "xyz")
     t = rng.dirichlet(np.ones(2 * 3 * 3)).reshape(2, 3, 3)  # p(u, v, x)
-    fn = InfoFunctional("uvx", t.shape, mi_terms("u", "y") + mi_terms("v", "z", given="u"), q, "xyz")
-    joint = np.einsum("uvx,xyz->uvxyz", t, q)
-    expect = mutual_information(joint, (0,), (3,)) + mutual_information(
-        joint, (1,), (4,), given=(0,)
-    )
-    assert fn.value(t) == pytest.approx(expect, abs=1e-12)
-    v, _ = fn.value_and_grad(t)
-    assert v == pytest.approx(expect, abs=1e-12)
+    # zero-mass slices: a point mass on u and an input symbol of probability 0
+    t_zero = np.zeros((2, 3, 3))
+    t_zero[1, :, :2] = rng.dirichlet(np.ones(6)).reshape(3, 2)
+    for t in (t, t_zero):
+        joint = np.einsum("uvx,xyz->uvxyz", t, q)
+        expect = mutual_information(joint, (0,), (3,)) + mutual_information(
+            joint, (1,), (4,), given=(0,)
+        )
+        assert fn.value(t) == pytest.approx(expect, abs=1e-12)
+        with np.errstate(all="raise"):
+            v, g = fn.value_and_grad(t)
+        assert v == pytest.approx(expect, abs=1e-12)
+        assert np.isfinite(g).all()
 
 
 def test_functional_without_channel():
@@ -178,16 +184,26 @@ def test_fixed_input_gradient_matches_fd():
 
 
 def test_min_of_objectives_value_and_active_gradient():
-    def f1(x):
-        return float(x[0]), np.array([1.0, 0.0])
-
-    def f2(x):
-        return float(x[1]) + 0.2, np.array([0.0, 1.0])
-
-    m = MinOfObjectives([f1, f2])
-    v, g = m(np.array([0.5, 0.1]))
-    assert v == pytest.approx(0.3, abs=1e-12)
-    assert np.allclose(g, [0.0, 1.0])
-    vals = m.values(np.array([0.5, 0.1]))
-    assert vals[0] == 0.5
-    assert vals[1] == pytest.approx(0.3, abs=1e-12)
+    rng = np.random.default_rng(8)
+    rows = [ent_terms("a"), ent_terms("b")]
+    table = InfoFunctional("ab", (2, 3), rows)
+    singles = [InfoFunctional("ab", (2, 3), r) for r in rows]
+    obj = JointObjective(table, min_of_rows())
+    t = rng.dirichlet(np.ones(6)).reshape(2, 3)
+    vals = table.value(t)
+    assert np.allclose(vals, [f.value(t) for f in singles], atol=1e-12)
+    # the value is the minimum row and the gradient follows that row only
+    k = int(np.argmin(vals))
+    v, g = obj(t.ravel())
+    assert v == pytest.approx(vals[k], abs=1e-12)
+    assert np.allclose(g, singles[k].value_and_grad(t)[1].ravel(), atol=1e-12)
+    # a count restricts the minimum to the leading rows
+    v1, g1 = JointObjective(table, min_of_rows(1))(t.ravel())
+    assert v1 == pytest.approx(vals[0], abs=1e-12)
+    assert np.allclose(g1, singles[0].value_and_grad(t)[1].ravel(), atol=1e-12)
+    # on a tie the first minimal row wins: H(A) = H(B) = 1 bit here
+    tie = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
+    assert table.value(tie)[0] == table.value(tie)[1]
+    _, g_tie = obj(tie.ravel())
+    assert np.allclose(g_tie, singles[0].value_and_grad(tie)[1].ravel(), atol=1e-12)
+    assert not np.allclose(g_tie, singles[1].value_and_grad(tie)[1].ravel())

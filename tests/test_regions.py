@@ -11,6 +11,7 @@ from bcbounds.regions import (
     RateRegionPolytope,
     UvAuxiliary,
     _region_rows,
+    _SupportObjective,
     build_region,
     default_region_profiles,
     evaluate_uv_point,
@@ -151,6 +152,42 @@ def test_build_region_rows_match_kernel_oracle():
                 assert a == a_got
                 expect = sum(o1[n] for n in t1) + sum(o2[n] for n in t2)
                 assert rhs == pytest.approx(expect, abs=1e-10), (kind, t1, t2)
+
+
+def test_support_gradient_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    eps = 1e-6
+    for kind, mirrored in (
+        ("product_outer", False),
+        ("product_outer", True),
+        ("semi_deterministic", False),
+    ):
+        prof1, prof2 = default_region_profiles(pc, kind)
+        obj = _SupportObjective(pc, kind, mirrored, rng.uniform(0.5, 1.5, 3), prof1, prof2)
+
+        def vertex(flat):
+            t1, t2 = obj.split(flat)
+            return obj.best_vertex(obj.f1.value(t1) + obj.f2.value(t2))[1]
+
+        checked = 0
+        for _ in range(6):
+            flat = np.concatenate([rng.dirichlet(np.ones(n)) for n in obj.block_sizes])
+            k = vertex(flat)
+            _, g = obj(flat)
+            fd = np.zeros_like(flat)
+            same_vertex = k is not None
+            for i in range(flat.size):
+                fp, fm = flat.copy(), flat.copy()
+                fp[i] += eps
+                fm[i] -= eps
+                same_vertex = same_vertex and vertex(fp) == k == vertex(fm)
+                fd[i] = (obj(fp)[0] - obj(fm)[0]) / (2 * eps)
+            if not same_vertex:
+                continue
+            checked += 1
+            assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4, kind
+        assert checked >= 3, (kind, mirrored)
 
 
 def test_unknown_region_kind_rejected():
