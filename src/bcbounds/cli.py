@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -68,19 +67,8 @@ def format_bits(value: float) -> str:
     return text
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("BCBOUNDS_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise CommandError(f"BCBOUNDS_WORKERS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise CommandError("BCBOUNDS_WORKERS must be >= 1")
-    return workers
-
-
 def _config(args) -> SearchConfig:
-    cfg = SearchConfig().with_(seed=args.seed, workers=_env_workers())
+    cfg = SearchConfig(seed=args.seed)
     restarts = getattr(args, "restarts", None)
     if restarts is None:
         restarts = getattr(args, "default_restarts", cfg.restarts)
@@ -95,8 +83,6 @@ def _config_echo(cfg: SearchConfig) -> dict:
         "seed": cfg.seed,
         "restarts": cfg.restarts,
         "max_iters": cfg.max_iters,
-        "tolerance": cfg.tolerance,
-        "workers": cfg.workers,
     }
 
 

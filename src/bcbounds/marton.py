@@ -108,12 +108,6 @@ class AuxiliaryJoint:
     def px(self) -> np.ndarray:
         return self.joint.sum(axis=(0, 1, 2))
 
-    def check_input(self, px: np.ndarray, tol: float = 1e-10) -> bool:
-        return bool(np.abs(self.px() - np.asarray(px, dtype=float)).max() <= tol)
-
-    def to_json_dict(self) -> dict:
-        return {"shape": list(self.joint.shape), "p_uvwx": self.joint.tolist()}
-
 
 def lambda_sr_terms(lam: float) -> list:
     return (
@@ -453,14 +447,8 @@ class LambdaCurve:
     convexity_violations: list = field(default_factory=list)
     hyperplane_violations: list = field(default_factory=list)
 
-    def lambdas(self) -> np.ndarray:
-        return np.asarray([s.lam for s in self.samples])
-
     def values(self) -> np.ndarray:
         return np.asarray([s.value for s in self.samples])
-
-    def min_sample(self) -> LambdaSample:
-        return min(self.samples, key=lambda s: s.value)
 
     def run_checks(self, slack: float = 1e-6) -> None:
         self.convexity_violations = []

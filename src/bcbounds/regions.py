@@ -342,10 +342,11 @@ class RateRegionPolytope:
         ]
 
     def vertices(self, fix_r0: float | None = None) -> np.ndarray:
-        ineqs = list(self.inequalities)
-        if fix_r0 is not None:
-            ineqs.append(((1, 0, 0), float(fix_r0)))
-        return _polytope_vertices(ineqs)
+        system = _VertexSystem([a for a, _ in self.inequalities], fix_r0)
+        verts, feas = system.vertices(np.asarray([r for _, r in self.inequalities]))
+        if not feas.any():
+            return np.zeros((1, 3))
+        return np.unique(np.round(verts[feas], 12), axis=0)
 
     def support(self, weights: Sequence[float], fix_r0: float | None = None) -> tuple[float, np.ndarray]:
         verts = self.vertices(fix_r0=fix_r0)
@@ -364,29 +365,29 @@ class RateRegionPolytope:
         return True
 
 
-def _polytope_vertices(ineqs: list[tuple[tuple[int, int, int], float]]) -> np.ndarray:
-    mats, rhs = [], []
-    for a, r in ineqs:
-        mats.append([float(x) for x in a])
-        rhs.append(float(r))
-    for j in range(3):
-        row = [0.0, 0.0, 0.0]
-        row[j] = -1.0
-        mats.append(row)
-        rhs.append(0.0)
-    A = np.asarray(mats)
-    b = np.asarray(rhs)
-    verts = []
-    for combo in itertools.combinations(range(len(b)), 3):
-        sub = A[list(combo)]
-        if abs(np.linalg.det(sub)) < 1e-12:
-            continue
-        v = np.linalg.solve(sub, b[list(combo)])
-        if (A @ v <= b + 1e-9).all():
-            verts.append(v)
-    if not verts:
-        return np.zeros((1, 3))
-    return np.unique(np.round(np.asarray(verts), 12), axis=0)
+class _VertexSystem:
+    """Constraints of a region in (R0, R1, R2): the rows a . R <= rhs, then
+    the optional pin R0 <= fix_r0, then R >= 0. Every nonsingular 3-subset
+    of them is inverted once, so the candidate vertices for any row
+    right-hand sides are one batched matmul."""
+
+    def __init__(self, row_normals: Sequence, fix_r0: float | None = None) -> None:
+        pin = [] if fix_r0 is None else [(1.0, 0.0, 0.0)]
+        rows = np.asarray(row_normals, dtype=float).reshape(-1, 3)
+        self.A = np.vstack([rows, *pin, np.diag([-1.0] * 3)])
+        self.tail_rhs = np.asarray(([] if fix_r0 is None else [float(fix_r0)]) + [0.0] * 3)
+        combos = np.asarray(list(itertools.combinations(range(self.A.shape[0]), 3)))
+        subs = self.A[combos]
+        nonsingular = np.abs(np.linalg.det(subs)) >= 1e-12
+        self.combos = combos[nonsingular]
+        self.inv = np.linalg.inv(subs[nonsingular])
+
+    def vertices(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate vertex of each 3-subset for row right-hand sides
+        ``rhs``, and a mask of the feasible ones."""
+        b = np.concatenate([rhs, self.tail_rhs])
+        verts = np.einsum("kij,kj->ki", self.inv, b[self.combos])
+        return verts, (verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)
 
 
 def _row_tables(
@@ -441,29 +442,7 @@ class _SupportObjective:
         self.size1 = int(np.prod(self.shape1))
         self.size2 = int(np.prod(self.shape2))
         self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
-        n_rows = len(self.rows)
-        A = [list(map(float, a)) for a, _, _ in self.rows]
-        extra_rhs = []
-        if fix_r0 is not None:
-            A.append([1.0, 0.0, 0.0])
-            extra_rhs.append(float(fix_r0))
-        for j in range(3):
-            row = [0.0, 0.0, 0.0]
-            row[j] = -1.0
-            A.append(row)
-            extra_rhs.append(0.0)
-        self.A = np.asarray(A)
-        self.n_rows = n_rows
-        self.extra_rhs = np.asarray(extra_rhs)
-        combos, inv = [], []
-        for combo in itertools.combinations(range(self.A.shape[0]), 3):
-            sub = self.A[list(combo)]
-            if abs(np.linalg.det(sub)) < 1e-12:
-                continue
-            combos.append(combo)
-            inv.append(np.linalg.inv(sub))
-        self.combos = np.asarray(combos)
-        self.inv = np.asarray(inv)
+        self.system = _VertexSystem([a for a, _, _ in self.rows], fix_r0)
 
     @property
     def block_sizes(self) -> list[int]:
@@ -479,9 +458,7 @@ class _SupportObjective:
         """Support value over the feasible vertices for row right-hand sides
         ``rhs``, and the index of the optimal combination of active
         constraints (None for an empty numeric polytope)."""
-        b = np.concatenate([rhs, self.extra_rhs])
-        verts = np.einsum("kij,kj->ki", self.inv, b[self.combos])
-        feas = (verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)
+        verts, feas = self.system.vertices(rhs)
         scores = verts @ self.w
         scores[~feas] = -np.inf
         k = int(np.argmax(scores))
@@ -497,9 +474,10 @@ class _SupportObjective:
             # empty numeric polytope: fall back to the origin
             return value, np.zeros(self.size1 + self.size2)
         # duals of the active constraints, as weights on the region rows
-        mu = np.zeros(self.A.shape[0])
-        mu[self.combos[k]] = self.inv[k].T @ self.w
-        mu = mu[: self.n_rows]
+        vs = self.system
+        mu = np.zeros(vs.A.shape[0])
+        mu[vs.combos[k]] = vs.inv[k].T @ self.w
+        mu = mu[: len(self.rows)]
         mu[np.abs(mu) <= 1e-14] = 0.0
         return value, np.concatenate([ev1.grad(mu).ravel(), ev2.grad(mu).ravel()])
 

@@ -4,16 +4,15 @@ The maximizers in this package are nonconvex, so every search here is a
 certified-lower-bound search: each candidate is evaluated exactly and the
 best value seen is returned. Determinism: all randomness flows from
 (seed, restart_index) via numpy SeedSequence spawn keys, and the reduction
-over restarts is ordered by restart index, so results do not depend on
-worker count and doubling the restart budget keeps the original restarts'
-trajectories bit-identical (value can only go up).
+over restarts is ordered by restart index, so doubling the restart budget
+keeps the original restarts' trajectories bit-identical (value can only go
+up).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Sequence
 
@@ -34,6 +33,14 @@ __all__ = [
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# step-size control of the projected ascent in _run_restart
+STEP_INIT = 0.5
+STEP_SHRINK = 0.5
+STEP_GROW = 1.6
+STEP_MAX = 64.0
+MIN_STEP = 1e-12
+IMPROVE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -41,17 +48,8 @@ class SearchConfig:
 
     restarts: int = 64
     max_iters: int = 200
-    step_init: float = 0.5
-    step_shrink: float = 0.5
-    step_grow: float = 1.6
-    step_max: float = 64.0
-    min_step: float = 1e-12
-    improve_tol: float = 1e-9
     patience: int = 4
-    grid_resolution: int = 16
     seed: int = 0
-    tolerance: float = 1e-6
-    workers: int = 1
 
     def with_(self, **kw) -> "SearchConfig":
         return replace(self, **kw)
@@ -149,13 +147,13 @@ def _run_restart(
         logging.getLogger(__name__).warning("restart aborted: non-finite objective")
         return -np.inf, x, 0, False
     best_v, best_x = v, x
-    step = cfg.step_init
+    step = STEP_INIT
     stall = 0
     it = 0
     converged = False
     for it in range(1, cfg.max_iters + 1):
         moved = False
-        while step >= cfg.min_step:
+        while step >= MIN_STEP:
             xn = project_blocks(x + step * g, block_sizes)
             if float(np.abs(xn - x).max()) < 1e-15:
                 break
@@ -163,7 +161,7 @@ def _run_restart(
             if vn > v + 1e-15:
                 moved = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not moved:
             converged = True
             break
@@ -171,8 +169,8 @@ def _run_restart(
         x, v, g = xn, vn, gn
         if v > best_v:
             best_v, best_x = v, x
-        step = min(step * cfg.step_grow, cfg.step_max)
-        if gain < cfg.improve_tol:
+        step = min(step * STEP_GROW, STEP_MAX)
+        if gain < IMPROVE_TOL:
             stall += 1
             if stall >= cfg.patience:
                 converged = True
@@ -234,14 +232,7 @@ def maximize(
         kind = 1 if i % 4 == 2 else 0
         return _init_point(kind, rng, block_sizes)
 
-    def work(i: int):
-        return _run_restart(fun, start_for(i), block_sizes, cfg)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, range(len(plan))))
-    else:
-        results = [work(i) for i in range(len(plan))]
+    results = [_run_restart(fun, start_for(i), block_sizes, cfg) for i in range(len(plan))]
 
     best_i = 0
     for i in range(1, len(results)):

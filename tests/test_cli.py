@@ -68,6 +68,7 @@ def test_classify_matches_structure(comp_files, capsys):
     rep = json.loads(out)
     assert rep["command"] == "classify"
     assert set(rep) == {"command", "config", "results", "checks", "passed", "converged"}
+    assert set(rep["config"]) == {"seed", "restarts", "max_iters"}
     assert rep["results"]["y_deterministic"] is True
     assert rep["results"]["z_deterministic"] is False
     assert "elapsed_seconds=" in err

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -249,6 +251,49 @@ def test_polytope_geometry():
     # export shape
     as_json = region.to_json_list()
     assert as_json[0] == {"a": [1.0, 0.0, 0.0], "rhs": 1.0}
+
+
+def _support_by_loop(normals, rhs, w, fix_r0):
+    # reference: solve each nonsingular 3-subset of the constraints
+    # (rows, optional R0 pin, R >= 0) and keep the best feasible vertex
+    A = [list(map(float, a)) for a in normals] + [[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]
+    b = list(rhs) + [0.0] * 3
+    if fix_r0 is not None:
+        A.append([1.0, 0, 0])
+        b.append(fix_r0)
+    A, b = np.asarray(A), np.asarray(b)
+    best = None
+    for combo in itertools.combinations(range(len(b)), 3):
+        sub = A[list(combo)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        v = np.linalg.solve(sub, b[list(combo)])
+        if (A @ v <= b + 1e-9).all() and (best is None or v @ w > best):
+            best = float(v @ w)
+    return 0.0 if best is None else best
+
+
+def test_support_objective_vertex_matches_polytope_support():
+    # the search's vertex scoring and RateRegionPolytope.support share one
+    # constraint system; both must match a plain per-subset solve
+    rng = np.random.default_rng(11)
+    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    for kind in REGION_KINDS:
+        prof1, prof2 = default_region_profiles(pc, kind)
+        for fix_r0 in (None, 0.0, 0.3):
+            w = rng.dirichlet(np.ones(3))
+            obj = _SupportObjective(pc, kind, False, w, prof1, prof2, fix_r0=fix_r0)
+            normals = [a for a, _, _ in obj.rows]
+            for _ in range(20):
+                rhs = rng.uniform(-0.2, 2.0, len(obj.rows))
+                region = RateRegionPolytope(
+                    [(a, float(r)) for a, r in zip(normals, rhs)], tag=kind
+                )
+                expect, _ = region.support(w, fix_r0=fix_r0)
+                assert obj.best_vertex(rhs)[0] == pytest.approx(expect, abs=1e-12)
+                assert expect == pytest.approx(
+                    _support_by_loop(normals, rhs, w, fix_r0), abs=1e-12
+                )
 
 
 def test_region_support_reaches_seeded_value():

@@ -183,3 +183,19 @@ def test_maximize_deterministic_for_fixed_seed():
     r3 = maximize(_bumpy, [3], SearchConfig(restarts=5, seed=4))
     # different seed draws different random starts
     assert r3.restart_values != r1.restart_values or r3.value == pytest.approx(r1.value)
+
+
+def test_maximize_restart_order_contract():
+    # restart i depends only on (seed, i) and the seed plan, so doubling the
+    # budget keeps the first restarts bit-identical; seeds sit in slots 3, 7
+    seeds = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])]
+    n = 8
+    small = maximize(_bumpy, [3], SearchConfig(restarts=n, seed=5), seeds=seeds)
+    big = maximize(_bumpy, [3], SearchConfig(restarts=2 * n, seed=5), seeds=seeds)
+    assert len(small.restart_values) == n and len(big.restart_values) == 2 * n
+    assert big.restart_values[:n] == small.restart_values
+    assert big.value >= small.value
+    again = maximize(_bumpy, [3], SearchConfig(restarts=n, seed=5), seeds=seeds)
+    assert again.restart_values == small.restart_values
+    assert again.value == small.value and again.restart_index == small.restart_index
+    assert np.array_equal(again.point, small.point)
