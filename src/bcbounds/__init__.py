@@ -27,7 +27,6 @@ from .counterexample import (
     uv_witness_auxiliary,
     verify_separation,
 )
-from .kernel import ProbTensor, entropy, mutual_information
 from .marton import (
     AuxiliaryJoint,
     Cardinalities,

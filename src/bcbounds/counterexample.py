@@ -29,11 +29,12 @@ from .marton import (
     Cardinalities,
     MartonSumRate,
     embed_auxiliary,
-    lambda_sr_functional,
+    lambda_weights,
     marton_sum_rate,
+    marton_table,
     outer_auxiliary,
 )
-from .objectives import FixedInputObjective
+from .objectives import FixedInputObjective, min_of
 from .regions import UvAuxiliary, UvPoint, UvSumRate, evaluate_uv_point, uv_sum_rate
 from .search import SearchConfig, ascend, simplex_grid
 
@@ -497,12 +498,12 @@ def uniform_input_check(
     cfg = cfg or SearchConfig(restarts=1, max_iters=50, patience=3)
     prof = Cardinalities.for_sum_rate(c)
     uniform = np.full(4, 0.25)
-    fns = {lam: lambda_sr_functional(c, lam, prof) for lam in lambdas}
+    table = marton_table(c, prof)
 
     def value_at(lam: float, px: np.ndarray) -> float:
-        # compiled functional reused across the sweep; starts are the two
-        # branch constructions plus flat conditionals, all deterministic
-        fobj = FixedInputObjective(fns[lam], px)
+        # one compiled table for the whole sweep; starts are the two branch
+        # constructions plus flat conditionals, all deterministic
+        fobj = FixedInputObjective(table, px, min_of(lambda_weights(lam)))
         starts = [fobj.to_flat(t) for t in component_seed_joints(det, prof, px)]
         starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
         best = -np.inf

@@ -12,6 +12,11 @@ reported maxima are certified lower bounds (exact evaluations at feasible
 points); the minimum over lambda of such values is what the sum-rate
 driver reports.
 
+Every search and evaluation here runs one table per channel and profile,
+``marton_table``, with rows I(W;Y), I(W;Z) and I(U;Y|W) + I(V;Z|W) -
+I(U;V|W). Lambda is only the row weights (lambda, 1-lambda, 1), and the
+curve's slope I(W;Y) - I(W;Z) is the first row minus the second.
+
 Cardinality caps: searches default to |U| <= min(nx, ny),
 |V| <= min(nx, nz), |W| <= nx, which suffice for the weighted sum rate.
 Profiles are explicit and echoed into every result.
@@ -25,15 +30,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import Channel, capacity, deterministic_map, is_deterministic, make_product
-from .kernel import entropy_of_array
-from .objectives import (
-    FixedInputObjective,
-    InfoFunctional,
-    JointObjective,
-    mi_terms,
-    min_of_rows,
-    scale_terms,
-)
+from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
+from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms, min_of
 from .search import (
     SearchConfig,
     ascend,
@@ -46,10 +44,10 @@ from .search import (
 __all__ = [
     "Cardinalities",
     "AuxiliaryJoint",
-    "LambdaSample",
+    "LambdaPointResult",
     "LambdaCurve",
-    "lambda_sr_terms",
-    "lambda_sr_functional",
+    "marton_table",
+    "lambda_weights",
     "lambda_sr_value",
     "curve_subgradient",
     "maximize_lambda_sr_at_input",
@@ -109,46 +107,38 @@ class AuxiliaryJoint:
         return self.joint.sum(axis=(0, 1, 2))
 
 
-def lambda_sr_terms(lam: float) -> list:
-    return (
-        scale_terms(mi_terms("w", "y"), lam)
-        + scale_terms(mi_terms("w", "z"), 1.0 - lam)
-        + mi_terms("u", "y", "w")
-        + mi_terms("v", "z", "w")
-        + scale_terms(mi_terms("u", "v", "w"), -1.0)
-    )
-
-
-def lambda_sr_functional(c: Channel, lam: float, prof: Cardinalities) -> InfoFunctional:
+def marton_table(c: Channel, prof: Cardinalities) -> InfoFunctional:
+    """Rows I(W;Y), I(W;Z) and I(U;Y|W) + I(V;Z|W) - I(U;V|W) over p(u,v,w,x);
+    the weighted sum rate at lambda weighs them by ``lambda_weights(lam)``."""
+    rows = [
+        mi_terms("w", "y"),
+        mi_terms("w", "z"),
+        mi_terms("u", "y", "w") + mi_terms("v", "z", "w") + mi_terms("u", "v", "w", -1.0),
+    ]
     shape = (prof.nu, prof.nv, prof.nw, c.nx)
-    return InfoFunctional("uvwx", shape, lambda_sr_terms(lam), channel=c.q)
+    return InfoFunctional("uvwx", shape, rows, channel=c.q)
+
+
+def lambda_weights(lam: float) -> np.ndarray:
+    return np.array([lam, 1.0 - lam, 1.0])
+
+
+def _table_at(c: Channel, aux: AuxiliaryJoint) -> np.ndarray:
+    nu, nv, nw, nx = aux.shape
+    if nx != c.nx:
+        raise ValueError("auxiliary input alphabet mismatch")
+    return marton_table(c, Cardinalities(nu, nv, nw)).value(aux.joint)
 
 
 def lambda_sr_value(c: Channel, lam: float, aux: AuxiliaryJoint) -> float:
     """Exact weighted sum rate at one auxiliary joint."""
-    nu, nv, nw, nx = aux.shape
-    if nx != c.nx:
-        raise ValueError("auxiliary input alphabet mismatch")
-    fn = lambda_sr_functional(c, lam, Cardinalities(nu, nv, nw))
-    return fn.value(aux.joint)
+    return min_of(lambda_weights(lam))(_table_at(c, aux))[0]
 
 
 def curve_subgradient(c: Channel, aux: AuxiliaryJoint) -> float:
     """I(W;Y) - I(W;Z) at a maximizer: a subgradient of the lambda-curve."""
-    pwx = aux.joint.sum(axis=(0, 1))
-    pwy = pwx @ c.qy
-    pwz = pwx @ c.qz
-    iwy = (
-        entropy_of_array(pwx.sum(axis=1))
-        + entropy_of_array(pwy.sum(axis=0))
-        - entropy_of_array(pwy)
-    )
-    iwz = (
-        entropy_of_array(pwx.sum(axis=1))
-        + entropy_of_array(pwz.sum(axis=0))
-        - entropy_of_array(pwz)
-    )
-    return iwy - iwz
+    rows = _table_at(c, aux)
+    return float(rows[0] - rows[1])
 
 
 def _det_joint(
@@ -257,13 +247,14 @@ def _default_px_list(c: Channel) -> list[np.ndarray]:
 
 @dataclass
 class LambdaPointResult:
+    """Best weighted sum rate found at one lambda, with its maximizer."""
+
+    lam: float
     value: float
     aux: AuxiliaryJoint
     subgradient: float
-    profile: Cardinalities
     converged: bool
     budget_exhausted: bool
-    restart_values: list = field(default_factory=list)
 
 
 def maximize_lambda_sr_at_input(
@@ -278,20 +269,18 @@ def maximize_lambda_sr_at_input(
     cfg = cfg or SearchConfig()
     prof = profile or Cardinalities.for_sum_rate(c)
     px = np.asarray(px, dtype=float)
-    fn = lambda_sr_functional(c, lam, prof)
-    obj = FixedInputObjective(fn, px)
+    obj = FixedInputObjective(marton_table(c, prof), px, min_of(lambda_weights(lam)))
     seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, [px])]
     seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     aux = AuxiliaryJoint(obj.to_tensor(res.point))
     return LambdaPointResult(
+        lam=lam,
         value=res.value,
         aux=aux,
         subgradient=curve_subgradient(c, aux),
-        profile=prof,
         converged=res.converged,
         budget_exhausted=res.budget_exhausted,
-        restart_values=res.restart_values,
     )
 
 
@@ -301,60 +290,50 @@ def lambda_sr_global(
     cfg: SearchConfig | None = None,
     profile: Cardinalities | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
-    polish_rounds: int = 1,
 ) -> LambdaPointResult:
     """Global weighted sum rate: joint search over p(u,v,w,x).
 
-    Multi-start ascent over the full joint, followed by an outer concave
-    polish on the input law: the weighted sum rate is concave in p(x), and
-    at an inner maximizer the gradient of the joint objective contracted
+    Multi-start ascent over the full joint, followed by one outer concave
+    polish step on the input law: the weighted sum rate is concave in p(x),
+    and at an inner maximizer the gradient of the joint objective contracted
     with the conditional is a supergradient in p(x).
     """
     cfg = cfg or SearchConfig()
     prof = profile or Cardinalities.for_sum_rate(c)
-    fn = lambda_sr_functional(c, lam, prof)
-    obj = JointObjective(fn)
+    table = marton_table(c, prof)
+    weigh = min_of(lambda_weights(lam))
+    obj = JointObjective(table, weigh)
     seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, _default_px_list(c))]
     seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     best_v, best_t = res.value, obj.to_tensor(res.point)
 
-    if polish_rounds > 0:
-        inner_cfg = cfg.with_(max_iters=max(40, cfg.max_iters // 2))
-        t = best_t
-        for _ in range(polish_rounds):
-            px = t.sum(axis=(0, 1, 2))
-            fobj = FixedInputObjective(fn, px)
-            warm = fobj.to_flat(t)
-            v0, x0, _, _ = ascend(fobj, warm, fobj.block_sizes, inner_cfg)
-            t0 = fobj.to_tensor(x0)
-            if v0 > best_v:
-                best_v, best_t = v0, t0
-            _, grad = fn.value_and_grad(t0)
-            cond_only = np.where(px > 0, t0 / np.where(px > 0, px, 1.0), 0.0)
-            super_px = np.einsum("uvwx,uvwx->x", cond_only, grad)
-            improved = False
-            for step in (1.0, 0.2, 0.05):
-                px_new = project_simplex(px + step * super_px)
-                fobj2 = FixedInputObjective(fn, px_new)
-                v1, x1, _, _ = ascend(fobj2, fobj2.to_flat(t0), fobj2.block_sizes, inner_cfg)
-                if v1 > best_v + 1e-12:
-                    best_v, best_t = v1, fobj2.to_tensor(x1)
-                    t = best_t
-                    improved = True
-                    break
-            if not improved:
-                break
+    inner_cfg = cfg.with_(max_iters=max(40, cfg.max_iters // 2))
+    px = best_t.sum(axis=(0, 1, 2))
+    fobj = FixedInputObjective(table, px, weigh)
+    v0, x0, _, _ = ascend(fobj, fobj.to_flat(best_t), fobj.block_sizes, inner_cfg)
+    t0 = fobj.to_tensor(x0)
+    if v0 > best_v:
+        best_v, best_t = v0, t0
+    _, grad = table.value_and_grad(t0, weigh)
+    cond_only = np.where(px > 0, t0 / np.where(px > 0, px, 1.0), 0.0)
+    super_px = np.einsum("uvwx,uvwx->x", cond_only, grad)
+    for step in (1.0, 0.2, 0.05):
+        px_new = project_simplex(px + step * super_px)
+        fobj2 = FixedInputObjective(table, px_new, weigh)
+        v1, x1, _, _ = ascend(fobj2, fobj2.to_flat(t0), fobj2.block_sizes, inner_cfg)
+        if v1 > best_v + 1e-12:
+            best_v, best_t = v1, fobj2.to_tensor(x1)
+            break
 
     aux = AuxiliaryJoint(best_t)
     return LambdaPointResult(
+        lam=lam,
         value=best_v,
         aux=aux,
         subgradient=curve_subgradient(c, aux),
-        profile=prof,
         converged=res.converged,
         budget_exhausted=res.budget_exhausted,
-        restart_values=res.restart_values,
     )
 
 
@@ -418,32 +397,21 @@ def endpoint_sr(
         t_full[x, 0, :, x] = pwx[:, x]
     lam = 0.0 if endpoint == 0 else 1.0
     aux = AuxiliaryJoint(t_full if endpoint == 0 else np.swapaxes(t_full, 0, 1))
-    value_check = lambda_sr_functional(c, lam, Cardinalities(*aux.shape[:3])).value(aux.joint)
     return LambdaPointResult(
-        value=max(res.value, value_check),
+        lam=lam,
+        value=max(res.value, lambda_sr_value(c, lam, aux)),
         aux=aux,
         subgradient=curve_subgradient(c, aux),
-        profile=Cardinalities(*aux.shape[:3]),
         converged=res.converged,
         budget_exhausted=res.budget_exhausted,
-        restart_values=res.restart_values,
     )
-
-
-@dataclass
-class LambdaSample:
-    lam: float
-    value: float
-    subgradient: float
-    converged: bool
-    aux: AuxiliaryJoint
 
 
 @dataclass
 class LambdaCurve:
     """Sampled lambda-curve with convexity and hyperplane diagnostics."""
 
-    samples: list[LambdaSample]
+    samples: list[LambdaPointResult]
     convexity_violations: list = field(default_factory=list)
     hyperplane_violations: list = field(default_factory=list)
 
@@ -483,6 +451,26 @@ def curve_to_csv(curve: LambdaCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _warm_lambda(
+    solve: Callable[[float, list[np.ndarray]], LambdaPointResult],
+    seed_factory: Callable[[float], list[np.ndarray]] | None = None,
+) -> Callable[[float], tuple[float, float, LambdaPointResult]]:
+    """Lambda evaluator for ``golden_section_min``: each call seeds
+    ``solve(lam, extra_seeds)`` with the previous maximizer, then with
+    ``seed_factory(lam)``, and returns (value, subgradient, result)."""
+    warm: list[np.ndarray] = []
+
+    def evaluate(lam: float) -> tuple[float, float, LambdaPointResult]:
+        extra = list(warm)
+        if seed_factory is not None:
+            extra += list(seed_factory(float(lam)))
+        res = solve(float(lam), extra)
+        warm[:] = [res.aux.joint]
+        return res.value, res.subgradient, res
+
+    return evaluate
+
+
 def build_lambda_curve(
     c: Channel,
     lambdas: Sequence[float],
@@ -493,18 +481,11 @@ def build_lambda_curve(
 ) -> LambdaCurve:
     """Sample the global lambda-curve on a grid with warm-started searches."""
     cfg = cfg or SearchConfig()
-    samples: list[LambdaSample] = []
-    warm: list[np.ndarray] = []
-    for lam in lambdas:
-        extra = list(warm)
-        if seed_factory is not None:
-            extra += list(seed_factory(float(lam)))
-        res = lambda_sr_global(c, float(lam), cfg, profile=profile, extra_seeds=extra)
-        samples.append(
-            LambdaSample(float(lam), res.value, res.subgradient, res.converged, res.aux)
-        )
-        warm = [res.aux.joint]
-    curve = LambdaCurve(samples)
+    evaluate = _warm_lambda(
+        lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=profile, extra_seeds=extra),
+        seed_factory,
+    )
+    curve = LambdaCurve([evaluate(lam)[2] for lam in lambdas])
     curve.run_checks(check_slack)
     return curve
 
@@ -535,18 +516,11 @@ def marton_sum_rate(
     """
     cfg = cfg or SearchConfig()
     prof = profile or Cardinalities.for_sum_rate(c)
-    warm: list[np.ndarray] = []
-
-    def f(lam: float):
-        extra = list(warm)
-        if seed_factory is not None:
-            extra += list(seed_factory(float(lam)))
-        res = lambda_sr_global(c, float(lam), cfg, profile=prof, extra_seeds=extra)
-        warm.clear()
-        warm.append(res.aux.joint)
-        return res.value, res.subgradient, res
-
-    out = golden_section_min(f, bracket=(0.0, 1.0), tol=scalar_tol)
+    evaluate = _warm_lambda(
+        lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=prof, extra_seeds=extra),
+        seed_factory,
+    )
+    out = golden_section_min(evaluate, bracket=(0.0, 1.0), tol=scalar_tol)
     best: LambdaPointResult = out.payload
     return MartonSumRate(
         value=out.value,
@@ -696,9 +670,8 @@ def check_min_max_equality(
 
     # max-min over the joint: min of the two endpoint rows
     prof_mm = Cardinalities(c.nx, c.nx, min(2 * c.nx, c.nx + 4))
-    shape = (prof_mm.nu, prof_mm.nv, prof_mm.nw, c.nx)
-    endpoints = [lambda_sr_terms(0.0), lambda_sr_terms(1.0)]
-    obj = JointObjective(InfoFunctional("uvwx", shape, endpoints, channel=c.q), min_of_rows())
+    endpoints = min_of([lambda_weights(0.0), lambda_weights(1.0)])
+    obj = JointObjective(marton_table(c, prof_mm), endpoints)
     seeds = [
         t.ravel() for t in structured_seed_joints(c, prof_mm, _default_px_list(c))
     ]
@@ -718,17 +691,12 @@ def check_min_max_equality(
     inner_cfg = cfg.with_(restarts=max(4, cfg.restarts // 3), max_iters=max(60, cfg.max_iters // 2))
 
     def min_over_lambda(px: np.ndarray) -> float:
-        warm: list[np.ndarray] = []
-
-        def g(lam: float):
-            r = maximize_lambda_sr_at_input(
-                c, float(lam), px, inner_cfg, profile=prof, extra_seeds=warm
+        evaluate = _warm_lambda(
+            lambda lam, extra: maximize_lambda_sr_at_input(
+                c, lam, px, inner_cfg, profile=prof, extra_seeds=extra
             )
-            warm.clear()
-            warm.append(r.aux.joint)
-            return r.value, r.subgradient, None
-
-        return golden_section_min(g, bracket=(0.0, 1.0), tol=2e-3).value
+        )
+        return golden_section_min(evaluate, bracket=(0.0, 1.0), tol=2e-3).value
 
     best_px, best_val = None, -np.inf
     for px in simplex_grid(c.nx, px_resolution):

@@ -18,6 +18,14 @@ sum_s (w^T C)_s dH_s/dt, skipping marginals of zero weight. Entropy
 derivatives use d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are
 clipped only inside the gradient (values keep the exact zero-skip
 convention of the kernel).
+
+A weighing turns the row values into the objective and its row weights:
+the default sums the rows, and ``min_of(weight_rows)`` takes the minimum
+over weight rows w_k of w_k . values, following the first minimal row.
+So one table serves a whole family of objectives: the lambda-weighted
+sum rate is one three-row table under the weights (lambda, 1-lambda, 1),
+and the UV sum rate is the minimum of the first three rows of the UV
+table under identity weight rows.
 """
 
 from __future__ import annotations
@@ -40,7 +48,7 @@ __all__ = [
     "ent_terms",
     "scale_terms",
     "merge_terms",
-    "min_of_rows",
+    "min_of",
     "JointObjective",
     "FixedInputObjective",
 ]
@@ -94,18 +102,18 @@ def _sum_of_rows(values: np.ndarray) -> tuple[float, np.ndarray]:
     return float(values.sum()), np.ones(len(values))
 
 
-def min_of_rows(count: int | None = None) -> Weigh:
-    """Weighing for the minimum of the first ``count`` rows (all rows by
-    default): the value is the minimum and the gradient follows the first
-    minimal row. Projected ascent on such an objective is still a certified
-    lower-bound search, because every candidate is scored by the true
-    minimum."""
+def min_of(weight_rows: Sequence | np.ndarray) -> Weigh:
+    """Weighing for the minimum over weight rows w_k of w_k . values: the
+    value is the minimum and the gradient follows the first minimal row, so
+    a single weight row is a plain weighted sum. Projected ascent on a
+    minimum is still a certified lower-bound search, because every
+    candidate is scored by the true minimum."""
+    rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
 
     def weigh(values: np.ndarray) -> tuple[float, np.ndarray]:
-        k = int(np.argmin(values[:count]))
-        w = np.zeros(len(values))
-        w[k] = 1.0
-        return float(values[k]), w
+        scores = rows @ values
+        k = int(np.argmin(scores))
+        return float(scores[k]), rows[k]
 
     return weigh
 
@@ -277,14 +285,18 @@ class JointObjective:
 
 
 class FixedInputObjective:
-    """Flat-vector adapter at fixed input law: one simplex per input symbol.
+    """Flat-vector adapter at fixed input law: one simplex per input symbol;
+    ``weigh`` as in ``JointObjective``.
 
     The flat layout is input-major: block x holds the conditional
     p(rest | X=x) in C order. Axes of the base tensor keep the input last.
     """
 
-    def __init__(self, functional: InfoFunctional, px: np.ndarray) -> None:
+    def __init__(
+        self, functional: InfoFunctional, px: np.ndarray, weigh: Weigh = _sum_of_rows
+    ) -> None:
         self.functional = functional
+        self.weigh = weigh
         self.rest_shape = functional.shape[:-1]
         self.nx = functional.shape[-1]
         self.px = np.asarray(px, dtype=float)
@@ -298,7 +310,7 @@ class FixedInputObjective:
 
     def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
         t = self.to_tensor(flat)
-        v, g = self.functional.value_and_grad(t)
+        v, g = self.functional.value_and_grad(t, self.weigh)
         gc = np.moveaxis(g * self.px, -1, 0)
         return v, gc.ravel()
 

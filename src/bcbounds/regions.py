@@ -32,7 +32,7 @@ from .marton import (
     embed_auxiliary,
     structured_seed_joints,
 )
-from .objectives import InfoFunctional, JointObjective, ent_terms, mi_terms, min_of_rows
+from .objectives import InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -136,7 +136,7 @@ def uv_sum_rate(
     nu = nu or c.nx + 1
     nv = nv or c.nx + 1
     shape = (nu, nv, c.nx)
-    obj = JointObjective(_uv_table(c, nu, nv), min_of_rows(3))
+    obj = JointObjective(_uv_table(c, nu, nv), min_of(np.eye(5)[:3]))
 
     seeds = []
     uniform = np.full(c.nx, 1.0 / c.nx)

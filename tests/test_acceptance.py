@@ -34,12 +34,13 @@ from bcbounds.marton import (
     check_factorization,
     check_min_max_equality,
     endpoint_sr,
-    lambda_sr_functional,
     lambda_sr_global,
+    lambda_weights,
     marton_sum_rate,
+    marton_table,
     maximize_lambda_sr_at_input,
 )
-from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms
+from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms, min_of
 from bcbounds.regions import ProductAuxiliary, region_support
 from bcbounds.search import SearchConfig
 
@@ -328,10 +329,13 @@ def _fd_grad(fn_value, t, eps=1e-6):
 def test_ac10_gradient_correctness():
     rng = np.random.default_rng(42)
 
+    # (table, weighing, shape); a single weight row is a plain weighted sum
+    plain = min_of([1.0])
+
     def functionals(c):
         prof = Cardinalities.for_sum_rate(c)
         shape = (prof.nu, prof.nv, prof.nw, c.nx)
-        yield lambda_sr_functional(c, float(rng.random()), prof), shape
+        yield marton_table(c, prof), min_of(lambda_weights(float(rng.random()))), shape
         yield (
             InfoFunctional(
                 "uvwx",
@@ -339,6 +343,7 @@ def test_ac10_gradient_correctness():
                 mi_terms("u", "y", "w") + mi_terms("x", "z", "uw"),
                 channel=c.q,
             ),
+            plain,
             shape,
         )
         yield (
@@ -348,6 +353,7 @@ def test_ac10_gradient_correctness():
                 mi_terms("v", "z", "w") + ent_terms("y", "vw"),
                 channel=c.q,
             ),
+            plain,
             shape,
         )
         yield (
@@ -357,6 +363,7 @@ def test_ac10_gradient_correctness():
                 mi_terms("w", "z") + mi_terms("x", "y", "w"),
                 channel=c.q,
             ),
+            plain,
             (c.nx, c.nx),
         )
         yield (
@@ -366,6 +373,7 @@ def test_ac10_gradient_correctness():
                 mi_terms("u", "y") + mi_terms("v", "z") + mi_terms("x", "z", "u"),
                 channel=c.q,
             ),
+            plain,
             (c.nx, c.nx, c.nx),
         )
 
@@ -374,12 +382,12 @@ def test_ac10_gradient_correctness():
     while count < 100:
         nx, ny, nz = rng.integers(2, 4, size=3)
         c = random_channel(rng, int(nx), int(ny), int(nz))
-        for fn, shape in functionals(c):
+        for fn, weigh, shape in functionals(c):
             t = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
             t = np.clip(t, 1e-3, None)
             t /= t.sum()
-            _, g = fn.value_and_grad(t)
-            fd = _fd_grad(fn.value, t)
+            _, g = fn.value_and_grad(t, weigh)
+            fd = _fd_grad(lambda x: weigh(fn.evaluate(x).values)[0], t)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-9)
             worst = max(worst, rel)
             count += 1

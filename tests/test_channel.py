@@ -18,8 +18,8 @@ from bcbounds.channel import (
     make_product,
     save_channel_file,
 )
-from bcbounds.kernel import mutual_information
 from bcbounds.search import SearchConfig
+from info_oracle import mutual_information
 
 
 def h2(p):

