@@ -27,6 +27,9 @@ from .search import SearchConfig, maximize, simplex_grid, simplex_grid_size
 ROW_TOL = 1e-9
 # p(x) grid resolution of the coarse scan in is_more_capable
 GRID_RESOLUTION = 16
+# Blahut-Arimoto stopping rule of capacity
+CAPACITY_TOL = 1e-10
+CAPACITY_MAX_ITERS = 2000
 Receiver = Literal["y", "z"]
 
 __all__ = [
@@ -124,7 +127,7 @@ def deterministic_map(c: Channel, receiver: Receiver) -> np.ndarray:
     return np.argmax(c.receiver_matrix(receiver), axis=1)
 
 
-def capacity(c: Channel, receiver: Receiver, tol: float = 1e-10, max_iters: int = 2000):
+def capacity(c: Channel, receiver: Receiver):
     """Blahut-Arimoto capacity of one receiver's marginal channel.
 
     Returns (capacity_bits, px). Used for structured search seeds and
@@ -135,7 +138,7 @@ def capacity(c: Channel, receiver: Receiver, tol: float = 1e-10, max_iters: int 
     px = np.full(nx, 1.0 / nx)
     logw = np.where(w > 0.0, np.log2(np.where(w > 0.0, w, 1.0)), 0.0)
     cap = 0.0
-    for _ in range(max_iters):
+    for _ in range(CAPACITY_MAX_ITERS):
         out = px @ w
         with np.errstate(divide="ignore"):
             logout = np.where(out > 0.0, np.log2(np.where(out > 0.0, out, 1.0)), 0.0)
@@ -144,7 +147,7 @@ def capacity(c: Channel, receiver: Receiver, tol: float = 1e-10, max_iters: int 
         px = px * np.exp2(d - cap_new)
         px = np.maximum(px, 0.0)
         px /= px.sum()
-        if abs(cap_new - cap) < tol:
+        if abs(cap_new - cap) < CAPACITY_TOL:
             cap = cap_new
             break
         cap = cap_new
@@ -178,7 +181,7 @@ def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
     else:
         axes, shape = "x", (c.nx,)
         terms = mi_terms("x", weaker) + scale_terms(mi_terms("x", stronger), -1.0)
-    fn = InfoFunctional(axes, shape, terms, channel=c.q, channel_axes="xyz")
+    fn = InfoFunctional(axes, shape, terms, channel=c.q)
     return JointObjective(fn)
 
 

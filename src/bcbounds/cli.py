@@ -30,7 +30,7 @@ from .marton import (
     curve_to_csv,
     marton_sum_rate,
 )
-from .regions import build_region, region_support, uv_sum_rate
+from .regions import region_support, uv_sum_rate
 from .search import SearchConfig
 
 RATIONAL_TOL = 1e-9
@@ -197,7 +197,7 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, dict, list]:
     chan = _as_single(_load(args.channel))
     cfg = _config(args)
     rep = classify(chan, cfg)
@@ -212,12 +212,10 @@ def _cmd_classify(args) -> int:
     )
     results = rep.to_dict()
     results["converged"] = converged
-    report = _report("classify", _config_echo(cfg), results, [])
-    _emit(report, args.out)
-    return _exit_code(report)
+    return _config_echo(cfg), results, []
 
 
-def _cmd_marton(args) -> int:
+def _cmd_marton(args) -> tuple[dict, dict, list]:
     chan = _as_single(_load(args.channel))
     cfg = _config(args)
     res = marton_sum_rate(chan, cfg)
@@ -251,12 +249,10 @@ def _cmd_marton(args) -> int:
             _write_text(args.curve_csv, curve_to_csv(curve))
             results["curve_csv"] = args.curve_csv
     results["converged"] = converged
-    report = _report("marton", _config_echo(cfg), results, [])
-    _emit(report, args.out)
-    return _exit_code(report)
+    return _config_echo(cfg), results, []
 
 
-def _cmd_uv(args) -> int:
+def _cmd_uv(args) -> tuple[dict, dict, list]:
     chan = _as_single(_load(args.channel))
     cfg = _config(args)
     res = uv_sum_rate(chan, cfg)
@@ -267,12 +263,10 @@ def _cmd_uv(args) -> int:
         "converged": res.converged,
         "budget_exhausted": res.budget_exhausted,
     }
-    report = _report("uv", _config_echo(cfg), results, [])
-    _emit(report, args.out)
-    return _exit_code(report)
+    return _config_echo(cfg), results, []
 
 
-def _cmd_product(args) -> int:
+def _cmd_product(args) -> tuple[dict, dict, list]:
     c1 = _load_component(args.component1)
     c2 = _load_component(args.component2)
     if not 0.0 <= args.lam <= 1.0:
@@ -302,12 +296,10 @@ def _cmd_product(args) -> int:
                 target=0.0,
             )
         )
-    report = _report("product", _config_echo(cfg), results, checks)
-    _emit(report, args.out)
-    return _exit_code(report)
+    return _config_echo(cfg), results, checks
 
 
-def _region_sweep(args, kind: str, mirrored: bool) -> int:
+def _region_sweep(args, kind: str, mirrored: bool) -> tuple[dict, dict, list]:
     pc = _load_product(args.product)
     cfg = _config(args)
     directions = _parse_directions(args.directions)
@@ -329,7 +321,7 @@ def _region_sweep(args, kind: str, mirrored: bool) -> int:
         )
         if best is None or res.value > best.value:
             best = res
-    region = build_region(pc, best.aux, kind, mirrored=mirrored)
+    region = best.region
     results = {
         "kind": kind,
         "mirrored": mirrored,
@@ -345,20 +337,18 @@ def _region_sweep(args, kind: str, mirrored: bool) -> int:
     if args.sweep_csv is not None:
         _write_text(args.sweep_csv, _sweep_csv(rows))
         results["sweep_csv"] = args.sweep_csv
-    report = _report(args.command, _config_echo(cfg), results, [])
-    _emit(report, args.out)
-    return _exit_code(report)
+    return _config_echo(cfg), results, []
 
 
-def _cmd_outer(args) -> int:
+def _cmd_outer(args) -> tuple[dict, dict, list]:
     return _region_sweep(args, "product_outer", args.mirror)
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args) -> tuple[dict, dict, list]:
     return _region_sweep(args, REGION_KIND_FLAGS[args.kind], False)
 
 
-def _cmd_verify_example(args) -> int:
+def _cmd_verify_example(args) -> tuple[dict, dict, list]:
     rep = verify_separation(seed=args.seed)
     results = rep.to_dict()
     check_dicts = results.pop("checks")
@@ -370,12 +360,10 @@ def _cmd_verify_example(args) -> int:
         entry["computed_display"] = format_bits(entry["computed_bits"])
         entry["target_display"] = format_bits(entry["target_bits"])
         checks.append(entry)
-    report = _report("verify-example", {"seed": args.seed}, results, checks)
-    _emit(report, args.out)
-    return _exit_code(report)
+    return {"seed": args.seed}, results, checks
 
 
-def _cmd_minmax_check(args) -> int:
+def _cmd_minmax_check(args) -> tuple[dict, dict, list]:
     chan = _as_single(_load(args.channel))
     cfg = _config(args)
     try:
@@ -393,9 +381,7 @@ def _cmd_minmax_check(args) -> int:
             target=0.0,
         )
     ]
-    report = _report("minmax-check", _config_echo(cfg), results, checks)
-    _emit(report, args.out)
-    return _exit_code(report)
+    return _config_echo(cfg), results, checks
 
 
 def _add_common(sp, budgets: bool = True, default_restarts: int = 16) -> None:
@@ -513,14 +499,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        code = args.func(args)
+        # every command returns its config echo, results and checks
+        report = _report(args.command, *args.func(args))
+        _emit(report, args.out)
     except CommandError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         elapsed = time.perf_counter() - start
         print(f"elapsed_seconds={elapsed:.2f}", file=sys.stderr)
-    return code
+    return _exit_code(report)
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .marton import (
     AuxiliaryJoint,
     Cardinalities,
     MartonSumRate,
+    deterministic_joint,
     embed_auxiliary,
     lambda_weights,
     marton_sum_rate,
@@ -181,28 +182,16 @@ def component_branch_aux(
     V = class label (value 4/3 for every lam). The Y-deterministic
     constructions swap the U and V roles.
     """
-    px = np.full(4, 0.25) if px is None else np.asarray(px, dtype=float)
-    if det == "z":
-        if branch == "steep":
-            t = np.zeros((4, 2, 2, 4))
-            t[np.arange(4), _LABEL, _LABEL, np.arange(4)] = px
-        elif branch == "flat":
-            t = np.zeros((2, 2, 1, 4))
-            t[_PARITY, _LABEL, 0, np.arange(4)] = px
-        else:
-            raise ValueError("branch must be 'steep' or 'flat'")
-    elif det == "y":
-        if branch == "steep":
-            t = np.zeros((2, 4, 2, 4))
-            t[_LABEL, np.arange(4), _LABEL, np.arange(4)] = px
-        elif branch == "flat":
-            t = np.zeros((2, 2, 1, 4))
-            t[_LABEL, _PARITY, 0, np.arange(4)] = px
-        else:
-            raise ValueError("branch must be 'steep' or 'flat'")
-    else:
+    if det not in ("y", "z"):
         raise ValueError("det must be 'y' or 'z'")
-    return AuxiliaryJoint(t)
+    px = np.full(4, 0.25) if px is None else np.asarray(px, dtype=float)
+    if branch == "steep":
+        t = deterministic_joint((4, 2, 2, 4), px, (np.arange(4), _LABEL, _LABEL))
+    elif branch == "flat":
+        t = deterministic_joint((2, 2, 1, 4), px, (_PARITY, _LABEL, None))
+    else:
+        raise ValueError("branch must be 'steep' or 'flat'")
+    return AuxiliaryJoint(t if det == "z" else np.swapaxes(t, 0, 1))
 
 
 def component_seed_joints(
@@ -290,27 +279,27 @@ def witness_component_values() -> dict[str, float]:
     }
 
 
-def marton_on_product(
-    cfg: SearchConfig | None = None,
-    scalar_tol: float = 2e-3,
-) -> MartonSumRate:
+# search budgets of the two product searches, and of verify_separation
+MARTON_PRODUCT_CFG = SearchConfig(restarts=6, max_iters=120)
+UV_PRODUCT_CFG = SearchConfig(restarts=8, max_iters=150)
+
+
+def marton_on_product(cfg: SearchConfig | None = None) -> MartonSumRate:
     """Marton sum rate of the product, seeded with the branch products."""
-    cfg = cfg or SearchConfig(restarts=6, max_iters=120)
     return marton_sum_rate(
         product_channel().flat,
-        cfg,
+        cfg or MARTON_PRODUCT_CFG,
         profile=REDUCED_PRODUCT_PROFILE,
-        scalar_tol=scalar_tol,
+        scalar_tol=2e-3,
         seed_factory=product_seed_factory,
     )
 
 
 def uv_on_product(cfg: SearchConfig | None = None) -> UvSumRate:
     """Free UV sum-rate search on the product, seeded with the witness."""
-    cfg = cfg or SearchConfig(restarts=8, max_iters=150)
     return uv_sum_rate(
         product_channel().flat,
-        cfg,
+        cfg or UV_PRODUCT_CFG,
         extra_seeds=[uv_witness_auxiliary().joint],
     )
 
@@ -370,11 +359,7 @@ class SeparationReport:
         }
 
 
-def verify_separation(
-    seed: int = 0,
-    marton_cfg: SearchConfig | None = None,
-    uv_cfg: SearchConfig | None = None,
-) -> SeparationReport:
+def verify_separation(seed: int = 0) -> SeparationReport:
     """End-to-end reproduction of the inner/outer sum-rate separation.
 
     Checks: (i) the analytic curve minimum is 8/3 at lambda = 1/2;
@@ -383,9 +368,6 @@ def verify_separation(
     (iv) the free UV search does at least as well; (v) the numeric gap
     reproduces the analytic 4/15 separation up to the same slacks.
     """
-    marton_cfg = (marton_cfg or SearchConfig(restarts=6, max_iters=120)).with_(seed=seed)
-    uv_cfg = (uv_cfg or SearchConfig(restarts=8, max_iters=150)).with_(seed=seed)
-
     lam_star, analytic_value = analytic_minimum()
     grid = [k / 10.0 for k in range(11)]
     curve_min = min(analytic_product_curve(l) for l in grid + [lam_star])
@@ -399,7 +381,7 @@ def verify_separation(
         )
     ]
 
-    marton = marton_on_product(marton_cfg)
+    marton = marton_on_product(MARTON_PRODUCT_CFG.with_(seed=seed))
     checks.append(
         SeparationCheck(
             "marton_numeric_on_product",
@@ -423,7 +405,7 @@ def verify_separation(
         )
     )
 
-    free = uv_on_product(uv_cfg)
+    free = uv_on_product(UV_PRODUCT_CFG.with_(seed=seed))
     checks.append(
         SeparationCheck(
             "uv_free_search",

@@ -83,6 +83,30 @@ class Cardinalities:
         return (self.nu, self.nv, self.nw)
 
 
+def checked_joint(joint, axes: str, name: str) -> np.ndarray:
+    """``joint`` as a float law with one axis per letter of ``axes``; raises
+    on an entry below -1e-10 or a total off 1 by more than 1e-9, and clamps
+    the remaining rounding negatives to 0."""
+    arr = np.asarray(joint, dtype=float)
+    if arr.ndim != len(axes):
+        raise ValueError(f"{name} must have axes ({', '.join(axes)})")
+    if arr.min() < -1e-10:
+        raise ValueError(f"negative entry {arr.min()} in {name}")
+    if abs(arr.sum() - 1.0) > 1e-9:
+        raise ValueError(f"{name} sums to {arr.sum()}")
+    return np.where(arr < 0.0, 0.0, arr)
+
+
+def deterministic_joint(
+    shape: Sequence[int], px: np.ndarray, maps: Sequence[np.ndarray | None]
+) -> np.ndarray:
+    """Law of the given shape with mass px[x] at the labels
+    (maps[0][x], ..., x), input axis last; a map of None is label 0."""
+    t = np.zeros(shape)
+    t[(*(0 if m is None else m for m in maps), np.arange(shape[-1]))] = px
+    return t
+
+
 @dataclass
 class AuxiliaryJoint:
     """Joint law p(u, v, w, x) of the auxiliaries and the channel input."""
@@ -90,14 +114,7 @@ class AuxiliaryJoint:
     joint: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.joint, dtype=float)
-        if arr.ndim != 4:
-            raise ValueError("auxiliary joint must have axes (u, v, w, x)")
-        if arr.min() < -1e-10:
-            raise ValueError(f"negative entry {arr.min()} in auxiliary joint")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"auxiliary joint sums to {arr.sum()}")
-        self.joint = np.where(arr < 0.0, 0.0, arr)
+        self.joint = checked_joint(self.joint, "uvwx", "auxiliary joint")
 
     @property
     def shape(self) -> tuple[int, int, int, int]:
@@ -139,23 +156,6 @@ def curve_subgradient(c: Channel, aux: AuxiliaryJoint) -> float:
     """I(W;Y) - I(W;Z) at a maximizer: a subgradient of the lambda-curve."""
     rows = _table_at(c, aux)
     return float(rows[0] - rows[1])
-
-
-def _det_joint(
-    c: Channel,
-    prof: Cardinalities,
-    px: np.ndarray,
-    u_map: np.ndarray | None,
-    v_map: np.ndarray | None,
-    w_map: np.ndarray | None,
-) -> np.ndarray:
-    t = np.zeros((prof.nu, prof.nv, prof.nw, c.nx))
-    for x in range(c.nx):
-        u = 0 if u_map is None else int(u_map[x])
-        v = 0 if v_map is None else int(v_map[x])
-        w = 0 if w_map is None else int(w_map[x])
-        t[u, v, w, x] = px[x]
-    return t
 
 
 def _class_index(labels: np.ndarray) -> np.ndarray:
@@ -226,11 +226,12 @@ def structured_seed_joints(
 
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
-    for u_map, v_map, w_map in combos:
-        if not (fits(u_map, prof.nu) and fits(v_map, prof.nv) and fits(w_map, prof.nw)):
+    shape = (prof.nu, prof.nv, prof.nw, c.nx)
+    for maps in combos:
+        if not all(fits(m, cap) for m, cap in zip(maps, shape)):
             continue
         for px in px_list:
-            t = _det_joint(c, prof, px, u_map, v_map, w_map)
+            t = deterministic_joint(shape, px, maps)
             key = t.tobytes()
             if key not in seen:
                 seen.add(key)
@@ -380,13 +381,11 @@ def endpoint_sr(
         w_maps = [np.asarray(p) for p in _set_partitions(c.nx)]
     else:
         w_maps = [np.zeros(c.nx, dtype=int), np.arange(c.nx)]
-    seeds = []
-    for px in _default_px_list(c):
-        for w_map in w_maps:
-            t = np.zeros((c.nx, c.nx))
-            for x in range(c.nx):
-                t[int(w_map[x]), x] = px[x]
-            seeds.append(obj.to_flat(t))
+    seeds = [
+        obj.to_flat(deterministic_joint((c.nx, c.nx), px, [w_map]))
+        for px in _default_px_list(c)
+        for w_map in w_maps
+    ]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     pwx = res.point.reshape(c.nx, c.nx)
     # report as a full auxiliary with U=X, V=const so downstream code can
@@ -475,14 +474,13 @@ def build_lambda_curve(
     c: Channel,
     lambdas: Sequence[float],
     cfg: SearchConfig | None = None,
-    profile: Cardinalities | None = None,
     seed_factory: Callable[[float], list[np.ndarray]] | None = None,
     check_slack: float = 1e-6,
 ) -> LambdaCurve:
     """Sample the global lambda-curve on a grid with warm-started searches."""
     cfg = cfg or SearchConfig()
     evaluate = _warm_lambda(
-        lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=profile, extra_seeds=extra),
+        lambda lam, extra: lambda_sr_global(c, lam, cfg, extra_seeds=extra),
         seed_factory,
     )
     curve = LambdaCurve([evaluate(lam)[2] for lam in lambdas])
@@ -556,6 +554,10 @@ def embed_auxiliary(aux: AuxiliaryJoint, prof: Cardinalities) -> AuxiliaryJoint:
     return AuxiliaryJoint(t)
 
 
+# largest |product - component sum| that check_factorization calls a factorization
+FACTORIZATION_TOL = 5e-3
+
+
 @dataclass
 class FactorizationReport:
     lam: float
@@ -588,8 +590,6 @@ def check_factorization(
     c2: Channel,
     lam: float,
     cfg: SearchConfig | None = None,
-    tol: float = 5e-3,
-    product_cfg: SearchConfig | None = None,
 ) -> FactorizationReport:
     """Compare the product channel's weighted sum rate with the component sum.
 
@@ -605,7 +605,7 @@ def check_factorization(
     flat = pc.flat
     prof_p = Cardinalities.for_sum_rate(flat)
     seed = embed_auxiliary(outer_auxiliary(r1.aux, r2.aux), prof_p)
-    pcfg = product_cfg or cfg.with_(restarts=max(8, cfg.restarts // 4), max_iters=cfg.max_iters)
+    pcfg = cfg.with_(restarts=max(8, cfg.restarts // 4))
     rp = lambda_sr_global(flat, lam, pcfg, profile=prof_p, extra_seeds=[seed.joint])
     gap = rp.value - (r1.value + r2.value)
     links = []
@@ -619,8 +619,8 @@ def check_factorization(
         value_c2=r2.value,
         value_product=rp.value,
         gap=gap,
-        tolerance=tol,
-        holds=abs(gap) <= tol,
+        tolerance=FACTORIZATION_TOL,
+        holds=abs(gap) <= FACTORIZATION_TOL,
         deterministic_links=links,
         converged=r1.converged and r2.converged and rp.converged,
     )

@@ -40,6 +40,8 @@ from .kernel import entropy_of_array
 
 LOG2E = math.log2(math.e)
 GRAD_CLIP = 1e-300
+# axes of every channel tensor: the input, then the two receivers
+CHANNEL_AXES = "xyz"
 
 __all__ = [
     "InfoFunctional",
@@ -186,8 +188,8 @@ class InfoFunctional:
     """Table of weighted entropy sums with exact gradients w.r.t. the base tensor.
 
     dist_axes: one letter per axis of t, input axis last (e.g. 'uvwx').
-    channel: optional conditional array with axes channel_axes, first
-    letter the input (shared with dist_axes), the rest output axes.
+    channel: optional conditional array q[x, y, z] (axes CHANNEL_AXES);
+    its input x is then the last letter of dist_axes.
     terms: one expression, a list of (coefficient, subset-of-letters)
     pairs, whose value is a float; or a list of such expressions (rows),
     whose value is the array of row values.
@@ -199,14 +201,13 @@ class InfoFunctional:
         dist_shape: Sequence[int],
         terms: Sequence,
         channel: np.ndarray | None = None,
-        channel_axes: str = "xyz",
     ) -> None:
         if len(dist_axes) != len(dist_shape):
             raise ValueError("dist_axes and dist_shape disagree")
         self.dist_axes = dist_axes
         self.shape = tuple(int(n) for n in dist_shape)
-        in_axis = channel_axes[0]
-        out_axes = channel_axes[1:] if channel is not None else ""
+        in_axis = CHANNEL_AXES[0]
+        out_axes = CHANNEL_AXES[1:] if channel is not None else ""
         if channel is not None and not dist_axes.endswith(in_axis):
             raise ValueError(f"input axis '{in_axis}' must be the last dist axis")
         order = dist_axes + out_axes
@@ -236,7 +237,7 @@ class InfoFunctional:
                 work = (-1, self.shape[-1]) if with_input else (-1,)
                 self._keeps.append(_Keep(drop, work, expand))
             if sout and sout not in q_cache:
-                drop = tuple(i for i, a in enumerate(channel_axes) if a not in in_axis + sout)
+                drop = tuple(i for i, a in enumerate(CHANNEL_AXES) if a not in in_axis + sout)
                 q_cache[sout] = channel.sum(axis=drop).reshape(channel.shape[0], -1)
             joint_input = in_axis in subset
             self._marginals.append(_Marginal(keep_index[keep], q_cache.get(sout), joint_input))

@@ -10,6 +10,13 @@ p1(u1,v1,w1,x1) p2(u2,v2,w2,x2) and produce polytopes in (R0, R1, R2):
   semi_deterministic capacity region form when Y1 and Z2 are deterministic
   more_capable       capacity region form when Z1 is more capable than Y1
                      and Y2 more capable than Z2
+  more_capable_deterministic
+                     capacity region form when Z1 is more capable than Y1
+                     and Y2 is deterministic
+
+The region forms assume their class; build_region notes a mismatch of the
+determinism it can read off the channel, and ``bcbounds classify`` reports
+the more-capable verdicts of each component.
 
 All min-terms are expanded into separate inequalities, so every
 right-hand side is a smooth sum of per-component information terms; the
@@ -25,10 +32,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ProductChannel, is_deterministic, is_more_capable
+from .channel import Channel, ProductChannel, is_deterministic
 from .marton import (
     AuxiliaryJoint,
     Cardinalities,
+    checked_joint,
+    deterministic_joint,
     embed_auxiliary,
     structured_seed_joints,
 )
@@ -58,14 +67,7 @@ class UvAuxiliary:
     joint: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.joint, dtype=float)
-        if arr.ndim != 3:
-            raise ValueError("UV auxiliary must have axes (u, v, x)")
-        if arr.min() < -1e-10:
-            raise ValueError("negative entry in UV auxiliary")
-        if abs(arr.sum() - 1.0) > 1e-9:
-            raise ValueError(f"UV auxiliary sums to {arr.sum()}")
-        self.joint = np.where(arr < 0.0, 0.0, arr)
+        self.joint = checked_joint(self.joint, "uvx", "UV auxiliary")
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -122,32 +124,24 @@ class UvSumRate:
 def uv_sum_rate(
     c: Channel,
     cfg: SearchConfig | None = None,
-    nu: int | None = None,
-    nv: int | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> UvSumRate:
     """Maximize the UV sum rate min of its three inequality combinations.
 
-    Auxiliary alphabets default to |U| = |V| = nx + 1. The objective is a
+    Auxiliary alphabets are |U| = |V| = nx + 1. The objective is a
     min of smooth branches; ascent follows the active branch and every
     candidate is scored exactly, so the result is a certified lower bound.
     """
     cfg = cfg or SearchConfig(restarts=32, max_iters=200)
-    nu = nu or c.nx + 1
-    nv = nv or c.nx + 1
-    shape = (nu, nv, c.nx)
-    obj = JointObjective(_uv_table(c, nu, nv), min_of(np.eye(5)[:3]))
+    shape = (c.nx + 1, c.nx + 1, c.nx)
+    obj = JointObjective(_uv_table(c, *shape[:2]), min_of(np.eye(5)[:3]))
 
-    seeds = []
     uniform = np.full(c.nx, 1.0 / c.nx)
     ident = np.arange(c.nx)
-    for u_map, v_map in ((ident, ident), (ident, None), (None, ident)):
-        t = np.zeros(shape)
-        for x in range(c.nx):
-            u = 0 if u_map is None else int(u_map[x])
-            v = 0 if v_map is None else int(v_map[x])
-            t[u, v, x] = uniform[x]
-        seeds.append(t.ravel())
+    seeds = [
+        deterministic_joint(shape, uniform, maps).ravel()
+        for maps in ((ident, ident), (ident, None), (None, ident))
+    ]
     for s in extra_seeds:
         if isinstance(s, UvAuxiliary):
             s = s.joint
@@ -171,6 +165,8 @@ def uv_sum_rate(
 
 
 # ------------------------------------------------------- product regions
+
+CONTAINS_TOL = 1e-9
 
 
 @dataclass
@@ -216,7 +212,7 @@ def _region_rows(kind: str, mirrored: bool) -> list[Row]:
         for p1, p2 in patterns:
             for base in ("ay", "az"):
                 rows.append(((1, 1, 1), (base, p1), (base, p2)))
-        return _dedupe(rows)
+        return rows
     if kind == "product_inner":
         rows = list(r0)
         rows.append(((1, 1, 0), ("ay", "uy"), ("ay", "uy")))
@@ -239,7 +235,7 @@ def _region_rows(kind: str, mirrored: bool) -> list[Row]:
         for p1, p2 in (("su", "xy"), ("xz", "xy"), ("xz", "sv")):
             for base in ("ay", "az"):
                 rows.append(((1, 1, 1), (base, p1), (base, p2)))
-        return _dedupe(rows)
+        return rows
     if kind == "more_capable_deterministic":
         # mixed class: Z1 more capable than Y1, Y2 deterministic
         rows = list(r0)
@@ -249,16 +245,6 @@ def _region_rows(kind: str, mirrored: bool) -> list[Row]:
             rows.append(((1, 1, 1), (base, "xz"), (base, "svh")))
         return rows
     raise ValueError(f"unknown region kind {kind!r}")
-
-
-def _dedupe(rows: list[Row]) -> list[Row]:
-    seen, out = set(), []
-    for row in rows:
-        key = (row[0], tuple(sorted(row[1])), tuple(sorted(row[2])))
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
 
 
 REGION_KINDS = (
@@ -293,8 +279,9 @@ def default_region_profiles(
     return p1, p2
 
 
-def _class_notes(pc: ProductChannel, kind: str, verify_classes: bool) -> list[str]:
-    """Class-membership diagnostics; mismatches warn, never raise."""
+def _class_notes(pc: ProductChannel, kind: str) -> list[str]:
+    """Determinism diagnostics of the region's class; mismatches warn, never
+    raise."""
     notes: list[str] = []
     if kind == "semi_deterministic":
         if not (is_deterministic(pc.c1, "y") and is_deterministic(pc.c2, "z")):
@@ -302,28 +289,12 @@ def _class_notes(pc: ProductChannel, kind: str, verify_classes: bool) -> list[st
                 "warning: region form assumes deterministic Y1 and Z2; "
                 "channel does not match, values are not a capacity region"
             )
-    elif kind == "more_capable" and verify_classes:
-        v1 = is_more_capable(pc.c1, "z")
-        v2 = is_more_capable(pc.c2, "y")
-        if not (v1.holds and v2.holds):
-            notes.append(
-                "warning: region form assumes Z1 more capable than Y1 and "
-                "Y2 more capable than Z2; search-based check failed "
-                f"(gaps {v1.gap:.3g}, {v2.gap:.3g})"
-            )
     elif kind == "more_capable_deterministic":
         if not is_deterministic(pc.c2, "y"):
             notes.append(
                 "warning: region form assumes deterministic Y2; "
                 "channel does not match"
             )
-        if verify_classes:
-            v1 = is_more_capable(pc.c1, "z")
-            if not v1.holds:
-                notes.append(
-                    "warning: region form assumes Z1 more capable than Y1; "
-                    f"search-based check failed (gap {v1.gap:.3g})"
-                )
     return notes
 
 
@@ -355,12 +326,13 @@ class RateRegionPolytope:
         i = int(np.argmax(scores))
         return float(scores[i]), verts[i]
 
-    def contains(self, point: Sequence[float], tol: float = 1e-9) -> bool:
+    def contains(self, point: Sequence[float]) -> bool:
+        """Membership up to a slack of CONTAINS_TOL on every constraint."""
         r = np.asarray(point, dtype=float)
-        if (r < -tol).any():
+        if (r < -CONTAINS_TOL).any():
             return False
         for a, rhs in self.inequalities:
-            if float(np.dot(a, r)) > rhs + tol:
+            if float(np.dot(a, r)) > rhs + CONTAINS_TOL:
                 return False
         return True
 
@@ -407,10 +379,9 @@ def build_region(
     aux: ProductAuxiliary,
     kind: str,
     mirrored: bool = False,
-    verify_classes: bool = False,
 ) -> RateRegionPolytope:
     """Instantiate a region's inequalities at one product auxiliary."""
-    notes = _class_notes(pc, kind, verify_classes)
+    notes = _class_notes(pc, kind)
     rows = _region_rows(kind, mirrored)
     if aux.a1.shape[3] != pc.c1.nx or aux.a2.shape[3] != pc.c2.nx:
         raise ValueError("component auxiliary input alphabet mismatch")
@@ -512,7 +483,6 @@ def region_support(
     weights: Sequence[float],
     cfg: SearchConfig | None = None,
     mirrored: bool = False,
-    profiles: tuple[Cardinalities, Cardinalities] | None = None,
     extra_seeds: Sequence[ProductAuxiliary] = (),
     fix_r0: float | None = None,
 ) -> SupportResult:
@@ -522,9 +492,7 @@ def region_support(
     pair is scored by exact vertex enumeration of its polytope.
     """
     cfg = cfg or SearchConfig(restarts=32, max_iters=150)
-    if profiles is None:
-        profiles = default_region_profiles(pc, kind)
-    prof1, prof2 = profiles
+    prof1, prof2 = default_region_profiles(pc, kind)
     obj = _SupportObjective(pc, kind, mirrored, weights, prof1, prof2, fix_r0=fix_r0)
 
     seeds = []

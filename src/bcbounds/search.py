@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+# golden_section_min: a subgradient this small stops at its point, and sign
+# bisection hands over to golden section at this bracket width
+SUBGRAD_TOL = 1e-6
+BISECT_UNTIL = 0.25
 
 # step-size control of the projected ascent in _run_restart
 STEP_INIT = 0.5
@@ -60,7 +64,6 @@ class SearchResult:
     value: float
     point: np.ndarray
     restart_index: int
-    iterations: int
     converged: bool
     budget_exhausted: bool
     restart_values: list = field(default_factory=list)
@@ -238,12 +241,11 @@ def maximize(
     for i in range(1, len(results)):
         if results[i][0] > results[best_i][0]:
             best_i = i
-    v, x, iters, _ = results[best_i]
+    v, x, _, _ = results[best_i]
     return SearchResult(
         value=v,
         point=x,
         restart_index=best_i,
-        iterations=iters,
         converged=any(r[3] for r in results),
         budget_exhausted=not any(r[3] for r in results),
         restart_values=[r[0] for r in results],
@@ -275,15 +277,13 @@ def golden_section_min(
     f: Callable,
     bracket: tuple[float, float] = (0.0, 1.0),
     tol: float = 1e-4,
-    subgrad_tol: float = 1e-6,
-    bisect_until: float = 0.25,
 ) -> ScalarMinResult:
     """Minimize a convex scalar function on a bracket.
 
     f(x) may return a float or a tuple (value, subgradient, payload). When
     subgradients are available the bracket is first shrunk by sign
     bisection (a subgradient of a convex function points away from the
-    minimizer) down to width ``bisect_until``; golden-section handles the
+    minimizer) down to width ``BISECT_UNTIL``; golden-section handles the
     rest, which tolerates the mild non-convexity of values produced by
     inner numerical maximizations. Returns the best evaluation seen.
     """
@@ -305,12 +305,12 @@ def golden_section_min(
 
     converged = False
     # subgradient sign bisection on the midpoint
-    while b - a > max(bisect_until, tol):
+    while b - a > max(BISECT_UNTIL, tol):
         mid = 0.5 * (a + b)
         value, sub = ev(mid)
         if sub is None:
             break
-        if abs(sub) < subgrad_tol:
+        if abs(sub) < SUBGRAD_TOL:
             converged = True
             a, b = mid, mid
             break

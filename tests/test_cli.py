@@ -204,6 +204,28 @@ def test_minmax_check_small(small_file, capsys):
     assert res["max_pairwise_gap_bits"] >= 0
 
 
+def test_failed_check_exits_1_and_exhausted_budget_exits_3(small_file, capsys):
+    # a zero gap tolerance fails on any numeric gap between the orderings
+    code, out, _ = _run(
+        capsys,
+        [
+            "minmax-check",
+            small_file,
+            "--grid-resolution", "6",
+            "--restarts", "2",
+            "--max-iters", "80",
+            "--tolerance", "0",
+        ],
+    )
+    rep = json.loads(out)
+    assert rep["results"]["max_pairwise_gap_bits"] > 0
+    assert (code, rep["passed"]) == (1, False)
+    # one ascent iteration per restart lets no receiver-comparison search converge
+    code, out, _ = _run(capsys, ["classify", small_file, "--restarts", "2", "--max-iters", "1"])
+    rep = json.loads(out)
+    assert (code, rep["passed"], rep["converged"]) == (3, True, False)
+
+
 def test_verify_example_deterministic_bytes(tmp_path, capsys):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -54,7 +54,7 @@ def test_merge_terms_cancels():
 def test_functional_matches_kernel_mi():
     rng = np.random.default_rng(0)
     q = _random_channel(rng, 3, 2, 4)
-    fn = InfoFunctional("uvx", (2, 3, 3), mi_terms("u", "y") + mi_terms("v", "z", given="u"), q, "xyz")
+    fn = InfoFunctional("uvx", (2, 3, 3), mi_terms("u", "y") + mi_terms("v", "z", given="u"), q)
     t = rng.dirichlet(np.ones(2 * 3 * 3)).reshape(2, 3, 3)  # p(u, v, x)
     # zero-mass slices: a point mass on u and an input symbol of probability 0
     t_zero = np.zeros((2, 3, 3))
@@ -98,7 +98,7 @@ def test_gradient_matches_finite_differences():
             + mi_terms("v", "z", given="w")
             + scale_terms(mi_terms("u", "v", given="w"), -1.0)
         )
-        fn = InfoFunctional("uvwx", t.shape, terms, q, "xyz")
+        fn = InfoFunctional("uvwx", t.shape, terms, q)
         _check_gradient(fn, t)
 
 
@@ -106,14 +106,14 @@ def test_gradient_with_entropy_terms():
     rng = np.random.default_rng(3)
     q = _random_channel(rng, 4, 2, 3)
     t = rng.dirichlet(np.ones(2 * 4)).reshape(2, 4)
-    fn = InfoFunctional("vx", t.shape, ent_terms("y", given="v") + mi_terms("v", "z"), q, "xyz")
+    fn = InfoFunctional("vx", t.shape, ent_terms("y", given="v") + mi_terms("v", "z"), q)
     _check_gradient(fn, t)
 
 
 def test_joint_objective_round_trip():
     rng = np.random.default_rng(4)
     q = _random_channel(rng, 2, 2, 2)
-    fn = InfoFunctional("ux", (3, 2), mi_terms("u", "y"), q, "xyz")
+    fn = InfoFunctional("ux", (3, 2), mi_terms("u", "y"), q)
     obj = JointObjective(fn)
     assert obj.block_sizes == [6]
     t = rng.dirichlet(np.ones(6)).reshape(3, 2)
@@ -127,7 +127,7 @@ def test_joint_objective_round_trip():
 def test_fixed_input_objective_blocks_and_masses():
     rng = np.random.default_rng(5)
     q = _random_channel(rng, 3, 2, 2)
-    fn = InfoFunctional("uvx", (2, 2, 3), mi_terms("u", "y") + mi_terms("v", "z"), q, "xyz")
+    fn = InfoFunctional("uvx", (2, 2, 3), mi_terms("u", "y") + mi_terms("v", "z"), q)
     px = np.array([0.5, 0.5, 0.0])
     obj = FixedInputObjective(fn, px)
     # one conditional simplex per input letter
@@ -145,7 +145,7 @@ def test_fixed_input_objective_blocks_and_masses():
 def test_fixed_input_zero_mass_conditional_is_uniform():
     rng = np.random.default_rng(6)
     q = _random_channel(rng, 2, 2, 2)
-    fn = InfoFunctional("ux", (2, 2), mi_terms("u", "y"), q, "xyz")
+    fn = InfoFunctional("ux", (2, 2), mi_terms("u", "y"), q)
     obj = FixedInputObjective(fn, np.array([1.0, 0.0]))
     t = np.zeros((2, 2))
     t[0, 0] = 1.0
@@ -162,7 +162,6 @@ def test_fixed_input_gradient_matches_fd():
         (2, 3, 3),
         mi_terms("u", "y") + mi_terms("v", "z") + scale_terms(mi_terms("u", "v"), -1.0),
         q,
-        "xyz",
     )
     px = rng.dirichlet(np.ones(3))
     obj = FixedInputObjective(fn, px)
@@ -221,7 +220,7 @@ def test_min_of_identity_rows_and_weighted_row():
     rng = np.random.default_rng(9)
     q = _random_channel(rng, 3, 2, 2)
     rows = [mi_terms("u", "y"), mi_terms("v", "z"), ent_terms("u", "v"), mi_terms("x", "y", "u")]
-    table = InfoFunctional("uvx", (2, 2, 3), rows, q, "xyz")
+    table = InfoFunctional("uvx", (2, 2, 3), rows, q)
     px = rng.dirichlet(np.ones(3))
     for _ in range(5):
         t = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
@@ -236,7 +235,7 @@ def test_min_of_identity_rows_and_weighted_row():
     # one weight row is the plain weighted sum, gradient included
     weights = np.array([0.3, 0.7, 1.0, -0.5])
     v, g = table.value_and_grad(t, min_of(weights))
-    singles = [InfoFunctional("uvx", (2, 2, 3), r, q, "xyz") for r in rows]
+    singles = [InfoFunctional("uvx", (2, 2, 3), r, q) for r in rows]
     assert v == pytest.approx(sum(a * f.value(t) for a, f in zip(weights, singles)), abs=1e-12)
     g_ref = sum(a * f.value_and_grad(t)[1] for a, f in zip(weights, singles))
     assert np.allclose(g, g_ref, atol=1e-12)
