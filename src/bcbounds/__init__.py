@@ -18,11 +18,9 @@ from .counterexample import (
     analytic_product_curve,
     component,
     f_closed_form,
-    f_envelope_oracle,
     lambda_curve_analytic,
     marton_on_product,
     product_channel,
-    uniform_input_check,
     uv_on_product,
     uv_witness_auxiliary,
     verify_separation,
@@ -34,7 +32,6 @@ from .marton import (
     build_lambda_curve,
     check_factorization,
     check_min_max_equality,
-    endpoint_sr,
     lambda_sr_global,
     lambda_sr_value,
     marton_sum_rate,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -169,7 +170,16 @@ def _parse_directions(path: str | None) -> list[tuple[float, float, float]]:
                     raise CommandError(
                         f"{path}:{line_no}: expected three weights, got {body!r}"
                     )
-                w = tuple(float(p) for p in parts)
+                try:
+                    w = tuple(float(p) for p in parts)
+                except ValueError:
+                    raise CommandError(
+                        f"{path}:{line_no}: weights must be numbers, got {body!r}"
+                    )
+                if not all(math.isfinite(x) for x in w):
+                    raise CommandError(
+                        f"{path}:{line_no}: weights must be finite, got {body!r}"
+                    )
                 if min(w) < 0 or max(w) <= 0:
                     raise CommandError(
                         f"{path}:{line_no}: weights must be nonnegative, not all zero"
@@ -261,7 +271,7 @@ def _cmd_uv(args) -> tuple[dict, dict, list]:
         "sum_rate_display": format_bits(res.value),
         "point": res.point.to_dict(),
         "converged": res.converged,
-        "budget_exhausted": res.budget_exhausted,
+        "budget_exhausted": not res.converged,
     }
     return _config_echo(cfg), results, []
 
@@ -316,7 +326,7 @@ def _region_sweep(args, kind: str, mirrored: bool) -> tuple[dict, dict, list]:
                 "value_display": format_bits(res.value),
                 "vertex": list(res.vertex),
                 "converged": res.converged,
-                "budget_exhausted": res.budget_exhausted,
+                "budget_exhausted": not res.converged,
             }
         )
         if best is None or res.value > best.value:

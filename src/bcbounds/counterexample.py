@@ -30,35 +30,27 @@ from .marton import (
     MartonSumRate,
     deterministic_joint,
     embed_auxiliary,
-    lambda_weights,
     marton_sum_rate,
-    marton_table,
     outer_auxiliary,
 )
-from .objectives import FixedInputObjective, min_of
 from .regions import UvAuxiliary, UvPoint, UvSumRate, evaluate_uv_point, uv_sum_rate
-from .search import SearchConfig, ascend, simplex_grid
+from .search import SearchConfig
 
 __all__ = [
     "PAIRS",
     "component",
     "product_channel",
     "f_closed_form",
-    "f_envelope_oracle",
     "lambda_curve_analytic",
     "analytic_product_curve",
     "analytic_minimum",
     "component_branch_aux",
-    "component_seed_joints",
     "product_seed_auxiliaries",
-    "product_seed_factory",
     "REDUCED_PRODUCT_PROFILE",
     "uv_witness_auxiliary",
-    "witness_component_values",
     "marton_on_product",
     "uv_on_product",
     "verify_separation",
-    "uniform_input_check",
 ]
 
 # unordered pairs of distinct inputs; the noisy receiver emits the index
@@ -102,48 +94,6 @@ def f_closed_form(x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     return entropy_of_array(np.array([x, 1.0 - x])) / 3.0 - LOG2_3
-
-
-def _hz_minus_hy(points: np.ndarray) -> np.ndarray:
-    """H(Z) - H(Y) on the Z-deterministic component, vectorized over rows."""
-    pz = np.stack([points[:, 0] + points[:, 1], points[:, 2] + points[:, 3]], axis=1)
-    py = np.zeros((points.shape[0], 6))
-    for j, (a, b) in enumerate(PAIRS):
-        py[:, j] = (points[:, a] + points[:, b]) / 3.0
-
-    def ent(rows):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(rows > 0.0, rows * np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
-        return -terms.sum(axis=1)
-
-    return ent(pz) - ent(py)
-
-
-def f_envelope_oracle(x: float, resolution: int = 32) -> float:
-    """Independent oracle for f via an upper concave envelope.
-
-    The best p(u|x) value equals the concave envelope of H(Z) - H(Y) over
-    input laws, evaluated at the symmetric point. The envelope is computed
-    as a linear program over mixtures of grid distributions: maximize the
-    mixed objective subject to the mixture reproducing the target marginal.
-    """
-    from scipy.optimize import linprog  # only this oracle needs scipy
-
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    grid = np.array(list(simplex_grid(4, resolution)))
-    g = _hz_minus_hy(grid)
-    target = np.array([x / 2.0, x / 2.0, (1.0 - x) / 2.0, (1.0 - x) / 2.0])
-    res = linprog(
-        -g,
-        A_eq=grid.T,
-        b_eq=target,
-        bounds=(0.0, None),
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"envelope LP failed: {res.message}")
-    return -float(res.fun)
 
 
 def lambda_curve_analytic(lam: float, det: str = "z") -> float:
@@ -194,19 +144,6 @@ def component_branch_aux(
     return AuxiliaryJoint(t if det == "z" else np.swapaxes(t, 0, 1))
 
 
-def component_seed_joints(
-    det: str, prof: Cardinalities, px: np.ndarray
-) -> list[np.ndarray]:
-    """Both branch constructions embedded into a search profile."""
-    out = []
-    for branch in ("steep", "flat"):
-        aux = component_branch_aux(det, branch, px)
-        nu, nv, nw, _ = aux.shape
-        if nu <= prof.nu and nv <= prof.nv and nw <= prof.nw:
-            out.append(embed_auxiliary(aux, prof).joint)
-    return out
-
-
 # profile for the 16-input product: contains every product of branch
 # constructions (|U| <= 2*4, |V| <= 4*2, |W| <= 2*2) at a quarter of the
 # full sum-rate profile's size
@@ -222,10 +159,6 @@ def product_seed_auxiliaries() -> list[AuxiliaryJoint]:
             a2 = component_branch_aux("z", b2)
             out.append(embed_auxiliary(outer_auxiliary(a1, a2), REDUCED_PRODUCT_PROFILE))
     return out
-
-
-def product_seed_factory(lam: float) -> list[np.ndarray]:
-    return [a.joint for a in product_seed_auxiliaries()]
 
 
 def _witness_components(q1: float, q2: float) -> tuple[np.ndarray, np.ndarray]:
@@ -262,23 +195,6 @@ def uv_witness_auxiliary(q_probs: tuple[float, float] = (0.8, 0.8)) -> UvAuxilia
     return UvAuxiliary(joint)
 
 
-def witness_component_values() -> dict[str, float]:
-    """Exact per-component information values behind the 44/15 total."""
-    p1, p2 = _witness_components(0.8, 0.8)
-    pt1 = evaluate_uv_point(component("y"), UvAuxiliary(p1))
-    pt2 = evaluate_uv_point(component("z"), UvAuxiliary(p2))
-    return {
-        "iu1y1": pt1.r1_bound,
-        "iv1z1": pt1.r2_bound,
-        "ix1z1_given_u1": pt1.sum_y_side - pt1.r1_bound,
-        "ix1y1_given_v1": pt1.sum_z_side - pt1.r2_bound,
-        "iu2y2": pt2.r1_bound,
-        "iv2z2": pt2.r2_bound,
-        "ix2z2_given_u2": pt2.sum_y_side - pt2.r1_bound,
-        "ix2y2_given_v2": pt2.sum_z_side - pt2.r2_bound,
-    }
-
-
 # search budgets of the two product searches, and of verify_separation
 MARTON_PRODUCT_CFG = SearchConfig(restarts=6, max_iters=120)
 UV_PRODUCT_CFG = SearchConfig(restarts=8, max_iters=150)
@@ -291,7 +207,7 @@ def marton_on_product(cfg: SearchConfig | None = None) -> MartonSumRate:
         cfg or MARTON_PRODUCT_CFG,
         profile=REDUCED_PRODUCT_PROFILE,
         scalar_tol=2e-3,
-        seed_factory=product_seed_factory,
+        extra_seeds=[a.joint for a in product_seed_auxiliaries()],
     )
 
 
@@ -435,81 +351,4 @@ def verify_separation(seed: int = 0) -> SeparationReport:
         uv_witness_point=point,
         uv_free=free,
         seed=seed,
-    )
-
-
-@dataclass
-class UniformInputReport:
-    det: str
-    lambdas: tuple
-    resolution: int
-    uniform_values: dict
-    max_excess: float
-    argmax_px: np.ndarray
-    tolerance: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "orientation": self.det,
-            "lambdas": list(self.lambdas),
-            "grid_resolution": self.resolution,
-            "uniform_value_bits": {str(k): v for k, v in self.uniform_values.items()},
-            "max_excess_over_uniform_bits": self.max_excess,
-            "argmax_px": [float(v) for v in self.argmax_px],
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
-
-def uniform_input_check(
-    det: str = "z",
-    resolution: int = 16,
-    lambdas: tuple = (0.0, 0.5, 1.0),
-    cfg: SearchConfig | None = None,
-    tolerance: float = 2e-3,
-) -> UniformInputReport:
-    """Grid check that uniform input maximizes the fixed-input sum rate.
-
-    Sweeps every p(x) with coordinates in multiples of 1/resolution; at
-    each grid point the fixed-input search (seeded with both branch
-    constructions, which remain valid at any input law) must not beat the
-    uniform-input value by more than the tolerance.
-    """
-    c = component(det)
-    cfg = cfg or SearchConfig(restarts=1, max_iters=50, patience=3)
-    prof = Cardinalities.for_sum_rate(c)
-    uniform = np.full(4, 0.25)
-    table = marton_table(c, prof)
-
-    def value_at(lam: float, px: np.ndarray) -> float:
-        # one compiled table for the whole sweep; starts are the two branch
-        # constructions plus flat conditionals, all deterministic
-        fobj = FixedInputObjective(table, px, min_of(lambda_weights(lam)))
-        starts = [fobj.to_flat(t) for t in component_seed_joints(det, prof, px)]
-        starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
-        best = -np.inf
-        for s in starts:
-            v, _, _, _ = ascend(fobj, s, fobj.block_sizes, cfg)
-            best = max(best, v)
-        return best
-
-    uniform_values = {lam: value_at(lam, uniform) for lam in lambdas}
-    max_excess = -np.inf
-    argmax_px = uniform
-    for px in simplex_grid(4, resolution):
-        for lam in lambdas:
-            excess = value_at(lam, px) - uniform_values[lam]
-            if excess > max_excess:
-                max_excess = excess
-                argmax_px = px
-    return UniformInputReport(
-        det=det,
-        lambdas=tuple(lambdas),
-        resolution=resolution,
-        uniform_values=uniform_values,
-        max_excess=float(max_excess),
-        argmax_px=np.asarray(argmax_px, dtype=float),
-        tolerance=tolerance,
-        passed=max_excess <= tolerance,
     )

@@ -52,7 +52,6 @@ __all__ = [
     "curve_subgradient",
     "maximize_lambda_sr_at_input",
     "lambda_sr_global",
-    "endpoint_sr",
     "build_lambda_curve",
     "marton_sum_rate",
     "check_factorization",
@@ -255,7 +254,6 @@ class LambdaPointResult:
     aux: AuxiliaryJoint
     subgradient: float
     converged: bool
-    budget_exhausted: bool
 
 
 def maximize_lambda_sr_at_input(
@@ -281,7 +279,6 @@ def maximize_lambda_sr_at_input(
         aux=aux,
         subgradient=curve_subgradient(c, aux),
         converged=res.converged,
-        budget_exhausted=res.budget_exhausted,
     )
 
 
@@ -334,75 +331,6 @@ def lambda_sr_global(
         aux=aux,
         subgradient=curve_subgradient(c, aux),
         converged=res.converged,
-        budget_exhausted=res.budget_exhausted,
-    )
-
-
-def _set_partitions(n: int):
-    """All labelings of range(n) by cell index, as restricted growth strings."""
-    a = [0] * n
-    b = [0] * n
-    while True:
-        yield list(a)
-        i = n - 1
-        while i > 0 and a[i] == b[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        a[i] += 1
-        b[i] = max(b[i - 1], a[i])
-        for j in range(i + 1, n):
-            a[j] = 0
-            b[j] = b[j - 1]
-
-
-def endpoint_sr(
-    c: Channel, endpoint: int, cfg: SearchConfig | None = None
-) -> LambdaPointResult:
-    """Reduced endpoint search: at lambda=0 the weighted sum rate equals
-    max over p(w,x) of I(W;Z) + I(X;Y|W) (receivers swapped at lambda=1).
-
-    This searches a much smaller space than the full auxiliary joint and
-    serves as an independent oracle for the endpoint values.
-    """
-    if endpoint not in (0, 1):
-        raise ValueError("endpoint must be 0 or 1")
-    cfg = cfg or SearchConfig(restarts=32, max_iters=200)
-    if endpoint == 0:
-        terms = mi_terms("w", "z") + mi_terms("x", "y", "w")
-    else:
-        terms = mi_terms("w", "y") + mi_terms("x", "z", "w")
-    fn = InfoFunctional("wx", (c.nx, c.nx), terms, channel=c.q)
-    obj = JointObjective(fn)
-
-    # a maximizing W can be taken as a quantization of X, so for small
-    # alphabets seed every deterministic partition and let ascent fix p(x)
-    if c.nx <= 5:
-        w_maps = [np.asarray(p) for p in _set_partitions(c.nx)]
-    else:
-        w_maps = [np.zeros(c.nx, dtype=int), np.arange(c.nx)]
-    seeds = [
-        obj.to_flat(deterministic_joint((c.nx, c.nx), px, [w_map]))
-        for px in _default_px_list(c)
-        for w_map in w_maps
-    ]
-    res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
-    pwx = res.point.reshape(c.nx, c.nx)
-    # report as a full auxiliary with U=X, V=const so downstream code can
-    # evaluate it with the standard formula
-    nu = c.nx
-    t_full = np.zeros((nu, 1, c.nx, c.nx))
-    for x in range(c.nx):
-        t_full[x, 0, :, x] = pwx[:, x]
-    lam = 0.0 if endpoint == 0 else 1.0
-    aux = AuxiliaryJoint(t_full if endpoint == 0 else np.swapaxes(t_full, 0, 1))
-    return LambdaPointResult(
-        lam=lam,
-        value=max(res.value, lambda_sr_value(c, lam, aux)),
-        aux=aux,
-        subgradient=curve_subgradient(c, aux),
-        converged=res.converged,
-        budget_exhausted=res.budget_exhausted,
     )
 
 
@@ -452,18 +380,15 @@ def curve_to_csv(curve: LambdaCurve) -> str:
 
 def _warm_lambda(
     solve: Callable[[float, list[np.ndarray]], LambdaPointResult],
-    seed_factory: Callable[[float], list[np.ndarray]] | None = None,
+    extra_seeds: Sequence[np.ndarray] = (),
 ) -> Callable[[float], tuple[float, float, LambdaPointResult]]:
     """Lambda evaluator for ``golden_section_min``: each call seeds
-    ``solve(lam, extra_seeds)`` with the previous maximizer, then with
-    ``seed_factory(lam)``, and returns (value, subgradient, result)."""
+    ``solve(lam, seeds)`` with the previous maximizer, then with
+    ``extra_seeds``, and returns (value, subgradient, result)."""
     warm: list[np.ndarray] = []
 
     def evaluate(lam: float) -> tuple[float, float, LambdaPointResult]:
-        extra = list(warm)
-        if seed_factory is not None:
-            extra += list(seed_factory(float(lam)))
-        res = solve(float(lam), extra)
+        res = solve(float(lam), warm + list(extra_seeds))
         warm[:] = [res.aux.joint]
         return res.value, res.subgradient, res
 
@@ -474,14 +399,14 @@ def build_lambda_curve(
     c: Channel,
     lambdas: Sequence[float],
     cfg: SearchConfig | None = None,
-    seed_factory: Callable[[float], list[np.ndarray]] | None = None,
+    extra_seeds: Sequence[np.ndarray] = (),
     check_slack: float = 1e-6,
 ) -> LambdaCurve:
     """Sample the global lambda-curve on a grid with warm-started searches."""
     cfg = cfg or SearchConfig()
     evaluate = _warm_lambda(
         lambda lam, extra: lambda_sr_global(c, lam, cfg, extra_seeds=extra),
-        seed_factory,
+        extra_seeds,
     )
     curve = LambdaCurve([evaluate(lam)[2] for lam in lambdas])
     curve.run_checks(check_slack)
@@ -503,7 +428,7 @@ def marton_sum_rate(
     cfg: SearchConfig | None = None,
     profile: Cardinalities | None = None,
     scalar_tol: float = 1e-4,
-    seed_factory: Callable[[float], list[np.ndarray]] | None = None,
+    extra_seeds: Sequence[np.ndarray] = (),
 ) -> MartonSumRate:
     """min over lambda of the global weighted sum rate (golden section).
 
@@ -516,7 +441,7 @@ def marton_sum_rate(
     prof = profile or Cardinalities.for_sum_rate(c)
     evaluate = _warm_lambda(
         lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=prof, extra_seeds=extra),
-        seed_factory,
+        extra_seeds,
     )
     out = golden_section_min(evaluate, bracket=(0.0, 1.0), tol=scalar_tol)
     best: LambdaPointResult = out.payload
@@ -525,7 +450,7 @@ def marton_sum_rate(
         lam_star=out.x,
         aux=best.aux,
         evaluations=out.evaluations,
-        converged=out.converged and not best.budget_exhausted,
+        converged=out.converged and best.converged,
         profile=prof,
     )
 

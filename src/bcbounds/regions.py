@@ -118,7 +118,6 @@ class UvSumRate:
     aux: UvAuxiliary
     point: UvPoint
     converged: bool
-    budget_exhausted: bool
 
 
 def uv_sum_rate(
@@ -160,7 +159,6 @@ def uv_sum_rate(
         aux=aux,
         point=evaluate_uv_point(c, aux),
         converged=res.converged,
-        budget_exhausted=res.budget_exhausted,
     )
 
 
@@ -270,10 +268,7 @@ def default_region_profiles(
     if kind == "semi_deterministic":
         p1 = Cardinalities(1, p1.nv, p1.nw)
         p2 = Cardinalities(p2.nu, 1, p2.nw)
-    elif kind == "more_capable":
-        p1 = Cardinalities(p1.nu, 1, p1.nw)
-        p2 = Cardinalities(1, p2.nv, p2.nw)
-    elif kind == "more_capable_deterministic":
+    elif kind in ("more_capable", "more_capable_deterministic"):
         p1 = Cardinalities(p1.nu, 1, p1.nw)
         p2 = Cardinalities(1, p2.nv, p2.nw)
     return p1, p2
@@ -474,7 +469,6 @@ class SupportResult:
     aux: ProductAuxiliary
     region: RateRegionPolytope
     converged: bool
-    budget_exhausted: bool
 
 
 def region_support(
@@ -521,5 +515,4 @@ def region_support(
         aux=aux,
         region=region,
         converged=res.converged,
-        budget_exhausted=res.budget_exhausted,
     )

@@ -65,7 +65,6 @@ class SearchResult:
     point: np.ndarray
     restart_index: int
     converged: bool
-    budget_exhausted: bool
     restart_values: list = field(default_factory=list)
 
 
@@ -247,7 +246,6 @@ def maximize(
         point=x,
         restart_index=best_i,
         converged=any(r[3] for r in results),
-        budget_exhausted=not any(r[3] for r in results),
         restart_values=[r[0] for r in results],
     )
 

@@ -1,0 +1,269 @@
+"""Reference oracles that only the tests call.
+
+Each one recomputes a quantity of the package by an independent route:
+
+- ``endpoint_sr``: the lambda-curve endpoints by a search over p(w,x) only;
+- ``f_envelope_oracle``: the closed-form f of the worked component by a
+  linear program over an upper concave envelope (the one user of scipy);
+- ``uniform_input_check``: uniform input's optimality on the worked
+  component by a sweep over an input-law grid;
+- ``witness_component_values``: the per-component information values
+  behind the 44/15 UV witness.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.optimize import linprog
+
+from bcbounds.channel import Channel
+from bcbounds.counterexample import PAIRS, _witness_components, component, component_branch_aux
+from bcbounds.marton import (
+    AuxiliaryJoint,
+    Cardinalities,
+    LambdaPointResult,
+    _default_px_list,
+    curve_subgradient,
+    deterministic_joint,
+    embed_auxiliary,
+    lambda_sr_value,
+    lambda_weights,
+    marton_table,
+)
+from bcbounds.objectives import (
+    FixedInputObjective,
+    InfoFunctional,
+    JointObjective,
+    mi_terms,
+    min_of,
+)
+from bcbounds.regions import UvAuxiliary, evaluate_uv_point
+from bcbounds.search import SearchConfig, ascend, maximize, simplex_grid
+
+
+# ------------------------------------------------ lambda-curve endpoints
+
+
+def _set_partitions(n: int):
+    """All labelings of range(n) by cell index, as restricted growth strings."""
+    a = [0] * n
+    b = [0] * n
+    while True:
+        yield list(a)
+        i = n - 1
+        while i > 0 and a[i] == b[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        a[i] += 1
+        b[i] = max(b[i - 1], a[i])
+        for j in range(i + 1, n):
+            a[j] = 0
+            b[j] = b[j - 1]
+
+
+def endpoint_sr(
+    c: Channel, endpoint: int, cfg: SearchConfig | None = None
+) -> LambdaPointResult:
+    """Reduced endpoint search: at lambda=0 the weighted sum rate equals
+    max over p(w,x) of I(W;Z) + I(X;Y|W) (receivers swapped at lambda=1).
+
+    This searches a much smaller space than the full auxiliary joint and
+    serves as an independent oracle for the endpoint values.
+    """
+    if endpoint not in (0, 1):
+        raise ValueError("endpoint must be 0 or 1")
+    cfg = cfg or SearchConfig(restarts=32, max_iters=200)
+    if endpoint == 0:
+        terms = mi_terms("w", "z") + mi_terms("x", "y", "w")
+    else:
+        terms = mi_terms("w", "y") + mi_terms("x", "z", "w")
+    fn = InfoFunctional("wx", (c.nx, c.nx), terms, channel=c.q)
+    obj = JointObjective(fn)
+
+    # a maximizing W can be taken as a quantization of X, so for small
+    # alphabets seed every deterministic partition and let ascent fix p(x)
+    if c.nx <= 5:
+        w_maps = [np.asarray(p) for p in _set_partitions(c.nx)]
+    else:
+        w_maps = [np.zeros(c.nx, dtype=int), np.arange(c.nx)]
+    seeds = [
+        obj.to_flat(deterministic_joint((c.nx, c.nx), px, [w_map]))
+        for px in _default_px_list(c)
+        for w_map in w_maps
+    ]
+    res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
+    pwx = res.point.reshape(c.nx, c.nx)
+    # report as a full auxiliary with U=X, V=const so downstream code can
+    # evaluate it with the standard formula
+    nu = c.nx
+    t_full = np.zeros((nu, 1, c.nx, c.nx))
+    for x in range(c.nx):
+        t_full[x, 0, :, x] = pwx[:, x]
+    lam = 0.0 if endpoint == 0 else 1.0
+    aux = AuxiliaryJoint(t_full if endpoint == 0 else np.swapaxes(t_full, 0, 1))
+    return LambdaPointResult(
+        lam=lam,
+        value=max(res.value, lambda_sr_value(c, lam, aux)),
+        aux=aux,
+        subgradient=curve_subgradient(c, aux),
+        converged=res.converged,
+    )
+
+
+# ------------------------------------------------- the f-function envelope
+
+
+def _hz_minus_hy(points: np.ndarray) -> np.ndarray:
+    """H(Z) - H(Y) on the Z-deterministic component, vectorized over rows."""
+    pz = np.stack([points[:, 0] + points[:, 1], points[:, 2] + points[:, 3]], axis=1)
+    py = np.zeros((points.shape[0], 6))
+    for j, (a, b) in enumerate(PAIRS):
+        py[:, j] = (points[:, a] + points[:, b]) / 3.0
+
+    def ent(rows):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(rows > 0.0, rows * np.log2(np.where(rows > 0, rows, 1.0)), 0.0)
+        return -terms.sum(axis=1)
+
+    return ent(pz) - ent(py)
+
+
+def f_envelope_oracle(x: float, resolution: int = 32) -> float:
+    """Independent oracle for f via an upper concave envelope.
+
+    The best p(u|x) value equals the concave envelope of H(Z) - H(Y) over
+    input laws, evaluated at the symmetric point. The envelope is computed
+    as a linear program over mixtures of grid distributions: maximize the
+    mixed objective subject to the mixture reproducing the target marginal.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError("x must lie in [0, 1]")
+    grid = np.array(list(simplex_grid(4, resolution)))
+    g = _hz_minus_hy(grid)
+    target = np.array([x / 2.0, x / 2.0, (1.0 - x) / 2.0, (1.0 - x) / 2.0])
+    res = linprog(
+        -g,
+        A_eq=grid.T,
+        b_eq=target,
+        bounds=(0.0, None),
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"envelope LP failed: {res.message}")
+    return -float(res.fun)
+
+
+# ------------------------------------------------ uniform-input optimality
+
+
+def component_seed_joints(
+    det: str, prof: Cardinalities, px: np.ndarray
+) -> list[np.ndarray]:
+    """Both branch constructions embedded into a search profile."""
+    out = []
+    for branch in ("steep", "flat"):
+        aux = component_branch_aux(det, branch, px)
+        nu, nv, nw, _ = aux.shape
+        if nu <= prof.nu and nv <= prof.nv and nw <= prof.nw:
+            out.append(embed_auxiliary(aux, prof).joint)
+    return out
+
+
+@dataclass
+class UniformInputReport:
+    det: str
+    lambdas: tuple
+    resolution: int
+    uniform_values: dict
+    max_excess: float
+    argmax_px: np.ndarray
+    tolerance: float
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "orientation": self.det,
+            "lambdas": list(self.lambdas),
+            "grid_resolution": self.resolution,
+            "uniform_value_bits": {str(k): v for k, v in self.uniform_values.items()},
+            "max_excess_over_uniform_bits": self.max_excess,
+            "argmax_px": [float(v) for v in self.argmax_px],
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+        }
+
+
+def uniform_input_check(
+    det: str = "z",
+    resolution: int = 16,
+    lambdas: tuple = (0.0, 0.5, 1.0),
+    cfg: SearchConfig | None = None,
+    tolerance: float = 2e-3,
+) -> UniformInputReport:
+    """Grid check that uniform input maximizes the fixed-input sum rate.
+
+    Sweeps every p(x) with coordinates in multiples of 1/resolution; at
+    each grid point the fixed-input search (seeded with both branch
+    constructions, which remain valid at any input law) must not beat the
+    uniform-input value by more than the tolerance.
+    """
+    c = component(det)
+    cfg = cfg or SearchConfig(restarts=1, max_iters=50, patience=3)
+    prof = Cardinalities.for_sum_rate(c)
+    uniform = np.full(4, 0.25)
+    table = marton_table(c, prof)
+
+    def value_at(lam: float, px: np.ndarray) -> float:
+        # one compiled table for the whole sweep; starts are the two branch
+        # constructions plus flat conditionals, all deterministic
+        fobj = FixedInputObjective(table, px, min_of(lambda_weights(lam)))
+        starts = [fobj.to_flat(t) for t in component_seed_joints(det, prof, px)]
+        starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
+        best = -np.inf
+        for s in starts:
+            v, _, _, _ = ascend(fobj, s, fobj.block_sizes, cfg)
+            best = max(best, v)
+        return best
+
+    uniform_values = {lam: value_at(lam, uniform) for lam in lambdas}
+    max_excess = -np.inf
+    argmax_px = uniform
+    for px in simplex_grid(4, resolution):
+        for lam in lambdas:
+            excess = value_at(lam, px) - uniform_values[lam]
+            if excess > max_excess:
+                max_excess = excess
+                argmax_px = px
+    return UniformInputReport(
+        det=det,
+        lambdas=tuple(lambdas),
+        resolution=resolution,
+        uniform_values=uniform_values,
+        max_excess=float(max_excess),
+        argmax_px=np.asarray(argmax_px, dtype=float),
+        tolerance=tolerance,
+        passed=max_excess <= tolerance,
+    )
+
+
+# ------------------------------------------------------- the UV witness
+
+
+def witness_component_values() -> dict[str, float]:
+    """Exact per-component information values behind the 44/15 total."""
+    p1, p2 = _witness_components(0.8, 0.8)
+    pt1 = evaluate_uv_point(component("y"), UvAuxiliary(p1))
+    pt2 = evaluate_uv_point(component("z"), UvAuxiliary(p2))
+    return {
+        "iu1y1": pt1.r1_bound,
+        "iv1z1": pt1.r2_bound,
+        "ix1z1_given_u1": pt1.sum_y_side - pt1.r1_bound,
+        "ix1y1_given_v1": pt1.sum_z_side - pt1.r2_bound,
+        "iu2y2": pt2.r1_bound,
+        "iv2z2": pt2.r2_bound,
+        "ix2z2_given_u2": pt2.sum_y_side - pt2.r1_bound,
+        "ix2y2_given_v2": pt2.sum_z_side - pt2.r2_bound,
+    }

@@ -19,12 +19,9 @@ from bcbounds.counterexample import (
     analytic_minimum,
     component,
     component_branch_aux,
-    component_seed_joints,
     f_closed_form,
-    f_envelope_oracle,
     lambda_curve_analytic,
     product_channel,
-    uniform_input_check,
     uv_on_product,
     verify_separation,
 )
@@ -33,7 +30,6 @@ from bcbounds.marton import (
     build_lambda_curve,
     check_factorization,
     check_min_max_equality,
-    endpoint_sr,
     lambda_sr_global,
     lambda_weights,
     marton_sum_rate,
@@ -43,6 +39,7 @@ from bcbounds.marton import (
 from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms, min_of
 from bcbounds.regions import ProductAuxiliary, region_support
 from bcbounds.search import SearchConfig
+from oracles import component_seed_joints, endpoint_sr, f_envelope_oracle, uniform_input_check
 
 CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
 
@@ -127,7 +124,7 @@ def test_ac02_component_lambda_curve():
         c,
         lambdas,
         CFG,
-        seed_factory=lambda lam: component_seed_joints("z", prof, uniform),
+        extra_seeds=component_seed_joints("z", prof, uniform),
     )
     errs = [abs(s.value - lambda_curve_analytic(s.lam, "z")) for s in curve.samples]
     # midpoint convexity of the analytic curve itself

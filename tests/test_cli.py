@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -57,9 +58,10 @@ def test_parse_directions_default_and_file(tmp_path):
     parsed = _parse_directions(str(path))
     assert parsed == [(0.0, 1.0, 1.0), (1.0, 0.5, 0.5)]
     bad = tmp_path / "bad_dirs.txt"
-    bad.write_text("0 1\n")
-    with pytest.raises(CommandError):
-        _parse_directions(str(bad))
+    for text in ("0 1\n", "0 1 abc\n", "nan 1 1\n", "0 inf 1\n"):
+        bad.write_text(text)
+        with pytest.raises(CommandError, match=re.escape(f"{bad}:1: ")):
+            _parse_directions(str(bad))
 
 
 def test_classify_matches_structure(comp_files, capsys):

@@ -1,3 +1,5 @@
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,21 +14,19 @@ from bcbounds.counterexample import (
     component,
     component_branch_aux,
     f_closed_form,
-    f_envelope_oracle,
     lambda_curve_analytic,
     analytic_minimum,
     analytic_product_curve,
     marton_on_product,
     product_channel,
-    uniform_input_check,
     uv_on_product,
     uv_witness_auxiliary,
     verify_separation,
-    witness_component_values,
 )
 from bcbounds.marton import lambda_sr_value
 from bcbounds.regions import evaluate_uv_point
 from bcbounds.search import SearchConfig
+from oracles import f_envelope_oracle, uniform_input_check, witness_component_values
 
 
 def test_component_structure():
@@ -76,12 +76,31 @@ def test_f_envelope_oracle_matches_closed_form():
 
 
 def test_import_does_not_load_scipy():
-    # scipy serves only the envelope oracle, so importing the package must
-    # not pay for it
+    # scipy serves only the tests (the envelope oracle in tests/oracles.py);
+    # the package must run without it
     src = str(Path(bcbounds.__file__).resolve().parent.parent)
     code = "import sys, bcbounds; sys.exit('scipy' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
     assert proc.returncode == 0
+
+
+def test_imports_match_declared_dependencies():
+    # every non-stdlib module the package imports, at any depth, is a
+    # declared runtime dependency, and every declared dependency is used
+    tomllib = pytest.importorskip("tomllib")
+    pkg = Path(bcbounds.__file__).resolve().parent
+    imported = set()
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names)
+    with open(pkg.parent.parent / "pyproject.toml", "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
+    assert imported == declared
 
 
 def test_analytic_curves():

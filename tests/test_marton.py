@@ -11,7 +11,6 @@ from bcbounds.marton import (
     curve_subgradient,
     curve_to_csv,
     embed_auxiliary,
-    endpoint_sr,
     lambda_sr_global,
     lambda_sr_value,
     marton_sum_rate,
@@ -21,6 +20,7 @@ from bcbounds.marton import (
 )
 from bcbounds.search import SearchConfig
 from info_oracle import mutual_information
+from oracles import endpoint_sr
 
 CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
 
