@@ -313,7 +313,7 @@ def lambda_sr_global(
     t0 = fobj.to_tensor(x0)
     if v0 > best_v:
         best_v, best_t = v0, t0
-    _, grad = table.value_and_grad(t0, weigh)
+    grad = table.value_and_grad(t0, weigh)[1]()
     cond_only = np.where(px > 0, t0 / np.where(px > 0, px, 1.0), 0.0)
     super_px = np.einsum("uvwx,uvwx->x", cond_only, grad)
     for step in (1.0, 0.2, 0.05):

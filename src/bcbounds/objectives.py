@@ -9,15 +9,23 @@ sides) is a weighted sum of joint entropies of marginals of
 where t is the searched distribution and q the fixed channel. Each such
 marginal is a linear image of t: a sum over the axes it drops, then a
 product with the matching marginal of q. A table of expressions is
-compiled once into its distinct marginals; an evaluation computes each
-marginal and its entropy once (the entropy vector H), and the row values
-are C @ H for a fixed coefficient matrix C (R. W. Yeung, "A framework for
+compiled once into its distinct marginals and a flat layout for them (an
+offset and a shape per marginal). An evaluation is one fused pass: it
+writes every marginal into one buffer, takes one positive mask and one
+log2 over the whole buffer, and reads off the entropy vector H, each entry
+bit-identical to ``entropy_of_array`` on its marginal. The row values are
+C @ H for a fixed coefficient matrix C (R. W. Yeung, "A framework for
 linear information inequalities", IEEE Trans. IT 1997). The gradient of
 w . (C @ H) for caller-chosen row weights w is one adjoint pass,
-sum_s (w^T C)_s dH_s/dt, skipping marginals of zero weight. Entropy
-derivatives use d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are
-clipped only inside the gradient (values keep the exact zero-skip
-convention of the kernel).
+sum_s (w^T C)_s dH_s/dt, skipping marginals of zero weight and reusing
+the forward pass's logs. Entropy derivatives use
+d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are clipped only
+inside the gradient (values keep the exact zero-skip convention of the
+kernel).
+
+The gradient is lazy: ``value_and_grad`` and the flat-vector objectives
+return (value, grad) with ``grad`` a zero-argument callable, so a search
+pays for the adjoint pass only at the points it accepts.
 
 A weighing turns the row values into the objective and its row weights:
 the default sums the rows, and ``min_of(weight_rows)`` takes the minimum
@@ -36,10 +44,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernel import entropy_of_array
+from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
+from .kernel import segment_entropies
 
 LOG2E = math.log2(math.e)
 GRAD_CLIP = 1e-300
+LOG2_CLIP = float(np.log2(GRAD_CLIP))
 # axes of every channel tensor: the input, then the two receivers
 CHANNEL_AXES = "xyz"
 
@@ -58,6 +68,8 @@ __all__ = [
 Term = tuple[float, str]
 # maps row values to (objective value, row weights of its gradient)
 Weigh = Callable[[np.ndarray], tuple[float, np.ndarray]]
+# the gradient at an evaluated point, computed only when called
+Grad = Callable[[], np.ndarray]
 
 
 def _canon(subset: str, order: str) -> str:
@@ -140,40 +152,38 @@ class _Keep:
 
 
 class Evaluation:
-    """Marginals and row values of a table at one tensor; ``grad`` runs the
-    adjoint pass for any row weights without recomputing the marginals."""
+    """Entropy vector and row values of a table at one tensor; ``grad`` runs
+    the adjoint pass for any row weights without recomputing the forward
+    pass."""
 
     def __init__(self, fn: "InfoFunctional", t: np.ndarray) -> None:
         self._fn = fn
         kept = [np.add.reduce(t, axis=k.drop).reshape(k.work) for k in fn._keeps]
-        self.marginals: list[np.ndarray] = []
-        h = np.empty(len(fn._marginals))
-        for s, mg in enumerate(fn._marginals):
-            m = kept[mg.keep]
-            if mg.q is not None:
-                m = m[:, :, None] * mg.q if mg.joint_input else m @ mg.q
-            self.marginals.append(m)
-            h[s] = entropy_of_array(m)
-        self.values = fn.coeffs @ h
+        # every marginal, written into its slice of one flat buffer
+        flat = np.empty(fn._offsets[-1])
+        for mg, (a, b), shape in zip(fn._marginals, fn._bounds, fn._shapes):
+            m, out = kept[mg.keep], flat[a:b].reshape(shape)
+            if mg.q is None:
+                out[...] = m
+            elif mg.joint_input:
+                np.multiply(m[:, :, None], mg.q, out=out)
+            else:
+                np.matmul(m, mg.q, out=out)
+        self.entropies, self._positive, self._logs = segment_entropies(flat, fn._offsets)
+        self.values = fn.coeffs @ self.entropies
 
     def grad(self, weights: np.ndarray) -> np.ndarray:
         """Gradient of weights . values with respect to t."""
         fn = self._fn
         per_marginal = np.asarray(weights, dtype=float) @ fn.coeffs
-        active = np.flatnonzero(per_marginal)
-        ms = [self.marginals[s] for s in active]
-        sizes = [m.size for m in ms]
-        # weighted entropy derivatives of every active marginal at once
-        flat = np.concatenate([m.ravel() for m in ms]) if ms else np.zeros(0)
-        dh = np.log2(np.maximum(flat, GRAD_CLIP))
+        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e
+        dh = np.full(self._positive.size, LOG2_CLIP)
+        dh[self._positive] = np.maximum(self._logs, LOG2_CLIP)
         dh += LOG2E
-        dh *= -np.repeat(per_marginal[active], sizes)
         acc: list[np.ndarray | None] = [None] * len(fn._keeps)
-        start = 0
-        for s, m, n in zip(active, ms, sizes):
-            mg = fn._marginals[s]
-            d = dh[start : start + n].reshape(m.shape)
-            start += n
+        for s in np.flatnonzero(per_marginal):
+            mg, (a, b) = fn._marginals[s], fn._bounds[s]
+            d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
             if mg.q is not None:
                 d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
             acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
@@ -225,6 +235,7 @@ class InfoFunctional:
         keep_index: dict[str, int] = {}
         self._keeps: list[_Keep] = []
         self._marginals: list[_Marginal] = []
+        self._shapes: list[tuple[int, ...]] = []
         q_cache: dict[str, np.ndarray] = {}
         for subset in subsets:
             sout = "".join(a for a in out_axes if a in subset)
@@ -233,14 +244,24 @@ class InfoFunctional:
                 keep_index[keep] = len(self._keeps)
                 drop = tuple(i for i, a in enumerate(dist_axes) if a not in keep)
                 expand = tuple(1 if i in drop else n for i, n in enumerate(self.shape))
+                size, nx = math.prod(expand), self.shape[-1]
                 with_input = channel is not None and in_axis in keep
-                work = (-1, self.shape[-1]) if with_input else (-1,)
+                work = (size // nx, nx) if with_input else (size,)
                 self._keeps.append(_Keep(drop, work, expand))
             if sout and sout not in q_cache:
                 drop = tuple(i for i, a in enumerate(CHANNEL_AXES) if a not in in_axis + sout)
                 q_cache[sout] = channel.sum(axis=drop).reshape(channel.shape[0], -1)
-            joint_input = in_axis in subset
-            self._marginals.append(_Marginal(keep_index[keep], q_cache.get(sout), joint_input))
+            mg = _Marginal(keep_index[keep], q_cache.get(sout), in_axis in subset)
+            self._marginals.append(mg)
+            work = self._keeps[mg.keep].work
+            if mg.q is None:
+                self._shapes.append(work)
+            else:
+                nout = mg.q.shape[1]
+                self._shapes.append(work + (nout,) if mg.joint_input else (work[0], nout))
+        # flat layout of the marginals in one evaluation buffer
+        self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
+        self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
 
     def evaluate(self, t: np.ndarray) -> Evaluation:
         """Marginals, entropy vector and row values at t (forward pass only)."""
@@ -250,14 +271,13 @@ class InfoFunctional:
         values = self.evaluate(t).values
         return float(values[0]) if self.scalar else values
 
-    def value_and_grad(
-        self, t: np.ndarray, weigh: Weigh = _sum_of_rows
-    ) -> tuple[float, np.ndarray]:
-        """Objective value and gradient; ``weigh`` turns the row values into
-        the value and the row weights (default: the sum of the rows)."""
+    def value_and_grad(self, t: np.ndarray, weigh: Weigh = _sum_of_rows) -> tuple[float, Grad]:
+        """Objective value and its gradient as a callable; ``weigh`` turns the
+        row values into the value and the row weights (default: the sum of
+        the rows). Only calling ``grad`` runs the adjoint pass."""
         ev = self.evaluate(t)
         value, weights = weigh(ev.values)
-        return value, ev.grad(weights)
+        return value, lambda: ev.grad(weights)
 
 
 class JointObjective:
@@ -274,9 +294,9 @@ class JointObjective:
     def block_sizes(self) -> list[int]:
         return [self.size]
 
-    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        v, g = self.functional.value_and_grad(flat.reshape(self.shape), self.weigh)
-        return v, g.ravel()
+    def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
+        v, grad = self.functional.value_and_grad(flat.reshape(self.shape), self.weigh)
+        return v, lambda: grad().ravel()
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(self.shape).copy()
@@ -309,11 +329,9 @@ class FixedInputObjective:
     def block_sizes(self) -> list[int]:
         return [self.block] * self.nx
 
-    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
-        t = self.to_tensor(flat)
-        v, g = self.functional.value_and_grad(t, self.weigh)
-        gc = np.moveaxis(g * self.px, -1, 0)
-        return v, gc.ravel()
+    def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
+        v, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weigh)
+        return v, lambda: np.moveaxis(grad() * self.px, -1, 0).ravel()
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
         cond = flat.reshape((self.nx,) + self.rest_shape)

@@ -41,7 +41,7 @@ from .marton import (
     embed_auxiliary,
     structured_seed_joints,
 )
-from .objectives import InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
+from .objectives import Grad, InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -432,20 +432,24 @@ class _SupportObjective:
             return 0.0, None
         return float(scores[k]), k
 
-    def __call__(self, flat: np.ndarray) -> tuple[float, np.ndarray]:
+    def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
         t1, t2 = self.split(flat)
         ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
         value, k = self.best_vertex(ev1.values + ev2.values)
         if k is None:
             # empty numeric polytope: fall back to the origin
-            return value, np.zeros(self.size1 + self.size2)
-        # duals of the active constraints, as weights on the region rows
-        vs = self.system
-        mu = np.zeros(vs.A.shape[0])
-        mu[vs.combos[k]] = vs.inv[k].T @ self.w
-        mu = mu[: len(self.rows)]
-        mu[np.abs(mu) <= 1e-14] = 0.0
-        return value, np.concatenate([ev1.grad(mu).ravel(), ev2.grad(mu).ravel()])
+            return value, lambda: np.zeros(self.size1 + self.size2)
+
+        def grad() -> np.ndarray:
+            # duals of the active constraints, as weights on the region rows
+            vs = self.system
+            mu = np.zeros(vs.A.shape[0])
+            mu[vs.combos[k]] = vs.inv[k].T @ self.w
+            mu = mu[: len(self.rows)]
+            mu[np.abs(mu) <= 1e-14] = 0.0
+            return np.concatenate([ev1.grad(mu).ravel(), ev2.grad(mu).ravel()])
+
+        return value, grad
 
 
 def _fit_seed(aux: AuxiliaryJoint, prof: Cardinalities) -> np.ndarray:

@@ -7,6 +7,11 @@ best value seen is returned. Determinism: all randomness flows from
 over restarts is ordered by restart index, so doubling the restart budget
 keeps the original restarts' trajectories bit-identical (value can only go
 up).
+
+Objective contract: ``fun(x) -> (value, grad)``, where ``grad`` is a
+zero-argument callable returning the gradient at x. The ascent is
+value-first: it calls ``grad`` only for a restart's start point and for
+each step it accepts, never for a rejected line-search trial.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ __all__ = [
     "maximize",
     "golden_section_min",
 ]
+
+# the objective contract of the module docstring
+Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden_section_min: a subgradient this small stops at its point, and sign
@@ -138,16 +146,17 @@ def _init_point(
 
 
 def _run_restart(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Objective,
     x0: np.ndarray,
     block_sizes: Sequence[int],
     cfg: SearchConfig,
 ) -> tuple[float, np.ndarray, int, bool]:
     x = project_blocks(x0, block_sizes)
-    v, g = fun(x)
+    v, grad = fun(x)
     if not np.isfinite(v):
         logging.getLogger(__name__).warning("restart aborted: non-finite objective")
         return -np.inf, x, 0, False
+    g = grad()
     best_v, best_x = v, x
     step = STEP_INIT
     stall = 0
@@ -159,7 +168,7 @@ def _run_restart(
             xn = project_blocks(x + step * g, block_sizes)
             if float(np.abs(xn - x).max()) < 1e-15:
                 break
-            vn, gn = fun(xn)
+            vn, grad = fun(xn)
             if vn > v + 1e-15:
                 moved = True
                 break
@@ -168,7 +177,7 @@ def _run_restart(
             converged = True
             break
         gain = vn - v
-        x, v, g = xn, vn, gn
+        x, v, g = xn, vn, grad()
         if v > best_v:
             best_v, best_x = v, x
         step = min(step * STEP_GROW, STEP_MAX)
@@ -183,27 +192,29 @@ def _run_restart(
 
 
 def ascend(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Objective,
     x0: np.ndarray,
     block_sizes: Sequence[int],
     cfg: SearchConfig,
 ) -> tuple[float, np.ndarray, int, bool]:
     """Single projected-gradient ascent run from one start.
 
-    Returns (best_value, best_point, iterations, converged).
+    fun follows the module's objective contract, ``fun(x) -> (value,
+    grad)``. Returns (best_value, best_point, iterations, converged).
     """
     return _run_restart(fun, np.asarray(x0, dtype=float), block_sizes, cfg)
 
 
 def maximize(
-    fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    fun: Objective,
     block_sizes: Sequence[int],
     cfg: SearchConfig,
     seeds: Sequence[np.ndarray] = (),
 ) -> SearchResult:
     """Multi-start projected gradient ascent over a product of simplices.
 
-    fun maps a flat concatenated point to (value, gradient). Restart i
+    fun maps a flat concatenated point to (value, grad), where grad() is
+    the gradient there, run only at accepted points. Restart i
     draws its start from kind i%4: Dirichlet(1), Dirichlet(1),
     Dirichlet(0.1), or the caller's structured seeds cycled in order.
     Every provided seed is guaranteed a restart even when restarts < 4*len.

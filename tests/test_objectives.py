@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from bcbounds.channel import Channel, make_product
+from bcbounds.kernel import entropy_of_array
+from bcbounds.marton import Cardinalities, marton_table
 from bcbounds.objectives import (
+    GRAD_CLIP,
+    LOG2E,
     FixedInputObjective,
     InfoFunctional,
     JointObjective,
@@ -11,6 +16,7 @@ from bcbounds.objectives import (
     min_of,
     scale_terms,
 )
+from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
 from info_oracle import mutual_information
 
 
@@ -66,7 +72,8 @@ def test_functional_matches_kernel_mi():
         )
         assert fn.value(t) == pytest.approx(expect, abs=1e-12)
         with np.errstate(all="raise"):
-            v, g = fn.value_and_grad(t)
+            v, grad = fn.value_and_grad(t)
+            g = grad()
         assert v == pytest.approx(expect, abs=1e-12)
         assert np.isfinite(g).all()
 
@@ -80,7 +87,7 @@ def test_functional_without_channel():
 
 
 def _check_gradient(fn, t, rel_tol=1e-4):
-    _, g = fn.value_and_grad(t)
+    g = fn.value_and_grad(t)[1]()
     g_fd = _fd_grad(fn.value, t)
     scale = max(1.0, np.abs(g_fd).max())
     assert np.abs(g - g_fd).max() / scale < rel_tol
@@ -119,9 +126,9 @@ def test_joint_objective_round_trip():
     t = rng.dirichlet(np.ones(6)).reshape(3, 2)
     flat = obj.to_flat(t)
     assert np.allclose(obj.to_tensor(flat), t)
-    v, g = obj(flat)
+    v, grad = obj(flat)
     assert v == pytest.approx(fn.value(t), abs=1e-12)
-    assert g.shape == (6,)
+    assert grad().shape == (6,)
 
 
 def test_fixed_input_objective_blocks_and_masses():
@@ -137,9 +144,9 @@ def test_fixed_input_objective_blocks_and_masses():
     back = obj.to_tensor(flat)
     # input marginal is preserved exactly
     assert np.allclose(back.sum(axis=(0, 1)), px, atol=1e-12)
-    v, g = obj(flat)
+    v, grad = obj(flat)
     assert v == pytest.approx(fn.value(back), abs=1e-12)
-    assert g.shape == (12,)
+    assert grad().shape == (12,)
 
 
 def test_fixed_input_zero_mass_conditional_is_uniform():
@@ -170,7 +177,7 @@ def test_fixed_input_gradient_matches_fd():
     def value_only(f):
         return obj(f)[0]
 
-    _, g = obj(flat)
+    g = obj(flat)[1]()
     g_fd = np.zeros_like(flat)
     eps = 1e-6
     for i in range(flat.size):
@@ -193,19 +200,19 @@ def test_min_of_objectives_value_and_active_gradient():
     assert np.allclose(vals, [f.value(t) for f in singles], atol=1e-12)
     # the value is the minimum row and the gradient follows that row only
     k = int(np.argmin(vals))
-    v, g = obj(t.ravel())
+    v, grad = obj(t.ravel())
     assert v == pytest.approx(vals[k], abs=1e-12)
-    assert np.allclose(g, singles[k].value_and_grad(t)[1].ravel(), atol=1e-12)
+    assert np.allclose(grad(), singles[k].value_and_grad(t)[1]().ravel(), atol=1e-12)
     # weight rows that skip a row leave it out of the minimum
-    v1, g1 = JointObjective(table, min_of(np.eye(2)[:1]))(t.ravel())
+    v1, grad1 = JointObjective(table, min_of(np.eye(2)[:1]))(t.ravel())
     assert v1 == pytest.approx(vals[0], abs=1e-12)
-    assert np.allclose(g1, singles[0].value_and_grad(t)[1].ravel(), atol=1e-12)
+    assert np.allclose(grad1(), singles[0].value_and_grad(t)[1]().ravel(), atol=1e-12)
     # on a tie the first minimal row wins: H(A) = H(B) = 1 bit here
     tie = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
     assert table.value(tie)[0] == table.value(tie)[1]
-    _, g_tie = obj(tie.ravel())
-    assert np.allclose(g_tie, singles[0].value_and_grad(tie)[1].ravel(), atol=1e-12)
-    assert not np.allclose(g_tie, singles[1].value_and_grad(tie)[1].ravel())
+    g_tie = obj(tie.ravel())[1]()
+    assert np.allclose(g_tie, singles[0].value_and_grad(tie)[1]().ravel(), atol=1e-12)
+    assert not np.allclose(g_tie, singles[1].value_and_grad(tie)[1]().ravel())
 
 
 def _first_min_row(values, count):
@@ -231,11 +238,80 @@ def test_min_of_identity_rows_and_weighted_row():
         flat = FixedInputObjective(table, px).to_flat(t)
         got = FixedInputObjective(table, px, min_of(np.eye(4)[:3]))(flat)
         ref = FixedInputObjective(table, px, lambda vals: _first_min_row(vals, 3))(flat)
-        assert got[0] == ref[0] and np.array_equal(got[1], ref[1])
+        assert got[0] == ref[0] and np.array_equal(got[1](), ref[1]())
     # one weight row is the plain weighted sum, gradient included
     weights = np.array([0.3, 0.7, 1.0, -0.5])
-    v, g = table.value_and_grad(t, min_of(weights))
+    v, grad = table.value_and_grad(t, min_of(weights))
     singles = [InfoFunctional("uvx", (2, 2, 3), r, q) for r in rows]
     assert v == pytest.approx(sum(a * f.value(t) for a, f in zip(weights, singles)), abs=1e-12)
-    g_ref = sum(a * f.value_and_grad(t)[1] for a, f in zip(weights, singles))
-    assert np.allclose(g, g_ref, atol=1e-12)
+    g_ref = sum(a * f.value_and_grad(t)[1]() for a, f in zip(weights, singles))
+    assert np.allclose(grad(), g_ref, atol=1e-12)
+
+
+def _unfused(fn, t, weights):
+    # the entropy vector and gradient the unfused way: each marginal its own
+    # array, entropy_of_array on each, and a fresh log2(max(m, GRAD_CLIP))
+    kept = [np.add.reduce(t, axis=k.drop).reshape(k.work) for k in fn._keeps]
+    ms = []
+    for mg in fn._marginals:
+        m = kept[mg.keep]
+        if mg.q is not None:
+            m = m[:, :, None] * mg.q if mg.joint_input else m @ mg.q
+        ms.append(m)
+    h = np.array([entropy_of_array(m) for m in ms])
+    per_marginal = weights @ fn.coeffs
+    acc = [None] * len(fn._keeps)
+    for s in np.flatnonzero(per_marginal):
+        mg = fn._marginals[s]
+        d = (np.log2(np.maximum(ms[s], GRAD_CLIP)) + LOG2E) * -per_marginal[s]
+        if mg.q is not None:
+            d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+        acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+    grad = np.zeros(fn.shape)
+    for keep, g in zip(fn._keeps, acc):
+        if g is not None:
+            grad += g.reshape(keep.expand)
+    return h, grad, np.concatenate([m.ravel() for m in ms])
+
+
+def _awkward_tensor(rng, shape):
+    # scattered exact zeros and entries below GRAD_CLIP, plus whole slices of
+    # them, so that the marginals hold both kinds of entries too
+    t = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    flat = t.reshape(-1)
+    idx = rng.permutation(flat.size)
+    quarter = flat.size // 4
+    flat[idx[:quarter]] = 0.0
+    flat[idx[quarter : 2 * quarter]] = rng.uniform(1e-320, 1e-302, quarter)
+    t[:, 0] = rng.uniform(0.0, 1e-305, t[:, 0].shape)
+    t[-1] = 0.0
+    return t
+
+
+def test_fused_entropy_vector_matches_kernel_bit_for_bit():
+    rng = np.random.default_rng(12)
+    c = Channel(_random_channel(rng, 3, 2, 3))
+    pc = make_product(c, Channel(_random_channel(rng, 2, 3, 2)))
+    prof1, prof2 = default_region_profiles(pc, "product_outer")
+    f1, f2 = _row_tables(
+        pc,
+        _region_rows("product_outer", False),
+        (prof1.nu, prof1.nv, prof1.nw, pc.c1.nx),
+        (prof2.nu, prof2.nv, prof2.nw, pc.c2.nx),
+    )
+    tables = [marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3), f1, f2]
+    for fn in tables:
+        for _ in range(3):
+            t = _awkward_tensor(rng, fn.shape)
+            weights = rng.normal(size=fn.coeffs.shape[0])
+            weights[0] = 0.0
+            h_ref, g_ref, marginals = _unfused(fn, t, weights)
+            assert (marginals == 0.0).any()
+            assert ((marginals > 0.0) & (marginals < GRAD_CLIP)).any()
+            ev = fn.evaluate(t)
+            assert ev.entropies.tobytes() == h_ref.tobytes()
+            assert ev.values.tobytes() == (fn.coeffs @ h_ref).tobytes()
+            with np.errstate(all="raise"):
+                g = ev.grad(weights)
+            assert np.isfinite(g).all()
+            assert g.tobytes() == g_ref.tobytes()

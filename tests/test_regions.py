@@ -176,7 +176,7 @@ def test_support_gradient_matches_finite_differences():
         for _ in range(6):
             flat = np.concatenate([rng.dirichlet(np.ones(n)) for n in obj.block_sizes])
             k = vertex(flat)
-            _, g = obj(flat)
+            g = obj(flat)[1]()
             fd = np.zeros_like(flat)
             same_vertex = k is not None
             for i in range(flat.size):

@@ -100,7 +100,7 @@ def test_golden_section_bad_bracket():
 def _concave_target(t):
     def fun(x):
         d = x - t
-        return -float(d @ d), -2.0 * d
+        return -float(d @ d), lambda: -2.0 * d
 
     return fun
 
@@ -122,7 +122,7 @@ def test_maximize_blocks():
 
     def fun(x):
         d1, d2 = x[:2] - t1, x[2:] - t2
-        return -float(d1 @ d1 + d2 @ d2), np.concatenate([-2 * d1, -2 * d2])
+        return -float(d1 @ d1 + d2 @ d2), lambda: np.concatenate([-2 * d1, -2 * d2])
 
     res = maximize(fun, [2, 3], SearchConfig(restarts=3, seed=0))
     assert res.converged
@@ -136,8 +136,7 @@ def _bumpy(x):
     t2 = np.array([0.0, 0.0, 1.0])
     a = np.exp(-8.0 * float((x - t1) @ (x - t1)))
     b = 2.0 * np.exp(-8.0 * float((x - t2) @ (x - t2)))
-    g = a * (-16.0) * (x - t1) + b * (-16.0) * (x - t2)
-    return a + b, g
+    return a + b, lambda: a * (-16.0) * (x - t1) + b * (-16.0) * (x - t2)
 
 
 def test_maximize_budget_monotonicity():
@@ -164,7 +163,7 @@ def test_maximize_seed_size_validated():
 
 def test_maximize_nan_objective_aborts_and_logs(caplog):
     def bad(x):
-        return float("nan"), np.zeros_like(x)
+        return float("nan"), lambda: np.zeros_like(x)
 
     with caplog.at_level(logging.WARNING, logger="bcbounds.search"):
         res = maximize(bad, [3], SearchConfig(restarts=2, seed=0))
@@ -197,3 +196,64 @@ def test_maximize_restart_order_contract():
     assert again.restart_values == small.restart_values
     assert again.value == small.value and again.restart_index == small.restart_index
     assert np.array_equal(again.point, small.point)
+
+
+def _counted(fun):
+    # fun, recording each call's value and how often its gradient callable ran
+    calls = []
+
+    def wrapped(x):
+        value, grad = fun(x)
+        call = {"value": value, "grads": 0}
+        calls.append(call)
+
+        def counted_grad():
+            call["grads"] += 1
+            return grad()
+
+        return value, counted_grad
+
+    return wrapped, calls
+
+
+def _eager(fun):
+    # the same objective with its gradient computed at every call
+    def wrapped(x):
+        value, grad = fun(x)
+        g = grad()
+        return value, lambda: g
+
+    return wrapped
+
+
+def test_ascent_runs_gradients_only_at_accepted_points():
+    rng = np.random.default_rng(0)
+    accepted = rejected = 0
+    for _ in range(8):
+        fun, calls = _counted(_bumpy)
+        ascend(fun, rng.dirichlet(np.ones(3)), [3], SearchConfig(max_iters=60))
+        # the start point's gradient runs once
+        assert calls[0]["grads"] == 1
+        current = calls[0]["value"]
+        for call in calls[1:]:
+            # a trial is accepted exactly when it raises the value
+            if call["value"] > current + 1e-15:
+                current = call["value"]
+                accepted += 1
+                assert call["grads"] == 1
+            else:
+                rejected += 1
+                assert call["grads"] == 0
+    assert accepted > 0 and rejected > 0
+
+
+def test_value_first_search_matches_eager_gradients():
+    seeds = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])]
+    for restarts, seed in ((1, 0), (5, 3), (8, 5)):
+        cfg = SearchConfig(restarts=restarts, seed=seed)
+        lazy = maximize(_bumpy, [3], cfg, seeds=seeds)
+        eager = maximize(_eager(_bumpy), [3], cfg, seeds=seeds)
+        assert lazy.value == eager.value
+        assert np.array_equal(lazy.point, eager.point)
+        assert lazy.restart_values == eager.restart_values
+        assert lazy.restart_index == eager.restart_index
