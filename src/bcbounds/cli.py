@@ -69,14 +69,7 @@ def format_bits(value: float) -> str:
 
 
 def _config(args) -> SearchConfig:
-    cfg = SearchConfig(seed=args.seed)
-    restarts = getattr(args, "restarts", None)
-    if restarts is None:
-        restarts = getattr(args, "default_restarts", cfg.restarts)
-    cfg = cfg.with_(restarts=restarts)
-    if getattr(args, "max_iters", None) is not None:
-        cfg = cfg.with_(max_iters=args.max_iters)
-    return cfg
+    return SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
 
 
 def _config_echo(cfg: SearchConfig) -> dict:
@@ -309,16 +302,22 @@ def _cmd_product(args) -> tuple[dict, dict, list]:
     return _config_echo(cfg), results, checks
 
 
-def _region_sweep(args, kind: str, mirrored: bool) -> tuple[dict, dict, list]:
+def _sweep_kind(args) -> str:
+    """Region kind of an ``outer`` or ``region`` command line."""
+    if args.command == "region":
+        return REGION_KIND_FLAGS[args.kind]
+    return "product_outer_mirror" if args.mirror else "product_outer"
+
+
+def _cmd_sweep(args) -> tuple[dict, dict, list]:
+    kind = _sweep_kind(args)
     pc = _load_product(args.product)
     cfg = _config(args)
     directions = _parse_directions(args.directions)
     rows = []
     best = None
     for w in directions:
-        res = region_support(
-            pc, kind, w, cfg, mirrored=mirrored, fix_r0=args.fix_r0
-        )
+        res = region_support(pc, kind, w, cfg, fix_r0=args.fix_r0)
         rows.append(
             {
                 "weights": list(res.weights),
@@ -333,8 +332,9 @@ def _region_sweep(args, kind: str, mirrored: bool) -> tuple[dict, dict, list]:
             best = res
     region = best.region
     results = {
-        "kind": kind,
-        "mirrored": mirrored,
+        # the report names the mirror by its flag
+        "kind": kind.removesuffix("_mirror"),
+        "mirrored": kind == "product_outer_mirror",
         "fix_r0": args.fix_r0,
         "sweep": rows,
         "region": {
@@ -348,14 +348,6 @@ def _region_sweep(args, kind: str, mirrored: bool) -> tuple[dict, dict, list]:
         _write_text(args.sweep_csv, _sweep_csv(rows))
         results["sweep_csv"] = args.sweep_csv
     return _config_echo(cfg), results, []
-
-
-def _cmd_outer(args) -> tuple[dict, dict, list]:
-    return _region_sweep(args, "product_outer", args.mirror)
-
-
-def _cmd_region(args) -> tuple[dict, dict, list]:
-    return _region_sweep(args, REGION_KIND_FLAGS[args.kind], False)
 
 
 def _cmd_verify_example(args) -> tuple[dict, dict, list]:
@@ -394,25 +386,45 @@ def _cmd_minmax_check(args) -> tuple[dict, dict, list]:
     return _config_echo(cfg), results, checks
 
 
+def _count(text: str) -> int:
+    """argparse type of a search budget: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _rate(text: str) -> float:
+    """argparse type of a pinned rate: a finite number of at least 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
+    return value
+
+
 def _add_common(sp, budgets: bool = True, default_restarts: int = 16) -> None:
     sp.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
     sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     if budgets:
         sp.add_argument(
             "--restarts",
-            type=int,
-            default=None,
-            help=f"search restarts (default {default_restarts})",
+            type=_count,
+            default=default_restarts,
+            help="search restarts (default %(default)s)",
         )
-        sp.add_argument("--max-iters", type=int, default=None, help="ascent iteration cap")
-        sp.set_defaults(default_restarts=default_restarts)
+        sp.add_argument(
+            "--max-iters",
+            type=_count,
+            default=SearchConfig().max_iters,
+            help="ascent iteration cap (default %(default)s)",
+        )
 
 
 def _add_sweep_options(sp) -> None:
     sp.add_argument("product", help="product channel JSON file")
     sp.add_argument("--directions", default=None, help="file of weight triples, one per line")
     sp.add_argument("--sweep-csv", default=None, help="write the support sweep as CSV here")
-    sp.add_argument("--fix-r0", type=float, default=None, help="pin the common rate during the sweep")
+    sp.add_argument("--fix-r0", type=_rate, default=None, help="pin the common rate during the sweep")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="swap which component carries each cross term",
     )
     _add_common(sp, default_restarts=8)
-    sp.set_defaults(func=_cmd_outer)
+    sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("region", help="specialized product region support sweep")
     _add_sweep_options(sp)
@@ -478,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which specialized region to sweep",
     )
     _add_common(sp, default_restarts=8)
-    sp.set_defaults(func=_cmd_region)
+    sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser(
         "verify-example",

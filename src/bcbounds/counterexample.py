@@ -29,7 +29,7 @@ from .marton import (
     Cardinalities,
     MartonSumRate,
     deterministic_joint,
-    embed_auxiliary,
+    fit_joint,
     marton_sum_rate,
     outer_auxiliary,
 )
@@ -157,7 +157,8 @@ def product_seed_auxiliaries() -> list[AuxiliaryJoint]:
         for b2 in ("steep", "flat"):
             a1 = component_branch_aux("y", b1)
             a2 = component_branch_aux("z", b2)
-            out.append(embed_auxiliary(outer_auxiliary(a1, a2), REDUCED_PRODUCT_PROFILE))
+            t = outer_auxiliary(a1, a2).joint
+            out.append(AuxiliaryJoint(fit_joint(t, REDUCED_PRODUCT_PROFILE.shape(t.shape[3]))))
     return out
 
 

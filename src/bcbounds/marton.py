@@ -57,7 +57,6 @@ __all__ = [
     "check_factorization",
     "check_min_max_equality",
     "outer_auxiliary",
-    "embed_auxiliary",
     "curve_to_csv",
 ]
 
@@ -78,8 +77,9 @@ class Cardinalities:
     def for_region(cls, c: Channel) -> "Cardinalities":
         return cls(c.nx, c.nx, c.nx + 4)
 
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.nu, self.nv, self.nw)
+    def shape(self, nx: int) -> tuple[int, int, int, int]:
+        """Shape of a joint p(u, v, w, x) over ``nx`` inputs."""
+        return (self.nu, self.nv, self.nw, nx)
 
 
 def checked_joint(joint, axes: str, name: str) -> np.ndarray:
@@ -104,6 +104,21 @@ def deterministic_joint(
     t = np.zeros(shape)
     t[(*(0 if m is None else m for m in maps), np.arange(shape[-1]))] = px
     return t
+
+
+def fit_joint(t: np.ndarray, shape: Sequence[int]) -> np.ndarray:
+    """A law ``t`` fitted to ``shape`` as a search seed: the axes ``shape``
+    has at size one are summed out, the others zero-padded at their end.
+    Raises if an axis would shrink."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim == len(shape):
+        for axis in np.flatnonzero(np.asarray(shape) == 1):
+            t = t.sum(axis=axis, keepdims=True)
+    if t.ndim != len(shape) or any(have > want for have, want in zip(t.shape, shape)):
+        raise ValueError(f"cannot fit a law of shape {t.shape} to {tuple(shape)}")
+    out = np.zeros(shape)
+    out[tuple(map(slice, t.shape))] = t
+    return out
 
 
 @dataclass
@@ -131,7 +146,7 @@ def marton_table(c: Channel, prof: Cardinalities) -> InfoFunctional:
         mi_terms("w", "z"),
         mi_terms("u", "y", "w") + mi_terms("v", "z", "w") + mi_terms("u", "v", "w", -1.0),
     ]
-    shape = (prof.nu, prof.nv, prof.nw, c.nx)
+    shape = prof.shape(c.nx)
     return InfoFunctional("uvwx", shape, rows, channel=c.q)
 
 
@@ -225,7 +240,7 @@ def structured_seed_joints(
 
     seen: set[bytes] = set()
     out: list[np.ndarray] = []
-    shape = (prof.nu, prof.nv, prof.nw, c.nx)
+    shape = prof.shape(c.nx)
     for maps in combos:
         if not all(fits(m, cap) for m, cap in zip(maps, shape)):
             continue
@@ -467,18 +482,6 @@ def outer_auxiliary(a1: AuxiliaryJoint, a2: AuxiliaryJoint) -> AuxiliaryJoint:
     )
 
 
-def embed_auxiliary(aux: AuxiliaryJoint, prof: Cardinalities) -> AuxiliaryJoint:
-    """Zero-pad auxiliary alphabets up to a larger profile."""
-    nu, nv, nw, nx = aux.shape
-    if (nu, nv, nw) == prof.as_tuple():
-        return aux
-    if nu > prof.nu or nv > prof.nv or nw > prof.nw:
-        raise ValueError("cannot shrink an auxiliary by embedding")
-    t = np.zeros((prof.nu, prof.nv, prof.nw, nx))
-    t[:nu, :nv, :nw, :] = aux.joint
-    return AuxiliaryJoint(t)
-
-
 # largest |product - component sum| that check_factorization calls a factorization
 FACTORIZATION_TOL = 5e-3
 
@@ -529,9 +532,9 @@ def check_factorization(
     pc = make_product(c1, c2)
     flat = pc.flat
     prof_p = Cardinalities.for_sum_rate(flat)
-    seed = embed_auxiliary(outer_auxiliary(r1.aux, r2.aux), prof_p)
+    seed = fit_joint(outer_auxiliary(r1.aux, r2.aux).joint, prof_p.shape(flat.nx))
     pcfg = cfg.with_(restarts=max(8, cfg.restarts // 4))
-    rp = lambda_sr_global(flat, lam, pcfg, profile=prof_p, extra_seeds=[seed.joint])
+    rp = lambda_sr_global(flat, lam, pcfg, profile=prof_p, extra_seeds=[seed])
     gap = rp.value - (r1.value + r2.value)
     links = []
     for tag, ch in (("1", c1), ("2", c2)):
@@ -659,7 +662,7 @@ def _mixture_joint(
     nx = a.shape[3]
     if nu > prof.nu or nv > prof.nv or nw > prof.nw or b.shape[3] != nx:
         return None
-    t = np.zeros((prof.nu, prof.nv, prof.nw, nx))
+    t = np.zeros(prof.shape(nx))
     t[: a.shape[0], : a.shape[1], : a.shape[2], :] += (1.0 - alpha) * a.joint
     t[: b.shape[0], : b.shape[1], a.shape[2] : a.shape[2] + b.shape[2], :] += alpha * b.joint
     return t

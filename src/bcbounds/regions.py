@@ -6,6 +6,9 @@ two-component product with independent per-component auxiliaries
 p1(u1,v1,w1,x1) p2(u2,v2,w2,x2) and produce polytopes in (R0, R1, R2):
 
   product_outer      six inequality families with min-terms expanded
+  product_outer_mirror
+                     the same families with the components swapped in
+                     the mixed sum row
   product_inner      the achievable product region (with the -I(U;V|W) term)
   semi_deterministic capacity region form when Y1 and Z2 are deterministic
   more_capable       capacity region form when Z1 is more capable than Y1
@@ -21,7 +24,9 @@ the more-capable verdicts of each component.
 All min-terms are expanded into separate inequalities, so every
 right-hand side is a smooth sum of per-component information terms; the
 support search differentiates through the optimal vertex via the active
-constraints' dual weights.
+constraints' dual weights. A support value is the exact score of the best
+vertex of the region at the returned auxiliary, the same number the
+search's objective gives there.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .marton import (
     Cardinalities,
     checked_joint,
     deterministic_joint,
-    embed_auxiliary,
+    fit_joint,
     structured_seed_joints,
 )
 from .objectives import Grad, InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
@@ -141,16 +146,7 @@ def uv_sum_rate(
         deterministic_joint(shape, uniform, maps).ravel()
         for maps in ((ident, ident), (ident, None), (None, ident))
     ]
-    for s in extra_seeds:
-        if isinstance(s, UvAuxiliary):
-            s = s.joint
-        s = np.asarray(s, dtype=float)
-        if s.shape != shape:
-            # allow smaller auxiliary alphabets, zero-padded
-            padded = np.zeros(shape)
-            padded[: s.shape[0], : s.shape[1], :] = s
-            s = padded
-        seeds.append(s.ravel())
+    seeds += [fit_joint(s, shape).ravel() for s in extra_seeds]
 
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     aux = UvAuxiliary(res.point.reshape(shape))
@@ -177,33 +173,32 @@ class ProductAuxiliary:
 
 # named per-component information terms used by region right-hand sides
 _TERM_DEFS = {
-    "ay": lambda: mi_terms("w", "y"),
-    "az": lambda: mi_terms("w", "z"),
-    "uy": lambda: mi_terms("u", "y", "w"),
-    "vz": lambda: mi_terms("v", "z", "w"),
-    "su": lambda: mi_terms("u", "y", "w") + mi_terms("x", "z", "uw"),
-    "sv": lambda: mi_terms("v", "z", "w") + mi_terms("x", "y", "vw"),
-    "hyw": lambda: ent_terms("y", "w"),
-    "hzw": lambda: ent_terms("z", "w"),
-    "svh": lambda: mi_terms("v", "z", "w") + ent_terms("y", "vw"),
-    "suh": lambda: mi_terms("u", "y", "w") + ent_terms("z", "uw"),
-    "xy": lambda: mi_terms("x", "y", "w"),
-    "xz": lambda: mi_terms("x", "z", "w"),
-    "iuv": lambda: mi_terms("u", "v", "w"),
-    "niuv": lambda: [(-c, s) for c, s in mi_terms("u", "v", "w")],
+    "ay": mi_terms("w", "y"),
+    "az": mi_terms("w", "z"),
+    "uy": mi_terms("u", "y", "w"),
+    "vz": mi_terms("v", "z", "w"),
+    "su": mi_terms("u", "y", "w") + mi_terms("x", "z", "uw"),
+    "sv": mi_terms("v", "z", "w") + mi_terms("x", "y", "vw"),
+    "hyw": ent_terms("y", "w"),
+    "hzw": ent_terms("z", "w"),
+    "svh": mi_terms("v", "z", "w") + ent_terms("y", "vw"),
+    "suh": mi_terms("u", "y", "w") + ent_terms("z", "uw"),
+    "xy": mi_terms("x", "y", "w"),
+    "xz": mi_terms("x", "z", "w"),
+    "niuv": mi_terms("u", "v", "w", -1.0),
 }
 
 Row = tuple[tuple[int, int, int], tuple[str, ...], tuple[str, ...]]
 
 
-def _region_rows(kind: str, mirrored: bool) -> list[Row]:
+def _region_rows(kind: str) -> list[Row]:
     r0 = [((1, 0, 0), ("ay",), ("ay",)), ((1, 0, 0), ("az",), ("az",))]
-    if kind == "product_outer":
+    if kind in ("product_outer", "product_outer_mirror"):
         rows = list(r0)
         for base in ("ay", "az"):
             rows.append(((1, 1, 0), (base, "uy"), (base, "uy")))
             rows.append(((1, 0, 1), (base, "vz"), (base, "vz")))
-        if not mirrored:
+        if kind == "product_outer":
             patterns = [("su", "su"), ("sv", "su"), ("sv", "sv")]
         else:
             patterns = [("su", "sv"), ("sv", "sv"), ("su", "su")]
@@ -247,6 +242,7 @@ def _region_rows(kind: str, mirrored: bool) -> list[Row]:
 
 REGION_KINDS = (
     "product_outer",
+    "product_outer_mirror",
     "product_inner",
     "semi_deterministic",
     "more_capable",
@@ -307,19 +303,11 @@ class RateRegionPolytope:
             for a, r in self.inequalities
         ]
 
-    def vertices(self, fix_r0: float | None = None) -> np.ndarray:
-        system = _VertexSystem([a for a, _ in self.inequalities], fix_r0)
-        verts, feas = system.vertices(np.asarray([r for _, r in self.inequalities]))
-        if not feas.any():
-            return np.zeros((1, 3))
-        return np.unique(np.round(verts[feas], 12), axis=0)
-
     def support(self, weights: Sequence[float], fix_r0: float | None = None) -> tuple[float, np.ndarray]:
-        verts = self.vertices(fix_r0=fix_r0)
-        w = np.asarray(weights, dtype=float)
-        scores = verts @ w
-        i = int(np.argmax(scores))
-        return float(scores[i]), verts[i]
+        system = _VertexSystem([a for a, _ in self.inequalities], fix_r0)
+        rhs = np.asarray([r for _, r in self.inequalities])
+        value, vertex, _ = system.support(rhs, np.asarray(weights, dtype=float))
+        return value, vertex
 
     def contains(self, point: Sequence[float]) -> bool:
         """Membership up to a slack of CONTAINS_TOL on every constraint."""
@@ -338,7 +326,7 @@ class _VertexSystem:
     of them is inverted once, so the candidate vertices for any row
     right-hand sides are one batched matmul."""
 
-    def __init__(self, row_normals: Sequence, fix_r0: float | None = None) -> None:
+    def __init__(self, row_normals: Sequence, fix_r0: float | None) -> None:
         pin = [] if fix_r0 is None else [(1.0, 0.0, 0.0)]
         rows = np.asarray(row_normals, dtype=float).reshape(-1, 3)
         self.A = np.vstack([rows, *pin, np.diag([-1.0] * 3)])
@@ -349,12 +337,19 @@ class _VertexSystem:
         self.combos = combos[nonsingular]
         self.inv = np.linalg.inv(subs[nonsingular])
 
-    def vertices(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate vertex of each 3-subset for row right-hand sides
-        ``rhs``, and a mask of the feasible ones."""
+    def support(self, rhs: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, int | None]:
+        """Best feasible vertex in direction ``w`` for row right-hand sides
+        ``rhs``: its score ``w . vertex``, the vertex, and the index of its
+        active 3-subset in ``combos``. With no feasible vertex (an empty
+        numeric polytope) it is the origin, with score 0 and index None."""
         b = np.concatenate([rhs, self.tail_rhs])
         verts = np.einsum("kij,kj->ki", self.inv, b[self.combos])
-        return verts, (verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)
+        scores = verts @ w
+        scores[~(verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)] = -np.inf
+        k = int(np.argmax(scores))
+        if not np.isfinite(scores[k]):
+            return 0.0, np.zeros(3), None
+        return float(scores[k]), verts[k], k
 
 
 def _row_tables(
@@ -363,28 +358,27 @@ def _row_tables(
     """Per component, a table of its share of each row's right-hand side."""
 
     def table(c: Channel, shape: tuple, side: int) -> InfoFunctional:
-        exprs = [[t for n in row[side] for t in _TERM_DEFS[n]()] for row in rows]
+        exprs = [[t for n in row[side] for t in _TERM_DEFS[n]] for row in rows]
         return InfoFunctional("uvwx", shape, exprs, channel=c.q)
 
     return table(pc.c1, shape1, 1), table(pc.c2, shape2, 2)
 
 
-def build_region(
-    pc: ProductChannel,
-    aux: ProductAuxiliary,
-    kind: str,
-    mirrored: bool = False,
+def _polytope(
+    pc: ProductChannel, kind: str, rows: list[Row], rhs: np.ndarray
 ) -> RateRegionPolytope:
+    """The region's polytope for the row right-hand sides ``rhs``."""
+    ineqs = [(a, float(r)) for (a, _, _), r in zip(rows, rhs)]
+    return RateRegionPolytope(inequalities=ineqs, tag=kind, notes=_class_notes(pc, kind))
+
+
+def build_region(pc: ProductChannel, aux: ProductAuxiliary, kind: str) -> RateRegionPolytope:
     """Instantiate a region's inequalities at one product auxiliary."""
-    notes = _class_notes(pc, kind)
-    rows = _region_rows(kind, mirrored)
+    rows = _region_rows(kind)
     if aux.a1.shape[3] != pc.c1.nx or aux.a2.shape[3] != pc.c2.nx:
         raise ValueError("component auxiliary input alphabet mismatch")
     f1, f2 = _row_tables(pc, rows, aux.a1.shape, aux.a2.shape)
-    rhs = f1.value(aux.a1.joint) + f2.value(aux.a2.joint)
-    ineqs = [(a, float(r)) for (a, _, _), r in zip(rows, rhs)]
-    tag = kind + ("_mirror" if (kind == "product_outer" and mirrored) else "")
-    return RateRegionPolytope(inequalities=ineqs, tag=tag, notes=notes)
+    return _polytope(pc, kind, rows, f1.value(aux.a1.joint) + f2.value(aux.a2.joint))
 
 
 class _SupportObjective:
@@ -395,16 +389,15 @@ class _SupportObjective:
         self,
         pc: ProductChannel,
         kind: str,
-        mirrored: bool,
         weights: Sequence[float],
         prof1: Cardinalities,
         prof2: Cardinalities,
         fix_r0: float | None = None,
     ) -> None:
-        self.rows = _region_rows(kind, mirrored)
+        self.rows = _region_rows(kind)
         self.w = np.asarray(weights, dtype=float)
-        self.shape1 = (prof1.nu, prof1.nv, prof1.nw, pc.c1.nx)
-        self.shape2 = (prof2.nu, prof2.nv, prof2.nw, pc.c2.nx)
+        self.shape1 = prof1.shape(pc.c1.nx)
+        self.shape2 = prof2.shape(pc.c2.nx)
         self.size1 = int(np.prod(self.shape1))
         self.size2 = int(np.prod(self.shape2))
         self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
@@ -420,22 +413,10 @@ class _SupportObjective:
             flat[self.size1 :].reshape(self.shape2),
         )
 
-    def best_vertex(self, rhs: np.ndarray) -> tuple[float, int | None]:
-        """Support value over the feasible vertices for row right-hand sides
-        ``rhs``, and the index of the optimal combination of active
-        constraints (None for an empty numeric polytope)."""
-        verts, feas = self.system.vertices(rhs)
-        scores = verts @ self.w
-        scores[~feas] = -np.inf
-        k = int(np.argmax(scores))
-        if not np.isfinite(scores[k]):
-            return 0.0, None
-        return float(scores[k]), k
-
     def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
         t1, t2 = self.split(flat)
         ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
-        value, k = self.best_vertex(ev1.values + ev2.values)
+        value, _, k = self.system.support(ev1.values + ev2.values, self.w)
         if k is None:
             # empty numeric polytope: fall back to the origin
             return value, lambda: np.zeros(self.size1 + self.size2)
@@ -450,19 +431,6 @@ class _SupportObjective:
             return np.concatenate([ev1.grad(mu).ravel(), ev2.grad(mu).ravel()])
 
         return value, grad
-
-
-def _fit_seed(aux: AuxiliaryJoint, prof: Cardinalities) -> np.ndarray:
-    """Adapt a seed auxiliary to a profile: axes the profile collapses to
-    size one are marginalized out, the rest zero-padded."""
-    t = aux.joint
-    if prof.nu == 1 and t.shape[0] > 1:
-        t = t.sum(axis=0, keepdims=True)
-    if prof.nv == 1 and t.shape[1] > 1:
-        t = t.sum(axis=1, keepdims=True)
-    if prof.nw == 1 and t.shape[2] > 1:
-        t = t.sum(axis=2, keepdims=True)
-    return embed_auxiliary(AuxiliaryJoint(t), prof).joint
 
 
 @dataclass
@@ -480,18 +448,19 @@ def region_support(
     kind: str,
     weights: Sequence[float],
     cfg: SearchConfig | None = None,
-    mirrored: bool = False,
     extra_seeds: Sequence[ProductAuxiliary] = (),
     fix_r0: float | None = None,
 ) -> SupportResult:
     """Maximize a region's support function over product auxiliaries.
 
-    Certified lower bound of the true support: every candidate auxiliary
-    pair is scored by exact vertex enumeration of its polytope.
+    Certified lower bound of the true support: ``value`` is the exact
+    score of the region's best vertex ``vertex`` in the direction
+    ``weights`` at the returned auxiliary, the search objective's value
+    there.
     """
     cfg = cfg or SearchConfig(restarts=32, max_iters=150)
     prof1, prof2 = default_region_profiles(pc, kind)
-    obj = _SupportObjective(pc, kind, mirrored, weights, prof1, prof2, fix_r0=fix_r0)
+    obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0=fix_r0)
 
     seeds = []
     px1 = [np.full(pc.c1.nx, 1.0 / pc.c1.nx)]
@@ -502,21 +471,19 @@ def region_support(
         for t2 in s2[:6]:
             seeds.append(np.concatenate([t1.ravel(), t2.ravel()]))
     for pa in extra_seeds:
-        e1 = _fit_seed(pa.a1, prof1)
-        e2 = _fit_seed(pa.a2, prof2)
+        e1 = fit_joint(pa.a1.joint, obj.shape1)
+        e2 = fit_joint(pa.a2.joint, obj.shape2)
         seeds.append(np.concatenate([e1.ravel(), e2.ravel()]))
 
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     t1, t2 = obj.split(res.point)
-    aux = ProductAuxiliary(AuxiliaryJoint(t1), AuxiliaryJoint(t2))
-    region = build_region(pc, aux, kind, mirrored=mirrored)
-    value, vertex = region.support(weights, fix_r0=fix_r0)
-    value = max(value, res.value)
+    rhs = obj.f1.value(t1) + obj.f2.value(t2)
+    value, vertex, _ = obj.system.support(rhs, obj.w)
     return SupportResult(
         value=value,
         weights=tuple(float(x) for x in weights),
         vertex=vertex,
-        aux=aux,
-        region=region,
+        aux=ProductAuxiliary(AuxiliaryJoint(t1), AuxiliaryJoint(t2)),
+        region=_polytope(pc, kind, obj.rows, rhs),
         converged=res.converged,
     )

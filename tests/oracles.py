@@ -27,7 +27,7 @@ from bcbounds.marton import (
     _default_px_list,
     curve_subgradient,
     deterministic_joint,
-    embed_auxiliary,
+    fit_joint,
     lambda_sr_value,
     lambda_weights,
     marton_table,
@@ -168,7 +168,7 @@ def component_seed_joints(
         aux = component_branch_aux(det, branch, px)
         nu, nv, nw, _ = aux.shape
         if nu <= prof.nu and nv <= prof.nv and nw <= prof.nw:
-            out.append(embed_auxiliary(aux, prof).joint)
+            out.append(fit_joint(aux.joint, prof.shape(aux.shape[3])))
     return out
 
 

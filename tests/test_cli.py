@@ -7,11 +7,14 @@ import pytest
 from bcbounds.channel import Channel, save_channel_file
 from bcbounds.cli import (
     CommandError,
+    _config,
     _parse_directions,
+    build_parser,
     format_bits,
     main,
 )
 from bcbounds.counterexample import component
+from bcbounds.search import SearchConfig
 
 
 def _run(capsys, argv):
@@ -298,3 +301,34 @@ def test_missing_file_exits_2(capsys):
     code, _, err = _run(capsys, ["classify", "/no/such/file.json"])
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--fix-r0", "nan"],
+        ["--fix-r0", "inf"],
+        ["--fix-r0", "-1"],
+        ["--restarts", "0"],
+        ["--restarts", "-5"],
+        ["--max-iters", "0"],
+    ],
+)
+def test_bad_budget_or_pin_exits_2(comp_files, tmp_path, capsys, argv):
+    prod_path = tmp_path / "prod.json"
+    _run(capsys, ["product", comp_files[0], comp_files[1], "--save", str(prod_path)])
+    with pytest.raises(SystemExit) as exc:
+        main(["outer", str(prod_path), *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_budget_defaults_are_the_search_config(small_file):
+    parser = build_parser()
+    assert _config(parser.parse_args(["uv", small_file])) == SearchConfig(restarts=16)
+    cfg = _config(parser.parse_args(["outer", small_file, "--seed", "3"]))
+    assert cfg == SearchConfig(restarts=8, seed=3)
+    cfg = _config(parser.parse_args(["marton", small_file, "--restarts", "1", "--max-iters", "1"]))
+    assert cfg == SearchConfig(restarts=1, max_iters=1)

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import bcbounds
+from bcbounds import cli
 from bcbounds.channel import deterministic_map, is_deterministic
 from bcbounds.counterexample import (
     PAIRS,
@@ -24,7 +27,7 @@ from bcbounds.counterexample import (
     verify_separation,
 )
 from bcbounds.marton import lambda_sr_value
-from bcbounds.regions import evaluate_uv_point
+from bcbounds.regions import REGION_KINDS, evaluate_uv_point
 from bcbounds.search import SearchConfig
 from oracles import f_envelope_oracle, uniform_input_check, witness_component_values
 
@@ -101,6 +104,28 @@ def test_imports_match_declared_dependencies():
         deps = tomllib.load(fh)["project"]["dependencies"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", d).group(0).lower() for d in deps}
     assert imported == declared
+
+
+def test_module_exports_are_defined_in_their_module():
+    # the benchmark tracer wraps every function a module lists in __all__,
+    # so a listed name that is missing or only imported there breaks it
+    pkg = Path(bcbounds.__file__).resolve().parent
+    for path in sorted(pkg.glob("*.py")):
+        mod = importlib.import_module(f"bcbounds.{path.stem}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == mod.__name__, f"{mod.__name__}.{name}"
+
+
+def test_cli_region_kinds_are_the_region_kinds():
+    # `outer`, `outer --mirror` and every `region --kind` flag name one kind each
+    parser = cli.build_parser()
+    argvs = [["outer", "p.json"], ["outer", "p.json", "--mirror"]]
+    argvs += [["region", "p.json", "--kind", flag] for flag in cli.REGION_KIND_FLAGS]
+    kinds = [cli._sweep_kind(parser.parse_args(argv)) for argv in argvs]
+    assert sorted(kinds) == sorted(REGION_KINDS)
 
 
 def test_analytic_curves():

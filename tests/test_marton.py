@@ -10,10 +10,11 @@ from bcbounds.marton import (
     check_min_max_equality,
     curve_subgradient,
     curve_to_csv,
-    embed_auxiliary,
+    fit_joint,
     lambda_sr_global,
     lambda_sr_value,
     marton_sum_rate,
+    marton_table,
     maximize_lambda_sr_at_input,
     outer_auxiliary,
     structured_seed_joints,
@@ -203,13 +204,41 @@ def test_embed_auxiliary_preserves_value():
     rng = np.random.default_rng(9)
     c = random_channel(rng, 3, 2, 2)
     aux = random_aux(rng, Cardinalities(2, 2, 2), c.nx)
-    big = embed_auxiliary(aux, Cardinalities(4, 3, 5))
+    big = AuxiliaryJoint(fit_joint(aux.joint, Cardinalities(4, 3, 5).shape(c.nx)))
     assert big.shape == (4, 3, 5, 3)
     assert lambda_sr_value(c, 0.6, big) == pytest.approx(
         lambda_sr_value(c, 0.6, aux), abs=1e-12
     )
     with pytest.raises(ValueError):
-        embed_auxiliary(big, Cardinalities(2, 2, 2))
+        fit_joint(big.joint, Cardinalities(2, 2, 2).shape(c.nx))
+
+
+def test_fit_joint_pads_sums_out_size_one_axes_and_never_shrinks():
+    rng = np.random.default_rng(10)
+    c = random_channel(rng, 3, 2, 2)
+    t = random_aux(rng, Cardinalities(2, 3, 2), c.nx).joint
+    # zero-padding keeps every row of the Marton table
+    padded = fit_joint(t, (4, 3, 5, 3))
+    assert np.array_equal(padded[:2, :, :2], t) and padded.sum() == pytest.approx(1.0)
+    np.testing.assert_allclose(
+        marton_table(c, Cardinalities(4, 3, 5)).value(padded),
+        marton_table(c, Cardinalities(2, 3, 2)).value(t),
+        rtol=0,
+        atol=1e-12,
+    )
+    # an axis the target has at size one is summed out (a collapsed region
+    # profile); the other axes are zero-padded
+    fitted = fit_joint(t, (1, 4, 2, 3))
+    assert fitted.shape == (1, 4, 2, 3)
+    assert np.array_equal(fitted[:, :3], t.sum(axis=0, keepdims=True))
+    assert not fitted[:, 3:].any()
+    # a UV law p(u, v, x) zero-pads the same way
+    uv = t.sum(axis=2)
+    assert np.array_equal(fit_joint(uv, (4, 4, 3))[:2, :3], uv)
+    # a shrinking axis, and a wrong number of axes, raise
+    for shape in ((1, 2, 2, 3), (2, 3, 2)):
+        with pytest.raises(ValueError):
+            fit_joint(t, shape)
 
 
 def test_factorization_superadditive_and_tight_with_deterministic_link():

@@ -295,9 +295,9 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
     prof1, prof2 = default_region_profiles(pc, "product_outer")
     f1, f2 = _row_tables(
         pc,
-        _region_rows("product_outer", False),
-        (prof1.nu, prof1.nv, prof1.nw, pc.c1.nx),
-        (prof2.nu, prof2.nv, prof2.nw, pc.c2.nx),
+        _region_rows("product_outer"),
+        prof1.shape(pc.c1.nx),
+        prof2.shape(pc.c2.nx),
     )
     tables = [marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3), f1, f2]
     for fn in tables:

@@ -94,7 +94,7 @@ def test_uv_sum_rate_beats_seed(tmp_path):
     c = random_channel(rng, 3, 3, 3)
     seed = UvAuxiliary(rng.dirichlet(np.ones(2 * 2 * 3)).reshape(2, 2, 3))
     at_seed = evaluate_uv_point(c, seed).sum_rate
-    res = uv_sum_rate(c, CFG, extra_seeds=[seed])
+    res = uv_sum_rate(c, CFG, extra_seeds=[seed.joint])
     assert res.value >= at_seed - 1e-9
 
 
@@ -143,34 +143,30 @@ def test_build_region_rows_match_kernel_oracle():
     rng = np.random.default_rng(3)
     pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     for kind in REGION_KINDS:
-        for mirrored in ((False, True) if kind == "product_outer" else (False,)):
-            aux = _random_product_aux(rng, pc, kind)
-            region = build_region(pc, aux, kind, mirrored=mirrored)
-            rows = _region_rows(kind, mirrored)
-            assert len(rows) == len(region.inequalities)
-            o1 = _term_oracle(pc.c1, aux.a1)
-            o2 = _term_oracle(pc.c2, aux.a2)
-            for (a, t1, t2), (a_got, rhs) in zip(rows, region.inequalities):
-                assert a == a_got
-                expect = sum(o1[n] for n in t1) + sum(o2[n] for n in t2)
-                assert rhs == pytest.approx(expect, abs=1e-10), (kind, t1, t2)
+        aux = _random_product_aux(rng, pc, kind)
+        region = build_region(pc, aux, kind)
+        rows = _region_rows(kind)
+        assert len(rows) == len(region.inequalities)
+        assert region.tag == kind
+        o1 = _term_oracle(pc.c1, aux.a1)
+        o2 = _term_oracle(pc.c2, aux.a2)
+        for (a, t1, t2), (a_got, rhs) in zip(rows, region.inequalities):
+            assert a == a_got
+            expect = sum(o1[n] for n in t1) + sum(o2[n] for n in t2)
+            assert rhs == pytest.approx(expect, abs=1e-10), (kind, t1, t2)
 
 
 def test_support_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     eps = 1e-6
-    for kind, mirrored in (
-        ("product_outer", False),
-        ("product_outer", True),
-        ("semi_deterministic", False),
-    ):
+    for kind in ("product_outer", "product_outer_mirror", "semi_deterministic"):
         prof1, prof2 = default_region_profiles(pc, kind)
-        obj = _SupportObjective(pc, kind, mirrored, rng.uniform(0.5, 1.5, 3), prof1, prof2)
+        obj = _SupportObjective(pc, kind, rng.uniform(0.5, 1.5, 3), prof1, prof2)
 
         def vertex(flat):
             t1, t2 = obj.split(flat)
-            return obj.best_vertex(obj.f1.value(t1) + obj.f2.value(t2))[1]
+            return obj.system.support(obj.f1.value(t1) + obj.f2.value(t2), obj.w)[2]
 
         checked = 0
         for _ in range(6):
@@ -189,7 +185,7 @@ def test_support_gradient_matches_finite_differences():
                 continue
             checked += 1
             assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4, kind
-        assert checked >= 3, (kind, mirrored)
+        assert checked >= 3, kind
 
 
 def test_unknown_region_kind_rejected():
@@ -211,8 +207,8 @@ def test_outer_sum_rows_match_semi_deterministic_on_deterministic_product():
     aux = ProductAuxiliary(AuxiliaryJoint(a1), AuxiliaryJoint(a2))
     outer = build_region(pc, aux, "product_outer")
     semi = build_region(pc, aux, "semi_deterministic")
-    outer_rows = _region_rows("product_outer", False)
-    semi_rows = _region_rows("semi_deterministic", False)
+    outer_rows = _region_rows("product_outer")
+    semi_rows = _region_rows("semi_deterministic")
 
     def sum_rhs(region, rows, want):
         out = {}
@@ -238,8 +234,10 @@ def test_polytope_geometry():
         ],
         tag="toy",
     )
-    verts = region.vertices()
-    assert np.allclose(verts.min(axis=0), 0.0)
+    for axis, cap in enumerate((1.0, 2.0, 3.0)):
+        value, vertex = region.support(np.eye(3)[axis])
+        assert value == pytest.approx(cap, abs=1e-9)
+        assert vertex[axis] == pytest.approx(cap, abs=1e-9)
     value, vertex = region.support((0.0, 1.0, 1.0), fix_r0=0.0)
     assert value == pytest.approx(4.0, abs=1e-9)
     assert vertex[0] == pytest.approx(0.0, abs=1e-9)
@@ -275,22 +273,23 @@ def _support_by_loop(normals, rhs, w, fix_r0):
 
 def test_support_objective_vertex_matches_polytope_support():
     # the search's vertex scoring and RateRegionPolytope.support share one
-    # constraint system; both must match a plain per-subset solve
+    # best-vertex routine; both must match a plain per-subset solve
     rng = np.random.default_rng(11)
     pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     for kind in REGION_KINDS:
         prof1, prof2 = default_region_profiles(pc, kind)
         for fix_r0 in (None, 0.0, 0.3):
             w = rng.dirichlet(np.ones(3))
-            obj = _SupportObjective(pc, kind, False, w, prof1, prof2, fix_r0=fix_r0)
+            obj = _SupportObjective(pc, kind, w, prof1, prof2, fix_r0=fix_r0)
             normals = [a for a, _, _ in obj.rows]
             for _ in range(20):
                 rhs = rng.uniform(-0.2, 2.0, len(obj.rows))
                 region = RateRegionPolytope(
                     [(a, float(r)) for a, r in zip(normals, rhs)], tag=kind
                 )
-                expect, _ = region.support(w, fix_r0=fix_r0)
-                assert obj.best_vertex(rhs)[0] == pytest.approx(expect, abs=1e-12)
+                expect, vertex = region.support(w, fix_r0=fix_r0)
+                assert obj.system.support(rhs, obj.w)[0] == expect
+                assert expect == pytest.approx(vertex @ w, abs=1e-12)
                 assert expect == pytest.approx(
                     _support_by_loop(normals, rhs, w, fix_r0), abs=1e-12
                 )
@@ -320,15 +319,29 @@ def test_region_support_extra_seed_profile_fitting():
     assert np.isfinite(res.value)
 
 
+@pytest.mark.parametrize("kind", ["semi_deterministic", "product_outer"])
+@pytest.mark.parametrize("fix_r0", [None, 0.0])
+def test_region_support_value_is_exact_score_at_returned_aux(kind, fix_r0):
+    # the reported support is the search objective at the returned
+    # auxiliary, bit for bit, and the reported vertex attains it
+    pc = make_product(component("y"), component("z"))
+    cfg = SearchConfig(restarts=2, max_iters=40, seed=0)
+    res = region_support(pc, kind, (0, 1, 1), cfg, fix_r0=fix_r0)
+    prof1, prof2 = default_region_profiles(pc, kind)
+    obj = _SupportObjective(pc, kind, (0, 1, 1), prof1, prof2, fix_r0=fix_r0)
+    flat = np.concatenate([res.aux.a1.joint.ravel(), res.aux.a2.joint.ravel()])
+    assert res.value == obj(flat)[0]
+    assert res.value == pytest.approx(res.vertex @ obj.w, abs=1e-12)
+    assert res.region.contains(res.vertex)
+
+
 def test_mirror_symmetry_on_symmetric_product():
     # second component is the receiver-swapped copy of the first, so the
     # mirrored row assignment must give the same support in (0, 1, 1)
     pc = make_product(component("y"), component("z"))
     cfg = SearchConfig(restarts=4, max_iters=120, seed=0)
     plain = region_support(pc, "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
-    mirror = region_support(
-        pc, "product_outer", (0, 1, 1), cfg, mirrored=True, fix_r0=0.0
-    )
+    mirror = region_support(pc, "product_outer_mirror", (0, 1, 1), cfg, fix_r0=0.0)
     assert mirror.region.tag == "product_outer_mirror"
     assert plain.value == pytest.approx(mirror.value, abs=2e-3)
     assert plain.value == pytest.approx(8 / 3, abs=1e-6)
