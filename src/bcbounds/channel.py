@@ -21,7 +21,7 @@ from typing import Literal
 import numpy as np
 
 from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
-from .objectives import InfoFunctional, JointObjective, mi_terms, scale_terms
+from .objectives import InfoFunctional, JointObjective, mi_terms
 from .search import SearchConfig, maximize, simplex_grid, simplex_grid_size
 
 ROW_TOL = 1e-9
@@ -177,17 +177,15 @@ def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
     weaker: Receiver = "z" if stronger == "y" else "y"
     if aux:
         axes, shape = "ux", (2, c.nx)
-        terms = mi_terms("u", weaker) + scale_terms(mi_terms("u", stronger), -1.0)
+        terms = mi_terms("u", weaker) + mi_terms("u", stronger, coeff=-1.0)
     else:
         axes, shape = "x", (c.nx,)
-        terms = mi_terms("x", weaker) + scale_terms(mi_terms("x", stronger), -1.0)
-    fn = InfoFunctional(axes, shape, terms, channel=c.q)
+        terms = mi_terms("x", weaker) + mi_terms("x", stronger, coeff=-1.0)
+    fn = InfoFunctional(axes, shape, [terms], channel=c.q)
     return JointObjective(fn)
 
 
-def is_more_capable(
-    c: Channel, stronger: Receiver, cfg: SearchConfig | None = None
-) -> ComparisonVerdict:
+def is_more_capable(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:
     """Search for an input law where the weaker receiver learns more.
 
     Maximizes I(X;weaker) - I(X;stronger) over p(x) by coarse grid plus
@@ -196,7 +194,6 @@ def is_more_capable(
     refuted, since a search cannot certify it.
     """
     _check_receiver(stronger)
-    cfg = cfg or SearchConfig(restarts=16, max_iters=120)
     obj = _gap_objective(c, stronger, aux=False)
     seeds = []
     res_grid = GRID_RESOLUTION
@@ -204,7 +201,7 @@ def is_more_capable(
         res_grid -= 2
     best_grid, best_px = -np.inf, None
     for p in simplex_grid(c.nx, res_grid):
-        v = obj.functional.value(p)
+        v = obj.functional.value(p)[0]
         if v > best_grid:
             best_grid, best_px = v, p
     seeds.append(best_px)
@@ -220,9 +217,7 @@ def is_more_capable(
     )
 
 
-def less_noisy_verdict(
-    c: Channel, stronger: Receiver, cfg: SearchConfig | None = None
-) -> ComparisonVerdict:
+def less_noisy_verdict(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:
     """Heuristic refutation search with a binary auxiliary.
 
     Maximizes I(U;weaker) - I(U;stronger) over p(u, x) with |U| = 2. A
@@ -230,7 +225,6 @@ def less_noisy_verdict(
     because no finite certificate for "yes" is available here.
     """
     _check_receiver(stronger)
-    cfg = cfg or SearchConfig(restarts=24, max_iters=150)
     obj = _gap_objective(c, stronger, aux=True)
     result = maximize(obj, obj.block_sizes, cfg)
     refuted = result.value > 1e-9
@@ -264,7 +258,7 @@ class ClassReport:
         }
 
 
-def classify(c: Channel, cfg: SearchConfig | None = None) -> ClassReport:
+def classify(c: Channel, cfg: SearchConfig) -> ClassReport:
     """Structural report: determinism flags and receiver-order verdicts."""
     return ClassReport(
         y_deterministic=is_deterministic(c, "y"),

@@ -112,8 +112,7 @@ def _emit(report: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out, text)
 
 
 def _report(command: str, cfg_echo: dict, results: dict, checks: list) -> dict:
@@ -135,17 +134,15 @@ def _exit_code(report: dict) -> int:
     return 0
 
 
-def _check(name: str, computed: float, tolerance: float, passed: bool, target=None) -> dict:
-    entry = {
+def _check(name: str, computed: float, tolerance: float, passed: bool, target: float) -> dict:
+    return {
         "name": name,
         "computed_bits": computed,
         "computed_display": format_bits(computed),
         "tolerance": tolerance,
         "passed": bool(passed),
+        "target_bits": target,
     }
-    if target is not None:
-        entry["target_bits"] = target
-    return entry
 
 
 def _parse_directions(path: str | None) -> list[tuple[float, float, float]]:
@@ -394,8 +391,16 @@ def _count(text: str) -> int:
     return value
 
 
+def _grid(text: str) -> int:
+    """argparse type of a curve grid: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _rate(text: str) -> float:
-    """argparse type of a pinned rate: a finite number of at least 0."""
+    """argparse type of a rate or a tolerance in bits: a finite number of at least 0."""
     value = float(text)
     if not math.isfinite(value) or value < 0:
         raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text}")
@@ -443,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("channel", help="channel JSON file")
     sp.add_argument(
         "--lambda-grid",
-        type=int,
+        type=_grid,
         default=10,
         help="number of curve intervals; 0 skips the curve (default 10)",
     )
@@ -503,12 +508,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("channel", help="channel JSON file")
     sp.add_argument(
         "--grid-resolution",
-        type=int,
+        type=_count,
         default=12,
         help="input-distribution grid resolution (default 12)",
     )
     sp.add_argument(
-        "--tolerance", type=float, default=0.02, help="pairwise gap tolerance"
+        "--tolerance", type=_rate, default=0.02, help="pairwise gap tolerance"
     )
     _add_common(sp)
     sp.set_defaults(func=_cmd_minmax_check)

@@ -196,27 +196,27 @@ def uv_witness_auxiliary(q_probs: tuple[float, float] = (0.8, 0.8)) -> UvAuxilia
     return UvAuxiliary(joint)
 
 
-# search budgets of the two product searches, and of verify_separation
+# search budgets of verify_separation's two product searches
 MARTON_PRODUCT_CFG = SearchConfig(restarts=6, max_iters=120)
 UV_PRODUCT_CFG = SearchConfig(restarts=8, max_iters=150)
 
 
-def marton_on_product(cfg: SearchConfig | None = None) -> MartonSumRate:
+def marton_on_product(cfg: SearchConfig) -> MartonSumRate:
     """Marton sum rate of the product, seeded with the branch products."""
     return marton_sum_rate(
         product_channel().flat,
-        cfg or MARTON_PRODUCT_CFG,
+        cfg,
         profile=REDUCED_PRODUCT_PROFILE,
         scalar_tol=2e-3,
         extra_seeds=[a.joint for a in product_seed_auxiliaries()],
     )
 
 
-def uv_on_product(cfg: SearchConfig | None = None) -> UvSumRate:
+def uv_on_product(cfg: SearchConfig) -> UvSumRate:
     """Free UV sum-rate search on the product, seeded with the witness."""
     return uv_sum_rate(
         product_channel().flat,
-        cfg or UV_PRODUCT_CFG,
+        cfg,
         extra_seeds=[uv_witness_auxiliary().joint],
     )
 

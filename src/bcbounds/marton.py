@@ -275,12 +275,11 @@ def maximize_lambda_sr_at_input(
     c: Channel,
     lam: float,
     px: np.ndarray,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     profile: Cardinalities | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> LambdaPointResult:
     """Best weighted sum rate at a fixed input law (certified lower bound)."""
-    cfg = cfg or SearchConfig()
     prof = profile or Cardinalities.for_sum_rate(c)
     px = np.asarray(px, dtype=float)
     obj = FixedInputObjective(marton_table(c, prof), px, min_of(lambda_weights(lam)))
@@ -300,7 +299,7 @@ def maximize_lambda_sr_at_input(
 def lambda_sr_global(
     c: Channel,
     lam: float,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     profile: Cardinalities | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> LambdaPointResult:
@@ -311,7 +310,6 @@ def lambda_sr_global(
     and at an inner maximizer the gradient of the joint objective contracted
     with the conditional is a supergradient in p(x).
     """
-    cfg = cfg or SearchConfig()
     prof = profile or Cardinalities.for_sum_rate(c)
     table = marton_table(c, prof)
     weigh = min_of(lambda_weights(lam))
@@ -413,12 +411,11 @@ def _warm_lambda(
 def build_lambda_curve(
     c: Channel,
     lambdas: Sequence[float],
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     extra_seeds: Sequence[np.ndarray] = (),
     check_slack: float = 1e-6,
 ) -> LambdaCurve:
     """Sample the global lambda-curve on a grid with warm-started searches."""
-    cfg = cfg or SearchConfig()
     evaluate = _warm_lambda(
         lambda lam, extra: lambda_sr_global(c, lam, cfg, extra_seeds=extra),
         extra_seeds,
@@ -440,7 +437,7 @@ class MartonSumRate:
 
 def marton_sum_rate(
     c: Channel,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     profile: Cardinalities | None = None,
     scalar_tol: float = 1e-4,
     extra_seeds: Sequence[np.ndarray] = (),
@@ -452,20 +449,19 @@ def marton_sum_rate(
     golden-section refinement. Consecutive evaluations warm-start each
     other with the previous maximizer.
     """
-    cfg = cfg or SearchConfig()
     prof = profile or Cardinalities.for_sum_rate(c)
     evaluate = _warm_lambda(
         lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=prof, extra_seeds=extra),
         extra_seeds,
     )
-    out = golden_section_min(evaluate, bracket=(0.0, 1.0), tol=scalar_tol)
+    out = golden_section_min(evaluate, scalar_tol)
     best: LambdaPointResult = out.payload
     return MartonSumRate(
         value=out.value,
         lam_star=out.x,
         aux=best.aux,
         evaluations=out.evaluations,
-        converged=out.converged and best.converged,
+        converged=best.converged,
         profile=prof,
     )
 
@@ -517,7 +513,7 @@ def check_factorization(
     c1: Channel,
     c2: Channel,
     lam: float,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
 ) -> FactorizationReport:
     """Compare the product channel's weighted sum rate with the component sum.
 
@@ -526,7 +522,6 @@ def check_factorization(
     by construction; the interesting direction is whether the product
     search exceeds the sum.
     """
-    cfg = cfg or SearchConfig(restarts=48, max_iters=250)
     r1 = lambda_sr_global(c1, lam, cfg)
     r2 = lambda_sr_global(c2, lam, cfg)
     pc = make_product(c1, c2)
@@ -574,11 +569,7 @@ class MinMaxReport:
         }
 
 
-def check_min_max_equality(
-    c: Channel,
-    cfg: SearchConfig | None = None,
-    px_resolution: int = 12,
-) -> MinMaxReport:
+def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) -> MinMaxReport:
     """Numerically compare the three orderings of max/min for tiny channels.
 
     max-min: maximize min(endpoint expressions) over the auxiliary joint
@@ -589,7 +580,6 @@ def check_min_max_equality(
     """
     if max(c.nx, c.ny, c.nz) > 3:
         raise ValueError("min-max check is restricted to nx, ny, nz <= 3")
-    cfg = cfg or SearchConfig(restarts=12, max_iters=120)
     prof = Cardinalities.for_sum_rate(c)
 
     # min-max via the sum-rate driver
@@ -624,7 +614,7 @@ def check_min_max_equality(
                 c, lam, px, inner_cfg, profile=prof, extra_seeds=extra
             )
         )
-        return golden_section_min(evaluate, bracket=(0.0, 1.0), tol=2e-3).value
+        return golden_section_min(evaluate, 2e-3).value
 
     best_px, best_val = None, -np.inf
     for px in simplex_grid(c.nx, px_resolution):

@@ -8,9 +8,11 @@ sides) is a weighted sum of joint entropies of marginals of
 
 where t is the searched distribution and q the fixed channel. Each such
 marginal is a linear image of t: a sum over the axes it drops, then a
-product with the matching marginal of q. A table of expressions is
-compiled once into its distinct marginals and a flat layout for them (an
-offset and a shape per marginal). An evaluation is one fused pass: it
+product with the matching marginal of q. An ``InfoFunctional`` is a
+table: a list of rows, each row one expression, so a single expression is
+a one-row table whose value is ``value(t)[0]``. A table is compiled once
+into its distinct marginals and a flat layout for them (an offset and a
+shape per marginal). An evaluation is one fused pass: it
 writes every marginal into one buffer, takes one positive mask and one
 log2 over the whole buffer, and reads off the entropy vector H, each entry
 bit-identical to ``entropy_of_array`` on its marginal. The row values are
@@ -58,7 +60,6 @@ __all__ = [
     "Evaluation",
     "mi_terms",
     "ent_terms",
-    "scale_terms",
     "merge_terms",
     "min_of",
     "JointObjective",
@@ -90,16 +91,12 @@ def mi_terms(a: str, b: str, given: str = "", coeff: float = 1.0) -> list[Term]:
     return out
 
 
-def ent_terms(of: str, given: str = "", coeff: float = 1.0) -> list[Term]:
-    """Entropy decomposition of coeff * H(OF|GIVEN)."""
-    out = [(coeff, of + given)]
+def ent_terms(of: str, given: str = "") -> list[Term]:
+    """Entropy decomposition of H(OF|GIVEN)."""
+    out = [(1.0, of + given)]
     if given:
-        out.append((-coeff, given))
+        out.append((-1.0, given))
     return out
-
-
-def scale_terms(terms: Sequence[Term], factor: float) -> list[Term]:
-    return [(c * factor, s) for c, s in terms]
 
 
 def merge_terms(terms: Sequence[Term], order: str) -> list[Term]:
@@ -200,16 +197,16 @@ class InfoFunctional:
     dist_axes: one letter per axis of t, input axis last (e.g. 'uvwx').
     channel: optional conditional array q[x, y, z] (axes CHANNEL_AXES);
     its input x is then the last letter of dist_axes.
-    terms: one expression, a list of (coefficient, subset-of-letters)
-    pairs, whose value is a float; or a list of such expressions (rows),
-    whose value is the array of row values.
+    rows: a list of expressions, each a list of (coefficient,
+    subset-of-letters) pairs; the value is the array of row values, and
+    an empty row is 0.
     """
 
     def __init__(
         self,
         dist_axes: str,
         dist_shape: Sequence[int],
-        terms: Sequence,
+        rows: Sequence[Sequence[Term]],
         channel: np.ndarray | None = None,
     ) -> None:
         if len(dist_axes) != len(dist_shape):
@@ -222,9 +219,6 @@ class InfoFunctional:
             raise ValueError(f"input axis '{in_axis}' must be the last dist axis")
         order = dist_axes + out_axes
         self.order = order
-        # a table's first element is a row (a list of terms), an expression's a term
-        self.scalar = not terms or not isinstance(terms[0][0], (tuple, list))
-        rows = [terms] if self.scalar else list(terms)
         merged = [merge_terms(row, order) for row in rows]
         subsets = list(dict.fromkeys(s for row in merged for _, s in row))
         self.coeffs = np.zeros((len(rows), len(subsets)))
@@ -267,9 +261,9 @@ class InfoFunctional:
         """Marginals, entropy vector and row values at t (forward pass only)."""
         return Evaluation(self, t)
 
-    def value(self, t: np.ndarray) -> float | np.ndarray:
-        values = self.evaluate(t).values
-        return float(values[0]) if self.scalar else values
+    def value(self, t: np.ndarray) -> np.ndarray:
+        """Row values at t."""
+        return self.evaluate(t).values
 
     def value_and_grad(self, t: np.ndarray, weigh: Weigh = _sum_of_rows) -> tuple[float, Grad]:
         """Objective value and its gradient as a callable; ``weigh`` turns the

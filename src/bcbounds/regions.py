@@ -127,7 +127,7 @@ class UvSumRate:
 
 def uv_sum_rate(
     c: Channel,
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> UvSumRate:
     """Maximize the UV sum rate min of its three inequality combinations.
@@ -136,7 +136,6 @@ def uv_sum_rate(
     min of smooth branches; ascent follows the active branch and every
     candidate is scored exactly, so the result is a certified lower bound.
     """
-    cfg = cfg or SearchConfig(restarts=32, max_iters=200)
     shape = (c.nx + 1, c.nx + 1, c.nx)
     obj = JointObjective(_uv_table(c, *shape[:2]), min_of(np.eye(5)[:3]))
 
@@ -447,7 +446,7 @@ def region_support(
     pc: ProductChannel,
     kind: str,
     weights: Sequence[float],
-    cfg: SearchConfig | None = None,
+    cfg: SearchConfig,
     extra_seeds: Sequence[ProductAuxiliary] = (),
     fix_r0: float | None = None,
 ) -> SupportResult:
@@ -458,7 +457,6 @@ def region_support(
     ``weights`` at the returned auxiliary, the search objective's value
     there.
     """
-    cfg = cfg or SearchConfig(restarts=32, max_iters=150)
     prof1, prof2 = default_region_profiles(pc, kind)
     obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0=fix_r0)
 

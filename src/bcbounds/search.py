@@ -12,6 +12,9 @@ Objective contract: ``fun(x) -> (value, grad)``, where ``grad`` is a
 zero-argument callable returning the gradient at x. The ascent is
 value-first: it calls ``grad`` only for a restart's start point and for
 each step it accepts, never for a rejected line-search trial.
+
+Every search entry point takes its budget as a required ``SearchConfig``
+from its caller; none has a default budget.
 """
 
 from __future__ import annotations
@@ -62,6 +65,13 @@ class SearchConfig:
     max_iters: int = 200
     patience: int = 4
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.restarts < 1 or self.max_iters < 1:
+            raise ValueError(
+                f"restarts and max_iters must be at least 1, "
+                f"got {self.restarts} and {self.max_iters}"
+            )
 
     def with_(self, **kw) -> "SearchConfig":
         return replace(self, **kw)
@@ -227,7 +237,7 @@ def maximize(
 
     plan: list[np.ndarray | None] = []
     seed_slot = 0
-    for i in range(max(cfg.restarts, 1)):
+    for i in range(cfg.restarts):
         if seeds and i % 4 == 3:
             plan.append(seeds[seed_slot % len(seeds)])
             seed_slot += 1
@@ -268,59 +278,41 @@ class ScalarMinResult:
     payload: object
     evaluations: int
     bracket_width: float
-    converged: bool
-    samples: list = field(default_factory=list)
-
-
-def _norm_eval(f: Callable, x: float):
-    out = f(x)
-    if isinstance(out, tuple):
-        value = float(out[0])
-        sub = None if len(out) < 2 or out[1] is None else float(out[1])
-        payload = out[2] if len(out) > 2 else None
-        return value, sub, payload
-    return float(out), None, None
 
 
 def golden_section_min(
-    f: Callable,
-    bracket: tuple[float, float] = (0.0, 1.0),
-    tol: float = 1e-4,
+    f: Callable[[float], tuple[float, float, object]], tol: float
 ) -> ScalarMinResult:
-    """Minimize a convex scalar function on a bracket.
+    """Minimize a convex scalar function on [0, 1] to a bracket of width tol.
 
-    f(x) may return a float or a tuple (value, subgradient, payload). When
-    subgradients are available the bracket is first shrunk by sign
-    bisection (a subgradient of a convex function points away from the
-    minimizer) down to width ``BISECT_UNTIL``; golden-section handles the
-    rest, which tolerates the mild non-convexity of values produced by
-    inner numerical maximizations. Returns the best evaluation seen.
+    f(x) returns (value, subgradient, payload). The bracket is first
+    shrunk by sign bisection on the subgradient (a subgradient of a convex
+    function points away from the minimizer) down to width
+    ``BISECT_UNTIL``, stopping at a point whose subgradient is below
+    ``SUBGRAD_TOL``; golden section handles the rest, which tolerates the
+    mild non-convexity of values produced by inner numerical
+    maximizations. Returns the best evaluation seen and its payload.
     """
-    a, b = float(bracket[0]), float(bracket[1])
-    if not b > a:
-        raise ValueError("bracket must have positive width")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+    a, b = 0.0, 1.0
     evals = 0
-    samples: list[tuple[float, float]] = []
     best = (math.inf, None, None)  # value, x, payload
 
-    def ev(x: float):
+    def ev(x: float) -> tuple[float, float]:
         nonlocal evals, best
-        value, sub, payload = _norm_eval(f, x)
+        value, sub, payload = f(x)
+        value = float(value)
         evals += 1
-        samples.append((x, value))
         if value < best[0]:
             best = (value, x, payload)
-        return value, sub
+        return value, float(sub)
 
-    converged = False
     # subgradient sign bisection on the midpoint
     while b - a > max(BISECT_UNTIL, tol):
         mid = 0.5 * (a + b)
-        value, sub = ev(mid)
-        if sub is None:
-            break
+        _, sub = ev(mid)
         if abs(sub) < SUBGRAD_TOL:
-            converged = True
             a, b = mid, mid
             break
         if sub > 0.0:
@@ -342,18 +334,11 @@ def golden_section_min(
                 a, x1, f1 = x1, x2, f2
                 x2 = a + INV_PHI * (b - a)
                 f2, _ = ev(x2)
-        converged = True
-    elif b - a <= tol:
-        converged = True
 
-    if best[1] is None:
-        value, _ = ev(0.5 * (a + b))
     return ScalarMinResult(
-        x=float(best[1]),
-        value=float(best[0]),
+        x=best[1],
+        value=best[0],
         payload=best[2],
         evaluations=evals,
         bracket_width=b - a,
-        converged=converged,
-        samples=samples,
     )

@@ -80,7 +80,7 @@ def endpoint_sr(
         terms = mi_terms("w", "z") + mi_terms("x", "y", "w")
     else:
         terms = mi_terms("w", "y") + mi_terms("x", "z", "w")
-    fn = InfoFunctional("wx", (c.nx, c.nx), terms, channel=c.q)
+    fn = InfoFunctional("wx", (c.nx, c.nx), [terms], channel=c.q)
     obj = JointObjective(fn)
 
     # a maximizing W can be taken as a quantization of X, so for small

@@ -337,7 +337,7 @@ def test_ac10_gradient_correctness():
             InfoFunctional(
                 "uvwx",
                 shape,
-                mi_terms("u", "y", "w") + mi_terms("x", "z", "uw"),
+                [mi_terms("u", "y", "w") + mi_terms("x", "z", "uw")],
                 channel=c.q,
             ),
             plain,
@@ -347,7 +347,7 @@ def test_ac10_gradient_correctness():
             InfoFunctional(
                 "uvwx",
                 shape,
-                mi_terms("v", "z", "w") + ent_terms("y", "vw"),
+                [mi_terms("v", "z", "w") + ent_terms("y", "vw")],
                 channel=c.q,
             ),
             plain,
@@ -357,7 +357,7 @@ def test_ac10_gradient_correctness():
             InfoFunctional(
                 "wx",
                 (c.nx, c.nx),
-                mi_terms("w", "z") + mi_terms("x", "y", "w"),
+                [mi_terms("w", "z") + mi_terms("x", "y", "w")],
                 channel=c.q,
             ),
             plain,
@@ -367,7 +367,7 @@ def test_ac10_gradient_correctness():
             InfoFunctional(
                 "uvx",
                 (c.nx, c.nx, c.nx),
-                mi_terms("u", "y") + mi_terms("v", "z") + mi_terms("x", "z", "u"),
+                [mi_terms("u", "y") + mi_terms("v", "z") + mi_terms("x", "z", "u")],
                 channel=c.q,
             ),
             plain,

@@ -325,6 +325,24 @@ def test_bad_budget_or_pin_exits_2(comp_files, tmp_path, capsys, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["minmax-check", "--tolerance", "nan"],
+        ["minmax-check", "--tolerance", "-0.5"],
+        ["minmax-check", "--grid-resolution", "0"],
+        ["marton", "--lambda-grid", "-1"],
+    ],
+)
+def test_bad_grid_or_tolerance_exits_2(small_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], small_file, *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_budget_defaults_are_the_search_config(small_file):
     parser = build_parser()
     assert _config(parser.parse_args(["uv", small_file])) == SearchConfig(restarts=16)

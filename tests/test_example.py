@@ -119,6 +119,25 @@ def test_module_exports_are_defined_in_their_module():
                 assert obj.__module__ == mod.__name__, f"{mod.__name__}.{name}"
 
 
+def test_no_search_budget_has_a_default():
+    # every search takes its SearchConfig from its caller, so each reported
+    # number comes from a budget the caller chose and can echo
+    pkg = Path(bcbounds.__file__).resolve().parent
+    defaulted = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                with_default = positional[len(positional) - len(args.defaults) :]
+                with_default += [
+                    arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if any(arg.arg == "cfg" for arg in with_default):
+                    defaulted.append(f"{path.stem}.{node.name}")
+    assert defaulted == []
+
+
 def test_cli_region_kinds_are_the_region_kinds():
     # `outer`, `outer --mirror` and every `region --kind` flag name one kind each
     parser = cli.build_parser()

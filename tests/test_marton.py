@@ -269,4 +269,4 @@ def test_min_max_equality_small_channel():
 def test_min_max_rejects_large_alphabets():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
-        check_min_max_equality(random_channel(rng, 4, 2, 2), CFG)
+        check_min_max_equality(random_channel(rng, 4, 2, 2), CFG, px_resolution=8)

@@ -14,7 +14,6 @@ from bcbounds.objectives import (
     merge_terms,
     mi_terms,
     min_of,
-    scale_terms,
 )
 from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
 from info_oracle import mutual_information
@@ -47,7 +46,7 @@ def test_term_builders():
         (-1.0, "w"),
     ]
     assert ent_terms("y", given="w") == [(1.0, "yw"), (-1.0, "w")]
-    assert scale_terms([(1.0, "u")], 0.5) == [(0.5, "u")]
+    assert mi_terms("u", "y", coeff=-1.0) == [(-1.0, "u"), (-1.0, "y"), (1.0, "uy")]
     with pytest.raises(ValueError):
         mi_terms("u", "u")
 
@@ -60,7 +59,7 @@ def test_merge_terms_cancels():
 def test_functional_matches_kernel_mi():
     rng = np.random.default_rng(0)
     q = _random_channel(rng, 3, 2, 4)
-    fn = InfoFunctional("uvx", (2, 3, 3), mi_terms("u", "y") + mi_terms("v", "z", given="u"), q)
+    fn = InfoFunctional("uvx", (2, 3, 3), [mi_terms("u", "y") + mi_terms("v", "z", given="u")], q)
     t = rng.dirichlet(np.ones(2 * 3 * 3)).reshape(2, 3, 3)  # p(u, v, x)
     # zero-mass slices: a point mass on u and an input symbol of probability 0
     t_zero = np.zeros((2, 3, 3))
@@ -70,7 +69,7 @@ def test_functional_matches_kernel_mi():
         expect = mutual_information(joint, (0,), (3,)) + mutual_information(
             joint, (1,), (4,), given=(0,)
         )
-        assert fn.value(t) == pytest.approx(expect, abs=1e-12)
+        assert fn.value(t)[0] == pytest.approx(expect, abs=1e-12)
         with np.errstate(all="raise"):
             v, grad = fn.value_and_grad(t)
             g = grad()
@@ -81,14 +80,24 @@ def test_functional_matches_kernel_mi():
 def test_functional_without_channel():
     rng = np.random.default_rng(1)
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
-    fn = InfoFunctional("ab", t.shape, mi_terms("a", "b"))
+    fn = InfoFunctional("ab", t.shape, [mi_terms("a", "b")])
     expect = mutual_information(t, (0,), (1,))
-    assert fn.value(t) == pytest.approx(expect, abs=1e-12)
+    assert fn.value(t)[0] == pytest.approx(expect, abs=1e-12)
+
+
+def test_empty_first_row_is_zero_with_zero_gradient():
+    rng = np.random.default_rng(10)
+    t = rng.dirichlet(np.ones(6)).reshape(2, 3)
+    table = InfoFunctional("ab", (2, 3), [[], mi_terms("a", "b")])
+    ev = table.evaluate(t)
+    assert ev.values[0] == 0.0
+    assert ev.values[1] == pytest.approx(mutual_information(t, (0,), (1,)), abs=1e-12)
+    assert np.array_equal(ev.grad(np.array([1.0, 0.0])), np.zeros((2, 3)))
 
 
 def _check_gradient(fn, t, rel_tol=1e-4):
     g = fn.value_and_grad(t)[1]()
-    g_fd = _fd_grad(fn.value, t)
+    g_fd = _fd_grad(lambda x: fn.value(x)[0], t)
     scale = max(1.0, np.abs(g_fd).max())
     assert np.abs(g - g_fd).max() / scale < rel_tol
 
@@ -99,13 +108,13 @@ def test_gradient_matches_finite_differences():
         q = _random_channel(rng, 3, 3, 2)
         t = rng.dirichlet(np.ones(2 * 2 * 2 * 3)).reshape(2, 2, 2, 3)
         terms = (
-            scale_terms(mi_terms("w", "y"), 0.3)
-            + scale_terms(mi_terms("w", "z"), 0.7)
+            mi_terms("w", "y", coeff=0.3)
+            + mi_terms("w", "z", coeff=0.7)
             + mi_terms("u", "y", given="w")
             + mi_terms("v", "z", given="w")
-            + scale_terms(mi_terms("u", "v", given="w"), -1.0)
+            + mi_terms("u", "v", given="w", coeff=-1.0)
         )
-        fn = InfoFunctional("uvwx", t.shape, terms, q)
+        fn = InfoFunctional("uvwx", t.shape, [terms], q)
         _check_gradient(fn, t)
 
 
@@ -113,28 +122,28 @@ def test_gradient_with_entropy_terms():
     rng = np.random.default_rng(3)
     q = _random_channel(rng, 4, 2, 3)
     t = rng.dirichlet(np.ones(2 * 4)).reshape(2, 4)
-    fn = InfoFunctional("vx", t.shape, ent_terms("y", given="v") + mi_terms("v", "z"), q)
+    fn = InfoFunctional("vx", t.shape, [ent_terms("y", given="v") + mi_terms("v", "z")], q)
     _check_gradient(fn, t)
 
 
 def test_joint_objective_round_trip():
     rng = np.random.default_rng(4)
     q = _random_channel(rng, 2, 2, 2)
-    fn = InfoFunctional("ux", (3, 2), mi_terms("u", "y"), q)
+    fn = InfoFunctional("ux", (3, 2), [mi_terms("u", "y")], q)
     obj = JointObjective(fn)
     assert obj.block_sizes == [6]
     t = rng.dirichlet(np.ones(6)).reshape(3, 2)
     flat = obj.to_flat(t)
     assert np.allclose(obj.to_tensor(flat), t)
     v, grad = obj(flat)
-    assert v == pytest.approx(fn.value(t), abs=1e-12)
+    assert v == pytest.approx(fn.value(t)[0], abs=1e-12)
     assert grad().shape == (6,)
 
 
 def test_fixed_input_objective_blocks_and_masses():
     rng = np.random.default_rng(5)
     q = _random_channel(rng, 3, 2, 2)
-    fn = InfoFunctional("uvx", (2, 2, 3), mi_terms("u", "y") + mi_terms("v", "z"), q)
+    fn = InfoFunctional("uvx", (2, 2, 3), [mi_terms("u", "y") + mi_terms("v", "z")], q)
     px = np.array([0.5, 0.5, 0.0])
     obj = FixedInputObjective(fn, px)
     # one conditional simplex per input letter
@@ -145,14 +154,14 @@ def test_fixed_input_objective_blocks_and_masses():
     # input marginal is preserved exactly
     assert np.allclose(back.sum(axis=(0, 1)), px, atol=1e-12)
     v, grad = obj(flat)
-    assert v == pytest.approx(fn.value(back), abs=1e-12)
+    assert v == pytest.approx(fn.value(back)[0], abs=1e-12)
     assert grad().shape == (12,)
 
 
 def test_fixed_input_zero_mass_conditional_is_uniform():
     rng = np.random.default_rng(6)
     q = _random_channel(rng, 2, 2, 2)
-    fn = InfoFunctional("ux", (2, 2), mi_terms("u", "y"), q)
+    fn = InfoFunctional("ux", (2, 2), [mi_terms("u", "y")], q)
     obj = FixedInputObjective(fn, np.array([1.0, 0.0]))
     t = np.zeros((2, 2))
     t[0, 0] = 1.0
@@ -167,7 +176,7 @@ def test_fixed_input_gradient_matches_fd():
     fn = InfoFunctional(
         "uvx",
         (2, 3, 3),
-        mi_terms("u", "y") + mi_terms("v", "z") + scale_terms(mi_terms("u", "v"), -1.0),
+        [mi_terms("u", "y") + mi_terms("v", "z") + mi_terms("u", "v", coeff=-1.0)],
         q,
     )
     px = rng.dirichlet(np.ones(3))
@@ -193,11 +202,11 @@ def test_min_of_objectives_value_and_active_gradient():
     rng = np.random.default_rng(8)
     rows = [ent_terms("a"), ent_terms("b")]
     table = InfoFunctional("ab", (2, 3), rows)
-    singles = [InfoFunctional("ab", (2, 3), r) for r in rows]
+    singles = [InfoFunctional("ab", (2, 3), [r]) for r in rows]
     obj = JointObjective(table, min_of(np.eye(2)))
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
     vals = table.value(t)
-    assert np.allclose(vals, [f.value(t) for f in singles], atol=1e-12)
+    assert np.allclose(vals, [f.value(t)[0] for f in singles], atol=1e-12)
     # the value is the minimum row and the gradient follows that row only
     k = int(np.argmin(vals))
     v, grad = obj(t.ravel())
@@ -242,8 +251,8 @@ def test_min_of_identity_rows_and_weighted_row():
     # one weight row is the plain weighted sum, gradient included
     weights = np.array([0.3, 0.7, 1.0, -0.5])
     v, grad = table.value_and_grad(t, min_of(weights))
-    singles = [InfoFunctional("uvx", (2, 2, 3), r, q) for r in rows]
-    assert v == pytest.approx(sum(a * f.value(t) for a, f in zip(weights, singles)), abs=1e-12)
+    singles = [InfoFunctional("uvx", (2, 2, 3), [r], q) for r in rows]
+    assert v == pytest.approx(sum(a * f.value(t)[0] for a, f in zip(weights, singles)), abs=1e-12)
     g_ref = sum(a * f.value_and_grad(t)[1]() for a, f in zip(weights, singles))
     assert np.allclose(grad(), g_ref, atol=1e-12)
 

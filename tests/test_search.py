@@ -68,8 +68,7 @@ def test_simplex_grid_contains_vertices_and_uniform():
 
 
 def test_golden_section_quadratic():
-    res = golden_section_min(lambda x: (x - 0.3) ** 2, bracket=(0.0, 1.0), tol=1e-6)
-    assert res.converged
+    res = golden_section_min(lambda x: ((x - 0.3) ** 2, 2 * (x - 0.3), None), tol=1e-6)
     assert res.x == pytest.approx(0.3, abs=1e-4)
     assert res.value == pytest.approx(0.0, abs=1e-8)
 
@@ -78,23 +77,23 @@ def test_golden_section_with_subgradient_and_payload():
     def f(x):
         return (x - 0.25) ** 2, 2 * (x - 0.25), {"x": x}
 
-    res = golden_section_min(f, bracket=(0.0, 1.0), tol=1e-5)
-    assert res.converged
-    assert res.x == pytest.approx(0.25, abs=1e-3)
+    res = golden_section_min(f, tol=1e-5)
+    # bisection evaluates 0.5, then stops at the zero subgradient at 0.25
+    assert res.evaluations == 2
+    assert res.x == 0.25
     assert res.payload["x"] == res.x
-    # sign bisection should beat plain golden section on evaluation count
-    plain = golden_section_min(lambda x: (x - 0.25) ** 2, bracket=(0.0, 1.0), tol=1e-5)
-    assert res.evaluations <= plain.evaluations
 
 
 def test_golden_section_endpoint_minimum():
-    res = golden_section_min(lambda x: x, bracket=(0.0, 1.0), tol=1e-5)
+    res = golden_section_min(lambda x: (x, 1.0, None), tol=1e-5)
     assert res.x == pytest.approx(0.0, abs=1e-4)
 
 
-def test_golden_section_bad_bracket():
+@pytest.mark.parametrize("tol", [1.0, 0.0, -1e-3, float("nan")])
+def test_golden_section_rejects_tol_outside_unit_interval(tol):
+    # tol >= 1 would evaluate nothing, and tol <= 0 never stops
     with pytest.raises(ValueError):
-        golden_section_min(lambda x: x, bracket=(1.0, 0.0))
+        golden_section_min(lambda x: (x, 1.0, None), tol=tol)
 
 
 def _concave_target(t):
@@ -154,6 +153,16 @@ def test_maximize_seeds_always_run():
     seed = np.array([0.0, 0.0, 1.0])
     res = maximize(_bumpy, [3], SearchConfig(restarts=1, seed=0), seeds=[seed])
     assert res.value >= 2.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "budget", [{"restarts": 0}, {"restarts": -5}, {"max_iters": 0}, {"restarts": -5, "max_iters": 0}]
+)
+def test_search_config_rejects_budgets_below_one(budget):
+    with pytest.raises(ValueError):
+        SearchConfig(**budget)
+    with pytest.raises(ValueError):
+        SearchConfig(restarts=2, max_iters=5).with_(**budget)
 
 
 def test_maximize_seed_size_validated():
