@@ -391,8 +391,8 @@ def _count(text: str) -> int:
     return value
 
 
-def _grid(text: str) -> int:
-    """argparse type of a curve grid: an integer of at least 0."""
+def _nonnegative(text: str) -> int:
+    """argparse type of a curve grid or a seed: an integer of at least 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
@@ -408,7 +408,7 @@ def _rate(text: str) -> float:
 
 
 def _add_common(sp, budgets: bool = True, default_restarts: int = 16) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="rng seed (default 0)")
+    sp.add_argument("--seed", type=_nonnegative, default=0, help="rng seed, at least 0 (default 0)")
     sp.add_argument("--out", default=None, help="write the JSON report here instead of stdout")
     if budgets:
         sp.add_argument(
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("channel", help="channel JSON file")
     sp.add_argument(
         "--lambda-grid",
-        type=_grid,
+        type=_nonnegative,
         default=10,
         help="number of curve intervals; 0 skips the curve (default 10)",
     )
@@ -468,7 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--check-factorization",
         action="store_true",
-        help="compare the product sum rate against the component sum",
+        help=(
+            "compare the product sum rate against the component sum; the "
+            "product search runs max(8, restarts // 4) restarts, and every "
+            "fixed-input polish max(40, max-iters // 2) iterations"
+        ),
     )
     sp.add_argument(
         "--lambda", dest="lam", type=float, default=0.5, help="weight for the check"
@@ -504,7 +508,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp, budgets=False)
     sp.set_defaults(func=_cmd_verify_example)
 
-    sp = sub.add_parser("minmax-check", help="three max/min orderings on a tiny channel")
+    sp = sub.add_parser(
+        "minmax-check",
+        help="three max/min orderings on a tiny channel",
+        description=(
+            "Three max/min orderings on a tiny channel. Derived budgets: the "
+            "lambda searches run max(8, restarts // 2) restarts, each "
+            "fixed-input polish max(40, max-iters // 2) iterations, and the "
+            "p(x) grid's searches max(4, restarts // 3) restarts of "
+            "max(60, max-iters // 2) iterations."
+        ),
+    )
     sp.add_argument("channel", help="channel JSON file")
     sp.add_argument(
         "--grid-resolution",

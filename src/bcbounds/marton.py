@@ -309,6 +309,10 @@ def lambda_sr_global(
     polish step on the input law: the weighted sum rate is concave in p(x),
     and at an inner maximizer the gradient of the joint objective contracted
     with the conditional is a supergradient in p(x).
+
+    Budgets: the joint search runs ``cfg``; each fixed-input polish ascent
+    (one at the found input law, then at most three at stepped input laws)
+    runs ``max(40, cfg.max_iters // 2)`` iterations.
     """
     prof = profile or Cardinalities.for_sum_rate(c)
     table = marton_table(c, prof)
@@ -521,6 +525,10 @@ def check_factorization(
     component maximizers, so superadditivity of the reported values holds
     by construction; the interesting direction is whether the product
     search exceeds the sum.
+
+    Budgets: each component search runs ``lambda_sr_global`` at ``cfg``;
+    the product search, the largest, runs ``max(8, cfg.restarts // 4)``
+    restarts. Each polishes as ``lambda_sr_global`` says.
     """
     r1 = lambda_sr_global(c1, lam, cfg)
     r2 = lambda_sr_global(c2, lam, cfg)
@@ -577,6 +585,12 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     an endpoint). max-min-max: sweep p(x) on a grid, inner min over
     lambda of the fixed-input maximum. min-max: golden section over
     lambda of the global maximum. All three agree in exact arithmetic.
+
+    Budgets: the max-min search runs ``cfg``. The min-max golden section
+    and the two maximizers that seed max-min run ``lambda_sr_global`` at
+    ``max(8, cfg.restarts // 2)`` restarts. Every fixed-input search of
+    max-min-max runs ``max(4, cfg.restarts // 3)`` restarts of
+    ``max(60, cfg.max_iters // 2)`` iterations.
     """
     if max(c.nx, c.ny, c.nz) > 3:
         raise ValueError("min-max check is restricted to nx, ny, nz <= 3")

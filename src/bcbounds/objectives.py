@@ -25,9 +25,17 @@ d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are clipped only
 inside the gradient (values keep the exact zero-skip convention of the
 kernel).
 
+A table owns the work buffers of the forward pass (the keep-marginals of
+t and the flat marginal buffer) and reuses them on every evaluation,
+filling them by a plan compiled once per memory layout of t. So a table
+must not be evaluated from two threads at once.
+
 The gradient is lazy: ``value_and_grad`` and the flat-vector objectives
 return (value, grad) with ``grad`` a zero-argument callable, so a search
-pays for the adjoint pass only at the points it accepts.
+pays for the adjoint pass only at the points it accepts. An
+``Evaluation`` keeps only what its gradient reads, so a gradient taken
+after later evaluations of the same table is still the one at its own
+point.
 
 A weighing turns the row values into the objective and its row weights:
 the default sums the rows, and ``min_of(weight_rows)`` takes the minimum
@@ -148,6 +156,18 @@ class _Keep:
     expand: tuple[int, ...]  # shape that broadcasts it back against t
 
 
+@dataclass(frozen=True)
+class _Plan:
+    """How an evaluation fills a table's work buffers, for one memory layout
+    of t: reduce t into each keep buffer, run each copy ``(out, source)``,
+    then each channel product ``op(source, q, out=out)``; every marginal's
+    ``out`` is its slice of the flat buffer."""
+
+    reductions: list[tuple[tuple[int, ...], np.ndarray]]
+    copies: list[tuple[np.ndarray, np.ndarray]]
+    products: list[tuple[Callable, np.ndarray, np.ndarray, np.ndarray]]
+
+
 class Evaluation:
     """Entropy vector and row values of a table at one tensor; ``grad`` runs
     the adjoint pass for any row weights without recomputing the forward
@@ -155,18 +175,17 @@ class Evaluation:
 
     def __init__(self, fn: "InfoFunctional", t: np.ndarray) -> None:
         self._fn = fn
-        kept = [np.add.reduce(t, axis=k.drop).reshape(k.work) for k in fn._keeps]
-        # every marginal, written into its slice of one flat buffer
-        flat = np.empty(fn._offsets[-1])
-        for mg, (a, b), shape in zip(fn._marginals, fn._bounds, fn._shapes):
-            m, out = kept[mg.keep], flat[a:b].reshape(shape)
-            if mg.q is None:
-                out[...] = m
-            elif mg.joint_input:
-                np.multiply(m[:, :, None], mg.q, out=out)
-            else:
-                np.matmul(m, mg.q, out=out)
-        self.entropies, self._positive, self._logs = segment_entropies(flat, fn._offsets)
+        t = np.asarray(t, dtype=float)
+        plan = fn._plan(t)
+        for drop, out in plan.reductions:
+            np.add.reduce(t, axis=drop, out=out)
+        for out, m in plan.copies:
+            np.copyto(out, m)
+        for op, m, q, out in plan.products:
+            op(m, q, out=out)
+        # the next evaluation overwrites the buffers: keep only what grad
+        # reads, which segment_entropies returns as fresh arrays
+        self.entropies, self._positive, self._logs = segment_entropies(fn._flat, fn._offsets)
         self.values = fn.coeffs @ self.entropies
 
     def grad(self, weights: np.ndarray) -> np.ndarray:
@@ -256,6 +275,42 @@ class InfoFunctional:
         # flat layout of the marginals in one evaluation buffer
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
         self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
+        self._flat = np.empty(self._offsets[-1])
+        self._plans: dict[tuple[int, ...], _Plan] = {}
+
+    def _plan(self, t: np.ndarray) -> _Plan:
+        """The plan that fills the work buffers from a tensor laid out in
+        memory like t, compiled at its first use.
+
+        Each keep buffer has the layout numpy gives the reduction of t, and
+        a keep-marginal that numpy would copy to C order on reshaping is
+        copied so too. So every reduction and matmul sees operands laid out
+        as on freshly allocated arrays, and sums in the same order: the
+        matmul's order depends on the layout of its left operand.
+        """
+        plan = self._plans.get(t.strides)
+        if plan is not None:
+            return plan
+        reductions, copies, work = [], [], []
+        for keep in self._keeps:
+            out = np.empty_like(np.add.reduce(t, axis=keep.drop))
+            m = out.reshape(keep.work)
+            if not np.shares_memory(m, out):
+                m = np.empty(keep.work)
+                copies.append((m.reshape(out.shape), out))
+            reductions.append((keep.drop, out))
+            work.append(m)
+        products = []
+        for mg, (a, b), shape in zip(self._marginals, self._bounds, self._shapes):
+            m, view = work[mg.keep], self._flat[a:b].reshape(shape)
+            if mg.q is None:
+                copies.append((view, m))
+            elif mg.joint_input:
+                products.append((np.multiply, m[:, :, None], mg.q, view))
+            else:
+                products.append((np.matmul, m, mg.q, view))
+        plan = self._plans[t.strides] = _Plan(reductions, copies, products)
+        return plan
 
     def evaluate(self, t: np.ndarray) -> Evaluation:
         """Marginals, entropy vector and row values at t (forward pass only)."""

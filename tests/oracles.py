@@ -8,7 +8,10 @@ Each one recomputes a quantity of the package by an independent route:
 - ``uniform_input_check``: uniform input's optimality on the worked
   component by a sweep over an input-law grid;
 - ``witness_component_values``: the per-component information values
-  behind the 44/15 UV witness.
+  behind the 44/15 UV witness;
+- ``project_blocks_per_block``: the sort projection onto a product of
+  simplices one block at a time, the reference that
+  ``search.project_blocks`` reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -267,3 +270,22 @@ def witness_component_values() -> dict[str, float]:
         "ix2z2_given_u2": pt2.sum_y_side - pt2.r1_bound,
         "ix2y2_given_v2": pt2.sum_z_side - pt2.r2_bound,
     }
+
+
+def project_blocks_per_block(v: np.ndarray, block_sizes) -> np.ndarray:
+    """Sort projection of each block onto its simplex, one block at a time:
+    the largest k with u_k - (cumsum - 1)/k > 0 over the decreasing entries
+    u, then a shift by that threshold and a clamp at zero."""
+    v = np.asarray(v, dtype=float).ravel()
+    out = np.empty_like(v)
+    start = 0
+    for b in block_sizes:
+        block = v[start : start + b]
+        u = np.sort(block)[::-1]
+        css = np.cumsum(u) - 1.0
+        ks = np.arange(1, b + 1)
+        cond = u - css / ks > 0.0
+        k = int(ks[cond][-1])
+        out[start : start + b] = np.maximum(block - css[k - 1] / k, 0.0)
+        start += b
+    return out

@@ -312,6 +312,7 @@ def test_missing_file_exits_2(capsys):
         ["--restarts", "0"],
         ["--restarts", "-5"],
         ["--max-iters", "0"],
+        ["--seed", "-1"],
     ],
 )
 def test_bad_budget_or_pin_exits_2(comp_files, tmp_path, capsys, argv):

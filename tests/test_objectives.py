@@ -297,6 +297,15 @@ def _awkward_tensor(rng, shape):
     return t
 
 
+def _c_order(t):
+    return t
+
+
+def _input_major(t):
+    # the layout FixedInputObjective.to_tensor builds: the input axis slowest
+    return np.ascontiguousarray(np.moveaxis(t, -1, 0)).transpose(list(range(1, t.ndim)) + [0])
+
+
 def test_fused_entropy_vector_matches_kernel_bit_for_bit():
     rng = np.random.default_rng(12)
     c = Channel(_random_channel(rng, 3, 2, 3))
@@ -309,9 +318,13 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
         prof2.shape(pc.c2.nx),
     )
     tables = [marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3), f1, f2]
+    # 16 inputs: long enough sums that a matmul's order follows the layout
+    # of its left operand
+    wide = Channel(_random_channel(rng, 16, 3, 4))
+    tables += [marton_table(wide, Cardinalities(4, 4, 2)), _uv_table(wide, 5, 5)]
     for fn in tables:
-        for _ in range(3):
-            t = _awkward_tensor(rng, fn.shape)
+        for layout in (_c_order, _input_major, np.asfortranarray):
+            t = layout(_awkward_tensor(rng, fn.shape))
             weights = rng.normal(size=fn.coeffs.shape[0])
             weights[0] = 0.0
             h_ref, g_ref, marginals = _unfused(fn, t, weights)
@@ -324,3 +337,33 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
                 g = ev.grad(weights)
             assert np.isfinite(g).all()
             assert g.tobytes() == g_ref.tobytes()
+
+
+def test_evaluation_survives_later_evaluations_bit_for_bit():
+    # a table reuses its work buffers, so an evaluation must keep what its
+    # lazy gradient reads: evaluate t1, then t2, then take t1's gradient
+    rng = np.random.default_rng(13)
+    c = Channel(_random_channel(rng, 3, 2, 3))
+    for fn in (marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3)):
+        px = rng.dirichlet(np.ones(3))
+        t1, t2 = (_input_major(_awkward_tensor(rng, fn.shape)) for _ in range(2))
+        weights = rng.normal(size=fn.coeffs.shape[0])
+        ev1 = fn.evaluate(t1)
+        v1, grad1 = fn.value_and_grad(t1, min_of(weights))
+        ev2 = fn.evaluate(t2)
+        fn.evaluate(np.ascontiguousarray(t2) * 0.5)
+        g1 = ev1.grad(weights)
+        for ev, t in ((ev1, t1), (ev2, t2)):
+            fresh = fn.evaluate(t)
+            assert ev.entropies.tobytes() == fresh.entropies.tobytes()
+            assert ev.values.tobytes() == fresh.values.tobytes()
+        fresh = fn.evaluate(t1)
+        assert g1.tobytes() == fresh.grad(weights).tobytes()
+        assert grad1().tobytes() == fresh.grad(weights).tobytes()
+        assert v1 == fn.value_and_grad(t1, min_of(weights))[0]
+        # the flat-vector adapters read the same buffers
+        obj = FixedInputObjective(fn, px)
+        x1, x2 = obj.to_flat(t1), obj.to_flat(t2)
+        value, grad = obj(x1)
+        obj(x2)
+        assert (value, grad().tobytes()) == (obj(x1)[0], obj(x1)[1]().tobytes())

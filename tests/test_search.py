@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bcbounds import search
 from bcbounds.search import (
     SearchConfig,
     ascend,
@@ -14,6 +15,7 @@ from bcbounds.search import (
     simplex_grid,
     simplex_grid_size,
 )
+from oracles import project_blocks_per_block
 
 
 def _projection_oracle(v, tol=1e-12):
@@ -48,6 +50,72 @@ def test_project_blocks_independent():
     out = project_blocks(v, [2, 2])
     assert np.allclose(out[:2], project_simplex(v[:2]))
     assert np.allclose(out[2:], project_simplex(v[2:]))
+
+
+PROJECTION_SHAPES = [[16], [8, 8], [128] * 2, [512] * 2, [256] * 16, [4096], [4624], [3, 5, 8]]
+
+
+def _shape_id(sizes):
+    return f"{len(sizes)}x{sizes[0]}" if len(set(sizes)) == 1 else "-".join(map(str, sizes))
+
+
+@pytest.mark.parametrize("sizes", PROJECTION_SHAPES, ids=_shape_id)
+def test_project_blocks_matches_per_block_sort_bit_for_bit(sizes):
+    # ascent trials: a point of the product of simplices plus a step of
+    # 1e-12 to 64 along a normal, a tied or a zero gradient
+    rng = np.random.default_rng(sum(sizes))
+    n = sum(sizes)
+    for draw in range(4):
+        x = np.concatenate([rng.dirichlet(np.full(b, (1.0, 0.1)[draw % 2])) for b in sizes])
+        gradients = {
+            "normal": rng.normal(size=n),
+            "tied": rng.integers(-2, 3, size=n).astype(float),
+            "zero": np.zeros(n),
+        }
+        for g in gradients.values():
+            for step in (1e-12, 1e-6, 1e-2, 1.0, 64.0):
+                v = x + step * g
+                got = project_blocks(v, sizes)
+                assert got.tobytes() == project_blocks_per_block(v, sizes).tobytes()
+                if len(sizes) == 1:
+                    assert project_simplex(v).tobytes() == got.tobytes()
+
+
+@pytest.mark.parametrize("sizes", [[4], [3, 3, 3], [3, 5, 8]])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_project_blocks_rejects_non_finite_entries_naming_the_block(sizes, bad):
+    rng = np.random.default_rng(1)
+    for block in range(len(sizes)):
+        v = rng.normal(size=sum(sizes))
+        v[sum(sizes[:block]) + sizes[block] // 2] = bad
+        with pytest.raises(ValueError, match=f"block {block} "):
+            project_blocks(v, sizes)
+
+
+def test_ascent_projects_through_the_search_module(monkeypatch):
+    # the ascent looks project_blocks up in the search module, so a wrapper
+    # put there (as the benchmark's tracer does) counts every projection
+    original = search.project_blocks
+    projected, served = [], []
+    target = np.array([0.6, 0.4, 0.25, 0.25, 0.5])
+
+    def counting(v, block_sizes):
+        projected.append(original(v, block_sizes))
+        return projected[-1]
+
+    def fun(x):
+        assert x is projected[-1]
+        served.append(len(projected))
+        d = x - target
+        return -float(d @ d), lambda: -2.0 * d
+
+    monkeypatch.setattr(search, "project_blocks", counting)
+    res = maximize(fun, [2, 3], SearchConfig(restarts=6, max_iters=40, seed=2))
+    assert res.value == pytest.approx(0.0, abs=1e-10)
+    # one projection per objective call, plus at most one per restart for
+    # the trial that did not move the point
+    assert len(set(served)) == len(served)
+    assert len(served) <= len(projected) <= len(served) + len(res.restart_values)
 
 
 def test_simplex_grid_count_and_membership():
@@ -156,7 +224,14 @@ def test_maximize_seeds_always_run():
 
 
 @pytest.mark.parametrize(
-    "budget", [{"restarts": 0}, {"restarts": -5}, {"max_iters": 0}, {"restarts": -5, "max_iters": 0}]
+    "budget",
+    [
+        {"restarts": 0},
+        {"restarts": -5},
+        {"max_iters": 0},
+        {"restarts": -5, "max_iters": 0},
+        {"seed": -1},
+    ],
 )
 def test_search_config_rejects_budgets_below_one(budget):
     with pytest.raises(ValueError):
