@@ -45,10 +45,8 @@ DEFAULT_DIRECTIONS = (
 )
 
 REGION_KIND_FLAGS = {
-    "inner": "product_inner",
     "semi-deterministic": "semi_deterministic",
     "more-capable": "more_capable",
-    "more-capable-deterministic": "more_capable_deterministic",
 }
 
 

@@ -417,7 +417,6 @@ def build_lambda_curve(
     lambdas: Sequence[float],
     cfg: SearchConfig,
     extra_seeds: Sequence[np.ndarray] = (),
-    check_slack: float = 1e-6,
 ) -> LambdaCurve:
     """Sample the global lambda-curve on a grid with warm-started searches."""
     evaluate = _warm_lambda(
@@ -425,7 +424,7 @@ def build_lambda_curve(
         extra_seeds,
     )
     curve = LambdaCurve([evaluate(lam)[2] for lam in lambdas])
-    curve.run_checks(check_slack)
+    curve.run_checks()
     return curve
 
 

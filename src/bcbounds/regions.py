@@ -9,13 +9,9 @@ p1(u1,v1,w1,x1) p2(u2,v2,w2,x2) and produce polytopes in (R0, R1, R2):
   product_outer_mirror
                      the same families with the components swapped in
                      the mixed sum row
-  product_inner      the achievable product region (with the -I(U;V|W) term)
   semi_deterministic capacity region form when Y1 and Z2 are deterministic
   more_capable       capacity region form when Z1 is more capable than Y1
                      and Y2 more capable than Z2
-  more_capable_deterministic
-                     capacity region form when Z1 is more capable than Y1
-                     and Y2 is deterministic
 
 The region forms assume their class; build_region notes a mismatch of the
 determinism it can read off the channel, and ``bcbounds classify`` reports
@@ -184,7 +180,6 @@ _TERM_DEFS = {
     "suh": mi_terms("u", "y", "w") + ent_terms("z", "uw"),
     "xy": mi_terms("x", "y", "w"),
     "xz": mi_terms("x", "z", "w"),
-    "niuv": mi_terms("u", "v", "w", -1.0),
 }
 
 Row = tuple[tuple[int, int, int], tuple[str, ...], tuple[str, ...]]
@@ -205,13 +200,6 @@ def _region_rows(kind: str) -> list[Row]:
             for base in ("ay", "az"):
                 rows.append(((1, 1, 1), (base, p1), (base, p2)))
         return rows
-    if kind == "product_inner":
-        rows = list(r0)
-        rows.append(((1, 1, 0), ("ay", "uy"), ("ay", "uy")))
-        rows.append(((1, 0, 1), ("az", "vz"), ("az", "vz")))
-        for base in ("ay", "az"):
-            rows.append(((1, 1, 1), (base, "uy", "vz", "niuv"), (base, "uy", "vz", "niuv")))
-        return rows
     if kind == "semi_deterministic":
         rows = list(r0)
         rows.append(((1, 1, 0), ("ay", "hyw"), ("ay", "uy")))
@@ -228,24 +216,14 @@ def _region_rows(kind: str) -> list[Row]:
             for base in ("ay", "az"):
                 rows.append(((1, 1, 1), (base, p1), (base, p2)))
         return rows
-    if kind == "more_capable_deterministic":
-        # mixed class: Z1 more capable than Y1, Y2 deterministic
-        rows = list(r0)
-        for base in ("ay", "az"):
-            rows.append(((1, 1, 0), (base, "uy"), (base, "hyw")))
-            rows.append(((1, 0, 1), (base, "xz"), (base, "vz")))
-            rows.append(((1, 1, 1), (base, "xz"), (base, "svh")))
-        return rows
     raise ValueError(f"unknown region kind {kind!r}")
 
 
 REGION_KINDS = (
     "product_outer",
     "product_outer_mirror",
-    "product_inner",
     "semi_deterministic",
     "more_capable",
-    "more_capable_deterministic",
 )
 
 
@@ -263,7 +241,7 @@ def default_region_profiles(
     if kind == "semi_deterministic":
         p1 = Cardinalities(1, p1.nv, p1.nw)
         p2 = Cardinalities(p2.nu, 1, p2.nw)
-    elif kind in ("more_capable", "more_capable_deterministic"):
+    elif kind == "more_capable":
         p1 = Cardinalities(p1.nu, 1, p1.nw)
         p2 = Cardinalities(1, p2.nv, p2.nw)
     return p1, p2
@@ -278,12 +256,6 @@ def _class_notes(pc: ProductChannel, kind: str) -> list[str]:
             notes.append(
                 "warning: region form assumes deterministic Y1 and Z2; "
                 "channel does not match, values are not a capacity region"
-            )
-    elif kind == "more_capable_deterministic":
-        if not is_deterministic(pc.c2, "y"):
-            notes.append(
-                "warning: region form assumes deterministic Y2; "
-                "channel does not match"
             )
     return notes
 
@@ -391,7 +363,7 @@ class _SupportObjective:
         weights: Sequence[float],
         prof1: Cardinalities,
         prof2: Cardinalities,
-        fix_r0: float | None = None,
+        fix_r0: float | None,
     ) -> None:
         self.rows = _region_rows(kind)
         self.w = np.asarray(weights, dtype=float)

@@ -333,6 +333,7 @@ def test_bad_budget_or_pin_exits_2(comp_files, tmp_path, capsys, argv):
         ["minmax-check", "--tolerance", "-0.5"],
         ["minmax-check", "--grid-resolution", "0"],
         ["marton", "--lambda-grid", "-1"],
+        ["region", "--kind", "inner"],
     ],
 )
 def test_bad_grid_or_tolerance_exits_2(small_file, capsys, argv):

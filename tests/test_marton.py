@@ -162,7 +162,8 @@ def test_endpoint_reduction_matches_global():
 def test_curve_checks_clean_on_small_channel():
     rng = np.random.default_rng(6)
     c = random_channel(rng, 2, 2, 2)
-    curve = build_lambda_curve(c, [0.0, 0.25, 0.5, 0.75, 1.0], CFG, check_slack=1e-4)
+    curve = build_lambda_curve(c, [0.0, 0.25, 0.5, 0.75, 1.0], CFG)
+    curve.run_checks(1e-4)
     assert curve.ok()
     assert len(curve.samples) == 5
     # csv shape
