@@ -14,7 +14,7 @@ plus multi-start search is best-effort only.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
@@ -37,6 +37,7 @@ __all__ = [
     "ProductChannel",
     "ClassReport",
     "make_product",
+    "product_tensor",
     "is_deterministic",
     "deterministic_map",
     "capacity",
@@ -101,9 +102,16 @@ class ProductChannel:
 
     @cached_property
     def flat(self) -> Channel:
-        q = np.einsum("abc,def->adbecf", self.c1.q, self.c2.q)
-        n1, n2 = self.c1, self.c2
-        return Channel(q.reshape(n1.nx * n2.nx, n1.ny * n2.ny, n1.nz * n2.nz))
+        return Channel(product_tensor(self.c1.q, self.c2.q))
+
+
+def product_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Independent product of two tensors of one rank with each pair of
+    axes flattened, first component major: out[i * b.shape[0] + j, ...]
+    = a[i, ...] * b[j, ...], axis by axis."""
+    t = np.multiply.outer(a, b)
+    interleaved = [ax for k in range(a.ndim) for ax in (k, a.ndim + k)]
+    return t.transpose(interleaved).reshape([m * n for m, n in zip(a.shape, b.shape)])
 
 
 def make_product(c1: Channel, c2: Channel) -> ProductChannel:
@@ -162,15 +170,6 @@ class ComparisonVerdict:
     gap: float  # max of I(X;weaker) - I(X;stronger) found (or U variant)
     witness: np.ndarray | None
     converged: bool
-
-    def to_dict(self) -> dict:
-        verdict = {True: "not refuted", False: "no", None: "unknown"}[self.holds]
-        return {
-            "verdict": verdict,
-            "max_gap_bits": self.gap,
-            "witness": None if self.witness is None else self.witness.tolist(),
-            "converged": self.converged,
-        }
 
 
 def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
@@ -244,18 +243,6 @@ class ClassReport:
     z_more_capable: ComparisonVerdict
     y_less_noisy: ComparisonVerdict
     z_less_noisy: ComparisonVerdict
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "y_deterministic": self.y_deterministic,
-            "z_deterministic": self.z_deterministic,
-            "y_more_capable_than_z": self.y_more_capable.to_dict(),
-            "z_more_capable_than_y": self.z_more_capable.to_dict(),
-            "y_less_noisy_than_z": self.y_less_noisy.to_dict(),
-            "z_less_noisy_than_y": self.z_less_noisy.to_dict(),
-            "notes": self.notes,
-        }
 
 
 def classify(c: Channel, cfg: SearchConfig) -> ClassReport:

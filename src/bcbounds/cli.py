@@ -2,7 +2,9 @@
 
 Every subcommand prints a JSON run report to stdout (or ``--out``) and a
 wall-clock line to stderr, so reports are byte-reproducible for a fixed
-seed and config.  Exit codes: 0 success, 1 a check failed, 2 input or
+seed and config. This module alone renders reports and CSV files from the
+library's dataclasses; every check is a ``counterexample.Check`` written
+by ``_check_dict``.  Exit codes: 0 success, 1 a check failed, 2 input or
 validation error, 3 search budget exhausted without convergence.
 """
 
@@ -17,21 +19,22 @@ from fractions import Fraction
 
 from .channel import (
     Channel,
+    ComparisonVerdict,
     ProductChannel,
     classify,
     load_channel_file,
     make_product,
     save_channel_file,
 )
-from .counterexample import verify_separation
+from .counterexample import Check, verify_separation
 from .marton import (
+    LambdaCurve,
     build_lambda_curve,
     check_factorization,
     check_min_max_equality,
-    curve_to_csv,
     marton_sum_rate,
 )
-from .regions import region_support, uv_sum_rate
+from .regions import UvPoint, region_support, uv_sum_rate
 from .search import SearchConfig
 
 RATIONAL_TOL = 1e-9
@@ -113,13 +116,13 @@ def _emit(report: dict, out: str | None) -> None:
         _write_text(out, text)
 
 
-def _report(command: str, cfg_echo: dict, results: dict, checks: list) -> dict:
+def _report(command: str, cfg_echo: dict, results: dict, checks: list[Check]) -> dict:
     return {
         "command": command,
         "config": cfg_echo,
         "results": results,
-        "checks": checks,
-        "passed": all(c.get("passed", True) for c in checks),
+        "checks": [_check_dict(c) for c in checks],
+        "passed": all(c.passed for c in checks),
         "converged": bool(results.get("converged", True)),
     }
 
@@ -132,14 +135,34 @@ def _exit_code(report: dict) -> int:
     return 0
 
 
-def _check(name: str, computed: float, tolerance: float, passed: bool, target: float) -> dict:
+def _check_dict(check: Check) -> dict:
     return {
-        "name": name,
-        "computed_bits": computed,
-        "computed_display": format_bits(computed),
-        "tolerance": tolerance,
-        "passed": bool(passed),
-        "target_bits": target,
+        "name": check.name,
+        "computed_bits": check.computed,
+        "computed_display": format_bits(check.computed),
+        "target_bits": check.target,
+        "target_display": format_bits(check.target),
+        "tolerance": check.tolerance,
+        "passed": check.passed,
+    }
+
+
+def _verdict_dict(v: ComparisonVerdict) -> dict:
+    return {
+        "verdict": {True: "not refuted", False: "no", None: "unknown"}[v.holds],
+        "max_gap_bits": v.gap,
+        "witness": None if v.witness is None else v.witness.tolist(),
+        "converged": v.converged,
+    }
+
+
+def _uv_point_dict(p: UvPoint) -> dict:
+    return {
+        "r1_bound_bits": p.r1_bound,
+        "r2_bound_bits": p.r2_bound,
+        "sum_y_side_bits": p.sum_y_side,
+        "sum_z_side_bits": p.sum_z_side,
+        "sum_rate_bits": p.sum_rate,
     }
 
 
@@ -180,6 +203,13 @@ def _parse_directions(path: str | None) -> list[tuple[float, float, float]]:
     return out
 
 
+def _curve_csv(curve: LambdaCurve) -> str:
+    lines = ["lambda,value_bits,subgradient,converged"]
+    for s in curve.samples:
+        lines.append(f"{s.lam!r},{s.value!r},{s.subgradient!r},{int(s.converged)}")
+    return "\n".join(lines) + "\n"
+
+
 def _sweep_csv(rows: list[dict]) -> str:
     lines = ["w0,w1,w2,value,converged"]
     for row in rows:
@@ -199,17 +229,16 @@ def _cmd_classify(args) -> tuple[dict, dict, list]:
     chan = _as_single(_load(args.channel))
     cfg = _config(args)
     rep = classify(chan, cfg)
-    converged = all(
-        v.converged
-        for v in (
-            rep.y_more_capable,
-            rep.z_more_capable,
-            rep.y_less_noisy,
-            rep.z_less_noisy,
-        )
-    )
-    results = rep.to_dict()
-    results["converged"] = converged
+    verdicts = {
+        "y_more_capable_than_z": rep.y_more_capable,
+        "z_more_capable_than_y": rep.z_more_capable,
+        "y_less_noisy_than_z": rep.y_less_noisy,
+        "z_less_noisy_than_y": rep.z_less_noisy,
+    }
+    results = {key: _verdict_dict(v) for key, v in verdicts.items()}
+    results["y_deterministic"] = rep.y_deterministic
+    results["z_deterministic"] = rep.z_deterministic
+    results["converged"] = all(v.converged for v in verdicts.values())
     return _config_echo(cfg), results, []
 
 
@@ -244,7 +273,7 @@ def _cmd_marton(args) -> tuple[dict, dict, list]:
             "hyperplane_violations": curve.hyperplane_violations,
         }
         if args.curve_csv is not None:
-            _write_text(args.curve_csv, curve_to_csv(curve))
+            _write_text(args.curve_csv, _curve_csv(curve))
             results["curve_csv"] = args.curve_csv
     results["converged"] = converged
     return _config_echo(cfg), results, []
@@ -257,7 +286,7 @@ def _cmd_uv(args) -> tuple[dict, dict, list]:
     results = {
         "sum_rate_bits": res.value,
         "sum_rate_display": format_bits(res.value),
-        "point": res.point.to_dict(),
+        "point": _uv_point_dict(res.point),
         "converged": res.converged,
         "budget_exhausted": not res.converged,
     }
@@ -283,17 +312,20 @@ def _cmd_product(args) -> tuple[dict, dict, list]:
         save_channel_file(args.save, pc)
     if args.check_factorization:
         fac = check_factorization(c1, c2, args.lam, cfg)
-        results["factorization"] = fac.to_dict()
+        results["factorization"] = {
+            "lambda": fac.lam,
+            "component_1_bits": fac.value_c1,
+            "component_2_bits": fac.value_c2,
+            "sum_bits": fac.value_c1 + fac.value_c2,
+            "product_bits": fac.value_product,
+            "gap_bits": fac.gap,
+            "tolerance_bits": fac.tolerance,
+            "factorizes": fac.holds,
+            "deterministic_links": fac.deterministic_links,
+            "converged": fac.converged,
+        }
         results["converged"] = fac.converged
-        checks.append(
-            _check(
-                "factorization_gap",
-                fac.gap,
-                fac.tolerance,
-                fac.holds,
-                target=0.0,
-            )
-        )
+        checks.append(Check.within("factorization_gap", fac.gap, 0.0, fac.tolerance))
     return _config_echo(cfg), results, checks
 
 
@@ -334,7 +366,9 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
         "sweep": rows,
         "region": {
             "tag": region.tag,
-            "inequalities": region.to_json_list(),
+            "inequalities": [
+                {"a": [float(x) for x in a], "rhs": float(r)} for a, r in region.inequalities
+            ],
             "notes": region.notes,
         },
         "converged": all(r["converged"] for r in rows),
@@ -347,17 +381,26 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
 
 def _cmd_verify_example(args) -> tuple[dict, dict, list]:
     rep = verify_separation(seed=args.seed)
-    results = rep.to_dict()
-    check_dicts = results.pop("checks")
-    results.pop("passed")
-    results["converged"] = rep.converged
-    checks = []
-    for entry in check_dicts:
-        entry = dict(entry)
-        entry["computed_display"] = format_bits(entry["computed_bits"])
-        entry["target_display"] = format_bits(entry["target_bits"])
-        checks.append(entry)
-    return {"seed": args.seed}, results, checks
+    results = {
+        "channel": {"nx": 16, "ny": 12, "nz": 12, "structure": "product"},
+        "seed": args.seed,
+        "analytic": {
+            "lambda_star": 0.5,
+            "marton_sum_rate_bits": 8.0 / 3.0,
+            "uv_witness_bits": 44.0 / 15.0,
+            "gap_bits": 44.0 / 15.0 - 8.0 / 3.0,
+        },
+        "marton_numeric": {
+            "value_bits": rep.marton.value,
+            "lambda_star": rep.marton.lam_star,
+            "evaluations": rep.marton.evaluations,
+            "converged": rep.marton.converged,
+        },
+        "uv_witness_point": _uv_point_dict(rep.uv_witness_point),
+        "uv_free": {"value_bits": rep.uv_free.value, "converged": rep.uv_free.converged},
+        "converged": rep.converged,
+    }
+    return {"seed": args.seed}, results, rep.checks
 
 
 def _cmd_minmax_check(args) -> tuple[dict, dict, list]:
@@ -367,17 +410,16 @@ def _cmd_minmax_check(args) -> tuple[dict, dict, list]:
         rep = check_min_max_equality(chan, cfg, px_resolution=args.grid_resolution)
     except ValueError as exc:
         raise CommandError(str(exc))
-    results = rep.to_dict()
-    results["converged"] = rep.converged
-    checks = [
-        _check(
-            "pairwise_gap",
-            rep.max_pairwise_gap,
-            args.tolerance,
-            rep.max_pairwise_gap <= args.tolerance,
-            target=0.0,
-        )
-    ]
+    results = {
+        "max_min_bits": rep.max_min,
+        "max_min_max_bits": rep.max_min_max,
+        "min_max_bits": rep.min_max,
+        "max_pairwise_gap_bits": rep.max_pairwise_gap,
+        "lambda_star": rep.lam_star,
+        "converged": rep.converged,
+    }
+    # the min-max gap is never negative, so |gap| <= tolerance is gap <= tolerance
+    checks = [Check.within("pairwise_gap", rep.max_pairwise_gap, 0.0, args.tolerance)]
     return _config_echo(cfg), results, checks
 
 

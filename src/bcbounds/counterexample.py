@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, ProductChannel, make_product
+from .channel import Channel, ProductChannel, make_product, product_tensor
 from .kernel import entropy_of_array
 from .marton import (
     AuxiliaryJoint,
@@ -50,6 +50,7 @@ __all__ = [
     "uv_witness_auxiliary",
     "marton_on_product",
     "uv_on_product",
+    "Check",
     "verify_separation",
 ]
 
@@ -192,8 +193,7 @@ def uv_witness_auxiliary(q_probs: tuple[float, float] = (0.8, 0.8)) -> UvAuxilia
     if not (0.0 <= q1 <= 1.0 and 0.0 <= q2 <= 1.0):
         raise ValueError("mixing probabilities must lie in [0, 1]")
     p1, p2 = _witness_components(q1, q2)
-    joint = np.einsum("ace,bdf->abcdef", p1, p2).reshape(12, 12, 16)
-    return UvAuxiliary(joint)
+    return UvAuxiliary(product_tensor(p1, p2))
 
 
 # search budgets of verify_separation's two product searches
@@ -221,59 +221,38 @@ def uv_on_product(cfg: SearchConfig) -> UvSumRate:
     )
 
 
-@dataclass
-class SeparationCheck:
+@dataclass(frozen=True)
+class Check:
+    """A computed value compared with its target under one pass rule."""
+
     name: str
     computed: float
     target: float
     tolerance: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "computed_bits": self.computed,
-            "target_bits": self.target,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+    @classmethod
+    def within(cls, name: str, computed: float, target: float, tolerance: float) -> "Check":
+        """Passes when |computed - target| <= tolerance."""
+        return cls(name, computed, target, tolerance, bool(abs(computed - target) <= tolerance))
+
+    @classmethod
+    def at_least(cls, name: str, computed: float, target: float, tolerance: float) -> "Check":
+        """Passes when computed >= target - tolerance."""
+        return cls(name, computed, target, tolerance, bool(computed >= target - tolerance))
 
 
 @dataclass
 class SeparationReport:
-    checks: list
-    passed: bool
+    checks: list[Check]
     converged: bool
     marton: MartonSumRate
     uv_witness_point: UvPoint
     uv_free: UvSumRate
-    seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "channel": {"nx": 16, "ny": 12, "nz": 12, "structure": "product"},
-            "seed": self.seed,
-            "analytic": {
-                "lambda_star": 0.5,
-                "marton_sum_rate_bits": 8.0 / 3.0,
-                "uv_witness_bits": 44.0 / 15.0,
-                "gap_bits": 44.0 / 15.0 - 8.0 / 3.0,
-            },
-            "marton_numeric": {
-                "value_bits": self.marton.value,
-                "lambda_star": self.marton.lam_star,
-                "evaluations": self.marton.evaluations,
-                "converged": self.marton.converged,
-            },
-            "uv_witness_point": self.uv_witness_point.to_dict(),
-            "uv_free": {
-                "value_bits": self.uv_free.value,
-                "converged": self.uv_free.converged,
-            },
-            "checks": [c.to_dict() for c in self.checks],
-            "passed": self.passed,
-            "converged": self.converged,
-        }
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
 
 def verify_separation(seed: int = 0) -> SeparationReport:
@@ -286,70 +265,24 @@ def verify_separation(seed: int = 0) -> SeparationReport:
     reproduces the analytic 4/15 separation up to the same slacks.
     """
     lam_star, analytic_value = analytic_minimum()
+    target_uv = 44.0 / 15.0
     grid = [k / 10.0 for k in range(11)]
     curve_min = min(analytic_product_curve(l) for l in grid + [lam_star])
-    checks = [
-        SeparationCheck(
-            "analytic_curve_minimum",
-            computed=curve_min,
-            target=analytic_value,
-            tolerance=1e-12,
-            passed=abs(curve_min - analytic_value) <= 1e-12,
-        )
-    ]
-
     marton = marton_on_product(MARTON_PRODUCT_CFG.with_(seed=seed))
-    checks.append(
-        SeparationCheck(
-            "marton_numeric_on_product",
-            computed=marton.value,
-            target=analytic_value,
-            tolerance=5e-3,
-            passed=abs(marton.value - analytic_value) <= 5e-3,
-        )
-    )
-
-    witness = uv_witness_auxiliary()
-    point = evaluate_uv_point(product_channel().flat, witness)
-    target_uv = 44.0 / 15.0
-    checks.append(
-        SeparationCheck(
-            "uv_at_witness",
-            computed=point.sum_rate,
-            target=target_uv,
-            tolerance=1e-9,
-            passed=abs(point.sum_rate - target_uv) <= 1e-9,
-        )
-    )
-
+    point = evaluate_uv_point(product_channel().flat, uv_witness_auxiliary())
     free = uv_on_product(UV_PRODUCT_CFG.with_(seed=seed))
-    checks.append(
-        SeparationCheck(
-            "uv_free_search",
-            computed=free.value,
-            target=target_uv,
-            tolerance=1e-6,
-            passed=free.value >= target_uv - 1e-6,
-        )
-    )
-
     gap = free.value - marton.value
-    checks.append(
-        SeparationCheck(
-            "separation_gap",
-            computed=gap,
-            target=target_uv - analytic_value,
-            tolerance=5e-3 + 1e-6,
-            passed=gap >= (target_uv - analytic_value) - 5e-3 - 1e-6,
-        )
-    )
-
+    checks = [
+        Check.within("analytic_curve_minimum", curve_min, analytic_value, 1e-12),
+        Check.within("marton_numeric_on_product", marton.value, analytic_value, 5e-3),
+        Check.within("uv_at_witness", point.sum_rate, target_uv, 1e-9),
+        Check.at_least("uv_free_search", free.value, target_uv, 1e-6),
+        Check.at_least("separation_gap", gap, target_uv - analytic_value, 5e-3 + 1e-6),
+    ]
     return SeparationReport(
         checks=checks,
-        passed=all(c.passed for c in checks),
         converged=marton.converged and free.converged,
         marton=marton,
         uv_witness_point=point,
         uv_free=free,
-        seed=seed,
     )

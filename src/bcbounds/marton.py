@@ -29,7 +29,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .channel import Channel, capacity, deterministic_map, is_deterministic, make_product
+from .channel import (
+    Channel,
+    capacity,
+    deterministic_map,
+    is_deterministic,
+    make_product,
+    product_tensor,
+)
 from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
 from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms, min_of
 from .search import (
@@ -57,7 +64,6 @@ __all__ = [
     "check_factorization",
     "check_min_max_equality",
     "outer_auxiliary",
-    "curve_to_csv",
 ]
 
 
@@ -388,13 +394,6 @@ class LambdaCurve:
         return not self.convexity_violations and not self.hyperplane_violations
 
 
-def curve_to_csv(curve: LambdaCurve) -> str:
-    lines = ["lambda,value_bits,subgradient,converged"]
-    for s in curve.samples:
-        lines.append(f"{s.lam!r},{s.value!r},{s.subgradient!r},{int(s.converged)}")
-    return "\n".join(lines) + "\n"
-
-
 def _warm_lambda(
     solve: Callable[[float, list[np.ndarray]], LambdaPointResult],
     extra_seeds: Sequence[np.ndarray] = (),
@@ -474,11 +473,7 @@ def outer_auxiliary(a1: AuxiliaryJoint, a2: AuxiliaryJoint) -> AuxiliaryJoint:
 
     Index flattening matches the product channel: first component major.
     """
-    t = np.einsum("abcd,efgh->aebfcgdh", a1.joint, a2.joint)
-    n1, n2 = a1.shape, a2.shape
-    return AuxiliaryJoint(
-        t.reshape(n1[0] * n2[0], n1[1] * n2[1], n1[2] * n2[2], n1[3] * n2[3])
-    )
+    return AuxiliaryJoint(product_tensor(a1.joint, a2.joint))
 
 
 # largest |product - component sum| that check_factorization calls a factorization
@@ -496,20 +491,6 @@ class FactorizationReport:
     holds: bool
     deterministic_links: list
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "component_1_bits": self.value_c1,
-            "component_2_bits": self.value_c2,
-            "sum_bits": self.value_c1 + self.value_c2,
-            "product_bits": self.value_product,
-            "gap_bits": self.gap,
-            "tolerance_bits": self.tolerance,
-            "factorizes": self.holds,
-            "deterministic_links": self.deterministic_links,
-            "converged": self.converged,
-        }
 
 
 def check_factorization(
@@ -564,16 +545,6 @@ class MinMaxReport:
     max_pairwise_gap: float
     lam_star: float
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "max_min_bits": self.max_min,
-            "max_min_max_bits": self.max_min_max,
-            "min_max_bits": self.min_max,
-            "max_pairwise_gap_bits": self.max_pairwise_gap,
-            "lambda_star": self.lam_star,
-            "converged": self.converged,
-        }
 
 
 def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) -> MinMaxReport:

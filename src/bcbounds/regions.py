@@ -86,15 +86,6 @@ class UvPoint:
     def sum_rate(self) -> float:
         return min(self.r1_bound + self.r2_bound, self.sum_y_side, self.sum_z_side)
 
-    def to_dict(self) -> dict:
-        return {
-            "r1_bound_bits": self.r1_bound,
-            "r2_bound_bits": self.r2_bound,
-            "sum_y_side_bits": self.sum_y_side,
-            "sum_z_side_bits": self.sum_z_side,
-            "sum_rate_bits": self.sum_rate,
-        }
-
 
 def _uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
     """Rows: the three sum-rate branches (searched as their minimum), then
@@ -267,12 +258,6 @@ class RateRegionPolytope:
     inequalities: list[tuple[tuple[int, int, int], float]]
     tag: str
     notes: list = field(default_factory=list)
-
-    def to_json_list(self) -> list[dict]:
-        return [
-            {"a": [float(x) for x in a], "rhs": float(r)}
-            for a, r in self.inequalities
-        ]
 
     def support(self, weights: Sequence[float], fix_r0: float | None = None) -> tuple[float, np.ndarray]:
         system = _VertexSystem([a for a, _ in self.inequalities], fix_r0)

@@ -18,6 +18,7 @@ from bcbounds.channel import (
     make_product,
     save_channel_file,
 )
+from bcbounds.cli import _verdict_dict
 from bcbounds.search import SearchConfig
 from info_oracle import mutual_information
 
@@ -113,7 +114,7 @@ def test_classify_degraded_pair():
     assert not rep.y_deterministic and not rep.z_deterministic
     assert rep.y_more_capable.holds is True
     # a search that finds no violation cannot certify the relation
-    assert rep.y_more_capable.to_dict()["verdict"] == "not refuted"
+    assert _verdict_dict(rep.y_more_capable)["verdict"] == "not refuted"
     assert rep.z_more_capable.holds is False
     assert rep.z_more_capable.gap > 0.1
     # the refuting witness is a genuine input law

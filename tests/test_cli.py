@@ -17,6 +17,17 @@ from bcbounds.counterexample import component
 from bcbounds.search import SearchConfig
 
 
+CHECK_KEYS = {
+    "name",
+    "computed_bits",
+    "computed_display",
+    "target_bits",
+    "target_display",
+    "tolerance",
+    "passed",
+}
+
+
 def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -147,6 +158,12 @@ def test_product_save_and_outer_sweep(comp_files, tmp_path, capsys):
     assert region["inequalities"] and all(
         set(iq) == {"a", "rhs"} for iq in region["inequalities"]
     )
+    # export shape: three float weights and a float bound per row; the first row bounds R0 alone
+    assert all(
+        len(iq["a"]) == 3 and all(isinstance(x, float) for x in iq["a"] + [iq["rhs"]])
+        for iq in region["inequalities"]
+    )
+    assert region["inequalities"][0]["a"] == [1.0, 0.0, 0.0]
     lines = sweep_csv.read_text().splitlines()
     assert lines[0] == "w0,w1,w2,value,converged"
     assert len(lines) == 2
@@ -167,6 +184,7 @@ def test_product_factorization_check(comp_files, capsys):
     rep = json.loads(out)
     assert code == 0
     assert rep["checks"][0]["name"] == "factorization_gap"
+    assert all(set(c) == CHECK_KEYS for c in rep["checks"])
     assert rep["passed"] is True
 
 
@@ -204,6 +222,7 @@ def test_minmax_check_small(small_file, capsys):
     rep = json.loads(out)
     assert code in (0, 1)
     assert rep["checks"][0]["name"] == "pairwise_gap"
+    assert all(set(c) == CHECK_KEYS for c in rep["checks"])
     res = rep["results"]
     assert {"max_min_bits", "max_min_max_bits", "min_max_bits"} <= set(res)
     assert res["max_pairwise_gap_bits"] >= 0
@@ -242,6 +261,7 @@ def test_verify_example_deterministic_bytes(tmp_path, capsys):
     assert rep["passed"] is True
     names = [c["name"] for c in rep["checks"]]
     assert "separation_gap" in names
+    assert all(set(c) == CHECK_KEYS for c in rep["checks"])
 
 
 def test_out_flag_writes_file_not_stdout(small_file, tmp_path, capsys):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import json
 import re
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from bcbounds import cli
 from bcbounds.channel import deterministic_map, is_deterministic
 from bcbounds.counterexample import (
     PAIRS,
+    Check,
     component,
     component_branch_aux,
     f_closed_form,
@@ -138,6 +140,21 @@ def test_no_search_budget_has_a_default():
     assert defaulted == []
 
 
+def test_only_the_cli_renders_reports():
+    # one module owns the report format: key names, the _bits suffix, CSV layouts
+    pkg = Path(bcbounds.__file__).resolve().parent
+    renderers = []
+    for path in sorted(pkg.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                node.name in ("to_dict", "to_json_list") or node.name.endswith("_csv")
+            ):
+                renderers.append(f"{path.stem}.{node.name}")
+    assert renderers == []
+
+
 def test_cli_region_kinds_are_the_region_kinds():
     # `outer`, `outer --mirror` and every `region --kind` flag name one kind each
     parser = cli.build_parser()
@@ -244,10 +261,12 @@ def test_verify_separation_passes_across_seeds(seed):
     assert rep.marton.evaluations == 1
 
 
-def test_verify_separation_report_structure():
-    rep = verify_separation(seed=0)
-    assert rep.passed and rep.converged
-    names = [c.name for c in rep.checks]
+def test_verify_separation_report_structure(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify-example", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["passed"] and rep["converged"]
+    names = [c["name"] for c in rep["checks"]]
     assert names == [
         "analytic_curve_minimum",
         "marton_numeric_on_product",
@@ -255,8 +274,24 @@ def test_verify_separation_report_structure():
         "uv_free_search",
         "separation_gap",
     ]
-    d = rep.to_dict()
+    d = rep["results"]
     assert d["analytic"]["marton_sum_rate_bits"] == pytest.approx(8 / 3, abs=1e-12)
     assert d["analytic"]["uv_witness_bits"] == pytest.approx(44 / 15, abs=1e-12)
     assert d["channel"] == {"nx": 16, "ny": 12, "nz": 12, "structure": "product"}
-    assert all(c["passed"] for c in d["checks"])
+    assert all(c["passed"] for c in rep["checks"])
+
+
+def test_check_pass_rules():
+    # within passes at exactly the tolerance and fails just past it
+    assert Check.within("c", 1.25, 1.0, 0.25).passed
+    assert not Check.within("c", np.nextafter(1.25, 2.0), 1.0, 0.25).passed
+    assert not Check.within("c", np.nextafter(0.75, 0.0), 1.0, 0.25).passed
+    # at_least passes at target - tolerance, and at any larger value
+    assert Check.at_least("c", 0.75, 1.0, 0.25).passed
+    assert Check.at_least("c", 5.0, 1.0, 0.25).passed
+    assert not Check.at_least("c", np.nextafter(0.75, 0.0), 1.0, 0.25).passed
+    # a NaN computed value passes neither rule
+    assert not Check.within("c", float("nan"), 1.0, 0.25).passed
+    assert not Check.at_least("c", float("nan"), 1.0, 0.25).passed
+    check = Check.within("c", 1.0, 1.0, 0.0)
+    assert (check.name, check.computed, check.target, check.tolerance) == ("c", 1.0, 1.0, 0.0)

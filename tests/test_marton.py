@@ -9,7 +9,6 @@ from bcbounds.marton import (
     check_factorization,
     check_min_max_equality,
     curve_subgradient,
-    curve_to_csv,
     fit_joint,
     lambda_sr_global,
     lambda_sr_value,
@@ -19,6 +18,7 @@ from bcbounds.marton import (
     outer_auxiliary,
     structured_seed_joints,
 )
+from bcbounds.cli import _curve_csv
 from bcbounds.search import SearchConfig
 from info_oracle import mutual_information
 from oracles import endpoint_sr
@@ -167,7 +167,7 @@ def test_curve_checks_clean_on_small_channel():
     assert curve.ok()
     assert len(curve.samples) == 5
     # csv shape
-    text = curve_to_csv(curve)
+    text = _curve_csv(curve)
     lines = text.strip().split("\n")
     assert lines[0] == "lambda,value_bits,subgradient,converged"
     assert len(lines) == 6

@@ -283,9 +283,6 @@ def test_polytope_geometry():
     assert region.contains((1.0, 1.0, 2.0))
     assert not region.contains((1.0, 2.0, 3.0))
     assert not region.contains((-0.1, 0.0, 0.0))
-    # export shape
-    as_json = region.to_json_list()
-    assert as_json[0] == {"a": [1.0, 0.0, 0.0], "rhs": 1.0}
 
 
 def _support_by_loop(normals, rhs, w, fix_r0):
