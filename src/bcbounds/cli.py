@@ -26,7 +26,13 @@ from .channel import (
     make_product,
     save_channel_file,
 )
-from .counterexample import Check, verify_separation
+from .counterexample import (
+    UV_WITNESS_BITS,
+    Check,
+    analytic_minimum,
+    product_channel,
+    verify_separation,
+)
 from .marton import (
     LambdaCurve,
     build_lambda_curve,
@@ -319,13 +325,13 @@ def _cmd_product(args) -> tuple[dict, dict, list]:
             "sum_bits": fac.value_c1 + fac.value_c2,
             "product_bits": fac.value_product,
             "gap_bits": fac.gap,
-            "tolerance_bits": fac.tolerance,
-            "factorizes": fac.holds,
+            "tolerance_bits": fac.check.tolerance,
+            "factorizes": fac.check.passed,
             "deterministic_links": fac.deterministic_links,
             "converged": fac.converged,
         }
         results["converged"] = fac.converged
-        checks.append(Check.within("factorization_gap", fac.gap, 0.0, fac.tolerance))
+        checks.append(fac.check)
     return _config_echo(cfg), results, checks
 
 
@@ -381,14 +387,16 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
 
 def _cmd_verify_example(args) -> tuple[dict, dict, list]:
     rep = verify_separation(seed=args.seed)
+    lam_star, marton_bits = analytic_minimum()
+    flat = product_channel().flat
     results = {
-        "channel": {"nx": 16, "ny": 12, "nz": 12, "structure": "product"},
+        "channel": {"nx": flat.nx, "ny": flat.ny, "nz": flat.nz, "structure": "product"},
         "seed": args.seed,
         "analytic": {
-            "lambda_star": 0.5,
-            "marton_sum_rate_bits": 8.0 / 3.0,
-            "uv_witness_bits": 44.0 / 15.0,
-            "gap_bits": 44.0 / 15.0 - 8.0 / 3.0,
+            "lambda_star": lam_star,
+            "marton_sum_rate_bits": marton_bits,
+            "uv_witness_bits": UV_WITNESS_BITS,
+            "gap_bits": UV_WITNESS_BITS - marton_bits,
         },
         "marton_numeric": {
             "value_bits": rep.marton.value,

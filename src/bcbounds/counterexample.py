@@ -47,6 +47,7 @@ __all__ = [
     "component_branch_aux",
     "product_seed_auxiliaries",
     "REDUCED_PRODUCT_PROFILE",
+    "UV_WITNESS_BITS",
     "uv_witness_auxiliary",
     "marton_on_product",
     "uv_on_product",
@@ -178,6 +179,10 @@ def _witness_components(q1: float, q2: float) -> tuple[np.ndarray, np.ndarray]:
     return p1, p2
 
 
+# the UV sum rate at the witness auxiliary, exactly
+UV_WITNESS_BITS = 44.0 / 15.0
+
+
 def uv_witness_auxiliary(q_probs: tuple[float, float] = (0.8, 0.8)) -> UvAuxiliary:
     """Mixture auxiliary certifying the UV bound value on the product.
 
@@ -265,7 +270,7 @@ def verify_separation(seed: int = 0) -> SeparationReport:
     reproduces the analytic 4/15 separation up to the same slacks.
     """
     lam_star, analytic_value = analytic_minimum()
-    target_uv = 44.0 / 15.0
+    target_uv = UV_WITNESS_BITS
     grid = [k / 10.0 for k in range(11)]
     curve_min = min(analytic_product_curve(l) for l in grid + [lam_star])
     marton = marton_on_product(MARTON_PRODUCT_CFG.with_(seed=seed))

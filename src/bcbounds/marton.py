@@ -25,7 +25,7 @@ Profiles are explicit and echoed into every result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ from .search import (
     project_simplex,
     simplex_grid,
 )
+
+if TYPE_CHECKING:  # counterexample imports this module
+    from .counterexample import Check
 
 __all__ = [
     "Cardinalities",
@@ -487,10 +490,13 @@ class FactorizationReport:
     value_c2: float
     value_product: float
     gap: float
-    tolerance: float
-    holds: bool
+    check: Check  # |gap| <= FACTORIZATION_TOL
     deterministic_links: list
     converged: bool
+
+    @property
+    def holds(self) -> bool:
+        return self.check.passed
 
 
 def check_factorization(
@@ -510,6 +516,8 @@ def check_factorization(
     the product search, the largest, runs ``max(8, cfg.restarts // 4)``
     restarts. Each polishes as ``lambda_sr_global`` says.
     """
+    from .counterexample import Check  # here: counterexample imports this module
+
     r1 = lambda_sr_global(c1, lam, cfg)
     r2 = lambda_sr_global(c2, lam, cfg)
     pc = make_product(c1, c2)
@@ -530,8 +538,7 @@ def check_factorization(
         value_c2=r2.value,
         value_product=rp.value,
         gap=gap,
-        tolerance=FACTORIZATION_TOL,
-        holds=abs(gap) <= FACTORIZATION_TOL,
+        check=Check.within("factorization_gap", gap, 0.0, FACTORIZATION_TOL),
         deterministic_links=links,
         converged=r1.converged and r2.converged and rp.converged,
     )

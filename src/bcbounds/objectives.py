@@ -25,21 +25,32 @@ d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are clipped only
 inside the gradient (values keep the exact zero-skip convention of the
 kernel).
 
+Every evaluation takes one tensor or a batch of them with a leading axis,
+on one code path: one tensor is a batch of one. Each tensor of a batch
+is summed exactly as on its own, bit for bit: the reductions keep the
+batch axis slowest, channel products are stacked matmuls (one matrix per
+tensor), every entropy is one dot product over its own segment, and row
+values, weighings and adjoint weights are taken tensor by tensor.
+
 A table owns the work buffers of the forward pass (the keep-marginals of
-t and the flat marginal buffer) and reuses them on every evaluation,
-filling them by a plan compiled once per memory layout of t. So a table
-must not be evaluated from two threads at once.
+t and the flat marginal buffer, one row per tensor) and reuses them on
+every evaluation, filling them by a plan compiled once per batch size
+and memory layout of t. So a table must not be evaluated from two
+threads at once.
 
-The gradient is lazy: ``value_and_grad`` and the flat-vector objectives
-return (value, grad) with ``grad`` a zero-argument callable, so a search
-pays for the adjoint pass only at the points it accepts. An
-``Evaluation`` keeps only what its gradient reads, so a gradient taken
-after later evaluations of the same table is still the one at its own
-point.
+The gradient is lazy: ``value_and_grad`` returns the value and a callable
+that runs the adjoint pass, so a search pays for it only at the points
+it accepts. For a batch it returns the values and ``grad(rows)``, the
+gradients at the tensors ``rows``; the flat-vector adapters below follow
+that search contract (see ``search``), one ``value_and_grad`` call per
+batch. An ``Evaluation`` keeps only what its gradient reads, so a
+gradient taken after later evaluations of the same table is still the
+one at its own point.
 
-A weighing turns the row values into the objective and its row weights:
-the default sums the rows, and ``min_of(weight_rows)`` takes the minimum
-over weight rows w_k of w_k . values, following the first minimal row.
+A weighing turns one tensor's row values into the objective and its row
+weights (a batch is weighed tensor by tensor): the default sums the
+rows, and ``min_of(weight_rows)`` takes the minimum over weight rows w_k
+of w_k . values, following the first minimal row.
 So one table serves a whole family of objectives: the lambda-weighted
 sum rate is one three-row table under the weights (lambda, 1-lambda, 1),
 and the UV sum rate is the minimum of the first three rows of the UV
@@ -77,8 +88,8 @@ __all__ = [
 Term = tuple[float, str]
 # maps row values to (objective value, row weights of its gradient)
 Weigh = Callable[[np.ndarray], tuple[float, np.ndarray]]
-# the gradient at an evaluated point, computed only when called
-Grad = Callable[[], np.ndarray]
+# the gradients at the rows of an evaluated batch, computed only when called
+BatchGrad = Callable[[Sequence[int]], np.ndarray]
 
 
 def _canon(subset: str, order: str) -> str:
@@ -131,7 +142,7 @@ def min_of(weight_rows: Sequence | np.ndarray) -> Weigh:
 
     def weigh(values: np.ndarray) -> tuple[float, np.ndarray]:
         scores = rows @ values
-        k = int(np.argmin(scores))
+        k = int(scores.argmin())
         return float(scores[k]), rows[k]
 
     return weigh
@@ -158,56 +169,81 @@ class _Keep:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How an evaluation fills a table's work buffers, for one memory layout
-    of t: reduce t into each keep buffer, run each copy ``(out, source)``,
-    then each channel product ``op(source, q, out=out)``; every marginal's
-    ``out`` is its slice of the flat buffer."""
+    """How an evaluation fills a table's work buffers, for one batch size
+    and memory layout of a batch of t: reduce the batch into each keep
+    buffer, run each copy ``(out, source)``, then each channel product
+    ``op(source, q, out=out)``; every marginal's ``out`` is its slice of
+    ``flat``, which holds the marginals of one t after another."""
 
     reductions: list[tuple[tuple[int, ...], np.ndarray]]
     copies: list[tuple[np.ndarray, np.ndarray]]
     products: list[tuple[Callable, np.ndarray, np.ndarray, np.ndarray]]
+    flat: np.ndarray  # one buffer: the marginals of each t in turn
+    bounds: np.ndarray  # where each marginal's segment of ``flat`` starts, and the end
 
 
 class Evaluation:
-    """Entropy vector and row values of a table at one tensor; ``grad`` runs
-    the adjoint pass for any row weights without recomputing the forward
-    pass."""
+    """Entropy vector and row values of a table at one tensor, or at each
+    tensor of a batch; ``grad`` runs the adjoint pass for any row weights
+    without recomputing the forward pass."""
 
     def __init__(self, fn: "InfoFunctional", t: np.ndarray) -> None:
         self._fn = fn
         t = np.asarray(t, dtype=float)
-        plan = fn._plan(t)
+        self.batched = t.ndim > len(fn.shape)
+        batch = t if self.batched else t[None]
+        plan = fn._plan(batch)
         for drop, out in plan.reductions:
-            np.add.reduce(t, axis=drop, out=out)
+            np.add.reduce(batch, axis=drop, out=out)
         for out, m in plan.copies:
             np.copyto(out, m)
         for op, m, q, out in plan.products:
             op(m, q, out=out)
         # the next evaluation overwrites the buffers: keep only what grad
         # reads, which segment_entropies returns as fresh arrays
-        self.entropies, self._positive, self._logs = segment_entropies(fn._flat, fn._offsets)
-        self.values = fn.coeffs @ self.entropies
+        h, self._positive, self._logs, self._cuts = segment_entropies(plan.flat, plan.bounds)
+        h = h.reshape(len(batch), -1)
+        # one matrix-vector product per tensor, as for a single one
+        values = np.empty((len(h), len(fn.coeffs)))
+        for row, out in zip(h, values):
+            np.matmul(fn.coeffs, row, out=out)
+        self.entropies, self.values = (h, values) if self.batched else (h[0], values[0])
 
     def grad(self, weights: np.ndarray) -> np.ndarray:
-        """Gradient of weights . values with respect to t."""
+        """Gradient of weights . values with respect to t. For a batch,
+        weights holds one row per tensor and the gradient one tensor per
+        row."""
+        weights = np.asarray(weights, dtype=float)
+        if self.batched:
+            return self.grad_rows(np.arange(len(weights)), weights)
+        return self.grad_rows([0], weights[None])[0]
+
+    def grad_rows(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
+        """Gradients at the tensors ``rows`` of the batch, each under its row
+        of ``weights``, one tensor at a time by the arithmetic of a single
+        one."""
         fn = self._fn
-        per_marginal = np.asarray(weights, dtype=float) @ fn.coeffs
-        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e
-        dh = np.full(self._positive.size, LOG2_CLIP)
-        dh[self._positive] = np.maximum(self._logs, LOG2_CLIP)
-        dh += LOG2E
-        acc: list[np.ndarray | None] = [None] * len(fn._keeps)
-        for s in np.flatnonzero(per_marginal):
-            mg, (a, b) = fn._marginals[s], fn._bounds[s]
-            d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
-            if mg.q is not None:
-                d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
-            acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
-        grad = np.zeros(fn.shape)
-        for keep, g in zip(fn._keeps, acc):
-            if g is not None:
-                grad += g.reshape(keep.expand)
-        return grad
+        size, per_row = fn._offsets[-1], len(fn._shapes)
+        grads = np.zeros((len(rows),) + fn.shape)
+        for grad, r, w in zip(grads, rows, weights):
+            per_marginal = w @ fn.coeffs
+            # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e
+            positive = self._positive[r * size : (r + 1) * size]
+            logs = self._logs[self._cuts[r * per_row] : self._cuts[(r + 1) * per_row]]
+            dh = np.full(positive.size, LOG2_CLIP)
+            dh[positive] = np.maximum(logs, LOG2_CLIP)
+            dh += LOG2E
+            acc: list[np.ndarray | None] = [None] * len(fn._keeps)
+            for s in per_marginal.nonzero()[0]:
+                mg, (a, b) = fn._marginals[s], fn._bounds[s]
+                d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
+                if mg.q is not None:
+                    d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+                acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+            for keep, g in zip(fn._keeps, acc):
+                if g is not None:
+                    grad += g.reshape(keep.expand)
+        return grads
 
 
 class InfoFunctional:
@@ -275,63 +311,87 @@ class InfoFunctional:
         # flat layout of the marginals in one evaluation buffer
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
         self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
-        self._flat = np.empty(self._offsets[-1])
-        self._plans: dict[tuple[int, ...], _Plan] = {}
+        self._plans: dict[tuple, _Plan] = {}
 
-    def _plan(self, t: np.ndarray) -> _Plan:
-        """The plan that fills the work buffers from a tensor laid out in
-        memory like t, compiled at its first use.
+    def _plan(self, batch: np.ndarray) -> _Plan:
+        """The plan that fills the work buffers from a batch of tensors of
+        its size laid out in memory like ``batch``, compiled at its first
+        use.
 
-        Each keep buffer has the layout numpy gives the reduction of t, and
-        a keep-marginal that numpy would copy to C order on reshaping is
-        copied so too. So every reduction and matmul sees operands laid out
-        as on freshly allocated arrays, and sums in the same order: the
-        matmul's order depends on the layout of its left operand.
+        Each keep buffer has the layout numpy gives the reduction of the
+        batch, and a keep-marginal that numpy would copy to C order on
+        reshaping is copied so too. So every reduction and matmul sees
+        operands laid out as on freshly allocated arrays, and sums in the
+        same order: the matmul's order depends on the layout of its left
+        operand. The batch axis is the slowest, and channel products are
+        stacked matmuls (one matrix per tensor), so every tensor of a batch
+        sums in the same order as on its own.
         """
-        plan = self._plans.get(t.strides)
+        # a batch of one has no batch stride to lay out
+        key = (batch.shape, batch.strides if len(batch) > 1 else batch.strides[1:])
+        plan = self._plans.get(key)
         if plan is not None:
             return plan
+        n, size = len(batch), self._offsets[-1]
+        flat = np.empty(n * size)
+        rows = flat.reshape(n, size)
         reductions, copies, work = [], [], []
         for keep in self._keeps:
-            out = np.empty_like(np.add.reduce(t, axis=keep.drop))
-            m = out.reshape(keep.work)
+            # the same axes of every tensor, behind the batch axis
+            drop = tuple(a + 1 for a in keep.drop)
+            out = np.empty_like(np.add.reduce(batch, axis=drop))
+            m = out.reshape((n,) + keep.work)
             if not np.shares_memory(m, out):
-                m = np.empty(keep.work)
+                m = np.empty((n,) + keep.work)
                 copies.append((m.reshape(out.shape), out))
-            reductions.append((keep.drop, out))
+            reductions.append((drop, out))
             work.append(m)
         products = []
         for mg, (a, b), shape in zip(self._marginals, self._bounds, self._shapes):
-            m, view = work[mg.keep], self._flat[a:b].reshape(shape)
+            m, view = work[mg.keep], rows[:, a:b].reshape((n,) + shape)
             if mg.q is None:
                 copies.append((view, m))
             elif mg.joint_input:
-                products.append((np.multiply, m[:, :, None], mg.q, view))
+                products.append((np.multiply, m[..., None], mg.q, view))
             else:
                 products.append((np.matmul, m, mg.q, view))
-        plan = self._plans[t.strides] = _Plan(reductions, copies, products)
+        bounds = np.concatenate([self._offsets[:-1] + r * size for r in range(n)] + [[n * size]])
+        plan = self._plans[key] = _Plan(reductions, copies, products, flat, bounds)
         return plan
 
     def evaluate(self, t: np.ndarray) -> Evaluation:
-        """Marginals, entropy vector and row values at t (forward pass only)."""
+        """Marginals, entropy vector and row values at t (forward pass
+        only); t is one tensor of ``shape`` or a batch with a leading axis."""
         return Evaluation(self, t)
 
     def value(self, t: np.ndarray) -> np.ndarray:
-        """Row values at t."""
+        """Row values at t (one row of them per tensor of a batch)."""
         return self.evaluate(t).values
 
-    def value_and_grad(self, t: np.ndarray, weigh: Weigh = _sum_of_rows) -> tuple[float, Grad]:
-        """Objective value and its gradient as a callable; ``weigh`` turns the
-        row values into the value and the row weights (default: the sum of
-        the rows). Only calling ``grad`` runs the adjoint pass."""
+    def value_and_grad(self, t: np.ndarray, weigh: Weigh = _sum_of_rows) -> tuple:
+        """Objective value and its gradient as a callable; ``weigh`` turns
+        one tensor's row values into its value and row weights (default:
+        the sum of the rows). Only calling ``grad`` runs the adjoint pass.
+
+        One tensor gives ``(value, grad)`` with ``grad()`` its gradient; a
+        batch gives the array of values and ``grad(rows)``, the gradients
+        at the tensors ``t[rows]``.
+        """
         ev = self.evaluate(t)
-        value, weights = weigh(ev.values)
-        return value, lambda: ev.grad(weights)
+        per_tensor = ev.values if ev.batched else ev.values[None]
+        values, weights = np.empty(len(per_tensor)), np.empty(per_tensor.shape)
+        for r, row in enumerate(per_tensor):
+            values[r], weights[r] = weigh(row)
+        if not ev.batched:
+            return float(values[0]), lambda: ev.grad(weights[0])
+        return values, lambda rows: ev.grad_rows(rows, weights[rows])
 
 
 class JointObjective:
     """Flat-vector adapter: one simplex over the whole base tensor; ``weigh``
-    reduces a table's rows to the objective (see ``value_and_grad``)."""
+    reduces a table's rows to the objective (see ``value_and_grad``).
+    Called on a batch of flat points, one per row, it follows the search
+    contract: their values and ``grad(rows)``."""
 
     def __init__(self, functional: InfoFunctional, weigh: Weigh = _sum_of_rows) -> None:
         self.functional = functional
@@ -343,9 +403,10 @@ class JointObjective:
     def block_sizes(self) -> list[int]:
         return [self.size]
 
-    def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
-        v, grad = self.functional.value_and_grad(flat.reshape(self.shape), self.weigh)
-        return v, lambda: grad().ravel()
+    def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
+        batch = flat.reshape((len(flat),) + self.shape)
+        values, grad = self.functional.value_and_grad(batch, self.weigh)
+        return values, lambda rows: grad(rows).reshape(len(rows), -1)
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(self.shape).copy()
@@ -356,7 +417,7 @@ class JointObjective:
 
 class FixedInputObjective:
     """Flat-vector adapter at fixed input law: one simplex per input symbol;
-    ``weigh`` as in ``JointObjective``.
+    ``weigh`` and the batch call as in ``JointObjective``.
 
     The flat layout is input-major: block x holds the conditional
     p(rest | X=x) in C order. Axes of the base tensor keep the input last.
@@ -378,13 +439,14 @@ class FixedInputObjective:
     def block_sizes(self) -> list[int]:
         return [self.block] * self.nx
 
-    def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
-        v, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weigh)
-        return v, lambda: np.moveaxis(grad() * self.px, -1, 0).ravel()
+    def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
+        values, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weigh)
+        return values, lambda rows: np.moveaxis(grad(rows) * self.px, -1, 1).reshape(len(rows), -1)
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
-        cond = flat.reshape((self.nx,) + self.rest_shape)
-        return np.moveaxis(cond, 0, -1) * self.px
+        """Joint tensor of a flat point, or one per row of a batch."""
+        cond = flat.reshape(flat.shape[:-1] + (self.nx,) + self.rest_shape)
+        return np.moveaxis(cond, flat.ndim - 1, -1) * self.px
 
     def to_flat(self, t: np.ndarray) -> np.ndarray:
         """Conditional layout of a joint tensor (zero-mass inputs -> uniform)."""

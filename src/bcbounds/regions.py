@@ -42,7 +42,7 @@ from .marton import (
     fit_joint,
     structured_seed_joints,
 )
-from .objectives import Grad, InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
+from .objectives import BatchGrad, InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -364,29 +364,44 @@ class _SupportObjective:
         return [self.size1, self.size2]
 
     def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The two component auxiliaries of a flat point, or of each row of
+        a batch."""
+        lead = flat.shape[:-1]
         return (
-            flat[: self.size1].reshape(self.shape1),
-            flat[self.size1 :].reshape(self.shape2),
+            flat[..., : self.size1].reshape(lead + self.shape1),
+            flat[..., self.size1 :].reshape(lead + self.shape2),
         )
 
-    def __call__(self, flat: np.ndarray) -> tuple[float, Grad]:
+    def _duals(self, k: int) -> np.ndarray:
+        """Duals of the active constraints of vertex ``k``, as weights on the
+        region rows."""
+        vs = self.system
+        mu = np.zeros(vs.A.shape[0])
+        mu[vs.combos[k]] = vs.inv[k].T @ self.w
+        mu = mu[: len(self.rows)]
+        mu[np.abs(mu) <= 1e-14] = 0.0
+        return mu
+
+    def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
         t1, t2 = self.split(flat)
         ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
-        value, _, k = self.system.support(ev1.values + ev2.values, self.w)
-        if k is None:
-            # empty numeric polytope: fall back to the origin
-            return value, lambda: np.zeros(self.size1 + self.size2)
+        # one best vertex per point: a batched einsum over the points does
+        # not sum in the order of the single one
+        supports = [self.system.support(rhs, self.w) for rhs in ev1.values + ev2.values]
 
-        def grad() -> np.ndarray:
-            # duals of the active constraints, as weights on the region rows
-            vs = self.system
-            mu = np.zeros(vs.A.shape[0])
-            mu[vs.combos[k]] = vs.inv[k].T @ self.w
-            mu = mu[: len(self.rows)]
-            mu[np.abs(mu) <= 1e-14] = 0.0
-            return np.concatenate([ev1.grad(mu).ravel(), ev2.grad(mu).ravel()])
+        def grad(rows: Sequence[int]) -> np.ndarray:
+            # an empty numeric polytope (no vertex) falls back to the origin,
+            # whose gradient is zero
+            mu = np.zeros((len(rows), len(self.rows)))
+            for i, r in enumerate(rows):
+                k = supports[r][2]
+                if k is not None:
+                    mu[i] = self._duals(k)
+            g1 = ev1.grad_rows(rows, mu).reshape(len(rows), -1)
+            g2 = ev2.grad_rows(rows, mu).reshape(len(rows), -1)
+            return np.concatenate([g1, g2], axis=1)
 
-        return value, grad
+        return np.array([value for value, _, _ in supports]), grad
 
 
 @dataclass

@@ -8,27 +8,43 @@ over restarts is ordered by restart index, so doubling the restart budget
 keeps the original restarts' trajectories bit-identical (value can only go
 up).
 
-Objective contract: ``fun(x) -> (value, grad)``, where ``grad`` is a
-zero-argument callable returning the gradient at x. The ascent is
-value-first: it calls ``grad`` only for a restart's start point and for
-each step it accepts, never for a rejected line-search trial.
+Objective contract: ``fun(X) -> (values, grad)`` for a batch X of shape
+(B, n), one point per row. ``values`` holds the B objective values and
+``grad(rows)`` returns the gradients at the points ``X[rows]``, one per
+row, computed only when called. Every batch goes through one evaluation
+of the objective's table (one ``InfoFunctional.value_and_grad``, or one
+``evaluate`` per component table), however many rows it has.
+
+The ascent is lockstep and value-first. ``maximize`` steps consecutive
+restarts together (at most ``LOCKSTEP_FLOATS`` floats of points at a
+time): each round projects every live restart's trial point in one
+``project_blocks`` call and scores them in one objective call, then each
+restart accepts its step or shrinks it by its own rule, and the gradients
+of the accepted rows come from one ``grad`` call. Gradients run only at a
+restart's start point and at the steps it accepts, never at a rejected
+trial. A restart's arithmetic does not depend on which restarts share its
+rounds, so every result is bit-identical to running the restarts one at a
+time; ``ascend`` is the same engine with one start.
 
 Every search entry point takes its budget as a required ``SearchConfig``
 from its caller; none has a default budget.
 
 Projection: every ascent step is projected onto the product of simplices
 by ``project_blocks``, which the ascent looks up in this module on every
-call. It has three paths, all bit-identical to a per-block sort
-projection: one block is ``project_simplex``; equal blocks are one sort
-along the last axis of a (blocks, size) view; unequal blocks are
-projected one at a time. Equal blocks are the fixed-input objectives (one
-block per input symbol) and a region search whose two component
-auxiliaries have one size, as on the worked product (2 x 512 for
-``product_outer``, 2 x 128 for ``semi_deterministic``).
+round. It takes one point or a batch of them and has three paths, all
+bit-identical to a per-block sort projection: one point of one block is
+``project_simplex``; other equal blocks are one sort along the last axis
+of a (points x blocks, size) view; unequal blocks are projected one block
+column at a time. Equal blocks are the joint objectives (one block), the
+fixed-input objectives (one block per input symbol) and a region search
+whose two component auxiliaries have one size, as on the worked product
+(2 x 512 for ``product_outer``, 2 x 128 for ``semi_deterministic``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -50,7 +66,7 @@ __all__ = [
 ]
 
 # the objective contract of the module docstring
-Objective = Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]]
+Objective = Callable[[np.ndarray], tuple[np.ndarray, Callable[[Sequence[int]], np.ndarray]]]
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # golden_section_min: a subgradient this small stops at its point, and sign
@@ -58,13 +74,20 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 SUBGRAD_TOL = 1e-6
 BISECT_UNTIL = 0.25
 
-# step-size control of the projected ascent in _run_restart
+# step-size control of the projected ascent in _lockstep
 STEP_INIT = 0.5
 STEP_SHRINK = 0.5
 STEP_GROW = 1.6
 STEP_MAX = 64.0
 MIN_STEP = 1e-12
 IMPROVE_TOL = 1e-9
+# maximize steps at most this many floats of restart points together: an
+# objective's batch buffers grow with the batch, while the per-call
+# overhead that lockstep saves is already small next to the arithmetic of
+# a point this size (the 16-float Marton searches of a binary-input pair
+# step all their restarts together, the 4096-float product searches one at
+# a time)
+LOCKSTEP_FLOATS = 4096
 
 
 @dataclass(frozen=True)
@@ -106,6 +129,15 @@ def _unprojectable(block: int) -> ValueError:
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _ranks(n: int) -> np.ndarray:
+    """1.0, 2.0, ..., n: the divisors of a projection's running sums, made
+    once per size."""
+    ranks = np.arange(1.0, n + 1)
+    ranks.flags.writeable = False
+    return ranks
+
+
 def _project_vector(v: np.ndarray, block: int) -> np.ndarray:
     """``project_simplex`` of a flat float vector, naming it ``block`` if it
     fails."""
@@ -113,13 +145,35 @@ def _project_vector(v: np.ndarray, block: int) -> np.ndarray:
     # q_k = (u_1 + ... + u_k - 1) / k, the threshold if k entries stay positive
     q = np.cumsum(u)
     q -= 1.0
-    q /= np.arange(1.0, v.size + 1)
+    q /= _ranks(v.size)
     cond = u > q
     k = v.size - int(cond[::-1].argmax())
     # an inf or nan entry leaves cond all false or the last sum not finite
     if not (cond[k - 1] and math.isfinite(q[-1])):
         raise _unprojectable(block)
     out = v - q[k - 1]
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _project_rows(rows: np.ndarray, blocks: int, first: int) -> np.ndarray:
+    """``project_simplex`` of every row of a (rows, size) array, bit for
+    bit: the same steps along the last axis, one sort for all rows (one row
+    is ``_project_vector``, which skips the row indexing). Row r is block
+    ``first + r % blocks`` of its point, the block a ValueError names."""
+    if len(rows) == 1:
+        return _project_vector(rows[0], first)[None]
+    n = rows.shape[1]
+    u = np.sort(rows, axis=1)[:, ::-1]
+    q = np.cumsum(u, axis=1)
+    q -= 1.0
+    q /= _ranks(n)
+    cond = u > q
+    index = (np.arange(len(rows)), n - 1 - cond[:, ::-1].argmax(axis=1))
+    ok = cond[index] & np.isfinite(q[:, -1])
+    if not ok.all():
+        raise _unprojectable(first + int(ok.argmin()) % blocks)
+    out = rows - q[index][:, None]
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -136,46 +190,31 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     return _project_vector(np.asarray(v, dtype=float).ravel(), 0)
 
 
-def _project_rows(rows: np.ndarray) -> np.ndarray:
-    """``project_simplex`` of every row of a (blocks, size) array at once,
-    bit for bit: the same steps along the last axis, one sort for all rows."""
-    n = rows.shape[1]
-    u = np.sort(rows, axis=1)[:, ::-1]
-    q = np.cumsum(u, axis=1)
-    q -= 1.0
-    q /= np.arange(1.0, n + 1)
-    cond = u > q
-    index = (np.arange(len(rows)), n - 1 - cond[:, ::-1].argmax(axis=1))
-    ok = cond[index] & np.isfinite(q[:, -1])
-    if not ok.all():
-        raise _unprojectable(int(ok.argmin()))
-    out = rows - q[index][:, None]
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
 def project_blocks(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     """Euclidean projection of v onto the product of simplices whose sizes
-    are ``block_sizes``, in order.
+    are ``block_sizes``, in order; a 2-D v is a batch of points, one per
+    row, each projected on its own.
 
     Three paths, each bit-identical to ``project_simplex`` on every block:
-    one block is ``project_simplex`` itself; equal blocks are one sort along
-    the last axis of a (blocks, size) view; unequal blocks are projected one
-    at a time. Raises ValueError naming the first block with an entry that
-    is not finite.
+    one point of one block is ``project_simplex`` itself; other equal
+    blocks are one sort along the last axis of a (points x blocks, size)
+    view; unequal blocks are projected one block column at a time. Raises
+    ValueError naming, within its point, the first block with an entry
+    that is not finite.
     """
-    v = np.asarray(v, dtype=float).ravel()
-    if len(block_sizes) == 1:
-        return project_simplex(v)
+    v = np.asarray(v, dtype=float)
+    points = v if v.ndim == 2 else v.reshape(1, -1)
     size = block_sizes[0]
-    if all(b == size for b in block_sizes):
-        return _project_rows(v.reshape(len(block_sizes), size)).ravel()
-    out = np.empty_like(v)
-    start = 0
-    for i, b in enumerate(block_sizes):
-        out[start : start + b] = _project_vector(v[start : start + b], i)
-        start += b
-    return out
+    if block_sizes.count(size) == len(block_sizes):
+        blocks = len(block_sizes)
+        out = _project_rows(points.reshape(-1, size), blocks, 0).reshape(points.shape)
+    else:
+        out = np.empty_like(points)
+        start = 0
+        for i, b in enumerate(block_sizes):
+            out[:, start : start + b] = _project_rows(points[:, start : start + b], 1, i)
+            start += b
+    return out if v.ndim == 2 else out[0]
 
 
 def simplex_grid(dim: int, resolution: int) -> Iterator[np.ndarray]:
@@ -215,50 +254,95 @@ def _init_point(
     return np.concatenate(parts)
 
 
-def _run_restart(
+def _lockstep(
     fun: Objective,
-    x0: np.ndarray,
+    starts: np.ndarray,
     block_sizes: Sequence[int],
     cfg: SearchConfig,
-) -> tuple[float, np.ndarray, int, bool]:
-    x = project_blocks(x0, block_sizes)
-    v, grad = fun(x)
-    if not np.isfinite(v):
-        logging.getLogger(__name__).warning("restart aborted: non-finite objective")
-        return -np.inf, x, 0, False
-    g = grad()
-    best_v, best_x = v, x
-    step = STEP_INIT
-    stall = 0
-    it = 0
-    converged = False
-    for it in range(1, cfg.max_iters + 1):
-        moved = False
-        while step >= MIN_STEP:
-            xn = project_blocks(x + step * g, block_sizes)
-            if float(np.abs(xn - x).max()) < 1e-15:
-                break
-            vn, grad = fun(xn)
-            if vn > v + 1e-15:
-                moved = True
-                break
-            step *= STEP_SHRINK
-        if not moved:
-            converged = True
-            break
-        gain = vn - v
-        x, v, g = xn, vn, grad()
-        if v > best_v:
-            best_v, best_x = v, x
-        step = min(step * STEP_GROW, STEP_MAX)
-        if gain < IMPROVE_TOL:
-            stall += 1
-            if stall >= cfg.patience:
-                converged = True
-                break
+) -> list[tuple[float, np.ndarray, int, bool]]:
+    """Projected ascent from every row of ``starts`` at once, one batched
+    objective call per round; returns (value, point, iterations, converged)
+    per start, in order.
+
+    Each restart follows its own sequential rule, in its own step size,
+    stall count and iteration count: from a trial at step size s it accepts
+    the point when the value rises by more than 1e-15 (then takes the
+    gradient there and grows s), and otherwise halves s and tries again
+    within the same iteration. It converges when s falls below MIN_STEP,
+    when the projected trial does not move the point, or after
+    ``cfg.patience`` accepted steps in a row that each gained less than
+    IMPROVE_TOL; it stops unconverged after ``cfg.max_iters`` iterations.
+    A restart's value only rises, so its last point is its best.
+    """
+    x = project_blocks(starts, block_sizes)
+    values, grad = fun(x)
+    results: list = [None] * len(x)
+    values = values.tolist()
+    live = []
+    for i, value in enumerate(values):
+        if math.isfinite(value):
+            live.append(i)
         else:
-            stall = 0
-    return best_v, best_x, it, converged
+            logging.getLogger(__name__).warning("restart aborted: non-finite objective")
+            results[i] = (-math.inf, x[i].copy(), 0, False)
+    if not live:
+        return results
+    # per live restart: its point and gradient as rows, the rest as lists
+    x, g = x[live], grad(live)
+    v = [values[i] for i in live]
+    step = [STEP_INIT] * len(live)
+    stall = [0] * len(live)
+    it = [1] * len(live)
+    while live:
+        # x + step * g, row by row
+        xn = np.array(step)[:, None] * g
+        xn += x
+        xn = project_blocks(xn, block_sizes)
+        shift = np.abs(xn - x).max(axis=1).tolist()
+        # a trial that does not move its point ends the restart, converged
+        done, moved = {}, []
+        for j, d in enumerate(shift):
+            if d < 1e-15:
+                done[j] = True
+            else:
+                moved.append(j)
+        if moved:
+            trial = xn if len(moved) == len(live) else xn[moved]
+            vn, grad = fun(trial)
+            accepted = []
+            for r, (j, value) in enumerate(zip(moved, vn.tolist())):
+                if not value > v[j] + 1e-15:
+                    step[j] *= STEP_SHRINK
+                    if step[j] < MIN_STEP:
+                        done[j] = True
+                    continue
+                accepted.append(r)
+                gain, v[j] = value - v[j], value
+                step[j] = min(step[j] * STEP_GROW, STEP_MAX)
+                if gain < IMPROVE_TOL:
+                    stall[j] += 1
+                    if stall[j] >= cfg.patience:
+                        done[j] = True
+                        continue
+                else:
+                    stall[j] = 0
+                if it[j] == cfg.max_iters:
+                    done[j] = False
+                else:
+                    it[j] += 1
+            if len(accepted) == len(live):
+                x, g = trial, grad(accepted)
+            elif accepted:
+                rows = [moved[r] for r in accepted]
+                x[rows] = trial[accepted]
+                g[rows] = grad(accepted)
+        if done:
+            for j, converged in done.items():
+                results[live[j]] = (v[j], x[j].copy(), it[j], converged)
+            keep = [j for j in range(len(live)) if j not in done]
+            x, g = x[keep], g[keep]
+            live, v, step, stall, it = ([a[j] for j in keep] for a in (live, v, step, stall, it))
+    return results
 
 
 def ascend(
@@ -267,28 +351,17 @@ def ascend(
     block_sizes: Sequence[int],
     cfg: SearchConfig,
 ) -> tuple[float, np.ndarray, int, bool]:
-    """Single projected-gradient ascent run from one start.
-
-    fun follows the module's objective contract, ``fun(x) -> (value,
-    grad)``. Returns (best_value, best_point, iterations, converged).
-    """
-    return _run_restart(fun, np.asarray(x0, dtype=float), block_sizes, cfg)
+    """Single projected-gradient ascent run from one start: the lockstep
+    engine with one row. Returns (best_value, best_point, iterations,
+    converged)."""
+    return _lockstep(fun, np.asarray(x0, dtype=float).reshape(1, -1), block_sizes, cfg)[0]
 
 
-def maximize(
-    fun: Objective,
-    block_sizes: Sequence[int],
-    cfg: SearchConfig,
-    seeds: Sequence[np.ndarray] = (),
-) -> SearchResult:
-    """Multi-start projected gradient ascent over a product of simplices.
-
-    fun maps a flat concatenated point to (value, grad), where grad() is
-    the gradient there, run only at accepted points. Restart i
-    draws its start from kind i%4: Dirichlet(1), Dirichlet(1),
-    Dirichlet(0.1), or the caller's structured seeds cycled in order.
-    Every provided seed is guaranteed a restart even when restarts < 4*len.
-    """
+def _start_points(
+    block_sizes: Sequence[int], cfg: SearchConfig, seeds: Sequence[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """The start of every restart of ``maximize``, in restart order, each
+    drawn when it is asked for."""
     seeds = [np.asarray(s, dtype=float).ravel() for s in seeds]
     total = sum(block_sizes)
     for s in seeds:
@@ -308,14 +381,34 @@ def maximize(
         plan.append(seeds[seed_slot])
         seed_slot += 1
 
-    def start_for(i: int) -> np.ndarray:
-        if plan[i] is not None:
-            return plan[i]
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
-        kind = 1 if i % 4 == 2 else 0
-        return _init_point(kind, rng, block_sizes)
+    for i, seed in enumerate(plan):
+        if seed is not None:
+            yield seed
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
+            yield _init_point(1 if i % 4 == 2 else 0, rng, block_sizes)
 
-    results = [_run_restart(fun, start_for(i), block_sizes, cfg) for i in range(len(plan))]
+
+def maximize(
+    fun: Objective,
+    block_sizes: Sequence[int],
+    cfg: SearchConfig,
+    seeds: Sequence[np.ndarray] = (),
+) -> SearchResult:
+    """Multi-start projected gradient ascent over a product of simplices.
+
+    fun follows the module's objective contract. Restart i draws its start
+    from kind i%4: Dirichlet(1), Dirichlet(1), Dirichlet(0.1), or the
+    caller's structured seeds cycled in order. Every provided seed is
+    guaranteed a restart even when restarts < 4*len. Consecutive restarts
+    step in lockstep, in groups of at most ``LOCKSTEP_FLOATS`` floats of
+    points.
+    """
+    starts = _start_points(block_sizes, cfg, seeds)
+    group = max(1, LOCKSTEP_FLOATS // sum(block_sizes))
+    results = []
+    while batch := list(itertools.islice(starts, group)):
+        results += _lockstep(fun, np.array(batch), block_sizes, cfg)
 
     best_i = 0
     for i in range(1, len(results)):

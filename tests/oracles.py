@@ -11,11 +11,15 @@ Each one recomputes a quantity of the package by an independent route:
   behind the 44/15 UV witness;
 - ``project_blocks_per_block``: the sort projection onto a product of
   simplices one block at a time, the reference that
-  ``search.project_blocks`` reproduces bit for bit.
+  ``search.project_blocks`` reproduces bit for bit;
+- ``run_restart`` and ``maximize_sequential``: the projected ascent one
+  restart at a time, the reference that the lockstep engine behind
+  ``search.maximize`` and ``search.ascend`` reproduces bit for bit.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +47,21 @@ from bcbounds.objectives import (
     min_of,
 )
 from bcbounds.regions import UvAuxiliary, evaluate_uv_point
-from bcbounds.search import SearchConfig, ascend, maximize, simplex_grid
+from bcbounds.search import (
+    IMPROVE_TOL,
+    MIN_STEP,
+    STEP_GROW,
+    STEP_INIT,
+    STEP_MAX,
+    STEP_SHRINK,
+    SearchConfig,
+    SearchResult,
+    _start_points,
+    ascend,
+    maximize,
+    project_blocks,
+    simplex_grid,
+)
 
 
 # ------------------------------------------------ lambda-curve endpoints
@@ -289,3 +307,81 @@ def project_blocks_per_block(v: np.ndarray, block_sizes) -> np.ndarray:
         out[start : start + b] = np.maximum(block - css[k - 1] / k, 0.0)
         start += b
     return out
+
+
+# ------------------------------------------ the sequential ascent reference
+
+
+def pointwise(fun):
+    """An objective of the search contract (a batch of points in) as a
+    function of one point: ``f(x) -> (value, grad)`` with ``grad()`` the
+    gradient at x."""
+
+    def f(x):
+        values, grad = fun(x[None])
+        return float(values[0]), lambda: grad([0])[0]
+
+    return f
+
+
+def run_restart(fun, x0, block_sizes, cfg):
+    """One restart of the projected ascent on its own; ``fun`` maps one
+    point to (value, grad). Returns (best_value, best_point, iterations,
+    converged)."""
+    x = project_blocks(x0, block_sizes)
+    v, grad = fun(x)
+    if not np.isfinite(v):
+        logging.getLogger(__name__).warning("restart aborted: non-finite objective")
+        return -np.inf, x, 0, False
+    g = grad()
+    best_v, best_x = v, x
+    step = STEP_INIT
+    stall = 0
+    it = 0
+    converged = False
+    for it in range(1, cfg.max_iters + 1):
+        moved = False
+        while step >= MIN_STEP:
+            xn = project_blocks(x + step * g, block_sizes)
+            if float(np.abs(xn - x).max()) < 1e-15:
+                break
+            vn, grad = fun(xn)
+            if vn > v + 1e-15:
+                moved = True
+                break
+            step *= STEP_SHRINK
+        if not moved:
+            converged = True
+            break
+        gain = vn - v
+        x, v, g = xn, vn, grad()
+        if v > best_v:
+            best_v, best_x = v, x
+        step = min(step * STEP_GROW, STEP_MAX)
+        if gain < IMPROVE_TOL:
+            stall += 1
+            if stall >= cfg.patience:
+                converged = True
+                break
+        else:
+            stall = 0
+    return best_v, best_x, it, converged
+
+
+def maximize_sequential(fun, block_sizes, cfg, seeds=()):
+    """``search.maximize`` with its restarts run one after another by
+    ``run_restart``, from the same starts."""
+    f = pointwise(fun)
+    starts = _start_points(block_sizes, cfg, seeds)
+    results = [run_restart(f, x0, block_sizes, cfg) for x0 in starts]
+    best_i = 0
+    for i in range(1, len(results)):
+        if results[i][0] > results[best_i][0]:
+            best_i = i
+    return SearchResult(
+        value=results[best_i][0],
+        point=results[best_i][1],
+        restart_index=best_i,
+        converged=any(r[3] for r in results),
+        restart_values=[r[0] for r in results],
+    )

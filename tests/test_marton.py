@@ -255,6 +255,10 @@ def test_factorization_superadditive_and_tight_with_deterministic_link():
     assert rep.gap >= -1e-6  # superadditivity by construction
     assert rep.holds
     assert abs(rep.gap) <= 5e-3
+    # the report's verdict is its check's one pass rule
+    check = rep.check
+    assert (check.name, check.computed, check.target) == ("factorization_gap", rep.gap, 0.0)
+    assert rep.holds is rep.check.passed
 
 
 def test_min_max_equality_small_channel():

@@ -17,6 +17,7 @@ from bcbounds.objectives import (
 )
 from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
 from info_oracle import mutual_information
+from oracles import pointwise
 
 
 def _random_channel(rng, nx, ny, nz):
@@ -135,7 +136,7 @@ def test_joint_objective_round_trip():
     t = rng.dirichlet(np.ones(6)).reshape(3, 2)
     flat = obj.to_flat(t)
     assert np.allclose(obj.to_tensor(flat), t)
-    v, grad = obj(flat)
+    v, grad = pointwise(obj)(flat)
     assert v == pytest.approx(fn.value(t)[0], abs=1e-12)
     assert grad().shape == (6,)
 
@@ -153,7 +154,7 @@ def test_fixed_input_objective_blocks_and_masses():
     back = obj.to_tensor(flat)
     # input marginal is preserved exactly
     assert np.allclose(back.sum(axis=(0, 1)), px, atol=1e-12)
-    v, grad = obj(flat)
+    v, grad = pointwise(obj)(flat)
     assert v == pytest.approx(fn.value(back)[0], abs=1e-12)
     assert grad().shape == (12,)
 
@@ -184,9 +185,9 @@ def test_fixed_input_gradient_matches_fd():
     flat = np.concatenate([rng.dirichlet(np.ones(6)) for _ in range(3)])
 
     def value_only(f):
-        return obj(f)[0]
+        return pointwise(obj)(f)[0]
 
-    g = obj(flat)[1]()
+    g = pointwise(obj)(flat)[1]()
     g_fd = np.zeros_like(flat)
     eps = 1e-6
     for i in range(flat.size):
@@ -209,17 +210,17 @@ def test_min_of_objectives_value_and_active_gradient():
     assert np.allclose(vals, [f.value(t)[0] for f in singles], atol=1e-12)
     # the value is the minimum row and the gradient follows that row only
     k = int(np.argmin(vals))
-    v, grad = obj(t.ravel())
+    v, grad = pointwise(obj)(t.ravel())
     assert v == pytest.approx(vals[k], abs=1e-12)
     assert np.allclose(grad(), singles[k].value_and_grad(t)[1]().ravel(), atol=1e-12)
     # weight rows that skip a row leave it out of the minimum
-    v1, grad1 = JointObjective(table, min_of(np.eye(2)[:1]))(t.ravel())
+    v1, grad1 = pointwise(JointObjective(table, min_of(np.eye(2)[:1])))(t.ravel())
     assert v1 == pytest.approx(vals[0], abs=1e-12)
     assert np.allclose(grad1(), singles[0].value_and_grad(t)[1]().ravel(), atol=1e-12)
     # on a tie the first minimal row wins: H(A) = H(B) = 1 bit here
     tie = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
     assert table.value(tie)[0] == table.value(tie)[1]
-    g_tie = obj(tie.ravel())[1]()
+    g_tie = pointwise(obj)(tie.ravel())[1]()
     assert np.allclose(g_tie, singles[0].value_and_grad(tie)[1]().ravel(), atol=1e-12)
     assert not np.allclose(g_tie, singles[1].value_and_grad(tie)[1]().ravel())
 
@@ -245,8 +246,8 @@ def test_min_of_identity_rows_and_weighted_row():
         v_ref, w_ref = _first_min_row(table.value(t), 3)
         assert v == v_ref and np.array_equal(w, w_ref)
         flat = FixedInputObjective(table, px).to_flat(t)
-        got = FixedInputObjective(table, px, min_of(np.eye(4)[:3]))(flat)
-        ref = FixedInputObjective(table, px, lambda vals: _first_min_row(vals, 3))(flat)
+        got = pointwise(FixedInputObjective(table, px, min_of(np.eye(4)[:3])))(flat)
+        ref = pointwise(FixedInputObjective(table, px, lambda vals: _first_min_row(vals, 3)))(flat)
         assert got[0] == ref[0] and np.array_equal(got[1](), ref[1]())
     # one weight row is the plain weighted sum, gradient included
     weights = np.array([0.3, 0.7, 1.0, -0.5])
@@ -364,6 +365,39 @@ def test_evaluation_survives_later_evaluations_bit_for_bit():
         # the flat-vector adapters read the same buffers
         obj = FixedInputObjective(fn, px)
         x1, x2 = obj.to_flat(t1), obj.to_flat(t2)
-        value, grad = obj(x1)
-        obj(x2)
-        assert (value, grad().tobytes()) == (obj(x1)[0], obj(x1)[1]().tobytes())
+        f = pointwise(obj)
+        value, grad = f(x1)
+        f(x2)
+        assert (value, grad().tobytes()) == (f(x1)[0], f(x1)[1]().tobytes())
+
+
+def test_batched_evaluation_matches_each_tensor_bit_for_bit():
+    # a batch is evaluated in one pass, and each tensor of it gets the
+    # entropies, values and gradients it gets on its own, in both layouts
+    # the objectives build; the rows' weights differ, so a marginal can
+    # have zero weight in one row and not in another
+    rng = np.random.default_rng(14)
+    c = Channel(_random_channel(rng, 3, 2, 3))
+    wide = Channel(_random_channel(rng, 16, 3, 4))
+    tables = [marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3)]
+    tables += [marton_table(wide, Cardinalities(4, 4, 2)), _uv_table(wide, 5, 5)]
+    for fn in tables:
+        singles = [_awkward_tensor(rng, fn.shape) for _ in range(3)]
+        weights = rng.normal(size=(3, fn.coeffs.shape[0]))
+        weights[0, 0] = weights[2, 1] = 0.0
+        batch_c = np.stack(singles)
+        # input-major per tensor, the batch axis slowest
+        batch_x = np.ascontiguousarray(np.moveaxis(batch_c, -1, 1)).transpose(
+            [0] + list(range(2, batch_c.ndim)) + [1]
+        )
+        for layout, batch in ((_c_order, batch_c), (_input_major, batch_x)):
+            ev = fn.evaluate(batch)
+            assert ev.values.shape == (3, fn.coeffs.shape[0])
+            grads = ev.grad(weights)
+            rows = ev.grad_rows([0, 2], weights[[0, 2]])
+            for r, t in enumerate(singles):
+                one = fn.evaluate(layout(t))
+                assert ev.entropies[r].tobytes() == one.entropies.tobytes()
+                assert ev.values[r].tobytes() == one.values.tobytes()
+                assert grads[r].tobytes() == one.grad(weights[r]).tobytes()
+            assert rows.tobytes() == grads[[0, 2]].tobytes()

@@ -23,6 +23,7 @@ from bcbounds.regions import (
 )
 from bcbounds.search import SearchConfig
 from info_oracle import entropy, mutual_information
+from oracles import pointwise
 
 CFG = SearchConfig(restarts=6, max_iters=120, seed=0)
 MARTON_CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
@@ -208,7 +209,7 @@ def test_support_gradient_matches_finite_differences():
         for _ in range(6):
             flat = np.concatenate([rng.dirichlet(np.ones(n)) for n in obj.block_sizes])
             k = vertex(flat)
-            g = obj(flat)[1]()
+            g = pointwise(obj)(flat)[1]()
             fd = np.zeros_like(flat)
             same_vertex = k is not None
             for i in range(flat.size):
@@ -216,7 +217,7 @@ def test_support_gradient_matches_finite_differences():
                 fp[i] += eps
                 fm[i] -= eps
                 same_vertex = same_vertex and vertex(fp) == k == vertex(fm)
-                fd[i] = (obj(fp)[0] - obj(fm)[0]) / (2 * eps)
+                fd[i] = (pointwise(obj)(fp)[0] - pointwise(obj)(fm)[0]) / (2 * eps)
             if not same_vertex:
                 continue
             checked += 1
@@ -364,7 +365,7 @@ def test_region_support_value_is_exact_score_at_returned_aux(kind, fix_r0):
     prof1, prof2 = default_region_profiles(pc, kind)
     obj = _SupportObjective(pc, kind, (0, 1, 1), prof1, prof2, fix_r0=fix_r0)
     flat = np.concatenate([res.aux.a1.joint.ravel(), res.aux.a2.joint.ravel()])
-    assert res.value == obj(flat)[0]
+    assert res.value == pointwise(obj)(flat)[0]
     assert res.value == pytest.approx(res.vertex @ obj.w, abs=1e-12)
     assert res.region.contains(res.vertex)
 

@@ -59,10 +59,27 @@ def _shape_id(sizes):
     return f"{len(sizes)}x{sizes[0]}" if len(set(sizes)) == 1 else "-".join(map(str, sizes))
 
 
-@pytest.mark.parametrize("sizes", PROJECTION_SHAPES, ids=_shape_id)
-def test_project_blocks_matches_per_block_sort_bit_for_bit(sizes):
+def _batched(fun):
+    # a plain objective fun(x) -> (value, grad) in the search contract: a
+    # batch of points in, their values and grad(rows) out
+    def batch(points):
+        outs = [fun(x) for x in points]
+        values = np.array([v for v, _ in outs])
+        return values, lambda rows: np.array([outs[r][1]() for r in rows])
+
+    return batch
+
+
+@pytest.mark.parametrize(
+    "sizes, batch",
+    [(s, False) for s in PROJECTION_SHAPES] + [(s, True) for s in PROJECTION_SHAPES],
+    ids=[_shape_id(s) for s in PROJECTION_SHAPES]
+    + [f"batch-{_shape_id(s)}" for s in PROJECTION_SHAPES],
+)
+def test_project_blocks_matches_per_block_sort_bit_for_bit(sizes, batch):
     # ascent trials: a point of the product of simplices plus a step of
-    # 1e-12 to 64 along a normal, a tied or a zero gradient
+    # 1e-12 to 64 along a normal, a tied or a zero gradient; a batch
+    # projects the five steps' trials together, each row on its own
     rng = np.random.default_rng(sum(sizes))
     n = sum(sizes)
     for draw in range(4):
@@ -73,21 +90,30 @@ def test_project_blocks_matches_per_block_sort_bit_for_bit(sizes):
             "zero": np.zeros(n),
         }
         for g in gradients.values():
-            for step in (1e-12, 1e-6, 1e-2, 1.0, 64.0):
-                v = x + step * g
-                got = project_blocks(v, sizes)
+            trials = [x + step * g for step in (1e-12, 1e-6, 1e-2, 1.0, 64.0)]
+            rows = project_blocks(np.stack(trials), sizes) if batch else None
+            for i, v in enumerate(trials):
+                got = rows[i] if batch else project_blocks(v, sizes)
                 assert got.tobytes() == project_blocks_per_block(v, sizes).tobytes()
                 if len(sizes) == 1:
                     assert project_simplex(v).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("sizes", [[4], [3, 3, 3], [3, 5, 8]])
+@pytest.mark.parametrize(
+    "sizes, batch",
+    [([4], False), ([3, 3, 3], False), ([3, 5, 8], False)]
+    + [([4], True), ([3, 3, 3], True), ([3, 5, 8], True)],
+    ids=["sizes0", "sizes1", "sizes2", "batch-sizes0", "batch-sizes1", "batch-sizes2"],
+)
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_project_blocks_rejects_non_finite_entries_naming_the_block(sizes, bad):
+def test_project_blocks_rejects_non_finite_entries_naming_the_block(sizes, batch, bad):
+    # in a batch the bad entry sits in the last of three points, and the
+    # error names its block within that point
     rng = np.random.default_rng(1)
     for block in range(len(sizes)):
-        v = rng.normal(size=sum(sizes))
-        v[sum(sizes[:block]) + sizes[block] // 2] = bad
+        v = rng.normal(size=(3, sum(sizes)) if batch else sum(sizes))
+        target = v[-1] if batch else v
+        target[sum(sizes[:block]) + sizes[block] // 2] = bad
         with pytest.raises(ValueError, match=f"block {block} "):
             project_blocks(v, sizes)
 
@@ -103,17 +129,18 @@ def test_ascent_projects_through_the_search_module(monkeypatch):
         projected.append(original(v, block_sizes))
         return projected[-1]
 
-    def fun(x):
-        assert x is projected[-1]
+    def fun(points):
+        # every point served is a row of the latest projection
+        assert {p.tobytes() for p in points} <= {p.tobytes() for p in projected[-1]}
         served.append(len(projected))
-        d = x - target
-        return -float(d @ d), lambda: -2.0 * d
+        d = points - target
+        return -np.einsum("ij,ij->i", d, d), lambda rows: -2.0 * d[rows]
 
     monkeypatch.setattr(search, "project_blocks", counting)
     res = maximize(fun, [2, 3], SearchConfig(restarts=6, max_iters=40, seed=2))
     assert res.value == pytest.approx(0.0, abs=1e-10)
     # one projection per objective call, plus at most one per restart for
-    # the trial that did not move the point
+    # the round whose trials did not move their points
     assert len(set(served)) == len(served)
     assert len(served) <= len(projected) <= len(served) + len(res.restart_values)
 
@@ -175,7 +202,7 @@ def _concave_target(t):
 def test_ascend_concave_reaches_optimum():
     t = np.array([0.1, 0.2, 0.7])
     v, x, iters, converged = ascend(
-        _concave_target(t), np.full(3, 1 / 3), [3], SearchConfig(max_iters=200)
+        _batched(_concave_target(t)), np.full(3, 1 / 3), [3], SearchConfig(max_iters=200)
     )
     assert converged
     assert v == pytest.approx(0.0, abs=1e-10)
@@ -191,7 +218,7 @@ def test_maximize_blocks():
         d1, d2 = x[:2] - t1, x[2:] - t2
         return -float(d1 @ d1 + d2 @ d2), lambda: np.concatenate([-2 * d1, -2 * d2])
 
-    res = maximize(fun, [2, 3], SearchConfig(restarts=3, seed=0))
+    res = maximize(_batched(fun), [2, 3], SearchConfig(restarts=3, seed=0))
     assert res.converged
     assert res.value == pytest.approx(0.0, abs=1e-10)
     assert np.abs(res.point - np.concatenate([t1, t2])).max() < 1e-5
@@ -209,7 +236,7 @@ def _bumpy(x):
 def test_maximize_budget_monotonicity():
     values = []
     for restarts in (1, 2, 4, 8, 16):
-        res = maximize(_bumpy, [3], SearchConfig(restarts=restarts, seed=7))
+        res = maximize(_batched(_bumpy), [3], SearchConfig(restarts=restarts, seed=7))
         values.append(res.value)
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-12
@@ -219,7 +246,7 @@ def test_maximize_seeds_always_run():
     # restarts=1 leaves no seed slot in the cycling plan; the seed must
     # still be evaluated, and it sits exactly at the global maximum
     seed = np.array([0.0, 0.0, 1.0])
-    res = maximize(_bumpy, [3], SearchConfig(restarts=1, seed=0), seeds=[seed])
+    res = maximize(_batched(_bumpy), [3], SearchConfig(restarts=1, seed=0), seeds=[seed])
     assert res.value >= 2.0 - 1e-9
 
 
@@ -242,7 +269,7 @@ def test_search_config_rejects_budgets_below_one(budget):
 
 def test_maximize_seed_size_validated():
     with pytest.raises(ValueError):
-        maximize(_bumpy, [3], SearchConfig(restarts=1), seeds=[np.ones(4)])
+        maximize(_batched(_bumpy), [3], SearchConfig(restarts=1), seeds=[np.ones(4)])
 
 
 def test_maximize_nan_objective_aborts_and_logs(caplog):
@@ -250,36 +277,46 @@ def test_maximize_nan_objective_aborts_and_logs(caplog):
         return float("nan"), lambda: np.zeros_like(x)
 
     with caplog.at_level(logging.WARNING, logger="bcbounds.search"):
-        res = maximize(bad, [3], SearchConfig(restarts=2, seed=0))
+        res = maximize(_batched(bad), [3], SearchConfig(restarts=2, seed=0))
     assert res.value == -np.inf
     assert not res.converged
     assert any("non-finite" in rec.message for rec in caplog.records)
 
 
 def test_maximize_deterministic_for_fixed_seed():
-    r1 = maximize(_bumpy, [3], SearchConfig(restarts=5, seed=3))
-    r2 = maximize(_bumpy, [3], SearchConfig(restarts=5, seed=3))
+    r1 = maximize(_batched(_bumpy), [3], SearchConfig(restarts=5, seed=3))
+    r2 = maximize(_batched(_bumpy), [3], SearchConfig(restarts=5, seed=3))
     assert r1.value == r2.value
     assert np.array_equal(r1.point, r2.point)
-    r3 = maximize(_bumpy, [3], SearchConfig(restarts=5, seed=4))
+    r3 = maximize(_batched(_bumpy), [3], SearchConfig(restarts=5, seed=4))
     # different seed draws different random starts
     assert r3.restart_values != r1.restart_values or r3.value == pytest.approx(r1.value)
 
 
-def test_maximize_restart_order_contract():
+# LOCKSTEP_FLOATS for groups of one, two and all restarts of a 3-float point
+GROUP_CAPS = {"one": 3, "two": 6, "all": search.LOCKSTEP_FLOATS}
+
+
+def test_maximize_restart_order_contract(monkeypatch):
     # restart i depends only on (seed, i) and the seed plan, so doubling the
-    # budget keeps the first restarts bit-identical; seeds sit in slots 3, 7
+    # budget keeps the first restarts bit-identical; seeds sit in slots 3, 7.
+    # Nor does it depend on which restarts step in lockstep with it.
     seeds = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])]
     n = 8
-    small = maximize(_bumpy, [3], SearchConfig(restarts=n, seed=5), seeds=seeds)
-    big = maximize(_bumpy, [3], SearchConfig(restarts=2 * n, seed=5), seeds=seeds)
-    assert len(small.restart_values) == n and len(big.restart_values) == 2 * n
-    assert big.restart_values[:n] == small.restart_values
-    assert big.value >= small.value
-    again = maximize(_bumpy, [3], SearchConfig(restarts=n, seed=5), seeds=seeds)
-    assert again.restart_values == small.restart_values
-    assert again.value == small.value and again.restart_index == small.restart_index
-    assert np.array_equal(again.point, small.point)
+    runs = {}
+    for name, cap in GROUP_CAPS.items():
+        monkeypatch.setattr(search, "LOCKSTEP_FLOATS", cap)
+        small = maximize(_batched(_bumpy), [3], SearchConfig(restarts=n, seed=5), seeds=seeds)
+        big = maximize(_batched(_bumpy), [3], SearchConfig(restarts=2 * n, seed=5), seeds=seeds)
+        assert len(small.restart_values) == n and len(big.restart_values) == 2 * n
+        assert big.restart_values[:n] == small.restart_values
+        assert big.value >= small.value
+        again = maximize(_batched(_bumpy), [3], SearchConfig(restarts=n, seed=5), seeds=seeds)
+        assert again.restart_values == small.restart_values
+        assert again.value == small.value and again.restart_index == small.restart_index
+        assert np.array_equal(again.point, small.point)
+        runs[name] = (big.restart_values, big.restart_index, big.point.tobytes())
+    assert runs["one"] == runs["two"] == runs["all"]
 
 
 def _counted(fun):
@@ -315,7 +352,7 @@ def test_ascent_runs_gradients_only_at_accepted_points():
     accepted = rejected = 0
     for _ in range(8):
         fun, calls = _counted(_bumpy)
-        ascend(fun, rng.dirichlet(np.ones(3)), [3], SearchConfig(max_iters=60))
+        ascend(_batched(fun), rng.dirichlet(np.ones(3)), [3], SearchConfig(max_iters=60))
         # the start point's gradient runs once
         assert calls[0]["grads"] == 1
         current = calls[0]["value"]
@@ -331,13 +368,15 @@ def test_ascent_runs_gradients_only_at_accepted_points():
     assert accepted > 0 and rejected > 0
 
 
-def test_value_first_search_matches_eager_gradients():
+def test_value_first_search_matches_eager_gradients(monkeypatch):
     seeds = [np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])]
-    for restarts, seed in ((1, 0), (5, 3), (8, 5)):
-        cfg = SearchConfig(restarts=restarts, seed=seed)
-        lazy = maximize(_bumpy, [3], cfg, seeds=seeds)
-        eager = maximize(_eager(_bumpy), [3], cfg, seeds=seeds)
-        assert lazy.value == eager.value
-        assert np.array_equal(lazy.point, eager.point)
-        assert lazy.restart_values == eager.restart_values
-        assert lazy.restart_index == eager.restart_index
+    for cap in GROUP_CAPS.values():
+        monkeypatch.setattr(search, "LOCKSTEP_FLOATS", cap)
+        for restarts, seed in ((1, 0), (5, 3), (8, 5)):
+            cfg = SearchConfig(restarts=restarts, seed=seed)
+            lazy = maximize(_batched(_bumpy), [3], cfg, seeds=seeds)
+            eager = maximize(_batched(_eager(_bumpy)), [3], cfg, seeds=seeds)
+            assert lazy.value == eager.value
+            assert np.array_equal(lazy.point, eager.point)
+            assert lazy.restart_values == eager.restart_values
+            assert lazy.restart_index == eager.restart_index
