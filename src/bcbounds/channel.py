@@ -181,7 +181,7 @@ def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
         axes, shape = "x", (c.nx,)
         terms = mi_terms("x", weaker) + mi_terms("x", stronger, coeff=-1.0)
     fn = InfoFunctional(axes, shape, [terms], channel=c.q)
-    return JointObjective(fn)
+    return JointObjective(fn, [1.0])
 
 
 def is_more_capable(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:

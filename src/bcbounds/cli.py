@@ -3,7 +3,7 @@
 Every subcommand prints a JSON run report to stdout (or ``--out``) and a
 wall-clock line to stderr, so reports are byte-reproducible for a fixed
 seed and config. This module alone renders reports and CSV files from the
-library's dataclasses; every check is a ``counterexample.Check`` written
+library's dataclasses; every check is a ``marton.Check`` written
 by ``_check_dict``.  Exit codes: 0 success, 1 a check failed, 2 input or
 validation error, 3 search budget exhausted without convergence.
 """
@@ -28,12 +28,12 @@ from .channel import (
 )
 from .counterexample import (
     UV_WITNESS_BITS,
-    Check,
     analytic_minimum,
     product_channel,
     verify_separation,
 )
 from .marton import (
+    Check,
     LambdaCurve,
     build_lambda_curve,
     check_factorization,

@@ -27,6 +27,7 @@ from .kernel import entropy_of_array
 from .marton import (
     AuxiliaryJoint,
     Cardinalities,
+    Check,
     MartonSumRate,
     deterministic_joint,
     fit_joint,
@@ -51,7 +52,6 @@ __all__ = [
     "uv_witness_auxiliary",
     "marton_on_product",
     "uv_on_product",
-    "Check",
     "verify_separation",
 ]
 
@@ -224,27 +224,6 @@ def uv_on_product(cfg: SearchConfig) -> UvSumRate:
         cfg,
         extra_seeds=[uv_witness_auxiliary().joint],
     )
-
-
-@dataclass(frozen=True)
-class Check:
-    """A computed value compared with its target under one pass rule."""
-
-    name: str
-    computed: float
-    target: float
-    tolerance: float
-    passed: bool
-
-    @classmethod
-    def within(cls, name: str, computed: float, target: float, tolerance: float) -> "Check":
-        """Passes when |computed - target| <= tolerance."""
-        return cls(name, computed, target, tolerance, bool(abs(computed - target) <= tolerance))
-
-    @classmethod
-    def at_least(cls, name: str, computed: float, target: float, tolerance: float) -> "Check":
-        """Passes when computed >= target - tolerance."""
-        return cls(name, computed, target, tolerance, bool(computed >= target - tolerance))
 
 
 @dataclass

@@ -25,7 +25,7 @@ Profiles are explicit and echoed into every result.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .channel import (
     product_tensor,
 )
 from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
-from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms, min_of
+from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms
 from .search import (
     SearchConfig,
     ascend,
@@ -47,9 +47,6 @@ from .search import (
     project_simplex,
     simplex_grid,
 )
-
-if TYPE_CHECKING:  # counterexample imports this module
-    from .counterexample import Check
 
 __all__ = [
     "Cardinalities",
@@ -67,6 +64,7 @@ __all__ = [
     "check_factorization",
     "check_min_max_equality",
     "outer_auxiliary",
+    "Check",
 ]
 
 
@@ -172,7 +170,7 @@ def _table_at(c: Channel, aux: AuxiliaryJoint) -> np.ndarray:
 
 def lambda_sr_value(c: Channel, lam: float, aux: AuxiliaryJoint) -> float:
     """Exact weighted sum rate at one auxiliary joint."""
-    return min_of(lambda_weights(lam))(_table_at(c, aux))[0]
+    return float((lambda_weights(lam)[None] @ _table_at(c, aux))[0])
 
 
 def curve_subgradient(c: Channel, aux: AuxiliaryJoint) -> float:
@@ -291,7 +289,7 @@ def maximize_lambda_sr_at_input(
     """Best weighted sum rate at a fixed input law (certified lower bound)."""
     prof = profile or Cardinalities.for_sum_rate(c)
     px = np.asarray(px, dtype=float)
-    obj = FixedInputObjective(marton_table(c, prof), px, min_of(lambda_weights(lam)))
+    obj = FixedInputObjective(marton_table(c, prof), px, lambda_weights(lam)[None])
     seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, [px])]
     seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
@@ -325,8 +323,8 @@ def lambda_sr_global(
     """
     prof = profile or Cardinalities.for_sum_rate(c)
     table = marton_table(c, prof)
-    weigh = min_of(lambda_weights(lam))
-    obj = JointObjective(table, weigh)
+    weight_rows = lambda_weights(lam)[None]
+    obj = JointObjective(table, weight_rows)
     seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, _default_px_list(c))]
     seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
@@ -334,17 +332,17 @@ def lambda_sr_global(
 
     inner_cfg = cfg.with_(max_iters=max(40, cfg.max_iters // 2))
     px = best_t.sum(axis=(0, 1, 2))
-    fobj = FixedInputObjective(table, px, weigh)
+    fobj = FixedInputObjective(table, px, weight_rows)
     v0, x0, _, _ = ascend(fobj, fobj.to_flat(best_t), fobj.block_sizes, inner_cfg)
     t0 = fobj.to_tensor(x0)
     if v0 > best_v:
         best_v, best_t = v0, t0
-    grad = table.value_and_grad(t0, weigh)[1]()
+    grad = table.value_and_grad(t0[None], weight_rows)[1]([0])[0]
     cond_only = np.where(px > 0, t0 / np.where(px > 0, px, 1.0), 0.0)
     super_px = np.einsum("uvwx,uvwx->x", cond_only, grad)
     for step in (1.0, 0.2, 0.05):
         px_new = project_simplex(px + step * super_px)
-        fobj2 = FixedInputObjective(table, px_new, weigh)
+        fobj2 = FixedInputObjective(table, px_new, weight_rows)
         v1, x1, _, _ = ascend(fobj2, fobj2.to_flat(t0), fobj2.block_sizes, inner_cfg)
         if v1 > best_v + 1e-12:
             best_v, best_t = v1, fobj2.to_tensor(x1)
@@ -479,6 +477,27 @@ def outer_auxiliary(a1: AuxiliaryJoint, a2: AuxiliaryJoint) -> AuxiliaryJoint:
     return AuxiliaryJoint(product_tensor(a1.joint, a2.joint))
 
 
+@dataclass(frozen=True)
+class Check:
+    """A computed value compared with its target under one pass rule."""
+
+    name: str
+    computed: float
+    target: float
+    tolerance: float
+    passed: bool
+
+    @classmethod
+    def within(cls, name: str, computed: float, target: float, tolerance: float) -> "Check":
+        """Passes when |computed - target| <= tolerance."""
+        return cls(name, computed, target, tolerance, bool(abs(computed - target) <= tolerance))
+
+    @classmethod
+    def at_least(cls, name: str, computed: float, target: float, tolerance: float) -> "Check":
+        """Passes when computed >= target - tolerance."""
+        return cls(name, computed, target, tolerance, bool(computed >= target - tolerance))
+
+
 # largest |product - component sum| that check_factorization calls a factorization
 FACTORIZATION_TOL = 5e-3
 
@@ -516,8 +535,6 @@ def check_factorization(
     the product search, the largest, runs ``max(8, cfg.restarts // 4)``
     restarts. Each polishes as ``lambda_sr_global`` says.
     """
-    from .counterexample import Check  # here: counterexample imports this module
-
     r1 = lambda_sr_global(c1, lam, cfg)
     r2 = lambda_sr_global(c2, lam, cfg)
     pc = make_product(c1, c2)
@@ -579,7 +596,7 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
 
     # max-min over the joint: min of the two endpoint rows
     prof_mm = Cardinalities(c.nx, c.nx, min(2 * c.nx, c.nx + 4))
-    endpoints = min_of([lambda_weights(0.0), lambda_weights(1.0)])
+    endpoints = [lambda_weights(0.0), lambda_weights(1.0)]
     obj = JointObjective(marton_table(c, prof_mm), endpoints)
     seeds = [
         t.ravel() for t in structured_seed_joints(c, prof_mm, _default_px_list(c))

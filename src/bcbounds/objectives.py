@@ -25,12 +25,13 @@ d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are clipped only
 inside the gradient (values keep the exact zero-skip convention of the
 kernel).
 
-Every evaluation takes one tensor or a batch of them with a leading axis,
-on one code path: one tensor is a batch of one. Each tensor of a batch
-is summed exactly as on its own, bit for bit: the reductions keep the
-batch axis slowest, channel products are stacked matmuls (one matrix per
-tensor), every entropy is one dot product over its own segment, and row
-values, weighings and adjoint weights are taken tensor by tensor.
+Every evaluation takes a batch of tensors with a leading axis, and every
+result keeps that axis; ``value(t)`` is the helper for exact evaluation
+at one tensor, a batch of one. Each tensor of a batch is summed exactly
+as on its own, bit for bit: the reductions keep the batch axis slowest,
+channel products are stacked matmuls (one matrix per tensor), every
+entropy is one dot product over its own segment, and row values,
+weighings and adjoint weights are taken tensor by tensor.
 
 A table owns the work buffers of the forward pass (the keep-marginals of
 t and the flat marginal buffer, one row per tensor) and reuses them on
@@ -38,23 +39,24 @@ every evaluation, filling them by a plan compiled once per batch size
 and memory layout of t. So a table must not be evaluated from two
 threads at once.
 
-The gradient is lazy: ``value_and_grad`` returns the value and a callable
-that runs the adjoint pass, so a search pays for it only at the points
-it accepts. For a batch it returns the values and ``grad(rows)``, the
-gradients at the tensors ``rows``; the flat-vector adapters below follow
-that search contract (see ``search``), one ``value_and_grad`` call per
-batch. An ``Evaluation`` keeps only what its gradient reads, so a
-gradient taken after later evaluations of the same table is still the
-one at its own point.
+The gradient is lazy: ``value_and_grad`` returns the values and
+``grad(rows)``, the gradients at the tensors ``rows``, which runs the
+adjoint pass only when called, so a search pays for it only at the
+points it accepts. The flat-vector adapters below follow that search
+contract (see ``search``), one ``value_and_grad`` call per batch. An
+``Evaluation`` keeps only what its gradient reads, so a gradient taken
+after later evaluations of the same table is still the one at its own
+point.
 
-A weighing turns one tensor's row values into the objective and its row
-weights (a batch is weighed tensor by tensor): the default sums the
-rows, and ``min_of(weight_rows)`` takes the minimum over weight rows w_k
-of w_k . values, following the first minimal row.
-So one table serves a whole family of objectives: the lambda-weighted
-sum rate is one three-row table under the weights (lambda, 1-lambda, 1),
-and the UV sum rate is the minimum of the first three rows of the UV
-table under identity weight rows.
+A weighing is data: weight rows w_k, one coefficient per table row. A
+tensor's objective is the minimum over k of w_k . values, and its
+gradient follows the first minimal row, so a single weight row is a
+plain weighted sum. Projected ascent on a minimum is still a certified
+lower-bound search, because every candidate is scored by the true
+minimum. So one table serves a whole family of objectives: the
+lambda-weighted sum rate is one three-row table under the weight row
+(lambda, 1-lambda, 1), and the UV sum rate is the minimum of the first
+three rows of the UV table under identity weight rows.
 """
 
 from __future__ import annotations
@@ -80,14 +82,11 @@ __all__ = [
     "mi_terms",
     "ent_terms",
     "merge_terms",
-    "min_of",
     "JointObjective",
     "FixedInputObjective",
 ]
 
 Term = tuple[float, str]
-# maps row values to (objective value, row weights of its gradient)
-Weigh = Callable[[np.ndarray], tuple[float, np.ndarray]]
 # the gradients at the rows of an evaluated batch, computed only when called
 BatchGrad = Callable[[Sequence[int]], np.ndarray]
 
@@ -128,26 +127,6 @@ def merge_terms(terms: Sequence[Term], order: str) -> list[Term]:
     return [(c, s) for s, c in acc.items() if abs(c) > 1e-14]
 
 
-def _sum_of_rows(values: np.ndarray) -> tuple[float, np.ndarray]:
-    return float(values.sum()), np.ones(len(values))
-
-
-def min_of(weight_rows: Sequence | np.ndarray) -> Weigh:
-    """Weighing for the minimum over weight rows w_k of w_k . values: the
-    value is the minimum and the gradient follows the first minimal row, so
-    a single weight row is a plain weighted sum. Projected ascent on a
-    minimum is still a certified lower-bound search, because every
-    candidate is scored by the true minimum."""
-    rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-
-    def weigh(values: np.ndarray) -> tuple[float, np.ndarray]:
-        scores = rows @ values
-        k = int(scores.argmin())
-        return float(scores[k]), rows[k]
-
-    return weigh
-
-
 @dataclass(frozen=True)
 class _Marginal:
     """One distinct marginal: a keep-marginal of t, times a channel marginal."""
@@ -183,15 +162,13 @@ class _Plan:
 
 
 class Evaluation:
-    """Entropy vector and row values of a table at one tensor, or at each
-    tensor of a batch; ``grad`` runs the adjoint pass for any row weights
-    without recomputing the forward pass."""
+    """Entropy vectors and row values of a table at each tensor of a batch,
+    one row of each per tensor; ``grad`` runs the adjoint pass for any row
+    weights without recomputing the forward pass."""
 
-    def __init__(self, fn: "InfoFunctional", t: np.ndarray) -> None:
+    def __init__(self, fn: "InfoFunctional", batch: np.ndarray) -> None:
         self._fn = fn
-        t = np.asarray(t, dtype=float)
-        self.batched = t.ndim > len(fn.shape)
-        batch = t if self.batched else t[None]
+        batch = np.asarray(batch, dtype=float)
         plan = fn._plan(batch)
         for drop, out in plan.reductions:
             np.add.reduce(batch, axis=drop, out=out)
@@ -202,23 +179,13 @@ class Evaluation:
         # the next evaluation overwrites the buffers: keep only what grad
         # reads, which segment_entropies returns as fresh arrays
         h, self._positive, self._logs, self._cuts = segment_entropies(plan.flat, plan.bounds)
-        h = h.reshape(len(batch), -1)
+        self.entropies = h.reshape(len(batch), -1)
         # one matrix-vector product per tensor, as for a single one
-        values = np.empty((len(h), len(fn.coeffs)))
-        for row, out in zip(h, values):
+        self.values = np.empty((len(batch), len(fn.coeffs)))
+        for row, out in zip(self.entropies, self.values):
             np.matmul(fn.coeffs, row, out=out)
-        self.entropies, self.values = (h, values) if self.batched else (h[0], values[0])
 
-    def grad(self, weights: np.ndarray) -> np.ndarray:
-        """Gradient of weights . values with respect to t. For a batch,
-        weights holds one row per tensor and the gradient one tensor per
-        row."""
-        weights = np.asarray(weights, dtype=float)
-        if self.batched:
-            return self.grad_rows(np.arange(len(weights)), weights)
-        return self.grad_rows([0], weights[None])[0]
-
-    def grad_rows(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
+    def grad(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
         """Gradients at the tensors ``rows`` of the batch, each under its row
         of ``weights``, one tensor at a time by the arithmetic of a single
         one."""
@@ -332,6 +299,8 @@ class InfoFunctional:
         plan = self._plans.get(key)
         if plan is not None:
             return plan
+        if batch.shape[1:] != self.shape:
+            raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {batch.shape}")
         n, size = len(batch), self._offsets[-1]
         flat = np.empty(n * size)
         rows = flat.reshape(n, size)
@@ -359,43 +328,41 @@ class InfoFunctional:
         plan = self._plans[key] = _Plan(reductions, copies, products, flat, bounds)
         return plan
 
-    def evaluate(self, t: np.ndarray) -> Evaluation:
-        """Marginals, entropy vector and row values at t (forward pass
-        only); t is one tensor of ``shape`` or a batch with a leading axis."""
-        return Evaluation(self, t)
+    def evaluate(self, batch: np.ndarray) -> Evaluation:
+        """Marginals, entropy vectors and row values at each tensor of a
+        batch with a leading axis (forward pass only)."""
+        return Evaluation(self, batch)
 
     def value(self, t: np.ndarray) -> np.ndarray:
-        """Row values at t (one row of them per tensor of a batch)."""
-        return self.evaluate(t).values
+        """Row values at one tensor t, evaluated as a batch of one."""
+        return self.evaluate(t[None]).values[0]
 
-    def value_and_grad(self, t: np.ndarray, weigh: Weigh = _sum_of_rows) -> tuple:
-        """Objective value and its gradient as a callable; ``weigh`` turns
-        one tensor's row values into its value and row weights (default:
-        the sum of the rows). Only calling ``grad`` runs the adjoint pass.
-
-        One tensor gives ``(value, grad)`` with ``grad()`` its gradient; a
-        batch gives the array of values and ``grad(rows)``, the gradients
-        at the tensors ``t[rows]``.
-        """
-        ev = self.evaluate(t)
-        per_tensor = ev.values if ev.batched else ev.values[None]
-        values, weights = np.empty(len(per_tensor)), np.empty(per_tensor.shape)
-        for r, row in enumerate(per_tensor):
-            values[r], weights[r] = weigh(row)
-        if not ev.batched:
-            return float(values[0]), lambda: ev.grad(weights[0])
-        return values, lambda rows: ev.grad_rows(rows, weights[rows])
+    def value_and_grad(
+        self, batch: np.ndarray, weight_rows: np.ndarray
+    ) -> tuple[np.ndarray, BatchGrad]:
+        """Objective values of a batch and ``grad(rows)``, the gradients at
+        the tensors ``batch[rows]``; only calling ``grad`` runs the adjoint
+        pass. ``weight_rows`` is a 2-D array, one weight row per line: each
+        tensor's value is the minimum over them of its weighted row values,
+        and its gradient follows the first minimal weight row."""
+        ev = self.evaluate(batch)
+        values, weights = np.empty(len(ev.values)), np.empty(ev.values.shape)
+        for r, row in enumerate(ev.values):
+            scores = weight_rows @ row
+            k = int(scores.argmin())
+            values[r], weights[r] = scores[k], weight_rows[k]
+        return values, lambda rows: ev.grad(rows, weights[rows])
 
 
 class JointObjective:
-    """Flat-vector adapter: one simplex over the whole base tensor; ``weigh``
-    reduces a table's rows to the objective (see ``value_and_grad``).
-    Called on a batch of flat points, one per row, it follows the search
-    contract: their values and ``grad(rows)``."""
+    """Flat-vector adapter: one simplex over the whole base tensor; the
+    objective is the table's rows under ``weight_rows`` (see
+    ``value_and_grad``). Called on a batch of flat points, one per row, it
+    follows the search contract: their values and ``grad(rows)``."""
 
-    def __init__(self, functional: InfoFunctional, weigh: Weigh = _sum_of_rows) -> None:
+    def __init__(self, functional: InfoFunctional, weight_rows: Sequence | np.ndarray) -> None:
         self.functional = functional
-        self.weigh = weigh
+        self.weight_rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
         self.shape = functional.shape
         self.size = int(np.prod(self.shape))
 
@@ -405,7 +372,7 @@ class JointObjective:
 
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
         batch = flat.reshape((len(flat),) + self.shape)
-        values, grad = self.functional.value_and_grad(batch, self.weigh)
+        values, grad = self.functional.value_and_grad(batch, self.weight_rows)
         return values, lambda rows: grad(rows).reshape(len(rows), -1)
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
@@ -417,17 +384,17 @@ class JointObjective:
 
 class FixedInputObjective:
     """Flat-vector adapter at fixed input law: one simplex per input symbol;
-    ``weigh`` and the batch call as in ``JointObjective``.
+    ``weight_rows`` and the batch call as in ``JointObjective``.
 
     The flat layout is input-major: block x holds the conditional
     p(rest | X=x) in C order. Axes of the base tensor keep the input last.
     """
 
     def __init__(
-        self, functional: InfoFunctional, px: np.ndarray, weigh: Weigh = _sum_of_rows
+        self, functional: InfoFunctional, px: np.ndarray, weight_rows: Sequence | np.ndarray
     ) -> None:
         self.functional = functional
-        self.weigh = weigh
+        self.weight_rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
         self.rest_shape = functional.shape[:-1]
         self.nx = functional.shape[-1]
         self.px = np.asarray(px, dtype=float)
@@ -440,7 +407,7 @@ class FixedInputObjective:
         return [self.block] * self.nx
 
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
-        values, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weigh)
+        values, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weight_rows)
         return values, lambda rows: np.moveaxis(grad(rows) * self.px, -1, 1).reshape(len(rows), -1)
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:

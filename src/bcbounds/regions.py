@@ -42,7 +42,7 @@ from .marton import (
     fit_joint,
     structured_seed_joints,
 )
-from .objectives import BatchGrad, InfoFunctional, JointObjective, ent_terms, mi_terms, min_of
+from .objectives import BatchGrad, InfoFunctional, JointObjective, ent_terms, mi_terms
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -124,7 +124,7 @@ def uv_sum_rate(
     candidate is scored exactly, so the result is a certified lower bound.
     """
     shape = (c.nx + 1, c.nx + 1, c.nx)
-    obj = JointObjective(_uv_table(c, *shape[:2]), min_of(np.eye(5)[:3]))
+    obj = JointObjective(_uv_table(c, *shape[:2]), np.eye(5)[:3])
 
     uniform = np.full(c.nx, 1.0 / c.nx)
     ident = np.arange(c.nx)
@@ -397,8 +397,8 @@ class _SupportObjective:
                 k = supports[r][2]
                 if k is not None:
                     mu[i] = self._duals(k)
-            g1 = ev1.grad_rows(rows, mu).reshape(len(rows), -1)
-            g2 = ev2.grad_rows(rows, mu).reshape(len(rows), -1)
+            g1 = ev1.grad(rows, mu).reshape(len(rows), -1)
+            g2 = ev2.grad(rows, mu).reshape(len(rows), -1)
             return np.concatenate([g1, g2], axis=1)
 
         return np.array([value for value, _, _ in supports]), grad

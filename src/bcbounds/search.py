@@ -11,9 +11,12 @@ up).
 Objective contract: ``fun(X) -> (values, grad)`` for a batch X of shape
 (B, n), one point per row. ``values`` holds the B objective values and
 ``grad(rows)`` returns the gradients at the points ``X[rows]``, one per
-row, computed only when called. Every batch goes through one evaluation
-of the objective's table (one ``InfoFunctional.value_and_grad``, or one
-``evaluate`` per component table), however many rows it has.
+row, computed only when called. It is the one call form of the
+evaluation layer: ``InfoFunctional.value_and_grad`` takes a batch of
+tensors and weight rows and returns the same pair, and an objective
+reshapes points and gradients around one such call (or one ``evaluate``
+per component table of a region's support), however many rows the batch
+has.
 
 The ascent is lockstep and value-first. ``maximize`` steps consecutive
 restarts together (at most ``LOCKSTEP_FLOATS`` floats of points at a
@@ -81,6 +84,9 @@ STEP_GROW = 1.6
 STEP_MAX = 64.0
 MIN_STEP = 1e-12
 IMPROVE_TOL = 1e-9
+# a restart converges after this many accepted steps in a row that each
+# gained less than IMPROVE_TOL
+PATIENCE = 4
 # maximize steps at most this many floats of restart points together: an
 # objective's batch buffers grow with the batch, while the per-call
 # overhead that lockstep saves is already small next to the arithmetic of
@@ -96,7 +102,6 @@ class SearchConfig:
 
     restarts: int = 64
     max_iters: int = 200
-    patience: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -270,7 +275,7 @@ def _lockstep(
     gradient there and grows s), and otherwise halves s and tries again
     within the same iteration. It converges when s falls below MIN_STEP,
     when the projected trial does not move the point, or after
-    ``cfg.patience`` accepted steps in a row that each gained less than
+    PATIENCE accepted steps in a row that each gained less than
     IMPROVE_TOL; it stops unconverged after ``cfg.max_iters`` iterations.
     A restart's value only rises, so its last point is its best.
     """
@@ -321,7 +326,7 @@ def _lockstep(
                 step[j] = min(step[j] * STEP_GROW, STEP_MAX)
                 if gain < IMPROVE_TOL:
                     stall[j] += 1
-                    if stall[j] >= cfg.patience:
+                    if stall[j] >= PATIENCE:
                         done[j] = True
                         continue
                 else:

@@ -39,25 +39,20 @@ from bcbounds.marton import (
     lambda_weights,
     marton_table,
 )
-from bcbounds.objectives import (
-    FixedInputObjective,
-    InfoFunctional,
-    JointObjective,
-    mi_terms,
-    min_of,
-)
+from bcbounds.objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms
 from bcbounds.regions import UvAuxiliary, evaluate_uv_point
 from bcbounds.search import (
     IMPROVE_TOL,
     MIN_STEP,
+    PATIENCE,
     STEP_GROW,
     STEP_INIT,
     STEP_MAX,
     STEP_SHRINK,
     SearchConfig,
     SearchResult,
+    _lockstep,
     _start_points,
-    ascend,
     maximize,
     project_blocks,
     simplex_grid,
@@ -102,7 +97,7 @@ def endpoint_sr(
     else:
         terms = mi_terms("w", "y") + mi_terms("x", "z", "w")
     fn = InfoFunctional("wx", (c.nx, c.nx), [terms], channel=c.q)
-    obj = JointObjective(fn)
+    obj = JointObjective(fn, [1.0])
 
     # a maximizing W can be taken as a quantization of X, so for small
     # alphabets seed every deterministic partition and let ascent fix p(x)
@@ -232,22 +227,19 @@ def uniform_input_check(
     uniform-input value by more than the tolerance.
     """
     c = component(det)
-    cfg = cfg or SearchConfig(restarts=1, max_iters=50, patience=3)
+    cfg = cfg or SearchConfig(restarts=1, max_iters=50)
     prof = Cardinalities.for_sum_rate(c)
     uniform = np.full(4, 0.25)
     table = marton_table(c, prof)
 
     def value_at(lam: float, px: np.ndarray) -> float:
         # one compiled table for the whole sweep; starts are the two branch
-        # constructions plus flat conditionals, all deterministic
-        fobj = FixedInputObjective(table, px, min_of(lambda_weights(lam)))
+        # constructions plus flat conditionals, all deterministic, ascended
+        # in lockstep (each bit for bit as by ``ascend`` on its own)
+        fobj = FixedInputObjective(table, px, lambda_weights(lam)[None])
         starts = [fobj.to_flat(t) for t in component_seed_joints(det, prof, px)]
         starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
-        best = -np.inf
-        for s in starts:
-            v, _, _, _ = ascend(fobj, s, fobj.block_sizes, cfg)
-            best = max(best, v)
-        return best
+        return max(v for v, _, _, _ in _lockstep(fobj, np.array(starts), fobj.block_sizes, cfg))
 
     uniform_values = {lam: value_at(lam, uniform) for lam in lambdas}
     max_excess = -np.inf
@@ -360,7 +352,7 @@ def run_restart(fun, x0, block_sizes, cfg):
         step = min(step * STEP_GROW, STEP_MAX)
         if gain < IMPROVE_TOL:
             stall += 1
-            if stall >= cfg.patience:
+            if stall >= PATIENCE:
                 converged = True
                 break
         else:

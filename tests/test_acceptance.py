@@ -36,10 +36,16 @@ from bcbounds.marton import (
     marton_table,
     maximize_lambda_sr_at_input,
 )
-from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms, min_of
+from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms
 from bcbounds.regions import ProductAuxiliary, region_support
 from bcbounds.search import SearchConfig
-from oracles import component_seed_joints, endpoint_sr, f_envelope_oracle, uniform_input_check
+from oracles import (
+    component_seed_joints,
+    endpoint_sr,
+    f_envelope_oracle,
+    pointwise,
+    uniform_input_check,
+)
 
 CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
 
@@ -326,13 +332,13 @@ def _fd_grad(fn_value, t, eps=1e-6):
 def test_ac10_gradient_correctness():
     rng = np.random.default_rng(42)
 
-    # (table, weighing, shape); a single weight row is a plain weighted sum
-    plain = min_of([1.0])
+    # (table, weight rows, shape); a single weight row is a plain weighted sum
+    plain = np.array([[1.0]])
 
     def functionals(c):
         prof = Cardinalities.for_sum_rate(c)
         shape = (prof.nu, prof.nv, prof.nw, c.nx)
-        yield marton_table(c, prof), min_of(lambda_weights(float(rng.random()))), shape
+        yield marton_table(c, prof), lambda_weights(float(rng.random()))[None], shape
         yield (
             InfoFunctional(
                 "uvwx",
@@ -379,12 +385,13 @@ def test_ac10_gradient_correctness():
     while count < 100:
         nx, ny, nz = rng.integers(2, 4, size=3)
         c = random_channel(rng, int(nx), int(ny), int(nz))
-        for fn, weigh, shape in functionals(c):
+        for fn, weight_rows, shape in functionals(c):
             t = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
             t = np.clip(t, 1e-3, None)
             t /= t.sum()
-            g = fn.value_and_grad(t, weigh)[1]()
-            fd = _fd_grad(lambda x: weigh(fn.evaluate(x).values)[0], t)
+            f = pointwise(lambda batch: fn.value_and_grad(batch, weight_rows))
+            g = f(t)[1]()
+            fd = _fd_grad(lambda x: f(x)[0], t)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-9)
             worst = max(worst, rel)
             count += 1

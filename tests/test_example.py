@@ -15,7 +15,6 @@ from bcbounds import cli
 from bcbounds.channel import deterministic_map, is_deterministic
 from bcbounds.counterexample import (
     PAIRS,
-    Check,
     component,
     component_branch_aux,
     f_closed_form,
@@ -28,7 +27,7 @@ from bcbounds.counterexample import (
     uv_witness_auxiliary,
     verify_separation,
 )
-from bcbounds.marton import lambda_sr_value
+from bcbounds.marton import Check, lambda_sr_value
 from bcbounds.regions import REGION_KINDS, evaluate_uv_point
 from bcbounds.search import SearchConfig
 from oracles import f_envelope_oracle, uniform_input_check, witness_component_values
@@ -123,7 +122,8 @@ def test_module_exports_are_defined_in_their_module():
 
 def test_no_search_budget_has_a_default():
     # every search takes its SearchConfig from its caller, so each reported
-    # number comes from a budget the caller chose and can echo
+    # number comes from a budget the caller chose and can echo; likewise every
+    # objective takes its weight rows, so none is weighed by a hidden default
     pkg = Path(bcbounds.__file__).resolve().parent
     defaulted = []
     for path in sorted(pkg.glob("*.py")):
@@ -135,7 +135,7 @@ def test_no_search_budget_has_a_default():
                 with_default += [
                     arg for arg, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
                 ]
-                if any(arg.arg == "cfg" for arg in with_default):
+                if any(arg.arg in ("cfg", "weight_rows") for arg in with_default):
                     defaulted.append(f"{path.stem}.{node.name}")
     assert defaulted == []
 

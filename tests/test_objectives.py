@@ -13,7 +13,6 @@ from bcbounds.objectives import (
     ent_terms,
     merge_terms,
     mi_terms,
-    min_of,
 )
 from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
 from info_oracle import mutual_information
@@ -22,6 +21,12 @@ from oracles import pointwise
 
 def _random_channel(rng, nx, ny, nz):
     return rng.dirichlet(np.ones(ny * nz), size=nx).reshape(nx, ny, nz)
+
+
+def _at(fn, weight_rows):
+    # fn's objective under weight_rows as a function of one tensor
+    rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
+    return pointwise(lambda batch: fn.value_and_grad(batch, rows))
 
 
 def _fd_grad(fn_value, t, eps=1e-6):
@@ -72,7 +77,7 @@ def test_functional_matches_kernel_mi():
         )
         assert fn.value(t)[0] == pytest.approx(expect, abs=1e-12)
         with np.errstate(all="raise"):
-            v, grad = fn.value_and_grad(t)
+            v, grad = _at(fn, [1.0])(t)
             g = grad()
         assert v == pytest.approx(expect, abs=1e-12)
         assert np.isfinite(g).all()
@@ -84,20 +89,23 @@ def test_functional_without_channel():
     fn = InfoFunctional("ab", t.shape, [mi_terms("a", "b")])
     expect = mutual_information(t, (0,), (1,))
     assert fn.value(t)[0] == pytest.approx(expect, abs=1e-12)
+    # an evaluation takes a batch: one tensor without its leading axis is refused
+    with pytest.raises(ValueError, match="batch"):
+        fn.evaluate(t)
 
 
 def test_empty_first_row_is_zero_with_zero_gradient():
     rng = np.random.default_rng(10)
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
     table = InfoFunctional("ab", (2, 3), [[], mi_terms("a", "b")])
-    ev = table.evaluate(t)
-    assert ev.values[0] == 0.0
-    assert ev.values[1] == pytest.approx(mutual_information(t, (0,), (1,)), abs=1e-12)
-    assert np.array_equal(ev.grad(np.array([1.0, 0.0])), np.zeros((2, 3)))
+    ev = table.evaluate(t[None])
+    assert ev.values[0, 0] == 0.0
+    assert ev.values[0, 1] == pytest.approx(mutual_information(t, (0,), (1,)), abs=1e-12)
+    assert np.array_equal(ev.grad([0], np.array([[1.0, 0.0]])), np.zeros((1, 2, 3)))
 
 
 def _check_gradient(fn, t, rel_tol=1e-4):
-    g = fn.value_and_grad(t)[1]()
+    g = _at(fn, [1.0])(t)[1]()
     g_fd = _fd_grad(lambda x: fn.value(x)[0], t)
     scale = max(1.0, np.abs(g_fd).max())
     assert np.abs(g - g_fd).max() / scale < rel_tol
@@ -131,7 +139,7 @@ def test_joint_objective_round_trip():
     rng = np.random.default_rng(4)
     q = _random_channel(rng, 2, 2, 2)
     fn = InfoFunctional("ux", (3, 2), [mi_terms("u", "y")], q)
-    obj = JointObjective(fn)
+    obj = JointObjective(fn, [1.0])
     assert obj.block_sizes == [6]
     t = rng.dirichlet(np.ones(6)).reshape(3, 2)
     flat = obj.to_flat(t)
@@ -146,7 +154,7 @@ def test_fixed_input_objective_blocks_and_masses():
     q = _random_channel(rng, 3, 2, 2)
     fn = InfoFunctional("uvx", (2, 2, 3), [mi_terms("u", "y") + mi_terms("v", "z")], q)
     px = np.array([0.5, 0.5, 0.0])
-    obj = FixedInputObjective(fn, px)
+    obj = FixedInputObjective(fn, px, [1.0])
     # one conditional simplex per input letter
     assert obj.block_sizes == [4, 4, 4]
     t = rng.dirichlet(np.ones(4), size=3).T.reshape(2, 2, 3) * px
@@ -163,7 +171,7 @@ def test_fixed_input_zero_mass_conditional_is_uniform():
     rng = np.random.default_rng(6)
     q = _random_channel(rng, 2, 2, 2)
     fn = InfoFunctional("ux", (2, 2), [mi_terms("u", "y")], q)
-    obj = FixedInputObjective(fn, np.array([1.0, 0.0]))
+    obj = FixedInputObjective(fn, np.array([1.0, 0.0]), [1.0])
     t = np.zeros((2, 2))
     t[0, 0] = 1.0
     flat = obj.to_flat(t)
@@ -181,7 +189,7 @@ def test_fixed_input_gradient_matches_fd():
         q,
     )
     px = rng.dirichlet(np.ones(3))
-    obj = FixedInputObjective(fn, px)
+    obj = FixedInputObjective(fn, px, [1.0])
     flat = np.concatenate([rng.dirichlet(np.ones(6)) for _ in range(3)])
 
     def value_only(f):
@@ -204,7 +212,7 @@ def test_min_of_objectives_value_and_active_gradient():
     rows = [ent_terms("a"), ent_terms("b")]
     table = InfoFunctional("ab", (2, 3), rows)
     singles = [InfoFunctional("ab", (2, 3), [r]) for r in rows]
-    obj = JointObjective(table, min_of(np.eye(2)))
+    obj = JointObjective(table, np.eye(2))
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
     vals = table.value(t)
     assert np.allclose(vals, [f.value(t)[0] for f in singles], atol=1e-12)
@@ -212,17 +220,17 @@ def test_min_of_objectives_value_and_active_gradient():
     k = int(np.argmin(vals))
     v, grad = pointwise(obj)(t.ravel())
     assert v == pytest.approx(vals[k], abs=1e-12)
-    assert np.allclose(grad(), singles[k].value_and_grad(t)[1]().ravel(), atol=1e-12)
+    assert np.allclose(grad(), _at(singles[k], [1.0])(t)[1]().ravel(), atol=1e-12)
     # weight rows that skip a row leave it out of the minimum
-    v1, grad1 = pointwise(JointObjective(table, min_of(np.eye(2)[:1])))(t.ravel())
+    v1, grad1 = pointwise(JointObjective(table, np.eye(2)[:1]))(t.ravel())
     assert v1 == pytest.approx(vals[0], abs=1e-12)
-    assert np.allclose(grad1(), singles[0].value_and_grad(t)[1]().ravel(), atol=1e-12)
+    assert np.allclose(grad1(), _at(singles[0], [1.0])(t)[1]().ravel(), atol=1e-12)
     # on a tie the first minimal row wins: H(A) = H(B) = 1 bit here
     tie = np.array([[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]])
     assert table.value(tie)[0] == table.value(tie)[1]
     g_tie = pointwise(obj)(tie.ravel())[1]()
-    assert np.allclose(g_tie, singles[0].value_and_grad(tie)[1]().ravel(), atol=1e-12)
-    assert not np.allclose(g_tie, singles[1].value_and_grad(tie)[1]().ravel())
+    assert np.allclose(g_tie, _at(singles[0], [1.0])(tie)[1]().ravel(), atol=1e-12)
+    assert not np.allclose(g_tie, _at(singles[1], [1.0])(tie)[1]().ravel())
 
 
 def _first_min_row(values, count):
@@ -242,19 +250,22 @@ def test_min_of_identity_rows_and_weighted_row():
     for _ in range(5):
         t = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
         # identity weight rows reproduce the first-minimal-row weighing bit for bit
-        v, w = min_of(np.eye(4)[:3])(table.value(t))
+        values, grad = table.value_and_grad(t[None], np.eye(4)[:3])
         v_ref, w_ref = _first_min_row(table.value(t), 3)
-        assert v == v_ref and np.array_equal(w, w_ref)
-        flat = FixedInputObjective(table, px).to_flat(t)
-        got = pointwise(FixedInputObjective(table, px, min_of(np.eye(4)[:3])))(flat)
-        ref = pointwise(FixedInputObjective(table, px, lambda vals: _first_min_row(vals, 3)))(flat)
+        assert values[0] == v_ref
+        assert grad([0]).tobytes() == table.evaluate(t[None]).grad([0], w_ref[None]).tobytes()
+        obj = FixedInputObjective(table, px, np.eye(4)[:3])
+        flat = obj.to_flat(t)
+        _, w_ref = _first_min_row(table.value(obj.to_tensor(flat)), 3)
+        got = pointwise(obj)(flat)
+        ref = pointwise(FixedInputObjective(table, px, w_ref))(flat)
         assert got[0] == ref[0] and np.array_equal(got[1](), ref[1]())
     # one weight row is the plain weighted sum, gradient included
     weights = np.array([0.3, 0.7, 1.0, -0.5])
-    v, grad = table.value_and_grad(t, min_of(weights))
+    v, grad = _at(table, weights)(t)
     singles = [InfoFunctional("uvx", (2, 2, 3), [r], q) for r in rows]
     assert v == pytest.approx(sum(a * f.value(t)[0] for a, f in zip(weights, singles)), abs=1e-12)
-    g_ref = sum(a * f.value_and_grad(t)[1]() for a, f in zip(weights, singles))
+    g_ref = sum(a * _at(f, [1.0])(t)[1]() for a, f in zip(weights, singles))
     assert np.allclose(grad(), g_ref, atol=1e-12)
 
 
@@ -331,11 +342,11 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
             h_ref, g_ref, marginals = _unfused(fn, t, weights)
             assert (marginals == 0.0).any()
             assert ((marginals > 0.0) & (marginals < GRAD_CLIP)).any()
-            ev = fn.evaluate(t)
-            assert ev.entropies.tobytes() == h_ref.tobytes()
-            assert ev.values.tobytes() == (fn.coeffs @ h_ref).tobytes()
+            ev = fn.evaluate(t[None])
+            assert ev.entropies[0].tobytes() == h_ref.tobytes()
+            assert ev.values[0].tobytes() == (fn.coeffs @ h_ref).tobytes()
             with np.errstate(all="raise"):
-                g = ev.grad(weights)
+                g = ev.grad([0], weights[None])[0]
             assert np.isfinite(g).all()
             assert g.tobytes() == g_ref.tobytes()
 
@@ -348,22 +359,22 @@ def test_evaluation_survives_later_evaluations_bit_for_bit():
     for fn in (marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3)):
         px = rng.dirichlet(np.ones(3))
         t1, t2 = (_input_major(_awkward_tensor(rng, fn.shape)) for _ in range(2))
-        weights = rng.normal(size=fn.coeffs.shape[0])
-        ev1 = fn.evaluate(t1)
-        v1, grad1 = fn.value_and_grad(t1, min_of(weights))
-        ev2 = fn.evaluate(t2)
-        fn.evaluate(np.ascontiguousarray(t2) * 0.5)
-        g1 = ev1.grad(weights)
+        weights = rng.normal(size=(1, fn.coeffs.shape[0]))
+        ev1 = fn.evaluate(t1[None])
+        v1, grad1 = fn.value_and_grad(t1[None], weights)
+        ev2 = fn.evaluate(t2[None])
+        fn.evaluate(np.ascontiguousarray(t2)[None] * 0.5)
+        g1 = ev1.grad([0], weights)
         for ev, t in ((ev1, t1), (ev2, t2)):
-            fresh = fn.evaluate(t)
+            fresh = fn.evaluate(t[None])
             assert ev.entropies.tobytes() == fresh.entropies.tobytes()
             assert ev.values.tobytes() == fresh.values.tobytes()
-        fresh = fn.evaluate(t1)
-        assert g1.tobytes() == fresh.grad(weights).tobytes()
-        assert grad1().tobytes() == fresh.grad(weights).tobytes()
-        assert v1 == fn.value_and_grad(t1, min_of(weights))[0]
+        fresh = fn.evaluate(t1[None])
+        assert g1.tobytes() == fresh.grad([0], weights).tobytes()
+        assert grad1([0]).tobytes() == fresh.grad([0], weights).tobytes()
+        assert v1.tobytes() == fn.value_and_grad(t1[None], weights)[0].tobytes()
         # the flat-vector adapters read the same buffers
-        obj = FixedInputObjective(fn, px)
+        obj = FixedInputObjective(fn, px, weights)
         x1, x2 = obj.to_flat(t1), obj.to_flat(t2)
         f = pointwise(obj)
         value, grad = f(x1)
@@ -393,11 +404,37 @@ def test_batched_evaluation_matches_each_tensor_bit_for_bit():
         for layout, batch in ((_c_order, batch_c), (_input_major, batch_x)):
             ev = fn.evaluate(batch)
             assert ev.values.shape == (3, fn.coeffs.shape[0])
-            grads = ev.grad(weights)
-            rows = ev.grad_rows([0, 2], weights[[0, 2]])
+            grads = ev.grad(range(3), weights)
+            rows = ev.grad([0, 2], weights[[0, 2]])
             for r, t in enumerate(singles):
-                one = fn.evaluate(layout(t))
-                assert ev.entropies[r].tobytes() == one.entropies.tobytes()
-                assert ev.values[r].tobytes() == one.values.tobytes()
-                assert grads[r].tobytes() == one.grad(weights[r]).tobytes()
+                one = fn.evaluate(layout(t)[None])
+                assert ev.entropies[r].tobytes() == one.entropies[0].tobytes()
+                assert ev.values[r].tobytes() == one.values[0].tobytes()
+                assert grads[r].tobytes() == one.grad([0], weights[[r]])[0].tobytes()
             assert rows.tobytes() == grads[[0, 2]].tobytes()
+
+
+def test_value_and_grad_weighs_each_tensor_of_a_batch_by_its_own_minimal_row():
+    # one batch whose tensors have different first-minimal weight rows, one
+    # of them an exact three-way tie (H(A) = H(B) = 1 bit, so 2 H(A) - H(B)
+    # = 1 too): each tensor's value and gradient are the ones it gets alone
+    table = InfoFunctional("ab", (2, 3), [ent_terms("a"), ent_terms("b")])
+    weight_rows = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -1.0]])
+    batch = np.array(
+        [
+            [[0.5, 0.0, 0.0], [0.4, 0.1, 0.0]],  # H(B) < H(A): row 1
+            [[0.3, 0.3, 0.3], [0.0, 0.0, 0.1]],  # 2 H(A) - H(B) < 0: row 2
+            [[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]],  # a tie: the first row, 0
+        ]
+    )
+    values, grad = table.value_and_grad(batch, weight_rows)
+    grads = grad([0, 1, 2])
+    for r, first_min in enumerate((1, 2, 0)):
+        one = batch[r][None]
+        alone, alone_grad = table.value_and_grad(one, weight_rows)
+        assert values[r].tobytes() == alone[0].tobytes()
+        assert grad([r]).tobytes() == alone_grad([0]).tobytes()
+        assert grads[r].tobytes() == alone_grad([0])[0].tobytes()
+        ref = table.evaluate(one).grad([0], weight_rows[[first_min]])
+        assert grad([r]).tobytes() == ref.tobytes()
+    assert table.value(batch[2]).tolist() == [1.0, 1.0]
