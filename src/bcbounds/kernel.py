@@ -27,15 +27,14 @@ def entropy_of_array(p: np.ndarray) -> float:
 
 def segment_entropies(
     flat: np.ndarray, bounds: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Entropies in bits of the segments ``flat[bounds[s]:bounds[s+1]]`` of
     one flat nonnegative array, in a single mask and a single log2.
 
     Each entropy is bit-identical to ``entropy_of_array`` on its segment:
     the same positive entries, their logs and one dot product, in the same
     order. Returns (entropies, mask of the positive entries, log2 of the
-    positive entries, the number of positive entries before each bound), so
-    a caller can reuse the logs.
+    positive entries), so a caller can reuse the logs.
     """
     mask = flat > 0.0
     pos = flat[mask]
@@ -45,5 +44,6 @@ def segment_entropies(
     h = np.zeros(len(cuts) - 1)
     for s, (a, b) in enumerate(zip(cuts, cuts[1:])):
         if b > a:
-            h[s] = -np.dot(pos[a:b], logs[a:b])
-    return h, mask, logs, cuts
+            # ndarray.dot: np.dot's cblas_ddot without its dispatch
+            h[s] = -pos[a:b].dot(logs[a:b])
+    return h, mask, logs

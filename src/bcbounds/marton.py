@@ -173,10 +173,14 @@ def lambda_sr_value(c: Channel, lam: float, aux: AuxiliaryJoint) -> float:
     return float((lambda_weights(lam)[None] @ _table_at(c, aux))[0])
 
 
+def _slope(rows: np.ndarray) -> float:
+    """I(W;Y) - I(W;Z) from the Marton table's row values."""
+    return float(rows[0] - rows[1])
+
+
 def curve_subgradient(c: Channel, aux: AuxiliaryJoint) -> float:
     """I(W;Y) - I(W;Z) at a maximizer: a subgradient of the lambda-curve."""
-    rows = _table_at(c, aux)
-    return float(rows[0] - rows[1])
+    return _slope(_table_at(c, aux))
 
 
 def _class_index(labels: np.ndarray) -> np.ndarray:
@@ -289,7 +293,8 @@ def maximize_lambda_sr_at_input(
     """Best weighted sum rate at a fixed input law (certified lower bound)."""
     prof = profile or Cardinalities.for_sum_rate(c)
     px = np.asarray(px, dtype=float)
-    obj = FixedInputObjective(marton_table(c, prof), px, lambda_weights(lam)[None])
+    table = marton_table(c, prof)
+    obj = FixedInputObjective(table, px, lambda_weights(lam)[None])
     seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, [px])]
     seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
@@ -298,7 +303,7 @@ def maximize_lambda_sr_at_input(
         lam=lam,
         value=res.value,
         aux=aux,
-        subgradient=curve_subgradient(c, aux),
+        subgradient=_slope(table.value(aux.joint)),
         converged=res.converged,
     )
 
@@ -353,7 +358,7 @@ def lambda_sr_global(
         lam=lam,
         value=best_v,
         aux=aux,
-        subgradient=curve_subgradient(c, aux),
+        subgradient=_slope(table.value(aux.joint)),
         converged=res.converged,
     )
 

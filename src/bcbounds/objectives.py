@@ -29,9 +29,12 @@ Every evaluation takes a batch of tensors with a leading axis, and every
 result keeps that axis; ``value(t)`` is the helper for exact evaluation
 at one tensor, a batch of one. Each tensor of a batch is summed exactly
 as on its own, bit for bit: the reductions keep the batch axis slowest,
-channel products are stacked matmuls (one matrix per tensor), every
-entropy is one dot product over its own segment, and row values,
-weighings and adjoint weights are taken tensor by tensor.
+and every product with a per-tensor operand is a stacked matmul whose
+slices are the products a single tensor makes (channel products,
+row values C @ H, weighings, adjoint weights w^T C), never one matmul
+over the whole batch, whose gemm sums in another order. Every entropy is
+one dot product over its own segment, and the adjoint pass runs once
+for all the rows it is asked for.
 
 A table owns the work buffers of the forward pass (the keep-marginals of
 t and the flat marginal buffer, one row per tensor) and reuses them on
@@ -178,38 +181,48 @@ class Evaluation:
             op(m, q, out=out)
         # the next evaluation overwrites the buffers: keep only what grad
         # reads, which segment_entropies returns as fresh arrays
-        h, self._positive, self._logs, self._cuts = segment_entropies(plan.flat, plan.bounds)
+        h, self._positive, self._logs = segment_entropies(plan.flat, plan.bounds)
         self.entropies = h.reshape(len(batch), -1)
-        # one matrix-vector product per tensor, as for a single one
-        self.values = np.empty((len(batch), len(fn.coeffs)))
-        for row, out in zip(self.entropies, self.values):
-            np.matmul(fn.coeffs, row, out=out)
+        # a stacked matrix-vector product: numpy makes the one BLAS call per
+        # tensor that a single tensor makes (a gemm over the batch would not)
+        self.values = np.matmul(fn.coeffs, self.entropies[..., None])[..., 0]
 
     def grad(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
-        """Gradients at the tensors ``rows`` of the batch, each under its row
-        of ``weights``, one tensor at a time by the arithmetic of a single
-        one."""
+        """Gradients at the tensors ``rows`` of the batch (any order, repeats
+        allowed), each under its row of ``weights``, in one adjoint pass:
+        the per-marginal weights of every row in one stacked product, the
+        entropy derivatives of every row in one buffer, and one channel
+        contraction per marginal over all rows. Each gradient is
+        bit-identical to the one its tensor gets alone."""
         fn = self._fn
-        size, per_row = fn._offsets[-1], len(fn._shapes)
-        grads = np.zeros((len(rows),) + fn.shape)
-        for grad, r, w in zip(grads, rows, weights):
-            per_marginal = w @ fn.coeffs
-            # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e
-            positive = self._positive[r * size : (r + 1) * size]
-            logs = self._logs[self._cuts[r * per_row] : self._cuts[(r + 1) * per_row]]
-            dh = np.full(positive.size, LOG2_CLIP)
-            dh[positive] = np.maximum(logs, LOG2_CLIP)
-            dh += LOG2E
-            acc: list[np.ndarray | None] = [None] * len(fn._keeps)
-            for s in per_marginal.nonzero()[0]:
-                mg, (a, b) = fn._marginals[s], fn._bounds[s]
-                d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
-                if mg.q is not None:
-                    d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
-                acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
-            for keep, g in zip(fn._keeps, acc):
-                if g is not None:
-                    grad += g.reshape(keep.expand)
+        n, size = len(rows), fn._offsets[-1]
+        per_marginal = np.matmul(weights[:, None, :], fn.coeffs)[:, 0]
+        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e,
+        # for the whole batch by one boolean assignment, then the rows asked
+        # for; a group of the search holds at most LOCKSTEP_FLOATS floats of
+        # points, which bounds the work on rows not asked for
+        dh = np.full(self._positive.shape, LOG2_CLIP)
+        dh[self._positive] = np.maximum(self._logs, LOG2_CLIP)
+        dh += LOG2E
+        dh = dh.reshape(-1, size)[rows]
+        dh *= np.repeat(-per_marginal, fn._sizes, axis=1)
+        # A marginal is skipped only when it has zero weight in every row. In
+        # a row where its weight is zero, it adds dh * -0.0 (dh is finite):
+        # exact zeros of either sign, whose contraction is again such zeros.
+        # Adding them leaves every nonzero sum unchanged, and since the
+        # gradient starts at +0.0, any zero added to it leaves +0.0. So
+        # every sum, and every final zero, has the bits it has alone.
+        acc: list[np.ndarray | None] = [None] * len(fn._keeps)
+        for s in per_marginal.any(axis=0).nonzero()[0]:
+            mg, (a, b) = fn._marginals[s], fn._bounds[s]
+            d = dh[:, a:b].reshape((n,) + fn._shapes[s])
+            if mg.q is not None:
+                d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+            acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+        grads = np.zeros((n,) + fn.shape)
+        for keep, g in zip(fn._keeps, acc):
+            if g is not None:
+                grads += g.reshape((n,) + keep.expand)
         return grads
 
 
@@ -277,6 +290,7 @@ class InfoFunctional:
                 self._shapes.append(work + (nout,) if mg.joint_input else (work[0], nout))
         # flat layout of the marginals in one evaluation buffer
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
+        self._sizes = np.diff(self._offsets)
         self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
         self._plans: dict[tuple, _Plan] = {}
 
@@ -346,11 +360,10 @@ class InfoFunctional:
         tensor's value is the minimum over them of its weighted row values,
         and its gradient follows the first minimal weight row."""
         ev = self.evaluate(batch)
-        values, weights = np.empty(len(ev.values)), np.empty(ev.values.shape)
-        for r, row in enumerate(ev.values):
-            scores = weight_rows @ row
-            k = int(scores.argmin())
-            values[r], weights[r] = scores[k], weight_rows[k]
+        # the stacked product again; argmin takes the first minimal row
+        scores = np.matmul(weight_rows, ev.values[..., None])[..., 0]
+        k = scores.argmin(axis=1)
+        values, weights = scores[np.arange(len(k)), k], weight_rows[k]
         return values, lambda rows: ev.grad(rows, weights[rows])
 
 

@@ -358,6 +358,7 @@ class _SupportObjective:
         self.size2 = int(np.prod(self.shape2))
         self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
         self.system = _VertexSystem([a for a, _, _ in self.rows], fix_r0)
+        self._dual_cache: dict[int, np.ndarray] = {}
 
     @property
     def block_sizes(self) -> list[int]:
@@ -374,12 +375,15 @@ class _SupportObjective:
 
     def _duals(self, k: int) -> np.ndarray:
         """Duals of the active constraints of vertex ``k``, as weights on the
-        region rows."""
-        vs = self.system
-        mu = np.zeros(vs.A.shape[0])
-        mu[vs.combos[k]] = vs.inv[k].T @ self.w
-        mu = mu[: len(self.rows)]
-        mu[np.abs(mu) <= 1e-14] = 0.0
+        region rows; computed on first use and kept."""
+        mu = self._dual_cache.get(k)
+        if mu is None:
+            vs = self.system
+            mu = np.zeros(vs.A.shape[0])
+            mu[vs.combos[k]] = vs.inv[k].T @ self.w
+            mu = mu[: len(self.rows)]
+            mu[np.abs(mu) <= 1e-14] = 0.0
+            self._dual_cache[k] = mu
         return mu
 
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:

@@ -14,7 +14,12 @@ Each one recomputes a quantity of the package by an independent route:
   ``search.project_blocks`` reproduces bit for bit;
 - ``run_restart`` and ``maximize_sequential``: the projected ascent one
   restart at a time, the reference that the lockstep engine behind
-  ``search.maximize`` and ``search.ascend`` reproduces bit for bit.
+  ``search.maximize`` and ``search.ascend`` reproduces bit for bit;
+- ``row_values_per_tensor``, ``weigh_per_tensor`` and
+  ``grad_per_tensor``: an evaluation's row values, weighing and adjoint
+  pass one tensor at a time, the reference that the batched
+  ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
+  reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -39,7 +44,14 @@ from bcbounds.marton import (
     lambda_weights,
     marton_table,
 )
-from bcbounds.objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms
+from bcbounds.objectives import (
+    LOG2_CLIP,
+    LOG2E,
+    FixedInputObjective,
+    InfoFunctional,
+    JointObjective,
+    mi_terms,
+)
 from bcbounds.regions import UvAuxiliary, evaluate_uv_point
 from bcbounds.search import (
     IMPROVE_TOL,
@@ -377,3 +389,57 @@ def maximize_sequential(fun, block_sizes, cfg, seeds=()):
         converged=any(r[3] for r in results),
         restart_values=[r[0] for r in results],
     )
+
+
+# ------------------------------------- the per-tensor evaluation reference
+
+
+def row_values_per_tensor(fn, entropies):
+    """Row values C @ H of each entropy vector of a batch: one
+    matrix-vector product per tensor, as for a single one."""
+    values = np.empty((len(entropies), len(fn.coeffs)))
+    for row, out in zip(entropies, values):
+        np.matmul(fn.coeffs, row, out=out)
+    return values
+
+
+def weigh_per_tensor(table_values, weight_rows):
+    """Each tensor's objective value, the minimum of its weighted row values
+    over ``weight_rows``, and the first minimal weight row, tensor by
+    tensor."""
+    values, weights = np.empty(len(table_values)), np.empty(table_values.shape)
+    for r, row in enumerate(table_values):
+        scores = weight_rows @ row
+        k = int(scores.argmin())
+        values[r], weights[r] = scores[k], weight_rows[k]
+    return values, weights
+
+
+def grad_per_tensor(ev, rows, weights):
+    """Gradients at the tensors ``rows`` of the evaluation ``ev``, each under
+    its row of ``weights``, one tensor at a time by the arithmetic of a
+    single one."""
+    fn = ev._fn
+    size = fn._offsets[-1]
+    # where each tensor's logs start among the forward pass's logs
+    cuts = np.concatenate([[0], np.cumsum(ev._positive.reshape(-1, size).sum(axis=1))])
+    grads = np.zeros((len(rows),) + fn.shape)
+    for grad, r, w in zip(grads, rows, weights):
+        per_marginal = w @ fn.coeffs
+        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e
+        positive = ev._positive[r * size : (r + 1) * size]
+        logs = ev._logs[cuts[r] : cuts[r + 1]]
+        dh = np.full(positive.size, LOG2_CLIP)
+        dh[positive] = np.maximum(logs, LOG2_CLIP)
+        dh += LOG2E
+        acc = [None] * len(fn._keeps)
+        for s in per_marginal.nonzero()[0]:
+            mg, (a, b) = fn._marginals[s], fn._bounds[s]
+            d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
+            if mg.q is not None:
+                d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+            acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+        for keep, g in zip(fn._keeps, acc):
+            if g is not None:
+                grad += g.reshape(keep.expand)
+    return grads

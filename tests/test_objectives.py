@@ -3,7 +3,8 @@ import pytest
 
 from bcbounds.channel import Channel, make_product
 from bcbounds.kernel import entropy_of_array
-from bcbounds.marton import Cardinalities, marton_table
+from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, product_channel
+from bcbounds.marton import Cardinalities, lambda_weights, marton_table
 from bcbounds.objectives import (
     GRAD_CLIP,
     LOG2E,
@@ -16,7 +17,7 @@ from bcbounds.objectives import (
 )
 from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
 from info_oracle import mutual_information
-from oracles import pointwise
+from oracles import grad_per_tensor, pointwise, row_values_per_tensor, weigh_per_tensor
 
 
 def _random_channel(rng, nx, ny, nz):
@@ -438,3 +439,69 @@ def test_value_and_grad_weighs_each_tensor_of_a_batch_by_its_own_minimal_row():
         ref = table.evaluate(one).grad([0], weight_rows[[first_min]])
         assert grad([r]).tobytes() == ref.tobytes()
     assert table.value(batch[2]).tolist() == [1.0, 1.0]
+
+
+def _uv_ties():
+    # UV tables at U = X and at U = V = X, V constant in the first: all three
+    # sum-rate branches tie exactly (2 bits each on the worked product), and
+    # in the second the last two tie below the first
+    nu, nv, nx = 17, 17, 16
+    u_is_x, uv_is_x = np.zeros((nu, nv, nx)), np.zeros((nu, nv, nx))
+    for x in range(nx):
+        u_is_x[x, 0, x] = uv_is_x[x, x, x] = 1.0 / nx
+    return [u_is_x, uv_is_x]
+
+
+def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
+    # the batched row values, weighing and adjoint pass against the loops
+    # over tensors in oracles.py, at the benchmark's three table shapes:
+    # batches of 1, 2 and 5 in both layouts the objectives build, gradient
+    # rows in order, out of order and repeated, and weights under which a
+    # marginal has zero weight in one row and not in another
+    rng = np.random.default_rng(16)
+    small = Channel(_random_channel(rng, 2, 3, 2))
+    flat = product_channel().flat
+    # the search's one weight row, and a minimum over several
+    lam_rows = [lambda_weights(0.3)[None], np.stack([lambda_weights(x) for x in (0.0, 0.6, 1.0)])]
+    cases = [
+        (marton_table(small, Cardinalities.for_sum_rate(small)), (2, 2, 2, 2), lam_rows, []),
+        (marton_table(flat, REDUCED_PRODUCT_PROFILE), (8, 8, 4, 16), lam_rows, []),
+        (_uv_table(flat, 17, 17), (17, 17, 16), [np.eye(5)[:3]], _uv_ties()),
+    ]
+    for fn, shape, weighings, ties in cases:
+        assert fn.shape == shape
+        n_rows = fn.coeffs.shape[0]
+        for n in (1, 2, 5):
+            singles = [_awkward_tensor(rng, shape) for _ in range(n)]
+            singles[: len(ties)] = ties[:n]
+            batch_c = np.stack(singles)
+            batch_x = np.ascontiguousarray(np.moveaxis(batch_c, -1, 1)).transpose(
+                [0] + list(range(2, batch_c.ndim)) + [1]
+            )
+            weights = rng.normal(size=(n, n_rows))
+            weights[0] = np.eye(n_rows)[0]
+            per_marginal = weights @ fn.coeffs
+            if n > 1:
+                assert ((per_marginal[0] == 0.0) & (per_marginal[1:] != 0.0).any(axis=0)).any()
+            row_sets = [list(range(n)), list(range(n))[::-1]]
+            row_sets += [[2, 0, 2], [4, 1]] if n == 5 else []
+            for batch in (batch_c, batch_x):
+                ev = fn.evaluate(batch)
+                assert ev.values.tobytes() == row_values_per_tensor(fn, ev.entropies).tobytes()
+                for rows in row_sets:
+                    ref = grad_per_tensor(ev, rows, weights[rows])
+                    assert ev.grad(rows, weights[rows]).tobytes() == ref.tobytes()
+                for weight_rows in weighings:
+                    values, grad = fn.value_and_grad(batch, weight_rows)
+                    ref_values, ref_weights = weigh_per_tensor(ev.values, weight_rows)
+                    assert values.tobytes() == ref_values.tobytes()
+                    for rows in row_sets:
+                        ref = grad_per_tensor(ev, rows, ref_weights[rows])
+                        assert grad(rows).tobytes() == ref.tobytes()
+                if ties:
+                    # the ties are exact, and each weighs by its first minimal row
+                    first_min = weigh_per_tensor(ev.values, np.eye(5)[:3])[1].argmax(axis=1)
+                    assert len(set(ev.values[0, :3].tolist())) == 1 and first_min[0] == 0
+                    if n > 1:
+                        assert ev.values[1, 1] == ev.values[1, 2] < ev.values[1, 0]
+                        assert first_min[1] == 1

@@ -4,8 +4,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcbounds.channel import Channel
-from bcbounds.marton import AuxiliaryJoint, Cardinalities, lambda_sr_value, marton_table
+from bcbounds.channel import Channel, make_product
+from bcbounds.marton import (
+    AuxiliaryJoint,
+    Cardinalities,
+    lambda_sr_value,
+    marton_table,
+    outer_auxiliary,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -49,3 +55,18 @@ def test_swapping_receivers_maps_lambda_to_one_minus_lambda(case, lam):
     aux_uv = AuxiliaryJoint(aux.joint.transpose(1, 0, 2, 3))
     value = lambda_sr_value(c, lam, aux)
     assert abs(lambda_sr_value(swapped, 1.0 - lam, aux_uv) - value) <= 1e-12
+
+
+def _rows(c, aux):
+    return marton_table(c, Cardinalities(*aux.shape[:3])).value(aux.joint)
+
+
+@PROPERTY_SETTINGS
+@given(channel_and_aux(), channel_and_aux())
+def test_table_rows_add_up_at_an_independent_product_auxiliary(case1, case2):
+    # on a product channel, every Marton table row at the independent
+    # product of component auxiliaries is the sum of the component rows
+    (c1, aux1), (c2, aux2) = case1, case2
+    product = make_product(c1, c2).flat
+    rows = _rows(product, outer_auxiliary(aux1, aux2))
+    assert np.allclose(rows, _rows(c1, aux1) + _rows(c2, aux2), rtol=0.0, atol=1e-12)
