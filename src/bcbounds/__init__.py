@@ -49,6 +49,6 @@ from .regions import (
     region_support,
     uv_sum_rate,
 )
-from .search import SearchConfig, golden_section_min, maximize, simplex_grid
+from .search import SearchConfig, maximize, simplex_grid
 
 __version__ = "0.1.0"

@@ -212,7 +212,6 @@ def marton_on_product(cfg: SearchConfig) -> MartonSumRate:
         product_channel().flat,
         cfg,
         profile=REDUCED_PRODUCT_PROFILE,
-        scalar_tol=2e-3,
         extra_seeds=[a.joint for a in product_seed_auxiliaries()],
     )
 

@@ -9,8 +9,11 @@ Its maximum over auxiliaries upper-bounds every lambda-combination of the
 inner-bound sum rate, is convex in lambda, and its minimum over lambda is
 the inner-bound sum rate itself. Maximizations here are nonconvex, so all
 reported maxima are certified lower bounds (exact evaluations at feasible
-points); the minimum over lambda of such values is what the sum-rate
-driver reports.
+points). At a fixed auxiliary the weighted sum rate is a line in lambda,
+below the curve, so the sum-rate driver (``search.kelley_min``) keeps every
+evaluated auxiliary's line and reports the minimum over sampled lambdas of
+their upper envelope, which is at most the inner-bound sum rate plus
+``search.KELLEY_TOL``.
 
 Every search and evaluation here runs one table per channel and profile,
 ``marton_table``, with rows I(W;Y), I(W;Z) and I(U;Y|W) + I(V;Z|W) -
@@ -42,7 +45,7 @@ from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_
 from .search import (
     SearchConfig,
     ascend,
-    golden_section_min,
+    kelley_min,
     maximize,
     project_simplex,
     simplex_grid,
@@ -404,9 +407,10 @@ def _warm_lambda(
     solve: Callable[[float, list[np.ndarray]], LambdaPointResult],
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> Callable[[float], tuple[float, float, LambdaPointResult]]:
-    """Lambda evaluator for ``golden_section_min``: each call seeds
-    ``solve(lam, seeds)`` with the previous maximizer, then with
-    ``extra_seeds``, and returns (value, subgradient, result)."""
+    """Lambda evaluator for ``kelley_min``: each call seeds
+    ``solve(lam, seeds)`` with the last maximizer, then with
+    ``extra_seeds``, and returns (value, slope, result), the slope being
+    that of the maximizer's line in lambda."""
     warm: list[np.ndarray] = []
 
     def evaluate(lam: float) -> tuple[float, float, LambdaPointResult]:
@@ -447,29 +451,31 @@ def marton_sum_rate(
     c: Channel,
     cfg: SearchConfig,
     profile: Cardinalities | None = None,
-    scalar_tol: float = 1e-4,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> MartonSumRate:
-    """min over lambda of the global weighted sum rate (golden section).
+    """min over lambda of the global weighted sum rate (``kelley_min``).
 
-    The lambda-curve is convex; evaluations carry the maximizer's
-    I(W;Y)-I(W;Z) as a subgradient hint to shrink the bracket before
-    golden-section refinement. Consecutive evaluations warm-start each
-    other with the previous maximizer.
+    Each evaluation's maximizer gives the line of its weighted sum rate in
+    lambda, with slope I(W;Y) - I(W;Z). The driver samples the minimum of
+    the lines' upper envelope until it reaches a sampled lambda, so a
+    search that falls short at one lambda does not lift the value: it is
+    at most the true sum rate plus ``KELLEY_TOL``. The value is the
+    envelope at ``lam_star``, the weighted sum rate there of ``aux`` (the
+    active line's auxiliary). Consecutive evaluations warm-start each
+    other with the last maximizer.
     """
     prof = profile or Cardinalities.for_sum_rate(c)
     evaluate = _warm_lambda(
         lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=prof, extra_seeds=extra),
         extra_seeds,
     )
-    out = golden_section_min(evaluate, scalar_tol)
-    best: LambdaPointResult = out.payload
+    lam, value, active, evaluations = kelley_min(evaluate)
     return MartonSumRate(
-        value=out.value,
-        lam_star=out.x,
-        aux=best.aux,
-        evaluations=out.evaluations,
-        converged=best.converged,
+        value=value,
+        lam_star=lam,
+        aux=active.aux,
+        evaluations=evaluations,
+        converged=active.converged,
         profile=prof,
     )
 
@@ -582,10 +588,11 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     max-min: maximize min(endpoint expressions) over the auxiliary joint
     (the weighted sum rate is affine in lambda, so the inner min sits at
     an endpoint). max-min-max: sweep p(x) on a grid, inner min over
-    lambda of the fixed-input maximum. min-max: golden section over
-    lambda of the global maximum. All three agree in exact arithmetic.
+    lambda of the fixed-input maximum (``kelley_min``). min-max: the
+    sum-rate driver, ``marton_sum_rate``. All three agree in exact
+    arithmetic.
 
-    Budgets: the max-min search runs ``cfg``. The min-max golden section
+    Budgets: the max-min search runs ``cfg``. The min-max driver
     and the two maximizers that seed max-min run ``lambda_sr_global`` at
     ``max(8, cfg.restarts // 2)`` restarts. Every fixed-input search of
     max-min-max runs ``max(4, cfg.restarts // 3)`` restarts of
@@ -597,7 +604,7 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
 
     # min-max via the sum-rate driver
     mm_cfg = cfg.with_(restarts=max(8, cfg.restarts // 2))
-    mm = marton_sum_rate(c, mm_cfg, profile=prof, scalar_tol=1e-3)
+    mm = marton_sum_rate(c, mm_cfg, profile=prof)
 
     # max-min over the joint: min of the two endpoint rows
     prof_mm = Cardinalities(c.nx, c.nx, min(2 * c.nx, c.nx + 4))
@@ -627,7 +634,7 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
                 c, lam, px, inner_cfg, profile=prof, extra_seeds=extra
             )
         )
-        return golden_section_min(evaluate, 2e-3).value
+        return kelley_min(evaluate)[1]
 
     best_px, best_val = None, -np.inf
     for px in simplex_grid(c.nx, px_resolution):

@@ -58,24 +58,21 @@ import numpy as np
 __all__ = [
     "SearchConfig",
     "SearchResult",
-    "ScalarMinResult",
     "project_simplex",
     "project_blocks",
     "simplex_grid",
     "simplex_grid_size",
     "ascend",
     "maximize",
-    "golden_section_min",
+    "kelley_min",
 ]
 
 # the objective contract of the module docstring
 Objective = Callable[[np.ndarray], tuple[np.ndarray, Callable[[Sequence[int]], np.ndarray]]]
 
-INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-# golden_section_min: a subgradient this small stops at its point, and sign
-# bisection hands over to golden section at this bracket width
-SUBGRAD_TOL = 1e-6
-BISECT_UNTIL = 0.25
+# kelley_min stops once its best sampled lambda is this close, in bits, to
+# the minimum of its lower model
+KELLEY_TOL = 1e-9
 
 # step-size control of the projected ascent in _lockstep
 STEP_INIT = 0.5
@@ -429,74 +426,51 @@ def maximize(
     )
 
 
-@dataclass
-class ScalarMinResult:
-    x: float
-    value: float
-    payload: object
-    evaluations: int
-    bracket_width: float
+def kelley_min(
+    f: Callable[[float], tuple[float, float, object]],
+) -> tuple[float, float, object, int]:
+    """Minimize over [0, 1] a convex function known through lines below it
+    (Kelley's cutting-plane method in one dimension).
 
+    f(lam) returns (value, slope, payload): the sample at lam and the slope
+    of a line ``value + slope*(x - lam)`` that lies below the function, such
+    as the weighted sum rate of one auxiliary. The upper envelope L of all
+    sampled lines is a lower bound of the function everywhere. The first
+    sample is at 1/2, and each next one at the first minimizer of L over
+    [0, 1] among 0, 1 and the lines' pairwise crossings, in that order. The
+    loop stops when the smallest L at a sampled lambda is within
+    ``KELLEY_TOL`` of min L. It terminates: every step either stops or
+    samples a new lambda, and once the argmin of L is a sampled lambda the
+    gap is at most 0.
 
-def golden_section_min(
-    f: Callable[[float], tuple[float, float, object]], tol: float
-) -> ScalarMinResult:
-    """Minimize a convex scalar function on [0, 1] to a bracket of width tol.
-
-    f(x) returns (value, subgradient, payload). The bracket is first
-    shrunk by sign bisection on the subgradient (a subgradient of a convex
-    function points away from the minimizer) down to width
-    ``BISECT_UNTIL``, stopping at a point whose subgradient is below
-    ``SUBGRAD_TOL``; golden section handles the rest, which tolerates the
-    mild non-convexity of values produced by inner numerical
-    maximizations. Returns the best evaluation seen and its payload.
+    Returns (lam, value, payload, evaluations): the sampled lambda with the
+    smallest L, L there, and the payload of the line active there. The
+    value is at most min L + ``KELLEY_TOL``, so a search that falls short at
+    some lambda cannot lift it above the function's minimum plus that.
     """
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    a, b = 0.0, 1.0
-    evals = 0
-    best = (math.inf, None, None)  # value, x, payload
+    lines: list[tuple[float, float, float, object]] = []  # lam, value, slope, payload
 
-    def ev(x: float) -> tuple[float, float]:
-        nonlocal evals, best
-        value, sub, payload = f(x)
-        value = float(value)
-        evals += 1
-        if value < best[0]:
-            best = (value, x, payload)
-        return value, float(sub)
+    def height(line: tuple[float, float, float, object], x: float) -> float:
+        li, vi, si, _ = line
+        # at x = li this is vi bit for bit: a run that stops on its one
+        # sample reports that sample exactly
+        return vi + si * (x - li)
 
-    # subgradient sign bisection on the midpoint
-    while b - a > max(BISECT_UNTIL, tol):
-        mid = 0.5 * (a + b)
-        _, sub = ev(mid)
-        if abs(sub) < SUBGRAD_TOL:
-            a, b = mid, mid
-            break
-        if sub > 0.0:
-            b = mid
-        else:
-            a = mid
+    def envelope(x: float) -> float:
+        return max(height(line, x) for line in lines)
 
-    if b - a > tol:
-        x1 = b - INV_PHI * (b - a)
-        x2 = a + INV_PHI * (b - a)
-        f1, _ = ev(x1)
-        f2, _ = ev(x2)
-        while b - a > tol:
-            if f1 <= f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - INV_PHI * (b - a)
-                f1, _ = ev(x1)
-            else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + INV_PHI * (b - a)
-                f2, _ = ev(x2)
-
-    return ScalarMinResult(
-        x=best[1],
-        value=best[0],
-        payload=best[2],
-        evaluations=evals,
-        bracket_width=b - a,
-    )
+    x = 0.5
+    while True:
+        value, slope, payload = f(x)
+        lines.append((x, float(value), float(slope), payload))
+        crossings = (
+            (vj - vi + si * li - sj * lj) / (si - sj)
+            for (li, vi, si, _), (lj, vj, sj, _) in itertools.combinations(lines, 2)
+            if si != sj
+        )
+        x = min((c for c in (0.0, 1.0, *crossings) if 0.0 <= c <= 1.0), key=envelope)
+        lam = min((line[0] for line in lines), key=envelope)
+        best = envelope(lam)
+        if best - envelope(x) <= KELLEY_TOL:
+            active = max(lines, key=lambda line: height(line, lam))
+            return lam, best, active[3], len(lines)

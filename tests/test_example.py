@@ -255,9 +255,10 @@ def test_uniform_input_check_small_grid():
 def test_verify_separation_passes_across_seeds(seed):
     rep = verify_separation(seed=seed)
     assert rep.passed
-    # lambda* = 1/2 is the first bisection midpoint, where the branch-product
-    # seeds tie at 8/3 with opposite subgradients; any change to how the
-    # entropies are summed can break that tie and start a lambda search
+    # lambda* = 1/2 is the lambda driver's first sample, where the
+    # branch-product seeds tie at 8/3 with slopes 0 and +-2/3; a change to how
+    # the entropies are summed that flips the tie costs one more evaluation
+    # (the line model's minimum falls back on 1/2), not a search
     assert rep.marton.evaluations == 1
 
 

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,9 @@ from bcbounds.cli import _curve_csv
 from bcbounds.search import SearchConfig
 from info_oracle import mutual_information
 from oracles import endpoint_sr
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import workloads  # noqa: E402
 
 CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
 
@@ -176,15 +182,28 @@ def test_curve_checks_clean_on_small_channel():
 def test_marton_sum_rate_is_curve_minimum():
     rng = np.random.default_rng(7)
     c = random_channel(rng, 2, 2, 2)
-    res = marton_sum_rate(c, CFG, scalar_tol=1e-3)
+    res = marton_sum_rate(c, CFG)
     assert 0.0 <= res.lam_star <= 1.0
     assert res.converged
+    # the value is the active line's auxiliary at lambda*
+    assert lambda_sr_value(c, res.lam_star, res.aux) == pytest.approx(res.value, abs=1e-12)
     curve = build_lambda_curve(c, [k / 10 for k in range(11)], CFG)
     assert res.value <= curve.values().min() + 2e-3
     # the sum rate never exceeds either single-receiver capacity sum
     cap_y, _ = capacity(c, "y")
     cap_z, _ = capacity(c, "z")
     assert res.value <= cap_y + cap_z + 1e-9
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_marton_sum_rate_not_above_lambda_search_target(index):
+    # the benchmark's lambda_search tasks, whose true sum rate is 0.55: a
+    # sample that falls short at one lambda must not lift the reported value
+    task = workloads.make_task("lambda_search", 0, index)
+    res = marton_sum_rate(Channel(task.q), SearchConfig(8, 150, task.search_seed))
+    assert res.value <= workloads.LAMBDA_TARGET + 1e-9
+    assert abs(res.value - workloads.LAMBDA_TARGET) <= workloads.LAMBDA_TOL
+    assert res.evaluations > 1
 
 
 def test_outer_auxiliary_additivity():

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -8,7 +9,7 @@ from bcbounds import search
 from bcbounds.search import (
     SearchConfig,
     ascend,
-    golden_section_min,
+    kelley_min,
     maximize,
     project_blocks,
     project_simplex,
@@ -162,33 +163,63 @@ def test_simplex_grid_contains_vertices_and_uniform():
     assert (1 / 3, 1 / 3, 1 / 3) in pts
 
 
-def test_golden_section_quadratic():
-    res = golden_section_min(lambda x: ((x - 0.3) ** 2, 2 * (x - 0.3), None), tol=1e-6)
-    assert res.x == pytest.approx(0.3, abs=1e-4)
-    assert res.value == pytest.approx(0.0, abs=1e-8)
+TIE = 8.0 / 3.0
 
 
-def test_golden_section_with_subgradient_and_payload():
+@pytest.mark.parametrize("first_slope", [0.0, 2.0 / 3.0, -2.0 / 3.0], ids=["flat", "rising", "falling"])
+def test_kelley_min_stops_on_the_worked_example_tie(first_slope):
+    # the worked example at lambda = 1/2: seeds tie at 8/3 with slopes 0 and
+    # +-2/3, and rounding picks which line the first sample returns
     def f(x):
-        return (x - 0.25) ** 2, 2 * (x - 0.25), {"x": x}
+        slope = first_slope if x == 0.5 else max((0.0, 2 / 3, -2 / 3), key=lambda s: s * (x - 0.5))
+        return TIE + slope * (x - 0.5), slope, slope
 
-    res = golden_section_min(f, tol=1e-5)
-    # bisection evaluates 0.5, then stops at the zero subgradient at 0.25
-    assert res.evaluations == 2
-    assert res.x == 0.25
-    assert res.payload["x"] == res.x
-
-
-def test_golden_section_endpoint_minimum():
-    res = golden_section_min(lambda x: (x, 1.0, None), tol=1e-5)
-    assert res.x == pytest.approx(0.0, abs=1e-4)
+    lam, value, payload, evals = kelley_min(f)
+    assert lam == 0.5
+    assert value == pytest.approx(TIE, abs=1e-15)
+    assert evals <= 2
+    assert TIE + payload * (lam - 0.5) == pytest.approx(value, abs=1e-15)
 
 
-@pytest.mark.parametrize("tol", [1.0, 0.0, -1e-3, float("nan")])
-def test_golden_section_rejects_tol_outside_unit_interval(tol):
-    # tol >= 1 would evaluate nothing, and tol <= 0 never stops
-    with pytest.raises(ValueError):
-        golden_section_min(lambda x: (x, 1.0, None), tol=tol)
+@pytest.mark.parametrize("slope, end", [(0.3, 0.0), (-0.3, 1.0)])
+def test_kelley_min_reaches_an_affine_curves_endpoint(slope, end):
+    lam, value, _, evals = kelley_min(lambda x: (1.0 + slope * x, slope, None))
+    assert (lam, evals) == (end, 2)
+    assert value == pytest.approx(1.0 + slope * end, abs=1e-15)
+
+
+def test_kelley_min_stops_at_a_zero_slope_first_sample():
+    lam, value, payload, evals = kelley_min(lambda x: ((x - 0.5) ** 2, 2 * (x - 0.5), {"x": x}))
+    assert (lam, value, payload, evals) == (0.5, 0.0, {"x": 0.5}, 1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kelley_min_is_not_fooled_by_short_samples(seed):
+    # a max of lines, sampled by a "search" that returns its active line
+    # 0.05 short at every other call: the report never exceeds the minimum
+    rng = np.random.default_rng(seed)
+    lines = list(zip(rng.uniform(0.0, 1.0, 5), rng.uniform(-1.0, 1.0, 5)))
+
+    def curve(x):
+        return max(a + b * x for a, b in lines)
+
+    kinks = [
+        (a2 - a1) / (b1 - b2) for (a1, b1), (a2, b2) in itertools.combinations(lines, 2)
+    ]
+    true_min = min(curve(x) for x in [0.0, 1.0, *kinks] if 0.0 <= x <= 1.0)
+    calls = []
+
+    def f(x):
+        a, b = max(lines, key=lambda ln: ln[0] + ln[1] * x)
+        calls.append(x)
+        short = 0.05 if len(calls) % 2 else 0.0
+        return a + b * x - short, b, (a - short, b)
+
+    lam, value, (a, b), evals = kelley_min(f)
+    assert value <= true_min + search.KELLEY_TOL
+    assert value >= true_min - 0.05
+    assert a + b * lam == pytest.approx(value, abs=1e-15)
+    assert evals == len(calls)
 
 
 def _concave_target(t):
