@@ -33,14 +33,19 @@ and every product with a per-tensor operand is a stacked matmul whose
 slices are the products a single tensor makes (channel products,
 row values C @ H, weighings, adjoint weights w^T C), never one matmul
 over the whole batch, whose gemm sums in another order. Every entropy is
-one dot product over its own segment, and the adjoint pass runs once
-for all the rows it is asked for.
+a pairwise sum of its marginal's terms p log2 p along its own row of the
+buffer, one ``np.add.reduce`` per marginal for the whole batch (see
+``kernel``), and the adjoint pass runs once for all the rows it is
+asked for.
 
 A table owns the work buffers of the forward pass (the keep-marginals of
 t and the flat marginal buffer, one row per tensor) and reuses them on
-every evaluation, filling them by a plan compiled once per batch size
-and memory layout of t. So a table must not be evaluated from two
-threads at once.
+every evaluation, filling them by a plan compiled for the batch size and
+memory layout of t. It keeps one plan, the last one, and compiles a new
+one when the size or layout changes: a search's group passes through
+every smaller batch size as its restarts finish, and a plan per size
+would keep the buffers of them all. So a table must not be evaluated
+from two threads at once.
 
 The gradient is lazy: ``value_and_grad`` returns the values and
 ``grad(rows)``, the gradients at the tensors ``rows``, which runs the
@@ -154,14 +159,13 @@ class _Plan:
     """How an evaluation fills a table's work buffers, for one batch size
     and memory layout of a batch of t: reduce the batch into each keep
     buffer, run each copy ``(out, source)``, then each channel product
-    ``op(source, q, out=out)``; every marginal's ``out`` is its slice of
-    ``flat``, which holds the marginals of one t after another."""
+    ``op(source, q, out=out)``; every marginal's ``out`` is its column
+    slice of ``rows``, which holds the marginals of one t per row."""
 
     reductions: list[tuple[tuple[int, ...], np.ndarray]]
     copies: list[tuple[np.ndarray, np.ndarray]]
     products: list[tuple[Callable, np.ndarray, np.ndarray, np.ndarray]]
-    flat: np.ndarray  # one buffer: the marginals of each t in turn
-    bounds: np.ndarray  # where each marginal's segment of ``flat`` starts, and the end
+    rows: np.ndarray  # one buffer, one row per t: its marginals in turn
 
 
 class Evaluation:
@@ -181,8 +185,7 @@ class Evaluation:
             op(m, q, out=out)
         # the next evaluation overwrites the buffers: keep only what grad
         # reads, which segment_entropies returns as fresh arrays
-        h, self._positive, self._logs = segment_entropies(plan.flat, plan.bounds)
-        self.entropies = h.reshape(len(batch), -1)
+        self.entropies, self._positive, self._logs = segment_entropies(plan.rows, fn._offsets)
         # a stacked matrix-vector product: numpy makes the one BLAS call per
         # tensor that a single tensor makes (a gemm over the batch would not)
         self.values = np.matmul(fn.coeffs, self.entropies[..., None])[..., 0]
@@ -292,12 +295,14 @@ class InfoFunctional:
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
         self._sizes = np.diff(self._offsets)
         self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
-        self._plans: dict[tuple, _Plan] = {}
+        # the fill plan of the last batch size and layout, with its key
+        self._fill: tuple[tuple, _Plan] | None = None
 
     def _plan(self, batch: np.ndarray) -> _Plan:
         """The plan that fills the work buffers from a batch of tensors of
-        its size laid out in memory like ``batch``, compiled at its first
-        use.
+        its size laid out in memory like ``batch``: the table's one kept
+        plan when its size and layout match, else a new one that replaces
+        it.
 
         Each keep buffer has the layout numpy gives the reduction of the
         batch, and a keep-marginal that numpy would copy to C order on
@@ -310,14 +315,14 @@ class InfoFunctional:
         """
         # a batch of one has no batch stride to lay out
         key = (batch.shape, batch.strides if len(batch) > 1 else batch.strides[1:])
-        plan = self._plans.get(key)
-        if plan is not None:
-            return plan
+        if self._fill is not None and self._fill[0] == key:
+            return self._fill[1]
+        # drop the old plan, and its buffers, before making the new one
+        self._fill = None
         if batch.shape[1:] != self.shape:
             raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {batch.shape}")
         n, size = len(batch), self._offsets[-1]
-        flat = np.empty(n * size)
-        rows = flat.reshape(n, size)
+        rows = np.empty((n, size))
         reductions, copies, work = [], [], []
         for keep in self._keeps:
             # the same axes of every tensor, behind the batch axis
@@ -338,8 +343,8 @@ class InfoFunctional:
                 products.append((np.multiply, m[..., None], mg.q, view))
             else:
                 products.append((np.matmul, m, mg.q, view))
-        bounds = np.concatenate([self._offsets[:-1] + r * size for r in range(n)] + [[n * size]])
-        plan = self._plans[key] = _Plan(reductions, copies, products, flat, bounds)
+        plan = _Plan(reductions, copies, products, rows)
+        self._fill = (key, plan)
         return plan
 
     def evaluate(self, batch: np.ndarray) -> Evaluation:

@@ -21,8 +21,12 @@ All min-terms are expanded into separate inequalities, so every
 right-hand side is a smooth sum of per-component information terms; the
 support search differentiates through the optimal vertex via the active
 constraints' dual weights. A support value is the exact score of the best
-vertex of the region at the returned auxiliary, the same number the
-search's objective gives there.
+vertex at the returned auxiliary, the same number the search's objective
+gives there. A vertex counts as feasible when it meets every constraint
+up to a slack of 1e-9, so the best vertex may lie that far outside the
+region, and a support value is a lower bound of the region's support
+only up to that slack. One stacked pass finds the best vertex for every
+point of a batch.
 """
 
 from __future__ import annotations
@@ -261,9 +265,9 @@ class RateRegionPolytope:
 
     def support(self, weights: Sequence[float], fix_r0: float | None = None) -> tuple[float, np.ndarray]:
         system = _VertexSystem([a for a, _ in self.inequalities], fix_r0)
-        rhs = np.asarray([r for _, r in self.inequalities])
+        rhs = np.asarray([[r for _, r in self.inequalities]])
         value, vertex, _ = system.support(rhs, np.asarray(weights, dtype=float))
-        return value, vertex
+        return float(value[0]), vertex[0]
 
     def contains(self, point: Sequence[float]) -> bool:
         """Membership up to a slack of CONTAINS_TOL on every constraint."""
@@ -279,8 +283,8 @@ class RateRegionPolytope:
 class _VertexSystem:
     """Constraints of a region in (R0, R1, R2): the rows a . R <= rhs, then
     the optional pin R0 <= fix_r0, then R >= 0. Every nonsingular 3-subset
-    of them is inverted once, so the candidate vertices for any row
-    right-hand sides are one batched matmul."""
+    of them is inverted once, so the candidate vertices of a batch of row
+    right-hand sides are one stacked matmul."""
 
     def __init__(self, row_normals: Sequence, fix_r0: float | None) -> None:
         pin = [] if fix_r0 is None else [(1.0, 0.0, 0.0)]
@@ -293,19 +297,30 @@ class _VertexSystem:
         self.combos = combos[nonsingular]
         self.inv = np.linalg.inv(subs[nonsingular])
 
-    def support(self, rhs: np.ndarray, w: np.ndarray) -> tuple[float, np.ndarray, int | None]:
-        """Best feasible vertex in direction ``w`` for row right-hand sides
-        ``rhs``: its score ``w . vertex``, the vertex, and the index of its
-        active 3-subset in ``combos``. With no feasible vertex (an empty
-        numeric polytope) it is the origin, with score 0 and index None."""
-        b = np.concatenate([rhs, self.tail_rhs])
-        verts = np.einsum("kij,kj->ki", self.inv, b[self.combos])
+    def support(self, rhs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Best feasible vertex in direction ``w`` for each row of row
+        right-hand sides ``rhs`` (one point per row), in one stacked pass:
+        the scores ``w . vertex``, the vertices, and the indices of their
+        active 3-subsets in ``combos``, the first one on a tie of scores.
+        With no feasible vertex (an empty numeric polytope) a point gets
+        the origin, with score 0 and index -1.
+
+        A vertex is feasible when it satisfies every constraint up to a
+        slack of 1e-9, so it may lie that far outside the region. Each
+        point's score, vertex and index are bit-identical to those of a
+        pass over its right-hand sides alone."""
+        n = len(rhs)
+        b = np.concatenate([rhs, np.broadcast_to(self.tail_rhs, (n, len(self.tail_rhs)))], axis=1)
+        verts = np.matmul(self.inv, b[:, self.combos][..., None])[..., 0]
         scores = verts @ w
-        scores[~(verts @ self.A.T <= b[None, :] + 1e-9).all(axis=1)] = -np.inf
-        k = int(np.argmax(scores))
-        if not np.isfinite(scores[k]):
-            return 0.0, np.zeros(3), None
-        return float(scores[k]), verts[k], k
+        scores[~(verts @ self.A.T <= b[:, None, :] + 1e-9).all(axis=2)] = -np.inf
+        k = scores.argmax(axis=1)
+        best = scores[np.arange(n), k]
+        empty = ~np.isfinite(best)
+        best[empty], k[empty] = 0.0, -1
+        vertex = verts[np.arange(n), k]
+        vertex[empty] = 0.0
+        return best, vertex, k
 
 
 def _row_tables(
@@ -357,8 +372,15 @@ class _SupportObjective:
         self.size1 = int(np.prod(self.shape1))
         self.size2 = int(np.prod(self.shape2))
         self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
-        self.system = _VertexSystem([a for a, _, _ in self.rows], fix_r0)
-        self._dual_cache: dict[int, np.ndarray] = {}
+        self.system = vs = _VertexSystem([a for a, _, _ in self.rows], fix_r0)
+        # the duals of each vertex's active constraints, as weights on the
+        # region rows, then a zero row for index -1: the origin of an empty
+        # numeric polytope, whose gradient is zero
+        duals = np.zeros((len(vs.combos) + 1, vs.A.shape[0]))
+        np.put_along_axis(duals[:-1], vs.combos, np.matmul(vs.inv.transpose(0, 2, 1), self.w), 1)
+        duals = duals[:, : len(self.rows)]
+        duals[np.abs(duals) <= 1e-14] = 0.0
+        self.duals = duals
 
     @property
     def block_sizes(self) -> list[int]:
@@ -373,39 +395,18 @@ class _SupportObjective:
             flat[..., self.size1 :].reshape(lead + self.shape2),
         )
 
-    def _duals(self, k: int) -> np.ndarray:
-        """Duals of the active constraints of vertex ``k``, as weights on the
-        region rows; computed on first use and kept."""
-        mu = self._dual_cache.get(k)
-        if mu is None:
-            vs = self.system
-            mu = np.zeros(vs.A.shape[0])
-            mu[vs.combos[k]] = vs.inv[k].T @ self.w
-            mu = mu[: len(self.rows)]
-            mu[np.abs(mu) <= 1e-14] = 0.0
-            self._dual_cache[k] = mu
-        return mu
-
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
         t1, t2 = self.split(flat)
         ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
-        # one best vertex per point: a batched einsum over the points does
-        # not sum in the order of the single one
-        supports = [self.system.support(rhs, self.w) for rhs in ev1.values + ev2.values]
+        values, _, k = self.system.support(ev1.values + ev2.values, self.w)
 
         def grad(rows: Sequence[int]) -> np.ndarray:
-            # an empty numeric polytope (no vertex) falls back to the origin,
-            # whose gradient is zero
-            mu = np.zeros((len(rows), len(self.rows)))
-            for i, r in enumerate(rows):
-                k = supports[r][2]
-                if k is not None:
-                    mu[i] = self._duals(k)
+            mu = self.duals[k[rows]]
             g1 = ev1.grad(rows, mu).reshape(len(rows), -1)
             g2 = ev2.grad(rows, mu).reshape(len(rows), -1)
             return np.concatenate([g1, g2], axis=1)
 
-        return np.array([value for value, _, _ in supports]), grad
+        return values, grad
 
 
 @dataclass
@@ -428,10 +429,12 @@ def region_support(
 ) -> SupportResult:
     """Maximize a region's support function over product auxiliaries.
 
-    Certified lower bound of the true support: ``value`` is the exact
-    score of the region's best vertex ``vertex`` in the direction
-    ``weights`` at the returned auxiliary, the search objective's value
-    there.
+    ``value`` is the exact score of the best vertex ``vertex`` in the
+    direction ``weights`` at the returned auxiliary, the search
+    objective's value there. That vertex meets every constraint of the
+    region up to a slack of 1e-9 and may lie that far outside it, so
+    ``value`` is a lower bound of the true support up to that slack, not
+    a certified one.
     """
     prof1, prof2 = default_region_profiles(pc, kind)
     obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0=fix_r0)
@@ -452,11 +455,11 @@ def region_support(
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     t1, t2 = obj.split(res.point)
     rhs = obj.f1.value(t1) + obj.f2.value(t2)
-    value, vertex, _ = obj.system.support(rhs, obj.w)
+    value, vertex, _ = obj.system.support(rhs[None], obj.w)
     return SupportResult(
-        value=value,
+        value=float(value[0]),
         weights=tuple(float(x) for x in weights),
-        vertex=vertex,
+        vertex=vertex[0],
         aux=ProductAuxiliary(AuxiliaryJoint(t1), AuxiliaryJoint(t2)),
         region=_polytope(pc, kind, obj.rows, rhs),
         converged=res.converged,

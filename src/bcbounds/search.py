@@ -27,7 +27,11 @@ of the accepted rows come from one ``grad`` call. Gradients run only at a
 restart's start point and at the steps it accepts, never at a rejected
 trial. A restart's arithmetic does not depend on which restarts share its
 rounds, so every result is bit-identical to running the restarts one at a
-time; ``ascend`` is the same engine with one start.
+time, whatever ``LOCKSTEP_FLOATS`` is; ``ascend`` is the same engine with
+one start. A group shrinks as its restarts finish, so an objective sees
+every batch size up to the group's, round after round (16 points down to
+1 in a ``product_outer`` support search); each size costs one stacked
+evaluation, with no Python loop over the points.
 
 Every search entry point takes its budget as a required ``SearchConfig``
 from its caller; none has a default budget.
@@ -85,12 +89,13 @@ IMPROVE_TOL = 1e-9
 # gained less than IMPROVE_TOL
 PATIENCE = 4
 # maximize steps at most this many floats of restart points together: an
-# objective's batch buffers grow with the batch, while the per-call
+# objective's batch buffers grow with the batch, while the per-round
 # overhead that lockstep saves is already small next to the arithmetic of
-# a point this size (the 16-float Marton searches of a binary-input pair
-# step all their restarts together, the 4096-float product searches one at
-# a time)
-LOCKSTEP_FLOATS = 4096
+# this many floats (the 16-float Marton searches of a binary-input pair
+# step all their restarts together, a 1024-float product_outer support
+# search 16 at a time, the 4096-float Marton and 4624-float UV searches on
+# the worked product 4 and 3 at a time)
+LOCKSTEP_FLOATS = 16384
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,10 @@ Each one recomputes a quantity of the package by an independent route:
   ``grad_per_tensor``: an evaluation's row values, weighing and adjoint
   pass one tensor at a time, the reference that the batched
   ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
-  reproduce bit for bit.
+  reproduce bit for bit;
+- ``vertex_support_per_point``: a region's best vertex for one point's
+  right-hand sides, the reference that the stacked pass of
+  ``regions._VertexSystem.support`` reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -443,3 +446,22 @@ def grad_per_tensor(ev, rows, weights):
             if g is not None:
                 grad += g.reshape(keep.expand)
     return grads
+
+
+# ---------------------------------------- the per-point best-vertex reference
+
+
+def vertex_support_per_point(system, rhs, w):
+    """Best feasible vertex of ``system`` (a ``regions._VertexSystem``) in
+    direction ``w`` for one point's row right-hand sides ``rhs``: its score
+    ``w . vertex``, the vertex, and the index of its active 3-subset in
+    ``combos``. With no feasible vertex (an empty numeric polytope) it is
+    the origin, with score 0 and index None."""
+    b = np.concatenate([rhs, system.tail_rhs])
+    verts = np.einsum("kij,kj->ki", system.inv, b[system.combos])
+    scores = verts @ w
+    scores[~(verts @ system.A.T <= b[None, :] + 1e-9).all(axis=1)] = -np.inf
+    k = int(np.argmax(scores))
+    if not np.isfinite(scores[k]):
+        return 0.0, np.zeros(3), None
+    return float(scores[k]), verts[k], k

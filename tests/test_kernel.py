@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from bcbounds.kernel import entropy_of_array
+from bcbounds.kernel import entropy_of_array, segment_entropies
 from info_oracle import ProbTensor, entropy, mutual_information
 
 
@@ -19,6 +21,40 @@ def test_entropy_point_mass_exact_zero():
     p[3] = 1.0
     assert entropy(p) == 0.0
     assert entropy_of_array(p) == 0.0
+
+
+# marginal sizes on both sides of numpy's pairwise-sum block (8 and 128
+# entries) and of its buffer (8192)
+SEGMENT_SIZES = (1, 2, 5, 8, 9, 100, 128, 129, 1000, 8192, 8193, 9000)
+
+
+def test_batched_entropies_match_entropy_of_array_bit_for_bit():
+    rng = np.random.default_rng(0)
+    offsets = np.cumsum((0,) + SEGMENT_SIZES)
+    rows = rng.random((4, offsets[-1]))
+    # interleaved zeros, in a different pattern in every row
+    rows[rng.random(rows.shape) < [[0.0], [0.2], [0.5], [0.9]]] = 0.0
+    rows /= rows.sum(axis=1, keepdims=True)
+    h, positive, logs = segment_entropies(rows, offsets)
+    assert np.array_equal(positive, rows.ravel() > 0)
+    assert logs.tobytes() == np.log2(rows[rows > 0]).tobytes()
+    for r, row in enumerate(rows):
+        for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            assert np.float64(entropy_of_array(row[a:b])).tobytes() == h[r, s].tobytes()
+            pos = row[a:b][row[a:b] > 0]
+            assert h[r, s] == pytest.approx(-math.fsum(pos * np.log2(pos)), abs=1e-13)
+
+
+def test_entropy_signs_of_zero():
+    # an all-zero marginal is +0.0 (a negated sum of +0.0 terms would read
+    # -0.0), and a point mass keeps the -0.0 of -(1 * log2 1)
+    for size in (1, 3, 200):
+        zero, mass = np.zeros(size), np.eye(size)[size // 2]
+        assert np.float64(entropy_of_array(zero)).tobytes() == np.float64(0.0).tobytes()
+        assert np.float64(entropy_of_array(mass)).tobytes() == np.float64(-0.0).tobytes()
+        rows = np.stack([np.r_[zero, mass], np.r_[mass, zero]])
+        h, _, _ = segment_entropies(rows, [0, size, 2 * size])
+        assert h.tobytes() == np.array([[0.0, -0.0], [-0.0, 0.0]]).tobytes()
 
 
 def test_negative_entry_rejected():

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -505,3 +508,21 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
                     if n > 1:
                         assert ev.values[1, 1] == ev.values[1, 2] < ev.values[1, 0]
                         assert first_min[1] == 1
+
+
+def test_table_keeps_one_fill_plan_as_a_group_shrinks():
+    # a search's group shrinks through every batch size as its restarts
+    # finish: the table keeps one fill plan, with its buffers, not one per
+    # size, and a size evaluated again is compiled again with the same bits
+    rng = np.random.default_rng(23)
+    q = _random_channel(rng, 3, 2, 2)
+    fn = _uv_table(Channel(q), 4, 4)
+    batch = rng.dirichlet(np.ones(48), size=16).reshape(16, 4, 4, 3)
+    first = fn.evaluate(batch).values
+    plans = []
+    for n in range(16, 0, -1):
+        assert fn.evaluate(batch[:n]).values.tobytes() == first[:n].tobytes()
+        plans.append(weakref.ref(fn._plan(batch[:n])))
+        gc.collect()
+        assert sum(ref() is not None for ref in plans) <= 1
+    assert fn.evaluate(batch).values.tobytes() == first.tobytes()

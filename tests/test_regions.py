@@ -15,6 +15,7 @@ from bcbounds.regions import (
     UvAuxiliary,
     _region_rows,
     _SupportObjective,
+    _VertexSystem,
     build_region,
     default_region_profiles,
     evaluate_uv_point,
@@ -23,7 +24,7 @@ from bcbounds.regions import (
 )
 from bcbounds.search import SearchConfig
 from info_oracle import entropy, mutual_information
-from oracles import pointwise
+from oracles import pointwise, vertex_support_per_point
 
 CFG = SearchConfig(restarts=6, max_iters=120, seed=0)
 MARTON_CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
@@ -203,7 +204,8 @@ def test_support_gradient_matches_finite_differences():
 
         def vertex(flat):
             t1, t2 = obj.split(flat)
-            return obj.system.support(obj.f1.value(t1) + obj.f2.value(t2), obj.w)[2]
+            rhs = obj.f1.value(t1) + obj.f2.value(t2)
+            return int(obj.system.support(rhs[None], obj.w)[2][0])
 
         checked = 0
         for _ in range(6):
@@ -211,7 +213,7 @@ def test_support_gradient_matches_finite_differences():
             k = vertex(flat)
             g = pointwise(obj)(flat)[1]()
             fd = np.zeros_like(flat)
-            same_vertex = k is not None
+            same_vertex = k >= 0
             for i in range(flat.size):
                 fp, fm = flat.copy(), flat.copy()
                 fp[i] += eps
@@ -323,11 +325,57 @@ def test_support_objective_vertex_matches_polytope_support():
                     [(a, float(r)) for a, r in zip(normals, rhs)], tag=kind
                 )
                 expect, vertex = region.support(w, fix_r0=fix_r0)
-                assert obj.system.support(rhs, obj.w)[0] == expect
+                assert obj.system.support(rhs[None], obj.w)[0][0] == expect
                 assert expect == pytest.approx(vertex @ w, abs=1e-12)
                 assert expect == pytest.approx(
                     _support_by_loop(normals, rhs, w, fix_r0), abs=1e-12
                 )
+
+
+def _assert_vertex_batch_matches_oracle(system, rhs, w):
+    scores, vertices, index = system.support(rhs, w)
+    for i, row in enumerate(rhs):
+        score, vertex, k = vertex_support_per_point(system, row, w)
+        assert np.float64(score).tobytes() == scores[i].tobytes()
+        assert vertex.tobytes() == vertices[i].tobytes()
+        assert (-1 if k is None else k) == index[i]
+
+
+def test_vertex_pass_matches_per_point_oracle_bit_for_bit():
+    # the stacked pass over a batch of right-hand sides gives each point the
+    # score, vertex and index it gets alone, on every region kind
+    rng = np.random.default_rng(17)
+    for kind in REGION_KINDS:
+        normals = [a for a, _, _ in _region_rows(kind)]
+        for fix_r0 in (None, 0.0, 0.3):
+            system = _VertexSystem(normals, fix_r0)
+            for n in (1, 2, 5, 16):
+                # some right-hand sides negative, so some polytopes are empty
+                rhs = rng.uniform(-0.2, 2.0, (n, len(normals)))
+                _assert_vertex_batch_matches_oracle(system, rhs, rng.dirichlet(np.ones(3)))
+
+
+def test_vertex_pass_empty_polytope_and_tie():
+    normals = [a for a, _, _ in _region_rows("semi_deterministic")]
+    system = _VertexSystem(normals, None)
+    # a negative R0 bound leaves no feasible vertex: the origin, score 0
+    rhs = np.full((2, len(normals)), 1.0)
+    rhs[1, 0] = -1.0
+    scores, vertices, index = system.support(rhs, np.array([0.0, 1.0, 1.0]))
+    assert scores[1] == 0.0 and vertices[1].tolist() == [0.0, 0.0, 0.0] and index[1] == -1
+    assert index[0] >= 0
+    _assert_vertex_batch_matches_oracle(system, rhs, np.array([0.0, 1.0, 1.0]))
+    # the unit cube under weights (0, 1, 1): the vertices (1, 1, 1), of the
+    # first 3-subset (the three rows), and (0, 1, 1), of a later one, both
+    # score 2 exactly, and the first index wins, as in the per-point argmax
+    cube = _VertexSystem([(1, 0, 0), (0, 1, 0), (0, 0, 1)], None)
+    w = np.array([0.0, 1.0, 1.0])
+    later = [c.tolist() for c in cube.combos].index([1, 2, 3])
+    assert (cube.inv[later] @ [1.0, 1.0, 0.0]).tolist() == [0.0, 1.0, 1.0]
+    scores, vertices, index = cube.support(np.ones((3, 3)), w)
+    assert scores.tolist() == [2.0] * 3 and index.tolist() == [0] * 3
+    assert vertices.tolist() == [[1.0, 1.0, 1.0]] * 3
+    _assert_vertex_batch_matches_oracle(cube, np.ones((3, 3)), w)
 
 
 def test_region_support_reaches_seeded_value():
