@@ -10,33 +10,48 @@ where t is the searched distribution and q the fixed channel. Each such
 marginal is a linear image of t: a sum over the axes it drops, then a
 product with the matching marginal of q. An ``InfoFunctional`` is a
 table: a list of rows, each row one expression, so a single expression is
-a one-row table whose value is ``value(t)[0]``. A table is compiled once
-into its distinct marginals and a flat layout for them (an offset and a
-shape per marginal). An evaluation is one fused pass: it
-writes every marginal into one buffer, takes one positive mask and one
-log2 over the whole buffer, and reads off the entropy vector H, each entry
-bit-identical to ``entropy_of_array`` on its marginal. The row values are
-C @ H for a fixed coefficient matrix C (R. W. Yeung, "A framework for
+a one-row table whose value is ``value(t)[0]``.
+
+A table is compiled once. The channel is memoryless, so an entropy of
+outputs S next to the input X and other axes K obeys the chain rule
+
+    H(K, X, S) = H(K, X) + sum_x p(x) h_S(x),   h_S(x) = H(q_S(. | x)),
+
+and the compile rewrites every such term into the smaller entropy plus a
+term linear in the input law p_X, with h_S computed once per output set.
+The rows are then merged again, so H(K, X) terms that cancel drop out (as
+in I(X;Z|U)), and no compiled marginal keeps the input next to an output.
+What is left is a set of distinct marginals with a flat layout (an offset
+and a shape per marginal), a coefficient matrix C over their entropies,
+and a matrix L of the linear terms, one row per table row and one column
+per input symbol; a table with no such term has no L and no linear step.
+
+An evaluation is one fused pass: it writes every marginal into one
+buffer, takes one positive mask and one log2 over the whole buffer, and
+reads off the entropy vector H, each entry bit-identical to
+``entropy_of_array`` on its marginal. The row values are C @ H + L @ p_X,
+with p_X one of the keep-marginals of t (R. W. Yeung, "A framework for
 linear information inequalities", IEEE Trans. IT 1997). The gradient of
-w . (C @ H) for caller-chosen row weights w is one adjoint pass,
-sum_s (w^T C)_s dH_s/dt, skipping marginals of zero weight and reusing
-the forward pass's logs. Entropy derivatives use
-d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are clipped only
-inside the gradient (values keep the exact zero-skip convention of the
-kernel).
+the row values under caller-chosen row weights w is one adjoint pass,
+sum_s (w^T C)_s dH_s/dt plus w^T L along the input axis, skipping
+marginals of zero weight and reusing the forward pass's logs. Entropy
+derivatives use d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are
+clipped only inside the gradient (values keep the exact zero-skip
+convention of the kernel), so at a zero-mass cell of (K, X) the gradient
+of H(K, X, S) is the clipped derivative plus h_S(x).
 
 Every evaluation takes a batch of tensors with a leading axis, and every
 result keeps that axis; ``value(t)`` is the helper for exact evaluation
 at one tensor, a batch of one. Each tensor of a batch is summed exactly
 as on its own, bit for bit: the reductions keep the batch axis slowest,
 and every product with a per-tensor operand is a stacked matmul whose
-slices are the products a single tensor makes (channel products,
-row values C @ H, weighings, adjoint weights w^T C), never one matmul
-over the whole batch, whose gemm sums in another order. Every entropy is
-a pairwise sum of its marginal's terms p log2 p along its own row of the
-buffer, one ``np.add.reduce`` per marginal for the whole batch (see
-``kernel``), and the adjoint pass runs once for all the rows it is
-asked for.
+slices are the products a single tensor makes (channel products, row
+values C @ H and L @ p_X, weighings, adjoint weights w^T C and w^T L),
+never one matmul over the whole batch, whose gemm sums in another order.
+Every entropy is a pairwise sum of its marginal's terms p log2 p along
+its own row of the buffer, one ``np.add.reduce`` per marginal for the
+whole batch (see ``kernel``), and the adjoint pass runs once for all the
+rows it is asked for.
 
 A table owns the work buffers of the forward pass (the keep-marginals of
 t and the flat marginal buffer, one row per tensor) and reuses them on
@@ -137,11 +152,12 @@ def merge_terms(terms: Sequence[Term], order: str) -> list[Term]:
 
 @dataclass(frozen=True)
 class _Marginal:
-    """One distinct marginal: a keep-marginal of t, times a channel marginal."""
+    """One distinct marginal: a keep-marginal of t, or one contracted over
+    the input with a channel marginal. No marginal keeps the input next to
+    an output: the compile rewrote those by the chain rule."""
 
     keep: int  # index into the table's keep-marginals of t
     q: np.ndarray | None  # channel marginal as (inputs, outputs); None: t only
-    joint_input: bool  # the marginal keeps the input axis next to the outputs
 
 
 @dataclass(frozen=True)
@@ -159,13 +175,14 @@ class _Plan:
     """How an evaluation fills a table's work buffers, for one batch size
     and memory layout of a batch of t: reduce the batch into each keep
     buffer, run each copy ``(out, source)``, then each channel product
-    ``op(source, q, out=out)``; every marginal's ``out`` is its column
+    ``np.matmul(source, q, out=out)``; every marginal's ``out`` is its column
     slice of ``rows``, which holds the marginals of one t per row."""
 
     reductions: list[tuple[tuple[int, ...], np.ndarray]]
     copies: list[tuple[np.ndarray, np.ndarray]]
-    products: list[tuple[Callable, np.ndarray, np.ndarray, np.ndarray]]
+    products: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     rows: np.ndarray  # one buffer, one row per t: its marginals in turn
+    px: np.ndarray | None  # the input law of each t, for the linear term
 
 
 class Evaluation:
@@ -181,14 +198,16 @@ class Evaluation:
             np.add.reduce(batch, axis=drop, out=out)
         for out, m in plan.copies:
             np.copyto(out, m)
-        for op, m, q, out in plan.products:
-            op(m, q, out=out)
+        for m, q, out in plan.products:
+            np.matmul(m, q, out=out)
         # the next evaluation overwrites the buffers: keep only what grad
         # reads, which segment_entropies returns as fresh arrays
         self.entropies, self._positive, self._logs = segment_entropies(plan.rows, fn._offsets)
         # a stacked matrix-vector product: numpy makes the one BLAS call per
         # tensor that a single tensor makes (a gemm over the batch would not)
         self.values = np.matmul(fn.coeffs, self.entropies[..., None])[..., 0]
+        if fn.linear is not None:
+            self.values += np.matmul(fn.linear, plan.px[..., None])[..., 0]
 
     def grad(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
         """Gradients at the tensors ``rows`` of the batch (any order, repeats
@@ -220,8 +239,12 @@ class Evaluation:
             mg, (a, b) = fn._marginals[s], fn._bounds[s]
             d = dh[:, a:b].reshape((n,) + fn._shapes[s])
             if mg.q is not None:
-                d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+                d = d @ mg.q.T
             acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+        if fn.linear is not None:
+            # L @ p_X has the gradient w.L along the input axis of every t
+            d, k = np.matmul(weights[:, None, :], fn.linear), fn._px_keep
+            acc[k] = d if acc[k] is None else acc[k] + d
         grads = np.zeros((n,) + fn.shape)
         for keep, g in zip(fn._keeps, acc):
             if g is not None:
@@ -238,6 +261,9 @@ class InfoFunctional:
     rows: a list of expressions, each a list of (coefficient,
     subset-of-letters) pairs; the value is the array of row values, and
     an empty row is 0.
+
+    Compiled: ``subsets`` labels the entropy columns of ``coeffs`` (C), and
+    ``linear`` is L, the chain rule's terms in p_X (None when it is zero).
     """
 
     def __init__(
@@ -257,21 +283,43 @@ class InfoFunctional:
             raise ValueError(f"input axis '{in_axis}' must be the last dist axis")
         order = dist_axes + out_axes
         self.order = order
-        merged = [merge_terms(row, order) for row in rows]
-        subsets = list(dict.fromkeys(s for row in merged for _, s in row))
-        self.coeffs = np.zeros((len(rows), len(subsets)))
+        q_cache: dict[str, np.ndarray] = {}
+        h_cache: dict[str, np.ndarray] = {}
+
+        def out_marginal(sout: str) -> np.ndarray:
+            # q(sout | x) as (inputs, outputs), one per output set
+            if sout not in q_cache:
+                drop = tuple(i for i, a in enumerate(CHANNEL_AXES) if a not in in_axis + sout)
+                q_cache[sout] = channel.sum(axis=drop).reshape(channel.shape[0], -1)
+            return q_cache[sout]
+
+        # the chain rule of a memoryless channel: a term (c, K X S) with outputs
+        # S is (c, K X) plus c sum_x p(x) H(S | X=x), a term linear in p_X
+        linear = np.zeros((len(rows), self.shape[-1]))
+        merged = []
+        for r, row in enumerate(rows):
+            split = []
+            for coeff, subset in merge_terms(row, order):
+                sout = "".join(a for a in out_axes if a in subset)
+                if sout and in_axis in subset:
+                    if sout not in h_cache:
+                        q = out_marginal(sout)
+                        h_cache[sout] = segment_entropies(q, [0, q.shape[1]])[0][:, 0]
+                    linear[r] += coeff * h_cache[sout]
+                    subset = "".join(a for a in subset if a not in sout)
+                split.append((coeff, subset))
+            merged.append(merge_terms(split, order))
+        self.linear = linear if linear.any() else None
+        self.subsets = list(dict.fromkeys(s for row in merged for _, s in row))
+        self.coeffs = np.zeros((len(rows), len(self.subsets)))
         for r, row in enumerate(merged):
             for coeff, subset in row:
-                self.coeffs[r, subsets.index(subset)] = coeff
+                self.coeffs[r, self.subsets.index(subset)] = coeff
 
         keep_index: dict[str, int] = {}
         self._keeps: list[_Keep] = []
-        self._marginals: list[_Marginal] = []
-        self._shapes: list[tuple[int, ...]] = []
-        q_cache: dict[str, np.ndarray] = {}
-        for subset in subsets:
-            sout = "".join(a for a in out_axes if a in subset)
-            keep = "".join(a for a in dist_axes if a in subset or (sout and a == in_axis))
+
+        def keep_of(keep: str) -> int:
             if keep not in keep_index:
                 keep_index[keep] = len(self._keeps)
                 drop = tuple(i for i, a in enumerate(dist_axes) if a not in keep)
@@ -280,17 +328,19 @@ class InfoFunctional:
                 with_input = channel is not None and in_axis in keep
                 work = (size // nx, nx) if with_input else (size,)
                 self._keeps.append(_Keep(drop, work, expand))
-            if sout and sout not in q_cache:
-                drop = tuple(i for i, a in enumerate(CHANNEL_AXES) if a not in in_axis + sout)
-                q_cache[sout] = channel.sum(axis=drop).reshape(channel.shape[0], -1)
-            mg = _Marginal(keep_index[keep], q_cache.get(sout), in_axis in subset)
+            return keep_index[keep]
+
+        self._marginals: list[_Marginal] = []
+        self._shapes: list[tuple[int, ...]] = []
+        for subset in self.subsets:
+            sout = "".join(a for a in out_axes if a in subset)
+            keep = "".join(a for a in dist_axes if a in subset or (sout and a == in_axis))
+            mg = _Marginal(keep_of(keep), out_marginal(sout) if sout else None)
             self._marginals.append(mg)
             work = self._keeps[mg.keep].work
-            if mg.q is None:
-                self._shapes.append(work)
-            else:
-                nout = mg.q.shape[1]
-                self._shapes.append(work + (nout,) if mg.joint_input else (work[0], nout))
+            self._shapes.append(work if mg.q is None else (work[0], mg.q.shape[1]))
+        # the input law p_X, a keep-marginal of its own unless one keeps X alone
+        self._px_keep = keep_of(in_axis) if self.linear is not None else None
         # flat layout of the marginals in one evaluation buffer
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
         self._sizes = np.diff(self._offsets)
@@ -339,11 +389,10 @@ class InfoFunctional:
             m, view = work[mg.keep], rows[:, a:b].reshape((n,) + shape)
             if mg.q is None:
                 copies.append((view, m))
-            elif mg.joint_input:
-                products.append((np.multiply, m[..., None], mg.q, view))
             else:
-                products.append((np.matmul, m, mg.q, view))
-        plan = _Plan(reductions, copies, products, rows)
+                products.append((m, mg.q, view))
+        px = None if self._px_keep is None else work[self._px_keep][:, 0]
+        plan = _Plan(reductions, copies, products, rows, px)
         self._fill = (key, plan)
         return plan
 

@@ -16,8 +16,9 @@ Each one recomputes a quantity of the package by an independent route:
   restart at a time, the reference that the lockstep engine behind
   ``search.maximize`` and ``search.ascend`` reproduces bit for bit;
 - ``row_values_per_tensor``, ``weigh_per_tensor`` and
-  ``grad_per_tensor``: an evaluation's row values, weighing and adjoint
-  pass one tensor at a time, the reference that the batched
+  ``grad_per_tensor``: an evaluation's row values (with the linear term
+  of the channel's chain rule), weighing and adjoint pass one tensor at
+  a time, the reference that the batched
   ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
   reproduce bit for bit;
 - ``vertex_support_per_point``: a region's best vertex for one point's
@@ -95,6 +96,18 @@ def _set_partitions(n: int):
             b[j] = b[j - 1]
 
 
+def endpoint_table(c: Channel, endpoint: int) -> InfoFunctional:
+    """The reduced endpoint objective over p(w,x): I(W;Z) + I(X;Y|W) at
+    lambda=0, I(W;Y) + I(X;Z|W) at lambda=1."""
+    if endpoint not in (0, 1):
+        raise ValueError("endpoint must be 0 or 1")
+    if endpoint == 0:
+        terms = mi_terms("w", "z") + mi_terms("x", "y", "w")
+    else:
+        terms = mi_terms("w", "y") + mi_terms("x", "z", "w")
+    return InfoFunctional("wx", (c.nx, c.nx), [terms], channel=c.q)
+
+
 def endpoint_sr(
     c: Channel, endpoint: int, cfg: SearchConfig | None = None
 ) -> LambdaPointResult:
@@ -104,14 +117,8 @@ def endpoint_sr(
     This searches a much smaller space than the full auxiliary joint and
     serves as an independent oracle for the endpoint values.
     """
-    if endpoint not in (0, 1):
-        raise ValueError("endpoint must be 0 or 1")
+    fn = endpoint_table(c, endpoint)
     cfg = cfg or SearchConfig(restarts=32, max_iters=200)
-    if endpoint == 0:
-        terms = mi_terms("w", "z") + mi_terms("x", "y", "w")
-    else:
-        terms = mi_terms("w", "y") + mi_terms("x", "z", "w")
-    fn = InfoFunctional("wx", (c.nx, c.nx), [terms], channel=c.q)
     obj = JointObjective(fn, [1.0])
 
     # a maximizing W can be taken as a quantization of X, so for small
@@ -397,12 +404,15 @@ def maximize_sequential(fun, block_sizes, cfg, seeds=()):
 # ------------------------------------- the per-tensor evaluation reference
 
 
-def row_values_per_tensor(fn, entropies):
-    """Row values C @ H of each entropy vector of a batch: one
-    matrix-vector product per tensor, as for a single one."""
+def row_values_per_tensor(fn, batch, entropies):
+    """Row values C @ H + L @ p_X of each tensor of a batch, from its entropy
+    vector and its input law: one matrix-vector product per tensor and
+    term, as for a single one."""
     values = np.empty((len(entropies), len(fn.coeffs)))
-    for row, out in zip(entropies, values):
+    for t, row, out in zip(batch, entropies, values):
         np.matmul(fn.coeffs, row, out=out)
+        if fn.linear is not None:
+            out += fn.linear @ np.add.reduce(t, axis=tuple(range(t.ndim - 1)))
     return values
 
 
@@ -440,8 +450,13 @@ def grad_per_tensor(ev, rows, weights):
             mg, (a, b) = fn._marginals[s], fn._bounds[s]
             d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
             if mg.q is not None:
-                d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+                d = d @ mg.q.T
             acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+        if fn.linear is not None:
+            # the linear term's gradient w.L, the same along every other axis
+            k = fn._px_keep
+            d = (w @ fn.linear)[None]
+            acc[k] = d if acc[k] is None else acc[k] + d
         for keep, g in zip(fn._keeps, acc):
             if g is not None:
                 grad += g.reshape(keep.expand)

@@ -274,29 +274,34 @@ def test_min_of_identity_rows_and_weighted_row():
 
 
 def _unfused(fn, t, weights):
-    # the entropy vector and gradient the unfused way: each marginal its own
-    # array, entropy_of_array on each, and a fresh log2(max(m, GRAD_CLIP))
+    # the entropy vector, row values and gradient the unfused way: each
+    # marginal its own array, entropy_of_array on each, a fresh
+    # log2(max(m, GRAD_CLIP)), and the linear term on the input law
     kept = [np.add.reduce(t, axis=k.drop).reshape(k.work) for k in fn._keeps]
     ms = []
     for mg in fn._marginals:
         m = kept[mg.keep]
-        if mg.q is not None:
-            m = m[:, :, None] * mg.q if mg.joint_input else m @ mg.q
-        ms.append(m)
+        ms.append(m if mg.q is None else m @ mg.q)
     h = np.array([entropy_of_array(m) for m in ms])
+    values = fn.coeffs @ h
     per_marginal = weights @ fn.coeffs
     acc = [None] * len(fn._keeps)
     for s in np.flatnonzero(per_marginal):
         mg = fn._marginals[s]
         d = (np.log2(np.maximum(ms[s], GRAD_CLIP)) + LOG2E) * -per_marginal[s]
         if mg.q is not None:
-            d = (d * mg.q).sum(axis=-1) if mg.joint_input else d @ mg.q.T
+            d = d @ mg.q.T
         acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
+    if fn.linear is not None:
+        k = fn._px_keep
+        values += fn.linear @ kept[k][0]
+        d = (weights @ fn.linear)[None]
+        acc[k] = d if acc[k] is None else acc[k] + d
     grad = np.zeros(fn.shape)
     for keep, g in zip(fn._keeps, acc):
         if g is not None:
             grad += g.reshape(keep.expand)
-    return h, grad, np.concatenate([m.ravel() for m in ms])
+    return h, values, grad, np.concatenate([m.ravel() for m in ms])
 
 
 def _awkward_tensor(rng, shape):
@@ -343,12 +348,12 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
             t = layout(_awkward_tensor(rng, fn.shape))
             weights = rng.normal(size=fn.coeffs.shape[0])
             weights[0] = 0.0
-            h_ref, g_ref, marginals = _unfused(fn, t, weights)
+            h_ref, v_ref, g_ref, marginals = _unfused(fn, t, weights)
             assert (marginals == 0.0).any()
             assert ((marginals > 0.0) & (marginals < GRAD_CLIP)).any()
             ev = fn.evaluate(t[None])
             assert ev.entropies[0].tobytes() == h_ref.tobytes()
-            assert ev.values[0].tobytes() == (fn.coeffs @ h_ref).tobytes()
+            assert ev.values[0].tobytes() == v_ref.tobytes()
             with np.errstate(all="raise"):
                 g = ev.grad([0], weights[None])[0]
             assert np.isfinite(g).all()
@@ -490,7 +495,8 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
             row_sets += [[2, 0, 2], [4, 1]] if n == 5 else []
             for batch in (batch_c, batch_x):
                 ev = fn.evaluate(batch)
-                assert ev.values.tobytes() == row_values_per_tensor(fn, ev.entropies).tobytes()
+                ref = row_values_per_tensor(fn, batch, ev.entropies)
+                assert ev.values.tobytes() == ref.tobytes()
                 for rows in row_sets:
                     ref = grad_per_tensor(ev, rows, weights[rows])
                     assert ev.grad(rows, weights[rows]).tobytes() == ref.tobytes()
