@@ -27,6 +27,8 @@ from .search import SearchConfig, maximize, simplex_grid, simplex_grid_size
 ROW_TOL = 1e-9
 # p(x) grid resolution of the coarse scan in is_more_capable
 GRID_RESOLUTION = 16
+# a receiver comparison gap above this many bits refutes the relation
+REFUTE_TOL = 1e-9
 # Blahut-Arimoto stopping rule of capacity
 CAPACITY_TOL = 1e-10
 CAPACITY_MAX_ITERS = 2000
@@ -184,30 +186,34 @@ def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
     return JointObjective(fn, [1.0])
 
 
-def is_more_capable(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:
-    """Search for an input law where the weaker receiver learns more.
-
-    Maximizes I(X;weaker) - I(X;stronger) over p(x) by coarse grid plus
-    multi-start ascent. A positive gap (beyond 1e-9) refutes the relation
-    with the witness input; otherwise the relation is reported as not
-    refuted, since a search cannot certify it.
-    """
+def more_capable_scan(c: Channel, stronger: Receiver) -> tuple[float, np.ndarray]:
+    """The largest I(X;weaker) - I(X;stronger) on a p(x) grid, one batched
+    evaluation, and its first maximizer. A gap above REFUTE_TOL refutes
+    that ``stronger`` is more capable; a smaller one proves nothing."""
     _check_receiver(stronger)
-    obj = _gap_objective(c, stronger, aux=False)
-    seeds = []
     res_grid = GRID_RESOLUTION
     while simplex_grid_size(c.nx, res_grid) > 25000 and res_grid > 2:
         res_grid -= 2
-    best_grid, best_px = -np.inf, None
-    for p in simplex_grid(c.nx, res_grid):
-        v = obj.functional.value(p)[0]
-        if v > best_grid:
-            best_grid, best_px = v, p
-    seeds.append(best_px)
-    result = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
+    grid = np.asarray(list(simplex_grid(c.nx, res_grid)), dtype=float)
+    gaps = _gap_objective(c, stronger, aux=False).functional.evaluate(grid).values[:, 0]
+    k = int(gaps.argmax())
+    return float(gaps[k]), grid[k]
+
+
+def is_more_capable(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:
+    """Search for an input law where the weaker receiver learns more.
+
+    Maximizes I(X;weaker) - I(X;stronger) over p(x) by the grid scan of
+    ``more_capable_scan`` plus multi-start ascent. A gap above REFUTE_TOL
+    refutes the relation with the witness input; otherwise the relation is
+    reported as not refuted, since a search cannot certify it.
+    """
+    best_grid, best_px = more_capable_scan(c, stronger)
+    obj = _gap_objective(c, stronger, aux=False)
+    result = maximize(obj, obj.block_sizes, cfg, seeds=[best_px])
     gap = max(result.value, best_grid)
     witness = result.point if result.value >= best_grid else best_px
-    refuted = gap > 1e-9
+    refuted = gap > REFUTE_TOL
     return ComparisonVerdict(
         holds=(not refuted),
         gap=float(gap),
@@ -226,7 +232,7 @@ def less_noisy_verdict(c: Channel, stronger: Receiver, cfg: SearchConfig) -> Com
     _check_receiver(stronger)
     obj = _gap_objective(c, stronger, aux=True)
     result = maximize(obj, obj.block_sizes, cfg)
-    refuted = result.value > 1e-9
+    refuted = result.value > REFUTE_TOL
     return ComparisonVerdict(
         holds=(False if refuted else None),
         gap=float(result.value),

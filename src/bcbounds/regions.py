@@ -14,19 +14,19 @@ p1(u1,v1,w1,x1) p2(u2,v2,w2,x2) and produce polytopes in (R0, R1, R2):
                      and Y2 more capable than Z2
 
 The region forms assume their class; build_region notes a mismatch of the
-determinism it can read off the channel, and ``bcbounds classify`` reports
-the more-capable verdicts of each component.
+determinism it can read off the channel or a more-capable relation that a
+p(x) grid scan refutes, and ``bcbounds classify`` reports the more-capable
+verdicts of each component.
 
 All min-terms are expanded into separate inequalities, so every
-right-hand side is a smooth sum of per-component information terms; the
-support search differentiates through the optimal vertex via the active
-constraints' dual weights. A support value is the exact score of the best
-vertex at the returned auxiliary, the same number the search's objective
-gives there. A vertex counts as feasible when it meets every constraint
-up to a slack of 1e-9, so the best vertex may lie that far outside the
-region, and a support value is a lower bound of the region's support
-only up to that slack. One stacked pass finds the best vertex for every
-point of a batch.
+right-hand side is a smooth sum of per-component information terms. A
+support in direction w is a three-variable LP, and by LP duality it is
+the minimum of mu_B . b over the dual-feasible bases B (3-subsets of the
+constraints with mu_B = A_B^{-T} w >= 0). The bases depend only on the
+kind, the pin on R0 and w, so their duals are weight rows found once: the
+search's objective and every reported value are that minimum, its
+gradient follows the minimal row, and the reported vertex is optimal and
+inside the region up to rounding.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import Channel, ProductChannel, is_deterministic
+from .channel import REFUTE_TOL, Channel, ProductChannel, is_deterministic, more_capable_scan
 from .marton import (
     AuxiliaryJoint,
     Cardinalities,
@@ -243,8 +243,9 @@ def default_region_profiles(
 
 
 def _class_notes(pc: ProductChannel, kind: str) -> list[str]:
-    """Determinism diagnostics of the region's class; mismatches warn, never
-    raise."""
+    """Diagnostics of the region's class; mismatches warn, never raise. The
+    more-capable relations are checked by a p(x) grid scan, which can only
+    refute them."""
     notes: list[str] = []
     if kind == "semi_deterministic":
         if not (is_deterministic(pc.c1, "y") and is_deterministic(pc.c2, "z")):
@@ -252,6 +253,15 @@ def _class_notes(pc: ProductChannel, kind: str) -> list[str]:
                 "warning: region form assumes deterministic Y1 and Z2; "
                 "channel does not match, values are not a capacity region"
             )
+    if kind == "more_capable":
+        for c, stronger, weaker in ((pc.c1, "Z1", "Y1"), (pc.c2, "Y2", "Z2")):
+            gap = more_capable_scan(c, stronger[0].lower())[0]
+            if gap > REFUTE_TOL:
+                notes.append(
+                    f"warning: region form assumes {stronger} more capable than {weaker}; "
+                    f"a p(x) grid scan refutes it by {gap:.6g} bits, "
+                    "values are not a capacity region"
+                )
     return notes
 
 
@@ -264,10 +274,9 @@ class RateRegionPolytope:
     notes: list = field(default_factory=list)
 
     def support(self, weights: Sequence[float], fix_r0: float | None = None) -> tuple[float, np.ndarray]:
-        system = _VertexSystem([a for a, _ in self.inequalities], fix_r0)
-        rhs = np.asarray([[r for _, r in self.inequalities]])
-        value, vertex, _ = system.support(rhs, np.asarray(weights, dtype=float))
-        return float(value[0]), vertex[0]
+        """Support in direction ``weights``, R0 <= ``fix_r0`` if given, and an optimal vertex."""
+        system = _VertexSystem([a for a, _ in self.inequalities], fix_r0, weights)
+        return system.optimum(np.asarray([r for _, r in self.inequalities]))
 
     def contains(self, point: Sequence[float]) -> bool:
         """Membership up to a slack of CONTAINS_TOL on every constraint."""
@@ -281,46 +290,53 @@ class RateRegionPolytope:
 
 
 class _VertexSystem:
-    """Constraints of a region in (R0, R1, R2): the rows a . R <= rhs, then
-    the optional pin R0 <= fix_r0, then R >= 0. Every nonsingular 3-subset
-    of them is inverted once, so the candidate vertices of a batch of row
-    right-hand sides are one stacked matmul."""
+    """The support LP of a region in direction ``w``: maximize w . R over the
+    rows a . R <= rhs, the optional pin R0 <= fix_r0 and R >= 0. Its
+    dual-feasible bases, the nonsingular 3-subsets of the constraints whose
+    duals mu = A_B^{-T} w are >= 0 once rounding noise is zeroed, are found
+    once: ``duals[k]`` holds basis k's duals on the rows and ``offset[k]``
+    its pin term, so a support is min_k duals[k] . rhs + offset[k]. With no
+    such basis the support is unbounded and the constructor raises."""
 
-    def __init__(self, row_normals: Sequence, fix_r0: float | None) -> None:
+    def __init__(self, row_normals: Sequence, fix_r0: float | None, w: Sequence[float]) -> None:
+        w = np.asarray(w, dtype=float)
         pin = [] if fix_r0 is None else [(1.0, 0.0, 0.0)]
         rows = np.asarray(row_normals, dtype=float).reshape(-1, 3)
         self.A = np.vstack([rows, *pin, np.diag([-1.0] * 3)])
         self.tail_rhs = np.asarray(([] if fix_r0 is None else [float(fix_r0)]) + [0.0] * 3)
-        combos = np.asarray(list(itertools.combinations(range(self.A.shape[0]), 3)))
-        subs = self.A[combos]
-        nonsingular = np.abs(np.linalg.det(subs)) >= 1e-12
-        self.combos = combos[nonsingular]
-        self.inv = np.linalg.inv(subs[nonsingular])
+        combos = np.asarray(list(itertools.combinations(range(len(self.A)), 3)))
+        combos = combos[np.abs(np.linalg.det(self.A[combos])) >= 1e-12]
+        inv = np.linalg.inv(self.A[combos])
+        mu = np.matmul(inv.transpose(0, 2, 1), w)
+        mu[np.abs(mu) <= 1e-14 * np.abs(w).max()] = 0.0
+        feasible = (mu >= 0.0).all(axis=1)
+        if not feasible.any():
+            raise ValueError(f"no dual-feasible basis: support along {w.tolist()} is unbounded")
+        self.combos, self.inv = combos[feasible], inv[feasible]
+        full = np.zeros((len(self.combos), self.A.shape[0]))
+        np.put_along_axis(full, self.combos, mu[feasible], 1)
+        self.duals = full[:, : len(rows)]
+        self.offset = full[:, len(rows) :] @ self.tail_rhs
 
-    def support(self, rhs: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Best feasible vertex in direction ``w`` for each row of row
-        right-hand sides ``rhs`` (one point per row), in one stacked pass:
-        the scores ``w . vertex``, the vertices, and the indices of their
-        active 3-subsets in ``combos``, the first one on a tie of scores.
-        With no feasible vertex (an empty numeric polytope) a point gets
-        the origin, with score 0 and index -1.
+    def support(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The support and the index of the first minimal basis at each row
+        of row right-hand sides ``rhs``, bit-identical to a call on the row
+        alone."""
+        values = np.matmul(self.duals, rhs[..., None])[..., 0] + self.offset
+        k = values.argmin(axis=1)
+        return values[np.arange(len(rhs)), k], k
 
-        A vertex is feasible when it satisfies every constraint up to a
-        slack of 1e-9, so it may lie that far outside the region. Each
-        point's score, vertex and index are bit-identical to those of a
-        pass over its right-hand sides alone."""
-        n = len(rhs)
-        b = np.concatenate([rhs, np.broadcast_to(self.tail_rhs, (n, len(self.tail_rhs)))], axis=1)
-        verts = np.matmul(self.inv, b[:, self.combos][..., None])[..., 0]
-        scores = verts @ w
-        scores[~(verts @ self.A.T <= b[:, None, :] + 1e-9).all(axis=2)] = -np.inf
-        k = scores.argmax(axis=1)
-        best = scores[np.arange(n), k]
-        empty = ~np.isfinite(best)
-        best[empty], k[empty] = 0.0, -1
-        vertex = verts[np.arange(n), k]
-        vertex[empty] = 0.0
-        return best, vertex, k
+    def optimum(self, rhs: np.ndarray) -> tuple[float, np.ndarray]:
+        """The support at one point's row right-hand sides and an optimal
+        vertex. A basis solution misses by the larger of its value's excess
+        and its worst constraint violation, and the first least miss wins,
+        since on degenerate right-hand sides the first minimal basis alone
+        can solve to a point outside the region."""
+        b = np.concatenate([rhs, self.tail_rhs])
+        verts = np.matmul(self.inv, b[self.combos][..., None])[..., 0]
+        value = self.support(rhs[None])[0][0]
+        miss = np.maximum(self.duals @ rhs + self.offset - value, (verts @ self.A.T - b).max(1))
+        return float(value), verts[miss.argmin()]
 
 
 def _row_tables(
@@ -354,7 +370,8 @@ def build_region(pc: ProductChannel, aux: ProductAuxiliary, kind: str) -> RateRe
 
 class _SupportObjective:
     """Support function of a region in a fixed direction, as a function of
-    the two component auxiliaries, with gradients via active-vertex duals."""
+    the two component auxiliaries: the minimum of ``system.duals`` weighing
+    the row values, with the gradient of the first minimal weight row."""
 
     def __init__(
         self,
@@ -366,21 +383,12 @@ class _SupportObjective:
         fix_r0: float | None,
     ) -> None:
         self.rows = _region_rows(kind)
-        self.w = np.asarray(weights, dtype=float)
         self.shape1 = prof1.shape(pc.c1.nx)
         self.shape2 = prof2.shape(pc.c2.nx)
         self.size1 = int(np.prod(self.shape1))
         self.size2 = int(np.prod(self.shape2))
         self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
-        self.system = vs = _VertexSystem([a for a, _, _ in self.rows], fix_r0)
-        # the duals of each vertex's active constraints, as weights on the
-        # region rows, then a zero row for index -1: the origin of an empty
-        # numeric polytope, whose gradient is zero
-        duals = np.zeros((len(vs.combos) + 1, vs.A.shape[0]))
-        np.put_along_axis(duals[:-1], vs.combos, np.matmul(vs.inv.transpose(0, 2, 1), self.w), 1)
-        duals = duals[:, : len(self.rows)]
-        duals[np.abs(duals) <= 1e-14] = 0.0
-        self.duals = duals
+        self.system = _VertexSystem([a for a, _, _ in self.rows], fix_r0, weights)
 
     @property
     def block_sizes(self) -> list[int]:
@@ -398,10 +406,10 @@ class _SupportObjective:
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
         t1, t2 = self.split(flat)
         ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
-        values, _, k = self.system.support(ev1.values + ev2.values, self.w)
+        values, k = self.system.support(ev1.values + ev2.values)
 
         def grad(rows: Sequence[int]) -> np.ndarray:
-            mu = self.duals[k[rows]]
+            mu = self.system.duals[k[rows]]
             g1 = ev1.grad(rows, mu).reshape(len(rows), -1)
             g2 = ev2.grad(rows, mu).reshape(len(rows), -1)
             return np.concatenate([g1, g2], axis=1)
@@ -411,6 +419,8 @@ class _SupportObjective:
 
 @dataclass
 class SupportResult:
+    """The support of ``region`` in direction ``weights`` and an optimal vertex."""
+
     value: float
     weights: tuple[float, float, float]
     vertex: np.ndarray
@@ -429,12 +439,11 @@ def region_support(
 ) -> SupportResult:
     """Maximize a region's support function over product auxiliaries.
 
-    ``value`` is the exact score of the best vertex ``vertex`` in the
-    direction ``weights`` at the returned auxiliary, the search
-    objective's value there. That vertex meets every constraint of the
-    region up to a slack of 1e-9 and may lie that far outside it, so
-    ``value`` is a lower bound of the true support up to that slack, not
-    a certified one.
+    ``value`` is the support of the region at the returned auxiliary in
+    the direction ``weights`` (the minimum over the dual weight rows, the
+    search objective's value there), so up to rounding it is a lower
+    bound of the maximum over all auxiliaries. ``vertex`` is an optimal
+    vertex, inside the region up to rounding.
     """
     prof1, prof2 = default_region_profiles(pc, kind)
     obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0=fix_r0)
@@ -455,11 +464,11 @@ def region_support(
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     t1, t2 = obj.split(res.point)
     rhs = obj.f1.value(t1) + obj.f2.value(t2)
-    value, vertex, _ = obj.system.support(rhs[None], obj.w)
+    value, vertex = obj.system.optimum(rhs)
     return SupportResult(
-        value=float(value[0]),
+        value=value,
         weights=tuple(float(x) for x in weights),
-        vertex=vertex[0],
+        vertex=vertex,
         aux=ProductAuxiliary(AuxiliaryJoint(t1), AuxiliaryJoint(t2)),
         region=_polytope(pc, kind, obj.rows, rhs),
         converged=res.converged,

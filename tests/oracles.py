@@ -21,13 +21,15 @@ Each one recomputes a quantity of the package by an independent route:
   a time, the reference that the batched
   ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
   reproduce bit for bit;
-- ``vertex_support_per_point``: a region's best vertex for one point's
-  right-hand sides, the reference that the stacked pass of
-  ``regions._VertexSystem.support`` reproduces bit for bit.
+- ``dual_support_per_point``: a region's support for one point's
+  right-hand sides as a minimum over the dual-feasible bases, each solved
+  on its own, the reference that the stacked dual weight rows of
+  ``regions._VertexSystem`` reproduce up to rounding.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
@@ -463,20 +465,26 @@ def grad_per_tensor(ev, rows, weights):
     return grads
 
 
-# ---------------------------------------- the per-point best-vertex reference
+# --------------------------------------------- the per-point dual reference
 
 
-def vertex_support_per_point(system, rhs, w):
-    """Best feasible vertex of ``system`` (a ``regions._VertexSystem``) in
-    direction ``w`` for one point's row right-hand sides ``rhs``: its score
-    ``w . vertex``, the vertex, and the index of its active 3-subset in
-    ``combos``. With no feasible vertex (an empty numeric polytope) it is
-    the origin, with score 0 and index None."""
-    b = np.concatenate([rhs, system.tail_rhs])
-    verts = np.einsum("kij,kj->ki", system.inv, b[system.combos])
-    scores = verts @ w
-    scores[~(verts @ system.A.T <= b[None, :] + 1e-9).all(axis=1)] = -np.inf
-    k = int(np.argmax(scores))
-    if not np.isfinite(scores[k]):
-        return 0.0, np.zeros(3), None
-    return float(scores[k]), verts[k], k
+def dual_support_per_point(normals, rhs, w, fix_r0):
+    """Support of {a . R <= rhs for the rows, R0 <= fix_r0 when given,
+    R >= 0} in direction ``w`` at one point, by LP duality: the minimum of
+    mu . b over the nonsingular 3-subsets of the constraints whose duals mu,
+    solved from A_B^T mu = w, are >= 0 up to rounding."""
+    A = [list(map(float, a)) for a in normals] + [[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]
+    b = list(rhs) + [0.0] * 3
+    if fix_r0 is not None:
+        A.append([1.0, 0, 0])
+        b.append(fix_r0)
+    A, b, w = np.asarray(A), np.asarray(b), np.asarray(w, dtype=float)
+    best = np.inf
+    for combo in itertools.combinations(range(len(b)), 3):
+        sub = A[list(combo)]
+        if abs(np.linalg.det(sub)) < 1e-12:
+            continue
+        mu = np.linalg.solve(sub.T, w)
+        if (mu >= -1e-12 * np.abs(w).max()).all():
+            best = min(best, float(mu @ b[list(combo)]))
+    return best

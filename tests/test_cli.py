@@ -169,6 +169,28 @@ def test_product_save_and_outer_sweep(comp_files, tmp_path, capsys):
     assert len(lines) == 2
 
 
+def test_outer_mirror_values_and_vertices_stay_inside_the_bounds(comp_files, tmp_path, capsys):
+    # on the worked product with R0 pinned to 0, the sum directions are
+    # capped by 8/3 and the single-rate directions by each receiver's
+    # capacity 2; every reported vertex lies in the reported region
+    prod_path = tmp_path / "prod.json"
+    _run(capsys, ["product", comp_files[0], comp_files[1], "--save", str(prod_path)])
+    argv = ["outer", str(prod_path), "--mirror", "--fix-r0", "0"]
+    code, out, _ = _run(capsys, argv + ["--restarts", "2", "--max-iters", "60"])
+    assert code == 0
+    results = json.loads(out)["results"]
+    bounds = {(0.0, 1.0, 1.0): 8 / 3, (1.0, 1.0, 1.0): 8 / 3}
+    bounds.update({(0.0, 1.0, 0.0): 2.0, (0.0, 0.0, 1.0): 2.0})
+    assert {tuple(row["weights"]) for row in results["sweep"]} == set(bounds)
+    ineqs = results["region"]["inequalities"]
+    for row in results["sweep"]:
+        assert row["value_bits"] <= bounds[tuple(row["weights"])] + 1e-12
+        vertex = np.asarray(row["vertex"])
+        assert (vertex >= -1e-12).all() and vertex[0] <= 1e-12
+        for iq in ineqs:
+            assert np.dot(iq["a"], vertex) <= iq["rhs"] + 1e-12
+
+
 def test_product_factorization_check(comp_files, capsys):
     code, out, _ = _run(
         capsys,

@@ -88,6 +88,17 @@ def test_import_does_not_load_scipy():
     assert proc.returncode == 0
 
 
+def test_bench_selftest_passes():
+    # the benchmark's self-test (input generator, workload counts, trace
+    # wrappers) runs here too, so a change that breaks what the benchmark
+    # uses of the package fails the tests, not only a benchmark run
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "bench/selftest.py"], cwd=root, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_imports_match_declared_dependencies():
     # every non-stdlib module the package imports, at any depth, is a
     # declared runtime dependency, and every declared dependency is used

@@ -24,7 +24,7 @@ from bcbounds.regions import (
 )
 from bcbounds.search import SearchConfig
 from info_oracle import entropy, mutual_information
-from oracles import pointwise, vertex_support_per_point
+from oracles import dual_support_per_point, pointwise
 
 CFG = SearchConfig(restarts=6, max_iters=120, seed=0)
 MARTON_CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
@@ -202,25 +202,25 @@ def test_support_gradient_matches_finite_differences():
         prof1, prof2 = default_region_profiles(pc, kind)
         obj = _SupportObjective(pc, kind, rng.uniform(0.5, 1.5, 3), prof1, prof2, None)
 
-        def vertex(flat):
+        def basis(flat):
             t1, t2 = obj.split(flat)
             rhs = obj.f1.value(t1) + obj.f2.value(t2)
-            return int(obj.system.support(rhs[None], obj.w)[2][0])
+            return int(obj.system.support(rhs[None])[1][0])
 
         checked = 0
         for _ in range(6):
             flat = np.concatenate([rng.dirichlet(np.ones(n)) for n in obj.block_sizes])
-            k = vertex(flat)
+            k = basis(flat)
             g = pointwise(obj)(flat)[1]()
             fd = np.zeros_like(flat)
-            same_vertex = k >= 0
+            same_basis = True
             for i in range(flat.size):
                 fp, fm = flat.copy(), flat.copy()
                 fp[i] += eps
                 fm[i] -= eps
-                same_vertex = same_vertex and vertex(fp) == k == vertex(fm)
+                same_basis = same_basis and basis(fp) == k == basis(fm)
                 fd[i] = (pointwise(obj)(fp)[0] - pointwise(obj)(fm)[0]) / (2 * eps)
-            if not same_vertex:
+            if not same_basis:
                 continue
             checked += 1
             assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4, kind
@@ -289,8 +289,10 @@ def test_polytope_geometry():
 
 
 def _support_by_loop(normals, rhs, w, fix_r0):
-    # reference: solve each nonsingular 3-subset of the constraints
-    # (rows, optional R0 pin, R >= 0) and keep the best feasible vertex
+    # primal reference: solve each nonsingular 3-subset of the constraints
+    # (rows, optional R0 pin, R >= 0) and keep the best vertex that is
+    # feasible up to rounding; the right-hand sides are >= 0, so the origin
+    # is feasible and the best vertex exists
     A = [list(map(float, a)) for a in normals] + [[-1.0, 0, 0], [0, -1.0, 0], [0, 0, -1.0]]
     b = list(rhs) + [0.0] * 3
     if fix_r0 is not None:
@@ -303,79 +305,110 @@ def _support_by_loop(normals, rhs, w, fix_r0):
         if abs(np.linalg.det(sub)) < 1e-12:
             continue
         v = np.linalg.solve(sub, b[list(combo)])
-        if (A @ v <= b + 1e-9).all() and (best is None or v @ w > best):
+        if (A @ v <= b + 1e-12).all() and (best is None or v @ w > best):
             best = float(v @ w)
-    return 0.0 if best is None else best
+    return best
+
+
+def _nonnegative_rhs(rng, n, rows):
+    # right-hand sides >= 0 with zero rows and ties: a third of the rows
+    # drawn from a few exact values, a sixth set to zero
+    rhs = rng.uniform(0.0, 2.0, (n, rows))
+    ties = rng.random((n, rows)) < 1 / 3
+    rhs[ties] = rng.choice([0.5, 1.0, 2.0], ties.sum())
+    rhs[rng.random((n, rows)) < 1 / 6] = 0.0
+    return rhs
+
+
+def _directions(rng):
+    # a random direction, the separation's (0, 1, 1) and a direction of
+    # scale 1e6
+    return [rng.dirichlet(np.ones(3)), np.array([0.0, 1.0, 1.0]), 1e6 * rng.dirichlet(np.ones(3))]
+
+
+def _assert_optimal_vertex(normals, rhs, w, fix_r0, value, vertex):
+    # the vertex lies in the region and attains the value, up to 1e-12 of
+    # the direction's scale
+    scale = max(1.0, np.abs(w).max())
+    assert (np.asarray(normals, dtype=float) @ vertex <= rhs + 1e-12).all()
+    assert (vertex >= -1e-12).all()
+    assert fix_r0 is None or vertex[0] <= fix_r0 + 1e-12
+    assert abs(vertex @ w - value) <= 1e-12 * scale
 
 
 def test_support_objective_vertex_matches_polytope_support():
-    # the search's vertex scoring and RateRegionPolytope.support share one
-    # best-vertex routine; both must match a plain per-subset solve
+    # the search's support and RateRegionPolytope.support share one dual
+    # system; both must match a plain primal per-subset solve
     rng = np.random.default_rng(11)
     pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     for kind in REGION_KINDS:
         prof1, prof2 = default_region_profiles(pc, kind)
+        normals = [a for a, _, _ in _region_rows(kind)]
         for fix_r0 in (None, 0.0, 0.3):
-            w = rng.dirichlet(np.ones(3))
-            obj = _SupportObjective(pc, kind, w, prof1, prof2, fix_r0=fix_r0)
-            normals = [a for a, _, _ in obj.rows]
-            for _ in range(20):
-                rhs = rng.uniform(-0.2, 2.0, len(obj.rows))
-                region = RateRegionPolytope(
-                    [(a, float(r)) for a, r in zip(normals, rhs)], tag=kind
-                )
-                expect, vertex = region.support(w, fix_r0=fix_r0)
-                assert obj.system.support(rhs[None], obj.w)[0][0] == expect
-                assert expect == pytest.approx(vertex @ w, abs=1e-12)
-                assert expect == pytest.approx(
-                    _support_by_loop(normals, rhs, w, fix_r0), abs=1e-12
-                )
+            for w in _directions(rng):
+                obj = _SupportObjective(pc, kind, w, prof1, prof2, fix_r0=fix_r0)
+                for rhs in _nonnegative_rhs(rng, 10, len(normals)):
+                    region = RateRegionPolytope(
+                        [(a, float(r)) for a, r in zip(normals, rhs)], tag=kind
+                    )
+                    expect, vertex = region.support(w, fix_r0=fix_r0)
+                    assert obj.system.support(rhs[None])[0][0] == expect
+                    _assert_optimal_vertex(normals, rhs, w, fix_r0, expect, vertex)
+                    scale = max(1.0, np.abs(w).max())
+                    assert abs(expect - _support_by_loop(normals, rhs, w, fix_r0)) <= 1e-12 * scale
 
 
-def _assert_vertex_batch_matches_oracle(system, rhs, w):
-    scores, vertices, index = system.support(rhs, w)
-    for i, row in enumerate(rhs):
-        score, vertex, k = vertex_support_per_point(system, row, w)
-        assert np.float64(score).tobytes() == scores[i].tobytes()
-        assert vertex.tobytes() == vertices[i].tobytes()
-        assert (-1 if k is None else k) == index[i]
-
-
-def test_vertex_pass_matches_per_point_oracle_bit_for_bit():
-    # the stacked pass over a batch of right-hand sides gives each point the
-    # score, vertex and index it gets alone, on every region kind
+def test_dual_support_batch_matches_single_point_and_oracle():
+    # the stacked product over a batch of right-hand sides gives each point
+    # the value and basis it gets alone, bit for bit, on every region kind,
+    # and the value of a per-basis dual solve up to rounding
     rng = np.random.default_rng(17)
     for kind in REGION_KINDS:
         normals = [a for a, _, _ in _region_rows(kind)]
         for fix_r0 in (None, 0.0, 0.3):
-            system = _VertexSystem(normals, fix_r0)
-            for n in (1, 2, 5, 16):
-                # some right-hand sides negative, so some polytopes are empty
-                rhs = rng.uniform(-0.2, 2.0, (n, len(normals)))
-                _assert_vertex_batch_matches_oracle(system, rhs, rng.dirichlet(np.ones(3)))
+            for w in _directions(rng):
+                system = _VertexSystem(normals, fix_r0, w)
+                assert (system.duals >= 0.0).all()
+                for n in (1, 2, 5, 16):
+                    rhs = _nonnegative_rhs(rng, n, len(normals))
+                    values, index = system.support(rhs)
+                    for i, row in enumerate(rhs):
+                        alone, k = system.support(row[None])
+                        assert alone.tobytes() == values[i : i + 1].tobytes()
+                        assert k[0] == index[i]
+                        expect = dual_support_per_point(normals, row, w, fix_r0)
+                        assert abs(values[i] - expect) <= 1e-12 * max(1.0, np.abs(w).max())
+                        value, vertex = system.optimum(row)
+                        assert value == values[i]
+                        _assert_optimal_vertex(normals, row, w, fix_r0, value, vertex)
 
 
-def test_vertex_pass_empty_polytope_and_tie():
+def test_dual_support_empty_polytope_unbounded_and_tie():
     normals = [a for a, _, _ in _region_rows("semi_deterministic")]
-    system = _VertexSystem(normals, None)
-    # a negative R0 bound leaves no feasible vertex: the origin, score 0
+    w = np.array([0.0, 1.0, 1.0])
+    system = _VertexSystem(normals, None, w)
+    # a negative R0 bound empties the region, but no dual weight row in
+    # this direction rests on the R0 rows: the value stays the (1,1,1)
+    # rows' bound 1, and the vertex (0, 1, 1) violates the R0 bound
     rhs = np.full((2, len(normals)), 1.0)
     rhs[1, 0] = -1.0
-    scores, vertices, index = system.support(rhs, np.array([0.0, 1.0, 1.0]))
-    assert scores[1] == 0.0 and vertices[1].tolist() == [0.0, 0.0, 0.0] and index[1] == -1
-    assert index[0] >= 0
-    _assert_vertex_batch_matches_oracle(system, rhs, np.array([0.0, 1.0, 1.0]))
-    # the unit cube under weights (0, 1, 1): the vertices (1, 1, 1), of the
-    # first 3-subset (the three rows), and (0, 1, 1), of a later one, both
-    # score 2 exactly, and the first index wins, as in the per-point argmax
-    cube = _VertexSystem([(1, 0, 0), (0, 1, 0), (0, 0, 1)], None)
-    w = np.array([0.0, 1.0, 1.0])
-    later = [c.tolist() for c in cube.combos].index([1, 2, 3])
-    assert (cube.inv[later] @ [1.0, 1.0, 0.0]).tolist() == [0.0, 1.0, 1.0]
-    scores, vertices, index = cube.support(np.ones((3, 3)), w)
-    assert scores.tolist() == [2.0] * 3 and index.tolist() == [0] * 3
-    assert vertices.tolist() == [[1.0, 1.0, 1.0]] * 3
-    _assert_vertex_batch_matches_oracle(cube, np.ones((3, 3)), w)
+    values, index = system.support(rhs)
+    assert values.tolist() == [1.0, 1.0] and index.tolist() == [1, 1]
+    assert (system.duals[:, 0] == 0.0).all()
+    assert system.optimum(rhs[1])[1].tolist() == [0.0, 1.0, 1.0]
+    # no dual-feasible basis: R1 is unbounded when only R0 is bounded
+    with pytest.raises(ValueError, match="no dual-feasible basis"):
+        _VertexSystem([(1, 0, 0)], None, (0.0, 1.0, 0.0))
+    # the unit cube under weights (0, 1, 1): the bases {R0 <= 1, R1 <= 1,
+    # R2 <= 1} and {R0 >= 0, R1 <= 1, R2 <= 1} carry the same duals (0, 1, 1)
+    # and both solve to an optimal vertex, (1, 1, 1) and (0, 1, 1); the
+    # first wins the value's argmin and the vertex
+    cube = _VertexSystem([(1, 0, 0), (0, 1, 0), (0, 0, 1)], None, w)
+    assert cube.combos.tolist() == [[0, 1, 2], [1, 2, 3]]
+    assert cube.duals.tolist() == [[0.0, 1.0, 1.0]] * 2
+    values, index = cube.support(np.ones((3, 3)))
+    assert values.tolist() == [2.0] * 3 and index.tolist() == [0] * 3
+    assert cube.optimum(np.ones(3))[1].tolist() == [1.0, 1.0, 1.0]
 
 
 def test_region_support_reaches_seeded_value():
@@ -414,7 +447,7 @@ def test_region_support_value_is_exact_score_at_returned_aux(kind, fix_r0):
     obj = _SupportObjective(pc, kind, (0, 1, 1), prof1, prof2, fix_r0=fix_r0)
     flat = np.concatenate([res.aux.a1.joint.ravel(), res.aux.a2.joint.ravel()])
     assert res.value == pointwise(obj)(flat)[0]
-    assert res.value == pytest.approx(res.vertex @ obj.w, abs=1e-12)
+    assert res.value == pytest.approx(res.vertex @ np.asarray(res.weights), abs=1e-12)
     assert res.region.contains(res.vertex)
 
 
@@ -439,6 +472,20 @@ def test_class_notes():
     aux2 = _random_product_aux(rng, mismatched, "semi_deterministic")
     notes = build_region(mismatched, aux2, "semi_deterministic").notes
     assert notes and "deterministic" in notes[0]
+    # the more-capable form: the grid scan refutes the wrong orientation,
+    # where Y1 and Z2 are the better receivers, and the worked product,
+    # whose components each fail by 1/3 at p(x) = (1/2, 0, 0, 1/2); the
+    # right orientation gets no note, since a scan cannot prove the class
+    reverse = make_product(bsc_pair(0.3, 0.1), bsc_pair(0.1, 0.3))
+    wrong = make_product(bsc_pair(0.1, 0.3), bsc_pair(0.3, 0.1))
+    claims = ("Z1 more capable than Y1", "Y2 more capable than Z2")
+    wrong_gap = h2(0.3) - h2(0.1)
+    for pc, gaps in ((reverse, []), (wrong, [wrong_gap] * 2), (matched, [1 / 3] * 2)):
+        aux = _random_product_aux(rng, pc, "more_capable")
+        notes = build_region(pc, aux, "more_capable").notes
+        assert len(notes) == len(gaps)
+        for note, claim, gap in zip(notes, claims, gaps):
+            assert claim in note and f"by {gap:.6g} bits" in note
 
 
 def test_default_region_profiles_collapse():
@@ -478,10 +525,6 @@ def test_more_capable_support_on_reversely_degraded_product(reversely_degraded_r
         assert abs(res.value - target) <= 1e-6
 
 
-@pytest.mark.xfail(
-    reason="_VertexSystem.support accepts a vertex up to 1e-9 outside the "
-    "region, so the reported support can exceed the proven support"
-)
 def test_more_capable_support_vertex_inside_region(reversely_degraded_runs):
     target, runs = reversely_degraded_runs
     for res in runs:
