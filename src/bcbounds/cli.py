@@ -274,10 +274,7 @@ def _cmd_marton(args) -> tuple[dict, dict, list]:
             }
             for s in curve.samples
         ]
-        results["curve_checks"] = {
-            "convexity_violations": curve.convexity_violations,
-            "hyperplane_violations": curve.hyperplane_violations,
-        }
+        results["curve_checks"] = {"hyperplane_violations": curve.hyperplane_violations}
         if args.curve_csv is not None:
             _write_text(args.curve_csv, _curve_csv(curve))
             results["curve_csv"] = args.curve_csv
@@ -294,7 +291,6 @@ def _cmd_uv(args) -> tuple[dict, dict, list]:
         "sum_rate_display": format_bits(res.value),
         "point": _uv_point_dict(res.point),
         "converged": res.converged,
-        "budget_exhausted": not res.converged,
     }
     return _config_echo(cfg), results, []
 
@@ -339,16 +335,18 @@ def _sweep_kind(args) -> str:
     """Region kind of an ``outer`` or ``region`` command line."""
     if args.command == "region":
         return REGION_KIND_FLAGS[args.kind]
-    return "product_outer_mirror" if args.mirror else "product_outer"
+    return "product_outer"
 
 
 def _cmd_sweep(args) -> tuple[dict, dict, list]:
     kind = _sweep_kind(args)
     pc = _load_product(args.product)
+    mirrored = args.command == "outer" and args.mirror
+    if mirrored:
+        pc = ProductChannel(pc.c2, pc.c1)
     cfg = _config(args)
     directions = _parse_directions(args.directions)
     rows = []
-    best = None
     for w in directions:
         res = region_support(pc, kind, w, cfg, fix_r0=args.fix_r0)
         rows.append(
@@ -357,24 +355,20 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
                 "value_bits": res.value,
                 "value_display": format_bits(res.value),
                 "vertex": list(res.vertex),
+                "rhs": [r for _, r in res.region.inequalities],
                 "converged": res.converged,
-                "budget_exhausted": not res.converged,
             }
         )
-        if best is None or res.value > best.value:
-            best = res
-    region = best.region
+    # every direction's polytope shares the kind's normals, tag and notes
+    region = res.region
     results = {
-        # the report names the mirror by its flag
-        "kind": kind.removesuffix("_mirror"),
-        "mirrored": kind == "product_outer_mirror",
+        "kind": kind,
+        "mirrored": mirrored,
         "fix_r0": args.fix_r0,
         "sweep": rows,
         "region": {
             "tag": region.tag,
-            "inequalities": [
-                {"a": [float(x) for x in a], "rhs": float(r)} for a, r in region.inequalities
-            ],
+            "normals": [[float(x) for x in a] for a, _ in region.inequalities],
             "notes": region.notes,
         },
         "converged": all(r["converged"] for r in rows),
@@ -533,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--mirror",
         action="store_true",
-        help="swap which component carries each cross term",
+        help="sweep the outer bound of the product with its components swapped",
     )
     _add_common(sp, default_restarts=8)
     sp.set_defaults(func=_cmd_sweep)

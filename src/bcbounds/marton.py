@@ -368,29 +368,19 @@ def lambda_sr_global(
 
 @dataclass
 class LambdaCurve:
-    """Sampled lambda-curve with convexity and hyperplane diagnostics."""
+    """Sampled lambda-curve with one check: no sample's line (its value plus
+    its subgradient times the step in lambda) passes above another sample
+    by more than ``slack``. This implies midpoint convexity: if a sample at
+    the midpoint of two others lies above their mean by more than
+    ``slack``, its line sums to twice its value at their lambdas, so it
+    passes above one of them by more than ``slack``."""
 
     samples: list[LambdaPointResult]
-    convexity_violations: list = field(default_factory=list)
     hyperplane_violations: list = field(default_factory=list)
 
-    def values(self) -> np.ndarray:
-        return np.asarray([s.value for s in self.samples])
-
     def run_checks(self, slack: float = 1e-6) -> None:
-        self.convexity_violations = []
         self.hyperplane_violations = []
         ss = sorted(self.samples, key=lambda s: s.lam)
-        for i in range(len(ss)):
-            for j in range(i + 2, len(ss)):
-                mid = 0.5 * (ss[i].lam + ss[j].lam)
-                for k in range(i + 1, j):
-                    if abs(ss[k].lam - mid) < 1e-12:
-                        bound = 0.5 * (ss[i].value + ss[j].value) + slack
-                        if ss[k].value > bound:
-                            self.convexity_violations.append(
-                                (ss[i].lam, ss[k].lam, ss[j].lam, ss[k].value - bound + slack)
-                            )
         for s in ss:
             for other in ss:
                 line = (other.lam - s.lam) * s.subgradient + s.value
@@ -398,9 +388,6 @@ class LambdaCurve:
                     self.hyperplane_violations.append(
                         (s.lam, other.lam, line - other.value)
                     )
-
-    def ok(self) -> bool:
-        return not self.convexity_violations and not self.hyperplane_violations
 
 
 def _warm_lambda(

@@ -6,12 +6,13 @@ two-component product with independent per-component auxiliaries
 p1(u1,v1,w1,x1) p2(u2,v2,w2,x2) and produce polytopes in (R0, R1, R2):
 
   product_outer      six inequality families with min-terms expanded
-  product_outer_mirror
-                     the same families with the components swapped in
-                     the mixed sum row
   semi_deterministic capacity region form when Y1 and Z2 are deterministic
   more_capable       capacity region form when Z1 is more capable than Y1
                      and Y2 more capable than Z2
+
+The mirrored outer bound, with the components swapped in the mixed sum
+rows, is ``product_outer`` on ``ProductChannel(pc.c2, pc.c1)``: swapping
+the two sides of every ``product_outer`` row gives the mirrored rows.
 
 The region forms assume their class; build_region notes a mismatch of the
 determinism it can read off the channel or a more-capable relation that a
@@ -99,13 +100,17 @@ def _uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
     return InfoFunctional("uvx", (nu, nv, c.nx), rows, channel=c.q)
 
 
+def _uv_point(table: InfoFunctional, aux: UvAuxiliary) -> UvPoint:
+    _, sum_y, sum_z, iuy, ivz = map(float, table.value(aux.joint))
+    return UvPoint(r1_bound=iuy, r2_bound=ivz, sum_y_side=sum_y, sum_z_side=sum_z)
+
+
 def evaluate_uv_point(c: Channel, aux: UvAuxiliary) -> UvPoint:
     """Exact UV-bound coordinates at one auxiliary."""
     nu, nv, nx = aux.shape
     if nx != c.nx:
         raise ValueError("UV auxiliary input alphabet mismatch")
-    _, sum_y, sum_z, iuy, ivz = map(float, _uv_table(c, nu, nv).value(aux.joint))
-    return UvPoint(r1_bound=iuy, r2_bound=ivz, sum_y_side=sum_y, sum_z_side=sum_z)
+    return _uv_point(_uv_table(c, nu, nv), aux)
 
 
 @dataclass
@@ -143,7 +148,7 @@ def uv_sum_rate(
     return UvSumRate(
         value=res.value,
         aux=aux,
-        point=evaluate_uv_point(c, aux),
+        point=_uv_point(obj.functional, aux),
         converged=res.converged,
     )
 
@@ -182,16 +187,12 @@ Row = tuple[tuple[int, int, int], tuple[str, ...], tuple[str, ...]]
 
 def _region_rows(kind: str) -> list[Row]:
     r0 = [((1, 0, 0), ("ay",), ("ay",)), ((1, 0, 0), ("az",), ("az",))]
-    if kind in ("product_outer", "product_outer_mirror"):
+    if kind == "product_outer":
         rows = list(r0)
         for base in ("ay", "az"):
             rows.append(((1, 1, 0), (base, "uy"), (base, "uy")))
             rows.append(((1, 0, 1), (base, "vz"), (base, "vz")))
-        if kind == "product_outer":
-            patterns = [("su", "su"), ("sv", "su"), ("sv", "sv")]
-        else:
-            patterns = [("su", "sv"), ("sv", "sv"), ("su", "su")]
-        for p1, p2 in patterns:
+        for p1, p2 in (("su", "su"), ("sv", "su"), ("sv", "sv")):
             for base in ("ay", "az"):
                 rows.append(((1, 1, 1), (base, p1), (base, p2)))
         return rows
@@ -214,12 +215,7 @@ def _region_rows(kind: str) -> list[Row]:
     raise ValueError(f"unknown region kind {kind!r}")
 
 
-REGION_KINDS = (
-    "product_outer",
-    "product_outer_mirror",
-    "semi_deterministic",
-    "more_capable",
-)
+REGION_KINDS = ("product_outer", "semi_deterministic", "more_capable")
 
 
 def default_region_profiles(
@@ -443,7 +439,9 @@ def region_support(
     the direction ``weights`` (the minimum over the dual weight rows, the
     search objective's value there), so up to rounding it is a lower
     bound of the maximum over all auxiliaries. ``vertex`` is an optimal
-    vertex, inside the region up to rounding.
+    vertex, inside the region up to rounding. The mirrored outer bound is
+    ``product_outer`` on ``ProductChannel(pc.c2, pc.c1)``, whose ``aux``
+    lists the components in that swapped order.
     """
     prof1, prof2 = default_region_profiles(pc, kind)
     obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0=fix_r0)

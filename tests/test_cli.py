@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, save_channel_file
+from bcbounds.channel import Channel, make_product, save_channel_file
 from bcbounds.cli import (
     CommandError,
     _config,
@@ -34,8 +34,7 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def _small_channel(seed=0):
-    rng = np.random.default_rng(seed)
+def _small_channel(rng):
     q = rng.random((2, 2, 2))
     q /= q.sum(axis=(1, 2), keepdims=True)
     return Channel(q)
@@ -53,7 +52,7 @@ def comp_files(tmp_path):
 @pytest.fixture
 def small_file(tmp_path):
     path = tmp_path / "small.json"
-    save_channel_file(str(path), _small_channel())
+    save_channel_file(str(path), _small_channel(np.random.default_rng(0)))
     return str(path)
 
 
@@ -107,7 +106,7 @@ def test_marton_report_and_curve_csv(small_file, tmp_path, capsys):
     rep = json.loads(out)
     assert rep["results"]["sum_rate_bits"] >= 0
     assert len(rep["results"]["curve"]) == 3
-    assert rep["results"]["curve_checks"]["convexity_violations"] == []
+    assert rep["results"]["curve_checks"] == {"hyperplane_violations": []}
     header = csv_path.read_text().splitlines()[0]
     assert header == "lambda,value_bits,subgradient,converged"
 
@@ -116,6 +115,7 @@ def test_uv_report(small_file, capsys):
     code, out, _ = _run(capsys, ["uv", small_file, "--restarts", "2"])
     assert code == 0
     rep = json.loads(out)
+    assert set(rep["results"]) == {"sum_rate_bits", "sum_rate_display", "point", "converged"}
     point = rep["results"]["point"]
     assert point["sum_rate_bits"] <= point["sum_y_side_bits"] + 1e-9
     assert point["sum_rate_bits"] <= point["sum_z_side_bits"] + 1e-9
@@ -153,42 +153,67 @@ def test_product_save_and_outer_sweep(comp_files, tmp_path, capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["results"]["kind"] == "product_outer"
-    assert len(rep["results"]["sweep"]) == 1
+    assert rep["results"]["mirrored"] is False
+    (row,) = rep["results"]["sweep"]
     region = rep["results"]["region"]
-    assert region["inequalities"] and all(
-        set(iq) == {"a", "rhs"} for iq in region["inequalities"]
-    )
-    # export shape: three float weights and a float bound per row; the first row bounds R0 alone
-    assert all(
-        len(iq["a"]) == 3 and all(isinstance(x, float) for x in iq["a"] + [iq["rhs"]])
-        for iq in region["inequalities"]
-    )
-    assert region["inequalities"][0]["a"] == [1.0, 0.0, 0.0]
+    assert set(region) == {"tag", "normals", "notes"}
+    assert set(row) == {"weights", "value_bits", "value_display", "vertex", "rhs", "converged"}
+    # export shape: three float weights per normal and a float bound per
+    # normal in each sweep row; the first normal bounds R0 alone
+    assert region["normals"] and len(row["rhs"]) == len(region["normals"])
+    assert all(len(a) == 3 and all(isinstance(x, float) for x in a) for a in region["normals"])
+    assert all(isinstance(r, float) for r in row["rhs"])
+    assert region["normals"][0] == [1.0, 0.0, 0.0]
     lines = sweep_csv.read_text().splitlines()
     assert lines[0] == "w0,w1,w2,value,converged"
     assert len(lines) == 2
 
 
+def _assert_vertices_meet_their_rows(results):
+    # every sweep row's vertex lies in its own polytope: R >= 0 and
+    # normal . R <= rhs for each of the row's right-hand sides
+    normals = np.asarray(results["region"]["normals"])
+    for row in results["sweep"]:
+        vertex = np.asarray(row["vertex"])
+        assert (vertex >= -1e-12).all()
+        assert (normals @ vertex <= np.asarray(row["rhs"]) + 1e-12).all(), row["weights"]
+
+
 def test_outer_mirror_values_and_vertices_stay_inside_the_bounds(comp_files, tmp_path, capsys):
-    # on the worked product with R0 pinned to 0, the sum directions are
-    # capped by 8/3 and the single-rate directions by each receiver's
-    # capacity 2; every reported vertex lies in the reported region
+    # on the worked product with R0 pinned to 0, the mirror (the outer
+    # bound of the swapped product) reaches the sum directions' cap 8/3
+    # and each receiver's capacity 2 in the single-rate directions
     prod_path = tmp_path / "prod.json"
     _run(capsys, ["product", comp_files[0], comp_files[1], "--save", str(prod_path)])
     argv = ["outer", str(prod_path), "--mirror", "--fix-r0", "0"]
     code, out, _ = _run(capsys, argv + ["--restarts", "2", "--max-iters", "60"])
     assert code == 0
     results = json.loads(out)["results"]
+    assert (results["kind"], results["mirrored"]) == ("product_outer", True)
     bounds = {(0.0, 1.0, 1.0): 8 / 3, (1.0, 1.0, 1.0): 8 / 3}
     bounds.update({(0.0, 1.0, 0.0): 2.0, (0.0, 0.0, 1.0): 2.0})
     assert {tuple(row["weights"]) for row in results["sweep"]} == set(bounds)
-    ineqs = results["region"]["inequalities"]
     for row in results["sweep"]:
-        assert row["value_bits"] <= bounds[tuple(row["weights"])] + 1e-12
-        vertex = np.asarray(row["vertex"])
-        assert (vertex >= -1e-12).all() and vertex[0] <= 1e-12
-        for iq in ineqs:
-            assert np.dot(iq["a"], vertex) <= iq["rhs"] + 1e-12
+        assert row["value_bits"] == pytest.approx(bounds[tuple(row["weights"])], abs=1e-12)
+        assert row["vertex"][0] <= 1e-12
+    _assert_vertices_meet_their_rows(results)
+
+
+@pytest.mark.parametrize("mirror", [[], ["--mirror"]], ids=["plain", "mirror"])
+def test_outer_sweep_vertices_meet_their_own_rows(tmp_path, capsys, mirror):
+    # on this random product each direction's search ends at its own
+    # auxiliary, whose polytope differs from the other directions'; the
+    # (0,1,0) and (0,0,1) vertices lie 0.0086 and 0.00058 bits outside
+    # the best direction's polytope
+    rng = np.random.default_rng(3)
+    prod_path = tmp_path / "rp.json"
+    save_channel_file(str(prod_path), make_product(_small_channel(rng), _small_channel(rng)))
+    argv = ["outer", str(prod_path), "--restarts", "2", "--max-iters", "60"] + mirror
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert len(results["sweep"]) == 4
+    _assert_vertices_meet_their_rows(results)
 
 
 def test_product_factorization_check(comp_files, capsys):

@@ -8,6 +8,8 @@ from bcbounds.channel import Channel, capacity, make_product
 from bcbounds.marton import (
     AuxiliaryJoint,
     Cardinalities,
+    LambdaCurve,
+    LambdaPointResult,
     build_lambda_curve,
     check_factorization,
     check_min_max_equality,
@@ -170,13 +172,36 @@ def test_curve_checks_clean_on_small_channel():
     c = random_channel(rng, 2, 2, 2)
     curve = build_lambda_curve(c, [0.0, 0.25, 0.5, 0.75, 1.0], CFG)
     curve.run_checks(1e-4)
-    assert curve.ok()
+    assert curve.hyperplane_violations == []
     assert len(curve.samples) == 5
     # csv shape
     text = _curve_csv(curve)
     lines = text.strip().split("\n")
     assert lines[0] == "lambda,value_bits,subgradient,converged"
     assert len(lines) == 6
+
+
+def _curve(values, slopes):
+    aux = AuxiliaryJoint(np.full((1, 1, 1, 2), 0.5))
+    lams = [0.0, 0.25, 0.5]
+    return LambdaCurve(
+        [LambdaPointResult(lam, v, aux, g, True) for lam, v, g in zip(lams, values, slopes)]
+    )
+
+
+def test_curve_hyperplane_check_flags_a_midpoint_convexity_break():
+    # the samples of 1 - lam with the middle one 0.01 above the chord:
+    # the middle sample's line at lam = 0 or at lam = 1/2 passes above
+    # that sample, whatever its slope
+    for slope in (-1.5, -1.0, -0.5):
+        curve = _curve([1.0, 0.76, 0.5], [-1.0, slope, -1.0])
+        curve.run_checks()
+        assert any(s == 0.25 for s, _, _ in curve.hyperplane_violations), slope
+    # a convex curve with exact slopes: |lam - 1/4| + 1 sampled at its kink
+    # with the left slope, so every line stays below every sample
+    curve = _curve([1.25, 1.0, 1.25], [-1.0, -1.0, 1.0])
+    curve.run_checks()
+    assert curve.hyperplane_violations == []
 
 
 def test_marton_sum_rate_is_curve_minimum():
@@ -188,7 +213,7 @@ def test_marton_sum_rate_is_curve_minimum():
     # the value is the active line's auxiliary at lambda*
     assert lambda_sr_value(c, res.lam_star, res.aux) == pytest.approx(res.value, abs=1e-12)
     curve = build_lambda_curve(c, [k / 10 for k in range(11)], CFG)
-    assert res.value <= curve.values().min() + 2e-3
+    assert res.value <= min(s.value for s in curve.samples) + 2e-3
     # the sum rate never exceeds either single-receiver capacity sum
     cap_y, _ = capacity(c, "y")
     cap_z, _ = capacity(c, "z")

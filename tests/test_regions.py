@@ -133,6 +133,17 @@ def test_uv_sum_rate_beats_seed(tmp_path):
     assert res.value >= at_seed - 1e-9
 
 
+def test_uv_sum_rate_point_is_the_searched_table_at_its_aux():
+    # the reported point comes from the table the search ran on, bit for
+    # bit what a fresh evaluation at the returned auxiliary gives
+    c = random_channel(np.random.default_rng(4), 3, 2, 2)
+    res = uv_sum_rate(c, SearchConfig(restarts=2, max_iters=40, seed=0))
+    fresh = evaluate_uv_point(c, res.aux)
+    for field in dataclasses.fields(fresh):
+        got, want = getattr(res.point, field.name), getattr(fresh, field.name)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), field.name
+
+
 # ------------------------------------------------- product region oracles
 
 
@@ -198,7 +209,7 @@ def test_support_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     eps = 1e-6
-    for kind in ("product_outer", "product_outer_mirror", "semi_deterministic"):
+    for kind in ("product_outer", "semi_deterministic"):
         prof1, prof2 = default_region_profiles(pc, kind)
         obj = _SupportObjective(pc, kind, rng.uniform(0.5, 1.5, 3), prof1, prof2, None)
 
@@ -451,14 +462,29 @@ def test_region_support_value_is_exact_score_at_returned_aux(kind, fix_r0):
     assert res.region.contains(res.vertex)
 
 
+def test_swapped_product_outer_rows_are_the_mirror_rows():
+    # the mirrored outer bound's mixed sum rows took the patterns
+    # (su, sv), (sv, sv), (su, su); swapping the two sides of every
+    # product_outer row gives the mirrored rows as a multiset
+    mirror = [((1, 0, 0), ("ay",), ("ay",)), ((1, 0, 0), ("az",), ("az",))]
+    for base in ("ay", "az"):
+        mirror.append(((1, 1, 0), (base, "uy"), (base, "uy")))
+        mirror.append(((1, 0, 1), (base, "vz"), (base, "vz")))
+    for p1, p2 in (("su", "sv"), ("sv", "sv"), ("su", "su")):
+        for base in ("ay", "az"):
+            mirror.append(((1, 1, 1), (base, p1), (base, p2)))
+    swapped = [(a, t2, t1) for a, t1, t2 in _region_rows("product_outer")]
+    assert sorted(swapped) == sorted(mirror)
+
+
 def test_mirror_symmetry_on_symmetric_product():
     # second component is the receiver-swapped copy of the first, so the
-    # mirrored row assignment must give the same support in (0, 1, 1)
+    # outer bound of the swapped product (the mirror) must give the same
+    # support in (0, 1, 1)
     pc = make_product(component("y"), component("z"))
     cfg = SearchConfig(restarts=4, max_iters=120, seed=0)
     plain = region_support(pc, "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
-    mirror = region_support(pc, "product_outer_mirror", (0, 1, 1), cfg, fix_r0=0.0)
-    assert mirror.region.tag == "product_outer_mirror"
+    mirror = region_support(make_product(pc.c2, pc.c1), "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
     assert plain.value == pytest.approx(mirror.value, abs=2e-3)
     assert plain.value == pytest.approx(8 / 3, abs=1e-6)
 
