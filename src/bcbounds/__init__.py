@@ -10,7 +10,6 @@ from .channel import (
     is_more_capable,
     less_noisy_verdict,
     load_channel_file,
-    make_product,
     save_channel_file,
 )
 from .counterexample import (

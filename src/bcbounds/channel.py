@@ -38,7 +38,6 @@ __all__ = [
     "Channel",
     "ProductChannel",
     "ClassReport",
-    "make_product",
     "product_tensor",
     "is_deterministic",
     "deterministic_map",
@@ -114,10 +113,6 @@ def product_tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = np.multiply.outer(a, b)
     interleaved = [ax for k in range(a.ndim) for ax in (k, a.ndim + k)]
     return t.transpose(interleaved).reshape([m * n for m, n in zip(a.shape, b.shape)])
-
-
-def make_product(c1: Channel, c2: Channel) -> ProductChannel:
-    return ProductChannel(c1, c2)
 
 
 def _check_receiver(receiver: str) -> None:

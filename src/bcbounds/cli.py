@@ -23,7 +23,6 @@ from .channel import (
     ProductChannel,
     classify,
     load_channel_file,
-    make_product,
     save_channel_file,
 )
 from .counterexample import (
@@ -212,7 +211,7 @@ def _parse_directions(path: str | None) -> list[tuple[float, float, float]]:
 def _curve_csv(curve: LambdaCurve) -> str:
     lines = ["lambda,value_bits,subgradient,converged"]
     for s in curve.samples:
-        lines.append(f"{s.lam!r},{s.value!r},{s.subgradient!r},{int(s.converged)}")
+        lines.append(f"{s.lam!r},{s.value!r},{s.slope!r},{int(s.converged)}")
     return "\n".join(lines) + "\n"
 
 
@@ -269,7 +268,7 @@ def _cmd_marton(args) -> tuple[dict, dict, list]:
             {
                 "lambda": s.lam,
                 "value_bits": s.value,
-                "subgradient": s.subgradient,
+                "subgradient": s.slope,
                 "converged": s.converged,
             }
             for s in curve.samples
@@ -300,7 +299,7 @@ def _cmd_product(args) -> tuple[dict, dict, list]:
     c2 = _load_component(args.component2)
     if not 0.0 <= args.lam <= 1.0:
         raise CommandError(f"--lambda must lie in [0, 1], got {args.lam}")
-    pc = make_product(c1, c2)
+    pc = ProductChannel(c1, c2)
     cfg = _config(args)
     results = {
         "nx": pc.flat.nx,

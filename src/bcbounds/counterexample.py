@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import Channel, ProductChannel, make_product, product_tensor
+from .channel import Channel, ProductChannel, product_tensor
 from .kernel import entropy_of_array
 from .marton import (
     AuxiliaryJoint,
@@ -87,7 +87,7 @@ def component(det: str = "z") -> Channel:
 
 def product_channel() -> ProductChannel:
     """Component 1 deterministic toward Y, component 2 toward Z."""
-    return make_product(component("y"), component("z"))
+    return ProductChannel(component("y"), component("z"))
 
 
 def f_closed_form(x: float) -> float:

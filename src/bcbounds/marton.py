@@ -10,10 +10,13 @@ inner-bound sum rate, is convex in lambda, and its minimum over lambda is
 the inner-bound sum rate itself. Maximizations here are nonconvex, so all
 reported maxima are certified lower bounds (exact evaluations at feasible
 points). At a fixed auxiliary the weighted sum rate is a line in lambda,
-below the curve, so the sum-rate driver (``search.kelley_min``) keeps every
-evaluated auxiliary's line and reports the minimum over sampled lambdas of
-their upper envelope, which is at most the inner-bound sum rate plus
-``search.KELLEY_TOL``.
+below the curve, and every lambda quantity reads the upper envelope of the
+evaluated lines (``search.envelope``): the sum rate is its least value at a
+sampled lambda (``search.kelley_min``), at most the inner-bound sum rate
+plus ``search.KELLEY_TOL``; every search starts from the envelope's
+auxiliary at its lambda; a curve sample is the envelope at its lambda; and
+the min-max check's max-min search starts from the time-share of the two
+lines that meet at the envelope's minimizer.
 
 Every search and evaluation here runs one table per channel and profile,
 ``marton_table``, with rows I(W;Y), I(W;Z) and I(U;Y|W) + I(V;Z|W) -
@@ -27,24 +30,27 @@ Profiles are explicit and echoed into every result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
 from .channel import (
     Channel,
+    ProductChannel,
     capacity,
     deterministic_map,
     is_deterministic,
-    make_product,
     product_tensor,
 )
 from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
 from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms
 from .search import (
+    Line,
     SearchConfig,
     ascend,
+    envelope,
+    envelope_min,
     kelley_min,
     maximize,
     project_simplex,
@@ -274,14 +280,13 @@ def _default_px_list(c: Channel) -> list[np.ndarray]:
     return [uniform, py, pz]
 
 
-@dataclass
-class LambdaPointResult:
-    """Best weighted sum rate found at one lambda, with its maximizer."""
+@dataclass(frozen=True)
+class LambdaPointResult(Line):
+    """Best weighted sum rate found at one lambda, with its maximizer
+    ``aux``: the line of aux's rate in lambda, whose slope I(W;Y) - I(W;Z)
+    is a subgradient of the curve."""
 
-    lam: float
-    value: float
     aux: AuxiliaryJoint
-    subgradient: float
     converged: bool
 
 
@@ -302,13 +307,7 @@ def maximize_lambda_sr_at_input(
     seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     aux = AuxiliaryJoint(obj.to_tensor(res.point))
-    return LambdaPointResult(
-        lam=lam,
-        value=res.value,
-        aux=aux,
-        subgradient=_slope(table.value(aux.joint)),
-        converged=res.converged,
-    )
+    return LambdaPointResult(lam, res.value, _slope(table.value(aux.joint)), aux, res.converged)
 
 
 def lambda_sr_global(
@@ -357,55 +356,40 @@ def lambda_sr_global(
             break
 
     aux = AuxiliaryJoint(best_t)
-    return LambdaPointResult(
-        lam=lam,
-        value=best_v,
-        aux=aux,
-        subgradient=_slope(table.value(aux.joint)),
-        converged=res.converged,
-    )
+    return LambdaPointResult(lam, best_v, _slope(table.value(aux.joint)), aux, res.converged)
+
+
+def _seeds(active: LambdaPointResult | None, extra_seeds: Sequence[np.ndarray]) -> list:
+    """The envelope's auxiliary at the lambda to search, then ``extra_seeds``."""
+    return ([active.aux.joint] if active else []) + list(extra_seeds)
+
+
+# a curve sample's own search may end this far below the envelope unflagged
+CURVE_SLACK = 1e-6
 
 
 @dataclass
 class LambdaCurve:
-    """Sampled lambda-curve with one check: no sample's line (its value plus
-    its subgradient times the step in lambda) passes above another sample
-    by more than ``slack``. This implies midpoint convexity: if a sample at
-    the midpoint of two others lies above their mean by more than
-    ``slack``, its line sums to twice its value at their lambdas, so it
-    passes above one of them by more than ``slack``."""
+    """The searches' envelope at each search's lambda, as the active line
+    there. ``hyperplane_violations`` lists (active line's lambda, lambda,
+    shortfall) where a search ended more than ``CURVE_SLACK`` below the
+    envelope. That implies midpoint convexity: a search at the midpoint of
+    two others above their mean by more than the slack has a line summing
+    to twice its value at their lambdas, so it passes above one of them."""
 
     samples: list[LambdaPointResult]
-    hyperplane_violations: list = field(default_factory=list)
+    hyperplane_violations: list
 
-    def run_checks(self, slack: float = 1e-6) -> None:
-        self.hyperplane_violations = []
-        ss = sorted(self.samples, key=lambda s: s.lam)
-        for s in ss:
-            for other in ss:
-                line = (other.lam - s.lam) * s.subgradient + s.value
-                if line > other.value + slack:
-                    self.hyperplane_violations.append(
-                        (s.lam, other.lam, line - other.value)
-                    )
-
-
-def _warm_lambda(
-    solve: Callable[[float, list[np.ndarray]], LambdaPointResult],
-    extra_seeds: Sequence[np.ndarray] = (),
-) -> Callable[[float], tuple[float, float, LambdaPointResult]]:
-    """Lambda evaluator for ``kelley_min``: each call seeds
-    ``solve(lam, seeds)`` with the last maximizer, then with
-    ``extra_seeds``, and returns (value, slope, result), the slope being
-    that of the maximizer's line in lambda."""
-    warm: list[np.ndarray] = []
-
-    def evaluate(lam: float) -> tuple[float, float, LambdaPointResult]:
-        res = solve(float(lam), warm + list(extra_seeds))
-        warm[:] = [res.aux.joint]
-        return res.value, res.subgradient, res
-
-    return evaluate
+    @classmethod
+    def from_lines(cls, lines: Sequence[LambdaPointResult]) -> "LambdaCurve":
+        samples, violations = [], []
+        for own in lines:
+            top = envelope(lines, own.lam)
+            value = top.at(own.lam)
+            samples.append(replace(top, lam=own.lam, value=value))
+            if value > own.value + CURVE_SLACK:
+                violations.append((top.lam, own.lam, value - own.value))
+        return cls(samples, violations)
 
 
 def build_lambda_curve(
@@ -414,14 +398,14 @@ def build_lambda_curve(
     cfg: SearchConfig,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> LambdaCurve:
-    """Sample the global lambda-curve on a grid with warm-started searches."""
-    evaluate = _warm_lambda(
-        lambda lam, extra: lambda_sr_global(c, lam, cfg, extra_seeds=extra),
-        extra_seeds,
-    )
-    curve = LambdaCurve([evaluate(lam)[2] for lam in lambdas])
-    curve.run_checks()
-    return curve
+    """Search the global lambda-curve at each grid lambda in order, each
+    search seeded with the envelope of the lines before it, and sample the
+    envelope of all of them."""
+    lines: list[LambdaPointResult] = []
+    for lam in lambdas:
+        seeds = _seeds(envelope(lines, lam), extra_seeds)
+        lines.append(lambda_sr_global(c, float(lam), cfg, extra_seeds=seeds))
+    return LambdaCurve.from_lines(lines)
 
 
 @dataclass
@@ -429,9 +413,13 @@ class MartonSumRate:
     value: float
     lam_star: float
     aux: AuxiliaryJoint
-    evaluations: int
+    lines: list[LambdaPointResult]
     converged: bool
     profile: Cardinalities
+
+    @property
+    def evaluations(self) -> int:
+        return len(self.lines)
 
 
 def marton_sum_rate(
@@ -443,28 +431,20 @@ def marton_sum_rate(
     """min over lambda of the global weighted sum rate (``kelley_min``).
 
     Each evaluation's maximizer gives the line of its weighted sum rate in
-    lambda, with slope I(W;Y) - I(W;Z). The driver samples the minimum of
-    the lines' upper envelope until it reaches a sampled lambda, so a
-    search that falls short at one lambda does not lift the value: it is
-    at most the true sum rate plus ``KELLEY_TOL``. The value is the
+    lambda, with slope I(W;Y) - I(W;Z), and is seeded with the envelope's
+    auxiliary at its lambda, then ``extra_seeds``. The driver samples the
+    minimum of the lines' upper envelope until it reaches a sampled lambda,
+    so a search that falls short at one lambda does not lift the value: it
+    is at most the true sum rate plus ``KELLEY_TOL``. The value is the
     envelope at ``lam_star``, the weighted sum rate there of ``aux`` (the
-    active line's auxiliary). Consecutive evaluations warm-start each
-    other with the last maximizer.
+    active line's auxiliary); ``lines`` holds every evaluated line.
     """
     prof = profile or Cardinalities.for_sum_rate(c)
-    evaluate = _warm_lambda(
-        lambda lam, extra: lambda_sr_global(c, lam, cfg, profile=prof, extra_seeds=extra),
-        extra_seeds,
+    lam, lines = kelley_min(
+        lambda lam, active: lambda_sr_global(c, lam, cfg, prof, _seeds(active, extra_seeds))
     )
-    lam, value, active, evaluations = kelley_min(evaluate)
-    return MartonSumRate(
-        value=value,
-        lam_star=lam,
-        aux=active.aux,
-        evaluations=evaluations,
-        converged=active.converged,
-        profile=prof,
-    )
+    active = envelope(lines, lam)
+    return MartonSumRate(active.at(lam), lam, active.aux, lines, active.converged, prof)
 
 
 def outer_auxiliary(a1: AuxiliaryJoint, a2: AuxiliaryJoint) -> AuxiliaryJoint:
@@ -535,7 +515,7 @@ def check_factorization(
     """
     r1 = lambda_sr_global(c1, lam, cfg)
     r2 = lambda_sr_global(c2, lam, cfg)
-    pc = make_product(c1, c2)
+    pc = ProductChannel(c1, c2)
     flat = pc.flat
     prof_p = Cardinalities.for_sum_rate(flat)
     seed = fit_joint(outer_auxiliary(r1.aux, r2.aux).joint, prof_p.shape(flat.nx))
@@ -574,16 +554,16 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
 
     max-min: maximize min(endpoint expressions) over the auxiliary joint
     (the weighted sum rate is affine in lambda, so the inner min sits at
-    an endpoint). max-min-max: sweep p(x) on a grid, inner min over
-    lambda of the fixed-input maximum (``kelley_min``). min-max: the
-    sum-rate driver, ``marton_sum_rate``. All three agree in exact
-    arithmetic.
+    an endpoint), seeded with ``_max_min_seed`` of the min-max driver's
+    lines, so it is at least the min-max value minus ``KELLEY_TOL``.
+    max-min-max: sweep p(x) on a grid, inner min over lambda of the
+    fixed-input maximum (``kelley_min``). min-max: the sum-rate driver,
+    ``marton_sum_rate``. All three agree in exact arithmetic.
 
-    Budgets: the max-min search runs ``cfg``. The min-max driver
-    and the two maximizers that seed max-min run ``lambda_sr_global`` at
-    ``max(8, cfg.restarts // 2)`` restarts. Every fixed-input search of
-    max-min-max runs ``max(4, cfg.restarts // 3)`` restarts of
-    ``max(60, cfg.max_iters // 2)`` iterations.
+    Budgets: the max-min search runs ``cfg``. The min-max driver runs
+    ``lambda_sr_global`` at ``max(8, cfg.restarts // 2)`` restarts. Every
+    fixed-input search of max-min-max runs ``max(4, cfg.restarts // 3)``
+    restarts of ``max(60, cfg.max_iters // 2)`` iterations.
     """
     if max(c.nx, c.ny, c.nz) > 3:
         raise ValueError("min-max check is restricted to nx, ny, nz <= 3")
@@ -600,15 +580,7 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     seeds = [
         t.ravel() for t in structured_seed_joints(c, prof_mm, _default_px_list(c))
     ]
-    # mixture seeds from maximizers straddling the minimizing lambda
-    lamL = max(0.0, mm.lam_star - 0.08)
-    lamR = min(1.0, mm.lam_star + 0.08)
-    auxL = lambda_sr_global(c, lamL, mm_cfg, profile=prof).aux
-    auxR = lambda_sr_global(c, lamR, mm_cfg, profile=prof).aux
-    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        mix = _mixture_joint(auxL, auxR, alpha, prof_mm)
-        if mix is not None:
-            seeds.append(mix.ravel())
+    seeds.append(_max_min_seed(mm.lines, prof_mm.shape(c.nx)).ravel())
     res_mm = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     max_min = res_mm.value
 
@@ -616,12 +588,12 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     inner_cfg = cfg.with_(restarts=max(4, cfg.restarts // 3), max_iters=max(60, cfg.max_iters // 2))
 
     def min_over_lambda(px: np.ndarray) -> float:
-        evaluate = _warm_lambda(
-            lambda lam, extra: maximize_lambda_sr_at_input(
-                c, lam, px, inner_cfg, profile=prof, extra_seeds=extra
+        lam, lines = kelley_min(
+            lambda lam, active: maximize_lambda_sr_at_input(
+                c, lam, px, inner_cfg, prof, _seeds(active, ())
             )
         )
-        return kelley_min(evaluate)[1]
+        return envelope(lines, lam).at(lam)
 
     best_px, best_val = None, -np.inf
     for px in simplex_grid(c.nx, px_resolution):
@@ -649,17 +621,19 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     )
 
 
-def _mixture_joint(
-    a: AuxiliaryJoint, b: AuxiliaryJoint, alpha: float, prof: Cardinalities
-) -> np.ndarray | None:
-    """Time-share two auxiliaries by stacking their W alphabets."""
-    nu = max(a.shape[0], b.shape[0])
-    nv = max(a.shape[1], b.shape[1])
-    nw = a.shape[2] + b.shape[2]
-    nx = a.shape[3]
-    if nu > prof.nu or nv > prof.nv or nw > prof.nw or b.shape[3] != nx:
-        return None
-    t = np.zeros(prof.shape(nx))
-    t[: a.shape[0], : a.shape[1], : a.shape[2], :] += (1.0 - alpha) * a.joint
-    t[: b.shape[0], : b.shape[1], a.shape[2] : a.shape[2] + b.shape[2], :] += alpha * b.joint
-    return t
+def _max_min_seed(lines: Sequence[LambdaPointResult], shape: tuple[int, ...]) -> np.ndarray:
+    """Time-share, W alphabets stacked, of the two lines that meet at the
+    envelope's minimizer x (the highest there of slope <= 0 and of slope
+    >= 0), weighted so that its slope is 0; at x = 0 or 1, the line rising
+    from x alone. Time-sharing keeps the private rows linear and only
+    raises I(W;Y) and I(W;Z), as H(Y) and H(Z) are concave in p(x), so
+    both endpoint rows are at least the envelope's minimum."""
+    x = envelope_min(lines)
+    down = envelope([line for line in lines if line.slope <= 0.0] or lines, x)
+    up = envelope([line for line in lines if line.slope >= 0.0] or lines, x)
+    if 0.0 < x < 1.0 and down.slope != up.slope:
+        alpha = down.slope / (down.slope - up.slope)
+    else:
+        alpha = float(x == 0.0)
+    mix = np.concatenate([(1.0 - alpha) * down.aux.joint, alpha * up.aux.joint], axis=2)
+    return fit_joint(mix, shape)

@@ -290,9 +290,11 @@ class _VertexSystem:
     rows a . R <= rhs, the optional pin R0 <= fix_r0 and R >= 0. Its
     dual-feasible bases, the nonsingular 3-subsets of the constraints whose
     duals mu = A_B^{-T} w are >= 0 once rounding noise is zeroed, are found
-    once: ``duals[k]`` holds basis k's duals on the rows and ``offset[k]``
-    its pin term, so a support is min_k duals[k] . rhs + offset[k]. With no
-    such basis the support is unbounded and the constructor raises."""
+    once, each as its duals on the rows and its pin term: a support is
+    min_k duals[k] . rhs + offset[k]. ``duals`` and ``offset`` keep the
+    first basis of each distinct pair, in order; ``optimum`` scores every
+    basis (``basis_duals``, ``basis_offset``). With no such basis the
+    support is unbounded and the constructor raises."""
 
     def __init__(self, row_normals: Sequence, fix_r0: float | None, w: Sequence[float]) -> None:
         w = np.asarray(w, dtype=float)
@@ -311,8 +313,11 @@ class _VertexSystem:
         self.combos, self.inv = combos[feasible], inv[feasible]
         full = np.zeros((len(self.combos), self.A.shape[0]))
         np.put_along_axis(full, self.combos, mu[feasible], 1)
-        self.duals = full[:, : len(rows)]
-        self.offset = full[:, len(rows) :] @ self.tail_rhs
+        self.basis_duals = full[:, : len(rows)]
+        self.basis_offset = full[:, len(rows) :] @ self.tail_rhs
+        pairs = np.column_stack([self.basis_duals, self.basis_offset])
+        first = np.sort(np.unique(pairs, axis=0, return_index=True)[1])
+        self.duals, self.offset = self.basis_duals[first], self.basis_offset[first]
 
     def support(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The support and the index of the first minimal basis at each row
@@ -331,7 +336,8 @@ class _VertexSystem:
         b = np.concatenate([rhs, self.tail_rhs])
         verts = np.matmul(self.inv, b[self.combos][..., None])[..., 0]
         value = self.support(rhs[None])[0][0]
-        miss = np.maximum(self.duals @ rhs + self.offset - value, (verts @ self.A.T - b).max(1))
+        excess = self.basis_duals @ rhs + self.basis_offset - value
+        miss = np.maximum(excess, (verts @ self.A.T - b).max(1))
         return float(value), verts[miss.argmin()]
 
 

@@ -68,6 +68,9 @@ __all__ = [
     "simplex_grid_size",
     "ascend",
     "maximize",
+    "Line",
+    "envelope",
+    "envelope_min",
     "kelley_min",
 ]
 
@@ -431,51 +434,63 @@ def maximize(
     )
 
 
-def kelley_min(
-    f: Callable[[float], tuple[float, float, object]],
-) -> tuple[float, float, object, int]:
+@dataclass(frozen=True)
+class Line:
+    """The line ``value + slope*(x - lam)`` in lambda, sampled at ``lam``."""
+
+    lam: float
+    value: float
+    slope: float
+
+    def at(self, x: float) -> float:
+        # at x = lam this is value bit for bit: a run that stops on its one
+        # sample reports that sample exactly
+        return self.value + self.slope * (x - self.lam)
+
+
+def envelope(lines: Sequence[Line], x: float) -> Line | None:
+    """The highest of ``lines`` at x, the first on ties (None for no lines):
+    the active line of their upper envelope there."""
+    return max(lines, key=lambda line: line.at(x), default=None)
+
+
+def envelope_min(lines: Sequence[Line]) -> float:
+    """The first minimizer over [0, 1] of the lines' upper envelope among 0,
+    1 and the lines' pairwise crossings, in that order."""
+    crossings = (
+        (b.value - a.value + a.slope * a.lam - b.slope * b.lam) / (a.slope - b.slope)
+        for a, b in itertools.combinations(lines, 2)
+        if a.slope != b.slope
+    )
+    return min(
+        (c for c in (0.0, 1.0, *crossings) if 0.0 <= c <= 1.0),
+        key=lambda x: envelope(lines, x).at(x),
+    )
+
+
+def kelley_min(f: Callable[[float, Line | None], Line]) -> tuple[float, list[Line]]:
     """Minimize over [0, 1] a convex function known through lines below it
     (Kelley's cutting-plane method in one dimension).
 
-    f(lam) returns (value, slope, payload): the sample at lam and the slope
-    of a line ``value + slope*(x - lam)`` that lies below the function, such
-    as the weighted sum rate of one auxiliary. The upper envelope L of all
-    sampled lines is a lower bound of the function everywhere. The first
-    sample is at 1/2, and each next one at the first minimizer of L over
-    [0, 1] among 0, 1 and the lines' pairwise crossings, in that order. The
-    loop stops when the smallest L at a sampled lambda is within
-    ``KELLEY_TOL`` of min L. It terminates: every step either stops or
-    samples a new lambda, and once the argmin of L is a sampled lambda the
-    gap is at most 0.
+    f(lam, active) samples a line below the function at lam, such as the
+    weighted sum rate of one auxiliary, seeded with ``active``, the
+    envelope's line at lam (None at first). The upper envelope L of all
+    lines is a lower bound of the function. The first sample is at 1/2 and
+    each next one at ``envelope_min``, until the least L at a sampled
+    lambda is within ``KELLEY_TOL`` of min L. It terminates: every step
+    either stops or samples a new lambda, and once the argmin of L is a
+    sampled lambda the gap is at most 0.
 
-    Returns (lam, value, payload, evaluations): the sampled lambda with the
-    smallest L, L there, and the payload of the line active there. The
-    value is at most min L + ``KELLEY_TOL``, so a search that falls short at
-    some lambda cannot lift it above the function's minimum plus that.
+    Returns (lam, lines): the sampled lambda with the least L and every line
+    in sampling order. L there, ``envelope(lines, lam).at(lam)``, is at most
+    min L + ``KELLEY_TOL``, so a search that falls short at some lambda
+    cannot lift it above the function's minimum plus that.
     """
-    lines: list[tuple[float, float, float, object]] = []  # lam, value, slope, payload
-
-    def height(line: tuple[float, float, float, object], x: float) -> float:
-        li, vi, si, _ = line
-        # at x = li this is vi bit for bit: a run that stops on its one
-        # sample reports that sample exactly
-        return vi + si * (x - li)
-
-    def envelope(x: float) -> float:
-        return max(height(line, x) for line in lines)
-
+    lines: list[Line] = []
     x = 0.5
     while True:
-        value, slope, payload = f(x)
-        lines.append((x, float(value), float(slope), payload))
-        crossings = (
-            (vj - vi + si * li - sj * lj) / (si - sj)
-            for (li, vi, si, _), (lj, vj, sj, _) in itertools.combinations(lines, 2)
-            if si != sj
-        )
-        x = min((c for c in (0.0, 1.0, *crossings) if 0.0 <= c <= 1.0), key=envelope)
-        lam = min((line[0] for line in lines), key=envelope)
-        best = envelope(lam)
-        if best - envelope(x) <= KELLEY_TOL:
-            active = max(lines, key=lambda line: height(line, lam))
-            return lam, best, active[3], len(lines)
+        lines.append(f(x, envelope(lines, x)))
+        x = envelope_min(lines)
+        lam = min((line.lam for line in lines), key=lambda y: envelope(lines, y).at(y))
+        if envelope(lines, lam).at(lam) - envelope(lines, x).at(x) <= KELLEY_TOL:
+            return lam, lines

@@ -147,8 +147,8 @@ def endpoint_sr(
     return LambdaPointResult(
         lam=lam,
         value=max(res.value, lambda_sr_value(c, lam, aux)),
+        slope=curve_subgradient(c, aux),
         aux=aux,
-        subgradient=curve_subgradient(c, aux),
         converged=res.converged,
     )
 

@@ -15,7 +15,6 @@ from bcbounds.channel import (
     is_more_capable,
     less_noisy_verdict,
     load_channel_file,
-    make_product,
     save_channel_file,
 )
 from bcbounds.cli import _verdict_dict
@@ -58,7 +57,7 @@ def test_product_flattening_matches_tensor_product():
     rng = np.random.default_rng(0)
     q1 = rng.dirichlet(np.ones(6), size=2).reshape(2, 2, 3)
     q2 = rng.dirichlet(np.ones(4), size=3).reshape(3, 2, 2)
-    pc = make_product(Channel(q1), Channel(q2))
+    pc = ProductChannel(Channel(q1), Channel(q2))
     flat = pc.flat
     assert (flat.nx, flat.ny, flat.nz) == (6, 4, 6)
     # spot-check one transition: indices combine as (x1*nx2+x2, ...)
@@ -72,7 +71,7 @@ def test_product_information_additivity():
     rng = np.random.default_rng(1)
     q1 = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2)
     q2 = rng.dirichlet(np.ones(4), size=2).reshape(2, 2, 2)
-    pc = make_product(Channel(q1), Channel(q2))
+    pc = ProductChannel(Channel(q1), Channel(q2))
     px1 = np.array([0.3, 0.7])
     px2 = np.array([0.6, 0.4])
 
@@ -172,7 +171,7 @@ def test_product_file_round_trip(tmp_path):
     c1 = bsc_pair(0.1, 0.2)
     c2 = bsc_pair(0.3, 0.4)
     path = tmp_path / "prod.json"
-    save_channel_file(str(path), make_product(c1, c2))
+    save_channel_file(str(path), ProductChannel(c1, c2))
     loaded = load_channel_file(str(path))
     assert isinstance(loaded, ProductChannel)
     assert np.allclose(loaded.c1.q, c1.q, atol=1e-15)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, make_product, save_channel_file
+from bcbounds.channel import Channel, ProductChannel, save_channel_file
 from bcbounds.cli import (
     CommandError,
     _config,
@@ -111,6 +111,27 @@ def test_marton_report_and_curve_csv(small_file, tmp_path, capsys):
     assert header == "lambda,value_bits,subgradient,converged"
 
 
+def test_marton_curve_samples_lie_on_or_above_every_line(tmp_path, capsys):
+    # BEC(0.45)/BSC(0.1): the lambda = 0 search falls 0.019996 short of the
+    # lambda = 1/4 line there, so the reported sample is that line
+    my = np.array([[0.55, 0.0, 0.45], [0.0, 0.55, 0.45]])
+    mz = np.array([[0.9, 0.1], [0.1, 0.9]])
+    path = tmp_path / "bec_bsc.json"
+    save_channel_file(str(path), Channel(np.einsum("xy,xz->xyz", my, mz)))
+    argv = ["marton", str(path), "--lambda-grid", "4", "--restarts", "2", "--max-iters", "40"]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    results = json.loads(out)["results"]
+    curve = results["curve"]
+    for s in curve:
+        for other in curve:
+            line = other["value_bits"] + other["subgradient"] * (s["lambda"] - other["lambda"])
+            assert line <= s["value_bits"] + 1e-12
+    assert curve[0]["value_bits"] >= 0.5702745
+    flagged = results["curve_checks"]["hyperplane_violations"]
+    assert [lam for _, lam, _ in flagged] == [0.0]
+
+
 def test_uv_report(small_file, capsys):
     code, out, _ = _run(capsys, ["uv", small_file, "--restarts", "2"])
     assert code == 0
@@ -207,7 +228,7 @@ def test_outer_sweep_vertices_meet_their_own_rows(tmp_path, capsys, mirror):
     # the best direction's polytope
     rng = np.random.default_rng(3)
     prod_path = tmp_path / "rp.json"
-    save_channel_file(str(prod_path), make_product(_small_channel(rng), _small_channel(rng)))
+    save_channel_file(str(prod_path), ProductChannel(_small_channel(rng), _small_channel(rng)))
     argv = ["outer", str(prod_path), "--restarts", "2", "--max-iters", "60"] + mirror
     code, out, _ = _run(capsys, argv)
     assert code == 0

@@ -151,6 +151,22 @@ def test_no_search_budget_has_a_default():
     assert defaulted == []
 
 
+# parameters with a default in src/bcbounds: an option is a choice some caller
+# must make, so the count may go down but not up
+DEFAULTED_PARAMETERS = 24
+
+
+def test_defaulted_parameters_do_not_grow():
+    pkg = Path(bcbounds.__file__).resolve().parent
+    count = 0
+    for path in pkg.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+    assert count <= DEFAULTED_PARAMETERS
+
+
 def test_only_the_cli_renders_reports():
     # one module owns the report format: key names, the _bits suffix, CSV layouts
     pkg = Path(bcbounds.__file__).resolve().parent

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bcbounds import search
-from bcbounds.channel import Channel, make_product
+from bcbounds.channel import Channel, ProductChannel
 from bcbounds.marton import (
     Cardinalities,
     _default_px_list,
@@ -57,7 +57,7 @@ def _fixed_input():
 
 def _semi_deterministic():
     rng = np.random.default_rng(22)
-    pc = make_product(_random_channel(rng, 2, 2, 2), _random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(_random_channel(rng, 2, 2, 2), _random_channel(rng, 2, 2, 2))
     prof1, prof2 = default_region_profiles(pc, "semi_deterministic")
     obj = _SupportObjective(pc, "semi_deterministic", (0, 1, 1), prof1, prof2, 0.0)
     return obj, SearchConfig(restarts=6, max_iters=60, seed=1), []

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, capacity, make_product
+from bcbounds.channel import Channel, ProductChannel, capacity
 from bcbounds.marton import (
     AuxiliaryJoint,
     Cardinalities,
@@ -24,7 +24,7 @@ from bcbounds.marton import (
     structured_seed_joints,
 )
 from bcbounds.cli import _curve_csv
-from bcbounds.search import SearchConfig
+from bcbounds.search import KELLEY_TOL, SearchConfig
 from info_oracle import mutual_information
 from oracles import endpoint_sr
 
@@ -171,8 +171,7 @@ def test_curve_checks_clean_on_small_channel():
     rng = np.random.default_rng(6)
     c = random_channel(rng, 2, 2, 2)
     curve = build_lambda_curve(c, [0.0, 0.25, 0.5, 0.75, 1.0], CFG)
-    curve.run_checks(1e-4)
-    assert curve.hyperplane_violations == []
+    assert all(shortfall <= 1e-4 for _, _, shortfall in curve.hyperplane_violations)
     assert len(curve.samples) == 5
     # csv shape
     text = _curve_csv(curve)
@@ -184,8 +183,8 @@ def test_curve_checks_clean_on_small_channel():
 def _curve(values, slopes):
     aux = AuxiliaryJoint(np.full((1, 1, 1, 2), 0.5))
     lams = [0.0, 0.25, 0.5]
-    return LambdaCurve(
-        [LambdaPointResult(lam, v, aux, g, True) for lam, v, g in zip(lams, values, slopes)]
+    return LambdaCurve.from_lines(
+        [LambdaPointResult(lam, v, g, aux, True) for lam, v, g in zip(lams, values, slopes)]
     )
 
 
@@ -195,12 +194,10 @@ def test_curve_hyperplane_check_flags_a_midpoint_convexity_break():
     # that sample, whatever its slope
     for slope in (-1.5, -1.0, -0.5):
         curve = _curve([1.0, 0.76, 0.5], [-1.0, slope, -1.0])
-        curve.run_checks()
         assert any(s == 0.25 for s, _, _ in curve.hyperplane_violations), slope
     # a convex curve with exact slopes: |lam - 1/4| + 1 sampled at its kink
     # with the left slope, so every line stays below every sample
     curve = _curve([1.25, 1.0, 1.25], [-1.0, -1.0, 1.0])
-    curve.run_checks()
     assert curve.hyperplane_violations == []
 
 
@@ -237,7 +234,7 @@ def test_outer_auxiliary_additivity():
     c2 = random_channel(rng, 3, 2, 2)
     a1 = random_aux(rng, Cardinalities.for_sum_rate(c1), c1.nx)
     a2 = random_aux(rng, Cardinalities.for_sum_rate(c2), c2.nx)
-    flat = make_product(c1, c2).flat
+    flat = ProductChannel(c1, c2).flat
     lam = 0.3
     v = lambda_sr_value(flat, lam, outer_auxiliary(a1, a2))
     assert v == pytest.approx(
@@ -313,6 +310,47 @@ def test_min_max_equality_small_channel():
     assert 0.0 <= rep.lam_star <= 1.0
     vals = [rep.max_min, rep.max_min_max, rep.min_max]
     assert max(vals) - min(vals) == pytest.approx(rep.max_pairwise_gap, abs=1e-12)
+
+
+def _drawn_channel(rng, nx):
+    # the draw of AC05 (tests/test_acceptance.py): uniform entries, normalized per input
+    q = rng.random((nx, 2, 2))
+    return Channel(q / q.sum(axis=(1, 2), keepdims=True))
+
+
+def _assert_max_min_certifies_min_max(c):
+    # the max-min search is seeded with the time-share of the two lines that
+    # meet at the envelope's minimizer, whose endpoint rows both reach it
+    rep = check_min_max_equality(c, CFG, px_resolution=2)
+    assert rep.max_min >= rep.min_max - KELLEY_TOL - 1e-12
+
+
+def test_max_min_certifies_min_max_on_ac05_channels():
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        _assert_max_min_certifies_min_max(_drawn_channel(rng, 2))
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_max_min_certifies_min_max_after_several_evaluations(seed):
+    # first 3x2x2 draws whose Kelley loop takes 4 evaluations, with its
+    # minimizer inside (0, 1) at seed 3 and at lambda = 1 at seed 5
+    c = _drawn_channel(np.random.default_rng(seed), 3)
+    assert marton_sum_rate(c, CFG).evaluations >= 3
+    _assert_max_min_certifies_min_max(c)
+
+
+def test_curve_samples_are_the_envelope_at_its_auxiliary():
+    # the BEC(0.45)/BSC(0.1) pair at a small budget: the lambda = 0 search
+    # ends 0.019996 below the lambda = 1/4 line, so the sample there is that
+    # line's auxiliary, and the search is flagged
+    my = np.array([[0.55, 0.0, 0.45], [0.0, 0.55, 0.45]])
+    mz = np.array([[0.9, 0.1], [0.1, 0.9]])
+    c = Channel(np.einsum("xy,xz->xyz", my, mz))
+    curve = build_lambda_curve(c, [k / 4 for k in range(5)], SearchConfig(2, 40, 0))
+    for s in curve.samples:
+        assert lambda_sr_value(c, s.lam, s.aux) == pytest.approx(s.value, abs=1e-12)
+    assert [(line_lam, lam) for line_lam, lam, _ in curve.hyperplane_violations] == [(0.25, 0.0)]
 
 
 def test_min_max_rejects_large_alphabets():

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, make_product
+from bcbounds.channel import Channel, ProductChannel
 from bcbounds.kernel import entropy_of_array
 from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, product_channel
 from bcbounds.marton import Cardinalities, lambda_weights, marton_table
@@ -330,7 +330,7 @@ def _input_major(t):
 def test_fused_entropy_vector_matches_kernel_bit_for_bit():
     rng = np.random.default_rng(12)
     c = Channel(_random_channel(rng, 3, 2, 3))
-    pc = make_product(c, Channel(_random_channel(rng, 2, 3, 2)))
+    pc = ProductChannel(c, Channel(_random_channel(rng, 2, 3, 2)))
     prof1, prof2 = default_region_profiles(pc, "product_outer")
     f1, f2 = _row_tables(
         pc,

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcbounds.channel import Channel, make_product
+from bcbounds.channel import Channel, ProductChannel
 from bcbounds.marton import (
     AuxiliaryJoint,
     Cardinalities,
@@ -67,6 +67,6 @@ def test_table_rows_add_up_at_an_independent_product_auxiliary(case1, case2):
     # on a product channel, every Marton table row at the independent
     # product of component auxiliaries is the sum of the component rows
     (c1, aux1), (c2, aux2) = case1, case2
-    product = make_product(c1, c2).flat
+    product = ProductChannel(c1, c2).flat
     rows = _rows(product, outer_auxiliary(aux1, aux2))
     assert np.allclose(rows, _rows(c1, aux1) + _rows(c2, aux2), rtol=0.0, atol=1e-12)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, capacity, make_product
+from bcbounds.channel import Channel, ProductChannel, capacity
 from bcbounds.counterexample import component
 from bcbounds.marton import AuxiliaryJoint, Cardinalities, marton_sum_rate
 from bcbounds.regions import (
@@ -186,7 +186,7 @@ def _random_product_aux(rng, pc, kind):
 
 def test_build_region_rows_match_kernel_oracle():
     rng = np.random.default_rng(3)
-    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     # every defined term is used by some kind, and the oracle checks each
     used = {n for kind in REGION_KINDS for _, t1, t2 in _region_rows(kind) for n in t1 + t2}
     assert used == set(_TERM_DEFS)
@@ -207,7 +207,7 @@ def test_build_region_rows_match_kernel_oracle():
 
 def test_support_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     eps = 1e-6
     for kind in ("product_outer", "semi_deterministic"):
         prof1, prof2 = default_region_profiles(pc, kind)
@@ -240,7 +240,7 @@ def test_support_gradient_matches_finite_differences():
 
 def test_unknown_region_kind_rejected():
     rng = np.random.default_rng(4)
-    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     aux = _random_product_aux(rng, pc, "product_outer")
     for kind in ("nonsense", "product_inner", "more_capable_deterministic"):
         with pytest.raises(ValueError):
@@ -251,7 +251,7 @@ def test_outer_sum_rows_match_semi_deterministic_on_deterministic_product():
     # with Y1 and Z2 deterministic, I(X;Y|V,W) = H(Y|V,W) per component, so
     # the outer bound's mixed sum row coincides with the specialized form
     rng = np.random.default_rng(5)
-    pc = make_product(component("y"), component("z"))
+    pc = ProductChannel(component("y"), component("z"))
     p1, p2 = default_region_profiles(pc, "semi_deterministic")
     a1 = rng.dirichlet(np.ones(p1.nu * p1.nv * p1.nw * 4)).reshape(p1.nu, p1.nv, p1.nw, 4)
     a2 = rng.dirichlet(np.ones(p2.nu * p2.nv * p2.nw * 4)).reshape(p2.nu, p2.nv, p2.nw, 4)
@@ -351,7 +351,7 @@ def test_support_objective_vertex_matches_polytope_support():
     # the search's support and RateRegionPolytope.support share one dual
     # system; both must match a plain primal per-subset solve
     rng = np.random.default_rng(11)
-    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     for kind in REGION_KINDS:
         prof1, prof2 = default_region_profiles(pc, kind)
         normals = [a for a, _, _ in _region_rows(kind)]
@@ -413,10 +413,11 @@ def test_dual_support_empty_polytope_unbounded_and_tie():
     # the unit cube under weights (0, 1, 1): the bases {R0 <= 1, R1 <= 1,
     # R2 <= 1} and {R0 >= 0, R1 <= 1, R2 <= 1} carry the same duals (0, 1, 1)
     # and both solve to an optimal vertex, (1, 1, 1) and (0, 1, 1); the
-    # first wins the value's argmin and the vertex
+    # support weighs that row once, and the first basis wins the vertex
     cube = _VertexSystem([(1, 0, 0), (0, 1, 0), (0, 0, 1)], None, w)
     assert cube.combos.tolist() == [[0, 1, 2], [1, 2, 3]]
-    assert cube.duals.tolist() == [[0.0, 1.0, 1.0]] * 2
+    assert cube.basis_duals.tolist() == [[0.0, 1.0, 1.0]] * 2
+    assert cube.duals.tolist() == [[0.0, 1.0, 1.0]]
     values, index = cube.support(np.ones((3, 3)))
     assert values.tolist() == [2.0] * 3 and index.tolist() == [0] * 3
     assert cube.optimum(np.ones(3))[1].tolist() == [1.0, 1.0, 1.0]
@@ -424,7 +425,7 @@ def test_dual_support_empty_polytope_unbounded_and_tie():
 
 def test_region_support_reaches_seeded_value():
     rng = np.random.default_rng(6)
-    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     aux = _random_product_aux(rng, pc, "product_outer")
     at_aux, _ = build_region(pc, aux, "product_outer").support((0, 1, 1), fix_r0=0.0)
     res = region_support(
@@ -438,7 +439,7 @@ def test_region_support_reaches_seeded_value():
 def test_region_support_extra_seed_profile_fitting():
     # seeds with full profiles must adapt to the collapsed specialized ones
     rng = np.random.default_rng(7)
-    pc = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     full = _random_product_aux(rng, pc, "product_outer")
     res = region_support(
         pc, "semi_deterministic", (0, 1, 1), CFG, extra_seeds=[full], fix_r0=0.0
@@ -451,7 +452,7 @@ def test_region_support_extra_seed_profile_fitting():
 def test_region_support_value_is_exact_score_at_returned_aux(kind, fix_r0):
     # the reported support is the search objective at the returned
     # auxiliary, bit for bit, and the reported vertex attains it
-    pc = make_product(component("y"), component("z"))
+    pc = ProductChannel(component("y"), component("z"))
     cfg = SearchConfig(restarts=2, max_iters=40, seed=0)
     res = region_support(pc, kind, (0, 1, 1), cfg, fix_r0=fix_r0)
     prof1, prof2 = default_region_profiles(pc, kind)
@@ -481,20 +482,20 @@ def test_mirror_symmetry_on_symmetric_product():
     # second component is the receiver-swapped copy of the first, so the
     # outer bound of the swapped product (the mirror) must give the same
     # support in (0, 1, 1)
-    pc = make_product(component("y"), component("z"))
+    pc = ProductChannel(component("y"), component("z"))
     cfg = SearchConfig(restarts=4, max_iters=120, seed=0)
     plain = region_support(pc, "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
-    mirror = region_support(make_product(pc.c2, pc.c1), "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
+    mirror = region_support(ProductChannel(pc.c2, pc.c1), "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
     assert plain.value == pytest.approx(mirror.value, abs=2e-3)
     assert plain.value == pytest.approx(8 / 3, abs=1e-6)
 
 
 def test_class_notes():
     rng = np.random.default_rng(8)
-    matched = make_product(component("y"), component("z"))
+    matched = ProductChannel(component("y"), component("z"))
     aux = _random_product_aux(rng, matched, "semi_deterministic")
     assert build_region(matched, aux, "semi_deterministic").notes == []
-    mismatched = make_product(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
+    mismatched = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     aux2 = _random_product_aux(rng, mismatched, "semi_deterministic")
     notes = build_region(mismatched, aux2, "semi_deterministic").notes
     assert notes and "deterministic" in notes[0]
@@ -502,8 +503,8 @@ def test_class_notes():
     # where Y1 and Z2 are the better receivers, and the worked product,
     # whose components each fail by 1/3 at p(x) = (1/2, 0, 0, 1/2); the
     # right orientation gets no note, since a scan cannot prove the class
-    reverse = make_product(bsc_pair(0.3, 0.1), bsc_pair(0.1, 0.3))
-    wrong = make_product(bsc_pair(0.1, 0.3), bsc_pair(0.3, 0.1))
+    reverse = ProductChannel(bsc_pair(0.3, 0.1), bsc_pair(0.1, 0.3))
+    wrong = ProductChannel(bsc_pair(0.1, 0.3), bsc_pair(0.3, 0.1))
     claims = ("Z1 more capable than Y1", "Y2 more capable than Z2")
     wrong_gap = h2(0.3) - h2(0.1)
     for pc, gaps in ((reverse, []), (wrong, [wrong_gap] * 2), (matched, [1 / 3] * 2)):
@@ -515,7 +516,7 @@ def test_class_notes():
 
 
 def test_default_region_profiles_collapse():
-    pc = make_product(component("y"), component("z"))
+    pc = ProductChannel(component("y"), component("z"))
     p1, p2 = default_region_profiles(pc, "semi_deterministic")
     assert p1.nu == 1 and p2.nv == 1
     p1, p2 = default_region_profiles(pc, "more_capable")
@@ -533,7 +534,7 @@ def reversely_degraded_runs():
     # degraded and its sum capacity (El Gamal 1980) is C_Z1 + C_Y2; the
     # more-capable form's support at R0 = 0 can be no larger, since
     # I(U1W1;Y1) + I(X1;Z1|U1W1) <= I(X1;Z1) and likewise for component 2
-    pc = make_product(bsc_pair(0.3, 0.1), bsc_pair(0.1, 0.3))
+    pc = ProductChannel(bsc_pair(0.3, 0.1), bsc_pair(0.1, 0.3))
     target = 2 * (1 - h2(0.1))
     runs = [
         region_support(

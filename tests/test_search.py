@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -7,8 +8,10 @@ import pytest
 
 from bcbounds import search
 from bcbounds.search import (
+    Line,
     SearchConfig,
     ascend,
+    envelope,
     kelley_min,
     maximize,
     project_blocks,
@@ -166,6 +169,19 @@ def test_simplex_grid_contains_vertices_and_uniform():
 TIE = 8.0 / 3.0
 
 
+@dataclasses.dataclass(frozen=True)
+class _Sample(Line):
+    payload: object
+
+
+def _kelley(f):
+    """kelley_min on f(x) -> (value, slope, payload), unseeded, as (lam,
+    value at lam, payload of the active line, evaluations)."""
+    lam, lines = kelley_min(lambda x, _: _Sample(x, *f(x)))
+    active = envelope(lines, lam)
+    return lam, active.at(lam), active.payload, len(lines)
+
+
 @pytest.mark.parametrize("first_slope", [0.0, 2.0 / 3.0, -2.0 / 3.0], ids=["flat", "rising", "falling"])
 def test_kelley_min_stops_on_the_worked_example_tie(first_slope):
     # the worked example at lambda = 1/2: seeds tie at 8/3 with slopes 0 and
@@ -174,7 +190,7 @@ def test_kelley_min_stops_on_the_worked_example_tie(first_slope):
         slope = first_slope if x == 0.5 else max((0.0, 2 / 3, -2 / 3), key=lambda s: s * (x - 0.5))
         return TIE + slope * (x - 0.5), slope, slope
 
-    lam, value, payload, evals = kelley_min(f)
+    lam, value, payload, evals = _kelley(f)
     assert lam == 0.5
     assert value == pytest.approx(TIE, abs=1e-15)
     assert evals <= 2
@@ -183,13 +199,13 @@ def test_kelley_min_stops_on_the_worked_example_tie(first_slope):
 
 @pytest.mark.parametrize("slope, end", [(0.3, 0.0), (-0.3, 1.0)])
 def test_kelley_min_reaches_an_affine_curves_endpoint(slope, end):
-    lam, value, _, evals = kelley_min(lambda x: (1.0 + slope * x, slope, None))
+    lam, value, _, evals = _kelley(lambda x: (1.0 + slope * x, slope, None))
     assert (lam, evals) == (end, 2)
     assert value == pytest.approx(1.0 + slope * end, abs=1e-15)
 
 
 def test_kelley_min_stops_at_a_zero_slope_first_sample():
-    lam, value, payload, evals = kelley_min(lambda x: ((x - 0.5) ** 2, 2 * (x - 0.5), {"x": x}))
+    lam, value, payload, evals = _kelley(lambda x: ((x - 0.5) ** 2, 2 * (x - 0.5), {"x": x}))
     assert (lam, value, payload, evals) == (0.5, 0.0, {"x": 0.5}, 1)
 
 
@@ -215,11 +231,32 @@ def test_kelley_min_is_not_fooled_by_short_samples(seed):
         short = 0.05 if len(calls) % 2 else 0.0
         return a + b * x - short, b, (a - short, b)
 
-    lam, value, (a, b), evals = kelley_min(f)
+    lam, value, (a, b), evals = _kelley(f)
     assert value <= true_min + search.KELLEY_TOL
     assert value >= true_min - 0.05
     assert a + b * lam == pytest.approx(value, abs=1e-15)
     assert evals == len(calls)
+
+
+def test_envelope_is_the_first_highest_line_and_seeds_every_sample():
+    lines = [_Sample(0.0, 1.0, 1.0, "a"), _Sample(1.0, 1.0, -1.0, "b"), _Sample(0.5, 1.5, 0.0, "c")]
+    # at 1/2 all three lines read 3/2: the first wins the tie
+    assert envelope(lines, 0.5).payload == "a"
+    assert envelope(lines, 0.0).payload == "b"
+    assert envelope(lines, 0.9).payload == "a"
+    assert envelope([], 0.5) is None
+    # each sample's search gets the envelope's line at its lambda, none at
+    # the first: a line of slope -1 through (0, 1) seeds the next sample
+    seeds = []
+
+    def f(x, active):
+        seeds.append(active)
+        return _Sample(x, 1.0 - x, -1.0, x)
+
+    lam, lines = kelley_min(f)
+    assert seeds[0] is None
+    assert seeds[1:] == [envelope(lines[:k], line.lam) for k, line in enumerate(lines) if k]
+    assert (lam, len(lines)) == (1.0, 2)
 
 
 def _concave_target(t):
