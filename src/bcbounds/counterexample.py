@@ -68,7 +68,7 @@ _LABEL = np.array([0, 0, 1, 1])
 _PARITY = np.array([0, 1, 0, 1])
 
 
-def component(det: str = "z") -> Channel:
+def component(det: str) -> Channel:
     """One four-input component; `det` names the deterministic receiver."""
     if det not in ("y", "z"):
         raise ValueError("det must be 'y' or 'z'")
@@ -98,7 +98,7 @@ def f_closed_form(x: float) -> float:
     return entropy_of_array(np.array([x, 1.0 - x])) / 3.0 - LOG2_3
 
 
-def lambda_curve_analytic(lam: float, det: str = "z") -> float:
+def lambda_curve_analytic(lam: float, det: str) -> float:
     """Closed-form weighted sum rate at uniform input for one component.
 
     Z-deterministic orientation: 5/3 - (2/3) lam on [0, 1/2], then 4/3.
@@ -238,7 +238,7 @@ class SeparationReport:
         return all(c.passed for c in self.checks)
 
 
-def verify_separation(seed: int = 0) -> SeparationReport:
+def verify_separation(seed: int) -> SeparationReport:
     """End-to-end reproduction of the inner/outer sum-rate separation.
 
     Checks: (i) the analytic curve minimum is 8/3 at lambda = 1/2;

@@ -295,11 +295,10 @@ def maximize_lambda_sr_at_input(
     lam: float,
     px: np.ndarray,
     cfg: SearchConfig,
-    profile: Cardinalities | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> LambdaPointResult:
     """Best weighted sum rate at a fixed input law (certified lower bound)."""
-    prof = profile or Cardinalities.for_sum_rate(c)
+    prof = Cardinalities.for_sum_rate(c)
     px = np.asarray(px, dtype=float)
     table = marton_table(c, prof)
     obj = FixedInputObjective(table, px, lambda_weights(lam)[None])
@@ -517,10 +516,10 @@ def check_factorization(
     r2 = lambda_sr_global(c2, lam, cfg)
     pc = ProductChannel(c1, c2)
     flat = pc.flat
-    prof_p = Cardinalities.for_sum_rate(flat)
-    seed = fit_joint(outer_auxiliary(r1.aux, r2.aux).joint, prof_p.shape(flat.nx))
+    shape = Cardinalities.for_sum_rate(flat).shape(flat.nx)
+    seed = fit_joint(outer_auxiliary(r1.aux, r2.aux).joint, shape)
     pcfg = cfg.with_(restarts=max(8, cfg.restarts // 4))
-    rp = lambda_sr_global(flat, lam, pcfg, profile=prof_p, extra_seeds=[seed])
+    rp = lambda_sr_global(flat, lam, pcfg, extra_seeds=[seed])
     gap = rp.value - (r1.value + r2.value)
     links = []
     for tag, ch in (("1", c1), ("2", c2)):
@@ -567,11 +566,9 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     """
     if max(c.nx, c.ny, c.nz) > 3:
         raise ValueError("min-max check is restricted to nx, ny, nz <= 3")
-    prof = Cardinalities.for_sum_rate(c)
-
     # min-max via the sum-rate driver
     mm_cfg = cfg.with_(restarts=max(8, cfg.restarts // 2))
-    mm = marton_sum_rate(c, mm_cfg, profile=prof)
+    mm = marton_sum_rate(c, mm_cfg)
 
     # max-min over the joint: min of the two endpoint rows
     prof_mm = Cardinalities(c.nx, c.nx, min(2 * c.nx, c.nx + 4))
@@ -590,7 +587,7 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     def min_over_lambda(px: np.ndarray) -> float:
         lam, lines = kelley_min(
             lambda lam, active: maximize_lambda_sr_at_input(
-                c, lam, px, inner_cfg, prof, _seeds(active, ())
+                c, lam, px, inner_cfg, _seeds(active, ())
             )
         )
         return envelope(lines, lam).at(lam)

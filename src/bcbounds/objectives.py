@@ -53,14 +53,16 @@ its own row of the buffer, one ``np.add.reduce`` per marginal for the
 whole batch (see ``kernel``), and the adjoint pass runs once for all the
 rows it is asked for.
 
-A table owns the work buffers of the forward pass (the keep-marginals of
-t and the flat marginal buffer, one row per tensor) and reuses them on
-every evaluation, filling them by a plan compiled for the batch size and
-memory layout of t. It keeps one plan, the last one, and compiles a new
-one when the size or layout changes: a search's group passes through
-every smaller batch size as its restarts finish, and a plan per size
-would keep the buffers of them all. So a table must not be evaluated
-from two threads at once.
+An evaluation reads every tensor in C order: a batch whose tensors are
+laid out otherwise (the input-major tensors of ``FixedInputObjective``)
+is copied once, so a tensor's value depends only on its entries. A table
+owns the work buffers of the forward pass (the keep-marginals of t and
+the flat marginal buffer, one row per tensor) and reuses them on every
+evaluation, filling them by a plan compiled for the batch shape. It
+keeps one plan, the last one, and compiles a new one when the shape
+changes: a search's group passes through every smaller batch size as its
+restarts finish, and a plan per size would keep the buffers of them all.
+So a table must not be evaluated from two threads at once.
 
 The gradient is lazy: ``value_and_grad`` returns the values and
 ``grad(rows)``, the gradients at the tensors ``rows``, which runs the
@@ -172,11 +174,11 @@ class _Keep:
 
 @dataclass(frozen=True)
 class _Plan:
-    """How an evaluation fills a table's work buffers, for one batch size
-    and memory layout of a batch of t: reduce the batch into each keep
-    buffer, run each copy ``(out, source)``, then each channel product
-    ``np.matmul(source, q, out=out)``; every marginal's ``out`` is its column
-    slice of ``rows``, which holds the marginals of one t per row."""
+    """How an evaluation fills a table's work buffers from a batch of one
+    shape: reduce the batch into each keep buffer, run each copy ``(out,
+    source)``, then each channel product ``np.matmul(source, q, out=out)``;
+    every marginal's ``out`` is its column slice of ``rows``, which holds
+    the marginals of one t per row."""
 
     reductions: list[tuple[tuple[int, ...], np.ndarray]]
     copies: list[tuple[np.ndarray, np.ndarray]]
@@ -187,13 +189,18 @@ class _Plan:
 
 class Evaluation:
     """Entropy vectors and row values of a table at each tensor of a batch,
-    one row of each per tensor; ``grad`` runs the adjoint pass for any row
-    weights without recomputing the forward pass."""
+    one row of each per tensor, each tensor read in C order (a batch of
+    other tensors is copied once); ``grad`` runs the adjoint pass for any
+    row weights without recomputing the forward pass."""
 
     def __init__(self, fn: "InfoFunctional", batch: np.ndarray) -> None:
         self._fn = fn
         batch = np.asarray(batch, dtype=float)
-        plan = fn._plan(batch)
+        # each tensor in C order (a batch of one ignores the batch stride);
+        # tensors spaced out along the batch axis are read as they are
+        if not batch[:1].flags.c_contiguous:
+            batch = np.ascontiguousarray(batch)
+        plan = fn._plan(batch.shape)
         for drop, out in plan.reductions:
             np.add.reduce(batch, axis=drop, out=out)
         for out, m in plan.copies:
@@ -345,55 +352,41 @@ class InfoFunctional:
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
         self._sizes = np.diff(self._offsets)
         self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
-        # the fill plan of the last batch size and layout, with its key
+        # the fill plan of the last batch shape, with its shape
         self._fill: tuple[tuple, _Plan] | None = None
 
-    def _plan(self, batch: np.ndarray) -> _Plan:
-        """The plan that fills the work buffers from a batch of tensors of
-        its size laid out in memory like ``batch``: the table's one kept
-        plan when its size and layout match, else a new one that replaces
-        it.
-
-        Each keep buffer has the layout numpy gives the reduction of the
-        batch, and a keep-marginal that numpy would copy to C order on
-        reshaping is copied so too. So every reduction and matmul sees
-        operands laid out as on freshly allocated arrays, and sums in the
-        same order: the matmul's order depends on the layout of its left
-        operand. The batch axis is the slowest, and channel products are
-        stacked matmuls (one matrix per tensor), so every tensor of a batch
-        sums in the same order as on its own.
+    def _plan(self, shape: tuple[int, ...]) -> _Plan:
+        """The plan that fills the work buffers from a C-order batch of
+        ``shape``: the table's one kept plan when the shape matches, else a
+        new one that replaces it. The batch axis is the slowest, and channel
+        products are stacked matmuls (one matrix per tensor), so every
+        tensor of a batch sums in the same order as on its own.
         """
-        # a batch of one has no batch stride to lay out
-        key = (batch.shape, batch.strides if len(batch) > 1 else batch.strides[1:])
-        if self._fill is not None and self._fill[0] == key:
+        if self._fill is not None and self._fill[0] == shape:
             return self._fill[1]
         # drop the old plan, and its buffers, before making the new one
         self._fill = None
-        if batch.shape[1:] != self.shape:
-            raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {batch.shape}")
-        n, size = len(batch), self._offsets[-1]
+        if shape[1:] != self.shape:
+            raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {shape}")
+        n, size = shape[0], self._offsets[-1]
         rows = np.empty((n, size))
-        reductions, copies, work = [], [], []
+        reductions, work = [], []
         for keep in self._keeps:
+            m = np.empty((n,) + keep.work)
+            kept = tuple(d for a, d in enumerate(self.shape) if a not in keep.drop)
             # the same axes of every tensor, behind the batch axis
-            drop = tuple(a + 1 for a in keep.drop)
-            out = np.empty_like(np.add.reduce(batch, axis=drop))
-            m = out.reshape((n,) + keep.work)
-            if not np.shares_memory(m, out):
-                m = np.empty((n,) + keep.work)
-                copies.append((m.reshape(out.shape), out))
-            reductions.append((drop, out))
+            reductions.append((tuple(a + 1 for a in keep.drop), m.reshape((n,) + kept)))
             work.append(m)
-        products = []
-        for mg, (a, b), shape in zip(self._marginals, self._bounds, self._shapes):
-            m, view = work[mg.keep], rows[:, a:b].reshape((n,) + shape)
+        copies, products = [], []
+        for mg, (a, b), sh in zip(self._marginals, self._bounds, self._shapes):
+            m, view = work[mg.keep], rows[:, a:b].reshape((n,) + sh)
             if mg.q is None:
                 copies.append((view, m))
             else:
                 products.append((m, mg.q, view))
         px = None if self._px_keep is None else work[self._px_keep][:, 0]
         plan = _Plan(reductions, copies, products, rows, px)
-        self._fill = (key, plan)
+        self._fill = (shape, plan)
         return plan
 
     def evaluate(self, batch: np.ndarray) -> Evaluation:
@@ -454,7 +447,9 @@ class FixedInputObjective:
     ``weight_rows`` and the batch call as in ``JointObjective``.
 
     The flat layout is input-major: block x holds the conditional
-    p(rest | X=x) in C order. Axes of the base tensor keep the input last.
+    p(rest | X=x) in C order. Axes of the base tensor keep the input last;
+    ``to_tensor`` keeps the flat point's memory order, so each evaluation
+    copies its batch once to C order.
     """
 
     def __init__(

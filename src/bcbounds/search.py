@@ -377,26 +377,19 @@ def _start_points(
     for s in seeds:
         if s.size != total:
             raise ValueError(f"seed has size {s.size}, expected {total}")
+    # each distinct seed once (byte for byte), in order of first appearance;
+    # the keys are copies, so the table is dropped before the search starts
+    unused = iter(list({s.tobytes(): s for s in seeds}.values()))
 
-    plan: list[np.ndarray | None] = []
-    seed_slot = 0
     for i in range(cfg.restarts):
-        if seeds and i % 4 == 3:
-            plan.append(seeds[seed_slot % len(seeds)])
-            seed_slot += 1
-        else:
-            plan.append(None)
-    # missing seeds get appended restarts so structured starts always run
-    while seed_slot < len(seeds):
-        plan.append(seeds[seed_slot])
-        seed_slot += 1
-
-    for i, seed in enumerate(plan):
+        seed = next(unused, None) if i % 4 == 3 else None
         if seed is not None:
             yield seed
         else:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(i,)))
             yield _init_point(1 if i % 4 == 2 else 0, rng, block_sizes)
+    # seeds left without a slot get appended restarts
+    yield from unused
 
 
 def maximize(
@@ -409,10 +402,10 @@ def maximize(
 
     fun follows the module's objective contract. Restart i draws its start
     from kind i%4: Dirichlet(1), Dirichlet(1), Dirichlet(0.1), or the
-    caller's structured seeds cycled in order. Every provided seed is
-    guaranteed a restart even when restarts < 4*len. Consecutive restarts
-    step in lockstep, in groups of at most ``LOCKSTEP_FLOATS`` floats of
-    points.
+    caller's next unused seed, in order; a seed slot with none left draws
+    Dirichlet(1). Each distinct seed (byte for byte) starts exactly one
+    restart, appended when restarts < 4*len. Consecutive restarts step in
+    lockstep, in groups of at most ``LOCKSTEP_FLOATS`` floats of points.
     """
     starts = _start_points(block_sizes, cfg, seeds)
     group = max(1, LOCKSTEP_FLOATS // sum(block_sizes))

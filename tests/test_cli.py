@@ -77,6 +77,21 @@ def test_parse_directions_default_and_file(tmp_path):
             _parse_directions(str(bad))
 
 
+def test_parse_directions_rejects_bad_weights_and_empty_or_missing_files(tmp_path):
+    bad = tmp_path / "dirs.txt"
+    for text in ("0 -1 1\n", "0 0 0\n"):
+        bad.write_text(text)
+        message = f"{bad}:1: weights must be nonnegative, not all zero"
+        with pytest.raises(CommandError, match=f"^{re.escape(message)}$"):
+            _parse_directions(str(bad))
+    bad.write_text("# a comment and a blank line only\n\n")
+    with pytest.raises(CommandError, match=f"^{re.escape(f'{bad}: no directions found')}$"):
+        _parse_directions(str(bad))
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(CommandError, match=f"^{re.escape(f'cannot read {missing}: ')}"):
+        _parse_directions(str(missing))
+
+
 def test_classify_matches_structure(comp_files, capsys):
     code, out, err = _run(capsys, ["classify", comp_files[0], "--restarts", "2"])
     assert code == 0
@@ -294,6 +309,12 @@ def test_minmax_check_small(small_file, capsys):
     res = rep["results"]
     assert {"max_min_bits", "max_min_max_bits", "min_max_bits"} <= set(res)
     assert res["max_pairwise_gap_bits"] >= 0
+
+
+def test_minmax_check_on_a_four_input_channel_exits_2(comp_files, capsys):
+    code, out, err = _run(capsys, ["minmax-check", comp_files[0], "--restarts", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: min-max check is restricted to nx, ny, nz <= 3\n")
 
 
 def test_failed_check_exits_1_and_exhausted_budget_exits_3(small_file, capsys):

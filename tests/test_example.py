@@ -153,7 +153,7 @@ def test_no_search_budget_has_a_default():
 
 # parameters with a default in src/bcbounds: an option is a choice some caller
 # must make, so the count may go down but not up
-DEFAULTED_PARAMETERS = 24
+DEFAULTED_PARAMETERS = 20
 
 
 def test_defaulted_parameters_do_not_grow():
@@ -206,7 +206,7 @@ def test_analytic_curves():
             lambda_curve_analytic(lam, "y") + lambda_curve_analytic(lam, "z"), abs=1e-12
         )
     with pytest.raises(ValueError):
-        lambda_curve_analytic(1.5)
+        lambda_curve_analytic(1.5, "z")
     lam_star, value = analytic_minimum()
     assert lam_star == 0.5
     assert value == pytest.approx(8 / 3, abs=1e-15)

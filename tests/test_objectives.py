@@ -343,12 +343,14 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
     # of its left operand
     wide = Channel(_random_channel(rng, 16, 3, 4))
     tables += [marton_table(wide, Cardinalities(4, 4, 2)), _uv_table(wide, 5, 5)]
+    # every layout is read as its C copy: the unfused reference runs on that
     for fn in tables:
         for layout in (_c_order, _input_major, np.asfortranarray):
             t = layout(_awkward_tensor(rng, fn.shape))
+            c_copy = np.ascontiguousarray(t)
             weights = rng.normal(size=fn.coeffs.shape[0])
             weights[0] = 0.0
-            h_ref, v_ref, g_ref, marginals = _unfused(fn, t, weights)
+            h_ref, v_ref, g_ref, marginals = _unfused(fn, c_copy, weights)
             assert (marginals == 0.0).any()
             assert ((marginals > 0.0) & (marginals < GRAD_CLIP)).any()
             ev = fn.evaluate(t[None])
@@ -358,6 +360,41 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
                 g = ev.grad([0], weights[None])[0]
             assert np.isfinite(g).all()
             assert g.tobytes() == g_ref.tobytes()
+            if layout is not _c_order:
+                ref = fn.evaluate(c_copy[None])
+                assert ev.entropies.tobytes() == ref.entropies.tobytes()
+                assert ev.values.tobytes() == ref.values.tobytes()
+                assert g.tobytes() == ref.grad([0], weights[None])[0].tobytes()
+
+
+def test_a_tensor_has_one_value_whatever_its_memory_order():
+    # on the worked product's Marton and UV tables a tensor in input-major
+    # or Fortran order gets the entropies, row values and gradients of its C
+    # copy, and a batch whose tensors are spaced out along the batch axis
+    # (a region search's component split) those of its contiguous copy
+    rng = np.random.default_rng(24)
+    flat = product_channel().flat
+    for fn in (marton_table(flat, REDUCED_PRODUCT_PROFILE), _uv_table(flat, 17, 17)):
+        assert fn.shape in ((8, 8, 4, 16), (17, 17, 16))
+        weights = rng.normal(size=(1, fn.coeffs.shape[0]))
+        for _ in range(4):
+            t = rng.dirichlet(np.ones(int(np.prod(fn.shape)))).reshape(fn.shape)
+            ref = fn.evaluate(t[None])
+            g_ref = ref.grad([0], weights)
+            for layout in (_input_major, np.asfortranarray):
+                ev = fn.evaluate(layout(t)[None])
+                assert ev.entropies.tobytes() == ref.entropies.tobytes()
+                assert ev.values.tobytes() == ref.values.tobytes()
+                assert ev.grad([0], weights).tobytes() == g_ref.tobytes()
+        size = int(np.prod(fn.shape))
+        points = rng.dirichlet(np.ones(size), size=(3, 2)).reshape(3, 2 * size)
+        spaced = points[:, :size].reshape((3,) + fn.shape)
+        assert not spaced.flags.c_contiguous and spaced[0].flags.c_contiguous
+        ev, ref = fn.evaluate(spaced), fn.evaluate(np.ascontiguousarray(spaced))
+        assert ev.entropies.tobytes() == ref.entropies.tobytes()
+        assert ev.values.tobytes() == ref.values.tobytes()
+        w3 = np.repeat(weights, 3, axis=0)
+        assert ev.grad(range(3), w3).tobytes() == ref.grad(range(3), w3).tobytes()
 
 
 def test_evaluation_survives_later_evaluations_bit_for_bit():
@@ -528,7 +565,7 @@ def test_table_keeps_one_fill_plan_as_a_group_shrinks():
     plans = []
     for n in range(16, 0, -1):
         assert fn.evaluate(batch[:n]).values.tobytes() == first[:n].tobytes()
-        plans.append(weakref.ref(fn._plan(batch[:n])))
+        plans.append(weakref.ref(fn._plan(batch[:n].shape)))
         gc.collect()
         assert sum(ref() is not None for ref in plans) <= 1
     assert fn.evaluate(batch).values.tobytes() == first.tobytes()

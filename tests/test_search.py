@@ -311,7 +311,7 @@ def test_maximize_budget_monotonicity():
 
 
 def test_maximize_seeds_always_run():
-    # restarts=1 leaves no seed slot in the cycling plan; the seed must
+    # restarts=1 leaves no seed slot in the restart plan; the seed must
     # still be evaluated, and it sits exactly at the global maximum
     seed = np.array([0.0, 0.0, 1.0])
     res = maximize(_batched(_bumpy), [3], SearchConfig(restarts=1, seed=0), seeds=[seed])
@@ -333,6 +333,26 @@ def test_search_config_rejects_budgets_below_one(budget):
         SearchConfig(**budget)
     with pytest.raises(ValueError):
         SearchConfig(restarts=2, max_iters=5).with_(**budget)
+
+
+def test_maximize_starts_each_distinct_seed_exactly_once():
+    # seed slots 3 and 7 take the two distinct seeds, and slots 11 and 15,
+    # with no unused seed left, draw Dirichlet(1): no two restarts start
+    # from one point
+    a, b = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.3, 0.1])
+    for seeds in ([a, b], [a, b, a.copy(), b]):
+        starts = []
+
+        def fun(points):
+            starts.extend(p.tobytes() for p in points)
+            return _batched(_bumpy)(points)
+
+        res = maximize(fun, [3], SearchConfig(restarts=16, max_iters=1, seed=2), seeds=seeds)
+        first = starts[:16]
+        assert len(res.restart_values) == 16
+        assert len(set(first)) == 16
+        assert first[3] == project_simplex(a).tobytes()
+        assert first[7] == project_simplex(b).tobytes()
 
 
 def test_maximize_seed_size_validated():
