@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 from .channel import (
@@ -33,7 +34,6 @@ from .counterexample import (
 )
 from .marton import (
     Check,
-    LambdaCurve,
     build_lambda_curve,
     check_factorization,
     check_min_max_equality,
@@ -76,14 +76,6 @@ def format_bits(value: float) -> str:
 
 def _config(args) -> SearchConfig:
     return SearchConfig(restarts=args.restarts, max_iters=args.max_iters, seed=args.seed)
-
-
-def _config_echo(cfg: SearchConfig) -> dict:
-    return {
-        "seed": cfg.seed,
-        "restarts": cfg.restarts,
-        "max_iters": cfg.max_iters,
-    }
 
 
 def _load(path: str):
@@ -208,21 +200,9 @@ def _parse_directions(path: str | None) -> list[tuple[float, float, float]]:
     return out
 
 
-def _curve_csv(curve: LambdaCurve) -> str:
-    lines = ["lambda,value_bits,subgradient,converged"]
-    for s in curve.samples:
-        lines.append(f"{s.lam!r},{s.value!r},{s.slope!r},{int(s.converged)}")
-    return "\n".join(lines) + "\n"
-
-
-def _sweep_csv(rows: list[dict]) -> str:
-    lines = ["w0,w1,w2,value,converged"]
-    for row in rows:
-        w = row["weights"]
-        lines.append(
-            f"{w[0]!r},{w[1]!r},{w[2]!r},{row['value_bits']!r},{row['converged']}"
-        )
-    return "\n".join(lines) + "\n"
+def _csv(header: str, rows) -> str:
+    """A CSV text: the header line, then each row's fields as their reprs."""
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
 
 
 def _write_text(path: str, text: str) -> None:
@@ -244,7 +224,7 @@ def _cmd_classify(args) -> tuple[dict, dict, list]:
     results["y_deterministic"] = rep.y_deterministic
     results["z_deterministic"] = rep.z_deterministic
     results["converged"] = all(v.converged for v in verdicts.values())
-    return _config_echo(cfg), results, []
+    return asdict(cfg), results, []
 
 
 def _cmd_marton(args) -> tuple[dict, dict, list]:
@@ -275,10 +255,11 @@ def _cmd_marton(args) -> tuple[dict, dict, list]:
         ]
         results["curve_checks"] = {"hyperplane_violations": curve.hyperplane_violations}
         if args.curve_csv is not None:
-            _write_text(args.curve_csv, _curve_csv(curve))
+            samples = ((s.lam, s.value, s.slope, int(s.converged)) for s in curve.samples)
+            _write_text(args.curve_csv, _csv("lambda,value_bits,subgradient,converged", samples))
             results["curve_csv"] = args.curve_csv
     results["converged"] = converged
-    return _config_echo(cfg), results, []
+    return asdict(cfg), results, []
 
 
 def _cmd_uv(args) -> tuple[dict, dict, list]:
@@ -291,7 +272,7 @@ def _cmd_uv(args) -> tuple[dict, dict, list]:
         "point": _uv_point_dict(res.point),
         "converged": res.converged,
     }
-    return _config_echo(cfg), results, []
+    return asdict(cfg), results, []
 
 
 def _cmd_product(args) -> tuple[dict, dict, list]:
@@ -327,7 +308,7 @@ def _cmd_product(args) -> tuple[dict, dict, list]:
         }
         results["converged"] = fac.converged
         checks.append(fac.check)
-    return _config_echo(cfg), results, checks
+    return asdict(cfg), results, checks
 
 
 def _sweep_kind(args) -> str:
@@ -373,9 +354,10 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
         "converged": all(r["converged"] for r in rows),
     }
     if args.sweep_csv is not None:
-        _write_text(args.sweep_csv, _sweep_csv(rows))
+        rows_csv = ((*r["weights"], r["value_bits"], r["converged"]) for r in rows)
+        _write_text(args.sweep_csv, _csv("w0,w1,w2,value,converged", rows_csv))
         results["sweep_csv"] = args.sweep_csv
-    return _config_echo(cfg), results, []
+    return asdict(cfg), results, []
 
 
 def _cmd_verify_example(args) -> tuple[dict, dict, list]:
@@ -421,7 +403,7 @@ def _cmd_minmax_check(args) -> tuple[dict, dict, list]:
     }
     # the min-max gap is never negative, so |gap| <= tolerance is gap <= tolerance
     checks = [Check.within("pairwise_gap", rep.max_pairwise_gap, 0.0, args.tolerance)]
-    return _config_echo(cfg), results, checks
+    return asdict(cfg), results, checks
 
 
 def _count(text: str) -> int:

@@ -124,10 +124,9 @@ def analytic_minimum() -> tuple[float, float]:
     return 0.5, 8.0 / 3.0
 
 
-def component_branch_aux(
-    det: str, branch: str, px: np.ndarray | None = None
-) -> AuxiliaryJoint:
-    """The two optimal auxiliary constructions for one component.
+def component_branch_aux(det: str, branch: str) -> AuxiliaryJoint:
+    """The two optimal auxiliary constructions for one component, at the
+    uniform input law.
 
     Z-deterministic: 'steep' is W = class label, U = X, V = class label
     (value 5/3 - (2/3) lam at uniform); 'flat' is W constant, U = parity,
@@ -136,7 +135,7 @@ def component_branch_aux(
     """
     if det not in ("y", "z"):
         raise ValueError("det must be 'y' or 'z'")
-    px = np.full(4, 0.25) if px is None else np.asarray(px, dtype=float)
+    px = np.full(4, 0.25)
     if branch == "steep":
         t = deterministic_joint((4, 2, 2, 4), px, (np.arange(4), _LABEL, _LABEL))
     elif branch == "flat":

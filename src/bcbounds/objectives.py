@@ -53,16 +53,16 @@ its own row of the buffer, one ``np.add.reduce`` per marginal for the
 whole batch (see ``kernel``), and the adjoint pass runs once for all the
 rows it is asked for.
 
-An evaluation reads every tensor in C order: a batch whose tensors are
-laid out otherwise (the input-major tensors of ``FixedInputObjective``)
-is copied once, so a tensor's value depends only on its entries. A table
+An evaluation reads every tensor in C order (a batch of other tensors is
+copied once), so a tensor's value depends only on its entries. A table
 owns the work buffers of the forward pass (the keep-marginals of t and
 the flat marginal buffer, one row per tensor) and reuses them on every
 evaluation, filling them by a plan compiled for the batch shape. It
 keeps one plan, the last one, and compiles a new one when the shape
-changes: a search's group passes through every smaller batch size as its
-restarts finish, and a plan per size would keep the buffers of them all.
-So a table must not be evaluated from two threads at once.
+changes: a search's batch keeps its size while starts wait and shrinks
+through smaller sizes at its stream's end, and a plan per size would
+keep the buffers of them all. So a table must not be evaluated from two
+threads at once.
 
 The gradient is lazy: ``value_and_grad`` returns the values and
 ``grad(rows)``, the gradients at the tensors ``rows``, which runs the
@@ -259,6 +259,18 @@ class Evaluation:
         return grads
 
 
+def weigh(
+    weight_rows: np.ndarray, values: np.ndarray, offset: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """At each row of ``values``, the minimum over k of w_k . row (+ ``offset[k]``
+    if given) and the first minimal k, each row weighed as on its own."""
+    scores = np.matmul(weight_rows, values[..., None])[..., 0]
+    if offset is not None:
+        scores += offset
+    k = scores.argmin(axis=1)
+    return scores[np.arange(len(k)), k], k
+
+
 class InfoFunctional:
     """Table of weighted entropy sums with exact gradients w.r.t. the base tensor.
 
@@ -358,7 +370,8 @@ class InfoFunctional:
     def _plan(self, shape: tuple[int, ...]) -> _Plan:
         """The plan that fills the work buffers from a C-order batch of
         ``shape``: the table's one kept plan when the shape matches, else a
-        new one that replaces it. The batch axis is the slowest, and channel
+        new one that replaces it; a search changes its batch shape mostly
+        at its stream's end. The batch axis is the slowest, and channel
         products are stacked matmuls (one matrix per tensor), so every
         tensor of a batch sums in the same order as on its own.
         """
@@ -407,10 +420,8 @@ class InfoFunctional:
         tensor's value is the minimum over them of its weighted row values,
         and its gradient follows the first minimal weight row."""
         ev = self.evaluate(batch)
-        # the stacked product again; argmin takes the first minimal row
-        scores = np.matmul(weight_rows, ev.values[..., None])[..., 0]
-        k = scores.argmin(axis=1)
-        values, weights = scores[np.arange(len(k)), k], weight_rows[k]
+        values, k = weigh(weight_rows, ev.values, None)
+        weights = weight_rows[k]
         return values, lambda rows: ev.grad(rows, weights[rows])
 
 
@@ -447,9 +458,8 @@ class FixedInputObjective:
     ``weight_rows`` and the batch call as in ``JointObjective``.
 
     The flat layout is input-major: block x holds the conditional
-    p(rest | X=x) in C order. Axes of the base tensor keep the input last;
-    ``to_tensor`` keeps the flat point's memory order, so each evaluation
-    copies its batch once to C order.
+    p(rest | X=x) in C order. Axes of the base tensor keep the input last,
+    and ``to_tensor`` writes it in C order.
     """
 
     def __init__(
@@ -475,7 +485,7 @@ class FixedInputObjective:
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
         """Joint tensor of a flat point, or one per row of a batch."""
         cond = flat.reshape(flat.shape[:-1] + (self.nx,) + self.rest_shape)
-        return np.moveaxis(cond, flat.ndim - 1, -1) * self.px
+        return np.multiply(np.moveaxis(cond, flat.ndim - 1, -1), self.px, order="C")
 
     def to_flat(self, t: np.ndarray) -> np.ndarray:
         """Conditional layout of a joint tensor (zero-mass inputs -> uniform)."""

@@ -47,7 +47,7 @@ from .marton import (
     fit_joint,
     structured_seed_joints,
 )
-from .objectives import BatchGrad, InfoFunctional, JointObjective, ent_terms, mi_terms
+from .objectives import BatchGrad, InfoFunctional, JointObjective, ent_terms, mi_terms, weigh
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -320,12 +320,9 @@ class _VertexSystem:
         self.duals, self.offset = self.basis_duals[first], self.basis_offset[first]
 
     def support(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The support and the index of the first minimal basis at each row
-        of row right-hand sides ``rhs``, bit-identical to a call on the row
-        alone."""
-        values = np.matmul(self.duals, rhs[..., None])[..., 0] + self.offset
-        k = values.argmin(axis=1)
-        return values[np.arange(len(rhs)), k], k
+        """The support and the first minimal basis at each row of row
+        right-hand sides ``rhs``, each row as on its own."""
+        return weigh(self.duals, rhs, self.offset)
 
     def optimum(self, rhs: np.ndarray) -> tuple[float, np.ndarray]:
         """The support at one point's row right-hand sides and an optimal

@@ -18,20 +18,20 @@ reshapes points and gradients around one such call (or one ``evaluate``
 per component table of a region's support), however many rows the batch
 has.
 
-The ascent is lockstep and value-first. ``maximize`` steps consecutive
-restarts together (at most ``LOCKSTEP_FLOATS`` floats of points at a
-time): each round projects every live restart's trial point in one
-``project_blocks`` call and scores them in one objective call, then each
-restart accepts its step or shrinks it by its own rule, and the gradients
-of the accepted rows come from one ``grad`` call. Gradients run only at a
-restart's start point and at the steps it accepts, never at a rejected
-trial. A restart's arithmetic does not depend on which restarts share its
-rounds, so every result is bit-identical to running the restarts one at a
-time, whatever ``LOCKSTEP_FLOATS`` is; ``ascend`` is the same engine with
-one start. A group shrinks as its restarts finish, so an objective sees
-every batch size up to the group's, round after round (16 points down to
-1 in a ``product_outer`` support search); each size costs one stacked
-evaluation, with no Python loop over the points.
+The ascent is lockstep and value-first. ``maximize`` runs its restarts
+as one stream, at most ``LOCKSTEP_FLOATS`` floats of points live at a
+time: each round the slots of restarts that ended take the next starts,
+every live restart's trial and every new start are projected in one
+``project_blocks`` call and scored in one objective call, each restart
+accepts its step or shrinks it by its own rule, and the gradients of the
+accepted trials and the new starts come from one ``grad`` call, so
+gradients run only at start points and accepted steps. A restart's
+arithmetic does not depend on which restarts share its rounds, so every
+result is bit-identical to running the restarts one at a time, whatever
+``LOCKSTEP_FLOATS`` is; ``ascend`` is the same engine with one start. An
+objective sees one batch size while starts wait (16 points in a
+``product_outer`` support search; a trial that does not move its point
+is not scored) and smaller ones only at the stream's end.
 
 Every search entry point takes its budget as a required ``SearchConfig``
 from its caller; none has a default budget.
@@ -55,7 +55,7 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -266,13 +266,15 @@ def _init_point(
 
 def _lockstep(
     fun: Objective,
-    starts: np.ndarray,
+    starts: Iterable[np.ndarray],
     block_sizes: Sequence[int],
     cfg: SearchConfig,
+    width: int,
 ) -> list[tuple[float, np.ndarray, int, bool]]:
-    """Projected ascent from every row of ``starts`` at once, one batched
-    objective call per round; returns (value, point, iterations, converged)
-    per start, in order.
+    """Projected ascent from each point of the stream ``starts``, at most
+    ``width`` restarts live at a time (see the module docstring); returns
+    (value, point, iterations, converged) per start, in order. A start
+    whose value is not finite ends unconverged at its projected start.
 
     Each restart follows its own sequential rule, in its own step size,
     stall count and iteration count: from a trial at step size s it accepts
@@ -284,31 +286,21 @@ def _lockstep(
     IMPROVE_TOL; it stops unconverged after ``cfg.max_iters`` iterations.
     A restart's value only rises, so its last point is its best.
     """
-    x = project_blocks(starts, block_sizes)
-    values, grad = fun(x)
-    results: list = [None] * len(x)
-    values = values.tolist()
-    live = []
-    for i, value in enumerate(values):
-        if math.isfinite(value):
-            live.append(i)
-        else:
-            logging.getLogger(__name__).warning("restart aborted: non-finite objective")
-            results[i] = (-math.inf, x[i].copy(), 0, False)
-    if not live:
-        return results
+    starts = iter(starts)
+    results: list = []
     # per live restart: its point and gradient as rows, the rest as lists
-    x, g = x[live], grad(live)
-    v = [values[i] for i in live]
-    step = [STEP_INIT] * len(live)
-    stall = [0] * len(live)
-    it = [1] * len(live)
-    while live:
-        # x + step * g, row by row
+    x = g = np.empty((0, sum(block_sizes)))
+    live, v, step, stall, it = [], [], [], [], []
+    while True:
+        n = len(live)
+        new = list(itertools.islice(starts, width - n))
+        if not live and not new:
+            return results
+        # x + step * g row by row, then the new starts, in one projection
         xn = np.array(step)[:, None] * g
         xn += x
-        xn = project_blocks(xn, block_sizes)
-        shift = np.abs(xn - x).max(axis=1).tolist()
+        xn = project_blocks(np.concatenate([xn, new]) if new else xn, block_sizes)
+        shift = np.abs(xn[:n] - x).max(axis=1).tolist()
         # a trial that does not move its point ends the restart, converged
         done, moved = {}, []
         for j, d in enumerate(shift):
@@ -316,43 +308,64 @@ def _lockstep(
                 done[j] = True
             else:
                 moved.append(j)
-        if moved:
-            trial = xn if len(moved) == len(live) else xn[moved]
-            vn, grad = fun(trial)
-            accepted = []
-            for r, (j, value) in enumerate(zip(moved, vn.tolist())):
-                if not value > v[j] + 1e-15:
-                    step[j] *= STEP_SHRINK
-                    if step[j] < MIN_STEP:
-                        done[j] = True
+        scored = moved + list(range(n, len(xn))) if new else moved
+        trial = xn if len(scored) == len(xn) else xn[scored]
+        # no call when every trial stalled in place and no start waits
+        vn, grad = fun(trial) if scored else (np.empty(0), None)
+        vn = vn.tolist()
+        accepted = []
+        for r, (j, value) in enumerate(zip(moved, vn)):
+            if not value > v[j] + 1e-15:
+                step[j] *= STEP_SHRINK
+                if step[j] < MIN_STEP:
+                    done[j] = True
+                continue
+            accepted.append(r)
+            gain, v[j] = value - v[j], value
+            step[j] = min(step[j] * STEP_GROW, STEP_MAX)
+            if gain < IMPROVE_TOL:
+                stall[j] += 1
+                if stall[j] >= PATIENCE:
+                    done[j] = True
                     continue
-                accepted.append(r)
-                gain, v[j] = value - v[j], value
-                step[j] = min(step[j] * STEP_GROW, STEP_MAX)
-                if gain < IMPROVE_TOL:
-                    stall[j] += 1
-                    if stall[j] >= PATIENCE:
-                        done[j] = True
-                        continue
-                else:
-                    stall[j] = 0
-                if it[j] == cfg.max_iters:
-                    done[j] = False
-                else:
-                    it[j] += 1
-            if len(accepted) == len(live):
-                x, g = trial, grad(accepted)
-            elif accepted:
-                rows = [moved[r] for r in accepted]
-                x[rows] = trial[accepted]
-                g[rows] = grad(accepted)
+            else:
+                stall[j] = 0
+            if it[j] == cfg.max_iters:
+                done[j] = False
+            else:
+                it[j] += 1
+        # a new start's value opens its restart, unless it is not finite
+        opened = []
+        for r in range(len(moved), len(scored)):
+            if math.isfinite(vn[r]):
+                opened.append(r)
+                live.append(len(results))
+                v.append(vn[r])
+                step.append(STEP_INIT)
+                stall.append(0)
+                it.append(1)
+                results.append(None)
+            else:
+                logging.getLogger(__name__).warning("restart aborted: non-finite objective")
+                results.append((-math.inf, trial[r].copy(), 0, False))
+        rows = accepted + opened
+        # every trial moved and was accepted, and every new start opened
+        if len(rows) == len(xn):
+            x, g = trial, grad(rows)
+        elif rows:
+            grads = grad(rows)
+            at = [moved[r] for r in accepted]
+            x[at] = trial[accepted]
+            g[at] = grads[: len(accepted)]
+            if opened:
+                x = np.concatenate([x, trial[opened]])
+                g = np.concatenate([g, grads[len(accepted) :]])
         if done:
             for j, converged in done.items():
                 results[live[j]] = (v[j], x[j].copy(), it[j], converged)
             keep = [j for j in range(len(live)) if j not in done]
             x, g = x[keep], g[keep]
             live, v, step, stall, it = ([a[j] for j in keep] for a in (live, v, step, stall, it))
-    return results
 
 
 def ascend(
@@ -362,9 +375,9 @@ def ascend(
     cfg: SearchConfig,
 ) -> tuple[float, np.ndarray, int, bool]:
     """Single projected-gradient ascent run from one start: the lockstep
-    engine with one row. Returns (best_value, best_point, iterations,
+    engine with one start. Returns (best_value, best_point, iterations,
     converged)."""
-    return _lockstep(fun, np.asarray(x0, dtype=float).reshape(1, -1), block_sizes, cfg)[0]
+    return _lockstep(fun, [np.asarray(x0, dtype=float).ravel()], block_sizes, cfg, 1)[0]
 
 
 def _start_points(
@@ -404,14 +417,12 @@ def maximize(
     from kind i%4: Dirichlet(1), Dirichlet(1), Dirichlet(0.1), or the
     caller's next unused seed, in order; a seed slot with none left draws
     Dirichlet(1). Each distinct seed (byte for byte) starts exactly one
-    restart, appended when restarts < 4*len. Consecutive restarts step in
-    lockstep, in groups of at most ``LOCKSTEP_FLOATS`` floats of points.
+    restart, appended when restarts < 4*len. The restarts step in lockstep,
+    at most ``LOCKSTEP_FLOATS`` floats of points live at a time, and a
+    restart that ends frees its slot for the next start.
     """
-    starts = _start_points(block_sizes, cfg, seeds)
-    group = max(1, LOCKSTEP_FLOATS // sum(block_sizes))
-    results = []
-    while batch := list(itertools.islice(starts, group)):
-        results += _lockstep(fun, np.array(batch), block_sizes, cfg)
+    width = max(1, LOCKSTEP_FLOATS // sum(block_sizes))
+    results = _lockstep(fun, _start_points(block_sizes, cfg, seeds), block_sizes, cfg, width)
 
     best_i = 0
     for i in range(1, len(results)):

@@ -205,10 +205,12 @@ def component_seed_joints(
     """Both branch constructions embedded into a search profile."""
     out = []
     for branch in ("steep", "flat"):
-        aux = component_branch_aux(det, branch, px)
+        # the branch law at input law px: each mass 1/4 at uniform input
+        # times 4 px[x], exactly
+        aux = component_branch_aux(det, branch)
         nu, nv, nw, _ = aux.shape
         if nu <= prof.nu and nv <= prof.nv and nw <= prof.nw:
-            out.append(fit_joint(aux.joint, prof.shape(aux.shape[3])))
+            out.append(fit_joint(aux.joint * (4.0 * px), prof.shape(aux.shape[3])))
     return out
 
 
@@ -263,7 +265,7 @@ def uniform_input_check(
         fobj = FixedInputObjective(table, px, lambda_weights(lam)[None])
         starts = [fobj.to_flat(t) for t in component_seed_joints(det, prof, px)]
         starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
-        return max(v for v, _, _, _ in _lockstep(fobj, np.array(starts), fobj.block_sizes, cfg))
+        return max(v for v, _, _, _ in _lockstep(fobj, starts, fobj.block_sizes, cfg, len(starts)))
 
     uniform_values = {lam: value_at(lam, uniform) for lam in lambdas}
     max_excess = -np.inf

@@ -122,8 +122,10 @@ def test_marton_report_and_curve_csv(small_file, tmp_path, capsys):
     assert rep["results"]["sum_rate_bits"] >= 0
     assert len(rep["results"]["curve"]) == 3
     assert rep["results"]["curve_checks"] == {"hyperplane_violations": []}
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "lambda,value_bits,subgradient,converged"
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "lambda,value_bits,subgradient,converged"
+    # one line per curve sample, its converged flag as 0 or 1
+    assert len(lines) == 4 and all(line.rsplit(",", 1)[1] in "01" for line in lines[1:])
 
 
 def test_marton_curve_samples_lie_on_or_above_every_line(tmp_path, capsys):

@@ -23,7 +23,6 @@ from bcbounds.marton import (
     outer_auxiliary,
     structured_seed_joints,
 )
-from bcbounds.cli import _curve_csv
 from bcbounds.search import KELLEY_TOL, SearchConfig
 from info_oracle import mutual_information
 from oracles import endpoint_sr
@@ -173,11 +172,6 @@ def test_curve_checks_clean_on_small_channel():
     curve = build_lambda_curve(c, [0.0, 0.25, 0.5, 0.75, 1.0], CFG)
     assert all(shortfall <= 1e-4 for _, _, shortfall in curve.hyperplane_violations)
     assert len(curve.samples) == 5
-    # csv shape
-    text = _curve_csv(curve)
-    lines = text.strip().split("\n")
-    assert lines[0] == "lambda,value_bits,subgradient,converged"
-    assert len(lines) == 6
 
 
 def _curve(values, slopes):

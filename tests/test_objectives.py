@@ -554,9 +554,10 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
 
 
 def test_table_keeps_one_fill_plan_as_a_group_shrinks():
-    # a search's group shrinks through every batch size as its restarts
-    # finish: the table keeps one fill plan, with its buffers, not one per
-    # size, and a size evaluated again is compiled again with the same bits
+    # a search's batch shrinks through every smaller size as its last
+    # restarts finish, once its stream of starts has run out: the table
+    # keeps one fill plan, with its buffers, not one per size, and a size
+    # evaluated again is compiled again with the same bits
     rng = np.random.default_rng(23)
     q = _random_channel(rng, 3, 2, 2)
     fn = _uv_table(Channel(q), 4, 4)

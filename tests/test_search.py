@@ -19,7 +19,7 @@ from bcbounds.search import (
     simplex_grid,
     simplex_grid_size,
 )
-from oracles import project_blocks_per_block
+from oracles import maximize_sequential, pointwise, project_blocks_per_block, run_restart
 
 
 def _projection_oracle(v, tol=1e-12):
@@ -468,3 +468,77 @@ def test_value_first_search_matches_eager_gradients(monkeypatch):
             assert np.array_equal(lazy.point, eager.point)
             assert lazy.restart_values == eager.restart_values
             assert lazy.restart_index == eager.restart_index
+
+
+def test_lockstep_refills_a_slot_as_its_restart_ends(monkeypatch):
+    # room for 4 points and 12 starts: a restart that ends hands its slot to
+    # the next start, so while a start still waits every objective call
+    # scores 4 points. max_iters ends every restart unconverged, so no trial
+    # stalls in place (that trial would not be scored, and its restart would
+    # end converged).
+    drawn, sizes = [], []
+    start_points = search._start_points
+
+    def counted_starts(*args):
+        for x0 in start_points(*args):
+            drawn.append(x0)
+            yield x0
+
+    def fun(points):
+        if len(drawn) < 12:
+            sizes.append(len(points))
+        return _batched(_bumpy)(points)
+
+    monkeypatch.setattr(search, "_start_points", counted_starts)
+    monkeypatch.setattr(search, "LOCKSTEP_FLOATS", 4 * 3)
+    cfg = SearchConfig(restarts=12, max_iters=3, seed=0)
+    res = maximize(fun, [3], cfg)
+    assert not res.converged
+    assert len(sizes) > 3 and set(sizes) == {4}
+    assert res.restart_values == maximize_sequential(_batched(_bumpy), [3], cfg).restart_values
+
+
+def test_lockstep_aborts_a_late_nonfinite_start(caplog):
+    # start 3 scores nan; with two slots it enters after the first round
+    # (whose two points are starts 0 and 1), is aborted at its projected
+    # start and logged once, and every restart ends as it does on its own
+    rng = np.random.default_rng(6)
+    starts = [rng.dirichlet(np.ones(3)) for _ in range(6)]
+    bad = project_blocks(starts[3], [3])
+    # every point scored, and the place of the one that scores nan
+    calls, entered = [], []
+
+    def fun(x):
+        calls.append(None)
+        if x.tobytes() == bad.tobytes():
+            entered.append(len(calls))
+            return math.nan, lambda: np.zeros(3)
+        return _bumpy(x)
+
+    cfg = SearchConfig(max_iters=40)
+    with caplog.at_level(logging.WARNING, logger="bcbounds.search"):
+        got = search._lockstep(_batched(fun), starts, [3], cfg, 2)
+    records = [rec for rec in caplog.records if rec.name == "bcbounds.search"]
+    assert [rec.message for rec in records] == ["restart aborted: non-finite objective"]
+    assert len(entered) == 1 and entered[0] > 2
+    assert got[3][1].tobytes() == bad.tobytes() and got[3][2:] == (0, False)
+    f = pointwise(_batched(fun))
+    for (v, x, iters, converged), x0 in zip(got, starts):
+        rv, rx, riters, rconverged = run_restart(f, x0, [3], cfg)
+        assert (v, x.tobytes(), iters, converged) == (rv, rx.tobytes(), riters, rconverged)
+
+
+def test_lockstep_makes_no_call_with_nothing_to_score():
+    # every restart of a linear objective ends at the best vertex, where its
+    # trial stalls in place; a round with no trial or start to score makes
+    # no objective call
+    c = np.array([1.0, 2.0, 3.0])
+    sizes = []
+
+    def fun(x):
+        sizes.append(len(x))
+        return x @ c, lambda rows: np.tile(c, (len(rows), 1))
+
+    res = maximize(fun, [3], SearchConfig(restarts=5, max_iters=50))
+    assert res.restart_values == [3.0] * 5 and res.converged
+    assert sizes and min(sizes) > 0
