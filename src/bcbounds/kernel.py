@@ -40,20 +40,20 @@ def segment_entropies(
     of every row of a 2-D nonnegative array, by one mask and one log2 over
     the whole array and one pairwise sum per segment for all rows at once.
 
-    Returns (entropies, one row per row of ``rows``; the flat mask of the
-    positive entries; log2 of the positive entries, in C order), so a
-    caller can reuse the logs.
+    Returns (entropies, one row per row of ``rows``; the mask of the
+    positive entries; log2 of each positive entry in its place, +0.0 at
+    the others), both shaped as ``rows``, so a caller can reuse the logs
+    of any segment.
     """
     mask = rows > 0.0
-    logs = np.log2(rows[mask])
-    # p*log2(p) in place: a zero entry's term is 0 * +0.0 = +0.0
-    terms = np.zeros(rows.shape)
-    terms[mask] = logs
-    terms *= rows
+    logs = np.zeros(rows.shape)
+    logs[mask] = np.log2(rows[mask])
+    # p*log2(p): a zero entry's term is +0.0 * 0.0 = +0.0
+    terms = logs * rows
     sums = np.empty((len(rows), len(offsets) - 1))
     for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
         np.add.reduce(terms[:, a:b], axis=1, out=sums[:, s])
     # -sum, except that a segment with no positive entry keeps +0.0
     h = np.zeros_like(sums)
     np.negative(sums, out=h, where=np.logical_or.reduceat(mask, offsets[:-1], axis=1))
-    return h, mask.ravel(), logs
+    return h, mask, logs

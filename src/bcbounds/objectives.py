@@ -40,18 +40,31 @@ clipped only inside the gradient (values keep the exact zero-skip
 convention of the kernel), so at a zero-mass cell of (K, X) the gradient
 of H(K, X, S) is the clipped derivative plus h_S(x).
 
+The keep-marginals of t (t summed over the axes a marginal drops) form a
+lattice, compiled with the table and ordered largest first: each keep is
+reduced from the smallest keep before it whose axes hold its own, and
+only a keep with no such superset (a root) reads t. On a ``product_outer``
+component table (keeps w, x, wx, uw, uwx, vw, vwx) the roots are uwx and
+vwx, wx, uw and vw come from a root, and w and x from wx. The adjoint
+runs back down the same lattice, smallest first: each keep's gradient is
+broadcast into its parent's, and only the roots' into the gradient of t.
+This sums in another order than one reduction of t per keep, within the
+same recursive-summation bound (N. J. Higham, "The accuracy of floating
+point summation", SIAM J. Sci. Comput. 1993).
+
 Every evaluation takes a batch of tensors with a leading axis, and every
 result keeps that axis; ``value(t)`` is the helper for exact evaluation
 at one tensor, a batch of one. Each tensor of a batch is summed exactly
-as on its own, bit for bit: the reductions keep the batch axis slowest,
-and every product with a per-tensor operand is a stacked matmul whose
-slices are the products a single tensor makes (channel products, row
-values C @ H and L @ p_X, weighings, adjoint weights w^T C and w^T L),
-never one matmul over the whole batch, whose gemm sums in another order.
-Every entropy is a pairwise sum of its marginal's terms p log2 p along
-its own row of the buffer, one ``np.add.reduce`` per marginal for the
-whole batch (see ``kernel``), and the adjoint pass runs once for all the
-rows it is asked for.
+as on its own, bit for bit: every reduction, of t or of a keep buffer,
+keeps the batch axis slowest, and every product with a per-tensor
+operand is a stacked matmul whose slices are the products a single
+tensor makes (channel products, row values C @ H and L @ p_X,
+weighings, adjoint weights w^T C and w^T L), never one matmul over the
+whole batch, whose gemm sums in another order. Every entropy is a
+pairwise sum of its marginal's terms p log2 p along its own row of the
+buffer, one ``np.add.reduce`` per marginal for the whole batch (see
+``kernel``), and the adjoint pass runs once for all the rows it is asked
+for.
 
 An evaluation reads every tensor in C order (a batch of other tensors is
 copied once), so a tensor's value depends only on its entries. A table
@@ -164,23 +177,29 @@ class _Marginal:
 
 @dataclass(frozen=True)
 class _Keep:
-    """t summed over ``drop``, held as (rest, inputs) when it keeps the
-    channel input (ready for a matmul with q) and flat otherwise."""
+    """t summed over some of its axes, reduced from its parent in the
+    table's keep lattice (t itself for a root), held as (rest, inputs) when
+    it keeps the channel input (ready for a matmul with q) and flat
+    otherwise."""
 
-    drop: tuple[int, ...]  # axes of t summed out
+    parent: int | None  # the smallest keep reduced before it that holds its axes
+    axes: tuple[int, ...]  # axes of the parent (of t, for a root) summed out
+    kept: tuple[int, ...]  # its shape, one entry per axis of t it keeps
     work: tuple[int, ...]  # working shape of the keep-marginal
-    expand: tuple[int, ...]  # shape that broadcasts it back against t
+    expand: tuple[int, ...]  # shape that broadcasts it back against the parent
 
 
 @dataclass(frozen=True)
 class _Plan:
     """How an evaluation fills a table's work buffers from a batch of one
-    shape: reduce the batch into each keep buffer, run each copy ``(out,
-    source)``, then each channel product ``np.matmul(source, q, out=out)``;
-    every marginal's ``out`` is its column slice of ``rows``, which holds
-    the marginals of one t per row."""
+    shape: run each reduction ``(parent, axes, out)`` in lattice order,
+    ``np.add.reduce`` of the parent keep's buffer (of the batch, for a
+    root) over ``axes`` into the keep's buffer ``out``; then each copy
+    ``(out, source)``, then each channel product ``np.matmul(source, q,
+    out=out)``. Every marginal's ``out`` is its column slice of ``rows``,
+    which holds the marginals of one t per row."""
 
-    reductions: list[tuple[tuple[int, ...], np.ndarray]]
+    reductions: list[tuple[np.ndarray | None, tuple[int, ...], np.ndarray]]
     copies: list[tuple[np.ndarray, np.ndarray]]
     products: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     rows: np.ndarray  # one buffer, one row per t: its marginals in turn
@@ -201,8 +220,8 @@ class Evaluation:
         if not batch[:1].flags.c_contiguous:
             batch = np.ascontiguousarray(batch)
         plan = fn._plan(batch.shape)
-        for drop, out in plan.reductions:
-            np.add.reduce(batch, axis=drop, out=out)
+        for src, axes, out in plan.reductions:
+            np.add.reduce(batch if src is None else src, axis=axes, out=out)
         for out, m in plan.copies:
             np.copyto(out, m)
         for m, q, out in plan.products:
@@ -219,22 +238,27 @@ class Evaluation:
     def grad(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
         """Gradients at the tensors ``rows`` of the batch (any order, repeats
         allowed), each under its row of ``weights``, in one adjoint pass:
-        the per-marginal weights of every row in one stacked product, the
-        entropy derivatives of every row in one buffer, and one channel
-        contraction per marginal over all rows. Each gradient is
-        bit-identical to the one its tensor gets alone."""
+        the per-marginal weights of every row in one stacked product; the
+        entropy derivatives in one buffer, at the rows asked for and from
+        the first marginal with weight in some row to the last; one channel
+        contraction per marginal with weight over all rows; then back down
+        the keep lattice, each keep's gradient into its parent's and the
+        roots' into the gradient of t. Each gradient is bit-identical to
+        the one its tensor gets alone."""
         fn = self._fn
-        n, size = len(rows), fn._offsets[-1]
+        n = len(rows)
         per_marginal = np.matmul(weights[:, None, :], fn.coeffs)[:, 0]
         # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e,
-        # for the whole batch by one boolean assignment, then the rows asked
-        # for; a group of the search holds at most LOCKSTEP_FLOATS floats of
-        # points, which bounds the work on rows not asked for
-        dh = np.full(self._positive.shape, LOG2_CLIP)
-        dh[self._positive] = np.maximum(self._logs, LOG2_CLIP)
+        # times minus each row's weights, at the rows asked for, from the
+        # first marginal with weight in some row to the last
+        used = per_marginal.any(axis=0).nonzero()[0].tolist()
+        first, last = (used[0], used[-1] + 1) if used else (0, 0)
+        lo, hi = int(fn._offsets[first]), int(fn._offsets[last])
+        rows = np.asarray(rows)
+        dh = np.maximum(self._logs[rows, lo:hi], LOG2_CLIP)
+        dh[~self._positive[rows, lo:hi]] = LOG2_CLIP
         dh += LOG2E
-        dh = dh.reshape(-1, size)[rows]
-        dh *= np.repeat(-per_marginal, fn._sizes, axis=1)
+        dh *= np.repeat(-per_marginal[:, first:last], fn._sizes[first:last], axis=1)
         # A marginal is skipped only when it has zero weight in every row. In
         # a row where its weight is zero, it adds dh * -0.0 (dh is finite):
         # exact zeros of either sign, whose contraction is again such zeros.
@@ -242,9 +266,9 @@ class Evaluation:
         # gradient starts at +0.0, any zero added to it leaves +0.0. So
         # every sum, and every final zero, has the bits it has alone.
         acc: list[np.ndarray | None] = [None] * len(fn._keeps)
-        for s in per_marginal.any(axis=0).nonzero()[0]:
+        for s in used:
             mg, (a, b) = fn._marginals[s], fn._bounds[s]
-            d = dh[:, a:b].reshape((n,) + fn._shapes[s])
+            d = dh[:, a - lo : b - lo].reshape((n,) + fn._shapes[s])
             if mg.q is not None:
                 d = d @ mg.q.T
             acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
@@ -252,10 +276,20 @@ class Evaluation:
             # L @ p_X has the gradient w.L along the input axis of every t
             d, k = np.matmul(weights[:, None, :], fn.linear), fn._px_keep
             acc[k] = d if acc[k] is None else acc[k] + d
+        # back down the lattice, smallest first: each keep's gradient goes
+        # into its parent's, and only the roots' into the gradient of t
         grads = np.zeros((n,) + fn.shape)
-        for keep, g in zip(fn._keeps, acc):
-            if g is not None:
-                grads += g.reshape((n,) + keep.expand)
+        for k in reversed(range(len(acc))):
+            if acc[k] is None:
+                continue
+            keep = fn._keeps[k]
+            p, g = keep.parent, acc[k].reshape((n,) + keep.expand)
+            if p is None:
+                grads += g
+            elif acc[p] is None:
+                acc[p] = np.broadcast_to(g, (n,) + fn._keeps[p].kept)
+            else:
+                acc[p] = acc[p].reshape((n,) + fn._keeps[p].kept) + g
         return grads
 
 
@@ -335,31 +369,45 @@ class InfoFunctional:
             for coeff, subset in row:
                 self.coeffs[r, self.subsets.index(subset)] = coeff
 
-        keep_index: dict[str, int] = {}
-        self._keeps: list[_Keep] = []
-
-        def keep_of(keep: str) -> int:
-            if keep not in keep_index:
-                keep_index[keep] = len(self._keeps)
-                drop = tuple(i for i, a in enumerate(dist_axes) if a not in keep)
-                expand = tuple(1 if i in drop else n for i, n in enumerate(self.shape))
-                size, nx = math.prod(expand), self.shape[-1]
-                with_input = channel is not None and in_axis in keep
-                work = (size // nx, nx) if with_input else (size,)
-                self._keeps.append(_Keep(drop, work, expand))
-            return keep_index[keep]
-
-        self._marginals: list[_Marginal] = []
-        self._shapes: list[tuple[int, ...]] = []
+        # the axes of t each marginal keeps, and the input law p_X, a
+        # keep-marginal of its own unless one keeps X alone
+        sources = []
         for subset in self.subsets:
             sout = "".join(a for a in out_axes if a in subset)
             keep = "".join(a for a in dist_axes if a in subset or (sout and a == in_axis))
-            mg = _Marginal(keep_of(keep), out_marginal(sout) if sout else None)
+            sources.append((keep, out_marginal(sout) if sout else None))
+        names = [k for k, _ in sources] + ([in_axis] if self.linear is not None else [])
+        names = list(dict.fromkeys(names))
+        dims = dict(zip(dist_axes, self.shape))
+
+        def size(keep: str) -> int:
+            return math.prod(dims[a] for a in keep)
+
+        # the keep lattice, largest first (a superset of equal size first):
+        # each keep is reduced from the smallest keep before it that holds
+        # its axes, and from t only when none does
+        names.sort(key=lambda k: (-size(k), -len(k)))
+        nx = self.shape[-1]
+        self._keeps: list[_Keep] = []
+        for i, keep in enumerate(names):
+            supersets = [j for j in range(i) if set(keep) <= set(names[j])]
+            parent = min(supersets, key=lambda j: size(names[j]), default=None)
+            src = dist_axes if parent is None else names[parent]
+            axes = tuple(p for p, a in enumerate(src) if a not in keep)
+            kept = tuple(dims[a] for a in keep)
+            expand = tuple(dims[a] if a in keep else 1 for a in src)
+            with_input = channel is not None and in_axis in keep
+            work = (size(keep) // nx, nx) if with_input else (size(keep),)
+            self._keeps.append(_Keep(parent, axes, kept, work, expand))
+
+        self._marginals: list[_Marginal] = []
+        self._shapes: list[tuple[int, ...]] = []
+        for keep, q in sources:
+            mg = _Marginal(names.index(keep), q)
             self._marginals.append(mg)
             work = self._keeps[mg.keep].work
             self._shapes.append(work if mg.q is None else (work[0], mg.q.shape[1]))
-        # the input law p_X, a keep-marginal of its own unless one keeps X alone
-        self._px_keep = keep_of(in_axis) if self.linear is not None else None
+        self._px_keep = names.index(in_axis) if self.linear is not None else None
         # flat layout of the marginals in one evaluation buffer
         self._offsets = np.cumsum([0] + [math.prod(sh) for sh in self._shapes])
         self._sizes = np.diff(self._offsets)
@@ -383,13 +431,15 @@ class InfoFunctional:
             raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {shape}")
         n, size = shape[0], self._offsets[-1]
         rows = np.empty((n, size))
-        reductions, work = [], []
+        reductions, work, views = [], [], []
         for keep in self._keeps:
             m = np.empty((n,) + keep.work)
-            kept = tuple(d for a, d in enumerate(self.shape) if a not in keep.drop)
+            view = m.reshape((n,) + keep.kept)
             # the same axes of every tensor, behind the batch axis
-            reductions.append((tuple(a + 1 for a in keep.drop), m.reshape((n,) + kept)))
+            src = None if keep.parent is None else views[keep.parent]
+            reductions.append((src, tuple(a + 1 for a in keep.axes), view))
             work.append(m)
+            views.append(view)
         copies, products = [], []
         for mg, (a, b), sh in zip(self._marginals, self._bounds, self._shapes):
             m, view = work[mg.keep], rows[:, a:b].reshape((n,) + sh)

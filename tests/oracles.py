@@ -15,10 +15,13 @@ Each one recomputes a quantity of the package by an independent route:
 - ``run_restart`` and ``maximize_sequential``: the projected ascent one
   restart at a time, the reference that the lockstep engine behind
   ``search.maximize`` and ``search.ascend`` reproduces bit for bit;
+- ``keep_marginals_per_tensor`` and ``lattice_grad_per_tensor``: one
+  tensor's keep-marginals down a table's keep lattice, and its gradient
+  back down it, in the lattice's order of sums;
 - ``row_values_per_tensor``, ``weigh_per_tensor`` and
   ``grad_per_tensor``: an evaluation's row values (with the linear term
-  of the channel's chain rule), weighing and adjoint pass one tensor at
-  a time, the reference that the batched
+  of the channel's chain rule, on the lattice's input law), weighing and
+  adjoint pass one tensor at a time, the reference that the batched
   ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
   reproduce bit for bit;
 - ``dual_support_per_point``: a region's support for one point's
@@ -408,15 +411,48 @@ def maximize_sequential(fun, block_sizes, cfg, seeds=()):
 # ------------------------------------- the per-tensor evaluation reference
 
 
+def keep_marginals_per_tensor(fn, t):
+    """The keep-marginals of one tensor t down the table's keep lattice,
+    largest first: each summed from its parent's array (from t for a
+    root), each in its own shape."""
+    kept = []
+    for keep in fn._keeps:
+        src = t if keep.parent is None else kept[keep.parent]
+        kept.append(np.add.reduce(src, axis=keep.axes))
+    return kept
+
+
+def lattice_grad_per_tensor(fn, acc):
+    """One tensor's gradient from the gradient ``acc[k]`` of each keep, in
+    its own shape (None for none), run back down the lattice smallest
+    first: each keep's into its parent's, the roots' into a gradient that
+    starts at +0.0."""
+    acc = list(acc)
+    grad = np.zeros(fn.shape)
+    for k in reversed(range(len(acc))):
+        if acc[k] is None:
+            continue
+        keep = fn._keeps[k]
+        p, g = keep.parent, acc[k].reshape(keep.expand)
+        if p is None:
+            grad += g
+        elif acc[p] is None:
+            acc[p] = np.broadcast_to(g, fn._keeps[p].kept)
+        else:
+            acc[p] = acc[p] + g
+    return grad
+
+
 def row_values_per_tensor(fn, batch, entropies):
     """Row values C @ H + L @ p_X of each tensor of a batch, from its entropy
-    vector and its input law: one matrix-vector product per tensor and
-    term, as for a single one."""
+    vector and its input law, the lattice's keep-marginal of the input
+    axis: one matrix-vector product per tensor and term, as for a single
+    one."""
     values = np.empty((len(entropies), len(fn.coeffs)))
     for t, row, out in zip(batch, entropies, values):
         np.matmul(fn.coeffs, row, out=out)
         if fn.linear is not None:
-            out += fn.linear @ np.add.reduce(t, axis=tuple(range(t.ndim - 1)))
+            out += fn.linear @ keep_marginals_per_tensor(fn, t)[fn._px_keep]
     return values
 
 
@@ -437,33 +473,29 @@ def grad_per_tensor(ev, rows, weights):
     its row of ``weights``, one tensor at a time by the arithmetic of a
     single one."""
     fn = ev._fn
-    size = fn._offsets[-1]
-    # where each tensor's logs start among the forward pass's logs
-    cuts = np.concatenate([[0], np.cumsum(ev._positive.reshape(-1, size).sum(axis=1))])
     grads = np.zeros((len(rows),) + fn.shape)
     for grad, r, w in zip(grads, rows, weights):
         per_marginal = w @ fn.coeffs
-        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e
-        positive = ev._positive[r * size : (r + 1) * size]
-        logs = ev._logs[cuts[r] : cuts[r + 1]]
+        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e,
+        # over the tensor's whole buffer
+        positive = ev._positive[r]
         dh = np.full(positive.size, LOG2_CLIP)
-        dh[positive] = np.maximum(logs, LOG2_CLIP)
+        dh[positive] = np.maximum(ev._logs[r][positive], LOG2_CLIP)
         dh += LOG2E
         acc = [None] * len(fn._keeps)
         for s in per_marginal.nonzero()[0]:
-            mg, (a, b) = fn._marginals[s], fn._bounds[s]
+            mg, a, b = fn._marginals[s], fn._offsets[s], fn._offsets[s + 1]
             d = dh[a:b].reshape(fn._shapes[s]) * -per_marginal[s]
             if mg.q is not None:
                 d = d @ mg.q.T
+            d = d.reshape(fn._keeps[mg.keep].kept)
             acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
         if fn.linear is not None:
             # the linear term's gradient w.L, the same along every other axis
             k = fn._px_keep
-            d = (w @ fn.linear)[None]
+            d = w @ fn.linear
             acc[k] = d if acc[k] is None else acc[k] + d
-        for keep, g in zip(fn._keeps, acc):
-            if g is not None:
-                grad += g.reshape(keep.expand)
+        grad[...] = lattice_grad_per_tensor(fn, acc)
     return grads
 
 

@@ -36,8 +36,9 @@ def test_batched_entropies_match_entropy_of_array_bit_for_bit():
     rows[rng.random(rows.shape) < [[0.0], [0.2], [0.5], [0.9]]] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
     h, positive, logs = segment_entropies(rows, offsets)
-    assert np.array_equal(positive, rows.ravel() > 0)
-    assert logs.tobytes() == np.log2(rows[rows > 0]).tobytes()
+    assert np.array_equal(positive, rows > 0)
+    assert logs[positive].tobytes() == np.log2(rows[rows > 0]).tobytes()
+    assert logs[~positive].tobytes() == np.zeros((~positive).sum()).tobytes()
     for r, row in enumerate(rows):
         for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
             assert np.float64(entropy_of_array(row[a:b])).tobytes() == h[r, s].tobytes()

@@ -20,7 +20,14 @@ from bcbounds.objectives import (
 )
 from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
 from info_oracle import mutual_information
-from oracles import grad_per_tensor, pointwise, row_values_per_tensor, weigh_per_tensor
+from oracles import (
+    grad_per_tensor,
+    keep_marginals_per_tensor,
+    lattice_grad_per_tensor,
+    pointwise,
+    row_values_per_tensor,
+    weigh_per_tensor,
+)
 
 
 def _random_channel(rng, nx, ny, nz):
@@ -273,17 +280,10 @@ def test_min_of_identity_rows_and_weighted_row():
     assert np.allclose(grad(), g_ref, atol=1e-12)
 
 
-def _unfused(fn, t, weights):
-    # the entropy vector, row values and gradient the unfused way: each
-    # marginal its own array, entropy_of_array on each, a fresh
-    # log2(max(m, GRAD_CLIP)), and the linear term on the input law
-    kept = [np.add.reduce(t, axis=k.drop).reshape(k.work) for k in fn._keeps]
-    ms = []
-    for mg in fn._marginals:
-        m = kept[mg.keep]
-        ms.append(m if mg.q is None else m @ mg.q)
-    h = np.array([entropy_of_array(m) for m in ms])
-    values = fn.coeffs @ h
+def _keep_grads(fn, ms, weights):
+    # each keep's own gradient, in its own shape: the derivatives of its
+    # marginals ``ms`` under ``weights`` from a fresh log2(max(m, GRAD_CLIP)),
+    # in marginal order, plus the linear term's on the input law
     per_marginal = weights @ fn.coeffs
     acc = [None] * len(fn._keeps)
     for s in np.flatnonzero(per_marginal):
@@ -291,17 +291,40 @@ def _unfused(fn, t, weights):
         d = (np.log2(np.maximum(ms[s], GRAD_CLIP)) + LOG2E) * -per_marginal[s]
         if mg.q is not None:
             d = d @ mg.q.T
+        d = d.reshape(fn._keeps[mg.keep].kept)
         acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
     if fn.linear is not None:
         k = fn._px_keep
-        values += fn.linear @ kept[k][0]
-        d = (weights @ fn.linear)[None]
+        d = weights @ fn.linear
         acc[k] = d if acc[k] is None else acc[k] + d
-    grad = np.zeros(fn.shape)
-    for keep, g in zip(fn._keeps, acc):
-        if g is not None:
-            grad += g.reshape(keep.expand)
+    return acc
+
+
+def _unfused(fn, t, weights):
+    # the entropy vector, row values and gradient the unfused way: the
+    # keep-marginals one tensor at a time down the table's lattice, each
+    # marginal its own array, entropy_of_array on each, the linear term on
+    # the input law, and the keeps' gradients back down the lattice
+    kept = keep_marginals_per_tensor(fn, t)
+    ms = []
+    for mg in fn._marginals:
+        m = kept[mg.keep].reshape(fn._keeps[mg.keep].work)
+        ms.append(m if mg.q is None else m @ mg.q)
+    h = np.array([entropy_of_array(m) for m in ms])
+    values = fn.coeffs @ h
+    if fn.linear is not None:
+        values += fn.linear @ kept[fn._px_keep]
+    grad = lattice_grad_per_tensor(fn, _keep_grads(fn, ms, weights))
     return h, values, grad, np.concatenate([m.ravel() for m in ms])
+
+
+def _kept_axes(fn):
+    # the axes of t each keep-marginal keeps, walked down its lattice path
+    kept = []
+    for keep in fn._keeps:
+        src = list(range(len(fn.shape))) if keep.parent is None else kept[keep.parent]
+        kept.append([a for p, a in enumerate(src) if p not in keep.axes])
+    return kept
 
 
 def _awkward_tensor(rng, shape):
@@ -327,8 +350,7 @@ def _input_major(t):
     return np.ascontiguousarray(np.moveaxis(t, -1, 0)).transpose(list(range(1, t.ndim)) + [0])
 
 
-def test_fused_entropy_vector_matches_kernel_bit_for_bit():
-    rng = np.random.default_rng(12)
+def _kernel_tables(rng):
     c = Channel(_random_channel(rng, 3, 2, 3))
     pc = ProductChannel(c, Channel(_random_channel(rng, 2, 3, 2)))
     prof1, prof2 = default_region_profiles(pc, "product_outer")
@@ -343,6 +365,12 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
     # of its left operand
     wide = Channel(_random_channel(rng, 16, 3, 4))
     tables += [marton_table(wide, Cardinalities(4, 4, 2)), _uv_table(wide, 5, 5)]
+    return tables
+
+
+def test_fused_entropy_vector_matches_kernel_bit_for_bit():
+    rng = np.random.default_rng(12)
+    tables = _kernel_tables(rng)
     # every layout is read as its C copy: the unfused reference runs on that
     for fn in tables:
         for layout in (_c_order, _input_major, np.asfortranarray):
@@ -365,6 +393,87 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
                 assert ev.entropies.tobytes() == ref.entropies.tobytes()
                 assert ev.values.tobytes() == ref.values.tobytes()
                 assert g.tobytes() == ref.grad([0], weights[None])[0].tobytes()
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u), u the unit roundoff of a double
+    u = 2.0**-53
+    return k * u / (1 - k * u)
+
+
+def test_lattice_sums_stay_within_the_recursive_summation_bound():
+    # the lattice sums in another order than numpy's direct reduction and
+    # the keep-order broadcast sum; any order of k terms lies within
+    # gamma_{k-1} sum|x| of the exact sum (Higham 1993), so two orders lie
+    # within 2 gamma_k sum|x| of each other, and t >= 0 makes sum|x| the
+    # marginal itself
+    rng = np.random.default_rng(25)
+    for fn in _kernel_tables(rng):
+        t = _awkward_tensor(rng, fn.shape)
+        weights = rng.normal(size=fn.coeffs.shape[0])
+        ev = fn.evaluate(t[None])
+        # the keep buffers the evaluation filled, in lattice order
+        lattice = [out[0] for _, _, out in fn._plan((1,) + fn.shape).reductions]
+        moved = 0
+        for keep_axes, m in zip(_kept_axes(fn), lattice):
+            drop = tuple(a for a in range(t.ndim) if a not in keep_axes)
+            direct = np.add.reduce(t, axis=drop)
+            terms = t.size // direct.size
+            assert (np.abs(m - direct) <= 2 * _gamma(terms) * direct).all()
+            moved += m.tobytes() != direct.tobytes()
+        # the gradient: each keep's own term, summed in keep order into a
+        # gradient that starts at +0.0, against the lattice's order
+        ms = []
+        for mg in fn._marginals:
+            m = lattice[mg.keep].reshape(fn._keeps[mg.keep].work)
+            ms.append(m if mg.q is None else m @ mg.q)
+        own = _keep_grads(fn, ms, weights)
+        keep_order, scale = np.zeros(fn.shape), np.zeros(fn.shape)
+        for keep_axes, g in zip(_kept_axes(fn), own):
+            if g is not None:
+                shape = [n if a in keep_axes else 1 for a, n in enumerate(fn.shape)]
+                keep_order += g.reshape(shape)
+                scale += np.abs(g).reshape(shape)
+        g = ev.grad([0], weights[None])[0]
+        assert (np.abs(g - keep_order) <= 2 * _gamma(len(own)) * scale).all()
+    # the orders differ: the check above compares different sums
+    assert moved
+
+
+def test_keep_lattice_reduces_each_keep_from_its_smallest_superset():
+    # on the worked product's three table shapes every keep-marginal but the
+    # roots is reduced from the smallest keep before it that holds its axes,
+    # largest first; only the roots read the batch
+    pc = product_channel()
+    prof1, prof2 = default_region_profiles(pc, "product_outer")
+    component = _row_tables(
+        pc, _region_rows("product_outer"), prof1.shape(pc.c1.nx), prof2.shape(pc.c2.nx)
+    )[0]
+    cases = [
+        (component, (4, 4, 8, 4), 2),
+        (marton_table(pc.flat, REDUCED_PRODUCT_PROFILE), (8, 8, 4, 16), 3),
+        (_uv_table(pc.flat, 17, 17), (17, 17, 16), 2),
+    ]
+    for fn, shape, roots in cases:
+        assert fn.shape == shape
+        kept = [set(k) for k in _kept_axes(fn)]
+        # one keep per set of axes of t that a marginal or the input law
+        # needs; a marginal with outputs keeps the input x to contract it
+        needed = [s + "x" * bool(set(s) & set("yz")) for s in fn.subsets]
+        needed += ["x"] if fn.linear is not None else []
+        needed = {frozenset(a for a, x in enumerate(fn.dist_axes) if x in s) for s in needed}
+        assert sorted(map(sorted, kept)) == sorted(map(sorted, needed))
+        for keep, axes in zip(fn._keeps, kept):
+            assert keep.kept == tuple(shape[a] for a in sorted(axes))
+        sizes = [int(np.prod(keep.kept)) for keep in fn._keeps]
+        assert sizes == sorted(sizes, reverse=True)
+        for i, keep in enumerate(fn._keeps):
+            supersets = [j for j in range(i) if kept[i] <= kept[j]]
+            if keep.parent is None:
+                assert not supersets
+            else:
+                assert keep.parent == min(supersets, key=lambda j: sizes[j])
+        assert sum(keep.parent is None for keep in fn._keeps) == roots
 
 
 def test_a_tensor_has_one_value_whatever_its_memory_order():
