@@ -27,18 +27,19 @@ and a matrix L of the linear terms, one row per table row and one column
 per input symbol; a table with no such term has no L and no linear step.
 
 An evaluation is one fused pass: it writes every marginal into one
-buffer, takes one positive mask and one log2 over the whole buffer, and
-reads off the entropy vector H, each entry bit-identical to
-``entropy_of_array`` on its marginal. The row values are C @ H + L @ p_X,
-with p_X one of the keep-marginals of t (R. W. Yeung, "A framework for
-linear information inequalities", IEEE Trans. IT 1997). The gradient of
-the row values under caller-chosen row weights w is one adjoint pass,
-sum_s (w^T C)_s dH_s/dt plus w^T L along the input axis, skipping
-marginals of zero weight and reusing the forward pass's logs. Entropy
-derivatives use d/dm[-m log2 m] = -(log2 m + log2 e); zero marginals are
-clipped only inside the gradient (values keep the exact zero-skip
-convention of the kernel), so at a zero-mass cell of (K, X) the gradient
-of H(K, X, S) is the clipped derivative plus h_S(x).
+buffer, takes one masked log2 over the whole buffer in place, with
+``LOG2_CLIP`` at every zero entry, and reads off the entropy vector H,
+each entry bit-identical to ``entropy_of_array`` on its marginal (see
+``kernel``). The row values are C @ H + L @ p_X, with p_X one of the
+keep-marginals of t (R. W. Yeung, "A framework for linear information
+inequalities", IEEE Trans. IT 1997). The gradient of the row values
+under weight rows w is one adjoint pass, sum_s (w^T C)_s dH_s/dt plus
+w^T L along the input axis, skipping marginals of zero weight and
+reading the forward pass's clipped logs. Entropy derivatives use
+d/dm[-m log2 m] = -(log2 m + log2 e) with log2 m clipped below at
+``LOG2_CLIP`` (values keep the exact zero-skip convention of the
+kernel), so at a zero-mass cell of (K, X) the gradient of H(K, X, S) is
+the clipped derivative plus h_S(x).
 
 The keep-marginals of t (t summed over the axes a marginal drops) form a
 lattice, compiled with the table and ordered largest first: each keep is
@@ -59,8 +60,9 @@ as on its own, bit for bit: every reduction, of t or of a keep buffer,
 keeps the batch axis slowest, and every product with a per-tensor
 operand is a stacked matmul whose slices are the products a single
 tensor makes (channel products, row values C @ H and L @ p_X,
-weighings, adjoint weights w^T C and w^T L), never one matmul over the
-whole batch, whose gemm sums in another order. Every entropy is a
+weighings, and the compiled adjoint weights w^T C and w^T L, one slice
+per weight row), never one matmul over the whole batch, whose gemm sums
+in another order. Every entropy is a
 pairwise sum of its marginal's terms p log2 p along its own row of the
 buffer, one ``np.add.reduce`` per marginal for the whole batch (see
 ``kernel``), and the adjoint pass runs once for all the rows it is asked
@@ -95,6 +97,15 @@ minimum. So one table serves a whole family of objectives: the
 lambda-weighted sum rate is one three-row table under the weight row
 (lambda, 1-lambda, 1), and the UV sum rate is the minimum of the first
 three rows of the UV table under identity weight rows.
+
+An objective keeps its weight rows for its whole run, so it compiles
+them once against its table, as a ``Weighing``: each row's marginal
+weights w_k C, the marginals they weigh and the hull of those in the
+flat layout, the negated weights repeated over the layout, and w_k L.
+A gradient call takes the weighing and each tensor's row index; when
+all its tensors take one row it reads that row's compiled lines as they
+are, and when they mix rows it reads the union of their marginals over
+the union's hull, so no call multiplies, scans or repeats weights.
 """
 
 from __future__ import annotations
@@ -106,17 +117,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
-from .kernel import segment_entropies
+from .kernel import LOG2_CLIP, segment_entropies
 
 LOG2E = math.log2(math.e)
-GRAD_CLIP = 1e-300
-LOG2_CLIP = float(np.log2(GRAD_CLIP))
 # axes of every channel tensor: the input, then the two receivers
 CHANNEL_AXES = "xyz"
 
 __all__ = [
     "InfoFunctional",
     "Evaluation",
+    "Weighing",
     "mi_terms",
     "ent_terms",
     "merge_terms",
@@ -209,8 +219,8 @@ class _Plan:
 class Evaluation:
     """Entropy vectors and row values of a table at each tensor of a batch,
     one row of each per tensor, each tensor read in C order (a batch of
-    other tensors is copied once); ``grad`` runs the adjoint pass for any
-    row weights without recomputing the forward pass."""
+    other tensors is copied once); ``grad`` runs the adjoint pass under
+    any weighing of the table without recomputing the forward pass."""
 
     def __init__(self, fn: "InfoFunctional", batch: np.ndarray) -> None:
         self._fn = fn
@@ -228,37 +238,31 @@ class Evaluation:
             np.matmul(m, q, out=out)
         # the next evaluation overwrites the buffers: keep only what grad
         # reads, which segment_entropies returns as fresh arrays
-        self.entropies, self._positive, self._logs = segment_entropies(plan.rows, fn._offsets)
+        self.entropies, self._logs = segment_entropies(plan.rows, fn._offsets)
         # a stacked matrix-vector product: numpy makes the one BLAS call per
         # tensor that a single tensor makes (a gemm over the batch would not)
         self.values = np.matmul(fn.coeffs, self.entropies[..., None])[..., 0]
         if fn.linear is not None:
             self.values += np.matmul(fn.linear, plan.px[..., None])[..., 0]
 
-    def grad(self, rows: Sequence[int], weights: np.ndarray) -> np.ndarray:
+    def grad(self, rows: Sequence[int], weighing: "Weighing", ks: Sequence[int]) -> np.ndarray:
         """Gradients at the tensors ``rows`` of the batch (any order, repeats
-        allowed), each under its row of ``weights``, in one adjoint pass:
-        the per-marginal weights of every row in one stacked product; the
-        entropy derivatives in one buffer, at the rows asked for and from
-        the first marginal with weight in some row to the last; one channel
-        contraction per marginal with weight over all rows; then back down
-        the keep lattice, each keep's gradient into its parent's and the
-        roots' into the gradient of t. Each gradient is bit-identical to
-        the one its tensor gets alone."""
+        allowed), each under its weight row ``ks`` of ``weighing``, compiled
+        for this table, in one adjoint pass: the entropy derivatives in one
+        buffer, at the rows asked for and over the weighing's hull of the
+        marginals with weight; one channel contraction per marginal with
+        weight over all rows; then back down the keep lattice, each keep's
+        gradient into its parent's and the roots' into the gradient of t.
+        Each gradient is bit-identical to the one its tensor gets alone."""
         fn = self._fn
         n = len(rows)
-        per_marginal = np.matmul(weights[:, None, :], fn.coeffs)[:, 0]
-        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e,
-        # times minus each row's weights, at the rows asked for, from the
-        # first marginal with weight in some row to the last
-        used = per_marginal.any(axis=0).nonzero()[0].tolist()
-        first, last = (used[0], used[-1] + 1) if used else (0, 0)
-        lo, hi = int(fn._offsets[first]), int(fn._offsets[last])
-        rows = np.asarray(rows)
-        dh = np.maximum(self._logs[rows, lo:hi], LOG2_CLIP)
-        dh[~self._positive[rows, lo:hi]] = LOG2_CLIP
+        ks = np.asarray(ks).tolist()
+        used, lo, hi, neg = weighing.select(ks)
+        # log2(max(m, GRAD_CLIP)) from the forward pass's clipped logs, plus
+        # log2 e, times minus each row's weights, at the rows asked for
+        dh = np.maximum(self._logs[np.asarray(rows), lo:hi], LOG2_CLIP)
         dh += LOG2E
-        dh *= np.repeat(-per_marginal[:, first:last], fn._sizes[first:last], axis=1)
+        dh *= neg
         # A marginal is skipped only when it has zero weight in every row. In
         # a row where its weight is zero, it adds dh * -0.0 (dh is finite):
         # exact zeros of either sign, whose contraction is again such zeros.
@@ -274,7 +278,7 @@ class Evaluation:
             acc[mg.keep] = d if acc[mg.keep] is None else acc[mg.keep] + d
         if fn.linear is not None:
             # L @ p_X has the gradient w.L along the input axis of every t
-            d, k = np.matmul(weights[:, None, :], fn.linear), fn._px_keep
+            d, k = weighing.linear[ks], fn._px_keep
             acc[k] = d if acc[k] is None else acc[k] + d
         # back down the lattice, smallest first: each keep's gradient goes
         # into its parent's, and only the roots' into the gradient of t
@@ -291,6 +295,44 @@ class Evaluation:
             else:
                 acc[p] = acc[p].reshape((n,) + fn._keeps[p].kept) + g
         return grads
+
+
+class Weighing:
+    """Weight rows w_k compiled against one table, once per objective, so
+    that no gradient call recomputes them. For each row: its marginal
+    weights w_k C, all rows in one stacked product whose slices are the
+    products a single row makes; the marginals it weighs and their hull
+    [lo, hi) in the table's flat layout; minus its marginal weights,
+    repeated over every entry of the layout; and w_k L when the table has
+    a linear term."""
+
+    def __init__(self, fn: "InfoFunctional", weight_rows: Sequence | np.ndarray) -> None:
+        self.rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
+        self._offsets = fn._offsets
+        per_marginal = np.matmul(self.rows[:, None, :], fn.coeffs)[:, 0]
+        self.used = [np.flatnonzero(w).tolist() for w in per_marginal]
+        self.hulls = [self._hull(used) for used in self.used]
+        self.neg = np.repeat(-per_marginal, fn._sizes, axis=1)
+        self.linear = None if fn.linear is None else np.matmul(self.rows[:, None, :], fn.linear)
+
+    def _hull(self, used: list[int]) -> tuple[int, int]:
+        # the layout from the first marginal in ``used`` to the end of the last
+        return (int(self._offsets[used[0]]), int(self._offsets[used[-1] + 1])) if used else (0, 0)
+
+    def select(self, ks: list[int]) -> tuple[list[int], int, int, np.ndarray]:
+        """The weighing of a gradient call whose tensors take the weight rows
+        ``ks``: the marginals with weight in some of them, their hull [lo,
+        hi), and minus the marginal weights over the hull, one line for all
+        tensors when they all take one row and one line per tensor when
+        they mix rows, whose marginals and hull are then the union."""
+        distinct = set(ks)
+        if len(distinct) == 1:
+            k = ks[0]
+            lo, hi = self.hulls[k]
+            return self.used[k], lo, hi, self.neg[k, lo:hi]
+        used = sorted(set().union(*(self.used[k] for k in distinct)))
+        lo, hi = self._hull(used)
+        return used, lo, hi, self.neg[ks, lo:hi]
 
 
 def weigh(
@@ -462,17 +504,16 @@ class InfoFunctional:
         return self.evaluate(t[None]).values[0]
 
     def value_and_grad(
-        self, batch: np.ndarray, weight_rows: np.ndarray
+        self, batch: np.ndarray, weighing: Weighing
     ) -> tuple[np.ndarray, BatchGrad]:
         """Objective values of a batch and ``grad(rows)``, the gradients at
         the tensors ``batch[rows]``; only calling ``grad`` runs the adjoint
-        pass. ``weight_rows`` is a 2-D array, one weight row per line: each
-        tensor's value is the minimum over them of its weighted row values,
-        and its gradient follows the first minimal weight row."""
+        pass. ``weighing`` holds the weight rows compiled for this table:
+        each tensor's value is the minimum over them of its weighted row
+        values, and its gradient follows the first minimal weight row."""
         ev = self.evaluate(batch)
-        values, k = weigh(weight_rows, ev.values, None)
-        weights = weight_rows[k]
-        return values, lambda rows: ev.grad(rows, weights[rows])
+        values, k = weigh(weighing.rows, ev.values, None)
+        return values, lambda rows: ev.grad(rows, weighing, k[rows])
 
 
 class JointObjective:
@@ -483,7 +524,7 @@ class JointObjective:
 
     def __init__(self, functional: InfoFunctional, weight_rows: Sequence | np.ndarray) -> None:
         self.functional = functional
-        self.weight_rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
+        self.weighing = Weighing(functional, weight_rows)
         self.shape = functional.shape
         self.size = int(np.prod(self.shape))
 
@@ -493,7 +534,7 @@ class JointObjective:
 
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
         batch = flat.reshape((len(flat),) + self.shape)
-        values, grad = self.functional.value_and_grad(batch, self.weight_rows)
+        values, grad = self.functional.value_and_grad(batch, self.weighing)
         return values, lambda rows: grad(rows).reshape(len(rows), -1)
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
@@ -516,26 +557,34 @@ class FixedInputObjective:
         self, functional: InfoFunctional, px: np.ndarray, weight_rows: Sequence | np.ndarray
     ) -> None:
         self.functional = functional
-        self.weight_rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
+        self.weighing = Weighing(functional, weight_rows)
         self.rest_shape = functional.shape[:-1]
         self.nx = functional.shape[-1]
         self.px = np.asarray(px, dtype=float)
         if self.px.shape != (self.nx,):
             raise ValueError("px length mismatch")
         self.block = int(np.prod(self.rest_shape))
+        # the input axis of a batch moved last (input-major to tensor order)
+        # and back, as transposes fixed once
+        k = len(self.rest_shape)
+        self._input_last = (0, *range(2, k + 2), 1)
+        self._input_first = (0, k + 1, *range(1, k + 1))
 
     @property
     def block_sizes(self) -> list[int]:
         return [self.block] * self.nx
 
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
-        values, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weight_rows)
-        return values, lambda rows: np.moveaxis(grad(rows) * self.px, -1, 1).reshape(len(rows), -1)
+        values, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weighing)
+        return values, lambda rows: (
+            (grad(rows) * self.px).transpose(self._input_first).reshape(len(rows), -1)
+        )
 
     def to_tensor(self, flat: np.ndarray) -> np.ndarray:
         """Joint tensor of a flat point, or one per row of a batch."""
-        cond = flat.reshape(flat.shape[:-1] + (self.nx,) + self.rest_shape)
-        return np.multiply(np.moveaxis(cond, flat.ndim - 1, -1), self.px, order="C")
+        cond = flat.reshape((-1, self.nx) + self.rest_shape).transpose(self._input_last)
+        t = np.multiply(cond, self.px, order="C")
+        return t if flat.ndim > 1 else t[0]
 
     def to_flat(self, t: np.ndarray) -> np.ndarray:
         """Conditional layout of a joint tensor (zero-mass inputs -> uniform)."""

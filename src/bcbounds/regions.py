@@ -47,7 +47,15 @@ from .marton import (
     fit_joint,
     structured_seed_joints,
 )
-from .objectives import BatchGrad, InfoFunctional, JointObjective, ent_terms, mi_terms, weigh
+from .objectives import (
+    BatchGrad,
+    InfoFunctional,
+    JointObjective,
+    Weighing,
+    ent_terms,
+    mi_terms,
+    weigh,
+)
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -388,6 +396,8 @@ class _SupportObjective:
         self.size2 = int(np.prod(self.shape2))
         self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
         self.system = _VertexSystem([a for a, _, _ in self.rows], fix_r0, weights)
+        self.w1 = Weighing(self.f1, self.system.duals)
+        self.w2 = Weighing(self.f2, self.system.duals)
 
     @property
     def block_sizes(self) -> list[int]:
@@ -408,9 +418,8 @@ class _SupportObjective:
         values, k = self.system.support(ev1.values + ev2.values)
 
         def grad(rows: Sequence[int]) -> np.ndarray:
-            mu = self.system.duals[k[rows]]
-            g1 = ev1.grad(rows, mu).reshape(len(rows), -1)
-            g2 = ev2.grad(rows, mu).reshape(len(rows), -1)
+            g1 = ev1.grad(rows, self.w1, k[rows]).reshape(len(rows), -1)
+            g2 = ev2.grad(rows, self.w2, k[rows]).reshape(len(rows), -1)
             return np.concatenate([g1, g2], axis=1)
 
         return values, grad

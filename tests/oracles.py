@@ -24,6 +24,9 @@ Each one recomputes a quantity of the package by an independent route:
   adjoint pass one tensor at a time, the reference that the batched
   ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
   reproduce bit for bit;
+- ``weighing_per_call``: the weighing of one gradient call recomputed
+  from the call's weight lines, the reference that a compiled
+  ``objectives.Weighing`` reproduces bit for bit;
 - ``dual_support_per_point``: a region's support for one point's
   right-hand sides as a minimum over the dual-feasible bases, each solved
   on its own, the reference that the stacked dual weight rows of
@@ -476,12 +479,9 @@ def grad_per_tensor(ev, rows, weights):
     grads = np.zeros((len(rows),) + fn.shape)
     for grad, r, w in zip(grads, rows, weights):
         per_marginal = w @ fn.coeffs
-        # log2(max(m, GRAD_CLIP)) from the forward pass's logs, plus log2 e,
-        # over the tensor's whole buffer
-        positive = ev._positive[r]
-        dh = np.full(positive.size, LOG2_CLIP)
-        dh[positive] = np.maximum(ev._logs[r][positive], LOG2_CLIP)
-        dh += LOG2E
+        # log2(max(m, GRAD_CLIP)) from the forward pass's clipped logs, plus
+        # log2 e, over the tensor's whole buffer
+        dh = np.maximum(ev._logs[r], LOG2_CLIP) + LOG2E
         acc = [None] * len(fn._keeps)
         for s in per_marginal.nonzero()[0]:
             mg, a, b = fn._marginals[s], fn._offsets[s], fn._offsets[s + 1]
@@ -497,6 +497,20 @@ def grad_per_tensor(ev, rows, weights):
             acc[k] = d if acc[k] is None else acc[k] + d
         grad[...] = lattice_grad_per_tensor(fn, acc)
     return grads
+
+
+def weighing_per_call(fn, weights):
+    """The weighing of one gradient call whose tensors take the lines of
+    ``weights``, recomputed in the call: the marginal weights of every
+    line in one stacked product, the marginals with weight in some line,
+    their hull [lo, hi) in the flat layout, and minus the weights repeated
+    over the hull, one line per tensor."""
+    per_marginal = np.matmul(weights[:, None, :], fn.coeffs)[:, 0]
+    used = per_marginal.any(axis=0).nonzero()[0].tolist()
+    first, last = (used[0], used[-1] + 1) if used else (0, 0)
+    lo, hi = int(fn._offsets[first]), int(fn._offsets[last])
+    neg = np.repeat(-per_marginal[:, first:last], np.diff(fn._offsets)[first:last], axis=1)
+    return used, lo, hi, neg
 
 
 # --------------------------------------------- the per-point dual reference

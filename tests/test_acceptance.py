@@ -36,7 +36,7 @@ from bcbounds.marton import (
     marton_table,
     maximize_lambda_sr_at_input,
 )
-from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms
+from bcbounds.objectives import InfoFunctional, Weighing, ent_terms, mi_terms
 from bcbounds.regions import ProductAuxiliary, region_support
 from bcbounds.search import SearchConfig
 from oracles import (
@@ -388,7 +388,8 @@ def test_ac10_gradient_correctness():
             t = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
             t = np.clip(t, 1e-3, None)
             t /= t.sum()
-            f = pointwise(lambda batch: fn.value_and_grad(batch, weight_rows))
+            weighing = Weighing(fn, weight_rows)
+            f = pointwise(lambda batch: fn.value_and_grad(batch, weighing))
             g = f(t)[1]()
             fd = _fd_grad(lambda x: f(x)[0], t)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-9)

@@ -13,7 +13,14 @@ import pytest
 from bcbounds.channel import Channel, _gap_objective
 from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, component, product_channel
 from bcbounds.marton import Cardinalities, marton_table
-from bcbounds.objectives import LOG2_CLIP, LOG2E, InfoFunctional, merge_terms, mi_terms
+from bcbounds.objectives import (
+    LOG2_CLIP,
+    LOG2E,
+    InfoFunctional,
+    Weighing,
+    merge_terms,
+    mi_terms,
+)
 from bcbounds.regions import (
     _TERM_DEFS,
     REGION_KINDS,
@@ -142,7 +149,7 @@ def test_chain_rule_rows_match_the_explicit_joint(family, ci):
         assert fn.value(t) == pytest.approx(expect(t), abs=1e-12)
     # the gradient, linear term included, at an interior point
     t, w = tensors[1], rng.normal(size=len(fn.coeffs))
-    _, grad = fn.value_and_grad(t[None], w[None])
+    _, grad = fn.value_and_grad(t[None], Weighing(fn, w))
     g_fd = _fd_grad(fn, w, t)
     assert np.abs(grad([0])[0] - g_fd).max() / max(1.0, np.abs(g_fd).max()) < 1e-4
 
@@ -154,7 +161,7 @@ def test_gradient_at_a_zero_mass_input_adds_the_output_entropy():
     fn = InfoFunctional("x", (c.nx,), [[(1.0, "xz")]], channel=c.q)
     assert fn.subsets == ["x"]
     p = np.array([0.0, 0.4, 0.6])
-    g = fn.value_and_grad(p[None], np.ones((1, 1)))[1]([0])[0]
+    g = fn.value_and_grad(p[None], Weighing(fn, [1.0]))[1]([0])[0]
     h_z = entropy(c.q[0].sum(axis=0))
     assert g[0] == pytest.approx(-(LOG2_CLIP + LOG2E) + h_z, rel=1e-15)
     assert fn.value(p)[0] == pytest.approx(entropy(_joint(p, c).sum(axis=1)), abs=1e-12)

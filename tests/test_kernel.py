@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bcbounds.kernel import entropy_of_array, segment_entropies
+from bcbounds.kernel import GRAD_CLIP, LOG2_CLIP, entropy_of_array, segment_entropies
 from info_oracle import ProbTensor, entropy, mutual_information
 
 
@@ -35,15 +35,41 @@ def test_batched_entropies_match_entropy_of_array_bit_for_bit():
     # interleaved zeros, in a different pattern in every row
     rows[rng.random(rows.shape) < [[0.0], [0.2], [0.5], [0.9]]] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
-    h, positive, logs = segment_entropies(rows, offsets)
-    assert np.array_equal(positive, rows > 0)
-    assert logs[positive].tobytes() == np.log2(rows[rows > 0]).tobytes()
-    assert logs[~positive].tobytes() == np.zeros((~positive).sum()).tobytes()
+    h, logs = segment_entropies(rows, offsets)
+    # the logs are log2 at the positive entries and LOG2_CLIP at the others
+    positive = rows > 0
+    assert logs[positive].tobytes() == np.log2(rows[positive]).tobytes()
+    assert logs[~positive].tobytes() == np.full((~positive).sum(), LOG2_CLIP).tobytes()
     for r, row in enumerate(rows):
         for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
             assert np.float64(entropy_of_array(row[a:b])).tobytes() == h[r, s].tobytes()
             pos = row[a:b][row[a:b] > 0]
             assert h[r, s] == pytest.approx(-math.fsum(pos * np.log2(pos)), abs=1e-13)
+
+
+def test_masked_logs_match_log2_at_subnormal_and_clipped_entries():
+    # the masked log2 in place gives np.log2's bits at every positive entry,
+    # subnormals and entries below GRAD_CLIP included, next to exact zeros
+    rng = np.random.default_rng(1)
+    offsets = np.cumsum((0,) + SEGMENT_SIZES)
+    rows = rng.random((3, offsets[-1]))
+    pick = rng.random(rows.shape)
+    rows[pick < 0.2] = 0.0
+    tiny = (pick >= 0.2) & (pick < 0.4)
+    rows[tiny] = rng.uniform(GRAD_CLIP * 1e-6, GRAD_CLIP, tiny.sum())
+    subnormal = (pick >= 0.4) & (pick < 0.6)
+    rows[subnormal] = rng.integers(1, 2**40, subnormal.sum()) * 5e-324
+    assert (rows[subnormal] < np.finfo(float).tiny).all()
+    h, logs = segment_entropies(rows, offsets)
+    positive = rows > 0
+    assert logs[positive].tobytes() == np.log2(rows[positive]).tobytes()
+    assert logs[~positive].tobytes() == np.full((~positive).sum(), LOG2_CLIP).tobytes()
+    assert (logs[tiny | subnormal] < LOG2_CLIP).all()
+    # the -0.0 terms of the zero entries sum to the bits of +0.0 terms
+    terms = np.zeros(rows.shape)
+    terms[positive] = np.log2(rows[positive]) * rows[positive]
+    for s, (a, b) in enumerate(zip(offsets, offsets[1:])):
+        assert h[:, s].tobytes() == (-np.add.reduce(terms[:, a:b], axis=1)).tobytes()
 
 
 def test_entropy_signs_of_zero():
@@ -54,7 +80,7 @@ def test_entropy_signs_of_zero():
         assert np.float64(entropy_of_array(zero)).tobytes() == np.float64(0.0).tobytes()
         assert np.float64(entropy_of_array(mass)).tobytes() == np.float64(-0.0).tobytes()
         rows = np.stack([np.r_[zero, mass], np.r_[mass, zero]])
-        h, _, _ = segment_entropies(rows, [0, size, 2 * size])
+        h, _ = segment_entropies(rows, [0, size, 2 * size])
         assert h.tobytes() == np.array([[0.0, -0.0], [-0.0, 0.0]]).tobytes()
 
 

@@ -5,20 +5,27 @@ import numpy as np
 import pytest
 
 from bcbounds.channel import Channel, ProductChannel
-from bcbounds.kernel import entropy_of_array
-from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, product_channel
+from bcbounds.kernel import GRAD_CLIP, entropy_of_array
+from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, component, product_channel
 from bcbounds.marton import Cardinalities, lambda_weights, marton_table
 from bcbounds.objectives import (
-    GRAD_CLIP,
     LOG2E,
     FixedInputObjective,
     InfoFunctional,
     JointObjective,
+    Weighing,
     ent_terms,
     merge_terms,
     mi_terms,
 )
-from bcbounds.regions import _region_rows, _row_tables, _uv_table, default_region_profiles
+from bcbounds.marton import AuxiliaryJoint
+from bcbounds.regions import (
+    _region_rows,
+    _row_tables,
+    _SupportObjective,
+    _uv_table,
+    default_region_profiles,
+)
 from info_oracle import mutual_information
 from oracles import (
     grad_per_tensor,
@@ -27,6 +34,7 @@ from oracles import (
     pointwise,
     row_values_per_tensor,
     weigh_per_tensor,
+    weighing_per_call,
 )
 
 
@@ -37,7 +45,13 @@ def _random_channel(rng, nx, ny, nz):
 def _at(fn, weight_rows):
     # fn's objective under weight_rows as a function of one tensor
     rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    return pointwise(lambda batch: fn.value_and_grad(batch, rows))
+    return pointwise(lambda batch: fn.value_and_grad(batch, Weighing(fn, rows)))
+
+
+def _grad(ev, rows, weights):
+    # ev's gradients at the tensors ``rows``, each under its own line of
+    # ``weights``
+    return ev.grad(rows, Weighing(ev._fn, weights), range(len(rows)))
 
 
 def _fd_grad(fn_value, t, eps=1e-6):
@@ -112,7 +126,7 @@ def test_empty_first_row_is_zero_with_zero_gradient():
     ev = table.evaluate(t[None])
     assert ev.values[0, 0] == 0.0
     assert ev.values[0, 1] == pytest.approx(mutual_information(t, (0,), (1,)), abs=1e-12)
-    assert np.array_equal(ev.grad([0], np.array([[1.0, 0.0]])), np.zeros((1, 2, 3)))
+    assert np.array_equal(_grad(ev, [0], np.array([[1.0, 0.0]])), np.zeros((1, 2, 3)))
 
 
 def _check_gradient(fn, t, rel_tol=1e-4):
@@ -261,10 +275,10 @@ def test_min_of_identity_rows_and_weighted_row():
     for _ in range(5):
         t = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
         # identity weight rows reproduce the first-minimal-row weighing bit for bit
-        values, grad = table.value_and_grad(t[None], np.eye(4)[:3])
+        values, grad = table.value_and_grad(t[None], Weighing(table, np.eye(4)[:3]))
         v_ref, w_ref = _first_min_row(table.value(t), 3)
         assert values[0] == v_ref
-        assert grad([0]).tobytes() == table.evaluate(t[None]).grad([0], w_ref[None]).tobytes()
+        assert grad([0]).tobytes() == _grad(table.evaluate(t[None]), [0], w_ref[None]).tobytes()
         obj = FixedInputObjective(table, px, np.eye(4)[:3])
         flat = obj.to_flat(t)
         _, w_ref = _first_min_row(table.value(obj.to_tensor(flat)), 3)
@@ -385,14 +399,14 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
             assert ev.entropies[0].tobytes() == h_ref.tobytes()
             assert ev.values[0].tobytes() == v_ref.tobytes()
             with np.errstate(all="raise"):
-                g = ev.grad([0], weights[None])[0]
+                g = _grad(ev, [0], weights[None])[0]
             assert np.isfinite(g).all()
             assert g.tobytes() == g_ref.tobytes()
             if layout is not _c_order:
                 ref = fn.evaluate(c_copy[None])
                 assert ev.entropies.tobytes() == ref.entropies.tobytes()
                 assert ev.values.tobytes() == ref.values.tobytes()
-                assert g.tobytes() == ref.grad([0], weights[None])[0].tobytes()
+                assert g.tobytes() == _grad(ref, [0], weights[None])[0].tobytes()
 
 
 def _gamma(k):
@@ -434,7 +448,7 @@ def test_lattice_sums_stay_within_the_recursive_summation_bound():
                 shape = [n if a in keep_axes else 1 for a, n in enumerate(fn.shape)]
                 keep_order += g.reshape(shape)
                 scale += np.abs(g).reshape(shape)
-        g = ev.grad([0], weights[None])[0]
+        g = _grad(ev, [0], weights[None])[0]
         assert (np.abs(g - keep_order) <= 2 * _gamma(len(own)) * scale).all()
     # the orders differ: the check above compares different sums
     assert moved
@@ -489,12 +503,12 @@ def test_a_tensor_has_one_value_whatever_its_memory_order():
         for _ in range(4):
             t = rng.dirichlet(np.ones(int(np.prod(fn.shape)))).reshape(fn.shape)
             ref = fn.evaluate(t[None])
-            g_ref = ref.grad([0], weights)
+            g_ref = _grad(ref, [0], weights)
             for layout in (_input_major, np.asfortranarray):
                 ev = fn.evaluate(layout(t)[None])
                 assert ev.entropies.tobytes() == ref.entropies.tobytes()
                 assert ev.values.tobytes() == ref.values.tobytes()
-                assert ev.grad([0], weights).tobytes() == g_ref.tobytes()
+                assert _grad(ev, [0], weights).tobytes() == g_ref.tobytes()
         size = int(np.prod(fn.shape))
         points = rng.dirichlet(np.ones(size), size=(3, 2)).reshape(3, 2 * size)
         spaced = points[:, :size].reshape((3,) + fn.shape)
@@ -503,7 +517,7 @@ def test_a_tensor_has_one_value_whatever_its_memory_order():
         assert ev.entropies.tobytes() == ref.entropies.tobytes()
         assert ev.values.tobytes() == ref.values.tobytes()
         w3 = np.repeat(weights, 3, axis=0)
-        assert ev.grad(range(3), w3).tobytes() == ref.grad(range(3), w3).tobytes()
+        assert _grad(ev, range(3), w3).tobytes() == _grad(ref, range(3), w3).tobytes()
 
 
 def test_evaluation_survives_later_evaluations_bit_for_bit():
@@ -516,18 +530,18 @@ def test_evaluation_survives_later_evaluations_bit_for_bit():
         t1, t2 = (_input_major(_awkward_tensor(rng, fn.shape)) for _ in range(2))
         weights = rng.normal(size=(1, fn.coeffs.shape[0]))
         ev1 = fn.evaluate(t1[None])
-        v1, grad1 = fn.value_and_grad(t1[None], weights)
+        v1, grad1 = fn.value_and_grad(t1[None], Weighing(fn, weights))
         ev2 = fn.evaluate(t2[None])
         fn.evaluate(np.ascontiguousarray(t2)[None] * 0.5)
-        g1 = ev1.grad([0], weights)
+        g1 = _grad(ev1, [0], weights)
         for ev, t in ((ev1, t1), (ev2, t2)):
             fresh = fn.evaluate(t[None])
             assert ev.entropies.tobytes() == fresh.entropies.tobytes()
             assert ev.values.tobytes() == fresh.values.tobytes()
         fresh = fn.evaluate(t1[None])
-        assert g1.tobytes() == fresh.grad([0], weights).tobytes()
-        assert grad1([0]).tobytes() == fresh.grad([0], weights).tobytes()
-        assert v1.tobytes() == fn.value_and_grad(t1[None], weights)[0].tobytes()
+        assert g1.tobytes() == _grad(fresh, [0], weights).tobytes()
+        assert grad1([0]).tobytes() == _grad(fresh, [0], weights).tobytes()
+        assert v1.tobytes() == fn.value_and_grad(t1[None], Weighing(fn, weights))[0].tobytes()
         # the flat-vector adapters read the same buffers
         obj = FixedInputObjective(fn, px, weights)
         x1, x2 = obj.to_flat(t1), obj.to_flat(t2)
@@ -559,13 +573,13 @@ def test_batched_evaluation_matches_each_tensor_bit_for_bit():
         for layout, batch in ((_c_order, batch_c), (_input_major, batch_x)):
             ev = fn.evaluate(batch)
             assert ev.values.shape == (3, fn.coeffs.shape[0])
-            grads = ev.grad(range(3), weights)
-            rows = ev.grad([0, 2], weights[[0, 2]])
+            grads = _grad(ev, range(3), weights)
+            rows = _grad(ev, [0, 2], weights[[0, 2]])
             for r, t in enumerate(singles):
                 one = fn.evaluate(layout(t)[None])
                 assert ev.entropies[r].tobytes() == one.entropies[0].tobytes()
                 assert ev.values[r].tobytes() == one.values[0].tobytes()
-                assert grads[r].tobytes() == one.grad([0], weights[[r]])[0].tobytes()
+                assert grads[r].tobytes() == _grad(one, [0], weights[[r]])[0].tobytes()
             assert rows.tobytes() == grads[[0, 2]].tobytes()
 
 
@@ -582,15 +596,15 @@ def test_value_and_grad_weighs_each_tensor_of_a_batch_by_its_own_minimal_row():
             [[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]],  # a tie: the first row, 0
         ]
     )
-    values, grad = table.value_and_grad(batch, weight_rows)
+    values, grad = table.value_and_grad(batch, Weighing(table, weight_rows))
     grads = grad([0, 1, 2])
     for r, first_min in enumerate((1, 2, 0)):
         one = batch[r][None]
-        alone, alone_grad = table.value_and_grad(one, weight_rows)
+        alone, alone_grad = table.value_and_grad(one, Weighing(table, weight_rows))
         assert values[r].tobytes() == alone[0].tobytes()
         assert grad([r]).tobytes() == alone_grad([0]).tobytes()
         assert grads[r].tobytes() == alone_grad([0])[0].tobytes()
-        ref = table.evaluate(one).grad([0], weight_rows[[first_min]])
+        ref = _grad(table.evaluate(one), [0], weight_rows[[first_min]])
         assert grad([r]).tobytes() == ref.tobytes()
     assert table.value(batch[2]).tolist() == [1.0, 1.0]
 
@@ -645,9 +659,9 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
                 assert ev.values.tobytes() == ref.tobytes()
                 for rows in row_sets:
                     ref = grad_per_tensor(ev, rows, weights[rows])
-                    assert ev.grad(rows, weights[rows]).tobytes() == ref.tobytes()
+                    assert _grad(ev, rows, weights[rows]).tobytes() == ref.tobytes()
                 for weight_rows in weighings:
-                    values, grad = fn.value_and_grad(batch, weight_rows)
+                    values, grad = fn.value_and_grad(batch, Weighing(fn, weight_rows))
                     ref_values, ref_weights = weigh_per_tensor(ev.values, weight_rows)
                     assert values.tobytes() == ref_values.tobytes()
                     for rows in row_sets:
@@ -679,3 +693,90 @@ def test_table_keeps_one_fill_plan_as_a_group_shrinks():
         gc.collect()
         assert sum(ref() is not None for ref in plans) <= 1
     assert fn.evaluate(batch).values.tobytes() == first.tobytes()
+
+
+def _compiled_weighings():
+    # the objectives' weighings at the worked product's tables: the Marton
+    # table under lambda rows (lambda 0 and 1 zero a marginal that 1/2
+    # weighs), the UV table under its three branch rows, and both
+    # component tables of the product_outer and semi_deterministic supports
+    # under their dual rows
+    pc = product_channel()
+    lam_rows = np.stack([lambda_weights(x) for x in (0.5, 0.0, 1.0, 0.3)])
+    marton = JointObjective(marton_table(pc.flat, REDUCED_PRODUCT_PROFILE), lam_rows)
+    uv = JointObjective(_uv_table(pc.flat, 17, 17), np.eye(5)[:3])
+    cases = [(marton.functional, marton.weighing), (uv.functional, uv.weighing)]
+    for kind in ("product_outer", "semi_deterministic"):
+        prof1, prof2 = default_region_profiles(pc, kind)
+        for weights, fix_r0 in (((0.0, 1.0, 1.0), 0.0), ((1.0, 1.0, 1.0), None)):
+            obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0)
+            cases += [(obj.f1, obj.w1), (obj.f2, obj.w2)]
+    return cases
+
+
+def test_compiled_weighing_matches_the_per_call_weighing_bit_for_bit():
+    # each objective compiles its weight rows once; a gradient call's
+    # weighing and gradients must be the ones the call would compute from
+    # its weight lines, for one row, for mixed and repeated rows, and where
+    # a row gives zero weight to a marginal that another row of the call
+    # weighs; and each tensor's gradient is the one it gets alone
+    rng = np.random.default_rng(26)
+    zero_where_other_weighs = 0
+    for fn, weighing in _compiled_weighings():
+        n_k = len(weighing.rows)
+        batch = np.stack([_awkward_tensor(rng, fn.shape) for _ in range(5)])
+        ev = fn.evaluate(batch)
+        calls = [([0, 1, 2, 3, 4], [k] * 5) for k in range(n_k)]
+        calls += [([0, 1, 2, 3, 4], [k % n_k for k in range(5)])]
+        calls += [([2, 0, 2], [n_k - 1, 0, n_k - 1]), ([4, 1], [0, n_k - 1]), ([3], [n_k - 1])]
+        for rows, ks in calls:
+            used, lo, hi, neg = weighing.select(ks)
+            ref_used, ref_lo, ref_hi, ref_neg = weighing_per_call(fn, weighing.rows[ks])
+            assert (used, lo, hi) == (ref_used, ref_lo, ref_hi)
+            assert np.broadcast_to(neg, ref_neg.shape).tobytes() == ref_neg.tobytes()
+            per_marginal = weighing.rows[ks] @ fn.coeffs
+            zero_where_other_weighs += bool(
+                ((per_marginal == 0.0) & (per_marginal != 0.0).any(axis=0)).any()
+            )
+            g = ev.grad(rows, weighing, ks)
+            assert g.tobytes() == grad_per_tensor(ev, rows, weighing.rows[ks]).tobytes()
+            for got, r, k in zip(g, rows, ks):
+                alone = fn.evaluate(batch[r][None]).grad([0], weighing, [k])[0]
+                assert got.tobytes() == alone.tobytes()
+        assert n_k > 1
+    assert zero_where_other_weighs
+
+
+def test_value_at_a_validated_joint_with_exact_zeros_keeps_its_bits():
+    # the entropy pass writes LOG2_CLIP at every zero entry, whose term is
+    # then -0.0: the Marton and UV rows at validated joints with exact zeros
+    # (one input symbol of zero mass) keep the bits they had when zero
+    # entries were skipped by a gather and scatter
+    expected = [
+        (
+            ["0x1.3f965226b1940p-6", "0x1.adfc9a92a0400p-7", "0x1.1c0e79139ed70p-3"],
+            ["0x1.2437737d1af30p-3", "0x1.d3e1713941f80p-1", "0x1.c9611c3168b58p-1",
+             "0x1.2aa5fef9a82f0p-5", "0x1.b31be77d61ce0p-4"],
+        ),
+        (
+            ["0x1.64b1ce7801800p-8", "0x1.c914c52b10000p-8", "0x1.4c04a33ed16e0p-4"],
+            ["0x1.1fbd4d5c63240p-4", "0x1.fbce6040a15bap+0", "0x1.fd1533e548feep+0",
+             "0x1.06670d1467000p-5", "0x1.39138da45f480p-5"],
+        ),
+    ]
+    rng = np.random.default_rng(2011)
+    channels = [
+        (component("y"), Cardinalities(3, 3, 2)),
+        (product_channel().flat, Cardinalities(4, 4, 2)),
+    ]
+    for (c, prof), (marton_hex, uv_hex) in zip(channels, expected):
+        shape = prof.shape(c.nx)
+        t = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+        t[rng.random(shape) < 0.4] = 0.0
+        t[..., 0] = 0.0
+        aux = AuxiliaryJoint(t / t.sum())
+        assert (aux.joint == 0.0).any()
+        values = marton_table(c, prof).value(aux.joint)
+        assert [v.hex() for v in values] == marton_hex
+        uv = _uv_table(c, shape[0], shape[1]).value(aux.joint.sum(axis=2))
+        assert [v.hex() for v in uv] == uv_hex
