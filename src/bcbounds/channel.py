@@ -169,7 +169,9 @@ class ComparisonVerdict:
     converged: bool
 
 
-def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
+def _gap_table(c: Channel, stronger: Receiver, aux: bool) -> InfoFunctional:
+    """The one-row table I(X;weaker) - I(X;stronger) over p(x), or with
+    ``aux`` I(U;weaker) - I(U;stronger) over p(u, x) with |U| = 2."""
     weaker: Receiver = "z" if stronger == "y" else "y"
     if aux:
         axes, shape = "ux", (2, c.nx)
@@ -177,8 +179,11 @@ def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
     else:
         axes, shape = "x", (c.nx,)
         terms = mi_terms("x", weaker) + mi_terms("x", stronger, coeff=-1.0)
-    fn = InfoFunctional(axes, shape, [terms], channel=c.q)
-    return JointObjective(fn, [1.0])
+    return InfoFunctional(axes, shape, [terms], channel=c.q)
+
+
+def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
+    return JointObjective([_gap_table(c, stronger, aux)], [1.0], None)
 
 
 def more_capable_scan(c: Channel, stronger: Receiver) -> tuple[float, np.ndarray]:
@@ -190,7 +195,7 @@ def more_capable_scan(c: Channel, stronger: Receiver) -> tuple[float, np.ndarray
     while simplex_grid_size(c.nx, res_grid) > 25000 and res_grid > 2:
         res_grid -= 2
     grid = np.asarray(list(simplex_grid(c.nx, res_grid)), dtype=float)
-    gaps = _gap_objective(c, stronger, aux=False).functional.evaluate(grid).values[:, 0]
+    gaps = _gap_table(c, stronger, aux=False).value_and_grad(grid).values[:, 0]
     k = int(gaps.argmax())
     return float(gaps[k]), grid[k]
 
@@ -231,7 +236,7 @@ def less_noisy_verdict(c: Channel, stronger: Receiver, cfg: SearchConfig) -> Com
     return ComparisonVerdict(
         holds=(False if refuted else None),
         gap=float(result.value),
-        witness=obj.to_tensor(result.point),
+        witness=obj.to_tensors(result.point)[0],
         converged=result.converged,
     )
 

@@ -302,10 +302,9 @@ def maximize_lambda_sr_at_input(
     px = np.asarray(px, dtype=float)
     table = marton_table(c, prof)
     obj = FixedInputObjective(table, px, lambda_weights(lam)[None])
-    seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, [px])]
-    seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
+    seeds = [obj.to_flat([t]) for t in [*structured_seed_joints(c, prof, [px]), *extra_seeds]]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
-    aux = AuxiliaryJoint(obj.to_tensor(res.point))
+    aux = AuxiliaryJoint(obj.to_tensors(res.point)[0])
     return LambdaPointResult(lam, res.value, _slope(table.value(aux.joint)), aux, res.converged)
 
 
@@ -330,28 +329,29 @@ def lambda_sr_global(
     prof = profile or Cardinalities.for_sum_rate(c)
     table = marton_table(c, prof)
     weight_rows = lambda_weights(lam)[None]
-    obj = JointObjective(table, weight_rows)
-    seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, _default_px_list(c))]
-    seeds += [obj.to_flat(np.asarray(t, dtype=float)) for t in extra_seeds]
-    res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
-    best_v, best_t = res.value, obj.to_tensor(res.point)
+    obj = JointObjective([table], weight_rows, None)
+    starts = [*structured_seed_joints(c, prof, _default_px_list(c)), *extra_seeds]
+    res = maximize(obj, obj.block_sizes, cfg, seeds=[obj.to_flat([t]) for t in starts])
+    best_v, (best_t,) = res.value, obj.to_tensors(res.point)
 
     inner_cfg = cfg.with_(max_iters=max(40, cfg.max_iters // 2))
     px = best_t.sum(axis=(0, 1, 2))
     fobj = FixedInputObjective(table, px, weight_rows)
-    v0, x0, _, _ = ascend(fobj, fobj.to_flat(best_t), fobj.block_sizes, inner_cfg)
-    t0 = fobj.to_tensor(x0)
+    v0, x0, _, _ = ascend(fobj, fobj.to_flat([best_t]), fobj.block_sizes, inner_cfg)
+    (t0,) = fobj.to_tensors(x0)
     if v0 > best_v:
         best_v, best_t = v0, t0
-    grad = table.value_and_grad(t0[None], obj.weighing)[1]([0])[0]
+    # the joint objective's gradient at t0, contracted with the conditional
+    _, grad = obj(obj.to_flat([t0])[None])
+    (g,) = obj.to_tensors(grad([0])[0])
     cond_only = np.where(px > 0, t0 / np.where(px > 0, px, 1.0), 0.0)
-    super_px = np.einsum("uvwx,uvwx->x", cond_only, grad)
+    super_px = np.einsum("uvwx,uvwx->x", cond_only, g)
     for step in (1.0, 0.2, 0.05):
         px_new = project_simplex(px + step * super_px)
         fobj2 = FixedInputObjective(table, px_new, weight_rows)
-        v1, x1, _, _ = ascend(fobj2, fobj2.to_flat(t0), fobj2.block_sizes, inner_cfg)
+        v1, x1, _, _ = ascend(fobj2, fobj2.to_flat([t0]), fobj2.block_sizes, inner_cfg)
         if v1 > best_v + 1e-12:
-            best_v, best_t = v1, fobj2.to_tensor(x1)
+            best_v, (best_t,) = v1, fobj2.to_tensors(x1)
             break
 
     aux = AuxiliaryJoint(best_t)
@@ -573,11 +573,10 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     # max-min over the joint: min of the two endpoint rows
     prof_mm = Cardinalities(c.nx, c.nx, min(2 * c.nx, c.nx + 4))
     endpoints = [lambda_weights(0.0), lambda_weights(1.0)]
-    obj = JointObjective(marton_table(c, prof_mm), endpoints)
-    seeds = [
-        t.ravel() for t in structured_seed_joints(c, prof_mm, _default_px_list(c))
-    ]
-    seeds.append(_max_min_seed(mm.lines, prof_mm.shape(c.nx)).ravel())
+    obj = JointObjective([marton_table(c, prof_mm)], endpoints, None)
+    starts = structured_seed_joints(c, prof_mm, _default_px_list(c))
+    starts.append(_max_min_seed(mm.lines, prof_mm.shape(c.nx)))
+    seeds = [obj.to_flat([t]) for t in starts]
     res_mm = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     max_min = res_mm.value
 

@@ -79,33 +79,44 @@ through smaller sizes at its stream's end, and a plan per size would
 keep the buffers of them all. So a table must not be evaluated from two
 threads at once.
 
-The gradient is lazy: ``value_and_grad`` returns the values and
-``grad(rows)``, the gradients at the tensors ``rows``, which runs the
-adjoint pass only when called, so a search pays for it only at the
-points it accepts. The flat-vector adapters below follow that search
-contract (see ``search``), one ``value_and_grad`` call per batch. An
-``Evaluation`` keeps only what its gradient reads, so a gradient taken
-after later evaluations of the same table is still the one at its own
-point.
+The gradient is lazy: ``value_and_grad(batch)`` runs the forward pass
+and returns its ``Evaluation``, whose ``grad`` runs the adjoint pass
+only when called, so a search pays for it only at the points it
+accepts. An ``Evaluation`` keeps only what its gradient reads, so a
+gradient taken after later evaluations of the same table is still the
+one at its own point.
 
-A weighing is data: weight rows w_k, one coefficient per table row. A
-tensor's objective is the minimum over k of w_k . values, and its
-gradient follows the first minimal row, so a single weight row is a
-plain weighted sum. Projected ascent on a minimum is still a certified
-lower-bound search, because every candidate is scored by the true
-minimum. So one table serves a whole family of objectives: the
-lambda-weighted sum rate is one three-row table under the weight row
-(lambda, 1-lambda, 1), and the UV sum rate is the minimum of the first
-three rows of the UV table under identity weight rows.
+A search objective is a ``JointObjective(tables, weight_rows, offset)``:
+one simplex block per table, over its whole base tensor, and at each
+point the minimum over k of w_k . (sum_i values_i) + offset[k], the sum
+of the tables' row values weighed by each weight row (no offset when
+``offset`` is None), whose gradient follows the first minimal row. A
+single weight row is a plain weighted sum. Projected ascent on a minimum
+is still a certified lower-bound search, because every candidate is
+scored by the true minimum. So a few tables serve a whole family of
+objectives: the lambda-weighted sum rate is one three-row table under
+the weight row (lambda, 1-lambda, 1), the UV sum rate is the minimum of
+the first three rows of the UV table under identity weight rows, and a
+product region's support is its two component tables under the dual
+rows of its support LP, with the pin on R0 as the offset.
 
 An objective keeps its weight rows for its whole run, so it compiles
-them once against its table, as a ``Weighing``: each row's marginal
+them once against each table, as a ``Weighing``: each row's marginal
 weights w_k C, the marginals they weigh and the hull of those in the
 flat layout, the negated weights repeated over the layout, and w_k L.
 A gradient call takes the weighing and each tensor's row index; when
 all its tensors take one row it reads that row's compiled lines as they
 are, and when they mix rows it reads the union of their marginals over
 the union's hull, so no call multiplies, scans or repeats weights.
+
+Called on a batch of flat points, one per row, an objective follows the
+search contract (see ``search``): one ``value_and_grad`` call per table
+and batch, their values, and ``grad(rows)``, each table's gradient at
+the points ``rows`` under the points' minimal rows, concatenated block
+by block. ``FixedInputObjective`` is the same objective on one table at
+a fixed input law, with one simplex per input symbol: it maps flat
+points to tensors and pulls gradients back its own way, and scores
+through the same code.
 """
 
 from __future__ import annotations
@@ -494,70 +505,86 @@ class InfoFunctional:
         self._fill = (shape, plan)
         return plan
 
-    def evaluate(self, batch: np.ndarray) -> Evaluation:
-        """Marginals, entropy vectors and row values at each tensor of a
-        batch with a leading axis (forward pass only)."""
+    def value_and_grad(self, batch: np.ndarray) -> Evaluation:
+        """The forward pass at each tensor of a batch with a leading axis:
+        its entropy vectors and row values, and ``grad``, the adjoint pass
+        under any weighing of this table, run only when called."""
         return Evaluation(self, batch)
 
     def value(self, t: np.ndarray) -> np.ndarray:
         """Row values at one tensor t, evaluated as a batch of one."""
-        return self.evaluate(t[None]).values[0]
-
-    def value_and_grad(
-        self, batch: np.ndarray, weighing: Weighing
-    ) -> tuple[np.ndarray, BatchGrad]:
-        """Objective values of a batch and ``grad(rows)``, the gradients at
-        the tensors ``batch[rows]``; only calling ``grad`` runs the adjoint
-        pass. ``weighing`` holds the weight rows compiled for this table:
-        each tensor's value is the minimum over them of its weighted row
-        values, and its gradient follows the first minimal weight row."""
-        ev = self.evaluate(batch)
-        values, k = weigh(weighing.rows, ev.values, None)
-        return values, lambda rows: ev.grad(rows, weighing, k[rows])
+        return self.value_and_grad(t[None]).values[0]
 
 
 class JointObjective:
-    """Flat-vector adapter: one simplex over the whole base tensor; the
-    objective is the table's rows under ``weight_rows`` (see
-    ``value_and_grad``). Called on a batch of flat points, one per row, it
-    follows the search contract: their values and ``grad(rows)``."""
+    """The search objective over ``tables``, one simplex block per table:
+    at each point the minimum over k of ``weight_rows[k]`` . (sum of the
+    tables' row values) + ``offset[k]`` (no offset when ``offset`` is
+    None), its gradient following the first minimal row. Called on a batch
+    of flat points, one per row, it follows the search contract: their
+    values and ``grad(rows)``."""
 
-    def __init__(self, functional: InfoFunctional, weight_rows: Sequence | np.ndarray) -> None:
-        self.functional = functional
-        self.weighing = Weighing(functional, weight_rows)
-        self.shape = functional.shape
-        self.size = int(np.prod(self.shape))
+    def __init__(
+        self,
+        tables: Sequence[InfoFunctional],
+        weight_rows: Sequence | np.ndarray,
+        offset: np.ndarray | None,
+    ) -> None:
+        self.tables = list(tables)
+        self.weight_rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
+        self.offset = offset
+        self.weighings = [Weighing(fn, self.weight_rows) for fn in self.tables]
+        ends = np.cumsum([math.prod(fn.shape) for fn in self.tables]).tolist()
+        self._blocks = [slice(a, b) for a, b in zip([0] + ends, ends)]
 
     @property
     def block_sizes(self) -> list[int]:
-        return [self.size]
+        return [s.stop - s.start for s in self._blocks]
 
     def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
-        batch = flat.reshape((len(flat),) + self.shape)
-        values, grad = self.functional.value_and_grad(batch, self.weighing)
-        return values, lambda rows: grad(rows).reshape(len(rows), -1)
+        evs = [fn.value_and_grad(t) for fn, t in zip(self.tables, self.to_tensors(flat))]
+        # the tables' row values summed from the first table's, so that a
+        # single table's values (and their signed zeros) are weighed as they are
+        total = evs[0].values
+        for ev in evs[1:]:
+            total = total + ev.values
+        values, k = weigh(self.weight_rows, total, self.offset)
 
-    def to_tensor(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.shape).copy()
+        def grad(rows: Sequence[int]) -> np.ndarray:
+            ks = k[rows]
+            return self._pullback([ev.grad(rows, w, ks) for ev, w in zip(evs, self.weighings)])
 
-    def to_flat(self, t: np.ndarray) -> np.ndarray:
-        return np.asarray(t, dtype=float).ravel().copy()
+        return values, grad
+
+    def _pullback(self, grads: list[np.ndarray]) -> np.ndarray:
+        """Flat gradients from each table's gradients, block by block."""
+        return np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
+
+    def to_tensors(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each table's tensor at a flat point, or its tensors at each row
+        of a batch of them, as views of ``flat``."""
+        lead = flat.shape[:-1]
+        return [flat[..., s].reshape(lead + fn.shape) for s, fn in zip(self._blocks, self.tables)]
+
+    def to_flat(self, tensors: Sequence[np.ndarray]) -> np.ndarray:
+        """The flat point of one tensor per table."""
+        return np.concatenate([np.asarray(t, dtype=float).ravel() for t in tensors])
 
 
-class FixedInputObjective:
-    """Flat-vector adapter at fixed input law: one simplex per input symbol;
-    ``weight_rows`` and the batch call as in ``JointObjective``.
+class FixedInputObjective(JointObjective):
+    """``JointObjective`` of one table at a fixed input law ``px``, one
+    simplex per input symbol; it scores as its base and differs only in
+    the flat layout and the gradient pullback.
 
     The flat layout is input-major: block x holds the conditional
     p(rest | X=x) in C order. Axes of the base tensor keep the input last,
-    and ``to_tensor`` writes it in C order.
+    and ``to_tensors`` writes it in C order.
     """
 
     def __init__(
         self, functional: InfoFunctional, px: np.ndarray, weight_rows: Sequence | np.ndarray
     ) -> None:
-        self.functional = functional
-        self.weighing = Weighing(functional, weight_rows)
+        super().__init__([functional], weight_rows, None)
         self.rest_shape = functional.shape[:-1]
         self.nx = functional.shape[-1]
         self.px = np.asarray(px, dtype=float)
@@ -574,20 +601,19 @@ class FixedInputObjective:
     def block_sizes(self) -> list[int]:
         return [self.block] * self.nx
 
-    def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
-        values, grad = self.functional.value_and_grad(self.to_tensor(flat), self.weighing)
-        return values, lambda rows: (
-            (grad(rows) * self.px).transpose(self._input_first).reshape(len(rows), -1)
-        )
+    def _pullback(self, grads: list[np.ndarray]) -> np.ndarray:
+        (g,) = grads
+        return (g * self.px).transpose(self._input_first).reshape(len(g), -1)
 
-    def to_tensor(self, flat: np.ndarray) -> np.ndarray:
-        """Joint tensor of a flat point, or one per row of a batch."""
+    def to_tensors(self, flat: np.ndarray) -> list[np.ndarray]:
+        """The joint tensor of a flat point, or one per row of a batch."""
         cond = flat.reshape((-1, self.nx) + self.rest_shape).transpose(self._input_last)
         t = np.multiply(cond, self.px, order="C")
-        return t if flat.ndim > 1 else t[0]
+        return [t if flat.ndim > 1 else t[0]]
 
-    def to_flat(self, t: np.ndarray) -> np.ndarray:
+    def to_flat(self, tensors: Sequence[np.ndarray]) -> np.ndarray:
         """Conditional layout of a joint tensor (zero-mass inputs -> uniform)."""
+        (t,) = tensors
         t = np.asarray(t, dtype=float)
         px = t.sum(axis=tuple(range(t.ndim - 1)))
         safe = np.where(px > 0.0, px, 1.0)

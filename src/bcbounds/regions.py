@@ -27,7 +27,10 @@ constraints with mu_B = A_B^{-T} w >= 0). The bases depend only on the
 kind, the pin on R0 and w, so their duals are weight rows found once: the
 search's objective and every reported value are that minimum, its
 gradient follows the minimal row, and the reported vertex is optimal and
-inside the region up to rounding.
+inside the region up to rounding. The search's objective is a
+``JointObjective`` over the two component tables, one block each, under
+those dual rows, with each basis's pin term on R0 as its offset: the
+same minimum of weight rows that scores every other search here.
 """
 
 from __future__ import annotations
@@ -47,15 +50,7 @@ from .marton import (
     fit_joint,
     structured_seed_joints,
 )
-from .objectives import (
-    BatchGrad,
-    InfoFunctional,
-    JointObjective,
-    Weighing,
-    ent_terms,
-    mi_terms,
-    weigh,
-)
+from .objectives import InfoFunctional, JointObjective, ent_terms, mi_terms, weigh
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -141,7 +136,7 @@ def uv_sum_rate(
     candidate is scored exactly, so the result is a certified lower bound.
     """
     shape = (c.nx + 1, c.nx + 1, c.nx)
-    obj = JointObjective(_uv_table(c, *shape[:2]), np.eye(5)[:3])
+    obj = JointObjective([_uv_table(c, *shape[:2])], np.eye(5)[:3], None)
 
     uniform = np.full(c.nx, 1.0 / c.nx)
     ident = np.arange(c.nx)
@@ -156,7 +151,7 @@ def uv_sum_rate(
     return UvSumRate(
         value=res.value,
         aux=aux,
-        point=_uv_point(obj.functional, aux),
+        point=_uv_point(obj.tables[0], aux),
         converged=res.converged,
     )
 
@@ -299,10 +294,11 @@ class _VertexSystem:
     dual-feasible bases, the nonsingular 3-subsets of the constraints whose
     duals mu = A_B^{-T} w are >= 0 once rounding noise is zeroed, are found
     once, each as its duals on the rows and its pin term: a support is
-    min_k duals[k] . rhs + offset[k]. ``duals`` and ``offset`` keep the
-    first basis of each distinct pair, in order; ``optimum`` scores every
-    basis (``basis_duals``, ``basis_offset``). With no such basis the
-    support is unbounded and the constructor raises."""
+    min_k duals[k] . rhs + offset[k], the weight rows and offset of the
+    search's ``JointObjective``. ``duals`` and ``offset`` keep the first
+    basis of each distinct pair, in order; ``optimum`` scores every basis
+    (``basis_duals``, ``basis_offset``). With no such basis the support is
+    unbounded and the constructor raises."""
 
     def __init__(self, row_normals: Sequence, fix_r0: float | None, w: Sequence[float]) -> None:
         w = np.asarray(w, dtype=float)
@@ -327,11 +323,6 @@ class _VertexSystem:
         first = np.sort(np.unique(pairs, axis=0, return_index=True)[1])
         self.duals, self.offset = self.basis_duals[first], self.basis_offset[first]
 
-    def support(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The support and the first minimal basis at each row of row
-        right-hand sides ``rhs``, each row as on its own."""
-        return weigh(self.duals, rhs, self.offset)
-
     def optimum(self, rhs: np.ndarray) -> tuple[float, np.ndarray]:
         """The support at one point's row right-hand sides and an optimal
         vertex. A basis solution misses by the larger of its value's excess
@@ -340,7 +331,7 @@ class _VertexSystem:
         can solve to a point outside the region."""
         b = np.concatenate([rhs, self.tail_rhs])
         verts = np.matmul(self.inv, b[self.combos][..., None])[..., 0]
-        value = self.support(rhs[None])[0][0]
+        value = weigh(self.duals, rhs[None], self.offset)[0][0]
         excess = self.basis_duals @ rhs + self.basis_offset - value
         miss = np.maximum(excess, (verts @ self.A.T - b).max(1))
         return float(value), verts[miss.argmin()]
@@ -375,54 +366,22 @@ def build_region(pc: ProductChannel, aux: ProductAuxiliary, kind: str) -> RateRe
     return _polytope(pc, kind, rows, f1.value(aux.a1.joint) + f2.value(aux.a2.joint))
 
 
-class _SupportObjective:
-    """Support function of a region in a fixed direction, as a function of
-    the two component auxiliaries: the minimum of ``system.duals`` weighing
-    the row values, with the gradient of the first minimal weight row."""
-
-    def __init__(
-        self,
-        pc: ProductChannel,
-        kind: str,
-        weights: Sequence[float],
-        prof1: Cardinalities,
-        prof2: Cardinalities,
-        fix_r0: float | None,
-    ) -> None:
-        self.rows = _region_rows(kind)
-        self.shape1 = prof1.shape(pc.c1.nx)
-        self.shape2 = prof2.shape(pc.c2.nx)
-        self.size1 = int(np.prod(self.shape1))
-        self.size2 = int(np.prod(self.shape2))
-        self.f1, self.f2 = _row_tables(pc, self.rows, self.shape1, self.shape2)
-        self.system = _VertexSystem([a for a, _, _ in self.rows], fix_r0, weights)
-        self.w1 = Weighing(self.f1, self.system.duals)
-        self.w2 = Weighing(self.f2, self.system.duals)
-
-    @property
-    def block_sizes(self) -> list[int]:
-        return [self.size1, self.size2]
-
-    def split(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The two component auxiliaries of a flat point, or of each row of
-        a batch."""
-        lead = flat.shape[:-1]
-        return (
-            flat[..., : self.size1].reshape(lead + self.shape1),
-            flat[..., self.size1 :].reshape(lead + self.shape2),
-        )
-
-    def __call__(self, flat: np.ndarray) -> tuple[np.ndarray, BatchGrad]:
-        t1, t2 = self.split(flat)
-        ev1, ev2 = self.f1.evaluate(t1), self.f2.evaluate(t2)
-        values, k = self.system.support(ev1.values + ev2.values)
-
-        def grad(rows: Sequence[int]) -> np.ndarray:
-            g1 = ev1.grad(rows, self.w1, k[rows]).reshape(len(rows), -1)
-            g2 = ev2.grad(rows, self.w2, k[rows]).reshape(len(rows), -1)
-            return np.concatenate([g1, g2], axis=1)
-
-        return values, grad
+def _support_objective(
+    pc: ProductChannel,
+    kind: str,
+    weights: Sequence[float],
+    prof1: Cardinalities,
+    prof2: Cardinalities,
+    fix_r0: float | None,
+) -> tuple[JointObjective, _VertexSystem]:
+    """A region's support in direction ``weights`` as a search objective
+    over the two component auxiliaries, one block each: the component
+    tables under the support LP's dual rows and pin offsets. Also returns
+    the LP, which reports the vertex."""
+    rows = _region_rows(kind)
+    tables = _row_tables(pc, rows, prof1.shape(pc.c1.nx), prof2.shape(pc.c2.nx))
+    system = _VertexSystem([a for a, _, _ in rows], fix_r0, weights)
+    return JointObjective(tables, system.duals, system.offset), system
 
 
 @dataclass
@@ -456,30 +415,27 @@ def region_support(
     lists the components in that swapped order.
     """
     prof1, prof2 = default_region_profiles(pc, kind)
-    obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0=fix_r0)
+    obj, system = _support_objective(pc, kind, weights, prof1, prof2, fix_r0)
+    f1, f2 = obj.tables
 
-    seeds = []
     px1 = [np.full(pc.c1.nx, 1.0 / pc.c1.nx)]
     px2 = [np.full(pc.c2.nx, 1.0 / pc.c2.nx)]
     s1 = structured_seed_joints(pc.c1, prof1, px1)
     s2 = structured_seed_joints(pc.c2, prof2, px2)
-    for t1 in s1[:6]:
-        for t2 in s2[:6]:
-            seeds.append(np.concatenate([t1.ravel(), t2.ravel()]))
+    seeds = [obj.to_flat([t1, t2]) for t1 in s1[:6] for t2 in s2[:6]]
     for pa in extra_seeds:
-        e1 = fit_joint(pa.a1.joint, obj.shape1)
-        e2 = fit_joint(pa.a2.joint, obj.shape2)
-        seeds.append(np.concatenate([e1.ravel(), e2.ravel()]))
+        fitted = fit_joint(pa.a1.joint, f1.shape), fit_joint(pa.a2.joint, f2.shape)
+        seeds.append(obj.to_flat(fitted))
 
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
-    t1, t2 = obj.split(res.point)
-    rhs = obj.f1.value(t1) + obj.f2.value(t2)
-    value, vertex = obj.system.optimum(rhs)
+    t1, t2 = obj.to_tensors(res.point)
+    rhs = f1.value(t1) + f2.value(t2)
+    value, vertex = system.optimum(rhs)
     return SupportResult(
         value=value,
         weights=tuple(float(x) for x in weights),
         vertex=vertex,
         aux=ProductAuxiliary(AuxiliaryJoint(t1), AuxiliaryJoint(t2)),
-        region=_polytope(pc, kind, obj.rows, rhs),
+        region=_polytope(pc, kind, _region_rows(kind), rhs),
         converged=res.converged,
     )

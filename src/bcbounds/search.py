@@ -11,12 +11,10 @@ up).
 Objective contract: ``fun(X) -> (values, grad)`` for a batch X of shape
 (B, n), one point per row. ``values`` holds the B objective values and
 ``grad(rows)`` returns the gradients at the points ``X[rows]``, one per
-row, computed only when called. It is the one call form of the
-evaluation layer: ``InfoFunctional.value_and_grad`` takes a batch of
-tensors and weight rows and returns the same pair, and an objective
-reshapes points and gradients around one such call (or one ``evaluate``
-per component table of a region's support), however many rows the batch
-has.
+row, computed only when called. Every objective here is an
+``objectives.JointObjective``, which maps the batch to one batch of
+tensors per table and makes one ``InfoFunctional.value_and_grad`` call
+per table, however many rows the batch has.
 
 The ascent is lockstep and value-first. ``maximize`` runs its restarts
 as one stream, at most ``LOCKSTEP_FLOATS`` floats of points live at a

@@ -22,8 +22,9 @@ Each one recomputes a quantity of the package by an independent route:
   ``grad_per_tensor``: an evaluation's row values (with the linear term
   of the channel's chain rule, on the lattice's input law), weighing and
   adjoint pass one tensor at a time, the reference that the batched
-  ``objectives.Evaluation`` and ``InfoFunctional.value_and_grad``
-  reproduce bit for bit;
+  ``objectives.Evaluation`` and ``objectives.JointObjective`` reproduce
+  bit for bit (``tensor_objective`` runs the latter on batches of
+  tensors);
 - ``weighing_per_call``: the weighing of one gradient call recomputed
   from the call's weight lines, the reference that a compiled
   ``objectives.Weighing`` reproduces bit for bit;
@@ -127,7 +128,7 @@ def endpoint_sr(
     """
     fn = endpoint_table(c, endpoint)
     cfg = cfg or SearchConfig(restarts=32, max_iters=200)
-    obj = JointObjective(fn, [1.0])
+    obj = JointObjective([fn], [1.0], None)
 
     # a maximizing W can be taken as a quantization of X, so for small
     # alphabets seed every deterministic partition and let ascent fix p(x)
@@ -136,7 +137,7 @@ def endpoint_sr(
     else:
         w_maps = [np.zeros(c.nx, dtype=int), np.arange(c.nx)]
     seeds = [
-        obj.to_flat(deterministic_joint((c.nx, c.nx), px, [w_map]))
+        obj.to_flat([deterministic_joint((c.nx, c.nx), px, [w_map])])
         for px in _default_px_list(c)
         for w_map in w_maps
     ]
@@ -269,7 +270,7 @@ def uniform_input_check(
         # constructions plus flat conditionals, all deterministic, ascended
         # in lockstep (each bit for bit as by ``ascend`` on its own)
         fobj = FixedInputObjective(table, px, lambda_weights(lam)[None])
-        starts = [fobj.to_flat(t) for t in component_seed_joints(det, prof, px)]
+        starts = [fobj.to_flat([t]) for t in component_seed_joints(det, prof, px)]
         starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
         return max(v for v, _, _, _ in _lockstep(fobj, starts, fobj.block_sizes, cfg, len(starts)))
 
@@ -344,6 +345,19 @@ def pointwise(fun):
     def f(x):
         values, grad = fun(x[None])
         return float(values[0]), lambda: grad([0])[0]
+
+    return f
+
+
+def tensor_objective(fn, weight_rows):
+    """``JointObjective([fn], weight_rows, None)`` as a function of a batch
+    of fn's tensors, each read in C order: their values and ``grad(rows)``,
+    the gradients in tensor shape."""
+    obj = JointObjective([fn], weight_rows, None)
+
+    def f(batch):
+        values, grad = obj(np.reshape(batch, (len(batch), -1)))
+        return values, lambda rows: grad(rows).reshape((len(rows),) + fn.shape)
 
     return f
 

@@ -36,7 +36,7 @@ from bcbounds.marton import (
     marton_table,
     maximize_lambda_sr_at_input,
 )
-from bcbounds.objectives import InfoFunctional, Weighing, ent_terms, mi_terms
+from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms
 from bcbounds.regions import ProductAuxiliary, region_support
 from bcbounds.search import SearchConfig
 from oracles import (
@@ -44,6 +44,7 @@ from oracles import (
     endpoint_sr,
     f_envelope_oracle,
     pointwise,
+    tensor_objective,
     uniform_input_check,
 )
 
@@ -388,8 +389,7 @@ def test_ac10_gradient_correctness():
             t = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
             t = np.clip(t, 1e-3, None)
             t /= t.sum()
-            weighing = Weighing(fn, weight_rows)
-            f = pointwise(lambda batch: fn.value_and_grad(batch, weighing))
+            f = pointwise(tensor_objective(fn, weight_rows))
             g = f(t)[1]()
             fd = _fd_grad(lambda x: f(x)[0], t)
             rel = np.linalg.norm(g - fd) / max(np.linalg.norm(fd), 1e-9)

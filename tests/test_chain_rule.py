@@ -10,14 +10,13 @@ p(..., x) q(y, z | x), and pin the layout the rewrite gives.
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, _gap_objective
+from bcbounds.channel import Channel, _gap_table
 from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, component, product_channel
 from bcbounds.marton import Cardinalities, marton_table
 from bcbounds.objectives import (
     LOG2_CLIP,
     LOG2E,
     InfoFunctional,
-    Weighing,
     merge_terms,
     mi_terms,
 )
@@ -30,7 +29,7 @@ from bcbounds.regions import (
     default_region_profiles,
 )
 from info_oracle import entropy, mutual_information
-from oracles import endpoint_table
+from oracles import endpoint_table, tensor_objective
 
 
 def _random_channel(seed):
@@ -87,7 +86,7 @@ def _gap(stronger, aux):
             p = _joint(t, c)
             return [mutual_information(p, (0,), (weak,)) - mutual_information(p, (0,), (strong,))]
 
-        return _gap_objective(c, stronger, aux).functional, expect
+        return _gap_table(c, stronger, aux), expect
 
     return build
 
@@ -149,7 +148,7 @@ def test_chain_rule_rows_match_the_explicit_joint(family, ci):
         assert fn.value(t) == pytest.approx(expect(t), abs=1e-12)
     # the gradient, linear term included, at an interior point
     t, w = tensors[1], rng.normal(size=len(fn.coeffs))
-    _, grad = fn.value_and_grad(t[None], Weighing(fn, w))
+    _, grad = tensor_objective(fn, w)(t[None])
     g_fd = _fd_grad(fn, w, t)
     assert np.abs(grad([0])[0] - g_fd).max() / max(1.0, np.abs(g_fd).max()) < 1e-4
 
@@ -161,7 +160,7 @@ def test_gradient_at_a_zero_mass_input_adds_the_output_entropy():
     fn = InfoFunctional("x", (c.nx,), [[(1.0, "xz")]], channel=c.q)
     assert fn.subsets == ["x"]
     p = np.array([0.0, 0.4, 0.6])
-    g = fn.value_and_grad(p[None], Weighing(fn, [1.0]))[1]([0])[0]
+    g = tensor_objective(fn, [1.0])(p[None])[1]([0])[0]
     h_z = entropy(c.q[0].sum(axis=0))
     assert g[0] == pytest.approx(-(LOG2_CLIP + LOG2E) + h_z, rel=1e-15)
     assert fn.value(p)[0] == pytest.approx(entropy(_joint(p, c).sum(axis=1)), abs=1e-12)
@@ -185,7 +184,7 @@ def _package_tables():
         tables += _component_tables(pc, kind)
     for stronger in ("y", "z"):
         for aux in (False, True):
-            tables.append(_gap_objective(small, stronger, aux).functional)
+            tables.append(_gap_table(small, stronger, aux))
     return tables
 
 

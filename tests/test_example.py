@@ -182,6 +182,20 @@ def test_only_the_cli_renders_reports():
     assert renderers == []
 
 
+def test_one_objective_class():
+    # every search scores through one objective: only objectives.py defines
+    # a class with both __call__ and block_sizes, and only JointObjective
+    pkg = Path(bcbounds.__file__).resolve().parent
+    objectives = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                if {"__call__", "block_sizes"} <= names:
+                    objectives.append(f"{path.stem}.{node.name}")
+    assert objectives == ["objectives.JointObjective"]
+
+
 def test_cli_region_kinds_are_the_region_kinds():
     # `outer` (the mirror sweeps the same kind on the swapped product) and
     # the `region --kind` flags name every kind

@@ -19,7 +19,7 @@ from bcbounds.marton import (
     structured_seed_joints,
 )
 from bcbounds.objectives import FixedInputObjective, JointObjective
-from bcbounds.regions import _SupportObjective, _uv_table, default_region_profiles
+from bcbounds.regions import _support_objective, _uv_table, default_region_profiles
 from bcbounds.search import SearchConfig, ascend, maximize
 from oracles import maximize_sequential, pointwise, run_restart
 
@@ -35,14 +35,14 @@ def _marton_lambda_search():
     # the benchmark's lambda_search table: BEC(0.45)/BSC(0.1), shape (2,2,2,2)
     c = Channel(bec_bsc_pair())
     prof = Cardinalities.for_sum_rate(c)
-    obj = JointObjective(marton_table(c, prof), lambda_weights(0.3)[None])
-    seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, _default_px_list(c))]
+    obj = JointObjective([marton_table(c, prof)], lambda_weights(0.3)[None], None)
+    seeds = [obj.to_flat([t]) for t in structured_seed_joints(c, prof, _default_px_list(c))]
     return obj, SearchConfig(restarts=8, max_iters=150, seed=11), seeds
 
 
 def _uv_small():
     c = _random_channel(np.random.default_rng(21), 3, 2, 3)
-    obj = JointObjective(_uv_table(c, 4, 4), np.eye(5)[:3])
+    obj = JointObjective([_uv_table(c, 4, 4)], np.eye(5)[:3], None)
     return obj, SearchConfig(restarts=6, max_iters=80, seed=2), []
 
 
@@ -51,7 +51,7 @@ def _fixed_input():
     prof = Cardinalities.for_sum_rate(c)
     px = np.array([0.3, 0.7])
     obj = FixedInputObjective(marton_table(c, prof), px, lambda_weights(0.6)[None])
-    seeds = [obj.to_flat(t) for t in structured_seed_joints(c, prof, [px])]
+    seeds = [obj.to_flat([t]) for t in structured_seed_joints(c, prof, [px])]
     return obj, SearchConfig(restarts=6, max_iters=80, seed=4), seeds
 
 
@@ -59,7 +59,7 @@ def _semi_deterministic():
     rng = np.random.default_rng(22)
     pc = ProductChannel(_random_channel(rng, 2, 2, 2), _random_channel(rng, 2, 2, 2))
     prof1, prof2 = default_region_profiles(pc, "semi_deterministic")
-    obj = _SupportObjective(pc, "semi_deterministic", (0, 1, 1), prof1, prof2, 0.0)
+    obj, _ = _support_objective(pc, "semi_deterministic", (0, 1, 1), prof1, prof2, 0.0)
     return obj, SearchConfig(restarts=6, max_iters=60, seed=1), []
 
 

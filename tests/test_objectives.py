@@ -22,7 +22,7 @@ from bcbounds.marton import AuxiliaryJoint
 from bcbounds.regions import (
     _region_rows,
     _row_tables,
-    _SupportObjective,
+    _support_objective,
     _uv_table,
     default_region_profiles,
 )
@@ -33,6 +33,7 @@ from oracles import (
     lattice_grad_per_tensor,
     pointwise,
     row_values_per_tensor,
+    tensor_objective,
     weigh_per_tensor,
     weighing_per_call,
 )
@@ -44,8 +45,7 @@ def _random_channel(rng, nx, ny, nz):
 
 def _at(fn, weight_rows):
     # fn's objective under weight_rows as a function of one tensor
-    rows = np.atleast_2d(np.asarray(weight_rows, dtype=float))
-    return pointwise(lambda batch: fn.value_and_grad(batch, Weighing(fn, rows)))
+    return pointwise(tensor_objective(fn, weight_rows))
 
 
 def _grad(ev, rows, weights):
@@ -116,14 +116,14 @@ def test_functional_without_channel():
     assert fn.value(t)[0] == pytest.approx(expect, abs=1e-12)
     # an evaluation takes a batch: one tensor without its leading axis is refused
     with pytest.raises(ValueError, match="batch"):
-        fn.evaluate(t)
+        fn.value_and_grad(t)
 
 
 def test_empty_first_row_is_zero_with_zero_gradient():
     rng = np.random.default_rng(10)
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
     table = InfoFunctional("ab", (2, 3), [[], mi_terms("a", "b")])
-    ev = table.evaluate(t[None])
+    ev = table.value_and_grad(t[None])
     assert ev.values[0, 0] == 0.0
     assert ev.values[0, 1] == pytest.approx(mutual_information(t, (0,), (1,)), abs=1e-12)
     assert np.array_equal(_grad(ev, [0], np.array([[1.0, 0.0]])), np.zeros((1, 2, 3)))
@@ -164,11 +164,11 @@ def test_joint_objective_round_trip():
     rng = np.random.default_rng(4)
     q = _random_channel(rng, 2, 2, 2)
     fn = InfoFunctional("ux", (3, 2), [mi_terms("u", "y")], q)
-    obj = JointObjective(fn, [1.0])
+    obj = JointObjective([fn], [1.0], None)
     assert obj.block_sizes == [6]
     t = rng.dirichlet(np.ones(6)).reshape(3, 2)
-    flat = obj.to_flat(t)
-    assert np.allclose(obj.to_tensor(flat), t)
+    flat = obj.to_flat([t])
+    assert np.allclose(obj.to_tensors(flat)[0], t)
     v, grad = pointwise(obj)(flat)
     assert v == pytest.approx(fn.value(t)[0], abs=1e-12)
     assert grad().shape == (6,)
@@ -183,8 +183,8 @@ def test_fixed_input_objective_blocks_and_masses():
     # one conditional simplex per input letter
     assert obj.block_sizes == [4, 4, 4]
     t = rng.dirichlet(np.ones(4), size=3).T.reshape(2, 2, 3) * px
-    flat = obj.to_flat(t)
-    back = obj.to_tensor(flat)
+    flat = obj.to_flat([t])
+    (back,) = obj.to_tensors(flat)
     # input marginal is preserved exactly
     assert np.allclose(back.sum(axis=(0, 1)), px, atol=1e-12)
     v, grad = pointwise(obj)(flat)
@@ -199,7 +199,7 @@ def test_fixed_input_zero_mass_conditional_is_uniform():
     obj = FixedInputObjective(fn, np.array([1.0, 0.0]), [1.0])
     t = np.zeros((2, 2))
     t[0, 0] = 1.0
-    flat = obj.to_flat(t)
+    flat = obj.to_flat([t])
     # the conditional attached to the zero-mass input defaults to uniform
     assert np.allclose(flat[2:], 0.5)
 
@@ -237,7 +237,7 @@ def test_min_of_objectives_value_and_active_gradient():
     rows = [ent_terms("a"), ent_terms("b")]
     table = InfoFunctional("ab", (2, 3), rows)
     singles = [InfoFunctional("ab", (2, 3), [r]) for r in rows]
-    obj = JointObjective(table, np.eye(2))
+    obj = JointObjective([table], np.eye(2), None)
     t = rng.dirichlet(np.ones(6)).reshape(2, 3)
     vals = table.value(t)
     assert np.allclose(vals, [f.value(t)[0] for f in singles], atol=1e-12)
@@ -247,7 +247,7 @@ def test_min_of_objectives_value_and_active_gradient():
     assert v == pytest.approx(vals[k], abs=1e-12)
     assert np.allclose(grad(), _at(singles[k], [1.0])(t)[1]().ravel(), atol=1e-12)
     # weight rows that skip a row leave it out of the minimum
-    v1, grad1 = pointwise(JointObjective(table, np.eye(2)[:1]))(t.ravel())
+    v1, grad1 = pointwise(JointObjective([table], np.eye(2)[:1], None))(t.ravel())
     assert v1 == pytest.approx(vals[0], abs=1e-12)
     assert np.allclose(grad1(), _at(singles[0], [1.0])(t)[1]().ravel(), atol=1e-12)
     # on a tie the first minimal row wins: H(A) = H(B) = 1 bit here
@@ -275,13 +275,14 @@ def test_min_of_identity_rows_and_weighted_row():
     for _ in range(5):
         t = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
         # identity weight rows reproduce the first-minimal-row weighing bit for bit
-        values, grad = table.value_and_grad(t[None], Weighing(table, np.eye(4)[:3]))
+        values, grad = tensor_objective(table, np.eye(4)[:3])(t[None])
         v_ref, w_ref = _first_min_row(table.value(t), 3)
         assert values[0] == v_ref
-        assert grad([0]).tobytes() == _grad(table.evaluate(t[None]), [0], w_ref[None]).tobytes()
+        ref = _grad(table.value_and_grad(t[None]), [0], w_ref[None])
+        assert grad([0]).tobytes() == ref.tobytes()
         obj = FixedInputObjective(table, px, np.eye(4)[:3])
-        flat = obj.to_flat(t)
-        _, w_ref = _first_min_row(table.value(obj.to_tensor(flat)), 3)
+        flat = obj.to_flat([t])
+        _, w_ref = _first_min_row(table.value(obj.to_tensors(flat)[0]), 3)
         got = pointwise(obj)(flat)
         ref = pointwise(FixedInputObjective(table, px, w_ref))(flat)
         assert got[0] == ref[0] and np.array_equal(got[1](), ref[1]())
@@ -360,7 +361,7 @@ def _c_order(t):
 
 
 def _input_major(t):
-    # the layout FixedInputObjective.to_tensor builds: the input axis slowest
+    # the layout FixedInputObjective.to_tensors builds: the input axis slowest
     return np.ascontiguousarray(np.moveaxis(t, -1, 0)).transpose(list(range(1, t.ndim)) + [0])
 
 
@@ -395,7 +396,7 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
             h_ref, v_ref, g_ref, marginals = _unfused(fn, c_copy, weights)
             assert (marginals == 0.0).any()
             assert ((marginals > 0.0) & (marginals < GRAD_CLIP)).any()
-            ev = fn.evaluate(t[None])
+            ev = fn.value_and_grad(t[None])
             assert ev.entropies[0].tobytes() == h_ref.tobytes()
             assert ev.values[0].tobytes() == v_ref.tobytes()
             with np.errstate(all="raise"):
@@ -403,7 +404,7 @@ def test_fused_entropy_vector_matches_kernel_bit_for_bit():
             assert np.isfinite(g).all()
             assert g.tobytes() == g_ref.tobytes()
             if layout is not _c_order:
-                ref = fn.evaluate(c_copy[None])
+                ref = fn.value_and_grad(c_copy[None])
                 assert ev.entropies.tobytes() == ref.entropies.tobytes()
                 assert ev.values.tobytes() == ref.values.tobytes()
                 assert g.tobytes() == _grad(ref, [0], weights[None])[0].tobytes()
@@ -425,7 +426,7 @@ def test_lattice_sums_stay_within_the_recursive_summation_bound():
     for fn in _kernel_tables(rng):
         t = _awkward_tensor(rng, fn.shape)
         weights = rng.normal(size=fn.coeffs.shape[0])
-        ev = fn.evaluate(t[None])
+        ev = fn.value_and_grad(t[None])
         # the keep buffers the evaluation filled, in lattice order
         lattice = [out[0] for _, _, out in fn._plan((1,) + fn.shape).reductions]
         moved = 0
@@ -502,10 +503,10 @@ def test_a_tensor_has_one_value_whatever_its_memory_order():
         weights = rng.normal(size=(1, fn.coeffs.shape[0]))
         for _ in range(4):
             t = rng.dirichlet(np.ones(int(np.prod(fn.shape)))).reshape(fn.shape)
-            ref = fn.evaluate(t[None])
+            ref = fn.value_and_grad(t[None])
             g_ref = _grad(ref, [0], weights)
             for layout in (_input_major, np.asfortranarray):
-                ev = fn.evaluate(layout(t)[None])
+                ev = fn.value_and_grad(layout(t)[None])
                 assert ev.entropies.tobytes() == ref.entropies.tobytes()
                 assert ev.values.tobytes() == ref.values.tobytes()
                 assert _grad(ev, [0], weights).tobytes() == g_ref.tobytes()
@@ -513,7 +514,7 @@ def test_a_tensor_has_one_value_whatever_its_memory_order():
         points = rng.dirichlet(np.ones(size), size=(3, 2)).reshape(3, 2 * size)
         spaced = points[:, :size].reshape((3,) + fn.shape)
         assert not spaced.flags.c_contiguous and spaced[0].flags.c_contiguous
-        ev, ref = fn.evaluate(spaced), fn.evaluate(np.ascontiguousarray(spaced))
+        ev, ref = fn.value_and_grad(spaced), fn.value_and_grad(np.ascontiguousarray(spaced))
         assert ev.entropies.tobytes() == ref.entropies.tobytes()
         assert ev.values.tobytes() == ref.values.tobytes()
         w3 = np.repeat(weights, 3, axis=0)
@@ -529,22 +530,22 @@ def test_evaluation_survives_later_evaluations_bit_for_bit():
         px = rng.dirichlet(np.ones(3))
         t1, t2 = (_input_major(_awkward_tensor(rng, fn.shape)) for _ in range(2))
         weights = rng.normal(size=(1, fn.coeffs.shape[0]))
-        ev1 = fn.evaluate(t1[None])
-        v1, grad1 = fn.value_and_grad(t1[None], Weighing(fn, weights))
-        ev2 = fn.evaluate(t2[None])
-        fn.evaluate(np.ascontiguousarray(t2)[None] * 0.5)
+        ev1 = fn.value_and_grad(t1[None])
+        v1, grad1 = tensor_objective(fn, weights)(t1[None])
+        ev2 = fn.value_and_grad(t2[None])
+        fn.value_and_grad(np.ascontiguousarray(t2)[None] * 0.5)
         g1 = _grad(ev1, [0], weights)
         for ev, t in ((ev1, t1), (ev2, t2)):
-            fresh = fn.evaluate(t[None])
+            fresh = fn.value_and_grad(t[None])
             assert ev.entropies.tobytes() == fresh.entropies.tobytes()
             assert ev.values.tobytes() == fresh.values.tobytes()
-        fresh = fn.evaluate(t1[None])
+        fresh = fn.value_and_grad(t1[None])
         assert g1.tobytes() == _grad(fresh, [0], weights).tobytes()
         assert grad1([0]).tobytes() == _grad(fresh, [0], weights).tobytes()
-        assert v1.tobytes() == fn.value_and_grad(t1[None], Weighing(fn, weights))[0].tobytes()
+        assert v1.tobytes() == tensor_objective(fn, weights)(t1[None])[0].tobytes()
         # the flat-vector adapters read the same buffers
         obj = FixedInputObjective(fn, px, weights)
-        x1, x2 = obj.to_flat(t1), obj.to_flat(t2)
+        x1, x2 = obj.to_flat([t1]), obj.to_flat([t2])
         f = pointwise(obj)
         value, grad = f(x1)
         f(x2)
@@ -571,12 +572,12 @@ def test_batched_evaluation_matches_each_tensor_bit_for_bit():
             [0] + list(range(2, batch_c.ndim)) + [1]
         )
         for layout, batch in ((_c_order, batch_c), (_input_major, batch_x)):
-            ev = fn.evaluate(batch)
+            ev = fn.value_and_grad(batch)
             assert ev.values.shape == (3, fn.coeffs.shape[0])
             grads = _grad(ev, range(3), weights)
             rows = _grad(ev, [0, 2], weights[[0, 2]])
             for r, t in enumerate(singles):
-                one = fn.evaluate(layout(t)[None])
+                one = fn.value_and_grad(layout(t)[None])
                 assert ev.entropies[r].tobytes() == one.entropies[0].tobytes()
                 assert ev.values[r].tobytes() == one.values[0].tobytes()
                 assert grads[r].tobytes() == _grad(one, [0], weights[[r]])[0].tobytes()
@@ -596,15 +597,15 @@ def test_value_and_grad_weighs_each_tensor_of_a_batch_by_its_own_minimal_row():
             [[0.25, 0.25, 0.0], [0.25, 0.25, 0.0]],  # a tie: the first row, 0
         ]
     )
-    values, grad = table.value_and_grad(batch, Weighing(table, weight_rows))
+    values, grad = tensor_objective(table, weight_rows)(batch)
     grads = grad([0, 1, 2])
     for r, first_min in enumerate((1, 2, 0)):
         one = batch[r][None]
-        alone, alone_grad = table.value_and_grad(one, Weighing(table, weight_rows))
+        alone, alone_grad = tensor_objective(table, weight_rows)(one)
         assert values[r].tobytes() == alone[0].tobytes()
         assert grad([r]).tobytes() == alone_grad([0]).tobytes()
         assert grads[r].tobytes() == alone_grad([0])[0].tobytes()
-        ref = _grad(table.evaluate(one), [0], weight_rows[[first_min]])
+        ref = _grad(table.value_and_grad(one), [0], weight_rows[[first_min]])
         assert grad([r]).tobytes() == ref.tobytes()
     assert table.value(batch[2]).tolist() == [1.0, 1.0]
 
@@ -654,14 +655,14 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
             row_sets = [list(range(n)), list(range(n))[::-1]]
             row_sets += [[2, 0, 2], [4, 1]] if n == 5 else []
             for batch in (batch_c, batch_x):
-                ev = fn.evaluate(batch)
+                ev = fn.value_and_grad(batch)
                 ref = row_values_per_tensor(fn, batch, ev.entropies)
                 assert ev.values.tobytes() == ref.tobytes()
                 for rows in row_sets:
                     ref = grad_per_tensor(ev, rows, weights[rows])
                     assert _grad(ev, rows, weights[rows]).tobytes() == ref.tobytes()
                 for weight_rows in weighings:
-                    values, grad = fn.value_and_grad(batch, Weighing(fn, weight_rows))
+                    values, grad = tensor_objective(fn, weight_rows)(batch)
                     ref_values, ref_weights = weigh_per_tensor(ev.values, weight_rows)
                     assert values.tobytes() == ref_values.tobytes()
                     for rows in row_sets:
@@ -685,14 +686,14 @@ def test_table_keeps_one_fill_plan_as_a_group_shrinks():
     q = _random_channel(rng, 3, 2, 2)
     fn = _uv_table(Channel(q), 4, 4)
     batch = rng.dirichlet(np.ones(48), size=16).reshape(16, 4, 4, 3)
-    first = fn.evaluate(batch).values
+    first = fn.value_and_grad(batch).values
     plans = []
     for n in range(16, 0, -1):
-        assert fn.evaluate(batch[:n]).values.tobytes() == first[:n].tobytes()
+        assert fn.value_and_grad(batch[:n]).values.tobytes() == first[:n].tobytes()
         plans.append(weakref.ref(fn._plan(batch[:n].shape)))
         gc.collect()
         assert sum(ref() is not None for ref in plans) <= 1
-    assert fn.evaluate(batch).values.tobytes() == first.tobytes()
+    assert fn.value_and_grad(batch).values.tobytes() == first.tobytes()
 
 
 def _compiled_weighings():
@@ -703,14 +704,16 @@ def _compiled_weighings():
     # under their dual rows
     pc = product_channel()
     lam_rows = np.stack([lambda_weights(x) for x in (0.5, 0.0, 1.0, 0.3)])
-    marton = JointObjective(marton_table(pc.flat, REDUCED_PRODUCT_PROFILE), lam_rows)
-    uv = JointObjective(_uv_table(pc.flat, 17, 17), np.eye(5)[:3])
-    cases = [(marton.functional, marton.weighing), (uv.functional, uv.weighing)]
+    objectives = [
+        JointObjective([marton_table(pc.flat, REDUCED_PRODUCT_PROFILE)], lam_rows, None),
+        JointObjective([_uv_table(pc.flat, 17, 17)], np.eye(5)[:3], None),
+    ]
     for kind in ("product_outer", "semi_deterministic"):
         prof1, prof2 = default_region_profiles(pc, kind)
         for weights, fix_r0 in (((0.0, 1.0, 1.0), 0.0), ((1.0, 1.0, 1.0), None)):
-            obj = _SupportObjective(pc, kind, weights, prof1, prof2, fix_r0)
-            cases += [(obj.f1, obj.w1), (obj.f2, obj.w2)]
+            objectives.append(_support_objective(pc, kind, weights, prof1, prof2, fix_r0)[0])
+    cases = [case for obj in objectives for case in zip(obj.tables, obj.weighings)]
+    assert len(cases) == 10
     return cases
 
 
@@ -725,7 +728,7 @@ def test_compiled_weighing_matches_the_per_call_weighing_bit_for_bit():
     for fn, weighing in _compiled_weighings():
         n_k = len(weighing.rows)
         batch = np.stack([_awkward_tensor(rng, fn.shape) for _ in range(5)])
-        ev = fn.evaluate(batch)
+        ev = fn.value_and_grad(batch)
         calls = [([0, 1, 2, 3, 4], [k] * 5) for k in range(n_k)]
         calls += [([0, 1, 2, 3, 4], [k % n_k for k in range(5)])]
         calls += [([2, 0, 2], [n_k - 1, 0, n_k - 1]), ([4, 1], [0, n_k - 1]), ([3], [n_k - 1])]
@@ -741,7 +744,7 @@ def test_compiled_weighing_matches_the_per_call_weighing_bit_for_bit():
             g = ev.grad(rows, weighing, ks)
             assert g.tobytes() == grad_per_tensor(ev, rows, weighing.rows[ks]).tobytes()
             for got, r, k in zip(g, rows, ks):
-                alone = fn.evaluate(batch[r][None]).grad([0], weighing, [k])[0]
+                alone = fn.value_and_grad(batch[r][None]).grad([0], weighing, [k])[0]
                 assert got.tobytes() == alone.tobytes()
         assert n_k > 1
     assert zero_where_other_weighs

@@ -14,7 +14,7 @@ from bcbounds.regions import (
     RateRegionPolytope,
     UvAuxiliary,
     _region_rows,
-    _SupportObjective,
+    _support_objective,
     _VertexSystem,
     build_region,
     default_region_profiles,
@@ -22,6 +22,7 @@ from bcbounds.regions import (
     region_support,
     uv_sum_rate,
 )
+from bcbounds.objectives import weigh
 from bcbounds.search import SearchConfig
 from info_oracle import entropy, mutual_information
 from oracles import dual_support_per_point, pointwise
@@ -209,14 +210,21 @@ def test_support_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     pc = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
     eps = 1e-6
-    for kind in ("product_outer", "semi_deterministic"):
+    # unpinned, then pinned: a direction whose R0 weight exceeds the others'
+    # sum puts the pin in dual rows, whose offsets are then nonzero; at 0.3
+    # the pin is slack at these points, at 0.02 it binds
+    kinds = ("product_outer", "semi_deterministic")
+    for fix_r0, kind in itertools.product((None, 0.3, 0.02), kinds):
         prof1, prof2 = default_region_profiles(pc, kind)
-        obj = _SupportObjective(pc, kind, rng.uniform(0.5, 1.5, 3), prof1, prof2, None)
+        w = rng.uniform(0.5, 1.5, 3) + (0.0 if fix_r0 is None else (3.0, 0.0, 0.0))
+        obj, _ = _support_objective(pc, kind, w, prof1, prof2, fix_r0)
+        assert fix_r0 is None or obj.offset.any()
+        pinned = 0
 
         def basis(flat):
-            t1, t2 = obj.split(flat)
-            rhs = obj.f1.value(t1) + obj.f2.value(t2)
-            return int(obj.system.support(rhs[None])[1][0])
+            t1, t2 = obj.to_tensors(flat)
+            rhs = obj.tables[0].value(t1) + obj.tables[1].value(t2)
+            return int(weigh(obj.weight_rows, rhs[None], obj.offset)[1][0])
 
         checked = 0
         for _ in range(6):
@@ -234,8 +242,10 @@ def test_support_gradient_matches_finite_differences():
             if not same_basis:
                 continue
             checked += 1
-            assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4, kind
-        assert checked >= 3, kind
+            pinned += obj.offset[k] != 0.0
+            assert np.abs(g - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4, (kind, fix_r0)
+        assert checked >= 3, (kind, fix_r0)
+        assert fix_r0 != 0.02 or pinned > 0, kind
 
 
 def test_unknown_region_kind_rejected():
@@ -357,13 +367,13 @@ def test_support_objective_vertex_matches_polytope_support():
         normals = [a for a, _, _ in _region_rows(kind)]
         for fix_r0 in (None, 0.0, 0.3):
             for w in _directions(rng):
-                obj = _SupportObjective(pc, kind, w, prof1, prof2, fix_r0=fix_r0)
+                obj, _ = _support_objective(pc, kind, w, prof1, prof2, fix_r0)
                 for rhs in _nonnegative_rhs(rng, 10, len(normals)):
                     region = RateRegionPolytope(
                         [(a, float(r)) for a, r in zip(normals, rhs)], tag=kind
                     )
                     expect, vertex = region.support(w, fix_r0=fix_r0)
-                    assert obj.system.support(rhs[None])[0][0] == expect
+                    assert weigh(obj.weight_rows, rhs[None], obj.offset)[0][0] == expect
                     _assert_optimal_vertex(normals, rhs, w, fix_r0, expect, vertex)
                     scale = max(1.0, np.abs(w).max())
                     assert abs(expect - _support_by_loop(normals, rhs, w, fix_r0)) <= 1e-12 * scale
@@ -382,9 +392,9 @@ def test_dual_support_batch_matches_single_point_and_oracle():
                 assert (system.duals >= 0.0).all()
                 for n in (1, 2, 5, 16):
                     rhs = _nonnegative_rhs(rng, n, len(normals))
-                    values, index = system.support(rhs)
+                    values, index = weigh(system.duals, rhs, system.offset)
                     for i, row in enumerate(rhs):
-                        alone, k = system.support(row[None])
+                        alone, k = weigh(system.duals, row[None], system.offset)
                         assert alone.tobytes() == values[i : i + 1].tobytes()
                         assert k[0] == index[i]
                         expect = dual_support_per_point(normals, row, w, fix_r0)
@@ -403,7 +413,7 @@ def test_dual_support_empty_polytope_unbounded_and_tie():
     # rows' bound 1, and the vertex (0, 1, 1) violates the R0 bound
     rhs = np.full((2, len(normals)), 1.0)
     rhs[1, 0] = -1.0
-    values, index = system.support(rhs)
+    values, index = weigh(system.duals, rhs, system.offset)
     assert values.tolist() == [1.0, 1.0] and index.tolist() == [1, 1]
     assert (system.duals[:, 0] == 0.0).all()
     assert system.optimum(rhs[1])[1].tolist() == [0.0, 1.0, 1.0]
@@ -418,7 +428,7 @@ def test_dual_support_empty_polytope_unbounded_and_tie():
     assert cube.combos.tolist() == [[0, 1, 2], [1, 2, 3]]
     assert cube.basis_duals.tolist() == [[0.0, 1.0, 1.0]] * 2
     assert cube.duals.tolist() == [[0.0, 1.0, 1.0]]
-    values, index = cube.support(np.ones((3, 3)))
+    values, index = weigh(cube.duals, np.ones((3, 3)), cube.offset)
     assert values.tolist() == [2.0] * 3 and index.tolist() == [0] * 3
     assert cube.optimum(np.ones(3))[1].tolist() == [1.0, 1.0, 1.0]
 
@@ -456,8 +466,8 @@ def test_region_support_value_is_exact_score_at_returned_aux(kind, fix_r0):
     cfg = SearchConfig(restarts=2, max_iters=40, seed=0)
     res = region_support(pc, kind, (0, 1, 1), cfg, fix_r0=fix_r0)
     prof1, prof2 = default_region_profiles(pc, kind)
-    obj = _SupportObjective(pc, kind, (0, 1, 1), prof1, prof2, fix_r0=fix_r0)
-    flat = np.concatenate([res.aux.a1.joint.ravel(), res.aux.a2.joint.ravel()])
+    obj, _ = _support_objective(pc, kind, (0, 1, 1), prof1, prof2, fix_r0)
+    flat = obj.to_flat([res.aux.a1.joint, res.aux.a2.joint])
     assert res.value == pointwise(obj)(flat)[0]
     assert res.value == pytest.approx(res.vertex @ np.asarray(res.weights), abs=1e-12)
     assert res.region.contains(res.vertex)
