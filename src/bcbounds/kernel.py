@@ -8,8 +8,9 @@ artifacts.
 The input contract is nonnegative rows: projected search points,
 validated channels and their marginals, all linear images of those with
 nonnegative coefficients. An entry that is not positive gets the log
-``LOG2_CLIP`` (log2 of ``GRAD_CLIP``), written in place by one masked
-log2, so the logs are the clipped logs an entropy derivative reads; its
+``LOG2_CLIP`` (log2 of ``GRAD_CLIP``): a copy of the array with
+``GRAD_CLIP`` in place of those entries takes one log2 in place, so the
+logs are the clipped logs an entropy derivative reads. Such an entry's
 term p*log2(p) is then LOG2_CLIP * 0.0 = -0.0, which leaves every nonzero
 sum unchanged. A negative entry would instead contribute a positive
 term, so callers must not pass one.
@@ -49,18 +50,17 @@ def entropy_of_array(p: np.ndarray) -> float:
 
 def segment_entropies(rows: np.ndarray, offsets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Entropies in bits of the segments ``rows[:, offsets[s]:offsets[s+1]]``
-    of every row of a 2-D nonnegative array, by one mask and one masked
-    log2 over the whole array and one pairwise sum per segment for all
-    rows at once.
+    of every row of a 2-D nonnegative array, by one mask and one log2 over
+    the whole array (``GRAD_CLIP`` in place of each entry that is not
+    positive) and one pairwise sum per segment for all rows at once.
 
     Returns (entropies, one row per row of ``rows``; log2 of each
     positive entry in its place and ``LOG2_CLIP`` at the others, shaped as
     ``rows``), so a caller can reuse the logs of any segment.
     """
     mask = rows > 0.0
-    logs = np.empty(rows.shape)
-    logs.fill(LOG2_CLIP)
-    np.log2(rows, out=logs, where=mask)
+    logs = np.where(mask, rows, GRAD_CLIP)
+    np.log2(logs, out=logs)
     # p*log2(p): a zero entry's term is LOG2_CLIP * 0.0 = -0.0
     terms = logs * rows
     bounds = np.asarray(offsets).tolist()

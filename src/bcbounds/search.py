@@ -16,20 +16,27 @@ row, computed only when called. Every objective here is an
 tensors per table and makes one ``InfoFunctional.value_and_grad`` call
 per table, however many rows the batch has.
 
-The ascent is lockstep and value-first. ``maximize`` runs its restarts
-as one stream, at most ``LOCKSTEP_FLOATS`` floats of points live at a
-time: each round the slots of restarts that ended take the next starts,
-every live restart's trial and every new start are projected in one
-``project_blocks`` call and scored in one objective call, each restart
-accepts its step or shrinks it by its own rule, and the gradients of the
-accepted trials and the new starts come from one ``grad`` call, so
-gradients run only at start points and accepted steps. A restart's
-arithmetic does not depend on which restarts share its rounds, so every
-result is bit-identical to running the restarts one at a time, whatever
-``LOCKSTEP_FLOATS`` is; ``ascend`` is the same engine with one start. An
-objective sees one batch size while starts wait (16 points in a
-``product_outer`` support search; a trial that does not move its point
-is not scored) and smaller ones only at the stream's end.
+The ascent is lockstep, speculative and value-first. ``maximize`` runs
+its restarts as one stream, at most ``LOCKSTEP_FLOATS`` floats of points
+live at a time. Each round the slots of restarts that ended take the
+next starts, every live restart's trials and every new start are
+projected in one ``project_blocks`` call and scored in one objective
+call, each restart replays its trials by its own rule, and the
+gradients of the accepted trials and the new starts come from one
+``grad`` call, so gradients run only at start points and accepted steps.
+A restart at step s has one trial a round, or, while the live points
+are small (``SPECULATE_FLOATS``), up to ``SPECULATE_DEPTH``: s, s/2 and
+s/4, the steps it would try one after another as each is rejected, so a
+rejected trial costs no round of its own. Halving is exact and a
+restart's arithmetic does not depend on which rows share its rounds, so
+every result is bit-identical to running the restarts one at a time,
+one trial at a time, whatever ``LOCKSTEP_FLOATS`` and the depth are;
+``ascend`` is the same engine with one start. An objective sees one
+batch size while starts wait in a search of large points (16 points in
+a ``product_outer`` support search; a trial that does not move its point
+is not scored) and smaller ones only at the stream's end; a search of
+small points scores up to three trials per live restart (24 trials for
+the 8 restarts of a 16-float Marton search) plus the new starts.
 
 Every search entry point takes its budget as a required ``SearchConfig``
 from its caller; none has a default budget.
@@ -89,13 +96,22 @@ IMPROVE_TOL = 1e-9
 # a restart converges after this many accepted steps in a row that each
 # gained less than IMPROVE_TOL
 PATIENCE = 4
+# a lockstep round scores min(SPECULATE_DEPTH, SPECULATE_FLOATS // floats
+# of the live points) trials of each live restart, at least one: where a
+# round's fixed cost outweighs its arithmetic (the 16-float Marton searches
+# of a binary-input pair) a rejected trial then costs no round of its own,
+# and a search of 256 floats or more scores one trial a restart while
+# starts wait
+SPECULATE_DEPTH = 3
+SPECULATE_FLOATS = 1024
 # maximize steps at most this many floats of restart points together: an
 # objective's batch buffers grow with the batch, while the per-round
 # overhead that lockstep saves is already small next to the arithmetic of
 # this many floats (the 16-float Marton searches of a binary-input pair
-# step all their restarts together, a 1024-float product_outer support
-# search 16 at a time, the 4096-float Marton and 4624-float UV searches on
-# the worked product 4 and 3 at a time)
+# step all their restarts together, at speculative depth 3, a 1024-float
+# product_outer support search 16 at a time, the 4096-float Marton and
+# 4624-float UV searches on the worked product 4 and 3 at a time, all
+# three at depth 1)
 LOCKSTEP_FLOATS = 16384
 
 
@@ -283,42 +299,97 @@ def _lockstep(
     PATIENCE accepted steps in a row that each gained less than
     IMPROVE_TOL; it stops unconverged after ``cfg.max_iters`` iterations.
     A restart's value only rises, so its last point is its best.
+
+    A round runs that rule on up to ``depth`` trials of each restart at
+    once: depth is min(SPECULATE_DEPTH, SPECULATE_FLOATS // floats of the
+    live points), and the trials are at s, s/2, ..., none below MIN_STEP.
+    The restart replays them in order: it converges at the first that does
+    not move its point (no later one is scored), goes on from the first
+    that rises, and otherwise goes on at its last trial's step, halved.
+    A depth-1 round scores one trial per restart and gathers no rows.
     """
     starts = iter(starts)
+    floats = sum(block_sizes)
     results: list = []
     # per live restart: its point and gradient as rows, the rest as lists
-    x = g = np.empty((0, sum(block_sizes)))
+    x = g = np.empty((0, floats))
     live, v, step, stall, it = [], [], [], [], []
     while True:
         n = len(live)
         new = list(itertools.islice(starts, width - n))
         if not live and not new:
             return results
+        depth = min(SPECULATE_DEPTH, SPECULATE_FLOATS // (n * floats)) if n else 1
+        if depth > 1:
+            # restart j's trials at s, s/2, ... in order: at most depth of
+            # them, none below MIN_STEP
+            steps, owner = [], []
+            for j, s in enumerate(step):
+                for _ in range(depth):
+                    steps.append(s)
+                    owner.append(j)
+                    s *= STEP_SHRINK
+                    if s < MIN_STEP:
+                        break
+            base = x[owner]
+            xn = np.array(steps)[:, None] * g[owner]
+        else:
+            base = x
+            xn = np.array(step)[:, None] * g
         # x + step * g row by row, then the new starts, in one projection
-        xn = np.array(step)[:, None] * g
-        xn += x
+        xn += base
+        m = len(xn)
         xn = project_blocks(np.concatenate([xn, new]) if new else xn, block_sizes)
-        shift = np.abs(xn[:n] - x).max(axis=1).tolist()
+        shift = np.abs(xn[:m] - base).max(axis=1).tolist()
         # a trial that does not move its point ends the restart, converged
         done, moved = {}, []
-        for j, d in enumerate(shift):
-            if d < 1e-15:
-                done[j] = True
-            else:
-                moved.append(j)
-        scored = moved + list(range(n, len(xn))) if new else moved
+        if depth > 1:
+            # unless an earlier trial of the restart rises; either way no
+            # later trial of it is scored
+            for t, d in enumerate(shift):
+                j = owner[t]
+                if j in done:
+                    continue
+                if d < 1e-15:
+                    done[j] = True
+                else:
+                    moved.append(t)
+        else:
+            for j, d in enumerate(shift):
+                if d < 1e-15:
+                    done[j] = True
+                else:
+                    moved.append(j)
+        scored = moved + list(range(m, len(xn))) if new else moved
         trial = xn if len(scored) == len(xn) else xn[scored]
         # no call when every trial stalled in place and no start waits
         vn, grad = fun(trial) if scored else (np.empty(0), None)
         vn = vn.tolist()
-        accepted = []
-        for r, (j, value) in enumerate(zip(moved, vn)):
+        if depth > 1:
+            # each restart replays its scored trials in order and goes on
+            # with the first that rises, or else with its last, at that
+            # trial's step
+            picks, pick_owner = [], []
+            for j, trials in itertools.groupby(range(len(moved)), lambda r: owner[moved[r]]):
+                for r in trials:
+                    step[j] = steps[moved[r]]
+                    if vn[r] > v[j] + 1e-15:
+                        done.pop(j, None)
+                        break
+                picks.append(r)
+                pick_owner.append(j)
+        else:
+            picks, pick_owner = range(len(moved)), moved
+        accepted, at = [], []
+        for r, j in zip(picks, pick_owner):
+            value = vn[r]
             if not value > v[j] + 1e-15:
                 step[j] *= STEP_SHRINK
                 if step[j] < MIN_STEP:
                     done[j] = True
                 continue
             accepted.append(r)
+            at.append(j)
             gain, v[j] = value - v[j], value
             step[j] = min(step[j] * STEP_GROW, STEP_MAX)
             if gain < IMPROVE_TOL:
@@ -352,7 +423,6 @@ def _lockstep(
             x, g = trial, grad(rows)
         elif rows:
             grads = grad(rows)
-            at = [moved[r] for r in accepted]
             x[at] = trial[accepted]
             g[at] = grads[: len(accepted)]
             if opened:

@@ -1,6 +1,7 @@
 """The lockstep ascent against the sequential reference: ``maximize`` and
 ``ascend`` reproduce, bit for bit, a loop over ``oracles.run_restart``,
-whichever restarts share a round."""
+whichever restarts share a round and however many trials of each a round
+scores."""
 
 import itertools
 import sys
@@ -78,16 +79,20 @@ def test_lockstep_search_matches_sequential_restarts(case, monkeypatch):
     ref = maximize_sequential(obj, sizes, cfg, seeds)
     assert len(ref.restart_values) > 2
     n = sum(sizes)
-    # LOCKSTEP_FLOATS for groups of one, two and all restarts
-    for cap in (n, 2 * n, n * len(ref.restart_values)):
+    # LOCKSTEP_FLOATS for groups of one, two and all restarts, each at
+    # speculative depths 1 to 4 however many floats are live
+    monkeypatch.setattr(search, "SPECULATE_FLOATS", 1 << 40)
+    for cap, depth in itertools.product((n, 2 * n, n * len(ref.restart_values)), (1, 2, 3, 4)):
         monkeypatch.setattr(search, "LOCKSTEP_FLOATS", cap)
+        monkeypatch.setattr(search, "SPECULATE_DEPTH", depth)
         got = maximize(obj, sizes, cfg, seeds=seeds)
         assert got.value == ref.value
         assert got.point.tobytes() == ref.point.tobytes()
         assert got.restart_index == ref.restart_index
         assert got.restart_values == ref.restart_values
         assert got.converged == ref.converged
-    # ascend is the same engine with one start
+    # ascend is the same engine with one start, here at the default depth
+    monkeypatch.undo()
     f = pointwise(obj)
     for x0 in itertools.islice(search._start_points(sizes, cfg, seeds), 4):
         v, x, iters, converged = ascend(obj, x0, sizes, cfg)

@@ -435,7 +435,9 @@ def _eager(fun):
     return wrapped
 
 
-def test_ascent_runs_gradients_only_at_accepted_points():
+def test_ascent_runs_gradients_only_at_accepted_points(monkeypatch):
+    # one trial per round, so every call after the start's scores one trial
+    monkeypatch.setattr(search, "SPECULATE_DEPTH", 1)
     rng = np.random.default_rng(0)
     accepted = rejected = 0
     for _ in range(8):
@@ -475,7 +477,7 @@ def test_lockstep_refills_a_slot_as_its_restart_ends(monkeypatch):
     # the next start, so while a start still waits every objective call
     # scores 4 points. max_iters ends every restart unconverged, so no trial
     # stalls in place (that trial would not be scored, and its restart would
-    # end converged).
+    # end converged). One trial per restart per round.
     drawn, sizes = [], []
     start_points = search._start_points
 
@@ -491,11 +493,206 @@ def test_lockstep_refills_a_slot_as_its_restart_ends(monkeypatch):
 
     monkeypatch.setattr(search, "_start_points", counted_starts)
     monkeypatch.setattr(search, "LOCKSTEP_FLOATS", 4 * 3)
+    monkeypatch.setattr(search, "SPECULATE_DEPTH", 1)
     cfg = SearchConfig(restarts=12, max_iters=3, seed=0)
     res = maximize(fun, [3], cfg)
     assert not res.converged
     assert len(sizes) > 3 and set(sizes) == {4}
     assert res.restart_values == maximize_sequential(_batched(_bumpy), [3], cfg).restart_values
+
+
+def _recorded(fun):
+    # fun in the search contract, recording a copy of every batch it scores
+    batches = []
+
+    def wrapped(points):
+        batches.append(points.copy())
+        return fun(points)
+
+    return wrapped, batches
+
+
+def _graded(fun):
+    # a plain objective recording the bytes of every point its gradient ran at
+    points = []
+
+    def wrapped(x):
+        value, grad = fun(x)
+
+        def counted_grad():
+            points.append(x.tobytes())
+            return grad()
+
+        return value, counted_grad
+
+    return wrapped, points
+
+
+def test_speculative_ascent_scores_next_steps_and_grades_only_accepted_points():
+    # at the default depth a round scores the restart's trials at s, s/2 and
+    # s/4 in order; the first that rises is accepted and gets the round's
+    # one gradient, and the trials after it are scored but never graded
+    depth = search.SPECULATE_DEPTH
+    assert depth > 1
+    rng = np.random.default_rng(0)
+    later = 0
+    for _ in range(8):
+        x0 = rng.dirichlet(np.ones(3))
+        cfg = SearchConfig(max_iters=60)
+        graded_fun, graded = _graded(_bumpy)
+        fun, batches = _recorded(_batched(graded_fun))
+        got = ascend(fun, x0, [3], cfg)
+        assert len(batches[0]) == 1 and graded[0] == batches[0][0].tobytes()
+        current = _bumpy(batches[0][0])[0]
+        expected = [graded[0]]
+        for batch in batches[1:]:
+            assert 1 <= len(batch) <= depth
+            for r, x in enumerate(batch):
+                if _bumpy(x)[0] > current + 1e-15:
+                    current = _bumpy(x)[0]
+                    expected.append(x.tobytes())
+                    later += r > 0
+                    break
+        # every start and accepted trial graded exactly once, nothing else
+        assert graded == expected
+        rv, rx, riters, rconverged = run_restart(pointwise(_batched(_bumpy)), x0, [3], cfg)
+        assert (got[0], got[1].tobytes(), got[2:]) == (rv, rx.tobytes(), (riters, rconverged))
+    assert later > 0
+
+
+def test_speculative_rounds_bound_their_batches_and_grade_as_sequential(monkeypatch):
+    # room for 4 points and 12 starts at the default depth: a call scores at
+    # most depth trials of each live restart plus the new starts, and the
+    # gradients run at exactly the starts and accepted trials of the
+    # restarts run one at a time, each once
+    depth = search.SPECULATE_DEPTH
+    drawn, calls = [], []
+    start_points = search._start_points
+
+    def counted_starts(*args):
+        for x0 in start_points(*args):
+            drawn.append(x0)
+            yield x0
+
+    graded_fun, graded = _graded(_bumpy)
+    batched = _batched(graded_fun)
+
+    def fun(points):
+        calls.append((len(points), len(drawn)))
+        return batched(points)
+
+    monkeypatch.setattr(search, "_start_points", counted_starts)
+    monkeypatch.setattr(search, "LOCKSTEP_FLOATS", 4 * 3)
+    cfg = SearchConfig(restarts=12, max_iters=40, seed=0)
+    res = maximize(fun, [3], cfg)
+    drawn_before = 0
+    for size, drawn_by in calls:
+        new = drawn_by - drawn_before
+        drawn_before = drawn_by
+        # the live restarts hold the slots the new starts did not take
+        assert size <= depth * (4 - new) + new
+    assert max(size for size, _ in calls) > 4
+    monkeypatch.setattr(search, "_start_points", start_points)
+    seq_fun, seq_graded = _graded(_bumpy)
+    ref = maximize_sequential(_batched(seq_fun), [3], cfg)
+    assert res.restart_values == ref.restart_values
+    assert sorted(graded) == sorted(seq_graded)
+    assert len(graded) == len(seq_graded)
+
+
+def test_speculative_run_stops_at_a_trial_that_stalls_in_place(monkeypatch):
+    # a flat objective whose gradient moves the point 1.5e-15 at step 1/2
+    # and 0.75e-15 at 1/4: the trial at 1/2 is scored and rejected, the one
+    # at 1/4 stalls in place, so the restart converges in that round, and
+    # the one at 1/8 is not scored
+    x0 = np.array([0.25, 0.25, 0.5])
+    assert search.STEP_INIT == 0.5 and search.SPECULATE_DEPTH >= 3
+    rounds = []
+    project = search.project_blocks
+
+    def counted_project(*args):
+        rounds.append(None)
+        return project(*args)
+
+    def flat(x):
+        return 0.0, lambda: np.array([3e-15, -3e-15, 0.0])
+
+    monkeypatch.setattr(search, "project_blocks", counted_project)
+    fun, batches = _recorded(_batched(flat))
+    got = ascend(fun, x0, [3], SearchConfig(max_iters=10))
+    assert [len(b) for b in batches] == [1, 1] and len(rounds) == 2
+    assert np.abs(batches[1][0] - x0).max() >= 1e-15
+    rv, rx, riters, rconverged = run_restart(
+        pointwise(_batched(flat)), x0, [3], SearchConfig(max_iters=10)
+    )
+    assert (got[0], got[1].tobytes(), got[2:]) == (rv, rx.tobytes(), (riters, rconverged))
+    assert got[3]
+
+
+def test_speculative_stall_after_a_rise_does_not_end_the_restart():
+    # the same tiny gradient on a steep objective: the trial at 1/2 rises
+    # and is accepted, so the stall of the one at 1/4 does not converge the
+    # restart, which runs on to max_iters as it does alone
+    x0 = np.array([0.25, 0.25, 0.5])
+
+    def steep(x):
+        return 1e3 * float(x[0] - x[1]), lambda: np.array([3e-15, -3e-15, 0.0])
+
+    cfg = SearchConfig(max_iters=3)
+    fun, batches = _recorded(_batched(steep))
+    v, x, iters, converged = ascend(fun, x0, [3], cfg)
+    assert (iters, converged) == (3, False) and v > steep(x0)[0]
+    assert len(batches) == 4 and len(batches[1]) == 1
+    rv, rx, riters, rconverged = run_restart(pointwise(_batched(steep)), x0, [3], cfg)
+    assert (v, x.tobytes(), iters, converged) == (rv, rx.tobytes(), riters, rconverged)
+
+
+def test_speculative_trials_stop_at_min_step(monkeypatch):
+    # a gradient that points downhill: every trial moves the point and none
+    # rises, so the restart scores each step from STEP_INIT down to MIN_STEP
+    # once, depth of them per call, and none below MIN_STEP: 1 + 39 calls at
+    # depth 1 and 1 + 13 at the default depth 3
+    c = np.array([1.0, 2.0, 3.0])
+
+    def downhill(x):
+        return float(x @ c), lambda: -c
+
+    steps, s = 0, search.STEP_INIT
+    while s >= search.MIN_STEP:
+        steps, s = steps + 1, s * search.STEP_SHRINK
+    x0 = np.array([0.2, 0.3, 0.5])
+    cfg = SearchConfig(max_iters=10)
+    ref = run_restart(pointwise(_batched(downhill)), x0, [3], cfg)
+    for depth in (1, 2, 3, 4):
+        monkeypatch.setattr(search, "SPECULATE_DEPTH", depth)
+        fun, batches = _recorded(_batched(downhill))
+        v, x, iters, converged = ascend(fun, x0, [3], cfg)
+        assert len(batches) == 1 + math.ceil(steps / depth)
+        assert sum(len(b) for b in batches) == 1 + steps
+        assert (v, x.tobytes(), iters, converged) == (ref[0], ref[1].tobytes(), ref[2], ref[3])
+        assert converged and v == float(x0 @ c)
+    assert steps == 39
+
+
+def test_speculative_round_ends_a_restart_at_max_iters():
+    # a steep concave objective rejects the first trial of a round and
+    # accepts a later one; the restart's last accepted step, at max_iters,
+    # is not the first trial of its round, and it ends unconverged there
+    t = np.array([0.3, 0.3, 0.4])
+
+    def steep(x):
+        d = x - t
+        return -3.0 * float(d @ d), lambda: -6.0 * d
+
+    x0 = np.array([0.35, 0.3, 0.35])
+    cfg = SearchConfig(max_iters=2)
+    fun, batches = _recorded(_batched(steep))
+    v, x, iters, converged = ascend(fun, x0, [3], cfg)
+    assert (iters, converged) == (2, False)
+    last = [r for r, row in enumerate(batches[-1]) if row.tobytes() == x.tobytes()]
+    assert len(batches[-1]) > 1 and last and last[0] > 0
+    rv, rx, riters, rconverged = run_restart(pointwise(_batched(steep)), x0, [3], cfg)
+    assert (v, x.tobytes(), iters, converged) == (rv, rx.tobytes(), riters, rconverged)
 
 
 def test_lockstep_aborts_a_late_nonfinite_start(caplog):
