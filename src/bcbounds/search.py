@@ -24,19 +24,22 @@ projected in one ``project_blocks`` call and scored in one objective
 call, each restart replays its trials by its own rule, and the
 gradients of the accepted trials and the new starts come from one
 ``grad`` call, so gradients run only at start points and accepted steps.
-A restart at step s has one trial a round, or, while the live points
-are small (``SPECULATE_FLOATS``), up to ``SPECULATE_DEPTH``: s, s/2 and
-s/4, the steps it would try one after another as each is rejected, so a
-rejected trial costs no round of its own. Halving is exact and a
-restart's arithmetic does not depend on which rows share its rounds, so
-every result is bit-identical to running the restarts one at a time,
-one trial at a time, whatever ``LOCKSTEP_FLOATS`` and the depth are;
-``ascend`` is the same engine with one start. An objective sees one
-batch size while starts wait in a search of large points (16 points in
-a ``product_outer`` support search; a trial that does not move its point
-is not scored) and smaller ones only at the stream's end; a search of
-small points scores up to three trials per live restart (24 trials for
-the 8 restarts of a 16-float Marton search) plus the new starts.
+A restart at step s tries s, s/2, s/4, ... one after another as each is
+rejected, and a round scores the first ``depth`` of them together, so a
+rejected trial among them costs no round of its own. The depth is
+min(``SPECULATE_DEPTH``, ``SPECULATE_FLOATS`` // floats of the live
+points), at least 1: 3 up to 341 floats, 2 up to 512 and 1 above. Halving
+is exact and a restart's arithmetic does not depend on which rows share
+its rounds, so every result is bit-identical to running the restarts one
+at a time, one trial at a time, whatever ``LOCKSTEP_FLOATS`` and the
+depth are; ``ascend`` is the same engine with one start. While starts
+wait the live points take nearly ``LOCKSTEP_FLOATS`` floats, 16 times
+``SPECULATE_FLOATS``, so each live restart has one trial a round and an
+objective sees one batch size (16 points in a ``product_outer`` support
+search; a trial that does not move its point is not scored). It sees
+other sizes only at the stream's end, where few points may be live: the
+8 restarts of a 16-float Marton search, all live from the first round,
+score up to 24 trials a round.
 
 Every search entry point takes its budget as a required ``SearchConfig``
 from its caller; none has a default budget.
@@ -97,11 +100,12 @@ IMPROVE_TOL = 1e-9
 # gained less than IMPROVE_TOL
 PATIENCE = 4
 # a lockstep round scores min(SPECULATE_DEPTH, SPECULATE_FLOATS // floats
-# of the live points) trials of each live restart, at least one: where a
+# of the live points) trials of each live restart, at least one: 3 up to
+# 341 floats, 2 up to 512 and 1 above. Where few points are live and a
 # round's fixed cost outweighs its arithmetic (the 16-float Marton searches
-# of a binary-input pair) a rejected trial then costs no round of its own,
-# and a search of 256 floats or more scores one trial a restart while
-# starts wait
+# of a binary-input pair, 128 floats) a rejected trial then costs no round
+# of its own; while starts wait the live points take nearly LOCKSTEP_FLOATS
+# floats, so every search scores one trial a restart then
 SPECULATE_DEPTH = 3
 SPECULATE_FLOATS = 1024
 # maximize steps at most this many floats of restart points together: an
@@ -302,11 +306,11 @@ def _lockstep(
 
     A round runs that rule on up to ``depth`` trials of each restart at
     once: depth is min(SPECULATE_DEPTH, SPECULATE_FLOATS // floats of the
-    live points), and the trials are at s, s/2, ..., none below MIN_STEP.
-    The restart replays them in order: it converges at the first that does
-    not move its point (no later one is scored), goes on from the first
-    that rises, and otherwise goes on at its last trial's step, halved.
-    A depth-1 round scores one trial per restart and gathers no rows.
+    live points), at least 1, and the trials are at s, s/2, ..., none below
+    MIN_STEP. The restart replays them in order: it converges at the first
+    that does not move its point (no later one is scored), goes on from the
+    first that rises, and otherwise goes on at its last trial's step,
+    halved. A round of one trial per restart gathers no rows.
     """
     starts = iter(starts)
     floats = sum(block_sizes)
@@ -319,75 +323,58 @@ def _lockstep(
         new = list(itertools.islice(starts, width - n))
         if not live and not new:
             return results
-        depth = min(SPECULATE_DEPTH, SPECULATE_FLOATS // (n * floats)) if n else 1
-        if depth > 1:
-            # restart j's trials at s, s/2, ... in order: at most depth of
-            # them, none below MIN_STEP
-            steps, owner = [], []
-            for j, s in enumerate(step):
-                for _ in range(depth):
-                    steps.append(s)
-                    owner.append(j)
-                    s *= STEP_SHRINK
-                    if s < MIN_STEP:
-                        break
-            base = x[owner]
-            xn = np.array(steps)[:, None] * g[owner]
-        else:
-            base = x
-            xn = np.array(step)[:, None] * g
+        depth = max(1, min(SPECULATE_DEPTH, SPECULATE_FLOATS // (n * floats))) if n else 1
+        # restart j's trials at s, s/2, ... in order: at most depth of them,
+        # none below MIN_STEP
+        steps, owner = [], []
+        for j, s in enumerate(step):
+            for _ in range(depth):
+                steps.append(s)
+                owner.append(j)
+                s *= STEP_SHRINK
+                if s < MIN_STEP:
+                    break
+        m = len(steps)
+        # one trial per restart gathers no rows
+        base, gk = (x, g) if m == n else (x[owner], g[owner])
         # x + step * g row by row, then the new starts, in one projection
+        xn = np.array(steps)[:, None] * gk
         xn += base
-        m = len(xn)
         xn = project_blocks(np.concatenate([xn, new]) if new else xn, block_sizes)
         shift = np.abs(xn[:m] - base).max(axis=1).tolist()
-        # a trial that does not move its point ends the restart, converged
+        # a trial that does not move its point ends the restart, converged,
+        # unless an earlier trial of the restart rises; either way no later
+        # trial of it is scored
         done, moved = {}, []
-        if depth > 1:
-            # unless an earlier trial of the restart rises; either way no
-            # later trial of it is scored
-            for t, d in enumerate(shift):
-                j = owner[t]
-                if j in done:
-                    continue
-                if d < 1e-15:
-                    done[j] = True
-                else:
-                    moved.append(t)
-        else:
-            for j, d in enumerate(shift):
-                if d < 1e-15:
-                    done[j] = True
-                else:
-                    moved.append(j)
+        for t, d in enumerate(shift):
+            j = owner[t]
+            if j in done:
+                continue
+            if d < 1e-15:
+                done[j] = True
+            else:
+                moved.append(t)
         scored = moved + list(range(m, len(xn))) if new else moved
         trial = xn if len(scored) == len(xn) else xn[scored]
         # no call when every trial stalled in place and no start waits
         vn, grad = fun(trial) if scored else (np.empty(0), None)
         vn = vn.tolist()
-        if depth > 1:
-            # each restart replays its scored trials in order and goes on
-            # with the first that rises, or else with its last, at that
-            # trial's step
-            picks, pick_owner = [], []
-            for j, trials in itertools.groupby(range(len(moved)), lambda r: owner[moved[r]]):
-                for r in trials:
-                    step[j] = steps[moved[r]]
-                    if vn[r] > v[j] + 1e-15:
-                        done.pop(j, None)
-                        break
-                picks.append(r)
-                pick_owner.append(j)
-        else:
-            picks, pick_owner = range(len(moved)), moved
+        # each restart replays its scored trials in order and goes on with
+        # the first that rises, or else with its last one's step, halved
         accepted, at = [], []
-        for r, j in zip(picks, pick_owner):
-            value = vn[r]
-            if not value > v[j] + 1e-15:
+        for j, trials in itertools.groupby(range(len(moved)), lambda r: owner[moved[r]]):
+            for r in trials:
+                step[j] = steps[moved[r]]
+                value = vn[r]
+                if value > v[j] + 1e-15:
+                    break
+            else:
                 step[j] *= STEP_SHRINK
                 if step[j] < MIN_STEP:
                     done[j] = True
                 continue
+            # a later trial that stalled in place does not end the restart
+            done.pop(j, None)
             accepted.append(r)
             at.append(j)
             gain, v[j] = value - v[j], value

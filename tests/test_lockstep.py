@@ -80,11 +80,16 @@ def test_lockstep_search_matches_sequential_restarts(case, monkeypatch):
     assert len(ref.restart_values) > 2
     n = sum(sizes)
     # LOCKSTEP_FLOATS for groups of one, two and all restarts, each at
-    # speculative depths 1 to 4 however many floats are live
-    monkeypatch.setattr(search, "SPECULATE_FLOATS", 1 << 40)
-    for cap, depth in itertools.product((n, 2 * n, n * len(ref.restart_values)), (1, 2, 3, 4)):
+    # speculative depths 1 to 4 however many floats are live, and with
+    # SPECULATE_FLOATS below one point, where a round still scores one
+    # trial per restart
+    depths = [(d, 1 << 40) for d in (1, 2, 3, 4)] + [(3, 1)]
+    for cap, (depth, floats) in itertools.product(
+        (n, 2 * n, n * len(ref.restart_values)), depths
+    ):
         monkeypatch.setattr(search, "LOCKSTEP_FLOATS", cap)
         monkeypatch.setattr(search, "SPECULATE_DEPTH", depth)
+        monkeypatch.setattr(search, "SPECULATE_FLOATS", floats)
         got = maximize(obj, sizes, cfg, seeds=seeds)
         assert got.value == ref.value
         assert got.point.tobytes() == ref.point.tobytes()

@@ -408,7 +408,8 @@ def test_maximize_restart_order_contract(monkeypatch):
 
 
 def _counted(fun):
-    # fun, recording each call's value and how often its gradient callable ran
+    # fun, recording each call's value, how often its gradient callable ran
+    # and the bytes of the point it ran at
     calls = []
 
     def wrapped(x):
@@ -418,6 +419,7 @@ def _counted(fun):
 
         def counted_grad():
             call["grads"] += 1
+            call["point"] = x.tobytes()
             return grad()
 
         return value, counted_grad
@@ -512,22 +514,6 @@ def _recorded(fun):
     return wrapped, batches
 
 
-def _graded(fun):
-    # a plain objective recording the bytes of every point its gradient ran at
-    points = []
-
-    def wrapped(x):
-        value, grad = fun(x)
-
-        def counted_grad():
-            points.append(x.tobytes())
-            return grad()
-
-        return value, counted_grad
-
-    return wrapped, points
-
-
 def test_speculative_ascent_scores_next_steps_and_grades_only_accepted_points():
     # at the default depth a round scores the restart's trials at s, s/2 and
     # s/4 in order; the first that rises is accepted and gets the round's
@@ -539,9 +525,10 @@ def test_speculative_ascent_scores_next_steps_and_grades_only_accepted_points():
     for _ in range(8):
         x0 = rng.dirichlet(np.ones(3))
         cfg = SearchConfig(max_iters=60)
-        graded_fun, graded = _graded(_bumpy)
-        fun, batches = _recorded(_batched(graded_fun))
+        counted_fun, calls = _counted(_bumpy)
+        fun, batches = _recorded(_batched(counted_fun))
         got = ascend(fun, x0, [3], cfg)
+        graded = [c["point"] for c in calls for _ in range(c["grads"])]
         assert len(batches[0]) == 1 and graded[0] == batches[0][0].tobytes()
         current = _bumpy(batches[0][0])[0]
         expected = [graded[0]]
@@ -574,8 +561,8 @@ def test_speculative_rounds_bound_their_batches_and_grade_as_sequential(monkeypa
             drawn.append(x0)
             yield x0
 
-    graded_fun, graded = _graded(_bumpy)
-    batched = _batched(graded_fun)
+    counted_fun, counted = _counted(_bumpy)
+    batched = _batched(counted_fun)
 
     def fun(points):
         calls.append((len(points), len(drawn)))
@@ -593,11 +580,13 @@ def test_speculative_rounds_bound_their_batches_and_grade_as_sequential(monkeypa
         assert size <= depth * (4 - new) + new
     assert max(size for size, _ in calls) > 4
     monkeypatch.setattr(search, "_start_points", start_points)
-    seq_fun, seq_graded = _graded(_bumpy)
+    seq_fun, seq_counted = _counted(_bumpy)
     ref = maximize_sequential(_batched(seq_fun), [3], cfg)
     assert res.restart_values == ref.restart_values
-    assert sorted(graded) == sorted(seq_graded)
-    assert len(graded) == len(seq_graded)
+    graded, seq_graded = (
+        sorted(c["point"] for c in cs for _ in range(c["grads"])) for cs in (counted, seq_counted)
+    )
+    assert graded == seq_graded
 
 
 def test_speculative_run_stops_at_a_trial_that_stalls_in_place(monkeypatch):
