@@ -60,6 +60,10 @@ class Channel:
         arr = np.asarray(self.q, dtype=float)
         if arr.ndim != 3:
             raise ValueError("channel tensor must have axes (x, y, z)")
+        # NaN fails every comparison below, so it is rejected here
+        bad = arr[~np.isfinite(arr)]
+        if bad.size:
+            raise ValueError(f"non-finite channel entry {bad[0]}")
         if arr.min() < -ROW_TOL:
             raise ValueError(f"negative channel entry {arr.min()}")
         rows = arr.sum(axis=(1, 2))

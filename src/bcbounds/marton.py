@@ -100,11 +100,15 @@ class Cardinalities:
 
 def checked_joint(joint, axes: str, name: str) -> np.ndarray:
     """``joint`` as a float law with one axis per letter of ``axes``; raises
-    on an entry below -1e-10 or a total off 1 by more than 1e-9, and clamps
-    the remaining rounding negatives to 0."""
+    on an entry that is not finite, an entry below -1e-10 or a total off 1
+    by more than 1e-9, and clamps the remaining rounding negatives to 0."""
     arr = np.asarray(joint, dtype=float)
     if arr.ndim != len(axes):
         raise ValueError(f"{name} must have axes ({', '.join(axes)})")
+    # NaN fails every comparison below, so it is rejected here
+    bad = arr[~np.isfinite(arr)]
+    if bad.size:
+        raise ValueError(f"non-finite entry {bad[0]} in {name}")
     if arr.min() < -1e-10:
         raise ValueError(f"negative entry {arr.min()} in {name}")
     if abs(arr.sum() - 1.0) > 1e-9:
@@ -299,7 +303,7 @@ def maximize_lambda_sr_at_input(
 ) -> LambdaPointResult:
     """Best weighted sum rate at a fixed input law (certified lower bound)."""
     prof = Cardinalities.for_sum_rate(c)
-    px = np.asarray(px, dtype=float)
+    px = checked_joint(px, "x", "input law")
     table = marton_table(c, prof)
     obj = FixedInputObjective(table, px, lambda_weights(lam)[None])
     seeds = [obj.to_flat([t]) for t in [*structured_seed_joints(c, prof, [px]), *extra_seeds]]

@@ -27,12 +27,12 @@ and a matrix L of the linear terms, one row per table row and one column
 per input symbol; a table with no such term has no L and no linear step.
 
 An evaluation is one fused pass: it writes every marginal into one
-buffer, takes one masked log2 over the whole buffer in place, with
-``LOG2_CLIP`` at every zero entry, and reads off the entropy vector H,
-each entry bit-identical to ``entropy_of_array`` on its marginal (see
-``kernel``). The row values are C @ H + L @ p_X, with p_X one of the
-keep-marginals of t (R. W. Yeung, "A framework for linear information
-inequalities", IEEE Trans. IT 1997). The gradient of the row values
+buffer, takes one log2 in place over a copy of it with ``GRAD_CLIP`` at
+every zero entry (so the log there is ``LOG2_CLIP``), and reads off the
+entropy vector H, each entry bit-identical to ``entropy_of_array`` on
+its marginal (see ``kernel``). The row values are C @ H + L @ p_X, with
+p_X one of the keep-marginals of t (R. W. Yeung, "A framework for linear
+information inequalities", IEEE Trans. IT 1997). The gradient of the row values
 under weight rows w is one adjoint pass, sum_s (w^T C)_s dH_s/dt plus
 w^T L along the input axis, skipping marginals of zero weight and
 reading the forward pass's clipped logs. Entropy derivatives use

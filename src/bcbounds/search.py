@@ -46,14 +46,14 @@ from its caller; none has a default budget.
 
 Projection: every ascent step is projected onto the product of simplices
 by ``project_blocks``, which the ascent looks up in this module on every
-round. It takes one point or a batch of them and has three paths, all
-bit-identical to a per-block sort projection: one point of one block is
-``project_simplex``; other equal blocks are one sort along the last axis
-of a (points x blocks, size) view; unequal blocks are projected one block
-column at a time. Equal blocks are the joint objectives (one block), the
-fixed-input objectives (one block per input symbol) and a region search
-whose two component auxiliaries have one size, as on the worked product
-(2 x 512 for ``product_outer``, 2 x 128 for ``semi_deterministic``).
+round. It takes one point or a batch of them and projects each run of
+consecutive equal blocks as one sort along the last axis of a (points,
+blocks, size) view, bit-identical to a per-block sort projection. The
+joint objectives are one run of one block, the fixed-input objectives one
+run of one block per input symbol, and a region search whose two
+component auxiliaries have one size is one run of two blocks, as on the
+worked product (2 x 512 for ``product_outer``, 2 x 128 for
+``semi_deterministic``).
 """
 
 from __future__ import annotations
@@ -166,44 +166,31 @@ def _ranks(n: int) -> np.ndarray:
     return ranks
 
 
-def _project_vector(v: np.ndarray, block: int) -> np.ndarray:
-    """``project_simplex`` of a flat float vector, naming it ``block`` if it
-    fails."""
-    u = np.sort(v)[::-1]
+def _project_rows(rows: np.ndarray, out: np.ndarray, first: int) -> None:
+    """``project_simplex`` of every row along the last axis of a (points,
+    blocks, size) array into ``out`` of that shape, one sort for all rows.
+    Row (p, b) is block ``first + b`` of point p, the block a ValueError
+    names."""
+    n = rows.shape[2]
+    # sorting in out keeps the large temporaries to two: a third, freed on
+    # top of the heap, makes malloc hand the memory back, and the next call
+    # faults it in again
+    out[...] = rows
+    out.sort(axis=2)
+    u = out.reshape(-1, n)[:, ::-1]
     # q_k = (u_1 + ... + u_k - 1) / k, the threshold if k entries stay positive
-    q = np.cumsum(u)
-    q -= 1.0
-    q /= _ranks(v.size)
-    cond = u > q
-    k = v.size - int(cond[::-1].argmax())
-    # an inf or nan entry leaves cond all false or the last sum not finite
-    if not (cond[k - 1] and math.isfinite(q[-1])):
-        raise _unprojectable(block)
-    out = v - q[k - 1]
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
-def _project_rows(rows: np.ndarray, blocks: int, first: int) -> np.ndarray:
-    """``project_simplex`` of every row of a (rows, size) array, bit for
-    bit: the same steps along the last axis, one sort for all rows (one row
-    is ``_project_vector``, which skips the row indexing). Row r is block
-    ``first + r % blocks`` of its point, the block a ValueError names."""
-    if len(rows) == 1:
-        return _project_vector(rows[0], first)[None]
-    n = rows.shape[1]
-    u = np.sort(rows, axis=1)[:, ::-1]
     q = np.cumsum(u, axis=1)
     q -= 1.0
     q /= _ranks(n)
     cond = u > q
-    index = (np.arange(len(rows)), n - 1 - cond[:, ::-1].argmax(axis=1))
-    ok = cond[index] & np.isfinite(q[:, -1])
+    # the flat index of each row's last k with u_k > q_k
+    at = np.arange(n - 1, q.size, n) - cond[:, ::-1].argmax(axis=1)
+    # an inf or nan entry leaves cond all false or the last sum not finite
+    ok = cond.ravel()[at] & np.isfinite(q[:, -1])
     if not ok.all():
-        raise _unprojectable(first + int(ok.argmin()) % blocks)
-    out = rows - q[index][:, None]
+        raise _unprojectable(first + int(ok.argmin()) % rows.shape[1])
+    np.subtract(rows, q.ravel()[at].reshape(rows.shape[:2] + (1,)), out=out)
     np.maximum(out, 0.0, out=out)
-    return out
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
@@ -215,7 +202,10 @@ def project_simplex(v: np.ndarray) -> np.ndarray:
     threshold and clamp at zero. Raises ValueError (naming block 0) when an
     entry is not finite.
     """
-    return _project_vector(np.asarray(v, dtype=float).ravel(), 0)
+    v = np.asarray(v, dtype=float).reshape(1, 1, -1)
+    out = np.empty_like(v)
+    _project_rows(v, out, 0)
+    return out.ravel()
 
 
 def project_blocks(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
@@ -223,25 +213,25 @@ def project_blocks(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
     are ``block_sizes``, in order; a 2-D v is a batch of points, one per
     row, each projected on its own.
 
-    Three paths, each bit-identical to ``project_simplex`` on every block:
-    one point of one block is ``project_simplex`` itself; other equal
-    blocks are one sort along the last axis of a (points x blocks, size)
-    view; unequal blocks are projected one block column at a time. Raises
-    ValueError naming, within its point, the first block with an entry
-    that is not finite.
+    Each run of consecutive equal blocks is one sort along the last axis of
+    a (points, blocks, size) view, bit-identical to ``project_simplex`` on
+    every block. Raises ValueError when the sizes do not add up to a
+    point's length, and naming, within its point, the first block with an
+    entry that is not finite.
     """
     v = np.asarray(v, dtype=float)
     points = v if v.ndim == 2 else v.reshape(1, -1)
-    size = block_sizes[0]
-    if block_sizes.count(size) == len(block_sizes):
-        blocks = len(block_sizes)
-        out = _project_rows(points.reshape(-1, size), blocks, 0).reshape(points.shape)
-    else:
-        out = np.empty_like(points)
-        start = 0
-        for i, b in enumerate(block_sizes):
-            out[:, start : start + b] = _project_rows(points[:, start : start + b], 1, i)
-            start += b
+    if sum(block_sizes) != points.shape[1]:
+        raise ValueError(f"block sizes {list(block_sizes)} do not add up to {points.shape[1]}")
+    out = np.empty_like(points)
+    start = first = 0
+    for size, run in itertools.groupby(block_sizes):
+        blocks = len(list(run))
+        end = start + blocks * size
+        # splitting the last axis keeps both slices views
+        shape = (len(points), blocks, size)
+        _project_rows(points[:, start:end].reshape(shape), out[:, start:end].reshape(shape), first)
+        start, first = end, first + blocks
     return out if v.ndim == 2 else out[0]
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -374,11 +375,18 @@ def test_malformed_json_exits_2(tmp_path, capsys):
 
 
 def test_nonstochastic_channel_exits_2(tmp_path, capsys):
+    # a row that sums to 0.9, and a NaN entry (json reads the NaN literal),
+    # which fails every comparison of the row checks
     path = tmp_path / "nonstoch.json"
-    path.write_text(json.dumps({"q": [[[0.5, 0.2], [0.1, 0.1]]]}))
-    code, _, err = _run(capsys, ["classify", str(path)])
-    assert code == 2
-    assert "error:" in err
+    for q, message in [
+        ([[[0.5, 0.2], [0.1, 0.1]]], "row-stochasticity violated"),
+        ([[[math.nan, 0.5], [0.25, 0.25]]], "non-finite channel entry nan"),
+    ]:
+        path.write_text(json.dumps({"nx": 1, "ny": 2, "nz": 2, "q": q}))
+        for argv in (["classify", str(path)], ["uv", str(path), "--restarts", "2"]):
+            code, _, err = _run(capsys, argv)
+            assert code == 2
+            assert f"error: invalid channel file {path}: {message}" in err
 
 
 def test_component_where_product_expected_exits_2(small_file, capsys):

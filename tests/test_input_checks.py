@@ -1,6 +1,7 @@
 """Every input check of the library raises its own error: a bad argument to
-the worked example, a negative law entry, an alphabet mismatch, an axis
-error or an empty grid."""
+the worked example, a negative or non-finite law entry, an unnormalized
+input law, an alphabet mismatch, an axis error, block sizes that do not
+fit a point or an empty grid."""
 
 import re
 
@@ -14,10 +15,10 @@ from bcbounds.counterexample import (
     lambda_curve_analytic,
     uv_witness_auxiliary,
 )
-from bcbounds.marton import AuxiliaryJoint, lambda_sr_value
+from bcbounds.marton import AuxiliaryJoint, lambda_sr_value, maximize_lambda_sr_at_input
 from bcbounds.objectives import FixedInputObjective, InfoFunctional, ent_terms, merge_terms
 from bcbounds.regions import ProductAuxiliary, UvAuxiliary, build_region, evaluate_uv_point
-from bcbounds.search import simplex_grid
+from bcbounds.search import SearchConfig, project_blocks, simplex_grid
 
 # a law over two inputs, where the worked example's components have four
 TWO_INPUTS = np.full((1, 1, 1, 2), 0.5)
@@ -32,9 +33,27 @@ CASES = {
         "mixing probabilities must lie in [0, 1]",
     ),
     "channel_entry": (lambda: Channel(np.array([[[1.1, -0.1]]])), "negative channel entry -0.1"),
+    "channel_nan": (
+        lambda: Channel(np.array([[[np.nan, 1.0]]])),
+        "non-finite channel entry nan",
+    ),
     "aux_entry": (
         lambda: AuxiliaryJoint(np.array([[[[1.1, -0.1]]]])),
         "negative entry -0.1 in auxiliary joint",
+    ),
+    "aux_nan": (
+        lambda: AuxiliaryJoint(np.array([[[[np.nan, 1.0]]]])),
+        "non-finite entry nan in auxiliary joint",
+    ),
+    "input_law_entry": (
+        lambda: maximize_lambda_sr_at_input(
+            component("z"), 0.5, [1.1, -0.1, 0.0, 0.0], SearchConfig(1, 1)
+        ),
+        "negative entry -0.1 in input law",
+    ),
+    "input_law_sum": (
+        lambda: maximize_lambda_sr_at_input(component("z"), 0.5, [0.5] * 4, SearchConfig(1, 1)),
+        "input law sums to 2.0",
     ),
     "marton_alphabet": (
         lambda: lambda_sr_value(component("z"), 0.5, AuxiliaryJoint(TWO_INPUTS)),
@@ -64,6 +83,10 @@ CASES = {
     "input_axis": (
         lambda: InfoFunctional("xu", (4, 2), [ent_terms("u")], channel=component("z").q),
         "input axis 'x' must be the last dist axis",
+    ),
+    "block_sizes": (
+        lambda: project_blocks(np.arange(10.0) / 10, [5]),
+        "block sizes [5] do not add up to 10",
     ),
     "empty_grid": (lambda: next(simplex_grid(0, 1)), "dim and resolution must be positive"),
 }

@@ -56,7 +56,17 @@ def test_project_blocks_independent():
     assert np.allclose(out[2:], project_simplex(v[2:]))
 
 
-PROJECTION_SHAPES = [[16], [8, 8], [128] * 2, [512] * 2, [256] * 16, [4096], [4624], [3, 5, 8]]
+PROJECTION_SHAPES = [
+    [16],
+    [8, 8],
+    [128] * 2,
+    [512] * 2,
+    [256] * 16,
+    [4096],
+    [4624],
+    [3, 5, 8],
+    [3, 3, 5, 5, 5, 2],
+]
 
 
 def _shape_id(sizes):
@@ -103,11 +113,13 @@ def test_project_blocks_matches_per_block_sort_bit_for_bit(sizes, batch):
                     assert project_simplex(v).tobytes() == got.tobytes()
 
 
+NON_FINITE_SIZES = [[4], [3, 3, 3], [3, 5, 8], [3, 3, 5, 5, 5, 2]]
+
+
 @pytest.mark.parametrize(
     "sizes, batch",
-    [([4], False), ([3, 3, 3], False), ([3, 5, 8], False)]
-    + [([4], True), ([3, 3, 3], True), ([3, 5, 8], True)],
-    ids=["sizes0", "sizes1", "sizes2", "batch-sizes0", "batch-sizes1", "batch-sizes2"],
+    [(s, False) for s in NON_FINITE_SIZES] + [(s, True) for s in NON_FINITE_SIZES],
+    ids=[f"{batch}sizes{i}" for batch in ("", "batch-") for i in range(len(NON_FINITE_SIZES))],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_project_blocks_rejects_non_finite_entries_naming_the_block(sizes, batch, bad):
