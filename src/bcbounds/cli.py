@@ -237,7 +237,7 @@ def _cmd_marton(args) -> tuple[dict, dict, list]:
         "sum_rate_display": format_bits(res.value),
         "lambda_star": res.lam_star,
         "scalar_evaluations": res.evaluations,
-        "profile": {"nu": res.profile.nu, "nv": res.profile.nv, "nw": res.profile.nw},
+        "profile": dict(zip(("nu", "nv", "nw"), res.aux.shape)),
     }
     if args.lambda_grid > 0:
         n = args.lambda_grid

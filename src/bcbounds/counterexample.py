@@ -13,7 +13,8 @@ piecewise affine with one breakpoint, known in closed form, and the
 minimum of the two components' curve sum is 8/3 at lambda = 1/2. A
 mixture auxiliary built from the class label, the input parity, and a
 Q-randomized switch to the raw input evaluates the UV bound to exactly
-44/15. Everything here is exact arithmetic plus seeded searches.
+44/15. Everything here is exact arithmetic plus the Marton sum rate of
+the product from its components and a UV search seeded with the witness.
 """
 
 from __future__ import annotations
@@ -24,16 +25,7 @@ import numpy as np
 
 from .channel import Channel, ProductChannel, product_tensor
 from .kernel import entropy_of_array
-from .marton import (
-    AuxiliaryJoint,
-    Cardinalities,
-    Check,
-    MartonSumRate,
-    deterministic_joint,
-    fit_joint,
-    marton_sum_rate,
-    outer_auxiliary,
-)
+from .marton import AuxiliaryJoint, Check, MartonSumRate, deterministic_joint, marton_sum_rate
 from .regions import UvAuxiliary, UvPoint, UvSumRate, evaluate_uv_point, uv_sum_rate
 from .search import SearchConfig
 
@@ -46,8 +38,6 @@ __all__ = [
     "analytic_product_curve",
     "analytic_minimum",
     "component_branch_aux",
-    "product_seed_auxiliaries",
-    "REDUCED_PRODUCT_PROFILE",
     "UV_WITNESS_BITS",
     "uv_witness_auxiliary",
     "marton_on_product",
@@ -145,24 +135,6 @@ def component_branch_aux(det: str, branch: str) -> AuxiliaryJoint:
     return AuxiliaryJoint(t if det == "z" else np.swapaxes(t, 0, 1))
 
 
-# profile for the 16-input product: contains every product of branch
-# constructions (|U| <= 2*4, |V| <= 4*2, |W| <= 2*2) at a quarter of the
-# full sum-rate profile's size
-REDUCED_PRODUCT_PROFILE = Cardinalities(8, 8, 4)
-
-
-def product_seed_auxiliaries() -> list[AuxiliaryJoint]:
-    """Products of component branch constructions on the 16-input channel."""
-    out = []
-    for b1 in ("steep", "flat"):
-        for b2 in ("steep", "flat"):
-            a1 = component_branch_aux("y", b1)
-            a2 = component_branch_aux("z", b2)
-            t = outer_auxiliary(a1, a2).joint
-            out.append(AuxiliaryJoint(fit_joint(t, REDUCED_PRODUCT_PROFILE.shape(t.shape[3]))))
-    return out
-
-
 def _witness_components(q1: float, q2: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-component witness laws p1(u1, v1_mixed, x1), p2(u2_mixed, v2, x2).
 
@@ -206,13 +178,8 @@ UV_PRODUCT_CFG = SearchConfig(restarts=8, max_iters=150)
 
 
 def marton_on_product(cfg: SearchConfig) -> MartonSumRate:
-    """Marton sum rate of the product, seeded with the branch products."""
-    return marton_sum_rate(
-        product_channel().flat,
-        cfg,
-        profile=REDUCED_PRODUCT_PROFILE,
-        extra_seeds=[a.joint for a in product_seed_auxiliaries()],
-    )
+    """Marton sum rate of the product from its components' searches."""
+    return marton_sum_rate(product_channel(), cfg)
 
 
 def uv_on_product(cfg: SearchConfig) -> UvSumRate:

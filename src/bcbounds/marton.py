@@ -23,9 +23,11 @@ Every search and evaluation here runs one table per channel and profile,
 I(U;V|W). Lambda is only the row weights (lambda, 1-lambda, 1), and the
 curve's slope I(W;Y) - I(W;Z) is the first row minus the second.
 
-Cardinality caps: searches default to |U| <= min(nx, ny),
-|V| <= min(nx, nz), |W| <= nx, which suffice for the weighted sum rate.
-Profiles are explicit and echoed into every result.
+Cardinality caps: every search at one lambda runs at |U| <= min(nx, ny),
+|V| <= min(nx, nz), |W| <= nx, which suffice for the weighted sum rate,
+and a result's auxiliary has them as its shape. On a ``ProductChannel``,
+where every term adds over the components for product auxiliaries, each
+line is the sum of the components' lines (``_product_line``).
 """
 
 from __future__ import annotations
@@ -171,6 +173,9 @@ def marton_table(c: Channel, prof: Cardinalities) -> InfoFunctional:
 
 
 def lambda_weights(lam: float) -> np.ndarray:
+    # NaN fails the comparison, so it is rejected here too
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     return np.array([lam, 1.0 - lam, 1.0])
 
 
@@ -316,7 +321,6 @@ def lambda_sr_global(
     c: Channel,
     lam: float,
     cfg: SearchConfig,
-    profile: Cardinalities | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> LambdaPointResult:
     """Global weighted sum rate: joint search over p(u,v,w,x).
@@ -330,7 +334,7 @@ def lambda_sr_global(
     (one at the found input law, then at most three at stepped input laws)
     runs ``max(40, cfg.max_iters // 2)`` iterations.
     """
-    prof = profile or Cardinalities.for_sum_rate(c)
+    prof = Cardinalities.for_sum_rate(c)
     table = marton_table(c, prof)
     weight_rows = lambda_weights(lam)[None]
     obj = JointObjective([table], weight_rows, None)
@@ -418,7 +422,6 @@ class MartonSumRate:
     aux: AuxiliaryJoint
     lines: list[LambdaPointResult]
     converged: bool
-    profile: Cardinalities
 
     @property
     def evaluations(self) -> int:
@@ -426,9 +429,8 @@ class MartonSumRate:
 
 
 def marton_sum_rate(
-    c: Channel,
+    c: Channel | ProductChannel,
     cfg: SearchConfig,
-    profile: Cardinalities | None = None,
     extra_seeds: Sequence[np.ndarray] = (),
 ) -> MartonSumRate:
     """min over lambda of the global weighted sum rate (``kelley_min``).
@@ -441,13 +443,43 @@ def marton_sum_rate(
     is at most the true sum rate plus ``KELLEY_TOL``. The value is the
     envelope at ``lam_star``, the weighted sum rate there of ``aux`` (the
     active line's auxiliary); ``lines`` holds every evaluated line.
+
+    On a ``ProductChannel`` each line is the sum of the components' lines
+    (``_product_line``), and ``extra_seeds`` must be empty: a product seed
+    starts no component search.
     """
-    prof = profile or Cardinalities.for_sum_rate(c)
+    product = isinstance(c, ProductChannel)
+    if product and len(extra_seeds):
+        raise ValueError("a product channel's sum rate takes no extra seeds")
     lam, lines = kelley_min(
-        lambda lam, active: lambda_sr_global(c, lam, cfg, prof, _seeds(active, extra_seeds))
+        lambda lam, active: _product_line(c, lam, cfg, active)
+        if product
+        else lambda_sr_global(c, lam, cfg, _seeds(active, extra_seeds))
     )
     active = envelope(lines, lam)
-    return MartonSumRate(active.at(lam), lam, active.aux, lines, active.converged, prof)
+    return MartonSumRate(active.at(lam), lam, active.aux, lines, active.converged)
+
+
+def _product_line(
+    pc: ProductChannel, lam: float, cfg: SearchConfig, active: LambdaPointResult | None
+) -> LambdaPointResult:
+    """The product's line at ``lam``: ``lambda_sr_global`` on each component,
+    seeded with its marginal of ``active``'s auxiliary. The line's auxiliary
+    is the product of the two maximizers, and its value and slope are that
+    auxiliary's rows on the product table: an exact evaluation on the
+    product, the sum of the component lines up to rounding."""
+    comps = (pc.c1, pc.c2)
+    seeds = ([], [])
+    if active is not None:
+        # outer_auxiliary's axes split into the components' axes
+        shapes = [Cardinalities.for_sum_rate(c).shape(c.nx) for c in comps]
+        t = active.aux.joint.reshape([n for pair in zip(*shapes) for n in pair])
+        seeds = ([t.sum(axis=(1, 3, 5, 7))], [t.sum(axis=(0, 2, 4, 6))])
+    r1, r2 = (lambda_sr_global(c, lam, cfg, s) for c, s in zip(comps, seeds))
+    aux = outer_auxiliary(r1.aux, r2.aux)
+    rows = _table_at(pc.flat, aux)
+    value = float((lambda_weights(lam)[None] @ rows)[0])
+    return LambdaPointResult(lam, value, _slope(rows), aux, r1.converged and r2.converged)
 
 
 def outer_auxiliary(a1: AuxiliaryJoint, a2: AuxiliaryJoint) -> AuxiliaryJoint:

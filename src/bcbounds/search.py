@@ -113,9 +113,8 @@ SPECULATE_FLOATS = 1024
 # overhead that lockstep saves is already small next to the arithmetic of
 # this many floats (the 16-float Marton searches of a binary-input pair
 # step all their restarts together, at speculative depth 3, a 1024-float
-# product_outer support search 16 at a time, the 4096-float Marton and
-# 4624-float UV searches on the worked product 4 and 3 at a time, all
-# three at depth 1)
+# product_outer support search 16 at a time and the 4624-float UV search
+# on the worked product 3 at a time, both at depth 1)
 LOCKSTEP_FLOATS = 16384
 
 

@@ -18,7 +18,6 @@ from bcbounds.cli import main
 from bcbounds.counterexample import (
     analytic_minimum,
     component,
-    component_branch_aux,
     f_closed_form,
     lambda_curve_analytic,
     product_channel,
@@ -37,7 +36,7 @@ from bcbounds.marton import (
     maximize_lambda_sr_at_input,
 )
 from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms
-from bcbounds.regions import ProductAuxiliary, region_support
+from bcbounds.regions import region_support
 from bcbounds.search import SearchConfig
 from oracles import (
     component_seed_joints,
@@ -282,18 +281,9 @@ def test_ac08_endpoint_oracle():
 
 def test_ac09_region_consistency():
     pc = product_channel()
-    extra = [
-        ProductAuxiliary(component_branch_aux("y", b1), component_branch_aux("z", b2))
-        for b1 in ("steep", "flat")
-        for b2 in ("steep", "flat")
-    ]
     cfg = SearchConfig(restarts=6, max_iters=150, seed=0)
-    semi = region_support(
-        pc, "semi_deterministic", (0, 1, 1), cfg, extra_seeds=extra, fix_r0=0.0
-    )
-    outer = region_support(
-        pc, "product_outer", (0, 1, 1), cfg, extra_seeds=extra, fix_r0=0.0
-    )
+    semi = region_support(pc, "semi_deterministic", (0, 1, 1), cfg, fix_r0=0.0)
+    outer = region_support(pc, "product_outer", (0, 1, 1), cfg, fix_r0=0.0)
     uv = uv_on_product(SearchConfig(restarts=4, max_iters=100, seed=0))
     gap = uv.value - outer.value
     ok = (

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bcbounds.channel import Channel, _gap_table
-from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, component, product_channel
+from bcbounds.counterexample import component, product_channel
 from bcbounds.marton import Cardinalities, marton_table
 from bcbounds.objectives import (
     LOG2_CLIP,
@@ -30,6 +30,10 @@ from bcbounds.regions import (
 )
 from info_oracle import entropy, mutual_information
 from oracles import endpoint_table, tensor_objective
+
+# a Marton table shape on the 16-input product, large enough for every
+# product of the components' branch constructions
+PRODUCT_MARTON_CAPS = Cardinalities(8, 8, 4)
 
 
 def _random_channel(seed):
@@ -175,7 +179,7 @@ def _package_tables():
     pc = product_channel()
     small = CHANNELS[0]
     tables = [
-        marton_table(pc.flat, REDUCED_PRODUCT_PROFILE),
+        marton_table(pc.flat, PRODUCT_MARTON_CAPS),
         marton_table(small, Cardinalities.for_sum_rate(small)),
         _uv_table(pc.flat, 17, 17),
         _uv_table(small, 4, 4),
@@ -212,7 +216,7 @@ def test_chain_rule_layout_of_the_worked_product():
         assert fn.linear is None
     # the Marton table has no term with the input next to an output: it
     # compiles as it did without the rewrite, with no linear term
-    fn = marton_table(pc.flat, REDUCED_PRODUCT_PROFILE)
+    fn = marton_table(pc.flat, PRODUCT_MARTON_CAPS)
     assert fn.linear is None
     rows = [
         mi_terms("w", "y"),

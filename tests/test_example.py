@@ -153,7 +153,7 @@ def test_no_search_budget_has_a_default():
 
 # parameters with a default in src/bcbounds: an option is a choice some caller
 # must make, so the count may go down but not up
-DEFAULTED_PARAMETERS = 19
+DEFAULTED_PARAMETERS = 17
 
 
 def test_defaulted_parameters_do_not_grow():
@@ -297,10 +297,11 @@ def test_uniform_input_check_small_grid():
 def test_verify_separation_passes_across_seeds(seed):
     rep = verify_separation(seed=seed)
     assert rep.passed
-    # lambda* = 1/2 is the lambda driver's first sample, where the
-    # branch-product seeds tie at 8/3 with slopes 0 and +-2/3; a change to how
-    # the entropies are summed that flips the tie costs one more evaluation
-    # (the line model's minimum falls back on 1/2), not a search
+    # lambda* = 1/2 is the lambda driver's first sample and each component
+    # curve's breakpoint, where the flat and steep constructions tie at 4/3
+    # with slopes 0 and +-2/3; both component searches end at slope 0, so the
+    # product line is flat there. A change that flips a tie costs further
+    # evaluations (the line model's minimum falls back on 1/2), not a search
     assert rep.marton.evaluations == 1
 
 

@@ -1,7 +1,8 @@
 """Every input check of the library raises its own error: a bad argument to
 the worked example, a negative or non-finite law entry, an unnormalized
-input law, an alphabet mismatch, an axis error, block sizes that do not
-fit a point or an empty grid."""
+input law, a lambda outside [0, 1], seeds for a product's sum rate, an
+alphabet mismatch, an axis error, block sizes that do not fit a point or
+an empty grid."""
 
 import re
 
@@ -13,9 +14,16 @@ from bcbounds.counterexample import (
     component,
     component_branch_aux,
     lambda_curve_analytic,
+    product_channel,
     uv_witness_auxiliary,
 )
-from bcbounds.marton import AuxiliaryJoint, lambda_sr_value, maximize_lambda_sr_at_input
+from bcbounds.marton import (
+    AuxiliaryJoint,
+    lambda_sr_global,
+    lambda_sr_value,
+    marton_sum_rate,
+    maximize_lambda_sr_at_input,
+)
 from bcbounds.objectives import FixedInputObjective, InfoFunctional, ent_terms, merge_terms
 from bcbounds.regions import ProductAuxiliary, UvAuxiliary, build_region, evaluate_uv_point
 from bcbounds.search import SearchConfig, project_blocks, simplex_grid
@@ -54,6 +62,18 @@ CASES = {
     "input_law_sum": (
         lambda: maximize_lambda_sr_at_input(component("z"), 0.5, [0.5] * 4, SearchConfig(1, 1)),
         "input law sums to 2.0",
+    ),
+    "lambda_high": (
+        lambda: lambda_sr_value(component("z"), 1.5, component_branch_aux("z", "steep")),
+        "lambda must lie in [0, 1], got 1.5",
+    ),
+    "lambda_nan": (
+        lambda: lambda_sr_global(component("z"), np.nan, SearchConfig(1, 1)),
+        "lambda must lie in [0, 1], got nan",
+    ),
+    "product_seeds": (
+        lambda: marton_sum_rate(product_channel(), SearchConfig(1, 1), [TWO_INPUTS]),
+        "a product channel's sum rate takes no extra seeds",
     ),
     "marton_alphabet": (
         lambda: lambda_sr_value(component("z"), 0.5, AuxiliaryJoint(TWO_INPUTS)),

@@ -10,6 +10,7 @@ from bcbounds.marton import (
     Cardinalities,
     LambdaCurve,
     LambdaPointResult,
+    _product_line,
     build_lambda_curve,
     check_factorization,
     check_min_max_equality,
@@ -23,7 +24,8 @@ from bcbounds.marton import (
     outer_auxiliary,
     structured_seed_joints,
 )
-from bcbounds.search import KELLEY_TOL, SearchConfig
+from bcbounds.counterexample import product_channel
+from bcbounds.search import KELLEY_TOL, SearchConfig, envelope
 from info_oracle import mutual_information
 from oracles import endpoint_sr
 
@@ -234,6 +236,44 @@ def test_outer_auxiliary_additivity():
     assert v == pytest.approx(
         lambda_sr_value(c1, lam, a1) + lambda_sr_value(c2, lam, a2), abs=1e-10
     )
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.3, 0.5, 1.0])
+def test_product_line_is_the_sum_of_the_component_lines(lam):
+    # the worked product: one evaluation on the product table at the product
+    # of the component maximizers adds up the components' lines
+    pc = product_channel()
+    cfg = SearchConfig(restarts=4, max_iters=100, seed=0)
+    line = _product_line(pc, lam, cfg, None)
+    r1, r2 = lambda_sr_global(pc.c1, lam, cfg), lambda_sr_global(pc.c2, lam, cfg)
+    assert line.value == pytest.approx(r1.value + r2.value, abs=1e-12)
+    assert line.slope == pytest.approx(r1.slope + r2.slope, abs=1e-12)
+    assert np.array_equal(line.aux.joint, outer_auxiliary(r1.aux, r2.aux).joint)
+    assert line.converged == (r1.converged and r2.converged)
+
+
+def test_product_sum_rate_seeds_each_component_with_its_envelope_marginal():
+    # the first 3x2x2 by 2x2x2 product drawn from seeds 0-5 whose Kelley loop
+    # ends inside (0, 1): it takes 5 evaluations at this budget
+    rng = np.random.default_rng(5)
+    pc = ProductChannel(_drawn_channel(rng, 3), _drawn_channel(rng, 2))
+    cfg = SearchConfig(restarts=2, max_iters=40, seed=0)
+    res = marton_sum_rate(pc, cfg)
+    assert res.evaluations > 1 and 0.0 < res.lam_star < 1.0
+    s1, s2 = (Cardinalities.for_sum_rate(c).shape(c.nx) for c in (pc.c1, pc.c2))
+    for k, line in enumerate(res.lines):
+        # each component's search restarts from the active line's auxiliary
+        # summed over the other component's axes
+        active = envelope(res.lines[:k], line.lam)
+        seeds = ([], [])
+        if active is not None:
+            t = active.aux.joint.reshape([n for pair in zip(s1, s2) for n in pair])
+            seeds = ([np.einsum("abcdefgh->aceg", t)], [np.einsum("abcdefgh->bdfh", t)])
+        r1 = lambda_sr_global(pc.c1, line.lam, cfg, seeds[0])
+        r2 = lambda_sr_global(pc.c2, line.lam, cfg, seeds[1])
+        assert line.value == pytest.approx(r1.value + r2.value, abs=1e-12), k
+        assert line.slope == pytest.approx(r1.slope + r2.slope, abs=1e-12), k
+    assert res.value == envelope(res.lines, res.lam_star).at(res.lam_star)
 
 
 def test_embed_auxiliary_preserves_value():

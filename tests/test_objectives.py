@@ -6,7 +6,7 @@ import pytest
 
 from bcbounds.channel import Channel, ProductChannel
 from bcbounds.kernel import GRAD_CLIP, entropy_of_array
-from bcbounds.counterexample import REDUCED_PRODUCT_PROFILE, component, product_channel
+from bcbounds.counterexample import component, product_channel
 from bcbounds.marton import Cardinalities, lambda_weights, marton_table
 from bcbounds.objectives import (
     LOG2E,
@@ -37,6 +37,10 @@ from oracles import (
     weigh_per_tensor,
     weighing_per_call,
 )
+
+# a Marton table shape on the 16-input product, large enough for every
+# product of the components' branch constructions
+PRODUCT_MARTON_CAPS = Cardinalities(8, 8, 4)
 
 
 def _random_channel(rng, nx, ny, nz):
@@ -466,7 +470,7 @@ def test_keep_lattice_reduces_each_keep_from_its_smallest_superset():
     )[0]
     cases = [
         (component, (4, 4, 8, 4), 2),
-        (marton_table(pc.flat, REDUCED_PRODUCT_PROFILE), (8, 8, 4, 16), 3),
+        (marton_table(pc.flat, PRODUCT_MARTON_CAPS), (8, 8, 4, 16), 3),
         (_uv_table(pc.flat, 17, 17), (17, 17, 16), 2),
     ]
     for fn, shape, roots in cases:
@@ -498,7 +502,7 @@ def test_a_tensor_has_one_value_whatever_its_memory_order():
     # (a region search's component split) those of its contiguous copy
     rng = np.random.default_rng(24)
     flat = product_channel().flat
-    for fn in (marton_table(flat, REDUCED_PRODUCT_PROFILE), _uv_table(flat, 17, 17)):
+    for fn in (marton_table(flat, PRODUCT_MARTON_CAPS), _uv_table(flat, 17, 17)):
         assert fn.shape in ((8, 8, 4, 16), (17, 17, 16))
         weights = rng.normal(size=(1, fn.coeffs.shape[0]))
         for _ in range(4):
@@ -634,7 +638,7 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
     lam_rows = [lambda_weights(0.3)[None], np.stack([lambda_weights(x) for x in (0.0, 0.6, 1.0)])]
     cases = [
         (marton_table(small, Cardinalities.for_sum_rate(small)), (2, 2, 2, 2), lam_rows, []),
-        (marton_table(flat, REDUCED_PRODUCT_PROFILE), (8, 8, 4, 16), lam_rows, []),
+        (marton_table(flat, PRODUCT_MARTON_CAPS), (8, 8, 4, 16), lam_rows, []),
         (_uv_table(flat, 17, 17), (17, 17, 16), [np.eye(5)[:3]], _uv_ties()),
     ]
     for fn, shape, weighings, ties in cases:
@@ -705,7 +709,7 @@ def _compiled_weighings():
     pc = product_channel()
     lam_rows = np.stack([lambda_weights(x) for x in (0.5, 0.0, 1.0, 0.3)])
     objectives = [
-        JointObjective([marton_table(pc.flat, REDUCED_PRODUCT_PROFILE)], lam_rows, None),
+        JointObjective([marton_table(pc.flat, PRODUCT_MARTON_CAPS)], lam_rows, None),
         JointObjective([_uv_table(pc.flat, 17, 17)], np.eye(5)[:3], None),
     ]
     for kind in ("product_outer", "semi_deterministic"):

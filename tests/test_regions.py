@@ -114,8 +114,9 @@ def test_marton_on_degraded_pair_equals_capacity():
 
 
 @pytest.mark.xfail(
-    reason="uv_sum_rate falls short of the capacity on degraded pairs "
-    "(by 9.3e-4 to 3.8e-2): its seeds miss the capacity-achieving input law"
+    reason="uv_sum_rate ends 7.1e-4 to 1.56e-2 below the capacity on degraded "
+    "pairs: every run reports converged with its y-side and z-side sum rows "
+    "tied to 6 decimals, so the ascent stalls at the tie of two rows"
 )
 def test_uv_on_degraded_pair_reaches_capacity():
     # the UV outer bound can be no lower than the achievable capacity
