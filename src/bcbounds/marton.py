@@ -27,7 +27,8 @@ Cardinality caps: every search at one lambda runs at |U| <= min(nx, ny),
 |V| <= min(nx, nz), |W| <= nx, which suffice for the weighted sum rate,
 and a result's auxiliary has them as its shape. On a ``ProductChannel``,
 where every term adds over the components for product auxiliaries, each
-line is the sum of the components' lines (``_product_line``).
+line is the sum of the components' lines (``_product_line``), and its
+auxiliary's caps are the products of the components' caps.
 """
 
 from __future__ import annotations
@@ -428,16 +429,12 @@ class MartonSumRate:
         return len(self.lines)
 
 
-def marton_sum_rate(
-    c: Channel | ProductChannel,
-    cfg: SearchConfig,
-    extra_seeds: Sequence[np.ndarray] = (),
-) -> MartonSumRate:
+def marton_sum_rate(c: Channel | ProductChannel, cfg: SearchConfig) -> MartonSumRate:
     """min over lambda of the global weighted sum rate (``kelley_min``).
 
     Each evaluation's maximizer gives the line of its weighted sum rate in
     lambda, with slope I(W;Y) - I(W;Z), and is seeded with the envelope's
-    auxiliary at its lambda, then ``extra_seeds``. The driver samples the
+    auxiliary at its lambda. The driver samples the
     minimum of the lines' upper envelope until it reaches a sampled lambda,
     so a search that falls short at one lambda does not lift the value: it
     is at most the true sum rate plus ``KELLEY_TOL``. The value is the
@@ -445,16 +442,12 @@ def marton_sum_rate(
     active line's auxiliary); ``lines`` holds every evaluated line.
 
     On a ``ProductChannel`` each line is the sum of the components' lines
-    (``_product_line``), and ``extra_seeds`` must be empty: a product seed
-    starts no component search.
+    (``_product_line``).
     """
-    product = isinstance(c, ProductChannel)
-    if product and len(extra_seeds):
-        raise ValueError("a product channel's sum rate takes no extra seeds")
     lam, lines = kelley_min(
         lambda lam, active: _product_line(c, lam, cfg, active)
-        if product
-        else lambda_sr_global(c, lam, cfg, _seeds(active, extra_seeds))
+        if isinstance(c, ProductChannel)
+        else lambda_sr_global(c, lam, cfg, _seeds(active, ()))
     )
     active = envelope(lines, lam)
     return MartonSumRate(active.at(lam), lam, active.aux, lines, active.converged)

@@ -1,8 +1,7 @@
 """Every input check of the library raises its own error: a bad argument to
 the worked example, a negative or non-finite law entry, an unnormalized
-input law, a lambda outside [0, 1], seeds for a product's sum rate, an
-alphabet mismatch, an axis error, block sizes that do not fit a point or
-an empty grid."""
+input law, a lambda outside [0, 1], an alphabet mismatch, an axis error,
+block sizes that do not fit a point or an empty grid."""
 
 import re
 
@@ -14,14 +13,12 @@ from bcbounds.counterexample import (
     component,
     component_branch_aux,
     lambda_curve_analytic,
-    product_channel,
     uv_witness_auxiliary,
 )
 from bcbounds.marton import (
     AuxiliaryJoint,
     lambda_sr_global,
     lambda_sr_value,
-    marton_sum_rate,
     maximize_lambda_sr_at_input,
 )
 from bcbounds.objectives import FixedInputObjective, InfoFunctional, ent_terms, merge_terms
@@ -70,10 +67,6 @@ CASES = {
     "lambda_nan": (
         lambda: lambda_sr_global(component("z"), np.nan, SearchConfig(1, 1)),
         "lambda must lie in [0, 1], got nan",
-    ),
-    "product_seeds": (
-        lambda: marton_sum_rate(product_channel(), SearchConfig(1, 1), [TWO_INPUTS]),
-        "a product channel's sum rate takes no extra seeds",
     ),
     "marton_alphabet": (
         lambda: lambda_sr_value(component("z"), 0.5, AuxiliaryJoint(TWO_INPUTS)),
