@@ -228,7 +228,9 @@ def _cmd_classify(args) -> tuple[dict, dict, list]:
 
 
 def _cmd_marton(args) -> tuple[dict, dict, list]:
-    chan = _as_single(_load(args.channel))
+    if args.curve_csv is not None and args.lambda_grid == 0:
+        raise CommandError("--curve-csv needs a curve, and --lambda-grid 0 skips it")
+    chan = _load(args.channel)
     cfg = _config(args)
     res = marton_sum_rate(chan, cfg)
     converged = res.converged
@@ -467,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.set_defaults(func=_cmd_classify)
 
-    sp = sub.add_parser("marton", help="weighted-sum-rate minimum and lambda curve")
+    sp = sub.add_parser(
+        "marton",
+        help="weighted-sum-rate minimum and lambda curve, from component curves on a product",
+    )
     sp.add_argument("channel", help="channel JSON file")
     sp.add_argument(
         "--lambda-grid",

@@ -367,11 +367,6 @@ def lambda_sr_global(
     return LambdaPointResult(lam, best_v, _slope(table.value(aux.joint)), aux, res.converged)
 
 
-def _seeds(active: LambdaPointResult | None, extra_seeds: Sequence[np.ndarray]) -> list:
-    """The envelope's auxiliary at the lambda to search, then ``extra_seeds``."""
-    return ([active.aux.joint] if active else []) + list(extra_seeds)
-
-
 # a curve sample's own search may end this far below the envelope unflagged
 CURVE_SLACK = 1e-6
 
@@ -401,18 +396,14 @@ class LambdaCurve:
 
 
 def build_lambda_curve(
-    c: Channel,
-    lambdas: Sequence[float],
-    cfg: SearchConfig,
-    extra_seeds: Sequence[np.ndarray] = (),
+    c: Channel | ProductChannel, lambdas: Sequence[float], cfg: SearchConfig
 ) -> LambdaCurve:
-    """Search the global lambda-curve at each grid lambda in order, each
-    search seeded with the envelope of the lines before it, and sample the
-    envelope of all of them."""
+    """Search the global lambda-curve at each grid lambda in order (``_line``),
+    each search seeded with the envelope of the lines before it, and sample
+    the envelope of all of them."""
     lines: list[LambdaPointResult] = []
     for lam in lambdas:
-        seeds = _seeds(envelope(lines, lam), extra_seeds)
-        lines.append(lambda_sr_global(c, float(lam), cfg, extra_seeds=seeds))
+        lines.append(_line(c, float(lam), cfg, envelope(lines, lam)))
     return LambdaCurve.from_lines(lines)
 
 
@@ -430,7 +421,7 @@ class MartonSumRate:
 
 
 def marton_sum_rate(c: Channel | ProductChannel, cfg: SearchConfig) -> MartonSumRate:
-    """min over lambda of the global weighted sum rate (``kelley_min``).
+    """min over lambda of the global weighted sum rate (``kelley_min`` over ``_line``).
 
     Each evaluation's maximizer gives the line of its weighted sum rate in
     lambda, with slope I(W;Y) - I(W;Z), and is seeded with the envelope's
@@ -440,17 +431,20 @@ def marton_sum_rate(c: Channel | ProductChannel, cfg: SearchConfig) -> MartonSum
     is at most the true sum rate plus ``KELLEY_TOL``. The value is the
     envelope at ``lam_star``, the weighted sum rate there of ``aux`` (the
     active line's auxiliary); ``lines`` holds every evaluated line.
-
-    On a ``ProductChannel`` each line is the sum of the components' lines
-    (``_product_line``).
     """
-    lam, lines = kelley_min(
-        lambda lam, active: _product_line(c, lam, cfg, active)
-        if isinstance(c, ProductChannel)
-        else lambda_sr_global(c, lam, cfg, _seeds(active, ()))
-    )
+    lam, lines = kelley_min(lambda lam, active: _line(c, lam, cfg, active))
     active = envelope(lines, lam)
     return MartonSumRate(active.at(lam), lam, active.aux, lines, active.converged)
+
+
+def _line(
+    c: Channel | ProductChannel, lam: float, cfg: SearchConfig, active: LambdaPointResult | None
+) -> LambdaPointResult:
+    """The line at ``lam`` seeded with ``active``, the envelope's line there: the sum
+    of the component lines on a ``ProductChannel``, else ``lambda_sr_global``."""
+    if isinstance(c, ProductChannel):
+        return _product_line(c, lam, cfg, active)
+    return lambda_sr_global(c, lam, cfg, [active.aux.joint] if active else [])
 
 
 def _product_line(
@@ -615,7 +609,7 @@ def check_min_max_equality(c: Channel, cfg: SearchConfig, px_resolution: int) ->
     def min_over_lambda(px: np.ndarray) -> float:
         lam, lines = kelley_min(
             lambda lam, active: maximize_lambda_sr_at_input(
-                c, lam, px, inner_cfg, _seeds(active, ())
+                c, lam, px, inner_cfg, [active.aux.joint] if active else []
             )
         )
         return envelope(lines, lam).at(lam)

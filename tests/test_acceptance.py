@@ -39,7 +39,6 @@ from bcbounds.objectives import InfoFunctional, ent_terms, mi_terms
 from bcbounds.regions import region_support
 from bcbounds.search import SearchConfig
 from oracles import (
-    component_seed_joints,
     endpoint_sr,
     f_envelope_oracle,
     pointwise,
@@ -123,15 +122,8 @@ def test_ac01_golden_separation():
 
 def test_ac02_component_lambda_curve():
     c = component("z")
-    prof = Cardinalities.for_sum_rate(c)
-    uniform = np.full(4, 0.25)
     lambdas = [k / 10 for k in range(11)]
-    curve = build_lambda_curve(
-        c,
-        lambdas,
-        CFG,
-        extra_seeds=component_seed_joints("z", prof, uniform),
-    )
+    curve = build_lambda_curve(c, lambdas, CFG)
     errs = [abs(s.value - lambda_curve_analytic(s.lam, "z")) for s in curve.samples]
     # midpoint convexity of the analytic curve itself
     analytic = [lambda_curve_analytic(lam, "z") for lam in lambdas]

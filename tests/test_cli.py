@@ -150,6 +150,32 @@ def test_marton_curve_samples_lie_on_or_above_every_line(tmp_path, capsys):
     assert [lam for _, lam, _ in flagged] == [0.0]
 
 
+def test_marton_curve_csv_without_a_curve_exits_2(small_file, tmp_path, capsys):
+    csv_path = tmp_path / "curve.csv"
+    argv = ["marton", small_file, "--lambda-grid", "0", "--curve-csv", str(csv_path)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--curve-csv" in err and "--lambda-grid" in err
+    assert not csv_path.exists()
+
+
+def test_marton_on_a_product_file_sums_the_component_curves(comp_files, tmp_path, capsys):
+    # the worked product: its curve is 3 at lambda 0 and 1 and 8/3 at 1/2
+    prod_path = tmp_path / "prod.json"
+    _run(capsys, ["product", comp_files[0], comp_files[1], "--save", str(prod_path)])
+    argv = ["--lambda-grid", "2", "--restarts", "4", "--max-iters", "100"]
+    code, out, _ = _run(capsys, ["marton", str(prod_path), *argv])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert abs(results["sum_rate_bits"] - 8 / 3) <= 1e-9
+    assert results["profile"] == {"nu": 8, "nv": 8, "nw": 16}
+    assert [s["lambda"] for s in results["curve"]] == [0.0, 0.5, 1.0]
+    for s, target in zip(results["curve"], (3.0, 8 / 3, 3.0)):
+        assert abs(s["value_bits"] - target) <= 1e-9
+    assert results["curve_checks"] == {"hyperplane_violations": []}
+
+
 def test_uv_report(small_file, capsys):
     code, out, _ = _run(capsys, ["uv", small_file, "--restarts", "2"])
     assert code == 0

@@ -153,7 +153,7 @@ def test_no_search_budget_has_a_default():
 
 # parameters with a default in src/bcbounds: an option is a choice some caller
 # must make, so the count may go down but not up
-DEFAULTED_PARAMETERS = 16
+DEFAULTED_PARAMETERS = 15
 
 
 def test_defaulted_parameters_do_not_grow():
