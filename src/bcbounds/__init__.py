@@ -43,6 +43,7 @@ from .regions import (
     UvAuxiliary,
     UvPoint,
     build_region,
+    class_notes,
     default_region_profiles,
     evaluate_uv_point,
     region_support,

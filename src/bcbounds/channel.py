@@ -190,30 +190,24 @@ def _gap_objective(c: Channel, stronger: Receiver, aux: bool) -> JointObjective:
     return JointObjective([_gap_table(c, stronger, aux)], [1.0], None)
 
 
-def more_capable_scan(c: Channel, stronger: Receiver) -> tuple[float, np.ndarray]:
-    """The largest I(X;weaker) - I(X;stronger) on a p(x) grid, one batched
-    evaluation, and its first maximizer. A gap above REFUTE_TOL refutes
-    that ``stronger`` is more capable; a smaller one proves nothing."""
+def is_more_capable(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:
+    """Search for an input law where the weaker receiver learns more.
+
+    Maximizes I(X;weaker) - I(X;stronger) over p(x): one batched scan of a
+    p(x) grid, then a multi-start ascent seeded at the scan's first
+    maximizer. A gap above REFUTE_TOL refutes the relation with the witness
+    input; otherwise the relation is reported as not refuted, since a
+    search cannot certify it.
+    """
     _check_receiver(stronger)
+    obj = _gap_objective(c, stronger, aux=False)
     res_grid = GRID_RESOLUTION
     while simplex_grid_size(c.nx, res_grid) > 25000 and res_grid > 2:
         res_grid -= 2
     grid = np.asarray(list(simplex_grid(c.nx, res_grid)), dtype=float)
-    gaps = _gap_table(c, stronger, aux=False).value_and_grad(grid).values[:, 0]
+    gaps = obj.tables[0].value_and_grad(grid).values[:, 0]
     k = int(gaps.argmax())
-    return float(gaps[k]), grid[k]
-
-
-def is_more_capable(c: Channel, stronger: Receiver, cfg: SearchConfig) -> ComparisonVerdict:
-    """Search for an input law where the weaker receiver learns more.
-
-    Maximizes I(X;weaker) - I(X;stronger) over p(x) by the grid scan of
-    ``more_capable_scan`` plus multi-start ascent. A gap above REFUTE_TOL
-    refutes the relation with the witness input; otherwise the relation is
-    reported as not refuted, since a search cannot certify it.
-    """
-    best_grid, best_px = more_capable_scan(c, stronger)
-    obj = _gap_objective(c, stronger, aux=False)
+    best_grid, best_px = float(gaps[k]), grid[k]
     result = maximize(obj, obj.block_sizes, cfg, seeds=[best_px])
     gap = max(result.value, best_grid)
     witness = result.point if result.value >= best_grid else best_px

@@ -39,7 +39,7 @@ from .marton import (
     check_min_max_equality,
     marton_sum_rate,
 )
-from .regions import UvPoint, region_support, uv_sum_rate
+from .regions import UvPoint, class_notes, region_support, uv_sum_rate
 from .search import SearchConfig
 
 RATIONAL_TOL = 1e-9
@@ -341,7 +341,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
                 "converged": res.converged,
             }
         )
-    # every direction's polytope shares the kind's normals, tag and notes
+    # every direction's polytope shares the kind's normals and tag
     region = res.region
     results = {
         "kind": kind,
@@ -351,7 +351,7 @@ def _cmd_sweep(args) -> tuple[dict, dict, list]:
         "region": {
             "tag": region.tag,
             "normals": [[float(x) for x in a] for a, _ in region.inequalities],
-            "notes": region.notes,
+            "notes": class_notes(pc, kind, cfg),
         },
         "converged": all(r["converged"] for r in rows),
     }

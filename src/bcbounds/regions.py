@@ -14,10 +14,11 @@ The mirrored outer bound, with the components swapped in the mixed sum
 rows, is ``product_outer`` on ``ProductChannel(pc.c2, pc.c1)``: swapping
 the two sides of every ``product_outer`` row gives the mirrored rows.
 
-The region forms assume their class; build_region notes a mismatch of the
-determinism it can read off the channel or a more-capable relation that a
-p(x) grid scan refutes, and ``bcbounds classify`` reports the more-capable
-verdicts of each component.
+The region forms assume their class; ``class_notes`` warns of a receiver
+that is not deterministic where a form needs it, or of a more-capable
+relation that ``channel.is_more_capable`` refutes at the caller's budget
+(the verdict ``bcbounds classify`` reports). Polytopes carry no notes;
+the ``outer`` and ``region`` commands compute them once per sweep.
 
 All min-terms are expanded into separate inequalities, so every
 right-hand side is a smooth sum of per-component information terms. A
@@ -36,12 +37,12 @@ same minimum of weight rows that scores every other search here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .channel import REFUTE_TOL, Channel, ProductChannel, is_deterministic, more_capable_scan
+from .channel import Channel, ProductChannel, is_deterministic, is_more_capable
 from .marton import (
     AuxiliaryJoint,
     Cardinalities,
@@ -61,6 +62,7 @@ __all__ = [
     "evaluate_uv_point",
     "uv_sum_rate",
     "build_region",
+    "class_notes",
     "region_support",
     "REGION_KINDS",
 ]
@@ -241,10 +243,10 @@ def default_region_profiles(
     return p1, p2
 
 
-def _class_notes(pc: ProductChannel, kind: str) -> list[str]:
-    """Diagnostics of the region's class; mismatches warn, never raise. The
-    more-capable relations are checked by a p(x) grid scan, which can only
-    refute them."""
+def class_notes(pc: ProductChannel, kind: str, cfg: SearchConfig) -> list[str]:
+    """Diagnostics of the class a region kind assumes; mismatches warn, never
+    raise. The more-capable relations are ``is_more_capable``'s verdicts at
+    ``cfg``, which can refute them but not certify them."""
     notes: list[str] = []
     if kind == "semi_deterministic":
         if not (is_deterministic(pc.c1, "y") and is_deterministic(pc.c2, "z")):
@@ -254,11 +256,12 @@ def _class_notes(pc: ProductChannel, kind: str) -> list[str]:
             )
     if kind == "more_capable":
         for c, stronger, weaker in ((pc.c1, "Z1", "Y1"), (pc.c2, "Y2", "Z2")):
-            gap = more_capable_scan(c, stronger[0].lower())[0]
-            if gap > REFUTE_TOL:
+            verdict = is_more_capable(c, stronger[0].lower(), cfg)
+            if not verdict.holds:
                 notes.append(
                     f"warning: region form assumes {stronger} more capable than {weaker}; "
-                    f"a p(x) grid scan refutes it by {gap:.6g} bits, "
+                    f"component {stronger[1]}'s {stronger[0].lower()}_more_capable_than_"
+                    f"{weaker[0].lower()} verdict refutes it by {verdict.gap:.6g} bits, "
                     "values are not a capacity region"
                 )
     return notes
@@ -270,7 +273,6 @@ class RateRegionPolytope:
 
     inequalities: list[tuple[tuple[int, int, int], float]]
     tag: str
-    notes: list = field(default_factory=list)
 
     def support(self, weights: Sequence[float], fix_r0: float | None = None) -> tuple[float, np.ndarray]:
         """Support in direction ``weights``, R0 <= ``fix_r0`` if given, and an optimal vertex."""
@@ -298,10 +300,15 @@ class _VertexSystem:
     search's ``JointObjective``. ``duals`` and ``offset`` keep the first
     basis of each distinct pair, in order; ``optimum`` scores every basis
     (``basis_duals``, ``basis_offset``). With no such basis the support is
-    unbounded and the constructor raises."""
+    unbounded and the constructor raises, as it does for weights that are
+    not finite or a pin that is negative or not finite."""
 
     def __init__(self, row_normals: Sequence, fix_r0: float | None, w: Sequence[float]) -> None:
         w = np.asarray(w, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError(f"weights must be finite, got {w.tolist()}")
+        if fix_r0 is not None and not 0.0 <= fix_r0 < np.inf:
+            raise ValueError(f"fix_r0 must be finite and nonnegative, got {fix_r0}")
         pin = [] if fix_r0 is None else [(1.0, 0.0, 0.0)]
         rows = np.asarray(row_normals, dtype=float).reshape(-1, 3)
         self.A = np.vstack([rows, *pin, np.diag([-1.0] * 3)])
@@ -349,12 +356,10 @@ def _row_tables(
     return table(pc.c1, shape1, 1), table(pc.c2, shape2, 2)
 
 
-def _polytope(
-    pc: ProductChannel, kind: str, rows: list[Row], rhs: np.ndarray
-) -> RateRegionPolytope:
+def _polytope(kind: str, rows: list[Row], rhs: np.ndarray) -> RateRegionPolytope:
     """The region's polytope for the row right-hand sides ``rhs``."""
     ineqs = [(a, float(r)) for (a, _, _), r in zip(rows, rhs)]
-    return RateRegionPolytope(inequalities=ineqs, tag=kind, notes=_class_notes(pc, kind))
+    return RateRegionPolytope(inequalities=ineqs, tag=kind)
 
 
 def build_region(pc: ProductChannel, aux: ProductAuxiliary, kind: str) -> RateRegionPolytope:
@@ -363,7 +368,7 @@ def build_region(pc: ProductChannel, aux: ProductAuxiliary, kind: str) -> RateRe
     if aux.a1.shape[3] != pc.c1.nx or aux.a2.shape[3] != pc.c2.nx:
         raise ValueError("component auxiliary input alphabet mismatch")
     f1, f2 = _row_tables(pc, rows, aux.a1.shape, aux.a2.shape)
-    return _polytope(pc, kind, rows, f1.value(aux.a1.joint) + f2.value(aux.a2.joint))
+    return _polytope(kind, rows, f1.value(aux.a1.joint) + f2.value(aux.a2.joint))
 
 
 def _support_objective(
@@ -436,6 +441,6 @@ def region_support(
         weights=tuple(float(x) for x in weights),
         vertex=vertex,
         aux=ProductAuxiliary(AuxiliaryJoint(t1), AuxiliaryJoint(t2)),
-        region=_polytope(pc, kind, _region_rows(kind), rhs),
+        region=_polytope(kind, _region_rows(kind), rhs),
         converged=res.converged,
     )

@@ -105,6 +105,18 @@ def test_classify_matches_structure(comp_files, capsys):
     assert "elapsed_seconds=" in err
 
 
+def test_classify_on_a_product_file_refutes_both_more_capable_orders(tmp_path, capsys):
+    # the flat product has 16 inputs, enough that the p(x) grid scan
+    # coarsens its resolution; each order fails by a full bit
+    path = tmp_path / "prod.json"
+    save_channel_file(str(path), ProductChannel(component("y"), component("z")))
+    _, out, _ = _run(capsys, ["classify", str(path), "--restarts", "2", "--max-iters", "20"])
+    results = json.loads(out)["results"]
+    for key in ("y_more_capable_than_z", "z_more_capable_than_y"):
+        assert results[key]["verdict"] == "no"
+        assert results[key]["max_gap_bits"] >= 1 - 1e-9
+
+
 def test_marton_report_and_curve_csv(small_file, tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     code, out, _ = _run(
@@ -320,6 +332,28 @@ def test_region_kind_flag(comp_files, tmp_path, capsys):
     assert json.loads(out)["results"]["kind"] == "semi_deterministic"
 
 
+def test_more_capable_region_notes_are_the_classify_verdicts(tmp_path, capsys):
+    # a 3-input draw whose Z fails to be more capable than Y only near a
+    # vertex of the simplex, by 3.5e-3 bits: a p(x) grid scan alone misses
+    # it, and the second component is more capable the right way round
+    rng = np.random.default_rng(253)
+    nx, ny, nz = rng.integers(2, 4, size=3)
+    q1 = rng.dirichlet(np.full(ny * nz, 0.3), size=nx).reshape(nx, ny, nz)
+    my, mz = (np.array([[1 - p, p], [p, 1 - p]]) for p in (0.1, 0.3))
+    c1, c2 = Channel(q1), Channel(np.einsum("xy,xz->xyz", my, mz))
+    c1_path, prod_path = tmp_path / "c1.json", tmp_path / "prod.json"
+    save_channel_file(str(c1_path), c1)
+    save_channel_file(str(prod_path), ProductChannel(c1, c2))
+    budget = ["--restarts", "2", "--max-iters", "40"]
+    _, out, _ = _run(capsys, ["classify", str(c1_path), *budget])
+    gap = json.loads(out)["results"]["z_more_capable_than_y"]["max_gap_bits"]
+    _, out, _ = _run(capsys, ["region", str(prod_path), "--kind", "more-capable", *budget])
+    notes = json.loads(out)["results"]["region"]["notes"]
+    assert len(notes) == 1
+    assert "Z1 more capable than Y1" in notes[0] and f"by {gap:.6g} bits" in notes[0]
+    assert gap == pytest.approx(0.00354526, abs=1e-8)
+
+
 def test_minmax_check_small(small_file, capsys):
     code, out, _ = _run(
         capsys,
@@ -398,6 +432,11 @@ def test_malformed_json_exits_2(tmp_path, capsys):
     code, _, err = _run(capsys, ["classify", str(path)])
     assert code == 2
     assert "error:" in err
+    # valid JSON whose channel object has a tensor that is not numeric
+    path.write_text(json.dumps({"nx": 1, "ny": 1, "nz": 1, "q": "one"}))
+    code, _, err = _run(capsys, ["classify", str(path)])
+    assert code == 2
+    assert f"error: invalid channel file {path}: malformed channel object" in err
 
 
 def test_nonstochastic_channel_exits_2(tmp_path, capsys):

@@ -1,18 +1,20 @@
 """Every input check of the library raises its own error: a bad argument to
 the worked example, a negative or non-finite law entry, an unnormalized
-input law, a lambda outside [0, 1], an alphabet mismatch, an axis error,
-block sizes that do not fit a point or an empty grid."""
+input law, a lambda outside [0, 1], an alphabet mismatch, an unknown
+receiver, a region pin or direction out of range, an axis error, block
+sizes that do not fit a point or an empty grid."""
 
 import re
 
 import numpy as np
 import pytest
 
-from bcbounds.channel import Channel, ProductChannel
+from bcbounds.channel import Channel, ProductChannel, is_deterministic
 from bcbounds.counterexample import (
     component,
     component_branch_aux,
     lambda_curve_analytic,
+    product_channel,
     uv_witness_auxiliary,
 )
 from bcbounds.marton import (
@@ -22,11 +24,26 @@ from bcbounds.marton import (
     maximize_lambda_sr_at_input,
 )
 from bcbounds.objectives import FixedInputObjective, InfoFunctional, ent_terms, merge_terms
-from bcbounds.regions import ProductAuxiliary, UvAuxiliary, build_region, evaluate_uv_point
+from bcbounds.regions import (
+    ProductAuxiliary,
+    RateRegionPolytope,
+    UvAuxiliary,
+    build_region,
+    evaluate_uv_point,
+    region_support,
+)
 from bcbounds.search import SearchConfig, project_blocks, simplex_grid
 
 # a law over two inputs, where the worked example's components have four
 TWO_INPUTS = np.full((1, 1, 1, 2), 0.5)
+
+
+def _support(weights, fix_r0):
+    """A region support search; its checks run before the search starts."""
+    return region_support(
+        product_channel(), "semi_deterministic", weights, SearchConfig(2, 20, 0), fix_r0=fix_r0
+    )
+
 
 CASES = {
     "component_det": (lambda: component("x"), "det must be 'y' or 'z'"),
@@ -83,6 +100,24 @@ CASES = {
             "product_outer",
         ),
         "component auxiliary input alphabet mismatch",
+    ),
+    "receiver": (
+        lambda: is_deterministic(component("y"), "x"),
+        "receiver must be 'y' or 'z', got 'x'",
+    ),
+    "pin_negative": (
+        lambda: _support((1, 1, 1), -1.0),
+        "fix_r0 must be finite and nonnegative, got -1.0",
+    ),
+    "pin_nan": (lambda: _support((1, 1, 1), np.nan), "fix_r0 must be finite and nonnegative, got nan"),
+    "pin_inf": (lambda: _support((1, 1, 1), np.inf), "fix_r0 must be finite and nonnegative, got inf"),
+    "weights_nan": (
+        lambda: _support((np.nan, 1, 1), None),
+        "weights must be finite, got [nan, 1.0, 1.0]",
+    ),
+    "polytope_pin": (
+        lambda: RateRegionPolytope([((1, 1, 1), 1.0)], "product_outer").support((0, 1, 1), -0.5),
+        "fix_r0 must be finite and nonnegative, got -0.5",
     ),
     "px_length": (
         lambda: FixedInputObjective(InfoFunctional("ux", (2, 4), [ent_terms("u")]), [0.5] * 2, [1.0]),

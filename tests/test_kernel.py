@@ -74,7 +74,9 @@ def test_masked_logs_match_log2_at_subnormal_and_clipped_entries():
 
 def test_entropy_signs_of_zero():
     # an all-zero marginal is +0.0 (a negated sum of +0.0 terms would read
-    # -0.0), and a point mass keeps the -0.0 of -(1 * log2 1)
+    # -0.0), and a point mass keeps the -0.0 of -(1 * log2 1); an empty
+    # array is +0.0 too
+    assert np.float64(entropy_of_array(np.zeros(0))).tobytes() == np.float64(0.0).tobytes()
     for size in (1, 3, 200):
         zero, mass = np.zeros(size), np.eye(size)[size // 2]
         assert np.float64(entropy_of_array(zero)).tobytes() == np.float64(0.0).tobytes()

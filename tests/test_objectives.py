@@ -87,7 +87,8 @@ def test_term_builders():
 
 
 def test_merge_terms_cancels():
-    merged = merge_terms([(1.0, "uy"), (-1.0, "yu"), (2.0, "u")], "uy")
+    # H of the empty subset is zero, so its term is dropped
+    merged = merge_terms([(1.0, "uy"), (-1.0, "yu"), (2.0, "u"), (3.0, "")], "uy")
     assert merged == [(2.0, "u")]
 
 

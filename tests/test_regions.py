@@ -17,6 +17,7 @@ from bcbounds.regions import (
     _support_objective,
     _VertexSystem,
     build_region,
+    class_notes,
     default_region_profiles,
     evaluate_uv_point,
     region_support,
@@ -504,26 +505,24 @@ def test_mirror_symmetry_on_symmetric_product():
 def test_class_notes():
     rng = np.random.default_rng(8)
     matched = ProductChannel(component("y"), component("z"))
-    aux = _random_product_aux(rng, matched, "semi_deterministic")
-    assert build_region(matched, aux, "semi_deterministic").notes == []
+    assert class_notes(matched, "semi_deterministic", CFG) == []
     mismatched = ProductChannel(random_channel(rng, 2, 2, 2), random_channel(rng, 2, 2, 2))
-    aux2 = _random_product_aux(rng, mismatched, "semi_deterministic")
-    notes = build_region(mismatched, aux2, "semi_deterministic").notes
+    notes = class_notes(mismatched, "semi_deterministic", CFG)
     assert notes and "deterministic" in notes[0]
-    # the more-capable form: the grid scan refutes the wrong orientation,
+    # the more-capable form: is_more_capable refutes the wrong orientation,
     # where Y1 and Z2 are the better receivers, and the worked product,
     # whose components each fail by 1/3 at p(x) = (1/2, 0, 0, 1/2); the
-    # right orientation gets no note, since a scan cannot prove the class
+    # right orientation gets no note, since a search cannot prove the class
     reverse = ProductChannel(bsc_pair(0.3, 0.1), bsc_pair(0.1, 0.3))
     wrong = ProductChannel(bsc_pair(0.1, 0.3), bsc_pair(0.3, 0.1))
     claims = ("Z1 more capable than Y1", "Y2 more capable than Z2")
     wrong_gap = h2(0.3) - h2(0.1)
     for pc, gaps in ((reverse, []), (wrong, [wrong_gap] * 2), (matched, [1 / 3] * 2)):
-        aux = _random_product_aux(rng, pc, "more_capable")
-        notes = build_region(pc, aux, "more_capable").notes
+        notes = class_notes(pc, "more_capable", CFG)
         assert len(notes) == len(gaps)
         for note, claim, gap in zip(notes, claims, gaps):
             assert claim in note and f"by {gap:.6g} bits" in note
+    assert class_notes(matched, "product_outer", CFG) == []
 
 
 def test_default_region_profiles_collapse():
