@@ -53,26 +53,42 @@ This sums in another order than one reduction of t per keep, within the
 same recursive-summation bound (N. J. Higham, "The accuracy of floating
 point summation", SIAM J. Sci. Comput. 1993).
 
+The whole fill, from t to the flat marginal buffer (and p_X when the table
+has a linear term), is linear, so a table can also fill through its
+matrix: the lattice's image of the unit tensors, each entry 0, 1 or an
+entry of a channel marginal, so the lattice stays the one definition of
+every marginal. A table whose map has at most ``DENSE_MAP_FLOATS``
+entries precomputes it once, at compile, and fills a batch by one stacked
+product (n, 1, K) @ (K, N); its adjoint is one stacked product of the map
+with the weighted entropy derivatives (zero outside the weighing's hull,
+plus w^T L on the p_X columns). Both paths exist because each wins on its
+own tables: on a small table the lattice's cost is its dozen or so numpy
+calls per evaluation, which the map replaces with one BLAS call per
+tensor, while on a large one the map's K x N products outweigh the walk
+(the map of a ``product_outer`` component table has 337,920 entries, and
+the UV table of the worked product about 4.1M). The map sums each entry
+in its own order, within the same bound.
+
 Every evaluation takes a batch of tensors with a leading axis, and every
 result keeps that axis; ``value(t)`` is the helper for exact evaluation
 at one tensor, a batch of one. Each tensor of a batch is summed exactly
 as on its own, bit for bit: every reduction, of t or of a keep buffer,
 keeps the batch axis slowest, and every product with a per-tensor
 operand is a stacked matmul whose slices are the products a single
-tensor makes (channel products, row values C @ H and L @ p_X,
-weighings, and the compiled adjoint weights w^T C and w^T L, one slice
-per weight row), never one matmul over the whole batch, whose gemm sums
-in another order. Every entropy is a
+tensor makes (channel products, the dense fill and its adjoint, row
+values C @ H and L @ p_X, weighings, and the compiled adjoint weights
+w^T C and w^T L, one slice per weight row), never one matmul over the
+whole batch, whose gemm sums in another order. Every entropy is a
 pairwise sum of its marginal's terms p log2 p along its own row of the
 buffer, one ``np.add.reduce`` per marginal for the whole batch (see
 ``kernel``), and the adjoint pass runs once for all the rows it is asked
 for.
 
 An evaluation reads every tensor in C order (a batch of other tensors is
-copied once), so a tensor's value depends only on its entries. A table
-owns the work buffers of the forward pass (the keep-marginals of t and
-the flat marginal buffer, one row per tensor) and reuses them on every
-evaluation, filling them by a plan compiled for the batch shape. It
+copied once), so a tensor's value depends only on its entries. A table on
+the lattice owns the work buffers of the forward pass (the keep-marginals
+of t and the flat marginal buffer, one row per tensor) and reuses them on
+every evaluation, filling them by a plan compiled for the batch shape. It
 keeps one plan, the last one, and compiles a new one when the shape
 changes: a search's batch keeps its size while starts wait and shrinks
 through smaller sizes at its stream's end, and a plan per size would
@@ -133,6 +149,11 @@ from .kernel import LOG2_CLIP, segment_entropies
 LOG2E = math.log2(math.e)
 # axes of every channel tensor: the input, then the two receivers
 CHANNEL_AXES = "xyz"
+# the largest dense map, in floats (256 KiB), through which a table fills its
+# marginal buffer; larger tables keep the lattice. On one 2-vCPU VM the map
+# was faster at 24,064 entries (the 4-input component's Marton table) and
+# slower at 47,104 (the worked product's semi-deterministic tables)
+DENSE_MAP_FLOATS = 32768
 
 __all__ = [
     "InfoFunctional",
@@ -240,29 +261,24 @@ class Evaluation:
         # tensors spaced out along the batch axis are read as they are
         if not batch[:1].flags.c_contiguous:
             batch = np.ascontiguousarray(batch)
-        plan = fn._plan(batch.shape)
-        for src, axes, out in plan.reductions:
-            np.add.reduce(batch if src is None else src, axis=axes, out=out)
-        for out, m in plan.copies:
-            np.copyto(out, m)
-        for m, q, out in plan.products:
-            np.matmul(m, q, out=out)
-        # the next evaluation overwrites the buffers: keep only what grad
-        # reads, which segment_entropies returns as fresh arrays
-        self.entropies, self._logs = segment_entropies(plan.rows, fn._offsets)
+        rows, px = fn._marginal_rows(batch)
+        # the next evaluation overwrites the lattice's buffers: keep only what
+        # grad reads, which segment_entropies returns as fresh arrays
+        self.entropies, self._logs = segment_entropies(rows, fn._offsets)
         # a stacked matrix-vector product: numpy makes the one BLAS call per
         # tensor that a single tensor makes (a gemm over the batch would not)
         self.values = np.matmul(fn.coeffs, self.entropies[..., None])[..., 0]
         if fn.linear is not None:
-            self.values += np.matmul(fn.linear, plan.px[..., None])[..., 0]
+            self.values += np.matmul(fn.linear, px[..., None])[..., 0]
 
     def grad(self, rows: Sequence[int], weighing: "Weighing", ks: Sequence[int]) -> np.ndarray:
         """Gradients at the tensors ``rows`` of the batch (any order, repeats
         allowed), each under its weight row ``ks`` of ``weighing``, compiled
         for this table, in one adjoint pass: the entropy derivatives in one
         buffer, at the rows asked for and over the weighing's hull of the
-        marginals with weight; one channel contraction per marginal with
-        weight over all rows; then back down the keep lattice, each keep's
+        marginals with weight; then, through a dense map, one product with
+        the map per tensor; else one channel contraction per marginal with
+        weight over all rows, then back down the keep lattice, each keep's
         gradient into its parent's and the roots' into the gradient of t.
         Each gradient is bit-identical to the one its tensor gets alone."""
         fn = self._fn
@@ -274,6 +290,17 @@ class Evaluation:
         dh = np.maximum(self._logs[np.asarray(rows), lo:hi], LOG2_CLIP)
         dh += LOG2E
         dh *= neg
+        if fn._map is not None:
+            # the adjoint of the dense fill: the derivatives over the whole
+            # layout (zero outside the hull) and w.L on the p_X columns, then
+            # one (K, N) @ (N, 1) product per tensor. A marginal of zero
+            # weight in a tensor's row adds exact zeros, which leave its sums
+            # as they are alone (see the lattice's note below)
+            d = np.zeros((n, fn._map.shape[1]))
+            d[:, lo:hi] = dh
+            if fn.linear is not None:
+                d[:, fn._offsets[-1] :] = weighing.linear[ks][:, 0]
+            return np.matmul(fn._map, d[..., None]).reshape((n,) + fn.shape)
         # A marginal is skipped only when it has zero weight in every row. In
         # a row where its weight is zero, it adds dh * -0.0 (dh is finite):
         # exact zeros of either sign, whose contraction is again such zeros.
@@ -467,6 +494,59 @@ class InfoFunctional:
         self._bounds = list(zip(self._offsets[:-1].tolist(), self._offsets[1:].tolist()))
         # the fill plan of the last batch shape, with its shape
         self._fill: tuple[tuple, _Plan] | None = None
+        cols = int(self._offsets[-1]) + (nx if self.linear is not None else 0)
+        small = math.prod(self.shape) * cols <= DENSE_MAP_FLOATS
+        self._map = self._dense_map(cols) if small else None
+
+    def _dense_map(self, cols: int) -> np.ndarray:
+        """The fill as a (K, N) matrix, K the size of t and N the flat layout
+        plus p_X when the table has a linear term: row k is the lattice's
+        fill of the k-th unit tensor, exact (each entry 0, 1 or an entry of
+        a channel marginal). The unit tensors go through the lattice in
+        chunks of one shape (the last one padded with zero tensors), so one
+        plan serves them all, and the chunk's tensors and the plan's buffers
+        together hold at most the map's size."""
+        size, width = math.prod(self.shape), int(self._offsets[-1])
+        out = np.empty((size, cols))
+        per_unit = size + width + sum(math.prod(keep.kept) for keep in self._keeps)
+        chunk = min(size, max(1, size * cols // per_unit))
+        units = np.empty((chunk, size))
+        for a in range(0, size, chunk):
+            b = min(a + chunk, size)
+            units.fill(0.0)
+            units[np.arange(b - a), np.arange(a, b)] = 1.0
+            rows, px = self._lattice(units.reshape((chunk,) + self.shape))
+            out[a:b, :width] = rows[: b - a]
+            if px is not None:
+                out[a:b, width:] = px[: b - a]
+        # drop the plan and its buffers
+        self._fill = None
+        return out
+
+    def _marginal_rows(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The flat marginal buffer of each tensor of a C-order batch, one
+        row per tensor, and its input law when the table has a linear term:
+        one stacked product with the dense map, whose slices are the
+        products a single tensor makes, or else the lattice."""
+        if batch.shape[1:] != self.shape:
+            raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {batch.shape}")
+        if self._map is None:
+            return self._lattice(batch)
+        filled = np.matmul(batch.reshape(len(batch), 1, -1), self._map)[:, 0]
+        width = int(self._offsets[-1])
+        return filled[:, :width], None if self.linear is None else filled[:, width:]
+
+    def _lattice(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The marginal rows and input laws of a C-order batch down the keep
+        lattice, in the work buffers of the batch shape's plan."""
+        plan = self._plan(batch.shape)
+        for src, axes, out in plan.reductions:
+            np.add.reduce(batch if src is None else src, axis=axes, out=out)
+        for out, m in plan.copies:
+            np.copyto(out, m)
+        for m, q, out in plan.products:
+            np.matmul(m, q, out=out)
+        return plan.rows, plan.px
 
     def _plan(self, shape: tuple[int, ...]) -> _Plan:
         """The plan that fills the work buffers from a C-order batch of
@@ -480,8 +560,6 @@ class InfoFunctional:
             return self._fill[1]
         # drop the old plan, and its buffers, before making the new one
         self._fill = None
-        if shape[1:] != self.shape:
-            raise ValueError(f"expected a batch of shape (n,) + {self.shape}, got {shape}")
         n, size = shape[0], self._offsets[-1]
         rows = np.empty((n, size))
         reductions, work, views = [], [], []

@@ -62,6 +62,7 @@ import functools
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -127,6 +128,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # a float or NaN budget would pass the bounds below and then fail, or
+        # never run out, inside the search
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.restarts < 1 or self.max_iters < 1:
             raise ValueError(
                 f"restarts and max_iters must be at least 1, "
@@ -214,12 +221,15 @@ def project_blocks(v: np.ndarray, block_sizes: Sequence[int]) -> np.ndarray:
 
     Each run of consecutive equal blocks is one sort along the last axis of
     a (points, blocks, size) view, bit-identical to ``project_simplex`` on
-    every block. Raises ValueError when the sizes do not add up to a
-    point's length, and naming, within its point, the first block with an
-    entry that is not finite.
+    every block. Raises ValueError naming the first block of size below 1,
+    when the sizes do not add up to a point's length, and naming, within
+    its point, the first block with an entry that is not finite.
     """
     v = np.asarray(v, dtype=float)
     points = v if v.ndim == 2 else v.reshape(1, -1)
+    small = [i for i, size in enumerate(block_sizes) if size < 1]
+    if small:
+        raise ValueError(f"block {small[0]} has size {block_sizes[small[0]]}, below 1")
     if sum(block_sizes) != points.shape[1]:
         raise ValueError(f"block sizes {list(block_sizes)} do not add up to {points.shape[1]}")
     out = np.empty_like(points)

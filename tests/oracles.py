@@ -18,13 +18,18 @@ Each one recomputes a quantity of the package by an independent route:
 - ``keep_marginals_per_tensor`` and ``lattice_grad_per_tensor``: one
   tensor's keep-marginals down a table's keep lattice, and its gradient
   back down it, in the lattice's order of sums;
+- ``dense_map_per_unit``, ``dense_marginals_per_tensor``,
+  ``dense_adjoint_vector`` and ``dense_grad_per_tensor``: a small table's
+  dense map rebuilt one unit tensor at a time down the lattice, and one
+  tensor's marginals and gradient through it, one matrix-vector product
+  each;
 - ``row_values_per_tensor``, ``weigh_per_tensor`` and
   ``grad_per_tensor``: an evaluation's row values (with the linear term
-  of the channel's chain rule, on the lattice's input law), weighing and
-  adjoint pass one tensor at a time, the reference that the batched
-  ``objectives.Evaluation`` and ``objectives.JointObjective`` reproduce
-  bit for bit (``tensor_objective`` runs the latter on batches of
-  tensors);
+  of the channel's chain rule, on the input law of the path the table
+  takes), weighing and adjoint pass one tensor at a time, the reference
+  that the batched ``objectives.Evaluation`` and
+  ``objectives.JointObjective`` reproduce bit for bit
+  (``tensor_objective`` runs the latter on batches of tensors);
 - ``weighing_per_call``: the weighing of one gradient call recomputed
   from the call's weight lines, the reference that a compiled
   ``objectives.Weighing`` reproduces bit for bit;
@@ -460,16 +465,68 @@ def lattice_grad_per_tensor(fn, acc):
     return grad
 
 
+def dense_map_per_unit(fn):
+    """A table's dense map rebuilt one unit tensor at a time: row k holds
+    the k-th unit tensor's marginals, from its keep-marginals down the
+    lattice (a copy, or a product with the channel marginal), in layout
+    order, then its input law when the table has a linear term."""
+    size = int(np.prod(fn.shape))
+    rows = []
+    for k in range(size):
+        unit = np.zeros(size)
+        unit[k] = 1.0
+        kept = keep_marginals_per_tensor(fn, unit.reshape(fn.shape))
+        parts = []
+        for mg in fn._marginals:
+            m = kept[mg.keep].reshape(fn._keeps[mg.keep].work)
+            parts.append(m if mg.q is None else m @ mg.q)
+        if fn.linear is not None:
+            parts.append(kept[fn._px_keep])
+        rows.append(np.concatenate([p.ravel() for p in parts]))
+    return np.array(rows)
+
+
+def dense_marginals_per_tensor(fn, t):
+    """One tensor's marginals, each in its working shape, and its input law
+    (None without a linear term) through the table's dense map: one
+    vector-matrix product."""
+    filled = np.reshape(t, -1) @ fn._map
+    ms = [filled[a:b].reshape(sh) for (a, b), sh in zip(fn._bounds, fn._shapes)]
+    return ms, None if fn.linear is None else filled[fn._offsets[-1] :]
+
+
+def dense_adjoint_vector(fn, dh, w):
+    """What the dense map's adjoint takes for one tensor under the weight
+    line ``w``: the entropy derivatives ``dh`` over the whole layout times
+    minus each marginal's weight, then w.L on the input-law columns."""
+    per_marginal = w @ fn.coeffs
+    d = np.zeros(fn._map.shape[1])
+    d[: fn._offsets[-1]] = dh * np.repeat(-per_marginal, np.diff(fn._offsets))
+    if fn.linear is not None:
+        d[fn._offsets[-1] :] = w @ fn.linear
+    return d
+
+
+def dense_grad_per_tensor(fn, dh, w):
+    """One tensor's gradient under the weight line ``w`` through the dense
+    map: one matrix-vector product with ``dense_adjoint_vector``."""
+    return (fn._map @ dense_adjoint_vector(fn, dh, w)).reshape(fn.shape)
+
+
 def row_values_per_tensor(fn, batch, entropies):
     """Row values C @ H + L @ p_X of each tensor of a batch, from its entropy
-    vector and its input law, the lattice's keep-marginal of the input
-    axis: one matrix-vector product per tensor and term, as for a single
-    one."""
+    vector and its input law (the lattice's keep-marginal of the input
+    axis, or the dense map's input-law columns): one matrix-vector product
+    per tensor and term, as for a single one."""
     values = np.empty((len(entropies), len(fn.coeffs)))
     for t, row, out in zip(batch, entropies, values):
         np.matmul(fn.coeffs, row, out=out)
         if fn.linear is not None:
-            out += fn.linear @ keep_marginals_per_tensor(fn, t)[fn._px_keep]
+            if fn._map is None:
+                px = keep_marginals_per_tensor(fn, t)[fn._px_keep]
+            else:
+                px = dense_marginals_per_tensor(fn, t)[1]
+            out += fn.linear @ px
     return values
 
 
@@ -488,14 +545,17 @@ def weigh_per_tensor(table_values, weight_rows):
 def grad_per_tensor(ev, rows, weights):
     """Gradients at the tensors ``rows`` of the evaluation ``ev``, each under
     its row of ``weights``, one tensor at a time by the arithmetic of a
-    single one."""
+    single one on the path its table takes."""
     fn = ev._fn
     grads = np.zeros((len(rows),) + fn.shape)
     for grad, r, w in zip(grads, rows, weights):
-        per_marginal = w @ fn.coeffs
         # log2(max(m, GRAD_CLIP)) from the forward pass's clipped logs, plus
         # log2 e, over the tensor's whole buffer
         dh = np.maximum(ev._logs[r], LOG2_CLIP) + LOG2E
+        if fn._map is not None:
+            grad[...] = dense_grad_per_tensor(fn, dh, w)
+            continue
+        per_marginal = w @ fn.coeffs
         acc = [None] * len(fn._keeps)
         for s in per_marginal.nonzero()[0]:
             mg, a, b = fn._marginals[s], fn._offsets[s], fn._offsets[s + 1]

@@ -2,7 +2,8 @@
 the worked example, a negative or non-finite law entry, an unnormalized
 input law, a lambda outside [0, 1], an alphabet mismatch, an unknown
 receiver, a region pin or direction out of range, an axis error, block
-sizes that do not fit a point or an empty grid."""
+sizes below 1 or that do not fit a point, an empty grid, or a search
+budget or seed that is not an integer."""
 
 import re
 
@@ -136,7 +137,26 @@ CASES = {
         lambda: project_blocks(np.arange(10.0) / 10, [5]),
         "block sizes [5] do not add up to 10",
     ),
+    "block_empty": (
+        lambda: project_blocks([0.2, 0.3, 0.5], [0, 3]),
+        "block 0 has size 0, below 1",
+    ),
+    "block_negative_first": (
+        lambda: project_blocks([0.2, 0.3, 0.5], [-1, 4]),
+        "block 0 has size -1, below 1",
+    ),
+    "block_negative_last": (
+        lambda: project_blocks([0.2, 0.3, 0.5], [4, -1]),
+        "block 1 has size -1, below 1",
+    ),
     "empty_grid": (lambda: next(simplex_grid(0, 1)), "dim and resolution must be positive"),
+    "iters_nan": (
+        lambda: SearchConfig(2, float("nan"), 0),
+        "max_iters must be an integer, got nan",
+    ),
+    "restarts_float": (lambda: SearchConfig(2.5, 10, 0), "restarts must be an integer, got 2.5"),
+    "seed_float": (lambda: SearchConfig(2, 10, 1.5), "seed must be an integer, got 1.5"),
+    "restarts_bool": (lambda: SearchConfig(True, 10, 0), "restarts must be an integer, got True"),
 }
 
 

@@ -253,9 +253,10 @@ def test_product_line_is_the_sum_of_the_component_lines(lam):
 
 
 def test_product_sum_rate_seeds_each_component_with_its_envelope_marginal():
-    # the first 3x2x2 by 2x2x2 product drawn from seeds 0-5 whose Kelley loop
-    # ends inside (0, 1): it takes 5 evaluations at this budget
-    rng = np.random.default_rng(5)
+    # the first 3x2x2 by 2x2x2 product drawn from seeds 0, 1, 2, ... in
+    # order whose Kelley loop takes more than one evaluation and ends inside
+    # (0, 1): seed 10, 40 evaluations at this budget
+    rng = np.random.default_rng(10)
     pc = ProductChannel(_drawn_channel(rng, 3), _drawn_channel(rng, 2))
     cfg = SearchConfig(restarts=2, max_iters=40, seed=0)
     res = marton_sum_rate(pc, cfg)
@@ -375,16 +376,17 @@ def test_max_min_certifies_min_max_after_several_evaluations(seed):
 
 
 def test_curve_samples_are_the_envelope_at_its_auxiliary():
-    # the BEC(0.45)/BSC(0.1) pair at a small budget: the lambda = 0 search
-    # ends 0.019996 below the lambda = 1/4 line, so the sample there is that
-    # line's auxiliary, and the search is flagged
+    # the BEC(0.45)/BSC(0.1) pair at a small budget: the lambda = 0 and 1/4
+    # searches end 1.27e-4 and 9.5e-5 below the lambda = 1/2 line, so the
+    # samples there are that line's auxiliary, and both searches are flagged
     my = np.array([[0.55, 0.0, 0.45], [0.0, 0.55, 0.45]])
     mz = np.array([[0.9, 0.1], [0.1, 0.9]])
     c = Channel(np.einsum("xy,xz->xyz", my, mz))
     curve = build_lambda_curve(c, [k / 4 for k in range(5)], SearchConfig(2, 40, 0))
     for s in curve.samples:
         assert lambda_sr_value(c, s.lam, s.aux) == pytest.approx(s.value, abs=1e-12)
-    assert [(line_lam, lam) for line_lam, lam, _ in curve.hyperplane_violations] == [(0.25, 0.0)]
+    flagged = [(line_lam, lam) for line_lam, lam, _ in curve.hyperplane_violations]
+    assert flagged == [(0.5, 0.0), (0.5, 0.25)]
 
 
 def test_min_max_rejects_large_alphabets():

@@ -1,14 +1,17 @@
+import copy
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from bcbounds.channel import Channel, ProductChannel
-from bcbounds.kernel import GRAD_CLIP, entropy_of_array
+from bcbounds.kernel import GRAD_CLIP, LOG2_CLIP, entropy_of_array
 from bcbounds.counterexample import component, product_channel
 from bcbounds.marton import Cardinalities, lambda_weights, marton_table
 from bcbounds.objectives import (
+    DENSE_MAP_FLOATS,
     LOG2E,
     FixedInputObjective,
     InfoFunctional,
@@ -28,6 +31,10 @@ from bcbounds.regions import (
 )
 from info_oracle import mutual_information
 from oracles import (
+    dense_adjoint_vector,
+    dense_grad_per_tensor,
+    dense_map_per_unit,
+    dense_marginals_per_tensor,
     grad_per_tensor,
     keep_marginals_per_tensor,
     lattice_grad_per_tensor,
@@ -321,20 +328,30 @@ def _keep_grads(fn, ms, weights):
 
 
 def _unfused(fn, t, weights):
-    # the entropy vector, row values and gradient the unfused way: the
-    # keep-marginals one tensor at a time down the table's lattice, each
-    # marginal its own array, entropy_of_array on each, the linear term on
-    # the input law, and the keeps' gradients back down the lattice
-    kept = keep_marginals_per_tensor(fn, t)
-    ms = []
-    for mg in fn._marginals:
-        m = kept[mg.keep].reshape(fn._keeps[mg.keep].work)
-        ms.append(m if mg.q is None else m @ mg.q)
+    # the entropy vector, row values and gradient the unfused way, one
+    # tensor on the path its table takes: the keep-marginals down the
+    # table's lattice, or t times the dense map; each marginal its own
+    # array, entropy_of_array on each, the linear term on the input law;
+    # then the keeps' gradients back down the lattice, or the derivatives
+    # times the dense map
+    if fn._map is None:
+        kept = keep_marginals_per_tensor(fn, t)
+        ms = []
+        for mg in fn._marginals:
+            m = kept[mg.keep].reshape(fn._keeps[mg.keep].work)
+            ms.append(m if mg.q is None else m @ mg.q)
+        px = None if fn.linear is None else kept[fn._px_keep]
+    else:
+        ms, px = dense_marginals_per_tensor(fn, t)
     h = np.array([entropy_of_array(m) for m in ms])
     values = fn.coeffs @ h
     if fn.linear is not None:
-        values += fn.linear @ kept[fn._px_keep]
-    grad = lattice_grad_per_tensor(fn, _keep_grads(fn, ms, weights))
+        values += fn.linear @ px
+    if fn._map is None:
+        grad = lattice_grad_per_tensor(fn, _keep_grads(fn, ms, weights))
+    else:
+        dh = np.concatenate([np.log2(np.maximum(m, GRAD_CLIP)).ravel() for m in ms]) + LOG2E
+        grad = dense_grad_per_tensor(fn, dh, weights)
     return h, values, grad, np.concatenate([m.ravel() for m in ms])
 
 
@@ -426,15 +443,21 @@ def test_lattice_sums_stay_within_the_recursive_summation_bound():
     # the keep-order broadcast sum; any order of k terms lies within
     # gamma_{k-1} sum|x| of the exact sum (Higham 1993), so two orders lie
     # within 2 gamma_k sum|x| of each other, and t >= 0 makes sum|x| the
-    # marginal itself
+    # marginal itself. A dense table's fill and adjoint are sums of the same
+    # products in the map's order, bounded the same way (see below)
     rng = np.random.default_rng(25)
-    for fn in _kernel_tables(rng):
+    tables = _kernel_tables(rng)
+    moved = dense = 0
+    for fn in tables:
         t = _awkward_tensor(rng, fn.shape)
         weights = rng.normal(size=fn.coeffs.shape[0])
         ev = fn.value_and_grad(t[None])
+        if fn._map is not None:
+            moved += _dense_sums_within_the_bound(fn, t, ev, weights)
+            dense += 1
+            continue
         # the keep buffers the evaluation filled, in lattice order
         lattice = [out[0] for _, _, out in fn._plan((1,) + fn.shape).reductions]
-        moved = 0
         for keep_axes, m in zip(_kept_axes(fn), lattice):
             drop = tuple(a for a in range(t.ndim) if a not in keep_axes)
             direct = np.add.reduce(t, axis=drop)
@@ -456,8 +479,42 @@ def test_lattice_sums_stay_within_the_recursive_summation_bound():
                 scale += np.abs(g).reshape(shape)
         g = _grad(ev, [0], weights[None])[0]
         assert (np.abs(g - keep_order) <= 2 * _gamma(len(own)) * scale).all()
-    # the orders differ: the check above compares different sums
+    # both paths ran, and the orders differ: the checks compare different sums
+    assert 0 < dense < len(tables)
     assert moved
+
+
+def _dense_sums_within_the_bound(fn, t, ev, weights):
+    # each entry of the dense fill is a dot product of K = t.size terms
+    # t * map, so it lies within gamma_K of the exact marginal, and so
+    # does the direct one (a reduction of t, then its product with the
+    # channel marginal, of fewer terms); the gradient at t sums the products
+    # map * d over the map's N columns, as does a keep-order sum of the
+    # same products, so they lie within 2 gamma_N |map| @ |d| of each other.
+    # Returns the number of marginals whose bits differ from the direct ones
+    ms, _ = dense_marginals_per_tensor(fn, t)
+    moved = 0
+    for s, (mg, m) in enumerate(zip(fn._marginals, ms)):
+        keep_axes = _kept_axes(fn)[mg.keep]
+        drop = tuple(a for a in range(t.ndim) if a not in keep_axes)
+        direct = np.add.reduce(t, axis=drop).reshape(fn._keeps[mg.keep].work)
+        if mg.q is not None:
+            direct = direct @ mg.q
+        bound = 2 * _gamma(t.size + 1) * np.maximum(m, direct)
+        assert (np.abs(m - direct) <= bound).all()
+        moved += m.tobytes() != direct.tobytes()
+    own = _keep_grads(fn, ms, weights)
+    keep_order = np.zeros(fn.shape)
+    for keep_axes, g in zip(_kept_axes(fn), own):
+        if g is not None:
+            shape = [n if a in keep_axes else 1 for a, n in enumerate(fn.shape)]
+            keep_order += g.reshape(shape)
+    dh = np.concatenate([np.log2(np.maximum(m, GRAD_CLIP)).ravel() for m in ms]) + LOG2E
+    d = dense_adjoint_vector(fn, dh, weights)
+    scale = (np.abs(fn._map) @ np.abs(d)).reshape(fn.shape)
+    g = _grad(ev, [0], weights[None])[0]
+    assert (np.abs(g - keep_order) <= 2 * _gamma(len(d)) * scale).all()
+    return moved
 
 
 def test_keep_lattice_reduces_each_keep_from_its_smallest_superset():
@@ -759,12 +816,15 @@ def test_value_at_a_validated_joint_with_exact_zeros_keeps_its_bits():
     # the entropy pass writes LOG2_CLIP at every zero entry, whose term is
     # then -0.0: the Marton and UV rows at validated joints with exact zeros
     # (one input symbol of zero mass) keep the bits they had when zero
-    # entries were skipped by a gather and scatter
+    # entries were skipped by a gather and scatter. The component's two
+    # tables fill through their dense maps, whose sums run in another order:
+    # their values were recorded again on that path (each moved by at most
+    # 8.9e-16); the product's tables keep the lattice and their old bits
     expected = [
         (
-            ["0x1.3f965226b1940p-6", "0x1.adfc9a92a0400p-7", "0x1.1c0e79139ed70p-3"],
-            ["0x1.2437737d1af30p-3", "0x1.d3e1713941f80p-1", "0x1.c9611c3168b58p-1",
-             "0x1.2aa5fef9a82f0p-5", "0x1.b31be77d61ce0p-4"],
+            ["0x1.3f965226b1920p-6", "0x1.adfc9a92a0500p-7", "0x1.1c0e79139ed70p-3"],
+            ["0x1.2437737d1af10p-3", "0x1.d3e1713941f80p-1", "0x1.c9611c3168b54p-1",
+             "0x1.2aa5fef9a82f0p-5", "0x1.b31be77d61cc0p-4"],
         ),
         (
             ["0x1.64b1ce7801800p-8", "0x1.c914c52b10000p-8", "0x1.4c04a33ed16e0p-4"],
@@ -784,7 +844,143 @@ def test_value_at_a_validated_joint_with_exact_zeros_keeps_its_bits():
         t[..., 0] = 0.0
         aux = AuxiliaryJoint(t / t.sum())
         assert (aux.joint == 0.0).any()
-        values = marton_table(c, prof).value(aux.joint)
-        assert [v.hex() for v in values] == marton_hex
-        uv = _uv_table(c, shape[0], shape[1]).value(aux.joint.sum(axis=2))
-        assert [v.hex() for v in uv] == uv_hex
+        marton, uv = marton_table(c, prof), _uv_table(c, shape[0], shape[1])
+        assert [fn._map is not None for fn in (marton, uv)] == [c.nx == 4] * 2
+        assert [v.hex() for v in marton.value(aux.joint)] == marton_hex
+        assert [v.hex() for v in uv.value(aux.joint.sum(axis=2))] == uv_hex
+
+
+def _small_tables(rng):
+    # tables whose maps are small: one without a channel, and the Marton
+    # and UV tables of random 2- and 3-input channels (the UV table has a
+    # linear term)
+    tables = [InfoFunctional("ab", (3, 4), [mi_terms("a", "b"), ent_terms("a", "b")])]
+    for nx in (2, 3):
+        c = Channel(_random_channel(rng, nx, 2, 3))
+        tables += [marton_table(c, Cardinalities(2, 2, 2)), _uv_table(c, 2, 3)]
+    assert all(fn._map is not None for fn in tables)
+    assert any(fn.linear is not None for fn in tables)
+    return tables
+
+
+def _on_the_lattice(fn):
+    # the same table with its dense map dropped, so it fills down the lattice
+    twin = copy.copy(fn)
+    twin._map = None
+    return twin
+
+
+def _bec_bsc():
+    my = np.array([[0.55, 0.0, 0.45], [0.0, 0.55, 0.45]])
+    mz = np.array([[0.9, 0.1], [0.1, 0.9]])
+    return Channel(np.einsum("xy,xz->xyz", my, mz))
+
+
+def test_dense_map_is_the_lattice_image_of_the_unit_tensors():
+    # the map's rows are the lattice's fill of each unit tensor, built one at
+    # a time by the oracle; every entry is 0, 1 or an entry of a channel
+    # marginal, so the map is exact; building it takes at most the map's
+    # own size again in transient memory
+    rng = np.random.default_rng(27)
+    pair, comp = _bec_bsc(), component("z")
+    tables = _small_tables(rng)
+    tables += [marton_table(c, Cardinalities.for_sum_rate(c)) for c in (pair, comp)]
+    for fn in tables:
+        assert fn._map.tobytes() == dense_map_per_unit(fn).tobytes()
+        qs = [mg.q.ravel() for mg in fn._marginals if mg.q is not None]
+        assert set(fn._map.ravel().tolist()) <= {0.0, 1.0}.union(*map(set, qs))
+    big = tables[-1]
+    assert big._map.size > DENSE_MAP_FLOATS // 2
+    tracemalloc.start()
+    try:
+        built = big._dense_map(big._map.shape[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built.tobytes() == big._map.tobytes()
+    # the map itself, the chunk's buffers and a little bookkeeping
+    assert peak <= 2 * built.nbytes + 16384
+
+
+def test_dense_and_lattice_agree_on_small_tables():
+    # a small table's dense map and its lattice give the same entropies and
+    # row values within 1e-13, and the same gradients within 1e-13 of the
+    # size of the terms each entry sums (|map| @ |d|, the scale of its
+    # rounding: a clipped log adds terms near 1000 that cancel), at tensors
+    # with exact zeros, entries below GRAD_CLIP and a zero-mass input, under
+    # one weight row and under mixed rows; and through FixedInputObjective
+    # at an input law with a zero, within 1e-13 of each flat gradient's
+    # largest entry (one weight row there: under a minimum over rows, a near
+    # tie may take another row on each path)
+    rng = np.random.default_rng(28)
+    for fn in _small_tables(rng):
+        lattice = _on_the_lattice(fn)
+        batch = np.stack([_awkward_tensor(rng, fn.shape) for _ in range(5)])
+        batch[1, ..., 0] = 0.0
+        weights = rng.normal(size=(2, fn.coeffs.shape[0]))
+        dense_ev, lattice_ev = fn.value_and_grad(batch), lattice.value_and_grad(batch)
+        assert np.abs(dense_ev.entropies - lattice_ev.entropies).max() <= 1e-13
+        assert np.abs(dense_ev.values - lattice_ev.values).max() <= 1e-13
+        for ks in ([0] * 5, [0, 1, 1, 0, 1]):
+            g = dense_ev.grad(range(5), Weighing(fn, weights), ks)
+            ref = lattice_ev.grad(range(5), Weighing(lattice, weights), ks)
+            for r, k in enumerate(ks):
+                dh = np.maximum(dense_ev._logs[r], LOG2_CLIP) + LOG2E
+                d = dense_adjoint_vector(fn, dh, weights[k])
+                scale = (np.abs(fn._map) @ np.abs(d)).reshape(fn.shape)
+                assert (np.abs(g[r] - ref[r]) <= 1e-13 * scale).all()
+        if fn.dist_axes[-1] != "x":
+            continue
+        px = rng.dirichlet(np.ones(fn.shape[-1]))
+        px[0] = 0.0
+        px /= px.sum()
+        dense_obj = FixedInputObjective(fn, px, weights[:1])
+        lattice_obj = FixedInputObjective(lattice, px, weights[:1])
+        flat = rng.dirichlet(np.ones(dense_obj.block), size=(5, fn.shape[-1])).reshape(5, -1)
+        (v, grad), (v_ref, grad_ref) = dense_obj(flat), lattice_obj(flat)
+        assert np.abs(v - v_ref).max() <= 1e-13
+        g, ref = grad(range(5)), grad_ref(range(5))
+        scale = np.maximum(1.0, np.abs(ref).max(axis=1, keepdims=True))
+        assert (np.abs(g - ref) <= 1e-13 * scale).all()
+
+
+def test_dense_tables_give_each_tensor_its_lone_bits():
+    # through the dense map each tensor of a batch gets the bits of the
+    # per-tensor oracle of the dense arithmetic and the bits it gets alone:
+    # row values, and gradients under one row and under mixed rows, in order,
+    # out of order and repeated
+    rng = np.random.default_rng(29)
+    for fn in _small_tables(rng):
+        batch = np.stack([_awkward_tensor(rng, fn.shape) for _ in range(5)])
+        weighing = Weighing(fn, rng.normal(size=(3, fn.coeffs.shape[0])))
+        ev = fn.value_and_grad(batch)
+        assert ev.values.tobytes() == row_values_per_tensor(fn, batch, ev.entropies).tobytes()
+        calls = [(range(5), [1] * 5), (range(5), [0, 1, 2, 0, 1]), ([4, 0, 4], [2, 0, 1])]
+        for rows, ks in calls:
+            g = ev.grad(rows, weighing, ks)
+            ref = grad_per_tensor(ev, list(rows), weighing.rows[ks])
+            assert g.tobytes() == ref.tobytes()
+            for got, r, k in zip(g, rows, ks):
+                alone = fn.value_and_grad(batch[r][None])
+                assert alone.values[0].tobytes() == ev.values[r].tobytes()
+                assert alone.grad([0], weighing, [k])[0].tobytes() == got.tobytes()
+
+
+def test_small_tables_take_the_dense_map_and_the_product_tables_the_lattice():
+    # the map's size picks the path: the Marton tables of the BEC/BSC pair
+    # and of the 4-input components fill through their maps; the worked
+    # product's semi-deterministic, product_outer and UV tables, whose maps
+    # are larger than DENSE_MAP_FLOATS, keep the lattice
+    channels = (_bec_bsc(), component("y"), component("z"))
+    dense = [marton_table(c, Cardinalities.for_sum_rate(c)) for c in channels]
+    assert [fn.shape for fn in dense] == [(2, 2, 2, 2), (2, 4, 4, 4), (4, 2, 4, 4)]
+    assert all(fn._map is not None for fn in dense)
+    pc = product_channel()
+    lattice = [_uv_table(pc.flat, 17, 17)]
+    for kind in ("semi_deterministic", "product_outer"):
+        prof1, prof2 = default_region_profiles(pc, kind)
+        sides = prof1.shape(pc.c1.nx), prof2.shape(pc.c2.nx)
+        lattice += _row_tables(pc, _region_rows(kind), *sides)
+    shapes = [(17, 17, 16), (1, 4, 8, 4), (4, 1, 8, 4), (4, 4, 8, 4), (4, 4, 8, 4)]
+    assert [fn.shape for fn in lattice] == shapes
+    assert all(fn._map is None for fn in lattice)
