@@ -112,9 +112,10 @@ is still a certified lower-bound search, because every candidate is
 scored by the true minimum. So a few tables serve a whole family of
 objectives: the lambda-weighted sum rate is one three-row table under
 the weight row (lambda, 1-lambda, 1), the UV sum rate is the minimum of
-the first three rows of the UV table under identity weight rows, and a
-product region's support is its two component tables under the dual
-rows of its support LP, with the pin on R0 as the offset.
+the summed rows of its U-side table over p(u,x) and its V-side table
+over p(v,x) under identity weight rows, and a product region's support
+is its two component tables under the dual rows of its support LP, with
+the pin on R0 as the offset.
 
 An objective keeps its weight rows for its whole run, so it compiles
 them once against each table, as a ``Weighing``: each row's marginal
@@ -130,9 +131,12 @@ search contract (see ``search``): one ``value_and_grad`` call per table
 and batch, their values, and ``grad(rows)``, each table's gradient at
 the points ``rows`` under the points' minimal rows, concatenated block
 by block. ``FixedInputObjective`` is the same objective on one table at
-a fixed input law, with one simplex per input symbol: it maps flat
-points to tensors and pulls gradients back its own way, and scores
-through the same code.
+a fixed input law, with one simplex per input symbol, and
+``SharedInputObjective`` the same on tables that share an input law,
+searched as that law and each table's conditional given the input. Each
+maps flat points to tensors and pulls gradients back its own way (the
+gradient closure hands the pullback the points' batch and rows, which
+the plain layout ignores), and scores through the same code.
 """
 
 from __future__ import annotations
@@ -164,6 +168,7 @@ __all__ = [
     "merge_terms",
     "JointObjective",
     "FixedInputObjective",
+    "SharedInputObjective",
 ]
 
 Term = tuple[float, str]
@@ -630,12 +635,16 @@ class JointObjective:
 
         def grad(rows: Sequence[int]) -> np.ndarray:
             ks = k[rows]
-            return self._pullback([ev.grad(rows, w, ks) for ev, w in zip(evs, self.weighings)])
+            grads = [ev.grad(rows, w, ks) for ev, w in zip(evs, self.weighings)]
+            return self._pullback(grads, flat, rows)
 
         return values, grad
 
-    def _pullback(self, grads: list[np.ndarray]) -> np.ndarray:
-        """Flat gradients from each table's gradients, block by block."""
+    def _pullback(
+        self, grads: list[np.ndarray], flat: np.ndarray, rows: Sequence[int]
+    ) -> np.ndarray:
+        """Flat directions at the points ``flat[rows]`` from each table's
+        gradients there: here the gradients themselves, block by block."""
         return np.concatenate([g.reshape(len(g), -1) for g in grads], axis=1)
 
     def to_tensors(self, flat: np.ndarray) -> list[np.ndarray]:
@@ -679,7 +688,9 @@ class FixedInputObjective(JointObjective):
     def block_sizes(self) -> list[int]:
         return [self.block] * self.nx
 
-    def _pullback(self, grads: list[np.ndarray]) -> np.ndarray:
+    def _pullback(
+        self, grads: list[np.ndarray], flat: np.ndarray, rows: Sequence[int]
+    ) -> np.ndarray:
         (g,) = grads
         return (g * self.px).transpose(self._input_first).reshape(len(g), -1)
 
@@ -692,10 +703,95 @@ class FixedInputObjective(JointObjective):
     def to_flat(self, tensors: Sequence[np.ndarray]) -> np.ndarray:
         """Conditional layout of a joint tensor (zero-mass inputs -> uniform)."""
         (t,) = tensors
-        t = np.asarray(t, dtype=float)
-        px = t.sum(axis=tuple(range(t.ndim - 1)))
-        safe = np.where(px > 0.0, px, 1.0)
-        cond = t / safe
-        uniform = 1.0 / self.block
-        cond = np.where(px > 0.0, cond, uniform)
-        return np.moveaxis(cond, -1, 0).ravel().copy()
+        return _conditional(np.asarray(t, dtype=float))
+
+
+class SharedInputObjective(JointObjective):
+    """``JointObjective`` of tables whose base tensors share one input law,
+    searched as that law and each table's conditional given the input; it
+    scores as its base and differs only in the flat layout and the
+    direction it returns.
+
+    The flat layout is p(x), one simplex of nx floats, then per table its
+    conditional p(rest | X=x) input-major, one simplex per input symbol;
+    table i's tensor is p(x) p(rest_i | x), input last, in C order. So a
+    point holds only the marginals the tables read, and the joint law of
+    their rests is left free (``coupling`` picks the one under which they
+    are independent given the input). The direction is the gradient with
+    each conditional block divided by its p(x), a positive rescaling per
+    block and so still an ascent direction: on a conditional block the
+    table's gradient at that input, and on p(x) the chain-rule derivative,
+    sum_i sum_rest g_i(rest, x) p(rest_i | x). A conditional of an input
+    of zero mass moves nothing, yet keeps its direction.
+    """
+
+    def __init__(
+        self, tables: Sequence[InfoFunctional], weight_rows: Sequence | np.ndarray
+    ) -> None:
+        super().__init__(tables, weight_rows, None)
+        self.nx = self.tables[0].shape[-1]
+        self.rests = [fn.shape[:-1] for fn in self.tables]
+        ends = np.cumsum([self.nx] + [math.prod(fn.shape) for fn in self.tables]).tolist()
+        self._conds = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+    @property
+    def block_sizes(self) -> list[int]:
+        return [self.nx] + [math.prod(rest) for rest in self.rests for _ in range(self.nx)]
+
+    def _pullback(
+        self, grads: list[np.ndarray], flat: np.ndarray, rows: Sequence[int]
+    ) -> np.ndarray:
+        points = flat[rows]
+        n = len(points)
+        out = np.empty_like(points)
+        out[:, : self.nx] = 0.0
+        for g, s in zip(grads, self._conds):
+            # the table's gradient input-major, as its conditional's blocks
+            block = out[:, s].reshape(n, self.nx, -1)
+            np.copyto(block, g.reshape(n, -1, self.nx).transpose(0, 2, 1))
+            out[:, : self.nx] += (block * points[:, s].reshape(n, self.nx, -1)).sum(axis=2)
+        return out
+
+    def to_tensors(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Each table's joint tensor at a flat point, or one per row of a batch."""
+        points = flat.reshape(-1, flat.shape[-1])
+        tensors = []
+        for s, rest in zip(self._conds, self.rests):
+            # input-major to tensor order: the input axis moved last
+            k = len(rest)
+            cond = points[:, s].reshape((-1, self.nx) + rest).transpose(0, *range(2, k + 2), 1)
+            px = points[:, : self.nx].reshape((-1,) + (1,) * k + (self.nx,))
+            t = np.multiply(cond, px, order="C")
+            tensors.append(t if flat.ndim > 1 else t[0])
+        return tensors
+
+    def to_flat(self, tensors: Sequence[np.ndarray]) -> np.ndarray:
+        """The layout of one joint tensor per table: the first one's input
+        law, then each one's conditionals (zero-mass inputs -> uniform)."""
+        tensors = [np.asarray(t, dtype=float) for t in tensors]
+        px = _input_law(tensors[0])
+        return np.concatenate([px] + [_conditional(t) for t in tensors])
+
+    def coupling(self, flat: np.ndarray) -> np.ndarray:
+        """The law of a flat point under which the tables' rests are
+        independent given the input, p(x) prod_i p(rest_i | x): the rests'
+        axes in table order, input last. Each table's tensor is its
+        marginal."""
+        law = flat[: self.nx]
+        for s, rest in zip(self._conds, self.rests):
+            cond = np.moveaxis(flat[s].reshape((self.nx,) + rest), 0, -1)
+            law = law.reshape(law.shape[:-1] + (1,) * len(rest) + (self.nx,)) * cond
+        return law
+
+
+def _input_law(t: np.ndarray) -> np.ndarray:
+    """The input law of a joint tensor, input last."""
+    return t.sum(axis=tuple(range(t.ndim - 1)))
+
+
+def _conditional(t: np.ndarray) -> np.ndarray:
+    """p(rest | x) of a joint tensor, input last, laid out input-major; an
+    input of zero mass takes the uniform conditional."""
+    px = _input_law(t)
+    cond = np.where(px > 0.0, t / np.where(px > 0.0, px, 1.0), t.shape[-1] / t.size)
+    return np.moveaxis(cond, -1, 0).ravel()

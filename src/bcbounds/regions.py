@@ -1,7 +1,8 @@
 """Outer and inner rate regions evaluated at explicit auxiliaries.
 
 Two families live here. The single-letter UV outer bound works on one
-channel with auxiliaries p(u,v,x). The product-channel regions work on a
+channel with auxiliaries p(u,v,x), and reads them only through p(u,x)
+and p(v,x). The product-channel regions work on a
 two-component product with independent per-component auxiliaries
 p1(u1,v1,w1,x1) p2(u2,v2,w2,x2) and produce polytopes in (R0, R1, R2):
 
@@ -51,7 +52,15 @@ from .marton import (
     fit_joint,
     structured_seed_joints,
 )
-from .objectives import InfoFunctional, JointObjective, ent_terms, mi_terms, weigh
+from .objectives import (
+    InfoFunctional,
+    JointObjective,
+    SharedInputObjective,
+    Term,
+    ent_terms,
+    mi_terms,
+    weigh,
+)
 from .search import SearchConfig, maximize
 
 __all__ = [
@@ -97,17 +106,29 @@ class UvPoint:
         return min(self.r1_bound + self.r2_bound, self.sum_y_side, self.sum_z_side)
 
 
-def _uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
-    """Rows: the three sum-rate branches (searched as their minimum), then
-    I(U;Y) and I(V;Z)."""
+def _uv_sides() -> tuple[list[list[Term]], list[list[Term]]]:
+    """The three sum-rate branches split by the auxiliary they read: the
+    U-side rows over p(u,x) and the V-side rows over p(v,x), whose sums are
+    the branches I(U;Y) + I(V;Z), I(U;Y) + I(X;Z|U) and I(V;Z) + I(X;Y|V).
+    No branch has a term in U and V together."""
     iuy, ivz = mi_terms("u", "y"), mi_terms("v", "z")
-    rows = [iuy + ivz, iuy + mi_terms("x", "z", "u"), ivz + mi_terms("x", "y", "v"), iuy, ivz]
+    return [iuy, iuy + mi_terms("x", "z", "u"), []], [ivz, [], ivz + mi_terms("x", "y", "v")]
+
+
+def _uv_side_tables(c: Channel, nu: int, nv: int) -> list[InfoFunctional]:
+    """The U-side table over p(u,x) and the V-side table over p(v,x)."""
+    u_side, v_side = _uv_sides()
+    return [
+        InfoFunctional("ux", (nu, c.nx), u_side, channel=c.q),
+        InfoFunctional("vx", (nv, c.nx), v_side, channel=c.q),
+    ]
+
+
+def _uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
+    """Rows: the three sum-rate branches, then I(U;Y) and I(V;Z)."""
+    u_side, v_side = _uv_sides()
+    rows = [u + v for u, v in zip(u_side, v_side)] + [u_side[0], v_side[0]]
     return InfoFunctional("uvx", (nu, nv, c.nx), rows, channel=c.q)
-
-
-def _uv_point(table: InfoFunctional, aux: UvAuxiliary) -> UvPoint:
-    _, sum_y, sum_z, iuy, ivz = map(float, table.value(aux.joint))
-    return UvPoint(r1_bound=iuy, r2_bound=ivz, sum_y_side=sum_y, sum_z_side=sum_z)
 
 
 def evaluate_uv_point(c: Channel, aux: UvAuxiliary) -> UvPoint:
@@ -115,7 +136,8 @@ def evaluate_uv_point(c: Channel, aux: UvAuxiliary) -> UvPoint:
     nu, nv, nx = aux.shape
     if nx != c.nx:
         raise ValueError("UV auxiliary input alphabet mismatch")
-    return _uv_point(_uv_table(c, nu, nv), aux)
+    _, sum_y, sum_z, iuy, ivz = map(float, _uv_table(c, nu, nv).value(aux.joint))
+    return UvPoint(r1_bound=iuy, r2_bound=ivz, sum_y_side=sum_y, sum_z_side=sum_z)
 
 
 @dataclass
@@ -133,27 +155,37 @@ def uv_sum_rate(
 ) -> UvSumRate:
     """Maximize the UV sum rate min of its three inequality combinations.
 
-    Auxiliary alphabets are |U| = |V| = nx + 1. The objective is a
+    Auxiliary alphabets are |U| = |V| = nx + 1. No branch has a term in U
+    and V together, so the value depends on p(u,v,x) only through p(u,x)
+    and p(v,x): the search runs over p(x), p(u|x) and p(v|x), a
+    ``SharedInputObjective`` over the U-side and V-side tables under
+    identity weight rows, and ``aux`` is the coupling p(x) p(u|x) p(v|x),
+    whose value is that of every law with those two marginals. Seeds, the
+    deterministic ones and ``extra_seeds`` (each a law p(u,v,x) over the
+    channel's inputs), enter through their marginals. The objective is a
     min of smooth branches; ascent follows the active branch and every
     candidate is scored exactly, so the result is a certified lower bound.
     """
     shape = (c.nx + 1, c.nx + 1, c.nx)
-    obj = JointObjective([_uv_table(c, *shape[:2])], np.eye(5)[:3], None)
+    extra = [UvAuxiliary(s).joint for s in extra_seeds]
+    if any(t.shape[2] != c.nx for t in extra):
+        raise ValueError("UV auxiliary input alphabet mismatch")
+    obj = SharedInputObjective(_uv_side_tables(c, *shape[:2]), np.eye(3))
 
     uniform = np.full(c.nx, 1.0 / c.nx)
     ident = np.arange(c.nx)
-    seeds = [
-        deterministic_joint(shape, uniform, maps).ravel()
+    joints = [
+        deterministic_joint(shape, uniform, maps)
         for maps in ((ident, ident), (ident, None), (None, ident))
-    ]
-    seeds += [fit_joint(s, shape).ravel() for s in extra_seeds]
+    ] + [fit_joint(t, shape) for t in extra]
+    seeds = [obj.to_flat([t.sum(axis=1), t.sum(axis=0)]) for t in joints]
 
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
-    aux = UvAuxiliary(res.point.reshape(shape))
+    aux = UvAuxiliary(obj.coupling(res.point))
     return UvSumRate(
         value=res.value,
         aux=aux,
-        point=_uv_point(obj.tables[0], aux),
+        point=evaluate_uv_point(c, aux),
         converged=res.converged,
     )
 
@@ -362,11 +394,15 @@ def _polytope(kind: str, rows: list[Row], rhs: np.ndarray) -> RateRegionPolytope
     return RateRegionPolytope(inequalities=ineqs, tag=kind)
 
 
+def _check_inputs(pc: ProductChannel, aux: ProductAuxiliary) -> None:
+    if aux.a1.shape[3] != pc.c1.nx or aux.a2.shape[3] != pc.c2.nx:
+        raise ValueError("component auxiliary input alphabet mismatch")
+
+
 def build_region(pc: ProductChannel, aux: ProductAuxiliary, kind: str) -> RateRegionPolytope:
     """Instantiate a region's inequalities at one product auxiliary."""
     rows = _region_rows(kind)
-    if aux.a1.shape[3] != pc.c1.nx or aux.a2.shape[3] != pc.c2.nx:
-        raise ValueError("component auxiliary input alphabet mismatch")
+    _check_inputs(pc, aux)
     f1, f2 = _row_tables(pc, rows, aux.a1.shape, aux.a2.shape)
     return _polytope(kind, rows, f1.value(aux.a1.joint) + f2.value(aux.a2.joint))
 
@@ -417,8 +453,11 @@ def region_support(
     bound of the maximum over all auxiliaries. ``vertex`` is an optimal
     vertex, inside the region up to rounding. The mirrored outer bound is
     ``product_outer`` on ``ProductChannel(pc.c2, pc.c1)``, whose ``aux``
-    lists the components in that swapped order.
+    lists the components in that swapped order. Each of ``extra_seeds``
+    must be over the components' inputs.
     """
+    for pa in extra_seeds:
+        _check_inputs(pc, pa)
     prof1, prof2 = default_region_profiles(pc, kind)
     obj, system = _support_objective(pc, kind, weights, prof1, prof2, fix_r0)
     f1, f2 = obj.tables

@@ -10,8 +10,9 @@ up).
 
 Objective contract: ``fun(X) -> (values, grad)`` for a batch X of shape
 (B, n), one point per row. ``values`` holds the B objective values and
-``grad(rows)`` returns the gradients at the points ``X[rows]``, one per
-row, computed only when called. Every objective here is an
+``grad(rows)`` returns an ascent direction at each of the points
+``X[rows]``, one per row, computed only when called: the gradient, or a
+positive rescaling of it per simplex block. Every objective here is an
 ``objectives.JointObjective``, which maps the batch to one batch of
 tensors per table and makes one ``InfoFunctional.value_and_grad`` call
 per table, however many rows the batch has.
@@ -53,7 +54,8 @@ joint objectives are one run of one block, the fixed-input objectives one
 run of one block per input symbol, and a region search whose two
 component auxiliaries have one size is one run of two blocks, as on the
 worked product (2 x 512 for ``product_outer``, 2 x 128 for
-``semi_deterministic``).
+``semi_deterministic``). The UV search there is two runs: p(x), one
+block of 16, then the conditionals p(u|x) and p(v|x), 32 blocks of 17.
 """
 
 from __future__ import annotations
@@ -114,8 +116,9 @@ SPECULATE_FLOATS = 1024
 # overhead that lockstep saves is already small next to the arithmetic of
 # this many floats (the 16-float Marton searches of a binary-input pair
 # step all their restarts together, at speculative depth 3, a 1024-float
-# product_outer support search 16 at a time and the 4624-float UV search
-# on the worked product 3 at a time, both at depth 1)
+# product_outer support search 16 at a time and the 560-float UV search
+# on the worked product 29 at a time, so all its 10 restarts, both at
+# depth 1)
 LOCKSTEP_FLOATS = 16384
 
 

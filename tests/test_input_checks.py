@@ -32,11 +32,13 @@ from bcbounds.regions import (
     build_region,
     evaluate_uv_point,
     region_support,
+    uv_sum_rate,
 )
 from bcbounds.search import SearchConfig, project_blocks, simplex_grid
 
 # a law over two inputs, where the worked example's components have four
 TWO_INPUTS = np.full((1, 1, 1, 2), 0.5)
+THREE_INPUTS = np.full((1, 1, 1, 3), 1 / 3)
 
 
 def _support(weights, fix_r0):
@@ -93,6 +95,29 @@ CASES = {
     "uv_alphabet": (
         lambda: evaluate_uv_point(component("z"), UvAuxiliary(TWO_INPUTS[0])),
         "UV auxiliary input alphabet mismatch",
+    ),
+    "uv_seed_alphabet": (
+        lambda: uv_sum_rate(
+            component("z"), SearchConfig(1, 5, 0), extra_seeds=[np.full((2, 2, 3), 1 / 12)]
+        ),
+        "UV auxiliary input alphabet mismatch",
+    ),
+    "uv_seed_sum": (
+        lambda: uv_sum_rate(
+            component("z"), SearchConfig(1, 5, 0), extra_seeds=[np.ones((2, 2, 4))]
+        ),
+        "UV auxiliary sums to 16.0",
+    ),
+    "support_seed_alphabet": (
+        lambda: region_support(
+            product_channel(),
+            "semi_deterministic",
+            (0, 1, 1),
+            SearchConfig(1, 5, 0),
+            extra_seeds=[ProductAuxiliary(*[AuxiliaryJoint(THREE_INPUTS)] * 2)],
+            fix_r0=0.0,
+        ),
+        "component auxiliary input alphabet mismatch",
     ),
     "region_alphabet": (
         lambda: build_region(

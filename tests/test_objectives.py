@@ -16,6 +16,7 @@ from bcbounds.objectives import (
     FixedInputObjective,
     InfoFunctional,
     JointObjective,
+    SharedInputObjective,
     Weighing,
     ent_terms,
     merge_terms,
@@ -26,6 +27,7 @@ from bcbounds.regions import (
     _region_rows,
     _row_tables,
     _support_objective,
+    _uv_side_tables,
     _uv_table,
     default_region_profiles,
 )
@@ -242,6 +244,89 @@ def test_fixed_input_gradient_matches_fd():
         g_fd[i] = (value_only(fp) - value_only(fm)) / (2 * eps)
     scale = max(1.0, np.abs(g_fd).max())
     assert np.abs(g - g_fd).max() / scale < 1e-4
+
+
+def _chain_rule_parts(obj, tables, weight_row, flat):
+    """The gradient of a SharedInputObjective along its flat layout, by the
+    chain rule from the tables' own gradients at the joint tensors: the
+    derivative in p(x), and per table the one in p(rest | x) as (inputs,
+    rest)."""
+    nx, px = obj.nx, flat[: obj.nx]
+    joint = JointObjective(tables, weight_row, None)
+    g = pointwise(joint)(joint.to_flat(obj.to_tensors(flat)))[1]()
+    dpx, dconds, start = np.zeros(nx), [], nx
+    for gi in joint.to_tensors(g):
+        gi = gi.reshape(-1, nx).T
+        dpx += (gi * flat[start : start + gi.size].reshape(nx, -1)).sum(axis=1)
+        dconds.append(gi * px[:, None])
+        start += gi.size
+    return dpx, dconds
+
+
+@pytest.mark.parametrize("branch", range(3))
+def test_shared_input_direction_is_the_gradient_with_conditionals_divided_by_px(branch):
+    # at random interior points, under one UV branch row: central finite
+    # differences along the layout p(x), p(u|x), p(v|x) match the chain
+    # rule within AC10's bound, and the returned direction is that gradient
+    # with each conditional block divided by its p(x)
+    rng = np.random.default_rng(20 + branch)
+    c = Channel(_random_channel(rng, 3, 2, 3))
+    tables = _uv_side_tables(c, 3, 4)
+    weight_row = np.eye(3)[branch : branch + 1]
+    obj = SharedInputObjective(tables, weight_row)
+    assert obj.block_sizes == [3] + [3] * 3 + [4] * 3
+    f = pointwise(obj)
+    for _ in range(3):
+        flat = np.concatenate([rng.dirichlet(np.ones(b)) for b in obj.block_sizes])
+        dpx, dconds = _chain_rule_parts(obj, tables, weight_row, flat)
+        chain = np.concatenate([dpx] + [d.ravel() for d in dconds])
+        fd = _fd_grad(lambda x: f(x)[0], flat)
+        assert np.linalg.norm(chain - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-4
+        px = flat[:3, None]
+        expect = np.concatenate([dpx] + [(d / px).ravel() for d in dconds])
+        assert np.allclose(f(flat)[1](), expect, rtol=1e-12, atol=1e-15)
+
+
+def test_shared_input_conditional_of_a_zero_mass_input_moves_nothing():
+    rng = np.random.default_rng(23)
+    c = Channel(_random_channel(rng, 3, 2, 3))
+    for branch in range(3):
+        obj = SharedInputObjective(_uv_side_tables(c, 3, 4), np.eye(3)[branch : branch + 1])
+        conds = [rng.dirichlet(np.ones(b)) for b in obj.block_sizes[1:]]
+        flat = np.concatenate([[0.6, 0.4, 0.0]] + conds)
+        moved = flat.copy()
+        # input 2's conditionals: the third block of each table
+        moved[3 + 6 : 3 + 9] = rng.dirichlet(np.ones(3))
+        moved[12 + 8 : 12 + 12] = rng.dirichlet(np.ones(4))
+        assert pointwise(obj)(moved)[0] == pointwise(obj)(flat)[0]
+        # the coupling p(x) p(u|x) p(v|x) has the tables' tensors as marginals
+        law = obj.coupling(flat)
+        t_u, t_v = obj.to_tensors(flat)
+        assert np.allclose(law.sum(axis=1), t_u, rtol=0, atol=1e-15)
+        assert np.allclose(law.sum(axis=0), t_v, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("small", [True, False])
+def test_shared_input_batch_rows_keep_their_lone_bits(small):
+    # the tables of a small channel take the dense map, the worked
+    # product's the lattice; each row of a batch gets its value and its
+    # direction as it gets them alone, under mixed minimal rows
+    rng = np.random.default_rng(24)
+    c = Channel(_random_channel(rng, 3, 2, 3)) if small else product_channel().flat
+    # weights under which both sum rows with a cross term are minimal somewhere
+    weight_rows = np.diag([100.0, 1.0, 2.0 if small else 1.0])
+    obj = SharedInputObjective(_uv_side_tables(c, c.nx + 1, c.nx + 1), weight_rows)
+    assert all((fn._map is not None) == small for fn in obj.tables)
+    batch = np.stack(
+        [np.concatenate([rng.dirichlet(np.ones(b)) for b in obj.block_sizes]) for _ in range(5)]
+    )
+    values, grad = obj(batch)
+    rows = [3, 0, 4, 1]
+    directions = grad(rows)
+    for i, r in enumerate(rows):
+        alone, lone_grad = obj(batch[r : r + 1])
+        assert alone[0].tobytes() == values[r].tobytes()
+        assert lone_grad([0])[0].tobytes() == directions[i].tobytes()
 
 
 def test_min_of_objectives_value_and_active_gradient():

@@ -15,6 +15,8 @@ from bcbounds.regions import (
     UvAuxiliary,
     _region_rows,
     _support_objective,
+    _uv_side_tables,
+    _uv_table,
     _VertexSystem,
     build_region,
     class_notes,
@@ -96,6 +98,32 @@ def test_uv_point_constant_auxiliaries():
     assert point.sum_z_side == pytest.approx(mutual_information(joint, (0,), (1,)), abs=1e-11)
 
 
+def test_uv_rows_read_only_the_two_marginals():
+    # the search rests on this: no UV row has a term in U and V together, so
+    # a law and the coupling p(x) p(u|x) p(v|x) of its marginals p(u,x) and
+    # p(v,x) have one UV point, and the U-side and V-side rows sum to the
+    # branch rows. A U-V term in the rows breaks both
+    rng = np.random.default_rng(31)
+    for trial in range(5):
+        nx, ny, nz, nu, nv = (int(n) for n in rng.integers(2, 5, size=5))
+        c = random_channel(rng, nx, ny, nz)
+        t = rng.dirichlet(np.ones(nu * nv * nx)).reshape(nu, nv, nx)
+        if trial == 0:
+            # an input of zero mass
+            t[..., 0] = 0.0
+            t /= t.sum()
+        p_ux, p_vx, px = t.sum(axis=1), t.sum(axis=0), t.sum(axis=(0, 1))
+        coupling = p_ux[:, None] * p_vx / np.where(px > 0.0, px, 1.0)
+        at_law = evaluate_uv_point(c, UvAuxiliary(t))
+        at_coupling = evaluate_uv_point(c, UvAuxiliary(coupling))
+        for field in dataclasses.fields(at_law):
+            got, want = getattr(at_coupling, field.name), getattr(at_law, field.name)
+            assert abs(got - want) <= 1e-12, (trial, field.name)
+        f_u, f_v = _uv_side_tables(c, nu, nv)
+        sides = f_u.value(p_ux) + f_v.value(p_vx)
+        assert np.abs(sides - _uv_table(c, nu, nv).value(t)[:3]).max() <= 1e-12, trial
+
+
 def test_uv_sum_rate_on_dominated_pair_equals_capacity():
     # Y less noisy than Z: all three branches cap at max I(X;Y), met at U=X
     c = bsc_pair(0.1, 0.3)
@@ -114,11 +142,6 @@ def test_marton_on_degraded_pair_equals_capacity():
         assert abs(marton_sum_rate(c, MARTON_CFG).value - cap) <= 1e-6, seed
 
 
-@pytest.mark.xfail(
-    reason="uv_sum_rate ends 7.1e-4 to 1.56e-2 below the capacity on degraded "
-    "pairs: every run reports converged with its y-side and z-side sum rows "
-    "tied to 6 decimals, so the ascent stalls at the tie of two rows"
-)
 def test_uv_on_degraded_pair_reaches_capacity():
     # the UV outer bound can be no lower than the achievable capacity
     for seed in range(10):
