@@ -499,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "compare the product sum rate against the component sum; the "
             "product search runs max(8, restarts // 4) restarts, and every "
-            "fixed-input polish max(40, max-iters // 2) iterations"
+            "input-law polish ascent max(40, max-iters // 2) iterations"
         ),
     )
     sp.add_argument(
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Three max/min orderings on a tiny channel. Derived budgets: the "
             "lambda searches run max(8, restarts // 2) restarts, each "
-            "fixed-input polish max(40, max-iters // 2) iterations, and the "
+            "input-law polish ascent max(40, max-iters // 2) iterations, and the "
             "p(x) grid's searches max(4, restarts // 3) restarts of "
             "max(60, max-iters // 2) iterations."
         ),

@@ -47,7 +47,7 @@ from .channel import (
     product_tensor,
 )
 from .kernel import entropy_of_array  # noqa: F401  (bench/selftest.py traces this site)
-from .objectives import FixedInputObjective, InfoFunctional, JointObjective, mi_terms
+from .objectives import InfoFunctional, JointObjective, SharedInputObjective, mi_terms
 from .search import (
     Line,
     SearchConfig,
@@ -311,7 +311,7 @@ def maximize_lambda_sr_at_input(
     prof = Cardinalities.for_sum_rate(c)
     px = checked_joint(px, "x", "input law")
     table = marton_table(c, prof)
-    obj = FixedInputObjective(table, px, lambda_weights(lam)[None])
+    obj = SharedInputObjective([table], lambda_weights(lam)[None], px)
     seeds = [obj.to_flat([t]) for t in [*structured_seed_joints(c, prof, [px]), *extra_seeds]]
     res = maximize(obj, obj.block_sizes, cfg, seeds=seeds)
     aux = AuxiliaryJoint(obj.to_tensors(res.point)[0])
@@ -326,14 +326,13 @@ def lambda_sr_global(
 ) -> LambdaPointResult:
     """Global weighted sum rate: joint search over p(u,v,w,x).
 
-    Multi-start ascent over the full joint, followed by one outer concave
-    polish step on the input law: the weighted sum rate is concave in p(x),
-    and at an inner maximizer the gradient of the joint objective contracted
-    with the conditional is a supergradient in p(x).
+    Multi-start ascent over the full joint, then one polish ascent from its
+    best point over p(x) and p(u,v,w|x), a ``SharedInputObjective`` that
+    steps the input law and the conditional together; the polish is kept
+    only if it rises.
 
-    Budgets: the joint search runs ``cfg``; each fixed-input polish ascent
-    (one at the found input law, then at most three at stepped input laws)
-    runs ``max(40, cfg.max_iters // 2)`` iterations.
+    Budgets: the joint search runs ``cfg``; the polish ascent runs
+    ``max(40, cfg.max_iters // 2)`` iterations.
     """
     prof = Cardinalities.for_sum_rate(c)
     table = marton_table(c, prof)
@@ -343,25 +342,11 @@ def lambda_sr_global(
     res = maximize(obj, obj.block_sizes, cfg, seeds=[obj.to_flat([t]) for t in starts])
     best_v, (best_t,) = res.value, obj.to_tensors(res.point)
 
+    polish = SharedInputObjective([table], weight_rows, None)
     inner_cfg = cfg.with_(max_iters=max(40, cfg.max_iters // 2))
-    px = best_t.sum(axis=(0, 1, 2))
-    fobj = FixedInputObjective(table, px, weight_rows)
-    v0, x0, _, _ = ascend(fobj, fobj.to_flat([best_t]), fobj.block_sizes, inner_cfg)
-    (t0,) = fobj.to_tensors(x0)
-    if v0 > best_v:
-        best_v, best_t = v0, t0
-    # the joint objective's gradient at t0, contracted with the conditional
-    _, grad = obj(obj.to_flat([t0])[None])
-    (g,) = obj.to_tensors(grad([0])[0])
-    cond_only = np.where(px > 0, t0 / np.where(px > 0, px, 1.0), 0.0)
-    super_px = np.einsum("uvwx,uvwx->x", cond_only, g)
-    for step in (1.0, 0.2, 0.05):
-        px_new = project_simplex(px + step * super_px)
-        fobj2 = FixedInputObjective(table, px_new, weight_rows)
-        v1, x1, _, _ = ascend(fobj2, fobj2.to_flat([t0]), fobj2.block_sizes, inner_cfg)
-        if v1 > best_v + 1e-12:
-            best_v, (best_t,) = v1, fobj2.to_tensors(x1)
-            break
+    v, x, _, _ = ascend(polish, polish.to_flat([best_t]), polish.block_sizes, inner_cfg)
+    if v > best_v:
+        best_v, (best_t,) = v, polish.to_tensors(x)
 
     aux = AuxiliaryJoint(best_t)
     return LambdaPointResult(lam, best_v, _slope(table.value(aux.joint)), aux, res.converged)
@@ -533,7 +518,7 @@ def check_factorization(
 
     Budgets: each component search runs ``lambda_sr_global`` at ``cfg``;
     the product search, the largest, runs ``max(8, cfg.restarts // 4)``
-    restarts. Each polishes as ``lambda_sr_global`` says.
+    restarts. Each ends with ``lambda_sr_global``'s one polish ascent.
     """
     r1 = lambda_sr_global(c1, lam, cfg)
     r2 = lambda_sr_global(c2, lam, cfg)

@@ -130,13 +130,13 @@ Called on a batch of flat points, one per row, an objective follows the
 search contract (see ``search``): one ``value_and_grad`` call per table
 and batch, their values, and ``grad(rows)``, each table's gradient at
 the points ``rows`` under the points' minimal rows, concatenated block
-by block. ``FixedInputObjective`` is the same objective on one table at
-a fixed input law, with one simplex per input symbol, and
-``SharedInputObjective`` the same on tables that share an input law,
-searched as that law and each table's conditional given the input. Each
-maps flat points to tensors and pulls gradients back its own way (the
-gradient closure hands the pullback the points' batch and rows, which
-the plain layout ignores), and scores through the same code.
+by block. ``SharedInputObjective`` is the same objective on tables that
+share an input law, laid out as that law (when it is searched, not
+given) and each table's conditional given the input, one simplex per
+input symbol. It maps flat points to tensors and pulls gradients back
+its own way (the gradient closure hands the pullback the points' batch
+and rows, which the plain layout ignores), and scores through the same
+code.
 """
 
 from __future__ import annotations
@@ -167,7 +167,6 @@ __all__ = [
     "ent_terms",
     "merge_terms",
     "JointObjective",
-    "FixedInputObjective",
     "SharedInputObjective",
 ]
 
@@ -658,85 +657,48 @@ class JointObjective:
         return np.concatenate([np.asarray(t, dtype=float).ravel() for t in tensors])
 
 
-class FixedInputObjective(JointObjective):
-    """``JointObjective`` of one table at a fixed input law ``px``, one
-    simplex per input symbol; it scores as its base and differs only in
-    the flat layout and the gradient pullback.
-
-    The flat layout is input-major: block x holds the conditional
-    p(rest | X=x) in C order. Axes of the base tensor keep the input last,
-    and ``to_tensors`` writes it in C order.
-    """
-
-    def __init__(
-        self, functional: InfoFunctional, px: np.ndarray, weight_rows: Sequence | np.ndarray
-    ) -> None:
-        super().__init__([functional], weight_rows, None)
-        self.rest_shape = functional.shape[:-1]
-        self.nx = functional.shape[-1]
-        self.px = np.asarray(px, dtype=float)
-        if self.px.shape != (self.nx,):
-            raise ValueError("px length mismatch")
-        self.block = int(np.prod(self.rest_shape))
-        # the input axis of a batch moved last (input-major to tensor order)
-        # and back, as transposes fixed once
-        k = len(self.rest_shape)
-        self._input_last = (0, *range(2, k + 2), 1)
-        self._input_first = (0, k + 1, *range(1, k + 1))
-
-    @property
-    def block_sizes(self) -> list[int]:
-        return [self.block] * self.nx
-
-    def _pullback(
-        self, grads: list[np.ndarray], flat: np.ndarray, rows: Sequence[int]
-    ) -> np.ndarray:
-        (g,) = grads
-        return (g * self.px).transpose(self._input_first).reshape(len(g), -1)
-
-    def to_tensors(self, flat: np.ndarray) -> list[np.ndarray]:
-        """The joint tensor of a flat point, or one per row of a batch."""
-        cond = flat.reshape((-1, self.nx) + self.rest_shape).transpose(self._input_last)
-        t = np.multiply(cond, self.px, order="C")
-        return [t if flat.ndim > 1 else t[0]]
-
-    def to_flat(self, tensors: Sequence[np.ndarray]) -> np.ndarray:
-        """Conditional layout of a joint tensor (zero-mass inputs -> uniform)."""
-        (t,) = tensors
-        return _conditional(np.asarray(t, dtype=float))
-
-
 class SharedInputObjective(JointObjective):
     """``JointObjective`` of tables whose base tensors share one input law,
-    searched as that law and each table's conditional given the input; it
+    laid out as that law and each table's conditional given the input; it
     scores as its base and differs only in the flat layout and the
-    direction it returns.
+    direction it returns. ``px`` is the law when it is given, and None
+    when it is searched.
 
-    The flat layout is p(x), one simplex of nx floats, then per table its
-    conditional p(rest | X=x) input-major, one simplex per input symbol;
-    table i's tensor is p(x) p(rest_i | x), input last, in C order. So a
-    point holds only the marginals the tables read, and the joint law of
-    their rests is left free (``coupling`` picks the one under which they
-    are independent given the input). The direction is the gradient with
-    each conditional block divided by its p(x), a positive rescaling per
-    block and so still an ascent direction: on a conditional block the
-    table's gradient at that input, and on p(x) the chain-rule derivative,
-    sum_i sum_rest g_i(rest, x) p(rest_i | x). A conditional of an input
-    of zero mass moves nothing, yet keeps its direction.
+    The flat layout is p(x), one simplex of nx floats (absent when ``px``
+    is given), then per table its conditional p(rest | X=x) input-major,
+    one simplex per input symbol; table i's tensor is p(x) p(rest_i | x),
+    input last, in C order. So a point holds only the marginals the tables
+    read, and the joint law of their rests is left free (``coupling`` picks
+    the one under which they are independent given the input). The
+    direction is the gradient with each conditional block divided by its
+    p(x), a positive rescaling per block and so still an ascent direction:
+    on a conditional block the table's gradient at that input, and on a
+    searched p(x) the chain-rule derivative, sum_i sum_rest g_i(rest, x)
+    p(rest_i | x). A conditional of an input of zero mass moves nothing,
+    yet keeps its direction.
     """
 
     def __init__(
-        self, tables: Sequence[InfoFunctional], weight_rows: Sequence | np.ndarray
+        self,
+        tables: Sequence[InfoFunctional],
+        weight_rows: Sequence | np.ndarray,
+        px: np.ndarray | None,
     ) -> None:
         super().__init__(tables, weight_rows, None)
         self.nx = self.tables[0].shape[-1]
         self.rests = [fn.shape[:-1] for fn in self.tables]
-        ends = np.cumsum([self.nx] + [math.prod(fn.shape) for fn in self.tables]).tolist()
+        self.px = None if px is None else np.asarray(px, dtype=float)
+        if self.px is not None and self.px.shape != (self.nx,):
+            raise ValueError("px length mismatch")
+        # a searched p(x) leads the layout
+        lead = self.nx if px is None else 0
+        ends = np.cumsum([lead] + [math.prod(fn.shape) for fn in self.tables]).tolist()
         self._conds = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
 
     @property
     def block_sizes(self) -> list[int]:
-        return [self.nx] + [math.prod(rest) for rest in self.rests for _ in range(self.nx)]
+        law = [self.nx] if self.px is None else []
+        return law + [math.prod(rest) for rest in self.rests for _ in range(self.nx)]
 
     def _pullback(
         self, grads: list[np.ndarray], flat: np.ndarray, rows: Sequence[int]
@@ -744,40 +706,44 @@ class SharedInputObjective(JointObjective):
         points = flat[rows]
         n = len(points)
         out = np.empty_like(points)
-        out[:, : self.nx] = 0.0
+        if self.px is None:
+            out[:, : self.nx] = 0.0
         for g, s in zip(grads, self._conds):
             # the table's gradient input-major, as its conditional's blocks
             block = out[:, s].reshape(n, self.nx, -1)
             np.copyto(block, g.reshape(n, -1, self.nx).transpose(0, 2, 1))
-            out[:, : self.nx] += (block * points[:, s].reshape(n, self.nx, -1)).sum(axis=2)
+            if self.px is None:
+                out[:, : self.nx] += (block * points[:, s].reshape(n, self.nx, -1)).sum(axis=2)
         return out
 
     def to_tensors(self, flat: np.ndarray) -> list[np.ndarray]:
         """Each table's joint tensor at a flat point, or one per row of a batch."""
         points = flat.reshape(-1, flat.shape[-1])
+        law = points[:, : self.nx] if self.px is None else self.px
         tensors = []
         for s, rest in zip(self._conds, self.rests):
             # input-major to tensor order: the input axis moved last
             k = len(rest)
             cond = points[:, s].reshape((-1, self.nx) + rest).transpose(0, *range(2, k + 2), 1)
-            px = points[:, : self.nx].reshape((-1,) + (1,) * k + (self.nx,))
+            px = law.reshape((-1,) + (1,) * k + (self.nx,))
             t = np.multiply(cond, px, order="C")
             tensors.append(t if flat.ndim > 1 else t[0])
         return tensors
 
     def to_flat(self, tensors: Sequence[np.ndarray]) -> np.ndarray:
         """The layout of one joint tensor per table: the first one's input
-        law, then each one's conditionals (zero-mass inputs -> uniform)."""
+        law when it is searched, then each one's conditionals (zero-mass
+        inputs -> uniform)."""
         tensors = [np.asarray(t, dtype=float) for t in tensors]
-        px = _input_law(tensors[0])
-        return np.concatenate([px] + [_conditional(t) for t in tensors])
+        law = [_input_law(tensors[0])] if self.px is None else []
+        return np.concatenate(law + [_conditional(t) for t in tensors])
 
     def coupling(self, flat: np.ndarray) -> np.ndarray:
         """The law of a flat point under which the tables' rests are
         independent given the input, p(x) prod_i p(rest_i | x): the rests'
         axes in table order, input last. Each table's tensor is its
         marginal."""
-        law = flat[: self.nx]
+        law = flat[: self.nx] if self.px is None else self.px
         for s, rest in zip(self._conds, self.rests):
             cond = np.moveaxis(flat[s].reshape((self.nx,) + rest), 0, -1)
             law = law.reshape(law.shape[:-1] + (1,) * len(rest) + (self.nx,)) * cond

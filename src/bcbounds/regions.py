@@ -124,19 +124,15 @@ def _uv_side_tables(c: Channel, nu: int, nv: int) -> list[InfoFunctional]:
     ]
 
 
-def _uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
-    """Rows: the three sum-rate branches, then I(U;Y) and I(V;Z)."""
-    u_side, v_side = _uv_sides()
-    rows = [u + v for u, v in zip(u_side, v_side)] + [u_side[0], v_side[0]]
-    return InfoFunctional("uvx", (nu, nv, c.nx), rows, channel=c.q)
-
-
 def evaluate_uv_point(c: Channel, aux: UvAuxiliary) -> UvPoint:
     """Exact UV-bound coordinates at one auxiliary."""
     nu, nv, nx = aux.shape
     if nx != c.nx:
         raise ValueError("UV auxiliary input alphabet mismatch")
-    _, sum_y, sum_z, iuy, ivz = map(float, _uv_table(c, nu, nv).value(aux.joint))
+    # the side tables' rows at p(u,x) and p(v,x), as uv_sum_rate scores them
+    u_side, v_side = _uv_side_tables(c, nu, nv)
+    iuy, sum_y, _ = map(float, u_side.value(aux.joint.sum(axis=1)))
+    ivz, _, sum_z = map(float, v_side.value(aux.joint.sum(axis=0)))
     return UvPoint(r1_bound=iuy, r2_bound=ivz, sum_y_side=sum_y, sum_z_side=sum_z)
 
 
@@ -170,7 +166,7 @@ def uv_sum_rate(
     extra = [UvAuxiliary(s).joint for s in extra_seeds]
     if any(t.shape[2] != c.nx for t in extra):
         raise ValueError("UV auxiliary input alphabet mismatch")
-    obj = SharedInputObjective(_uv_side_tables(c, *shape[:2]), np.eye(3))
+    obj = SharedInputObjective(_uv_side_tables(c, *shape[:2]), np.eye(3), None)
 
     uniform = np.full(c.nx, 1.0 / c.nx)
     ident = np.arange(c.nx)

@@ -50,12 +50,13 @@ by ``project_blocks``, which the ascent looks up in this module on every
 round. It takes one point or a batch of them and projects each run of
 consecutive equal blocks as one sort along the last axis of a (points,
 blocks, size) view, bit-identical to a per-block sort projection. The
-joint objectives are one run of one block, the fixed-input objectives one
-run of one block per input symbol, and a region search whose two
+joint objectives are one run of one block, and a region search whose two
 component auxiliaries have one size is one run of two blocks, as on the
 worked product (2 x 512 for ``product_outer``, 2 x 128 for
-``semi_deterministic``). The UV search there is two runs: p(x), one
-block of 16, then the conditionals p(u|x) and p(v|x), 32 blocks of 17.
+``semi_deterministic``). A shared-input objective is one block of p(x)
+when it searches the law, then its conditionals, one block per input
+symbol and table: on the worked product the UV search is p(x), one
+block of 16, then p(u|x) and p(v|x), 32 blocks of 17.
 """
 
 from __future__ import annotations

@@ -9,6 +9,9 @@ Each one recomputes a quantity of the package by an independent route:
   component by a sweep over an input-law grid;
 - ``witness_component_values``: the per-component information values
   behind the 44/15 UV witness;
+- ``uv_table``: the UV rows over the whole p(u,v,x), the reference that
+  ``regions._uv_side_tables`` reproduces over p(u,x) and p(v,x), and a
+  large table for the evaluation tests;
 - ``project_blocks_per_block``: the sort projection onto a product of
   simplices one block at a time, the reference that
   ``search.project_blocks`` reproduces bit for bit;
@@ -65,12 +68,12 @@ from bcbounds.marton import (
 from bcbounds.objectives import (
     LOG2_CLIP,
     LOG2E,
-    FixedInputObjective,
     InfoFunctional,
     JointObjective,
+    SharedInputObjective,
     mi_terms,
 )
-from bcbounds.regions import UvAuxiliary, evaluate_uv_point
+from bcbounds.regions import UvAuxiliary, _uv_sides, evaluate_uv_point
 from bcbounds.search import (
     IMPROVE_TOL,
     MIN_STEP,
@@ -274,7 +277,7 @@ def uniform_input_check(
         # one compiled table for the whole sweep; starts are the two branch
         # constructions plus flat conditionals, all deterministic, ascended
         # in lockstep (each bit for bit as by ``ascend`` on its own)
-        fobj = FixedInputObjective(table, px, lambda_weights(lam)[None])
+        fobj = SharedInputObjective([table], lambda_weights(lam)[None], px)
         starts = [fobj.to_flat([t]) for t in component_seed_joints(det, prof, px)]
         starts.append(np.full(sum(fobj.block_sizes), 1.0 / (prof.nu * prof.nv * prof.nw)))
         return max(v for v, _, _, _ in _lockstep(fobj, starts, fobj.block_sizes, cfg, len(starts)))
@@ -301,6 +304,13 @@ def uniform_input_check(
 
 
 # ------------------------------------------------------- the UV witness
+
+
+def uv_table(c: Channel, nu: int, nv: int) -> InfoFunctional:
+    """Rows over p(u,v,x): the three sum-rate branches, then I(U;Y) and I(V;Z)."""
+    u_side, v_side = _uv_sides()
+    rows = [u + v for u, v in zip(u_side, v_side)] + [u_side[0], v_side[0]]
+    return InfoFunctional("uvx", (nu, nv, c.nx), rows, channel=c.q)
 
 
 def witness_component_values() -> dict[str, float]:

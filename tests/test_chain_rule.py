@@ -25,11 +25,10 @@ from bcbounds.regions import (
     REGION_KINDS,
     _region_rows,
     _row_tables,
-    _uv_table,
     default_region_profiles,
 )
 from info_oracle import entropy, mutual_information
-from oracles import endpoint_table, tensor_objective
+from oracles import endpoint_table, tensor_objective, uv_table
 
 # a Marton table shape on the 16-input product, large enough for every
 # product of the components' branch constructions
@@ -58,7 +57,7 @@ def _uv(c):
         sum_z = ivz + mutual_information(p, (2,), (3,), given=(1,))
         return [iuy + ivz, sum_y, sum_z, iuy, ivz]
 
-    return _uv_table(c, 3, 2), expect
+    return uv_table(c, 3, 2), expect
 
 
 def _region_terms(c):
@@ -181,8 +180,8 @@ def _package_tables():
     tables = [
         marton_table(pc.flat, PRODUCT_MARTON_CAPS),
         marton_table(small, Cardinalities.for_sum_rate(small)),
-        _uv_table(pc.flat, 17, 17),
-        _uv_table(small, 4, 4),
+        uv_table(pc.flat, 17, 17),
+        uv_table(small, 4, 4),
     ]
     for kind in REGION_KINDS:
         tables += _component_tables(pc, kind)
@@ -205,7 +204,7 @@ def test_no_compiled_marginal_keeps_the_input_next_to_an_output():
 
 def test_chain_rule_layout_of_the_worked_product():
     pc = product_channel()
-    uv = _uv_table(pc.flat, 17, 17)
+    uv = uv_table(pc.flat, 17, 17)
     assert uv.subsets == ["u", "y", "uy", "v", "z", "vz", "uz", "vy"]
     assert uv._offsets[-1] == 874
     assert uv.linear is not None and uv.linear.shape == (5, 16)

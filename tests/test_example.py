@@ -184,16 +184,23 @@ def test_only_the_cli_renders_reports():
 
 def test_one_objective_class():
     # every search scores through one objective: only objectives.py defines
-    # a class with both __call__ and block_sizes, and only JointObjective
+    # a class with both __call__ and block_sizes, and only JointObjective;
+    # and one layout class: SharedInputObjective is the package's only
+    # subclass of JointObjective, directly or through another class
     pkg = Path(bcbounds.__file__).resolve().parent
-    objectives = []
+    objectives, parents = [], {}
     for path in sorted(pkg.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
                 names = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
                 if {"__call__", "block_sizes"} <= names:
                     objectives.append(f"{path.stem}.{node.name}")
+                parents[node.name] = {ast.unparse(b).split(".")[-1] for b in node.bases}
     assert objectives == ["objectives.JointObjective"]
+    family = {"JointObjective"}
+    while (grown := family | {c for c, ps in parents.items() if ps & family}) != family:
+        family = grown
+    assert family == {"JointObjective", "SharedInputObjective"}
 
 
 def test_cli_region_kinds_are_the_region_kinds():

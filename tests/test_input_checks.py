@@ -24,7 +24,7 @@ from bcbounds.marton import (
     lambda_sr_value,
     maximize_lambda_sr_at_input,
 )
-from bcbounds.objectives import FixedInputObjective, InfoFunctional, ent_terms, merge_terms
+from bcbounds.objectives import InfoFunctional, SharedInputObjective, ent_terms, merge_terms
 from bcbounds.regions import (
     ProductAuxiliary,
     RateRegionPolytope,
@@ -146,7 +146,9 @@ CASES = {
         "fix_r0 must be finite and nonnegative, got -0.5",
     ),
     "px_length": (
-        lambda: FixedInputObjective(InfoFunctional("ux", (2, 4), [ent_terms("u")]), [0.5] * 2, [1.0]),
+        lambda: SharedInputObjective(
+            [InfoFunctional("ux", (2, 4), [ent_terms("u")])], [1.0], [0.5] * 2
+        ),
         "px length mismatch",
     ),
     "unknown_axes": (lambda: merge_terms([(1.0, "uq")], "ux"), "unknown axes ['q']"),

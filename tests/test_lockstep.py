@@ -19,10 +19,10 @@ from bcbounds.marton import (
     marton_table,
     structured_seed_joints,
 )
-from bcbounds.objectives import FixedInputObjective, JointObjective
-from bcbounds.regions import _support_objective, _uv_table, default_region_profiles
+from bcbounds.objectives import JointObjective, SharedInputObjective
+from bcbounds.regions import _support_objective, default_region_profiles
 from bcbounds.search import SearchConfig, ascend, maximize
-from oracles import maximize_sequential, pointwise, run_restart
+from oracles import maximize_sequential, pointwise, run_restart, uv_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import bec_bsc_pair  # noqa: E402
@@ -43,7 +43,7 @@ def _marton_lambda_search():
 
 def _uv_small():
     c = _random_channel(np.random.default_rng(21), 3, 2, 3)
-    obj = JointObjective([_uv_table(c, 4, 4)], np.eye(5)[:3], None)
+    obj = JointObjective([uv_table(c, 4, 4)], np.eye(5)[:3], None)
     return obj, SearchConfig(restarts=6, max_iters=80, seed=2), []
 
 
@@ -51,7 +51,7 @@ def _fixed_input():
     c = Channel(bec_bsc_pair())
     prof = Cardinalities.for_sum_rate(c)
     px = np.array([0.3, 0.7])
-    obj = FixedInputObjective(marton_table(c, prof), px, lambda_weights(0.6)[None])
+    obj = SharedInputObjective([marton_table(c, prof)], lambda_weights(0.6)[None], px)
     seeds = [obj.to_flat([t]) for t in structured_seed_joints(c, prof, [px])]
     return obj, SearchConfig(restarts=6, max_iters=80, seed=4), seeds
 

@@ -13,7 +13,6 @@ from bcbounds.marton import Cardinalities, lambda_weights, marton_table
 from bcbounds.objectives import (
     DENSE_MAP_FLOATS,
     LOG2E,
-    FixedInputObjective,
     InfoFunctional,
     JointObjective,
     SharedInputObjective,
@@ -28,7 +27,6 @@ from bcbounds.regions import (
     _row_tables,
     _support_objective,
     _uv_side_tables,
-    _uv_table,
     default_region_profiles,
 )
 from info_oracle import mutual_information
@@ -43,6 +41,7 @@ from oracles import (
     pointwise,
     row_values_per_tensor,
     tensor_objective,
+    uv_table,
     weigh_per_tensor,
     weighing_per_call,
 )
@@ -193,7 +192,7 @@ def test_fixed_input_objective_blocks_and_masses():
     q = _random_channel(rng, 3, 2, 2)
     fn = InfoFunctional("uvx", (2, 2, 3), [mi_terms("u", "y") + mi_terms("v", "z")], q)
     px = np.array([0.5, 0.5, 0.0])
-    obj = FixedInputObjective(fn, px, [1.0])
+    obj = SharedInputObjective([fn], [1.0], px)
     # one conditional simplex per input letter
     assert obj.block_sizes == [4, 4, 4]
     t = rng.dirichlet(np.ones(4), size=3).T.reshape(2, 2, 3) * px
@@ -210,40 +209,12 @@ def test_fixed_input_zero_mass_conditional_is_uniform():
     rng = np.random.default_rng(6)
     q = _random_channel(rng, 2, 2, 2)
     fn = InfoFunctional("ux", (2, 2), [mi_terms("u", "y")], q)
-    obj = FixedInputObjective(fn, np.array([1.0, 0.0]), [1.0])
+    obj = SharedInputObjective([fn], [1.0], np.array([1.0, 0.0]))
     t = np.zeros((2, 2))
     t[0, 0] = 1.0
     flat = obj.to_flat([t])
     # the conditional attached to the zero-mass input defaults to uniform
     assert np.allclose(flat[2:], 0.5)
-
-
-def test_fixed_input_gradient_matches_fd():
-    rng = np.random.default_rng(7)
-    q = _random_channel(rng, 3, 2, 2)
-    fn = InfoFunctional(
-        "uvx",
-        (2, 3, 3),
-        [mi_terms("u", "y") + mi_terms("v", "z") + mi_terms("u", "v", coeff=-1.0)],
-        q,
-    )
-    px = rng.dirichlet(np.ones(3))
-    obj = FixedInputObjective(fn, px, [1.0])
-    flat = np.concatenate([rng.dirichlet(np.ones(6)) for _ in range(3)])
-
-    def value_only(f):
-        return pointwise(obj)(f)[0]
-
-    g = pointwise(obj)(flat)[1]()
-    g_fd = np.zeros_like(flat)
-    eps = 1e-6
-    for i in range(flat.size):
-        fp, fm = flat.copy(), flat.copy()
-        fp[i] += eps
-        fm[i] -= eps
-        g_fd[i] = (value_only(fp) - value_only(fm)) / (2 * eps)
-    scale = max(1.0, np.abs(g_fd).max())
-    assert np.abs(g - g_fd).max() / scale < 1e-4
 
 
 def _chain_rule_parts(obj, tables, weight_row, flat):
@@ -265,33 +236,39 @@ def _chain_rule_parts(obj, tables, weight_row, flat):
 
 @pytest.mark.parametrize("branch", range(3))
 def test_shared_input_direction_is_the_gradient_with_conditionals_divided_by_px(branch):
-    # at random interior points, under one UV branch row: central finite
-    # differences along the layout p(x), p(u|x), p(v|x) match the chain
-    # rule within AC10's bound, and the returned direction is that gradient
-    # with each conditional block divided by its p(x)
+    # at random interior points, under one UV branch row, with p(x) searched
+    # and with the same p(x) given: central finite differences along the
+    # layout, p(x) (when searched), p(u|x), p(v|x), match the chain rule
+    # within AC10's bound and within 1e-4 of the largest of 1 and the
+    # largest derivative, and the returned direction is that gradient with
+    # each conditional block divided by its p(x)
     rng = np.random.default_rng(20 + branch)
     c = Channel(_random_channel(rng, 3, 2, 3))
     tables = _uv_side_tables(c, 3, 4)
     weight_row = np.eye(3)[branch : branch + 1]
-    obj = SharedInputObjective(tables, weight_row)
+    obj = SharedInputObjective(tables, weight_row, None)
     assert obj.block_sizes == [3] + [3] * 3 + [4] * 3
-    f = pointwise(obj)
     for _ in range(3):
         flat = np.concatenate([rng.dirichlet(np.ones(b)) for b in obj.block_sizes])
         dpx, dconds = _chain_rule_parts(obj, tables, weight_row, flat)
-        chain = np.concatenate([dpx] + [d.ravel() for d in dconds])
-        fd = _fd_grad(lambda x: f(x)[0], flat)
-        assert np.linalg.norm(chain - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-4
         px = flat[:3, None]
-        expect = np.concatenate([dpx] + [(d / px).ravel() for d in dconds])
-        assert np.allclose(f(flat)[1](), expect, rtol=1e-12, atol=1e-15)
+        given = SharedInputObjective(tables, weight_row, flat[:3])
+        assert given.block_sizes == obj.block_sizes[1:]
+        for o, point, lead in ((obj, flat, [dpx]), (given, flat[3:], [])):
+            f = pointwise(o)
+            chain = np.concatenate(lead + [d.ravel() for d in dconds])
+            fd = _fd_grad(lambda x: f(x)[0], point)
+            assert np.linalg.norm(chain - fd) / max(np.linalg.norm(fd), 1e-9) <= 1e-4
+            assert np.abs(chain - fd).max() / max(1.0, np.abs(fd).max()) < 1e-4
+            expect = np.concatenate(lead + [(d / px).ravel() for d in dconds])
+            assert np.allclose(f(point)[1](), expect, rtol=1e-12, atol=1e-15)
 
 
 def test_shared_input_conditional_of_a_zero_mass_input_moves_nothing():
     rng = np.random.default_rng(23)
     c = Channel(_random_channel(rng, 3, 2, 3))
     for branch in range(3):
-        obj = SharedInputObjective(_uv_side_tables(c, 3, 4), np.eye(3)[branch : branch + 1])
+        obj = SharedInputObjective(_uv_side_tables(c, 3, 4), np.eye(3)[branch : branch + 1], None)
         conds = [rng.dirichlet(np.ones(b)) for b in obj.block_sizes[1:]]
         flat = np.concatenate([[0.6, 0.4, 0.0]] + conds)
         moved = flat.copy()
@@ -315,7 +292,7 @@ def test_shared_input_batch_rows_keep_their_lone_bits(small):
     c = Channel(_random_channel(rng, 3, 2, 3)) if small else product_channel().flat
     # weights under which both sum rows with a cross term are minimal somewhere
     weight_rows = np.diag([100.0, 1.0, 2.0 if small else 1.0])
-    obj = SharedInputObjective(_uv_side_tables(c, c.nx + 1, c.nx + 1), weight_rows)
+    obj = SharedInputObjective(_uv_side_tables(c, c.nx + 1, c.nx + 1), weight_rows, None)
     assert all((fn._map is not None) == small for fn in obj.tables)
     batch = np.stack(
         [np.concatenate([rng.dirichlet(np.ones(b)) for b in obj.block_sizes]) for _ in range(5)]
@@ -377,11 +354,11 @@ def test_min_of_identity_rows_and_weighted_row():
         assert values[0] == v_ref
         ref = _grad(table.value_and_grad(t[None]), [0], w_ref[None])
         assert grad([0]).tobytes() == ref.tobytes()
-        obj = FixedInputObjective(table, px, np.eye(4)[:3])
+        obj = SharedInputObjective([table], np.eye(4)[:3], px)
         flat = obj.to_flat([t])
         _, w_ref = _first_min_row(table.value(obj.to_tensors(flat)[0]), 3)
         got = pointwise(obj)(flat)
-        ref = pointwise(FixedInputObjective(table, px, w_ref))(flat)
+        ref = pointwise(SharedInputObjective([table], w_ref, px))(flat)
         assert got[0] == ref[0] and np.array_equal(got[1](), ref[1]())
     # one weight row is the plain weighted sum, gradient included
     weights = np.array([0.3, 0.7, 1.0, -0.5])
@@ -468,7 +445,7 @@ def _c_order(t):
 
 
 def _input_major(t):
-    # the layout FixedInputObjective.to_tensors builds: the input axis slowest
+    # an input-major layout: the input axis slowest
     return np.ascontiguousarray(np.moveaxis(t, -1, 0)).transpose(list(range(1, t.ndim)) + [0])
 
 
@@ -482,11 +459,11 @@ def _kernel_tables(rng):
         prof1.shape(pc.c1.nx),
         prof2.shape(pc.c2.nx),
     )
-    tables = [marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3), f1, f2]
+    tables = [marton_table(c, Cardinalities(3, 2, 2)), uv_table(c, 3, 3), f1, f2]
     # 16 inputs: long enough sums that a matmul's order follows the layout
     # of its left operand
     wide = Channel(_random_channel(rng, 16, 3, 4))
-    tables += [marton_table(wide, Cardinalities(4, 4, 2)), _uv_table(wide, 5, 5)]
+    tables += [marton_table(wide, Cardinalities(4, 4, 2)), uv_table(wide, 5, 5)]
     return tables
 
 
@@ -614,7 +591,7 @@ def test_keep_lattice_reduces_each_keep_from_its_smallest_superset():
     cases = [
         (component, (4, 4, 8, 4), 2),
         (marton_table(pc.flat, PRODUCT_MARTON_CAPS), (8, 8, 4, 16), 3),
-        (_uv_table(pc.flat, 17, 17), (17, 17, 16), 2),
+        (uv_table(pc.flat, 17, 17), (17, 17, 16), 2),
     ]
     for fn, shape, roots in cases:
         assert fn.shape == shape
@@ -645,7 +622,7 @@ def test_a_tensor_has_one_value_whatever_its_memory_order():
     # (a region search's component split) those of its contiguous copy
     rng = np.random.default_rng(24)
     flat = product_channel().flat
-    for fn in (marton_table(flat, PRODUCT_MARTON_CAPS), _uv_table(flat, 17, 17)):
+    for fn in (marton_table(flat, PRODUCT_MARTON_CAPS), uv_table(flat, 17, 17)):
         assert fn.shape in ((8, 8, 4, 16), (17, 17, 16))
         weights = rng.normal(size=(1, fn.coeffs.shape[0]))
         for _ in range(4):
@@ -673,7 +650,7 @@ def test_evaluation_survives_later_evaluations_bit_for_bit():
     # lazy gradient reads: evaluate t1, then t2, then take t1's gradient
     rng = np.random.default_rng(13)
     c = Channel(_random_channel(rng, 3, 2, 3))
-    for fn in (marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3)):
+    for fn in (marton_table(c, Cardinalities(3, 2, 2)), uv_table(c, 3, 3)):
         px = rng.dirichlet(np.ones(3))
         t1, t2 = (_input_major(_awkward_tensor(rng, fn.shape)) for _ in range(2))
         weights = rng.normal(size=(1, fn.coeffs.shape[0]))
@@ -691,7 +668,7 @@ def test_evaluation_survives_later_evaluations_bit_for_bit():
         assert grad1([0]).tobytes() == _grad(fresh, [0], weights).tobytes()
         assert v1.tobytes() == tensor_objective(fn, weights)(t1[None])[0].tobytes()
         # the flat-vector adapters read the same buffers
-        obj = FixedInputObjective(fn, px, weights)
+        obj = SharedInputObjective([fn], weights, px)
         x1, x2 = obj.to_flat([t1]), obj.to_flat([t2])
         f = pointwise(obj)
         value, grad = f(x1)
@@ -707,8 +684,8 @@ def test_batched_evaluation_matches_each_tensor_bit_for_bit():
     rng = np.random.default_rng(14)
     c = Channel(_random_channel(rng, 3, 2, 3))
     wide = Channel(_random_channel(rng, 16, 3, 4))
-    tables = [marton_table(c, Cardinalities(3, 2, 2)), _uv_table(c, 3, 3)]
-    tables += [marton_table(wide, Cardinalities(4, 4, 2)), _uv_table(wide, 5, 5)]
+    tables = [marton_table(c, Cardinalities(3, 2, 2)), uv_table(c, 3, 3)]
+    tables += [marton_table(wide, Cardinalities(4, 4, 2)), uv_table(wide, 5, 5)]
     for fn in tables:
         singles = [_awkward_tensor(rng, fn.shape) for _ in range(3)]
         weights = rng.normal(size=(3, fn.coeffs.shape[0]))
@@ -782,7 +759,7 @@ def test_batched_layer_matches_the_per_tensor_oracle_bit_for_bit():
     cases = [
         (marton_table(small, Cardinalities.for_sum_rate(small)), (2, 2, 2, 2), lam_rows, []),
         (marton_table(flat, PRODUCT_MARTON_CAPS), (8, 8, 4, 16), lam_rows, []),
-        (_uv_table(flat, 17, 17), (17, 17, 16), [np.eye(5)[:3]], _uv_ties()),
+        (uv_table(flat, 17, 17), (17, 17, 16), [np.eye(5)[:3]], _uv_ties()),
     ]
     for fn, shape, weighings, ties in cases:
         assert fn.shape == shape
@@ -831,7 +808,7 @@ def test_table_keeps_one_fill_plan_as_a_group_shrinks():
     # evaluated again is compiled again with the same bits
     rng = np.random.default_rng(23)
     q = _random_channel(rng, 3, 2, 2)
-    fn = _uv_table(Channel(q), 4, 4)
+    fn = uv_table(Channel(q), 4, 4)
     batch = rng.dirichlet(np.ones(48), size=16).reshape(16, 4, 4, 3)
     first = fn.value_and_grad(batch).values
     plans = []
@@ -853,7 +830,7 @@ def _compiled_weighings():
     lam_rows = np.stack([lambda_weights(x) for x in (0.5, 0.0, 1.0, 0.3)])
     objectives = [
         JointObjective([marton_table(pc.flat, PRODUCT_MARTON_CAPS)], lam_rows, None),
-        JointObjective([_uv_table(pc.flat, 17, 17)], np.eye(5)[:3], None),
+        JointObjective([uv_table(pc.flat, 17, 17)], np.eye(5)[:3], None),
     ]
     for kind in ("product_outer", "semi_deterministic"):
         prof1, prof2 = default_region_profiles(pc, kind)
@@ -929,7 +906,7 @@ def test_value_at_a_validated_joint_with_exact_zeros_keeps_its_bits():
         t[..., 0] = 0.0
         aux = AuxiliaryJoint(t / t.sum())
         assert (aux.joint == 0.0).any()
-        marton, uv = marton_table(c, prof), _uv_table(c, shape[0], shape[1])
+        marton, uv = marton_table(c, prof), uv_table(c, shape[0], shape[1])
         assert [fn._map is not None for fn in (marton, uv)] == [c.nx == 4] * 2
         assert [v.hex() for v in marton.value(aux.joint)] == marton_hex
         assert [v.hex() for v in uv.value(aux.joint.sum(axis=2))] == uv_hex
@@ -942,7 +919,7 @@ def _small_tables(rng):
     tables = [InfoFunctional("ab", (3, 4), [mi_terms("a", "b"), ent_terms("a", "b")])]
     for nx in (2, 3):
         c = Channel(_random_channel(rng, nx, 2, 3))
-        tables += [marton_table(c, Cardinalities(2, 2, 2)), _uv_table(c, 2, 3)]
+        tables += [marton_table(c, Cardinalities(2, 2, 2)), uv_table(c, 2, 3)]
     assert all(fn._map is not None for fn in tables)
     assert any(fn.linear is not None for fn in tables)
     return tables
@@ -993,8 +970,8 @@ def test_dense_and_lattice_agree_on_small_tables():
     # size of the terms each entry sums (|map| @ |d|, the scale of its
     # rounding: a clipped log adds terms near 1000 that cancel), at tensors
     # with exact zeros, entries below GRAD_CLIP and a zero-mass input, under
-    # one weight row and under mixed rows; and through FixedInputObjective
-    # at an input law with a zero, within 1e-13 of each flat gradient's
+    # one weight row and under mixed rows; and through SharedInputObjective
+    # at a given input law with a zero, within 1e-13 of each flat gradient's
     # largest entry (one weight row there: under a minimum over rows, a near
     # tie may take another row on each path)
     rng = np.random.default_rng(28)
@@ -1019,9 +996,10 @@ def test_dense_and_lattice_agree_on_small_tables():
         px = rng.dirichlet(np.ones(fn.shape[-1]))
         px[0] = 0.0
         px /= px.sum()
-        dense_obj = FixedInputObjective(fn, px, weights[:1])
-        lattice_obj = FixedInputObjective(lattice, px, weights[:1])
-        flat = rng.dirichlet(np.ones(dense_obj.block), size=(5, fn.shape[-1])).reshape(5, -1)
+        dense_obj = SharedInputObjective([fn], weights[:1], px)
+        lattice_obj = SharedInputObjective([lattice], weights[:1], px)
+        block = dense_obj.block_sizes[0]
+        flat = rng.dirichlet(np.ones(block), size=(5, fn.shape[-1])).reshape(5, -1)
         (v, grad), (v_ref, grad_ref) = dense_obj(flat), lattice_obj(flat)
         assert np.abs(v - v_ref).max() <= 1e-13
         g, ref = grad(range(5)), grad_ref(range(5))
@@ -1061,7 +1039,7 @@ def test_small_tables_take_the_dense_map_and_the_product_tables_the_lattice():
     assert [fn.shape for fn in dense] == [(2, 2, 2, 2), (2, 4, 4, 4), (4, 2, 4, 4)]
     assert all(fn._map is not None for fn in dense)
     pc = product_channel()
-    lattice = [_uv_table(pc.flat, 17, 17)]
+    lattice = [uv_table(pc.flat, 17, 17)]
     for kind in ("semi_deterministic", "product_outer"):
         prof1, prof2 = default_region_profiles(pc, kind)
         sides = prof1.shape(pc.c1.nx), prof2.shape(pc.c2.nx)

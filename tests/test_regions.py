@@ -16,7 +16,6 @@ from bcbounds.regions import (
     _region_rows,
     _support_objective,
     _uv_side_tables,
-    _uv_table,
     _VertexSystem,
     build_region,
     class_notes,
@@ -28,7 +27,7 @@ from bcbounds.regions import (
 from bcbounds.objectives import weigh
 from bcbounds.search import SearchConfig
 from info_oracle import entropy, mutual_information
-from oracles import dual_support_per_point, pointwise
+from oracles import dual_support_per_point, pointwise, uv_table
 
 CFG = SearchConfig(restarts=6, max_iters=120, seed=0)
 MARTON_CFG = SearchConfig(restarts=8, max_iters=150, seed=0)
@@ -101,8 +100,10 @@ def test_uv_point_constant_auxiliaries():
 def test_uv_rows_read_only_the_two_marginals():
     # the search rests on this: no UV row has a term in U and V together, so
     # a law and the coupling p(x) p(u|x) p(v|x) of its marginals p(u,x) and
-    # p(v,x) have one UV point, and the U-side and V-side rows sum to the
-    # branch rows. A U-V term in the rows breaks both
+    # p(v,x) have one value of the rows over the whole law, the U-side and
+    # V-side rows sum to the branch rows, and evaluate_uv_point, which reads
+    # the side tables, gives those rows at both. A U-V term in the rows
+    # breaks all three
     rng = np.random.default_rng(31)
     for trial in range(5):
         nx, ny, nz, nu, nv = (int(n) for n in rng.integers(2, 5, size=5))
@@ -114,14 +115,17 @@ def test_uv_rows_read_only_the_two_marginals():
             t /= t.sum()
         p_ux, p_vx, px = t.sum(axis=1), t.sum(axis=0), t.sum(axis=(0, 1))
         coupling = p_ux[:, None] * p_vx / np.where(px > 0.0, px, 1.0)
-        at_law = evaluate_uv_point(c, UvAuxiliary(t))
-        at_coupling = evaluate_uv_point(c, UvAuxiliary(coupling))
-        for field in dataclasses.fields(at_law):
-            got, want = getattr(at_coupling, field.name), getattr(at_law, field.name)
-            assert abs(got - want) <= 1e-12, (trial, field.name)
+        full = uv_table(c, nu, nv)
+        want = full.value(t)
+        assert np.abs(full.value(coupling) - want).max() <= 1e-12, trial
         f_u, f_v = _uv_side_tables(c, nu, nv)
         sides = f_u.value(p_ux) + f_v.value(p_vx)
-        assert np.abs(sides - _uv_table(c, nu, nv).value(t)[:3]).max() <= 1e-12, trial
+        assert np.abs(sides - want[:3]).max() <= 1e-12, trial
+        for law in (t, coupling):
+            pt = evaluate_uv_point(c, UvAuxiliary(law))
+            got = [pt.r1_bound + pt.r2_bound, pt.sum_y_side, pt.sum_z_side]
+            got += [pt.r1_bound, pt.r2_bound]
+            assert np.abs(np.array(got) - want).max() <= 1e-12, trial
 
 
 def test_uv_sum_rate_on_dominated_pair_equals_capacity():
